@@ -4,8 +4,8 @@ Runs the ``repro.bench`` suite in both full and quick modes and writes
 ``BENCH_kernel.json`` at the repo root — the checked-in baseline that the
 CI perf-smoke job (``repro bench --quick --check``) gates against.
 
-Regression gating uses the *normalized ratio* (workload events/sec over
-the same-process empty-callback pump rate) so host speed cancels out; see
+Regression gating uses the *normalized ratio* (workload task instances/sec
+over the same-process empty-callback pump rate) so host speed cancels out; see
 ``repro.bench``. When a baseline is already checked in, this benchmark
 asserts the fresh measurement has not regressed more than ``TOLERANCE``
 below it, re-measuring up to ``ATTEMPTS`` times (keeping the best run) so
@@ -128,9 +128,9 @@ def bench_kernel_throughput(benchmark):
         rows = [
             [
                 name,
-                f"{r['events_per_sec']:,.0f}",
-                f"{r['normalized_ratio']:.4f}",
+                f"{r['normalized_ratio']:.3e}",
                 f"{r['dispatch_ms_per_instance']:.3f}",
+                f"{r['events_per_sec']:,.0f}",
                 f"{r['sched_event_share'] * 100:.1f}%",
                 f"{r['sim_events']:,}",
             ]
@@ -138,7 +138,7 @@ def bench_kernel_throughput(benchmark):
         ]
         print(
             format_table(
-                ["workload", "events/s", "ratio", "ms/task", "sched share", "events"],
+                ["workload", "inst/s÷pump", "ms/task", "events/s", "sched share", "events"],
                 rows,
                 title=f"kernel bench ({suite['mode']}, {suite['backend']})",
             )

@@ -680,9 +680,9 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
     rows = [
         [
             name,
-            f"{r['events_per_sec']:,.0f}",
-            f"{r['normalized_ratio']:.4f}",
+            f"{r['normalized_ratio']:.3e}",
             f"{r['dispatch_ms_per_instance']:.3f}",
+            f"{r['events_per_sec']:,.0f}",
             f"{r['sched_event_share'] * 100:.1f}%",
             f"{r['sim_events']:,}",
             r["digest"][:12],
@@ -691,7 +691,7 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
     ]
     print(
         format_table(
-            ["workload", "events/s", "ratio", "ms/task", "sched share", "events", "digest"],
+            ["workload", "inst/s÷pump", "ms/task", "events/s", "sched share", "events", "digest"],
             rows,
             title=(
                 f"kernel bench ({suite['mode']}, {label}, "

@@ -14,6 +14,20 @@ prototype uses:
 - heartbeat failure detection with rank-staggered takeover so "the oldest
   surviving member of the group assume[s] the role of group leader".
 
+The failure detector has one extra state, **parked**.  While the network is
+calm (:attr:`repro.netsim.network.Network.calm`) and the group is steady,
+every beat would arrive and every timeout check would pass, so the ``hb``
+timer is not re-armed and no beat is sent.  The coordinator decides for the
+whole group — a member that parked while its coordinator stayed awake would
+go stale and be suspected — by stamping its last :class:`CoordBeat` with the
+network's disturbance count; members park when that beat arrives under the
+same count.  The network raises a disturbance edge *before* any fault takes
+effect (crash, kill of a member, partition, fault rate, heal ...): every
+member then forgives the agreed silence (timestamps refreshed to ``now``,
+as ``_install`` does on a view change), re-arms ``hb`` on its old phase,
+and the explicit protocol below runs unchanged.  A member also wakes when a
+beat from its coordinator carries no valid park order.
+
 Concurrency note: everything runs inside one deterministic simulator, so no
 locking is needed; correctness concerns are protocol-level (stale views,
 crashed coordinators, messages from superseded views).
@@ -21,6 +35,7 @@ crashed coordinators, messages from superseded views).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -172,6 +187,20 @@ class IsisMember(SimProcess):
         # that concurrently-formed rival groups discover each other
         self._alumni: dict[Address, int] = {}  # address -> probes sent
         self._hb_ticks = 0
+        # parked state (see module docstring): when the hb timer is next
+        # due — its phase, kept while parked — and, coordinator side, the
+        # members whose Heartbeat arrived from this view under the current
+        # disturbance count ("heard from since calm returned")
+        self._parked = False
+        self._hb_due = 0.0
+        self._heard: set[Address] = set()
+        # live metrics (resolved at start; None when telemetry is off); the
+        # gauge is the one of isis_parked / isis_awake this member counts in
+        self._tel_ticks: Any = None
+        self._tel_beats: Any = None
+        self._tel_parked: Any = None
+        self._tel_awake: Any = None
+        self._tel_gauge: Any = None
 
         # request/reply
         self._pending_requests: dict[str, _PendingRequest] = {}
@@ -181,6 +210,11 @@ class IsisMember(SimProcess):
     @property
     def joined(self) -> bool:
         return self.view is not None and not self._left
+
+    @property
+    def parked(self) -> bool:
+        """True while this member's failure detector is parked."""
+        return self._parked
 
     @property
     def is_coordinator(self) -> bool:
@@ -279,7 +313,11 @@ class IsisMember(SimProcess):
         if not self.joined:
             return
         assert self.view is not None
+        # going silent is, to a parked group, what a kill is: the others
+        # must be awake to miss this member's beats
+        self.host.network.disturb(self)
         self._left = True
+        self._set_parked(False)
         self.cancel_timer("hb")
         if self.view.coordinator == self.address or self._acting_coordinator:
             # Coordinator hands off by running one last view change that
@@ -323,10 +361,31 @@ class IsisMember(SimProcess):
     # ------------------------------------------------------------- lifecycle
 
     def on_start(self) -> None:
+        self.host.network.watch(self, self._on_disturbance)
+        tel = self.sim.telemetry
+        if tel is not None:
+            self._tel_ticks = tel.counter(
+                "isis_hb_ticks_total", "failure-detector timer ticks"
+            ).labels()
+            self._tel_beats = tel.counter(
+                "isis_beats_sent_total", "Heartbeat/CoordBeat messages sent"
+            ).labels()
+            self._tel_parked = tel.gauge(
+                "isis_parked", "group members whose failure detector is parked"
+            ).labels()
+            self._tel_awake = tel.gauge(
+                "isis_awake", "group members running the explicit heartbeat protocol"
+            ).labels()
         if not self._contacts:
             self._install(View(1, (self.address,)), replay=())
         else:
             self._try_join()
+
+    def on_stop(self) -> None:
+        self._set_parked(False)
+
+    def on_crash(self) -> None:
+        self._set_parked(False)
 
     def _try_join(self) -> None:
         if self.joined or not self.alive:
@@ -347,77 +406,79 @@ class IsisMember(SimProcess):
     def on_message(self, src: Address, payload: Any) -> None:
         if self._left:
             return
-        if isinstance(payload, JoinReq):
-            self._on_join_req(payload)
-        elif isinstance(payload, LeaveReq):
-            self._on_leave_req(payload)
-        elif isinstance(payload, Flush):
-            self._on_flush(src, payload)
-        elif isinstance(payload, FlushOk):
-            self._on_flush_ok(payload)
-        elif isinstance(payload, NewView):
-            self._on_new_view(payload)
-        elif isinstance(payload, Heartbeat):
-            self._last_seen[payload.sender] = self.now
-            # a live heartbeat retracts any queued suspicion (partition heal)
-            self._queued_leaves.discard(payload.sender)
-            if self.view is not None and payload.sender not in self.view:
-                # a non-member is heartbeating us: it was evicted (losing
-                # side of a partition, or a superseded rival group) and
-                # should rejoin through our coordinator
-                self.send(
-                    payload.sender,
-                    Evicted(self.view.view_id, self.view.coordinator),
-                    size=self.config.control_size,
-                )
-        elif isinstance(payload, CoordBeat):
-            if self.view is None:
-                pass
-            elif (
-                self.view.coordinator == self.address
-                and payload.sender != self.address
-                and payload.sender not in self.view
+        handler = self._HANDLERS.get(type(payload))
+        if handler is not None:
+            handler(self, src, payload)
+
+    def _on_heartbeat(self, src: Address, msg: Heartbeat) -> None:
+        self._last_seen[msg.sender] = self.now
+        # a live heartbeat retracts any queued suspicion (partition heal)
+        self._queued_leaves.discard(msg.sender)
+        view = self.view
+        if view is None:
+            return
+        if msg.sender not in view:
+            # a non-member is heartbeating us: it was evicted (losing
+            # side of a partition, or a superseded rival group) and
+            # should rejoin through our coordinator
+            self.send(
+                msg.sender,
+                Evicted(view.view_id, view.coordinator),
+                size=self.config.control_size,
+            )
+        elif (
+            msg.view_id == view.view_id
+            and msg.epoch == self.host.network.disturbances
+        ):
+            self._heard.add(msg.sender)
+
+    def _on_coord_beat(self, src: Address, msg: CoordBeat) -> None:
+        view = self.view
+        if view is None:
+            return
+        me = self.address
+        if view.coordinator == me and msg.sender != me and msg.sender not in view:
+            # another coordinator exists (concurrent takeovers formed
+            # rival groups): resolve deterministically and merge
+            self._on_rival_coordinator(msg)
+        elif msg.view_id >= view.view_id and msg.sender in view:
+            self._last_coord_seen = self.now
+            if msg.sender == me:
+                return
+            # the legitimate coordinator is alive: stand down any
+            # takeover attempt (e.g. after a heal)
+            self._acting_coordinator = False
+            if msg.view_id == view.view_id:
+                self._ab_known_high = max(self._ab_known_high, msg.high_seq)
+                if (
+                    self._ab_known_high > self._ab_next_deliver
+                    and not self.has_timer("abgap")
+                ):
+                    self.set_timer(self.config.retransmit_interval, "abgap")
+            # park and wake with the coordinator, never alone: its order
+            # holds if it is for this view and nothing disturbed the
+            # network since it was sent
+            if (
+                msg.park == self.host.network.disturbances
+                and msg.view_id == view.view_id
+                and msg.sender == view.coordinator
             ):
-                # another coordinator exists (concurrent takeovers formed
-                # rival groups): resolve deterministically and merge
-                self._on_rival_coordinator(payload)
-            elif payload.view_id >= self.view.view_id and payload.sender in self.view:
-                self._last_coord_seen = self.now
-                if payload.sender != self.address:
-                    # the legitimate coordinator is alive: stand down any
-                    # takeover attempt (e.g. after a heal)
-                    self._acting_coordinator = False
-                if payload.view_id == self.view.view_id:
-                    self._ab_known_high = max(self._ab_known_high, payload.high_seq)
-                    if (
-                        self._ab_known_high > self._ab_next_deliver
-                        and not self.has_timer("abgap")
-                    ):
-                        self.set_timer(self.config.retransmit_interval, "abgap")
-        elif isinstance(payload, Evicted):
-            self._on_evicted(payload)
-        elif isinstance(payload, Suspect):
-            self._on_suspect(payload)
-        elif isinstance(payload, CBcastMsg):
-            self._on_cbcast_msg(payload)
-        elif isinstance(payload, CBcastAck):
-            entry = self._unacked.get(payload.msg_id)
-            if entry is not None:
-                entry[1].discard(payload.sender)
-                if not entry[1]:
-                    del self._unacked[payload.msg_id]
-        elif isinstance(payload, AbcastNack):
-            self._on_abcast_nack(payload)
-        elif isinstance(payload, AbcastReq):
-            self._on_abcast_req(payload)
-        elif isinstance(payload, AbcastSeq):
-            self._on_abcast_seq(payload)
-        elif isinstance(payload, GroupReply):
-            self._on_group_reply(payload)
+                if not self._parked:
+                    self.cancel_timer("hb")
+                    self._set_parked(True)
+            elif self._parked:
+                self._wake()
+
+    def _on_cbcast_ack(self, src: Address, msg: CBcastAck) -> None:
+        entry = self._unacked.get(msg.msg_id)
+        if entry is not None:
+            entry[1].discard(msg.sender)
+            if not entry[1]:
+                del self._unacked[msg.msg_id]
 
     # ------------------------------------------------------------ membership
 
-    def _on_join_req(self, req: JoinReq) -> None:
+    def _on_join_req(self, src: Address, req: JoinReq) -> None:
         if not self.joined:
             return
         assert self.view is not None
@@ -433,7 +494,7 @@ class IsisMember(SimProcess):
         else:
             self.send(self.view.coordinator, req, size=self.config.control_size)
 
-    def _on_leave_req(self, req: LeaveReq) -> None:
+    def _on_leave_req(self, src: Address, req: LeaveReq) -> None:
         if not self.joined:
             return
         assert self.view is not None
@@ -443,7 +504,7 @@ class IsisMember(SimProcess):
         else:
             self.send(self.view.coordinator, req, size=self.config.control_size)
 
-    def _on_evicted(self, msg: Evicted) -> None:
+    def _on_evicted(self, src: Address, msg: Evicted) -> None:
         """We were removed from the group while unreachable: reset
         membership state and rejoin through the current coordinator."""
         if self.view is None or self._left:
@@ -452,6 +513,7 @@ class IsisMember(SimProcess):
             return  # stale
         self.emit("isis.evicted", group=self.group, rejoin_via=str(msg.coordinator))
         self.view = None
+        self._set_parked(False)
         self._acting_coordinator = False
         self._change = None
         self._flushing = False
@@ -465,7 +527,7 @@ class IsisMember(SimProcess):
         self._contact_idx = 0
         self._try_join()
 
-    def _on_suspect(self, msg: Suspect) -> None:
+    def _on_suspect(self, src: Address, msg: Suspect) -> None:
         if self.is_coordinator and self.view is not None and msg.suspect in self.view:
             self._queued_leaves.add(msg.suspect)
             self._maybe_start_view_change()
@@ -531,7 +593,7 @@ class IsisMember(SimProcess):
             size=self.config.control_size + 64 * len(self._replay),
         )
 
-    def _on_flush_ok(self, msg: FlushOk) -> None:
+    def _on_flush_ok(self, src: Address, msg: FlushOk) -> None:
         change = self._change
         if change is None or msg.change_id != change.proposed.view_id:
             return
@@ -563,12 +625,12 @@ class IsisMember(SimProcess):
                     size=self.config.control_size + 64 * len(replay),
                 )
         if self.address in change.proposed:
-            self._on_new_view(NewView(change.proposed, replay))
+            self._on_new_view(self.address, NewView(change.proposed, replay))
         else:
             # Coordinator excluded itself (graceful leave): go quiet.
             self.view = None
 
-    def _on_new_view(self, msg: NewView) -> None:
+    def _on_new_view(self, src: Address, msg: NewView) -> None:
         if self.view is not None and msg.view.view_id <= self.view.view_id:
             return
         # Deliver replayed multicasts we missed from the old view.
@@ -619,7 +681,10 @@ class IsisMember(SimProcess):
         self._change = None
         self._last_coord_seen = self.now
         self._last_seen = {m: self.now for m in view.members}
+        self._heard = set()
+        self._set_parked(False)
         self.cancel_timer("join-retry")
+        self._hb_due = self.now + self.config.hb_interval
         self.set_timer(self.config.hb_interval, "hb")
         self.emit(
             "isis.view",
@@ -663,11 +728,27 @@ class IsisMember(SimProcess):
             return
         assert self.view is not None
         cfg = self.config
+        now = self.now
+        me = self.address
+        network = self.host.network
         self._hb_ticks += 1
+        park = False
         if self.is_coordinator:
-            beat = CoordBeat(self.address, self.view.view_id, self._ab_next_assign)
+            # a list, in _last_seen insertion order (deterministic): the
+            # emits below must not follow set-iteration order
+            dead = [
+                m
+                for m, seen in self._last_seen.items()
+                if m != me and now - seen > cfg.hb_timeout and m in self.view
+            ]
+            park = not dead and self._steady()
+            beat = CoordBeat(
+                me, self.view.view_id, self._ab_next_assign,
+                network.disturbances if park else -1,
+            )
+            beats = len(self.view) - 1
             for member in self.view.members:
-                if member != self.address:
+                if member != me:
                     self.send(member, beat, size=cfg.control_size)
             if self._hb_ticks % 4 == 0:
                 # probe departed members: if one of them now leads a rival
@@ -678,27 +759,93 @@ class IsisMember(SimProcess):
                         del self._alumni[alumnus]  # presumed really gone
                         continue
                     self.send(alumnus, beat, size=cfg.control_size)
-            # a list, in _last_seen insertion order (deterministic): the
-            # emits below must not follow set-iteration order
-            now = self.now
-            me = self.address
-            dead = [
-                m
-                for m, seen in self._last_seen.items()
-                if m != me and now - seen > cfg.hb_timeout and m in self.view
-            ]
+                    beats += 1
             if dead:
                 for m in dead:
                     self.emit("isis.failure_detected", group=self.group, failed=str(m))
                 self._queued_leaves.update(dead)
                 self._maybe_start_view_change()
         else:
-            self.send(self.view.coordinator, Heartbeat(self.address, self.view.view_id), size=cfg.control_size)
-            rank = self.view.rank(self.address)
+            self.send(
+                self.view.coordinator,
+                Heartbeat(me, self.view.view_id, network.disturbances),
+                size=cfg.control_size,
+            )
+            beats = 1
+            rank = self.view.rank(me)
             takeover_after = cfg.hb_timeout * (1 + rank)
-            if self.now - self._last_coord_seen > takeover_after:
+            if now - self._last_coord_seen > takeover_after:
                 self._take_over()
-        self.set_timer(cfg.hb_interval, "hb")
+        if self._tel_ticks is not None:
+            self._tel_ticks.inc()
+            self._tel_beats.inc(beats)
+        # the phase is kept either way; parked, the beats above were the last
+        self._hb_due = now + cfg.hb_interval
+        if park:
+            self._set_parked(True)
+        else:
+            self.set_timer(cfg.hb_interval, "hb")
+
+    def _steady(self) -> bool:
+        """Coordinator side: may the group park?  Steady means nothing that
+        a tick would act on or discover: the real coordinator, no view
+        change or flush in progress, no queued joins or suspicions, no
+        departed member left to probe, and every member heard from — in
+        this view, since the last disturbance — on a calm network.  In that
+        state the dead-check and the members' takeover-check cannot fire:
+        every member process is up and reachable, or the network would have
+        raised the edge first."""
+        assert self.view is not None
+        return (
+            not self._acting_coordinator
+            and self._change is None
+            and not self._flushing
+            and not self._queued_joins
+            and not self._queued_leaves
+            and not self._alumni
+            and len(self._heard) == len(self.view) - 1
+            and self.host.network.calm
+        )
+
+    def _set_parked(self, parked: bool) -> None:
+        """Enter or leave the parked state, keeping the ``isis_parked`` /
+        ``isis_awake`` gauges in step: a member counts in one of them while
+        it is alive and joined.  Every change to that — joining, eviction,
+        leaving, death — passes through here."""
+        self._parked = parked
+        if self._tel_parked is not None:
+            gauge = None
+            if self.alive and self.joined:
+                gauge = self._tel_parked if parked else self._tel_awake
+            if gauge is not self._tel_gauge:
+                if self._tel_gauge is not None:
+                    self._tel_gauge.dec()
+                if gauge is not None:
+                    gauge.inc()
+                self._tel_gauge = gauge
+
+    def _wake(self) -> None:
+        """Leave the parked state.  The silence so far was agreed, so it is
+        forgiven (timestamps to ``now``, as on a view change) and timeouts
+        count from here; the hb timer resumes on the phase it had."""
+        self._set_parked(False)
+        now = self.now
+        self._last_coord_seen = now
+        self._last_seen = dict.fromkeys(self._last_seen, now)
+        due = self._hb_due
+        if due < now:
+            interval = self.config.hb_interval
+            due += math.ceil((now - due) / interval) * interval
+        self._hb_due = due
+        self.set_timer(max(0.0, due - now), "hb")
+
+    def _on_disturbance(self) -> None:
+        """The network's disturbance edge (see ``Network.disturb``): beats
+        heard so far no longer vouch for anyone, and a parked member goes
+        back to the explicit protocol."""
+        self._heard.clear()
+        if self._parked:
+            self._wake()
 
     def _take_over(self) -> None:
         """Rank-staggered coordinator takeover: every member senior to us has
@@ -758,7 +905,7 @@ class IsisMember(SimProcess):
         for member in self.view.members:
             if member != self.address:
                 self.send(member, order, size=self.config.control_size)
-        self._on_evicted(order)
+        self._on_evicted(self.address, order)
 
     def _flush_timed_out(self) -> None:
         """Survivors that never acknowledged the flush are treated as failed:
@@ -816,7 +963,7 @@ class IsisMember(SimProcess):
             # keep probing until the gap closes
             self.set_timer(self.config.retransmit_interval, "abgap")
 
-    def _on_abcast_nack(self, msg: AbcastNack) -> None:
+    def _on_abcast_nack(self, src: Address, msg: AbcastNack) -> None:
         if self.view is None or msg.view_id != self.view.view_id or not self.is_coordinator:
             return
         for entry in self._ab_history:
@@ -825,7 +972,7 @@ class IsisMember(SimProcess):
 
     # ------------------------------------------------------------- multicast
 
-    def _on_cbcast_msg(self, msg: CBcastMsg) -> None:
+    def _on_cbcast_msg(self, src: Address, msg: CBcastMsg) -> None:
         if self.view is None or msg.view_id != self.view.view_id:
             return  # stale or early; flush replay covers the gap
         # ack every copy (including duplicates: the original ack was lost)
@@ -866,14 +1013,14 @@ class IsisMember(SimProcess):
         for member in self.view.members:
             if member != self.address:
                 self.send(member, out)
-        self._on_abcast_seq(out)
+        self._on_abcast_seq(self.address, out)
 
-    def _on_abcast_req(self, req: AbcastReq) -> None:
+    def _on_abcast_req(self, src: Address, req: AbcastReq) -> None:
         if self.view is None or req.view_id != self.view.view_id or not self.is_coordinator:
             return
         self._sequence_abcast(req)
 
-    def _on_abcast_seq(self, msg: AbcastSeq) -> None:
+    def _on_abcast_seq(self, src: Address, msg: AbcastSeq) -> None:
         if self.view is None or msg.view_id != self.view.view_id:
             return
         if msg.seq < self._ab_next_deliver:
@@ -912,7 +1059,7 @@ class IsisMember(SimProcess):
 
     # ---------------------------------------------------------- request/reply
 
-    def _on_group_reply(self, msg: GroupReply) -> None:
+    def _on_group_reply(self, src: Address, msg: GroupReply) -> None:
         pending = self._pending_requests.get(msg.req_id)
         if pending is None or pending.done:
             return
@@ -930,3 +1077,22 @@ class IsisMember(SimProcess):
         self.cancel_timer(f"req:{pending.req_id}")
         del self._pending_requests[pending.req_id]
         pending.on_done(list(pending.replies), timed_out)
+
+    #: message class -> handler(self, src, msg); one lookup per message
+    _HANDLERS: dict[type, Callable[["IsisMember", Address, Any], None]] = {
+        JoinReq: _on_join_req,
+        LeaveReq: _on_leave_req,
+        Flush: _on_flush,
+        FlushOk: _on_flush_ok,
+        NewView: _on_new_view,
+        Heartbeat: _on_heartbeat,
+        CoordBeat: _on_coord_beat,
+        Evicted: _on_evicted,
+        Suspect: _on_suspect,
+        CBcastMsg: _on_cbcast_msg,
+        CBcastAck: _on_cbcast_ack,
+        AbcastNack: _on_abcast_nack,
+        AbcastReq: _on_abcast_req,
+        AbcastSeq: _on_abcast_seq,
+        GroupReply: _on_group_reply,
+    }

@@ -79,21 +79,30 @@ class NewView:
 
 @dataclass(frozen=True, slots=True)
 class Heartbeat:
-    """Member -> coordinator liveness signal."""
+    """Member -> coordinator liveness signal.  ``epoch`` is the network's
+    disturbance count when the beat was sent: a beat that arrives under the
+    same count tells the coordinator the member has been alive, and in view
+    ``view_id``, through an undisturbed interval (see ``IsisMember`` on the
+    parked failure detector)."""
 
     sender: Address
     view_id: int
+    epoch: int = -1
 
 
 @dataclass(frozen=True, slots=True)
 class CoordBeat:
     """Coordinator -> members liveness signal. Piggybacks the sequencer's
     high-water mark so members can detect (and NACK) lost tail AbcastSeq
-    messages even when no later sequence number ever arrives."""
+    messages even when no later sequence number ever arrives.  ``park`` is
+    the group's park order: the network's disturbance count when the
+    coordinator found the group steady and the network calm and stopped
+    beating (-1: keep beating).  It holds only while that count stands."""
 
     sender: Address
     view_id: int
     high_seq: int = 0
+    park: int = -1
 
 
 @dataclass(frozen=True, slots=True)

@@ -119,9 +119,13 @@ class Host:
         return process.address
 
     def kill(self, proc_name: str) -> None:
-        """Remove a process from this host (it gets an ``on_stop`` callback)."""
+        """Remove a process from this host (it gets an ``on_stop`` callback).
+        Killing a process the network watches (a group member) raises the
+        disturbance edge first — its peers must start looking for it."""
         process = self._processes.pop(proc_name, None)
         if process is not None:
+            if self.network is not None and self.network.watches(process):
+                self.network.disturb(process)
             process._stopped()
 
     def reap(self, proc_name: str) -> None:
@@ -160,6 +164,8 @@ class Host:
         timers are dropped."""
         if not self.up:
             return
+        if self.network is not None:
+            self.network.disturb(*self._processes.values())
         self.up = False
         self.sim.emit("host.crash", self.name)
         for process in list(self._processes.values()):
@@ -171,6 +177,8 @@ class Host:
         explicitly (done by the fault injector / cluster code)."""
         if self.up:
             return
+        if self.network is not None:
+            self.network.disturb()
         self.up = True
         self._boot_count += 1
         self.sim.emit("host.recover", self.name, incarnation=self._boot_count)

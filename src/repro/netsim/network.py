@@ -11,6 +11,15 @@ Delivery between two processes on the *same* host bypasses the wire and costs
 :attr:`LatencyModel.local_latency` — the paper's LAN prototype similarly
 distinguishes local procedure calls from remote messages.
 
+The network also tells failure detectors when they are needed at all:
+:attr:`Network.calm` is True while nothing here can lose, delay or withhold
+a message (no partition, every fault rate 0, latency factor 1, every host
+up), and every change to that — plus the death of a *watched* process — is
+announced to the watchers as a **disturbance edge**, raised before the
+change takes effect (:meth:`Network.watch`, :meth:`Network.disturb`).  A
+watcher that stayed silent because the network was calm therefore always
+learns of a fault at the instant it happens, never after.
+
 Two transport modes:
 
 - **datagram** (default): the historical behaviour — a dropped or
@@ -33,7 +42,7 @@ Two transport modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.netsim.backend import SimBackend
 from repro.netsim.host import Address, Host
@@ -145,6 +154,13 @@ class Network:
         self._reorder_spread = 0.01  # max extra seconds a reordered copy lags
         self._latency_factor = 1.0
         self._partitions: list[set[str]] | None = None
+        #: failure-detecting processes -> their disturbance callback, in
+        #: registration order (the order the edge calls them in)
+        self._watchers: dict[Any, Callable[[], None]] = {}
+        #: disturbance edges raised so far.  A message that carries the
+        #: count it was sent under vouches for "nothing has happened since"
+        #: exactly when the count still matches on arrival.
+        self.disturbances = 0
         self._fifo = fifo
         self._egress_serialization = egress_serialization
         self._egress_free: dict[str, float] = {}
@@ -191,6 +207,50 @@ class Network:
     def latency_between(self, a: str, b: str) -> LatencyModel:
         return self._routes.get(frozenset((a, b)), self.latency)
 
+    # -- calm and disturbance --------------------------------------------------
+
+    @property
+    def calm(self) -> bool:
+        """True while no message can be lost, duplicated, reordered, slowed
+        or withheld: no partition, every attached host up, every fault rate
+        0 and the latency factor 1.  One network-wide predicate; a process
+        that dies on an up host does not change it (that is an edge only —
+        see :meth:`disturb`)."""
+        return (
+            self._partitions is None
+            and self._drop_rate == 0.0
+            and self._duplicate_rate == 0.0
+            and self._reorder_rate == 0.0
+            and self._latency_factor == 1.0
+            and all(host.up for host in self.hosts.values())
+        )
+
+    def watch(self, process: Any, on_disturbance: Callable[[], None]) -> None:
+        """Register *process* as a failure detector's subject and listener:
+        *on_disturbance* runs on every disturbance edge, and killing the
+        process is itself an edge.  The registration ends when the process
+        is named as dying in :meth:`disturb`."""
+        self._watchers[process] = on_disturbance
+
+    def watches(self, process: Any) -> bool:
+        """Is *process* registered with :meth:`watch`?"""
+        return process in self._watchers
+
+    def disturb(self, *dying: Any) -> None:
+        """Raise the disturbance edge: count it and tell every watcher.
+        *dying* are processes about to die or fall silent; they lose their
+        registration first and are not told.
+
+        Called by :meth:`partition`/:meth:`heal`, the ``set_*`` fault
+        setters, ``Host.crash``/``recover`` and ``Host.kill`` of a watched
+        process, each time *before* the change takes effect, so a watcher's
+        callback still sees (and may still use) the undisturbed network."""
+        for process in dying:
+            self._watchers.pop(process, None)
+        self.disturbances += 1
+        for callback in list(self._watchers.values()):
+            callback()
+
     # -- fault knobs -----------------------------------------------------------
 
     def set_drop_rate(self, p: float) -> None:
@@ -199,6 +259,7 @@ class Network:
         instead of losing the message."""
         if not 0.0 <= p <= 1.0:
             raise SimulationError(f"drop rate must be in [0,1], got {p}")
+        self.disturb()
         self._drop_rate = p
 
     def set_duplicate_rate(self, p: float) -> None:
@@ -207,6 +268,7 @@ class Network:
         both to the process)."""
         if not 0.0 <= p <= 1.0:
             raise SimulationError(f"duplicate rate must be in [0,1], got {p}")
+        self.disturb()
         self._duplicate_rate = p
 
     def set_reorder_rate(self, p: float, spread: float | None = None) -> None:
@@ -215,10 +277,11 @@ class Network:
         overtake or fall behind its neighbours."""
         if not 0.0 <= p <= 1.0:
             raise SimulationError(f"reorder rate must be in [0,1], got {p}")
+        if spread is not None and spread < 0:
+            raise SimulationError(f"reorder spread must be >= 0, got {spread}")
+        self.disturb()
         self._reorder_rate = p
         if spread is not None:
-            if spread < 0:
-                raise SimulationError(f"reorder spread must be >= 0, got {spread}")
             self._reorder_spread = spread
 
     def set_latency_factor(self, factor: float) -> None:
@@ -226,6 +289,7 @@ class Network:
         latency-spike windows; 1.0 restores normal service)."""
         if factor <= 0:
             raise SimulationError(f"latency factor must be positive, got {factor}")
+        self.disturb()
         self._latency_factor = factor
 
     @property
@@ -257,10 +321,12 @@ class Network:
         rest = set(self.hosts) - set().union(*named) if named else set(self.hosts)
         if rest:
             named.append(rest)
+        self.disturb()
         self._partitions = named
 
     def heal(self) -> None:
         """Remove any partition."""
+        self.disturb()
         self._partitions = None
 
     def _connected(self, a: str, b: str) -> bool:

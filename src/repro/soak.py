@@ -378,14 +378,9 @@ def run_soak(
     vce.user_host.spawn(driver)
     if cfg.chaos is not None:
         vce.chaos(cfg.chaos, seed=cfg.seed)
-    # run in bounded slices so a wedged run terminates with a clear state
-    # instead of spinning forever
-    slice_len = 500.0
-    while not driver.finished and vce.sim.now < cfg.max_sim_time:
-        before = vce.sim.now
-        vce.run(until=vce.sim.now + slice_len)
-        if vce.sim.now == before:  # no events left at all
-            break
+    # stop with the last completion; the bound ends a wedged run with a
+    # clear state instead of spinning forever
+    vce.run(until=cfg.max_sim_time, stop_when=lambda: driver.finished)
     return vce, driver, build_report(vce, driver)
 
 

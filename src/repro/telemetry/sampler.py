@@ -9,6 +9,9 @@ simulated seconds. Each tick it reads — never re-scans the event log —
 - per-daemon pending-queue depth,
 - in-flight VCE instances per host,
 - the network's cumulative message/byte counters,
+- the simulator's event count (the base of the heartbeat share ``repro
+  top`` shows beside the ``isis_parked`` / ``isis_awake`` gauges the group
+  members keep themselves),
 
 publishes them as gauges in the registry, appends them to bounded
 ring-buffer time series, and then lets the health watchdog evaluate its
@@ -80,6 +83,7 @@ class ClusterSampler(SimProcess):
             "net_messages_delivered", "cumulative network deliveries"
         )
         self._g_bytes = registry.gauge("net_bytes_sent", "cumulative network bytes")
+        self._g_events = registry.gauge("sim_events", "cumulative simulator events")
         self._c_alloc_errors = registry.counter(
             "sched_alloc_errors_total", "bidding rounds with too few bids"
         )
@@ -213,6 +217,8 @@ class ClusterSampler(SimProcess):
         s_sent.append(now, network.messages_sent)
         s_bytes.append(now, network.bytes_sent)
         s_alloc.append(now, c_alloc.value)
+
+        self._g_events.set(self.sim.events_processed)
 
         # scheduler event share: what fraction of everything the run logs
         # is scheduling machinery (the quantity hierarchical bidding keeps

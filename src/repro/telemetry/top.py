@@ -131,7 +131,17 @@ def render_top(
 ) -> str:
     """One full frame."""
     running = int(_gauge_value(registry, "apps_running"))
-    header = f"{title} — t={now:.2f}s  apps running: {running}"
+    # a tick is one kernel event, and so is the delivery of each beat
+    heartbeat_events = _family_total(registry, "isis_hb_ticks_total") + _family_total(
+        registry, "isis_beats_sent_total"
+    )
+    events = _gauge_value(registry, "sim_events")
+    header = (
+        f"{title} — t={now:.2f}s  apps running: {running}  "
+        f"isis: {int(_gauge_value(registry, 'isis_parked'))} parked / "
+        f"{int(_gauge_value(registry, 'isis_awake'))} awake  "
+        f"heartbeat share: {heartbeat_events / events * 100 if events else 0.0:.1f}%"
+    )
     sections = [
         header,
         render_host_table(registry, store),

@@ -321,6 +321,47 @@ class TestGoldenInvariance:
         assert digest(True) == digest(False)
 
 
+class TestIdleSlices:
+    """A parked cluster schedules nothing, so a slice can hold no event at
+    all (heartbeats used to fill every one): the drive loop must neither
+    spin on a clock that does not move nor stall waiting for an event."""
+
+    def test_empty_slices_advance_the_clock(self):
+        vce = _make_vce()
+        session = ServeSession(vce, slice_seconds=2.0)
+        start, events = vce.sim.now, vce.sim.events_processed
+        for n in range(1, 4):
+            assert session.advance() == start + 2.0 * n
+        # only the telemetry sampler (one daemon tick per 4 s) ran
+        assert vce.sim.events_processed - events <= 2
+        assert session.slices == 3
+
+    def test_pacer_paces_empty_slices(self):
+        from repro.netsim.pacing import WallClockPacer
+
+        vce = _make_vce()
+        session = ServeSession(vce, slice_seconds=2.0, pacer=WallClockPacer(rate=10.0))
+        session.advance()
+        # 2 simulated seconds at 10 sim-s per wall-s: sleep most of 0.2 s
+        assert 0.1 < session.sleep_for() <= 0.2
+
+    def test_serve_cli_paces_an_idle_cluster(self):
+        from repro.cli import main
+
+        out = io.StringIO()
+        code = main(
+            ["serve", "--cluster", "ws:4", "--port", "0", "--pace", "100",
+             "--slice", "2", "--max-wall", "1.5"],
+            out=out,
+        )
+        text = out.getvalue()
+        assert code == 0, text
+        slices = int(text.split(" slices;")[0].rsplit(" ", 1)[1])
+        # 1.5 wall-s x 100 sim-s/s / 2 sim-s per slice = 75: far from both a
+        # spin (thousands) and a stall (one)
+        assert 20 <= slices <= 80, text
+
+
 # -------------------------------------------------------------------- drain
 
 

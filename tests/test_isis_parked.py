@@ -1,0 +1,372 @@
+"""The parked state of the Isis failure detector.
+
+On a calm network a steady group arms no ``hb`` timer and sends no beat;
+any disturbance puts every member back on the explicit protocol.  These
+tests hold the contract that makes that safe:
+
+- **differential** — the same seed run calm (parks) and with a fault rate
+  that never fires (never parks) produces the same DONE set, results and
+  per-member view sequences, serial and sharded;
+- **latency bounds** (hypothesis) — a fault at a random phase of a parked
+  group is detected within ``hb_timeout + hb_interval`` and the oldest
+  survivor takes over within ``hb_timeout * (1 + rank) + hb_interval``;
+- **group consistency** — with one dead member still in the view nobody
+  parks and no live member is suspected;
+- **re-parking** — after heal / restart the group parks again and sends
+  nothing for 100 idle simulated seconds.
+"""
+
+import hashlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
+from repro.faults.schedule import FaultSchedule
+from repro.isis.member import IsisConfig
+from repro.machines import MachineClass
+from repro.runtime.instance import InstanceState
+from repro.scheduler.execution_program import RunState
+from repro.soak import SoakConfig, run_soak
+from repro.workloads import build_random_dag, build_stencil_graph
+
+from tests.test_isis_group import build_group as formed_group
+
+#: the smallest positive float: a drop rate > 0 keeps ``Network.calm``
+#: False for the whole run, and ``random() < NEVER`` holds only for a draw
+#: of exactly 0.0 — so no message is ever dropped
+NEVER = 5e-324
+
+BACKENDS = [("serial", 1), ("sharded", 2)]
+
+
+# ----------------------------------------------------------- differential
+
+
+@pytest.fixture
+def never_calm(monkeypatch):
+    """Every VCE booted inside the test runs under the never-firing drop
+    rate, set before the first event."""
+    boot = VirtualComputingEnvironment.boot
+
+    def boot_disturbed(vce):
+        vce.network.set_drop_rate(NEVER)
+        return boot(vce)
+
+    monkeypatch.setattr(VirtualComputingEnvironment, "boot", boot_disturbed)
+
+
+def _randomdag(backend, shards):
+    graph = build_random_dag(layers=6, width=6, seed=5, min_work=2.0, max_work=20.0)
+    vce = VirtualComputingEnvironment(
+        workstation_cluster(4), VCEConfig(seed=5, backend=backend, shards=shards)
+    ).boot()
+    run = vce.submit(graph, class_map={node.name: None for node in graph})
+    vce.run_to_completion(run, timeout=100_000.0)
+    assert run.state is RunState.DONE, run.error
+    return vce
+
+
+def _stencil(backend, shards):
+    graph = build_stencil_graph(ranks=4, cells=64, iterations=12)
+    vce = VirtualComputingEnvironment(
+        workstation_cluster(4), VCEConfig(seed=5, backend=backend, shards=shards)
+    ).boot()
+    run = vce.submit(graph, class_map={"grid": MachineClass.WORKSTATION})
+    vce.run_to_completion(run, timeout=100_000.0)
+    assert run.state is RunState.DONE, run.error
+    return vce
+
+
+def _quick_soak(backend, shards):
+    vce, driver, report = run_soak(
+        SoakConfig(
+            tenants=4, apps=24, machines=12, fanout=3, seed=5, instances=(4, 8),
+            work=(4.0, 8.0), arrival_span=40.0, telemetry_interval=200.0,
+            settle=20.0, backend=backend, shards=shards,
+        )
+    )
+    assert driver.finished and report.failed == 0
+    return vce
+
+
+def _outcome(vce):
+    """(DONE set, results digest, view sequence per member) of a run."""
+    done = set()
+    results = hashlib.sha256()
+    for app in sorted(vce.runtime.apps.values(), key=lambda app: app.graph.name):
+        for (task, rank), record in sorted(app.records.items()):
+            if record.state is InstanceState.DONE:
+                done.add((app.graph.name, task, rank))
+            results.update(f"{app.graph.name}:{task}:{rank}:{record.result!r}\n".encode())
+    views: dict[str, list] = {}
+    for record in vce.sim.log.records(category="isis.view"):
+        views.setdefault(record.source, []).append(
+            (record.get("view_id"), tuple(record.get("members")))
+        )
+    return done, results.hexdigest(), views
+
+
+def _beats(vce):
+    return vce.sim.telemetry.get("isis_beats_sent_total").value
+
+
+@pytest.mark.parametrize("scenario", [_randomdag, _stencil, _quick_soak])
+@pytest.mark.parametrize("backend,shards", BACKENDS)
+def test_parked_run_matches_never_parked_run(scenario, backend, shards, request):
+    calm = scenario(backend, shards)
+    assert calm.network.calm
+    assert all(daemon.parked for daemon in calm.daemons.values())
+
+    request.getfixturevalue("never_calm")
+    explicit = scenario(backend, shards)
+    assert not explicit.network.calm
+    assert not any(daemon.parked for daemon in explicit.daemons.values())
+    assert explicit.network.messages_lost == 0
+    assert not explicit.sim.log.records(category="net.drop")
+
+    # the explicit protocol really ran, and parking really removed it
+    assert _beats(explicit) > 10 * _beats(calm)
+    assert _outcome(calm) == _outcome(explicit)
+
+
+# -------------------------------------------------------- latency bounds
+
+
+def build_group(n, seed=0, require_majority=False):
+    """n members on n hosts, settled: one view, everyone parked.  Members
+    are returned in rank order."""
+    sim, net, members = formed_group(
+        n, seed, IsisConfig(require_majority=require_majority)
+    )
+    view = members[0].view
+    assert all(m.view == view for m in members)
+    assert all(m.parked for m in members)
+    by_address = {m.address: m for m in members}
+    return sim, net, [by_address[a] for a in view.members]
+
+
+def inject(net, fault, victim):
+    """The fault as the chaos controller would apply it; the drop window
+    silences the whole network rather than one host."""
+    host = victim.host
+    if fault == "crash":
+        host.crash()
+    elif fault == "kill":
+        host.kill(victim.name)
+    elif fault == "partition":
+        net.partition({host.name})
+    else:
+        net.set_drop_rate(1.0)
+
+
+def times(sim, category, **match):
+    return [
+        record.time
+        for record in sim.log.records(category=category)
+        if all(record.get(key) == value for key, value in match.items())
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 5),
+    fault=st.sampled_from(["crash", "kill", "partition", "drop"]),
+    victim_rank=st.integers(0, 4),
+    phase=st.floats(0.0, 1.0, exclude_max=True),
+    require_majority=st.booleans(),
+    seed=st.integers(0, 3),
+)
+def test_fault_in_parked_group_detected_within_bounds(
+    n, fault, victim_rank, phase, require_majority, seed
+):
+    sim, net, members = build_group(n, seed, require_majority)
+    cfg = members[0].config
+    victim = members[victim_rank % n]
+    sent_while_parked = net.messages_sent
+    sim.run(until=sim.now + phase)
+    assert net.messages_sent == sent_while_parked
+    fault_at = sim.now
+    sim.schedule(0.0, lambda: inject(net, fault, victim))
+    sim.run(until=fault_at + cfg.hb_timeout * 3 + cfg.hb_interval)
+    # nothing is declared failed earlier than a full timeout of silence
+    assert all(
+        t > fault_at + cfg.hb_timeout
+        for t in times(sim, "isis.failure_detected") + times(sim, "isis.takeover")
+    )
+    detect_by = fault_at + cfg.hb_timeout + cfg.hb_interval
+    takeover_by = fault_at + cfg.hb_timeout * 2 + cfg.hb_interval
+    coordinator, successor = members[0], members[1]
+    if fault == "drop" or victim is not coordinator:
+        suspects = members[1:] if fault == "drop" else [victim]
+        for suspect in suspects:
+            detected = times(
+                sim, "isis.failure_detected", failed=str(suspect.address)
+            )
+            assert detected and detected[0] <= detect_by, (suspect, detected)
+    if fault == "drop" or victim is coordinator:
+        taken = times(
+            sim, "isis.takeover", new_coordinator=str(successor.address)
+        )
+        assert taken and taken[0] <= takeover_by, taken
+    if fault != "drop":
+        # nobody but the victim is ever suspected by the side that kept
+        # its coordinator (or elected the successor)
+        survivors = {str(m.address) for m in members if m is not victim}
+        observer = successor if victim is coordinator else coordinator
+        wrongly = [
+            record
+            for record in sim.log.records(category="isis.failure_detected")
+            if record.source == str(observer.address)
+            and record.get("failed") in survivors
+        ]
+        assert not wrongly
+
+
+# ------------------------------------------------------ group consistency
+
+
+@pytest.mark.parametrize("fault", ["kill", "crash-recover"])
+def test_dead_member_in_view_keeps_whole_group_awake(fault):
+    """The asymmetric case: the network is calm but one member is dead and
+    not yet evicted.  Parking is the coordinator's decision, so nobody
+    parks (a member that did would go stale and be suspected), no live
+    member is suspected, and the group parks again only once the eviction
+    view is installed."""
+    sim, net, members = build_group(4)
+    cfg = members[0].config
+    coordinator, victim = members[0], members[2]
+    survivors = [m for m in members if m is not victim]
+    old_view = coordinator.view.view_id
+    if fault == "kill":
+        victim.host.kill(victim.name)
+    else:
+        victim.host.crash()
+        victim.host.recover()
+    assert net.calm
+    fault_at = sim.now
+    evicted_at = None
+    while sim.now < fault_at + 10.0:
+        sim.run(until=sim.now + 0.05)
+        installed = all(m.view.view_id > old_view for m in survivors)
+        if not installed:
+            assert not any(m.parked for m in survivors), sim.now
+        elif evicted_at is None:
+            evicted_at = sim.now
+    assert evicted_at is not None
+    assert fault_at + cfg.hb_timeout < evicted_at
+    assert evicted_at <= fault_at + cfg.hb_timeout + cfg.hb_interval + 0.1
+    failed = {r.get("failed") for r in sim.log.records(category="isis.failure_detected")}
+    assert failed == {str(victim.address)}
+    assert not sim.log.records(category="isis.takeover")
+    assert all(victim.address not in m.view for m in survivors)
+    # the coordinator probes the departed member (it might lead a rival
+    # group) 20 times, every 4th tick, before it presumes it gone
+    assert not any(m.parked for m in survivors)
+    sim.run(until=sim.now + 20 * 4 * cfg.hb_interval + 2.0)
+    assert all(m.parked for m in survivors)
+
+
+def test_member_parks_only_on_a_current_order():
+    """A park order is void once anything disturbed the network after it
+    was sent: the member that receives it stays awake."""
+    sim, net, members = build_group(3)
+    net.set_latency_factor(1.0)  # an edge that leaves the network calm
+    assert net.calm and not any(m.parked for m in members)
+    # run tick by tick until the coordinator parks, then void its order
+    # while the beats that carry it are still in flight
+    while not members[0].parked:
+        sim.run(until=sim.now + 1e-4)
+    assert not any(m.parked for m in members[1:])
+    net.set_latency_factor(1.0)
+    sim.run(until=sim.now + 0.01)  # the stale orders have arrived by now
+    assert not any(m.parked for m in members)
+    sim.run(until=sim.now + 5.0)
+    assert all(m.parked for m in members)
+    assert not sim.log.records(category="isis.failure_detected")
+
+
+def test_beat_in_flight_at_a_kill_vouches_for_nobody():
+    """A Heartbeat that left its sender before the sender was killed and
+    arrives after must not count as "heard from since": the coordinator
+    would park with a dead member in its view and never find out."""
+    sim, net, members = build_group(3)
+    cfg = members[0].config
+    victim = members[1]
+    net.set_latency_factor(1.0)  # wake everyone
+    ticks = victim._hb_ticks
+    while victim._hb_ticks == ticks:
+        sim.run(until=sim.now + 1e-4)
+    sent = net.messages_delivered
+    victim.host.kill(victim.name)  # its beat is still on the wire
+    fault_at = sim.now
+    sim.run(until=fault_at + 0.01)
+    assert net.messages_delivered > sent
+    sim.run(until=fault_at + cfg.hb_timeout + cfg.hb_interval + 0.1)
+    detected = times(sim, "isis.failure_detected", failed=str(victim.address))
+    assert detected and fault_at + cfg.hb_timeout - cfg.hb_interval < detected[0]
+
+
+# ------------------------------------------------------------- re-parking
+
+
+def _vce(**config):
+    return VirtualComputingEnvironment(
+        workstation_cluster(4), VCEConfig(seed=2, **config)
+    ).boot()
+
+
+def _assert_idle_and_silent(vce):
+    assert vce.network.calm
+    assert all(daemon.parked for daemon in vce.daemons.values())
+    assert len({daemon.view for daemon in vce.daemons.values()}) == 1
+    sent, ticks = vce.network.messages_sent, vce.sim.telemetry.get("isis_hb_ticks_total").value
+    vce.run(until=vce.sim.now + 100.0)
+    assert vce.network.messages_sent == sent
+    assert vce.sim.telemetry.get("isis_hb_ticks_total").value == ticks
+
+
+def test_restart_rejoins_and_parks_again():
+    vce = _vce()
+    assert all(daemon.parked for daemon in vce.daemons.values())
+    schedule = FaultSchedule("bounce")
+    schedule.bounce(1.0, "ws2", down_for=6.0)
+    vce.chaos(schedule)
+    vce.run(until=vce.sim.now + 5.0)
+    assert not vce.network.calm
+    assert not any(daemon.parked for daemon in vce.daemons.values())
+    vce.run(until=vce.sim.now + 30.0)
+    assert "ws2" in {m.host for m in vce.leader_of(MachineClass.WORKSTATION).view.members}
+    _assert_idle_and_silent(vce)
+
+
+@pytest.mark.parametrize("require_majority", [False, True])
+def test_heal_merges_and_parks_again(require_majority):
+    vce = _vce(isis=IsisConfig(require_majority=require_majority))
+    schedule = FaultSchedule("cut")
+    schedule.partition_window(1.0, 8.0, ["ws3"])
+    vce.chaos(schedule)
+    vce.run(until=vce.sim.now + 6.0)
+    assert not any(daemon.parked for daemon in vce.daemons.values())
+    vce.run(until=vce.sim.now + 60.0)
+    assert len(vce.leader_of(MachineClass.WORKSTATION).view) == 4
+    _assert_idle_and_silent(vce)
+
+
+# ------------------------------------------------------------ idle kernel
+
+
+def test_run_without_deadline_returns_on_an_idle_cluster():
+    """``Simulator.run()`` with no ``until`` stops when only daemon events
+    (the telemetry sampler) remain; heartbeats used to keep it alive
+    forever."""
+    vce = _vce()
+    before = vce.sim.now
+    vce.sim.run(max_events=10_000)  # SimulationError if it never goes idle
+    assert vce.sim.now == before
+    graph = build_random_dag(layers=3, width=3, seed=2)
+    run = vce.submit(graph, class_map={node.name: None for node in graph})
+    vce.sim.run(max_events=100_000)
+    assert run.state is RunState.DONE
+    assert all(daemon.parked for daemon in vce.daemons.values())

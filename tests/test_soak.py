@@ -336,6 +336,15 @@ class TestTenantSoakEndState:
         assert report.peak_admitted_instances >= report.peak_live_instances
 
 
+    def test_run_stops_with_the_last_completion(self, small_soak):
+        """run_soak used to advance in 500 s slices and so padded every
+        run to the next slice boundary with idle heartbeats."""
+        vce, driver, _ = small_soak
+        last_done = max(app.completed_at for app in vce.runtime.apps.values())
+        assert driver.finished
+        assert vce.sim.now == last_done
+
+
 class TestTenantSoakDeterminism:
     def test_repeat_run_is_byte_identical(self, small_soak):
         _, _, first = small_soak

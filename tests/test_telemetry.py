@@ -522,6 +522,43 @@ class TestSamplerIntegration:
         assert "predictor" in frame and "p95" in frame
         assert "health: ok" in frame
 
+    def test_parked_state_and_heartbeat_share_visible(self):
+        """A cluster that silently stops parking shows here first: the
+        gauges split the members into parked and awake, and the header
+        carries the share of kernel events that were heartbeats."""
+        vce = VirtualComputingEnvironment(
+            heterogeneous_cluster(), VCEConfig(seed=3, telemetry_interval=1.0)
+        ).boot()
+        frame = vce.telemetry.render()
+        registry = vce.telemetry.registry
+        members = len(vce.daemons)
+        assert registry.get("isis_parked").value == members
+        assert registry.get("isis_awake").value == 0
+        assert f"isis: {members} parked / 0 awake" in frame
+        ticks = registry.get("isis_hb_ticks_total").value
+        beats = registry.get("isis_beats_sent_total").value
+        assert 0 < ticks and 0 < beats
+        share = (ticks + beats) / vce.sim.events_processed
+        assert f"heartbeat share: {share * 100:.1f}%" in frame
+        # a fault rate keeps everyone awake, and it shows
+        vce.network.set_drop_rate(1e-9)
+        vce.run(until=vce.sim.now + 10.0)
+        vce.telemetry.refresh()
+        assert registry.get("isis_parked").value == 0
+        assert registry.get("isis_awake").value == members
+        assert registry.get("isis_hb_ticks_total").value > ticks + 10 * members
+        # the gauges count the members the tick counters count: any group
+        # member, daemon or not, and only while it is alive and joined
+        from repro.isis.member import IsisMember
+
+        host = next(iter(vce.network.hosts.values()))
+        host.spawn(IsisMember("lone", "OTHER"))
+        vce.run(until=vce.sim.now + 0.1)  # it starts, founding its own group
+        assert registry.get("isis_awake").value == members + 1
+        host.crash()
+        assert registry.get("isis_parked").value == 0
+        assert registry.get("isis_awake").value == members - 1
+
     def test_telemetry_off_leaves_no_registry(self):
         vce = VirtualComputingEnvironment(
             heterogeneous_cluster(), VCEConfig(seed=3, telemetry=False)
