@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.runtime.instance import InstanceState, TaskInstance
-from repro.taskgraph import TaskGraph
+from repro.taskgraph import DependencyCounters, TaskGraph
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.context import TraceContext
@@ -82,6 +82,9 @@ class Application:
         #: change goes through :meth:`commit_state` (it does — the runtime
         #: manager and failover layers are the only writers)
         self._done_count = 0
+        #: per-task instances left and unfinished predecessors, kept exact
+        #: by :meth:`commit_state` like the count above
+        self.precedence = DependencyCounters(graph)
         #: records that have been dispatched and whose state is not yet
         #: terminal (plus terminal records that still own redundant copies) —
         #: the telemetry sampler and watchdog scan these instead of all
@@ -101,9 +104,7 @@ class Application:
 
     def task_done(self, task: str) -> bool:
         """All instances of *task* completed successfully."""
-        return all(
-            r.state is InstanceState.DONE for r in self._by_task.get(task, ())
-        )
+        return self.precedence.remaining[task] == 0
 
     def task_untouched(self, task: str) -> bool:
         """No instance of *task* has been dispatched or left PENDING."""
@@ -112,48 +113,31 @@ class Application:
             for r in self._by_task.get(task, ())
         )
 
-    def ready_tasks(self) -> list[str]:
-        """Tasks whose precedence predecessors are all done and whose own
-        instances are still pending."""
-        done: dict[str, bool] = {}
-        untouched: dict[str, bool] = {}
-        for name, records in self._by_task.items():
-            all_done = True
-            clean = True
-            for r in records:
-                if r.state is not InstanceState.DONE:
-                    all_done = False
-                if r.dispatched_at is not None or r.state is not InstanceState.PENDING:
-                    clean = False
-                if not all_done and not clean:
-                    break
-            done[name] = all_done
-            untouched[name] = clean
-        predecessors = self.graph.predecessors
-        return [
-            node.name
-            for node in self.graph
-            if untouched[node.name] and all(done[p] for p in predecessors(node.name))
-        ]
-
     def mark_dispatched(self, record: InstanceRecord) -> None:
         """Register *record* as in flight (called by the runtime manager at
         every (re-)dispatch, after ``dispatched_at`` is set)."""
         self.inflight[record.key] = record
 
-    def commit_state(self, record: InstanceRecord, state: InstanceState) -> None:
+    def commit_state(self, record: InstanceRecord, state: InstanceState) -> Sequence[str]:
         """The single choke point for record state changes: keeps the O(1)
-        done-count (behind :attr:`all_done`) and the in-flight/failed
-        indexes exact. Writers must use this instead of assigning
-        ``record.state`` directly."""
+        done-count (behind :attr:`all_done`), the dependency counters and
+        the in-flight/failed indexes exact. Writers must use this instead
+        of assigning ``record.state`` directly.
+
+        Returns the tasks this change released: those whose last unfinished
+        predecessor it completed, in the completed task's successor-arc
+        order (the runtime manager dispatches them)."""
         old = record.state
         if old is state:
-            return
+            return ()
         record.state = state
+        released: Sequence[str] = ()
         if state is InstanceState.DONE:
             self._done_count += 1
+            released = self.precedence.instance_done(record.task)
         elif old is InstanceState.DONE:
             self._done_count -= 1
+            self.precedence.instance_undone(record.task)
         if state is InstanceState.FAILED:
             self.failed[record.key] = record
         elif old is InstanceState.FAILED:
@@ -166,6 +150,7 @@ class Application:
         elif record.dispatched_at is not None:
             # failover absorbed a crash: the record is live again
             self.inflight[record.key] = record
+        return released
 
     @property
     def all_done(self) -> bool:

@@ -27,10 +27,10 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.runtime.manager import Placement
-from repro.taskgraph import TaskGraph
+from repro.taskgraph import DependencyCounters, TaskGraph
 from repro.util.errors import ConfigurationError, VCEError
 
 
@@ -128,21 +128,14 @@ class LocalBackend:
         results: dict[str, list[Any]] = {
             node.name: [None] * node.instances for node in graph
         }
-        remaining: dict[str, int] = {node.name: node.instances for node in graph}
-        launched: set[str] = set()
+        precedence = DependencyCounters(graph)
+        unfinished = sum(node.instances for node in graph)
         failure: list[BaseException] = []
 
-        def task_ready(task: str) -> bool:
-            return all(remaining[p] == 0 for p in graph.predecessors(task))
-
-        def maybe_launch_ready() -> None:
-            for node in graph:
-                if node.name in launched:
-                    continue
-                if task_ready(node.name):
-                    launched.add(node.name)
-                    for rank in range(node.instances):
-                        _dispatch(node.name, rank)
+        def _launch(tasks: Iterable[str]) -> None:
+            for task in tasks:
+                for rank in range(graph.task(task).instances):
+                    _dispatch(task, rank)
 
         def _dispatch(task: str, rank: int) -> None:
             node = graph.task(task)
@@ -159,6 +152,7 @@ class LocalBackend:
             fn = programs[task]
 
             def job() -> None:
+                nonlocal unfinished
                 try:
                     value = fn(ctx)
                 except BaseException as err:  # noqa: BLE001 - reported to caller
@@ -168,18 +162,19 @@ class LocalBackend:
                     return
                 with lock:
                     results[task][rank] = value
-                    remaining[task] -= 1
+                    released = precedence.instance_done(task)
+                    unfinished -= 1
                     if failure:
                         return
-                    maybe_launch_ready()
-                    if all(v == 0 for v in remaining.values()):
+                    _launch(released)
+                    if not unfinished:
                         done_event.set()
 
             self._workers[machine].submit(job)
 
         with lock:
-            maybe_launch_ready()
-            if all(v == 0 for v in remaining.values()):  # empty graph
+            _launch(graph.roots())
+            if not unfinished:  # empty graph
                 done_event.set()
 
         if not done_event.wait(timeout=timeout):

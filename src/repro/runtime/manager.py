@@ -19,7 +19,7 @@ running :class:`~repro.runtime.instance.TaskInstance` processes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 
 from repro.channels.channel import Channel, ChannelManager
 from repro.channels.port import Port, PortDirection
@@ -157,7 +157,7 @@ class RuntimeManager:
             )
         self.apps[app_id] = app
         self.sim.emit("app.submit", app_id, tasks=len(graph), **app.trace.fields())
-        for task in app.ready_tasks():
+        for task in graph.roots():  # nothing holds them back
             self._dispatch_task(app, task)
         if not app.records:  # degenerate empty graph
             app._mark_complete(AppStatus.DONE, self.sim.now)
@@ -207,10 +207,11 @@ class RuntimeManager:
         # every incarnation gets its own span under the application span;
         # `after` names the predecessor-instance spans whose completion
         # released this dispatch (the causal edges of the critical path)
+        by_task = app._by_task
         after = tuple(
             r.instance.ctx.trace.span_id
             for pred in app.graph.predecessors(record.task)
-            for r in app.task_records(pred)
+            for r in by_task[pred]
             if r.instance is not None and r.instance.ctx.trace is not None
         )
         span = (
@@ -312,16 +313,17 @@ class RuntimeManager:
         """Max transfer time of incoming DATA-arc volumes produced on other
         hosts (transfers proceed in parallel)."""
         delay = 0.0
-        bandwidth = self.network.latency.bandwidth
+        latency = self.network.latency
+        by_task = app._by_task
         for arc in app.graph.arcs_into(node.name):
             if arc.kind is not ArcKind.DATA or arc.volume <= 0:
                 continue
-            remote = any(
+            transfer = arc.volume / latency.bandwidth + latency.base_latency
+            if transfer > delay and any(
                 r.host_name is not None and r.host_name != host_name
-                for r in app.task_records(arc.src)
-            )
-            if remote:
-                delay = max(delay, arc.volume / bandwidth + self.network.latency.base_latency)
+                for r in by_task[arc.src]
+            ):
+                delay = transfer
         return delay
 
     def _binary_delay(self, node: "TaskNode", host: "Host") -> float:
@@ -359,7 +361,7 @@ class RuntimeManager:
                 current=record.epoch,
             )
             return
-        app.commit_state(record, state)
+        released = app.commit_state(record, state)
         record.finished_at = self.sim.now
         if self._m_task_exits is not None:
             self._m_task_exits.labels(state.value).inc()
@@ -370,7 +372,7 @@ class RuntimeManager:
         if state is InstanceState.DONE:
             record.result = instance.result
             self._kill_redundant_copies(record, "primary-done")
-            self._advance(app, completed=record.task)
+            self._advance(app, released)
         elif state is InstanceState.FAILED:
             if app.status.terminal:
                 return
@@ -391,14 +393,10 @@ class RuntimeManager:
                 copy.kill(reason)
         record.redundant_copies.clear()
 
-    def _advance(self, app: Application, completed: str | None = None) -> None:
-        """Dispatch whatever a completion made ready.
-
-        With *completed* (the task whose instance just committed DONE) only
-        that task's successors are examined — readiness can only change when
-        the last blocking predecessor finishes, so the full-graph rescan is
-        reserved for callers with no completion context (e.g. ``submit``).
-        """
+    def _advance(self, app: Application, released: Sequence[str]) -> None:
+        """After an instance committed DONE: complete the application, or
+        dispatch the tasks *released* by that commit (those it was the last
+        unfinished predecessor of, see :meth:`Application.commit_state`)."""
         if app.status.terminal:
             return
         if app.all_done:
@@ -411,20 +409,11 @@ class RuntimeManager:
                           **trace_fields(app.trace))
             self.checkpoints.drop_app(app.id)
             return
-        if completed is not None:
-            if not app.task_done(completed):
-                return  # sibling ranks still running; nothing newly ready
-            graph = app.graph
-            for task in graph.successors(completed):
-                # parallel arcs may repeat a successor; the untouched check
-                # goes False after the first dispatch, so repeats are no-ops
-                if app.task_untouched(task) and all(
-                    app.task_done(p) for p in graph.predecessors(task)
-                ):
-                    self._dispatch_task(app, task)
-            return
-        for task in app.ready_tasks():
-            self._dispatch_task(app, task)
+        for task in released:
+            # a task is released again when a predecessor is re-run after
+            # completing (failover); it must not be dispatched twice
+            if app.task_untouched(task):
+                self._dispatch_task(app, task)
 
     # ------------------------------------------------------------- utilities
 
@@ -432,10 +421,12 @@ class RuntimeManager:
         self.failure_handlers.append(handler)
 
     def instances_on(self, host_name: str) -> list[TaskInstance]:
-        """Live VCE task instances currently on *host_name*."""
+        """Live VCE task instances currently on *host_name*, redundant
+        copies included. Scans each application's in-flight index, so the
+        cost follows live work, not everything ever submitted."""
         out = []
         for app in self.apps.values():
-            for record in app.records.values():
+            for record in app.inflight.values():
                 inst = record.instance
                 if (
                     inst is not None

@@ -18,9 +18,11 @@ from repro.taskgraph.node import (
 )
 from repro.taskgraph.arc import Arc, ArcKind
 from repro.taskgraph.graph import TaskGraph
+from repro.taskgraph.precedence import DependencyCounters
 
 __all__ = [
     "TaskGraph",
+    "DependencyCounters",
     "TaskNode",
     "Arc",
     "ArcKind",

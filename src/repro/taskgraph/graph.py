@@ -27,6 +27,10 @@ class TaskGraph:
         # queries are on the dispatch hot path and must not scan every arc
         self._arcs_out: dict[str, list[Arc]] = {}
         self._arcs_in: dict[str, list[Arc]] = {}
+        # the precedence arcs alone, as task names (arc order and parallel
+        # arcs kept): what predecessors()/successors() answer from
+        self._pred: dict[str, list[str]] = {}
+        self._succ: dict[str, list[str]] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -43,6 +47,9 @@ class TaskGraph:
         self._arcs.append(arc)
         self._arcs_out.setdefault(arc.src, []).append(arc)
         self._arcs_in.setdefault(arc.dst, []).append(arc)
+        if arc.kind.is_precedence:
+            self._succ.setdefault(arc.src, []).append(arc.dst)
+            self._pred.setdefault(arc.dst, []).append(arc.src)
         return arc
 
     def connect(
@@ -88,11 +95,12 @@ class TaskGraph:
         return list(self._arcs_in.get(name, ()))
 
     def predecessors(self, name: str) -> list[str]:
-        """Tasks that must complete before *name* may start."""
-        return [a.src for a in self._arcs_in.get(name, ()) if a.kind.is_precedence]
+        """Tasks that must complete before *name* may start (one entry per
+        precedence arc, so parallel arcs repeat a name)."""
+        return list(self._pred.get(name, ()))
 
     def successors(self, name: str) -> list[str]:
-        return [a.dst for a in self._arcs_out.get(name, ()) if a.kind.is_precedence]
+        return list(self._succ.get(name, ()))
 
     def stream_peers(self, name: str) -> list[str]:
         """Tasks this one exchanges messages with at runtime."""
@@ -115,10 +123,22 @@ class TaskGraph:
         return g
 
     def validate(self) -> None:
-        """Raise :class:`TaskGraphError` on structural problems."""
-        g = self._precedence_digraph()
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
+        """Raise :class:`TaskGraphError` on structural problems.
+
+        Kahn's algorithm over the precedence index, O(tasks + arcs); the
+        networkx digraph is built only to name a cycle that was found.
+        """
+        blocked = {name: len(self._pred.get(name, ())) for name in self._nodes}
+        free = [name for name, count in blocked.items() if count == 0]
+        ordered = 0
+        while free:
+            ordered += 1
+            for dst in self._succ.get(free.pop(), ()):
+                blocked[dst] -= 1
+                if blocked[dst] == 0:
+                    free.append(dst)
+        if ordered < len(self._nodes):
+            cycle = nx.find_cycle(self._precedence_digraph())
             pretty = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[0][0]}"
             raise TaskGraphError(f"precedence cycle: {pretty}")
 
@@ -144,10 +164,10 @@ class TaskGraph:
 
     def roots(self) -> list[str]:
         """Tasks with no precedence predecessors (dispatchable immediately)."""
-        return [n for n in self._nodes if not self.predecessors(n)]
+        return [n for n in self._nodes if n not in self._pred]
 
     def sinks(self) -> list[str]:
-        return [n for n in self._nodes if not self.successors(n)]
+        return [n for n in self._nodes if n not in self._succ]
 
     def critical_path(self) -> tuple[list[str], float]:
         """Longest work-weighted precedence path: the lower bound on makespan

@@ -11,13 +11,21 @@ instrumentation-based, never wall-clock, so they are immune to CI noise:
 - Kernel pop order is the (time, seq) total order and ``pending`` always
   equals the brute-force live-entry count — property-tested over random
   interleavings of schedule/schedule_at/call_soon/cancel.
+- Precedence costs O(arcs) per run: a completion walks its successors once
+  and never asks for a successor's predecessors.
+- ``RuntimeManager.instances_on`` visits live records only.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.kernel import Simulator
+from repro.runtime import AppStatus
 from repro.scheduler.messages import ResourceRequest
 from repro.scheduler.queue import AgingQueue
+from repro.taskgraph import TaskGraph, TaskNode
+from repro.vmpi import Compute
+
+from tests.conftest import make_cluster, place_all_on, round_robin_placement
 
 
 class _CountingHeap(list):
@@ -153,6 +161,116 @@ _OPS = st.lists(
     min_size=1,
     max_size=60,
 )
+
+
+def _burst(ctx):
+    yield Compute(1.0)
+
+
+def _bipartite(k: int) -> TaskGraph:
+    """Two layers of *k* tasks, every upper task a predecessor of every
+    lower one: k*k arcs, the dense case."""
+    graph = TaskGraph(f"bipartite-{k}")
+    for layer in "ab":
+        for i in range(k):
+            graph.add_task(TaskNode(f"{layer}{i}", program=_burst))
+    for i in range(k):
+        for j in range(k):
+            graph.connect(f"a{i}", f"b{j}")
+    return graph
+
+
+class TestPrecedenceContracts:
+    def _adjacency_use(self, k, monkeypatch):
+        """Submit and run the bipartite graph; per neighbourhood query,
+        [calls, names handed out]."""
+        use = {"predecessors": [0, 0], "successors": [0, 0]}
+        for name, tally in use.items():
+            original = getattr(TaskGraph, name)
+
+            def counting(graph, task, _original=original, _tally=tally):
+                out = _original(graph, task)
+                _tally[0] += 1
+                _tally[1] += len(out)
+                return out
+
+            monkeypatch.setattr(TaskGraph, name, counting)
+        cluster = make_cluster(4)
+        graph = _bipartite(k)
+        app = cluster.manager.submit(
+            graph, round_robin_placement(graph, ["ws0", "ws1", "ws2", "ws3"])
+        )
+        cluster.run()
+        assert app.status is AppStatus.DONE
+        assert len(cluster.sim.log.records("runtime.dispatch")) == 2 * k
+        return use
+
+    def test_a_run_walks_each_arc_once(self, monkeypatch):
+        """Releasing successors costs one visit per arc over the whole run
+        (plus one query per task), and the predecessor side is read twice
+        per arc: once to count, once to name the ``after`` spans of the
+        dispatch record, which has an entry per predecessor anyway. A
+        completion that rescans its successors' predecessors reads
+        k per arc instead."""
+        k = 20
+        arcs, tasks = k * k, 2 * k
+        use = self._adjacency_use(k, monkeypatch)
+        assert use["successors"][0] + use["successors"][1] <= arcs + tasks
+        assert use["predecessors"][1] <= 2 * arcs
+
+    def test_predecessor_queries_grow_with_tasks_not_arcs(self, monkeypatch):
+        small = self._adjacency_use(20, monkeypatch)["predecessors"][0]
+        monkeypatch.undo()
+        large = self._adjacency_use(40, monkeypatch)["predecessors"][0]
+        assert large <= 2 * small, (small, large)
+
+
+class TestInstancesOnContract:
+    def test_finished_application_is_never_visited(self):
+        """``instances_on`` is asked once per candidate host per failover
+        re-dispatch: its cost must follow live work, not history."""
+
+        class Untouchable(dict):
+            def _refuse(self, *args):
+                raise AssertionError("a finished application's records were visited")
+
+            __iter__ = keys = values = items = _refuse
+
+        cluster = make_cluster(2)
+        manager = cluster.manager
+        old = TaskGraph("old")
+        old.add_task(TaskNode("t", instances=3, program=_burst))
+        finished = manager.submit(old, place_all_on(old, "ws0"))
+        cluster.run()
+        assert finished.status is AppStatus.DONE
+
+        def long_burst(ctx):
+            yield Compute(50.0)
+
+        live = TaskGraph("live")
+        live.add_task(TaskNode("first", instances=3, program=long_burst))
+        live.add_task(TaskNode("later", program=_burst))
+        live.connect("first", "later")
+        app = manager.submit(live, round_robin_placement(live, ["ws0", "ws1"]))
+        cluster.run(until=cluster.sim.now + 5.0)
+        expected = {
+            host: sorted(
+                r.instance.name
+                for a in manager.apps.values()
+                for r in a.records.values()
+                if r.instance is not None
+                and not r.instance.state.terminal
+                and r.instance.host.name == host
+            )
+            for host in ("ws0", "ws1")
+        }
+        assert sum(map(len, expected.values())) == 3  # "later" is not dispatched
+        finished.records = Untouchable(finished.records)
+        for host, names in expected.items():
+            assert sorted(i.name for i in manager.instances_on(host)) == names
+        cluster.run()
+        assert app.status is AppStatus.DONE
+        assert manager.instances_on("ws0") == manager.instances_on("ws1") == []
 
 
 class TestKernelProperties:

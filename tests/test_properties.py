@@ -24,8 +24,12 @@ from repro.scheduler import (
     utilization_first_assignment,
 )
 from repro.scheduler.messages import ModuleNeed
-from repro.taskgraph import TaskGraph, TaskNode
+from repro.runtime import Application, AppStatus, InstanceState, RuntimeManager
+from repro.taskgraph import ArcKind, TaskGraph, TaskNode
 from repro.util.rng import RngStreams
+from repro.vmpi import Compute
+
+from tests.conftest import make_cluster, round_robin_placement
 
 
 # ---------------------------------------------------------------- intervals
@@ -155,6 +159,171 @@ def test_levels_partition_and_respect_depth(graph):
     index = {n: i for i, level in enumerate(levels) for n in level}
     for arc in graph.arcs:
         assert index[arc.src] < index[arc.dst]
+
+
+# ------------------------------------------------------ dependency counters
+
+
+@st.composite
+def layered_runs(draw):
+    """A layered DAG to run: multi-instance tasks; precedence arcs
+    (DEPENDENCY and DATA) from any lower to any higher layer, repeats
+    allowed and in drawn order, so parallel arcs interleave with others;
+    STREAM arcs between any two tasks (cycles allowed)."""
+    layers = [
+        [f"l{i}n{j}" for j in range(draw(st.integers(1, 3)))]
+        for i in range(draw(st.integers(2, 4)))
+    ]
+    names = [name for layer in layers for name in layer]
+    tasks = [
+        (name, draw(st.integers(1, 2)), draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])))
+        for name in names
+    ]
+    downward = [
+        (a, b)
+        for i, layer in enumerate(layers)
+        for a in layer
+        for lower in layers[i + 1:]
+        for b in lower
+    ]
+    arcs = draw(st.lists(
+        st.tuples(
+            st.sampled_from(downward),
+            st.sampled_from([(ArcKind.DEPENDENCY, 0), (ArcKind.DATA, 4096)]),
+        ),
+        max_size=14,
+    ))
+    streams = draw(st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+            lambda pair: pair[0] != pair[1]
+        ),
+        max_size=3,
+    ))
+    return tasks, arcs, streams
+
+
+def _layered_graph(case):
+    tasks, arcs, streams = case
+
+    def burst(work):
+        def program(ctx):
+            yield Compute(work)
+        return program
+
+    graph = TaskGraph("layered")
+    for name, instances, work in tasks:
+        graph.add_task(TaskNode(name, work=work, instances=instances, program=burst(work)))
+    for (src, dst), (kind, volume) in arcs:
+        graph.connect(src, dst, kind, volume)
+    for src, dst in streams:
+        graph.connect(src, dst, ArcKind.STREAM)
+    return graph
+
+
+class RescanManager(RuntimeManager):
+    """The reference: ignores what the counters released and finds what a
+    completion made ready by asking the arc list and the records about
+    every task of the graph."""
+
+    def _instance_exited(self, app, record, instance, state, outcome):
+        self._completed = record.task
+        super()._instance_exited(app, record, instance, state, outcome)
+
+    def _advance(self, app, released):
+        precedence = [a for a in app.graph.arcs if a.kind is not ArcKind.STREAM]
+        records = list(app.records.values())
+
+        def done(task):
+            return all(r.state is InstanceState.DONE for r in records if r.task == task)
+
+        def untouched(task):
+            return all(
+                r.dispatched_at is None and r.state is InstanceState.PENDING
+                for r in records if r.task == task
+            )
+
+        ready = [
+            node.name for node in app.graph
+            if untouched(node.name)
+            and all(done(a.src) for a in precedence if a.dst == node.name)
+        ]
+        # dispatch order: the completed task's successor arcs first
+        first = dict.fromkeys(a.dst for a in precedence if a.src == self._completed)
+        order = [t for t in first if t in ready] + [t for t in ready if t not in first]
+        super()._advance(app, order)
+
+
+def _dispatch_sequence(manager_class, case, victim, at):
+    """Run *case* and re-dispatch one record (as failover does) at *at*,
+    whatever state it is in by then: running, or done and so taken back."""
+    cluster = make_cluster(3)
+    manager = manager_class(cluster.sim, cluster.net)
+    graph = _layered_graph(case)
+    app = manager.submit(graph, round_robin_placement(graph, ["ws0", "ws1", "ws2"]))
+    record = list(app.records.values())[victim % len(app.records)]
+
+    def redo():
+        if record.dispatched_at is not None and not app.status.terminal:
+            manager.dispatch_instance(app, record, "ws2")
+
+    cluster.sim.schedule(at, redo)
+    cluster.run()
+    assert app.status is AppStatus.DONE
+    return app, [
+        (r.time, r.data["task"], r.data["rank"], r.data["host"],
+         r.data["incarnation"], r.data["after"])
+        for r in cluster.sim.log.records("runtime.dispatch")
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_runs(), st.integers(0, 50), st.sampled_from([0.25, 0.75, 1.25, 2.25, 3.75]))
+def test_counters_dispatch_what_a_whole_graph_rescan_would(case, victim, at):
+    app, counted = _dispatch_sequence(RuntimeManager, case, victim, at)
+    _, rescanned = _dispatch_sequence(RescanManager, case, victim, at)
+    assert counted == rescanned
+    # every instance exactly once, but for the one re-dispatch
+    assert len(counted) - len(app.records) in (0, 1)
+    precedence = [a for a in app.graph.arcs if a.kind is not ArcKind.STREAM]
+    roots = [n for n in app.graph if all(a.dst != n.name for a in precedence)]
+    at_submit = [(task, rank) for time, task, rank, *_ in counted if time == 0.0]
+    assert at_submit[:sum(n.instances for n in roots)] == [
+        (n.name, rank) for n in roots for rank in range(n.instances)
+    ]
+
+
+@given(layered_runs(), st.randoms(use_true_random=False))
+def test_done_taken_back_leaves_counters_where_they_were(case, rnd):
+    """``commit_state`` DONE -> PENDING -> DONE (a done record re-dispatched
+    and finished again) restores every counter, at any point of a run."""
+    graph = _layered_graph(case)
+    app = Application("app-0", graph)
+    records = list(app.records.values())
+    rnd.shuffle(records)
+    released = []
+    for i, record in enumerate(records):
+        released += app.commit_state(record, InstanceState.DONE)
+        victim = rnd.choice(records[: i + 1])
+        before = (
+            dict(app.precedence.remaining), dict(app.precedence.blocked), app._done_count
+        )
+        first = app.commit_state(victim, InstanceState.PENDING)
+        assert first == () and not app.task_done(victim.task)
+        again = app.commit_state(victim, InstanceState.DONE)
+        assert before == (
+            app.precedence.remaining, app.precedence.blocked, app._done_count
+        )
+        # it releases again exactly the successors nothing else holds back
+        assert list(again) == [
+            t for t in dict.fromkeys(graph.successors(victim.task))
+            if app.task_done(victim.task)
+            and all(app.task_done(p) for p in graph.predecessors(t))
+        ]
+    assert app.all_done
+    assert not any(app.precedence.remaining.values())
+    assert not any(app.precedence.blocked.values())
+    # over the run every task with a predecessor was released exactly once
+    assert sorted(released) == sorted(t.name for t in graph if graph.predecessors(t.name))
 
 
 # ---------------------------------------------------------------- scheduler

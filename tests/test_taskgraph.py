@@ -109,6 +109,25 @@ class TestTaskGraph:
         with pytest.raises(TaskGraphError, match="cycle"):
             g.validate()
 
+    def test_cycle_is_named(self):
+        """The message walks the cycle, not the acyclic tasks around it."""
+        g = TaskGraph()
+        for n in "xabcy":
+            g.add_task(TaskNode(n))
+        g.connect("a", "b")
+        g.connect("b", "a", ArcKind.DATA)
+        with pytest.raises(TaskGraphError) as two:
+            g.validate()
+        assert str(two.value) == "precedence cycle: a -> b -> a"
+        g = TaskGraph()
+        for n in "xabcy":
+            g.add_task(TaskNode(n))
+        for src, dst in ["xa", "ab", "bc", "ca", "cy"]:
+            g.connect(src, dst)
+        with pytest.raises(TaskGraphError) as three:
+            g.topological_order()
+        assert str(three.value) == "precedence cycle: a -> b -> c -> a"
+
     def test_stream_cycles_allowed(self):
         g = TaskGraph()
         g.add_task(TaskNode("client"))
@@ -116,6 +135,16 @@ class TestTaskGraph:
         g.connect("client", "server", ArcKind.STREAM)
         g.connect("server", "client", ArcKind.STREAM)
         g.validate()  # no raise
+
+    def test_stream_cycle_through_a_precedence_chain_allowed(self):
+        g = TaskGraph()
+        for n in "abc":
+            g.add_task(TaskNode(n))
+        g.connect("a", "b")
+        g.connect("b", "c", ArcKind.DATA)
+        g.connect("c", "a", ArcKind.STREAM)
+        g.validate()
+        assert g.topological_order() == ["a", "b", "c"]
 
     def test_topological_order(self):
         order = diamond().topological_order()
@@ -194,3 +223,66 @@ class TestTaskGraph:
         order = {n: i for i, level in enumerate(levels) for n in level}
         for arc in g.arcs:
             assert order[arc.src] < order[arc.dst]
+
+
+# ------------------------------------------------- the precedence index
+
+
+@st.composite
+def arc_lists(draw):
+    """Tasks t0..tn and arcs of every kind: precedence arcs run from a lower
+    to a higher index (acyclic) and may repeat; STREAM arcs run anywhere."""
+    n = draw(st.integers(2, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    arcs = []
+    for (i, j), kind in draw(st.lists(st.tuples(pairs, st.sampled_from(ArcKind)), max_size=20)):
+        if kind is not ArcKind.STREAM:
+            i, j = min(i, j), max(i, j)
+        arcs.append(Arc(f"t{i}", f"t{j}", kind))
+    return n, arcs
+
+
+def _built(n, arcs, how):
+    g = TaskGraph()
+    for i in range(n):
+        g.add_task(TaskNode(f"t{i}", work=1.0 + i))
+    for arc in arcs:
+        if how == "add_arc":
+            g.add_arc(arc)
+        else:
+            g.connect(arc.src, arc.dst, arc.kind)
+    return g
+
+
+@given(arc_lists(), st.sampled_from(["add_arc", "connect", "subset"]), st.data())
+def test_neighbourhood_queries_agree_with_the_arc_list(case, how, data):
+    """predecessors/successors/roots/sinks/levels/critical_path answer from
+    an index kept by add_arc; the arc list is the truth they must match."""
+    n, arcs = case
+    g = _built(n, arcs, how)
+    if how == "subset":
+        keep = data.draw(st.lists(st.sampled_from([t.name for t in g]), unique=True))
+        g = g.subset(keep)
+    precedence = [a for a in g.arcs if a.kind is not ArcKind.STREAM]
+    names = [t.name for t in g]
+    for name in names:
+        assert g.predecessors(name) == [a.src for a in precedence if a.dst == name]
+        assert g.successors(name) == [a.dst for a in precedence if a.src == name]
+    assert g.roots() == [x for x in names if all(a.dst != x for a in precedence)]
+    assert g.sinks() == [x for x in names if all(a.src != x for a in precedence)]
+    g.validate()
+    depth = {}
+    for name in sorted(names, key=lambda x: int(x[1:])):  # index order is topological
+        depth[name] = 1 + max((depth[a.src] for a in precedence if a.dst == name), default=-1)
+    levels = g.levels()
+    assert {x: i for i, level in enumerate(levels) for x in level} == depth
+    longest = {}
+    for name in sorted(names, key=lambda x: int(x[1:])):
+        longest[name] = g.task(name).work + max(
+            (longest[a.src] for a in precedence if a.dst == name), default=0.0
+        )
+    path, length = g.critical_path()
+    assert length == max(longest.values(), default=0.0)
+    assert all((a, b) in {(x.src, x.dst) for x in precedence} for a, b in zip(path, path[1:]))
