@@ -8,8 +8,7 @@ a latent distributed-systems bug.  This module finds that class *before*
 the transport seam goes real:
 
 - :class:`HBTracker` receives the **schedule-parent tree** from the netsim
-  backends (:mod:`repro.netsim.kernel`, :mod:`repro.netsim.sharded`): every
-  scheduled event records the event that scheduled it.  In a discrete-event
+  kernel (:mod:`repro.netsim.kernel`): every scheduled event records the event that scheduled it.  In a discrete-event
   simulation every causal edge — message send→receive, timer create→fire,
   continuation/program order — *is* a schedule edge, so ancestry in this
   tree is exactly the happens-before relation.  Deliberately **not** an

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -106,25 +107,23 @@ class ScenarioRun:
     protocol_findings: list[Finding] | None = None
 
 
-def _vce_scenario(build: Callable, seed: int, backend: str, shards: int,
-                  hb_sanitizer: bool, tie_shuffle: int) -> ScenarioRun:
-    vce = build(seed, backend, shards, hb_sanitizer, tie_shuffle)
+def _vce_scenario(build: Callable, seed: int, hb_sanitizer: bool,
+                  tie_shuffle: int) -> ScenarioRun:
+    vce = build(seed, hb_sanitizer, tie_shuffle)
     protocol = (
         vce.protocol_monitor.findings() if vce.protocol_monitor is not None else None
     )
     return ScenarioRun(log=vce.sim.log, hb=vce.hb_tracker, protocol_findings=protocol)
 
 
-def _randomdag(seed: int, backend: str, shards: int,
-               hb_sanitizer: bool, tie_shuffle: int):
+def _randomdag(seed: int, hb_sanitizer: bool, tie_shuffle: int):
     from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
     from repro.workloads import build_random_dag
 
     graph = build_random_dag(layers=8, width=8, seed=seed)
     vce = VirtualComputingEnvironment(
         workstation_cluster(4),
-        VCEConfig(seed=seed, backend=backend, shards=shards,
-                  hb_sanitizer=hb_sanitizer, tie_shuffle=tie_shuffle),
+        VCEConfig(seed=seed, hb_sanitizer=hb_sanitizer, tie_shuffle=tie_shuffle),
     ).boot()
     run = vce.submit(graph, class_map={node.name: None for node in graph})
     vce.run_to_completion(run, timeout=100_000.0)
@@ -135,15 +134,14 @@ def _randomdag(seed: int, backend: str, shards: int,
     return vce
 
 
-def _chaos_mix(seed: int, backend: str, shards: int,
-               hb_sanitizer: bool, tie_shuffle: int):
+def _chaos_mix(seed: int, hb_sanitizer: bool, tie_shuffle: int):
     from repro.core import VCEConfig, VirtualComputingEnvironment, heterogeneous_cluster
     from repro.migration.failover import FailoverConfig
     from repro.scheduler.execution_program import RunState
     from repro.workloads import WEATHER_SCRIPT, build_pipeline_graph, weather_programs
 
     config = VCEConfig(
-        seed=seed, backend=backend, shards=shards,
+        seed=seed,
         reliable_transport=True, failover=FailoverConfig(),
         hb_sanitizer=hb_sanitizer, tie_shuffle=tie_shuffle,
     )
@@ -161,8 +159,7 @@ def _chaos_mix(seed: int, backend: str, shards: int,
     return vce
 
 
-def _injected_race(seed: int, backend: str, shards: int,
-                   hb_sanitizer: bool, tie_shuffle: int) -> ScenarioRun:
+def _injected_race(seed: int, hb_sanitizer: bool, tie_shuffle: int) -> ScenarioRun:
     """Deliberate scheduler race: two same-timestamp events, scheduled by
     *different* parent events, apply non-commutative updates (``x *= 2``
     vs ``x += 3``) to shared state and note them under rule R900.  The
@@ -170,7 +167,7 @@ def _injected_race(seed: int, backend: str, shards: int,
     that permutes the tie diverges the outcome digest."""
     from repro.netsim.backend import create_simulator
 
-    sim = create_simulator(seed, backend=backend, shards=shards)
+    sim = create_simulator(seed)
     tracker = None
     if hb_sanitizer:
         tracker = HBTracker()
@@ -211,17 +208,13 @@ SCENARIOS: dict[str, Scenario] = {
     "randomdag": Scenario(
         "randomdag",
         "8x8 random DAG on a 4-workstation cluster (golden scenario)",
-        lambda seed, backend, shards, hb, mix: _vce_scenario(
-            _randomdag, seed, backend, shards, hb, mix
-        ),
+        partial(_vce_scenario, _randomdag),
     ),
     "chaos-mix": Scenario(
         "chaos-mix",
         "weather + pipeline under the chaos-mix fault schedule with "
         "failover and reliable transport (golden scenario)",
-        lambda seed, backend, shards, hb, mix: _vce_scenario(
-            _chaos_mix, seed, backend, shards, hb, mix
-        ),
+        partial(_vce_scenario, _chaos_mix),
     ),
     "injected-race": Scenario(
         "injected-race",
@@ -240,7 +233,6 @@ class SanitizeResult:
     """Everything one sanitized scenario produced."""
 
     scenario: str
-    backend: str
     seed: int
     report: AnalysisReport
     classification: str  # "real" | "benign" | "race-free"
@@ -257,7 +249,6 @@ class SanitizeResult:
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario,
-            "backend": self.backend,
             "seed": self.seed,
             "classification": self.classification,
             "baseline_digest": self.baseline_digest,
@@ -272,8 +263,6 @@ class SanitizeResult:
 def sanitize_scenario(
     name: str,
     seed: int = 3,
-    backend: str = "serial",
-    shards: int = 4,
     shuffles: int = 4,
     baseline: str | Path | None = None,
     fsms: tuple[ProtocolFSM, ...] = DEFAULT_FSMS,
@@ -291,7 +280,7 @@ def sanitize_scenario(
             f"unknown sanitize scenario {name!r} "
             f"(expected one of {', '.join(sorted(SCENARIOS))})"
         )
-    base = scenario.run(seed, backend, shards, True, 0)
+    base = scenario.run(seed, True, 0)
     base_digest = outcome_digest(base.log)
     protocol_findings = base.protocol_findings
     if protocol_findings is None:
@@ -302,7 +291,7 @@ def sanitize_scenario(
         salt = shuffle_salt(seed, k)
         entry: dict = {"salt": salt}
         try:
-            run_k = scenario.run(seed, backend, shards, False, salt)
+            run_k = scenario.run(seed, False, salt)
         except Exception as exc:  # a crash under reorder is the strongest signal
             entry["error"] = repr(exc)
             entry["diverged"] = True
@@ -320,7 +309,7 @@ def sanitize_scenario(
     for race in races:
         race.classification = "real" if diverged else "benign"
 
-    report = AnalysisReport(subject=f"sanitize:{name}[{backend}]")
+    report = AnalysisReport(subject=f"sanitize:{name}")
     suppressed = 0
     if base.hb is not None:
         findings, suppressed = base.hb.race_findings(baseline=baseline)
@@ -339,7 +328,6 @@ def sanitize_scenario(
         )
     return SanitizeResult(
         scenario=name,
-        backend=backend,
         seed=seed,
         report=report,
         classification=classification,

@@ -35,12 +35,6 @@ Workloads (full / ``--quick``):
 - ``chaos-mix`` — the weather + pipeline soak under the ``chaos-mix``
   fault schedule with reliable transport and failover: retry timers,
   cancellations, view changes, re-dispatch.
-
-``repro bench --backend sharded --shards N`` runs the same workloads on the
-sharded backend; replay digests are backend-invariant, so
-:func:`check_backend_parity` gates a sharded run against the serial
-baseline's digests while :func:`check_against_baseline` gates its ratios
-against the ``sharded`` section ratcheted by ``benchmarks/bench_kernel.py``.
 """
 
 from __future__ import annotations
@@ -145,9 +139,7 @@ def _measure(name: str, scenario: Callable[[], tuple], repeats: int) -> BenchRes
     )
 
 
-def _run_randomdag(
-    layers: int, width: int, seed: int = 7, backend: str = "serial", shards: int = 4
-):
+def _run_randomdag(layers: int, width: int, seed: int = 7):
     from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
     from repro.scheduler.execution_program import RunState
     from repro.workloads import build_random_dag
@@ -155,7 +147,7 @@ def _run_randomdag(
     graph = build_random_dag(layers=layers, width=width, seed=seed)
     instances = sum(node.instances for node in graph)
     vce = VirtualComputingEnvironment(
-        workstation_cluster(4), VCEConfig(seed=seed, backend=backend, shards=shards)
+        workstation_cluster(4), VCEConfig(seed=seed)
     ).boot()
     run = vce.submit(graph, class_map={node.name: None for node in graph})
     vce.run_to_completion(run, timeout=1_000_000.0)
@@ -163,9 +155,7 @@ def _run_randomdag(
     return vce, instances
 
 
-def _run_stencil(
-    ranks: int, iterations: int, seed: int = 7, backend: str = "serial", shards: int = 4
-):
+def _run_stencil(ranks: int, iterations: int, seed: int = 7):
     from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
     from repro.machines import MachineClass
     from repro.scheduler.execution_program import RunState
@@ -173,7 +163,7 @@ def _run_stencil(
 
     graph = build_stencil_graph(ranks=ranks, cells=64, iterations=iterations)
     vce = VirtualComputingEnvironment(
-        workstation_cluster(ranks), VCEConfig(seed=seed, backend=backend, shards=shards)
+        workstation_cluster(ranks), VCEConfig(seed=seed)
     ).boot()
     run = vce.submit(graph, class_map={"grid": MachineClass.WORKSTATION})
     vce.run_to_completion(run, timeout=100_000.0)
@@ -181,9 +171,7 @@ def _run_stencil(
     return vce, ranks
 
 
-def _run_chaos_mix(
-    stage_work: float, seed: int = 3, backend: str = "serial", shards: int = 4
-):
+def _run_chaos_mix(stage_work: float, seed: int = 3):
     from repro.core import VCEConfig, VirtualComputingEnvironment, heterogeneous_cluster
     from repro.migration.failover import FailoverConfig
     from repro.scheduler.execution_program import RunState
@@ -191,8 +179,6 @@ def _run_chaos_mix(
 
     config = VCEConfig(
         seed=seed,
-        backend=backend,
-        shards=shards,
         reliable_transport=True,
         failover=FailoverConfig(),
     )
@@ -212,50 +198,39 @@ def _run_chaos_mix(
 
 
 #: name -> (full-mode scenario, quick-mode scenario, full repeats, quick repeats)
-#: scenarios accept ``backend=``/``shards=`` keywords (see run_suite)
 WORKLOADS: dict[str, tuple] = {
     "randomdag-1k": (
-        lambda **kw: _run_randomdag(layers=40, width=50, **kw),
-        lambda **kw: _run_randomdag(layers=12, width=25, **kw),
+        lambda: _run_randomdag(layers=40, width=50),
+        lambda: _run_randomdag(layers=12, width=25),
         # best of three: parked, the quick size runs for ~50 ms, less than
         # the imports its first repeat pays for
         3,
         3,
     ),
     "randomdag-5k": (
-        lambda **kw: _run_randomdag(layers=100, width=100, **kw),
+        lambda: _run_randomdag(layers=100, width=100),
         None,  # full-size only: ~1.4M events is too slow for a smoke gate
         1,
         0,
     ),
     "stencil": (
-        lambda **kw: _run_stencil(ranks=8, iterations=40, **kw),
-        lambda **kw: _run_stencil(ranks=4, iterations=12, **kw),
+        lambda: _run_stencil(ranks=8, iterations=40),
+        lambda: _run_stencil(ranks=4, iterations=12),
         3,
         3,
     ),
     "chaos-mix": (
-        lambda **kw: _run_chaos_mix(stage_work=15.0, **kw),
-        lambda **kw: _run_chaos_mix(stage_work=15.0, **kw),
+        lambda: _run_chaos_mix(stage_work=15.0),
+        lambda: _run_chaos_mix(stage_work=15.0),
         3,
         3,
     ),
 }
 
 
-def run_suite(
-    quick: bool = False,
-    pump_events: int = 100_000,
-    backend: str = "serial",
-    shards: int = 4,
-) -> dict:
+def run_suite(quick: bool = False, pump_events: int = 100_000) -> dict:
     """Run every workload; returns the ``BENCH_kernel.json`` payload shape
-    (one ``workloads`` map plus the pump yardstick).
-
-    *backend*/*shards* select the simulation backend under test; replay
-    digests are backend-invariant, so a sharded suite can be diffed
-    against the serial baseline with :func:`check_backend_parity`.
-    """
+    (one ``workloads`` map plus the pump yardstick)."""
     rate = pump_rate(pump_events)
     results: dict[str, dict] = {}
     for name, (full, quick_fn, full_repeats, quick_repeats) in WORKLOADS.items():
@@ -263,17 +238,13 @@ def run_suite(
         repeats = quick_repeats if quick else full_repeats
         if scenario is None or repeats == 0:
             continue
-        result = _measure(
-            name, lambda: scenario(backend=backend, shards=shards), repeats
-        )
+        result = _measure(name, scenario, repeats)
         result.normalized_ratio = float(
             f"{result.instances / result.wall_seconds / rate:.4g}"
         )
         results[name] = result.to_dict()
     return {
         "mode": "quick" if quick else "full",
-        "backend": backend,
-        "shards": shards if backend == "sharded" else 1,
         "pump_events_per_sec": round(rate, 1),
         "workloads": results,
     }
@@ -309,95 +280,6 @@ def check_against_baseline(
                 "(update the baseline if this is an intended behaviour change)"
             )
     return failures
-
-
-def check_backend_parity(current: dict, serial_baseline: dict) -> list[str]:
-    """A non-serial backend must replay the serial baseline byte-identically.
-
-    Compares every shared workload's replay digest and simulated event
-    count against the *serial* baseline section for the same mode — the
-    backend contract (see docs/PARALLELISM.md) is that partitioning is
-    invisible to the event schedule. Returns failure messages.
-    """
-    failures: list[str] = []
-    base_workloads = serial_baseline.get("workloads", {})
-    for name, result in current.get("workloads", {}).items():
-        base = base_workloads.get(name)
-        if base is None:
-            continue
-        if result["digest"] != base["digest"]:
-            failures.append(
-                f"{name}: {current.get('backend', '?')} backend replay digest "
-                f"{result['digest'][:16]}... diverged from the serial "
-                f"baseline {base['digest'][:16]}... — backend invariance broken"
-            )
-        if result["sim_events"] != base["sim_events"]:
-            failures.append(
-                f"{name}: simulated event count {result['sim_events']} != "
-                f"serial baseline {base['sim_events']}"
-            )
-    return failures
-
-
-def check_sharded_overhead(
-    sharded_suite: dict, serial_suite: dict, floor: float = 0.4
-) -> list[str]:
-    """Same-process throughput gate for the sharded engine.
-
-    Compares the sharded suite's events/sec against a serial suite
-    measured in the *same process* moments apart, so host speed and load
-    cancel out of the ratio — unlike a checked-in baseline, which a busy
-    CI machine can miss by more than any reasonable tolerance. The
-    sharded engine legitimately runs somewhat below serial (window
-    bookkeeping; see docs/PARALLELISM.md), so the floor only catches a
-    drastic engine regression such as an O(shards) scan per event.
-    """
-    failures: list[str] = []
-    for name, result in sharded_suite.get("workloads", {}).items():
-        base = serial_suite.get("workloads", {}).get(name)
-        if base is None or base["events_per_sec"] <= 0:
-            continue
-        ratio = result["events_per_sec"] / base["events_per_sec"]
-        if ratio < floor:
-            failures.append(
-                f"{name}: sharded engine ran at {ratio:.2f}x the serial "
-                f"throughput measured in this process (floor {floor:.2f}x) "
-                "— per-event engine overhead regressed"
-            )
-    return failures
-
-
-def sharded_scaling(
-    workload: str = "randomdag-5k", shard_counts: tuple = (1, 2, 4, 8)
-) -> dict:
-    """Measure events/sec of *workload* under the sharded backend at each
-    shard count (plus the serial kernel as the 0-shard reference) and
-    verify every run replays the serial digest. The ``scaling`` record of
-    BENCH_kernel.json's ``sharded`` section."""
-    full, _, _, _ = WORKLOADS[workload]
-    serial = _measure(workload, lambda: full(), 1)
-    per_shards: dict[str, dict] = {}
-    for n in shard_counts:
-        result = _measure(
-            f"{workload}@{n}", lambda: full(backend="sharded", shards=n), 1
-        )
-        if result.digest != serial.digest:
-            raise AssertionError(
-                f"{workload} at {n} shards diverged from the serial digest"
-            )
-        per_shards[str(n)] = {
-            "events_per_sec": result.events_per_sec,
-            "speedup_vs_serial": round(
-                result.events_per_sec / serial.events_per_sec, 3
-            ),
-        }
-    return {
-        "workload": workload,
-        "sim_events": serial.sim_events,
-        "digest": serial.digest,
-        "serial_events_per_sec": serial.events_per_sec,
-        "per_shards": per_shards,
-    }
 
 
 # ------------------------------------------------------------- scale suite
@@ -443,16 +325,14 @@ SCALE_SCENARIOS: dict[str, dict[str, dict]] = {
 MIN_FANOUT_REDUCTION = 2.0
 
 
-def run_scale_suite(quick: bool = False, shards: int = 2) -> dict:
+def run_scale_suite(quick: bool = False) -> dict:
     """Run the soak scale scenarios; returns the ``BENCH_scale.json``
     payload shape.
 
     Each scenario is one :func:`repro.soak.run_soak` run; its report
     (completion counts, peak concurrency, bid fan-out per round, replay
     digest) is deterministic, so everything but ``wall_seconds`` is
-    gate-able. The ``hier`` scenario is additionally replayed on the
-    sharded backend and its digest recorded — backend invariance is part
-    of the scale contract.
+    gate-able.
     """
     from repro.soak import SoakConfig, run_soak
 
@@ -467,21 +347,12 @@ def run_scale_suite(quick: bool = False, shards: int = 2) -> dict:
         entry["wall_seconds"] = round(wall, 2)
         entry["events_per_sec"] = round(vce.sim.events_processed / wall, 1)
         scenarios[name] = entry
-    sharded_cfg = SoakConfig(
-        **SCALE_SCENARIOS[mode]["hier"], backend="sharded", shards=shards
-    )
-    scenarios["hier@sharded"] = {
-        "backend": "sharded",
-        "shards": shards,
-        "digest": run_soak(sharded_cfg)[2].digest,
-    }
     flat, hier = scenarios["flat"], scenarios["hier"]
     reduction = flat["bid_fanout_per_round"] / max(
         hier["bid_fanout_per_round"], 1e-9
     )
     return {
         "mode": mode,
-        "shards": shards,
         "fanout_reduction": round(reduction, 3),
         "scenarios": scenarios,
     }
@@ -490,13 +361,11 @@ def run_scale_suite(quick: bool = False, shards: int = 2) -> dict:
 def check_scale_suite(current: dict) -> list[str]:
     """Self-contained invariants of a scale suite run (no baseline needed):
     every admitted application completes, the flat and hier twins place
-    identical workloads, hierarchy polls at most half of what flat polls,
-    and the sharded replay matches the serial one byte for byte."""
+    identical workloads, and hierarchy polls at most half of what flat
+    polls."""
     failures: list[str] = []
     scenarios = current.get("scenarios", {})
     for name, entry in scenarios.items():
-        if "completed" not in entry:
-            continue
         if entry["failed"]:
             failures.append(f"{name}: {entry['failed']} applications failed")
         if entry["completed"] != entry["admitted"]:
@@ -516,13 +385,6 @@ def check_scale_suite(current: dict) -> list[str]:
             f"{MIN_FANOUT_REDUCTION:.1f}x — hierarchical bidding is no "
             "longer sub-linear against the flat broadcast"
         )
-    hier = scenarios.get("hier")
-    sharded = scenarios.get("hier@sharded")
-    if hier and sharded and hier["digest"] != sharded["digest"]:
-        failures.append(
-            "hier soak replay digest diverged between the serial and "
-            "sharded backends — backend invariance broken"
-        )
     return failures
 
 
@@ -539,7 +401,7 @@ def check_scale_baseline(current: dict, baseline: dict) -> list[str]:
     base_scenarios = baseline.get("scenarios", {})
     for name, entry in current.get("scenarios", {}).items():
         base = base_scenarios.get(name)
-        if base is None or "completed" not in entry:
+        if base is None:
             continue
         for key in (
             "digest",

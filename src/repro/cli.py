@@ -33,8 +33,8 @@ Usage (also via ``python -m repro``):
         error-severity finding (or, with --strict, any finding at all),
         else 0.
 
-    repro sanitize [SCENARIO...] [--backend B] [--shards N] [--seed N]
-                   [--shuffles K] [--baseline FILE] [--json PATH]
+    repro sanitize [SCENARIO...] [--seed N] [--shuffles K]
+                   [--baseline FILE] [--json PATH]
         Happens-before race sanitizer (see docs/ANALYSIS.md): runs each
         scenario with the HB tracker + protocol monitor attached, then
         re-runs it K times with seeded permutations of same-timestamp
@@ -81,22 +81,17 @@ Usage (also via ``python -m repro``):
         SSE stream at /events, WebSocket at /ws, control API under
         /api/), and drive the simulation in slices while streaming
         entity events. --pace R advances R simulated seconds per wall
-        second (0 = as fast as possible). Works on either simulation
-        backend (--backend serial|sharded).
+        second (0 = as fast as possible). --backend network runs the
+        real-process quickstart instead (docs/NETWORK.md).
 
-    repro bench [--quick] [--backend {serial,sharded}] [--shards N]
-                [--json PATH] [--check] [--baseline FILE] [--tolerance F]
+    repro bench [--quick] [--json PATH] [--check] [--baseline FILE]
+                [--tolerance F]
         Measure kernel/scheduler throughput on the canonical workloads
         (random DAGs, stencil, chaos-mix soak): events/sec, dispatch
         latency per task, scheduler event share, and the replay digest.
         --check gates on the machine-normalized events/sec ratio against
         a baseline (default BENCH_kernel.json, >25% drop fails) — the CI
-        perf-smoke job runs ``repro bench --quick --check``. With
-        --backend sharded, --check instead requires every replay digest
-        to be byte-identical to the serial baseline's (backend
-        invariance; see docs/PARALLELISM.md) and gates engine overhead
-        against a serial suite measured in the same process; ratios vs
-        the baseline's "sharded" section are advisory.
+        perf-smoke job runs ``repro bench --quick --check``.
 
 Cluster SPEC: ``ws:N`` for N workstations, or ``hetero:W,M,S`` for W
 workstations + M MIMD + S SIMD machines (default ``hetero:6,2,1``).
@@ -578,14 +573,12 @@ def cmd_sanitize(args: argparse.Namespace, out) -> int:
         sanitize_scenario(
             name,
             seed=args.seed,
-            backend=args.backend,
-            shards=args.shards,
             shuffles=args.shuffles,
             baseline=args.baseline,
         )
         for name in names
     ]
-    combined = AnalysisReport(subject=f"sanitize ({args.backend}, seed {args.seed})")
+    combined = AnalysisReport(subject=f"sanitize (seed {args.seed})")
     static_findings = []
     if not args.no_static:
         static_findings = check_protocol_sources(Path(repro.__file__).parent)
@@ -596,7 +589,7 @@ def cmd_sanitize(args: argparse.Namespace, out) -> int:
         shuffled = len(result.shuffle_runs)
         diverged = sum(1 for r in result.shuffle_runs if r["diverged"])
         print(
-            f"{result.scenario}[{result.backend}]: {result.classification} — "
+            f"{result.scenario}: {result.classification} — "
             f"{result.races} race(s), {result.suppressed} suppressed, "
             f"{diverged}/{shuffled} shuffles diverged",
             file=out,
@@ -604,7 +597,6 @@ def cmd_sanitize(args: argparse.Namespace, out) -> int:
     print(combined.render_text(), file=out)
     if args.json:
         payload = {
-            "backend": args.backend,
             "seed": args.seed,
             "shuffles": args.shuffles,
             "scenarios": [r.to_dict() for r in results],
@@ -657,12 +649,7 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
     import json as _json
     from pathlib import Path
 
-    from repro.bench import (
-        check_against_baseline,
-        check_backend_parity,
-        check_sharded_overhead,
-        run_suite,
-    )
+    from repro.bench import check_against_baseline, run_suite
 
     if args.baseline is None:
         args.baseline = (
@@ -670,13 +657,7 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
         )
     if args.suite == "scale":
         return _bench_scale(args, out)
-    suite = run_suite(
-        quick=args.quick,
-        pump_events=args.pump_events,
-        backend=args.backend,
-        shards=args.shards,
-    )
-    label = args.backend if args.backend == "serial" else f"sharded x{args.shards}"
+    suite = run_suite(quick=args.quick, pump_events=args.pump_events)
     rows = [
         [
             name,
@@ -694,7 +675,7 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
             ["workload", "inst/s÷pump", "ms/task", "events/s", "sched share", "events", "digest"],
             rows,
             title=(
-                f"kernel bench ({suite['mode']}, {label}, "
+                f"kernel bench ({suite['mode']}, "
                 f"pump {suite['pump_events_per_sec']:,.0f} ev/s)"
             ),
         ),
@@ -709,45 +690,15 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
             print(f"error: baseline {args.baseline} not found", file=sys.stderr)
             return 2
         baseline = _json.loads(baseline_path.read_text())
-        # BENCH_kernel.json stores one section per mode; the sharded
-        # backend has its own ratcheted sections under "sharded"
-        serial_section = baseline.get(suite["mode"], baseline)
-        failures: list[str] = []
-        if args.backend == "sharded":
-            failures += check_backend_parity(suite, serial_section)
-            # Throughput is gated against a serial suite run in this
-            # same process (noise cancels out of the ratio); the
-            # checked-in sharded ratios are advisory only — a quick
-            # suite's run-to-run noise on a busy machine exceeds any
-            # tolerance tight enough to catch real regressions.
-            serial_suite = run_suite(
-                quick=args.quick, pump_events=args.pump_events
-            )
-            failures += check_sharded_overhead(suite, serial_suite)
-            sharded_section = baseline.get("sharded", {}).get(suite["mode"])
-            if sharded_section is not None:
-                for drift in check_against_baseline(
-                    suite, sharded_section, tolerance=args.tolerance
-                ):
-                    if "event count" in drift:
-                        failures.append(drift)
-                    else:
-                        print(f"note (advisory): {drift}", file=out)
-            else:
-                print(
-                    f"note: no sharded/{suite['mode']} baseline section; "
-                    "digest parity checked, ratios not gated",
-                    file=out,
-                )
-        else:
-            failures += check_against_baseline(
-                suite, serial_section, tolerance=args.tolerance
-            )
+        # BENCH_kernel.json stores one section per mode
+        failures = check_against_baseline(
+            suite, baseline.get(suite["mode"], baseline), tolerance=args.tolerance
+        )
         for failure in failures:
             print(f"REGRESSION: {failure}", file=out)
         if failures:
             return 1
-        print(f"perf check passed ({suite['mode']}, {label} vs {args.baseline})", file=out)
+        print(f"perf check passed ({suite['mode']} vs {args.baseline})", file=out)
     return 0
 
 
@@ -758,7 +709,7 @@ def _bench_scale(args: argparse.Namespace, out) -> int:
 
     from repro.bench import check_scale_baseline, check_scale_suite, run_scale_suite
 
-    suite = run_scale_suite(quick=args.quick, shards=args.shards)
+    suite = run_scale_suite(quick=args.quick)
     rows = [
         [
             name,
@@ -771,7 +722,6 @@ def _bench_scale(args: argparse.Namespace, out) -> int:
             r["digest"][:12],
         ]
         for name, r in suite["scenarios"].items()
-        if "completed" in r
     ]
     print(
         format_table(
@@ -820,8 +770,6 @@ def cmd_soak(args: argparse.Namespace, out) -> int:
         machines=args.machines,
         fanout=args.fanout,
         seed=args.seed,
-        backend=args.backend,
-        shards=args.shards,
         chaos=args.chaos,
     )
     if args.arrival_span is not None:
@@ -853,7 +801,7 @@ def cmd_soak(args: argparse.Namespace, out) -> int:
             title=(
                 f"soak: {report.config_tenants} tenants, "
                 f"{report.submitted} apps on {report.machines} machines "
-                f"(fanout {report.fanout}, {report.backend})"
+                f"(fanout {report.fanout})"
             ),
         ),
         file=out,
@@ -892,7 +840,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
 
     if args.backend == "network":
         return _cmd_serve_network(args, out)
-    overrides: dict = {"backend": args.backend, "shards": args.shards}
+    overrides: dict = {}
     if args.failover:
         from repro.migration.failover import FailoverConfig
 
@@ -1130,14 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sanitize.add_argument("--seed", type=int, default=3)
     sanitize.add_argument(
-        "--backend", choices=["serial", "sharded"], default="serial",
-        help="simulation backend (default serial)",
-    )
-    sanitize.add_argument(
-        "--shards", type=int, default=4,
-        help="shard count for --backend sharded (default 4)",
-    )
-    sanitize.add_argument(
         "--shuffles", type=int, default=4,
         help="tie-shuffle confirmation reruns per scenario (default 4)",
     )
@@ -1167,14 +1107,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="reduced workload sizes (the CI perf-smoke gate)",
     )
-    bench.add_argument(
-        "--backend", choices=["serial", "sharded"], default="serial",
-        help="simulation backend to benchmark (default serial)",
-    )
-    bench.add_argument(
-        "--shards", type=int, default=4,
-        help="shard count for --backend sharded (default 4)",
-    )
     bench.add_argument("--json", metavar="PATH", help="write results as JSON")
     bench.add_argument(
         "--check", action="store_true",
@@ -1203,10 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sub-leader cells (1 = the paper's flat bidding)",
     )
     soak.add_argument("--seed", type=int, default=0)
-    soak.add_argument(
-        "--backend", choices=["serial", "sharded"], default="serial"
-    )
-    soak.add_argument("--shards", type=int, default=4)
     soak.add_argument(
         "--arrival-span", type=float, default=None, metavar="SECONDS",
         help="compress arrivals into this window (default 200)",
@@ -1273,13 +1201,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="hard wall-clock runtime cap in seconds",
     )
     serve.add_argument(
-        "--backend", choices=["serial", "sharded", "network"], default="serial",
+        "--backend", choices=["serial", "network"], default="serial",
         help="simulation backend; 'network' runs the real-process quickstart "
              "(daemons as asyncio processes on localhost, docs/NETWORK.md)",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=4,
-        help="shard count for --backend sharded (default 4)",
     )
     serve.add_argument(
         "--processes", type=int, default=3,

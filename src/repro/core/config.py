@@ -18,17 +18,13 @@ class VCEConfig:
     Attributes:
         seed: root seed for all randomness.
         backend: which simulation backend drives the run — ``"serial"``
-            (the single tombstone-heap kernel, the default),
-            ``"sharded"`` (hosts partitioned across per-shard event heaps
-            with conservative lookahead synchronization; see
-            docs/PARALLELISM.md), or ``"network"`` (daemons as real
+            (the single tombstone-heap kernel, the one virtual-time
+            engine and the default) or ``"network"`` (daemons as real
             asyncio processes over TCP, paced by the wall clock; driven
             by :class:`repro.netexec.NetworkVCE`, not the in-process
             environment — see docs/NETWORK.md). Replay digests are
-            invariant across the virtual-time backends; the network
-            backend guarantees outcome parity only.
-        shards: worker-shard count for the ``sharded`` backend (ignored
-            by ``serial``).
+            byte-stable on ``serial``; the network backend guarantees
+            outcome parity only.
         latency: LAN latency/bandwidth model.
         daemon: scheduler-daemon policy knobs.
         leader_fanout: sub-leader cells per group leader (hierarchical
@@ -94,7 +90,6 @@ class VCEConfig:
 
     seed: int = 0
     backend: str = "serial"
-    shards: int = 4
     latency: LatencyModel = field(default_factory=LatencyModel)
     daemon: DaemonConfig = field(default_factory=DaemonConfig)
     leader_fanout: int = 1

@@ -83,9 +83,7 @@ class VirtualComputingEnvironment:
             self._daemon_config = replace(
                 self._daemon_config, leader_fanout=self.config.leader_fanout
             )
-        self.sim = create_simulator(
-            self.config.seed, backend=self.config.backend, shards=self.config.shards
-        )
+        self.sim = create_simulator(self.config.seed, backend=self.config.backend)
         if self.config.telemetry:
             # published before any component is built, so hot paths
             # (runtime manager, channels) can cache metric handles

@@ -40,7 +40,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from repro.core.config import VCEConfig
 from repro.machines.archclass import MachineClass
@@ -71,6 +71,7 @@ from repro.scheduler.messages import (
     TerminateNotice,
 )
 from repro.scheduler.policies import load_sorted_assignment
+from repro.taskgraph.precedence import DependencyCounters
 from repro.trace.context import TraceContext
 from repro.util.errors import AllocationError, ConfigurationError
 
@@ -107,9 +108,26 @@ class NetworkApp:
     finished: asyncio.Event = field(default_factory=asyncio.Event)
     failed: bool = False
 
+    def __post_init__(self) -> None:
+        #: which tasks a commit releases — the counters the simulator's
+        #: runtime manager dispatches from
+        self.precedence = DependencyCounters(self.graph)
+        #: tasks with an instance still to finish
+        self._open_tasks = len(self.precedence.remaining)
+
     @property
     def done(self) -> bool:
-        return all(r.done for r in self.records.values())
+        return self._open_tasks == 0
+
+    def commit(self, record: _Record, result: Any) -> Sequence[str]:
+        """Mark *record* done. Returns the tasks this released."""
+        record.done = True
+        record.result = result
+        record.stranded_at = None
+        released = self.precedence.instance_done(record.task)
+        if not self.precedence.remaining[record.task]:
+            self._open_tasks -= 1
+        return released
 
     def done_set(self) -> set[tuple[str, int]]:
         """The (task, rank) pairs that completed."""
@@ -308,8 +326,10 @@ class NetworkVCE:
             trace=app.trace,
         )
         reply = await self._allocate(request)
-        placement = self._place(app, reply)
-        self._dispatch_ready(app, placement)
+        for key, host in self._place(app, reply).items():
+            app.records[key].host = host
+        for task in sorted(graph.roots()):  # nothing holds them back
+            self._dispatch_task(app, task)
         return app
 
     async def _allocate(self, request: ResourceRequest) -> AllocationReply:
@@ -352,22 +372,11 @@ class NetworkVCE:
 
     # ------------------------------------------------------------- dispatch
 
-    def _dispatch_ready(self, app: NetworkApp, placement: dict | None = None) -> None:
-        """Dispatch every not-yet-dispatched record whose precedence
-        predecessors (all ranks) are done."""
-        if placement is not None:
-            for key, host in placement.items():
-                app.records[key].host = host
-        for (task, rank), record in sorted(app.records.items()):
-            if record.dispatched or record.done or record.failed:
-                continue
-            preds = app.graph.predecessors(task)
-            if all(
-                r.done
-                for k, r in app.records.items()
-                if k[0] in preds
-            ):
-                self._dispatch(app, record)
+    def _dispatch_task(self, app: NetworkApp, task: str) -> None:
+        """Dispatch every instance of *task*, whose precedence predecessors
+        (all ranks) are done."""
+        for rank in range(app.graph.task(task).instances):
+            self._dispatch(app, app.records[(task, rank)])
 
     def _dispatch(self, app: NetworkApp, record: _Record) -> None:
         host = record.host
@@ -524,13 +533,11 @@ class NetworkVCE:
                 epoch=done.epoch, current=record.epoch,
             )
             return
-        record.done = True
-        record.result = done.result
-        record.stranded_at = None
+        # sorted: tasks one commit releases dispatch in (task, rank) order
+        for task in sorted(app.commit(record, done.result)):
+            self._dispatch_task(app, task)
         if app.done:
             self._finish_app(app)
-        else:
-            self._dispatch_ready(app)
 
     def _task_failed(self, failed: TaskFailed) -> None:
         app = self.apps.get(failed.app)

@@ -19,9 +19,8 @@ What survives of the netsim contract, and what deliberately does not:
   virtual time; two timers 1 ms apart may be reordered by OS scheduling.
   Event *interleavings* are therefore not digest-stable on this backend —
   only task outcomes are (see docs/NETWORK.md for the contract).  The
-  conformance suite keeps its (time, seq) sections on the sim backends
-  (:data:`repro.netsim.backend.SIM_BACKEND_NAMES`) for exactly this
-  reason.
+  conformance suite keeps its (time, seq) sections on the serial kernel
+  for exactly this reason.
 
 Wall-clock reads in this module are the backend's whole point, not a
 determinism leak; the module lives outside detlint's scanned scope, the
@@ -85,7 +84,6 @@ class WallClockSimulator(SimBackend):
     """
 
     backend_name = "network"
-    shard_count = 1
 
     def __init__(self, seed: int = 0, rate: float = 1.0) -> None:
         if rate <= 0.0:
@@ -325,6 +323,6 @@ class WallClockSimulator(SimBackend):
         drivers can call this unconditionally; reject real salts."""
         if salt != 0:
             raise SimulationError(
-                "tie-shuffle requires a virtual-time backend "
-                "(serial or sharded), not the network backend"
+                "tie-shuffle requires the virtual-time (serial) backend, "
+                "not the network backend"
             )

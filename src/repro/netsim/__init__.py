@@ -10,11 +10,9 @@ Layering:
 - :class:`SimBackend` — the backend seam: the event-loop contract, with
   :func:`create_simulator` selecting an implementation by name
   (``VCEConfig.backend``).
-- :class:`Simulator` — the ``serial`` backend: a priority queue of
-  timestamped callbacks, with cancellable timers.
-- :class:`ShardedSimulator` — the ``sharded`` backend: hosts partitioned
-  across per-shard event heaps with conservative lookahead synchronization
-  (see docs/PARALLELISM.md); replay digests stay backend-invariant.
+- :class:`Simulator` — the ``serial`` backend and the only virtual-time
+  engine: a priority queue of timestamped callbacks, with cancellable
+  timers.
 - :class:`Host` — a simulated machine that owns named :class:`SimProcess`
   actors, can crash and recover.
 - :class:`Network` — delivers messages between hosts under a configurable
@@ -29,14 +27,12 @@ from repro.netsim.kernel import Simulator, Timer
 from repro.netsim.network import Network, LatencyModel, Message
 from repro.netsim.host import Host, Address
 from repro.netsim.process import SimProcess
-from repro.netsim.sharded import ShardedSimulator
 
 __all__ = [
     "BACKEND_NAMES",
     "SimBackend",
     "create_simulator",
     "Simulator",
-    "ShardedSimulator",
     "Timer",
     "Network",
     "LatencyModel",

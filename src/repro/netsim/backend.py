@@ -5,15 +5,12 @@ to the event loop through the interface defined here.  :class:`SimBackend`
 names the contract every backend must honour; which implementation a run gets
 is chosen by name (``VCEConfig.backend``) through :func:`create_simulator`.
 
-Three backends ship today:
+Two backends ship today — one virtual-time engine and one wall-clock one
+(docs/PERFORMANCE.md, "Why there is one event engine"):
 
 - ``serial`` — :class:`repro.netsim.kernel.Simulator`, the single tombstone
-  heap.  The historical kernel, byte-identical replay digests, the default.
-- ``sharded`` — :class:`repro.netsim.sharded.ShardedSimulator`, hosts
-  partitioned into N shards by consistent hash, one event heap per shard,
-  conservative synchronization with lookahead derived from link latencies
-  (see docs/PARALLELISM.md).  Replay digests are shard-count-invariant and
-  equal to the serial backend's.
+  heap: exact ``(time, seq)`` total order, byte-identical replay digests,
+  the default.
 - ``network`` — :class:`repro.netexec.wallclock.WallClockSimulator`, the
   wall-clock event loop under the real-process execution backend
   (``repro.netexec``, docs/NETWORK.md).  It keeps the scheduling/cancel/
@@ -23,15 +20,16 @@ Three backends ship today:
   :class:`~repro.core.environment.VirtualComputingEnvironment`.
 
 The contract every backend must keep (the conformance suite in
-``tests/test_backend_conformance.py`` enforces it against all backends):
+``tests/test_backend_conformance.py`` enforces it):
 
 - Events fire in exact ``(time, seq)`` order, where ``seq`` is the global
   scheduling order — a unique total order, so replay digests are
-  backend-independent.
+  reproducible.  (The ``network`` backend paces by the wall clock, so this
+  clause is checked on the ``serial`` kernel only.)
 - ``call_soon`` entries at one timestamp fire FIFO, after already-queued
   events at that timestamp.
 - ``cancel`` is lazy, idempotent, and a no-op on terminal entries (fired,
-  already cancelled, or past any chance of being in a heap).
+  already cancelled, or left behind by a fully drained heap).
 - ``pending`` equals the number of live (uncancelled, unfired) entries.
 - Daemon events never keep ``run()`` alive.
 
@@ -64,13 +62,7 @@ from typing import Any, Callable
 from repro.util.errors import SimulationError
 
 #: backend names accepted by :func:`create_simulator` / ``VCEConfig.backend``
-BACKEND_NAMES = ("serial", "sharded", "network")
-
-#: the virtual-time backends: exact (time, seq) total order, byte-identical
-#: replay digests.  The ``network`` backend (repro.netexec) honours the
-#: scheduling/cancel/pending contract but paces by the wall clock, so the
-#: (time, seq)-order sections of the conformance suite apply only to these.
-SIM_BACKEND_NAMES = ("serial", "sharded")
+BACKEND_NAMES = ("serial", "network")
 
 
 class SimBackend(ABC):
@@ -80,7 +72,7 @@ class SimBackend(ABC):
     expose ``cancel()``, ``cancelled``, and ``time``.
     """
 
-    #: registry name of the concrete backend ("serial", "sharded", ...)
+    #: registry name of the concrete backend ("serial" or "network")
     backend_name: str = "?"
 
     # -- scheduling --------------------------------------------------------
@@ -94,9 +86,11 @@ class SimBackend(ABC):
         host: str | None = None,
     ) -> Any:
         """Run *callback* ``delay`` seconds from now; returns a cancellable
-        timer.  *host* attributes the event to a simulated host so a
-        partitioned backend can place it on the right shard; backends that
-        do not partition ignore it."""
+        timer.  *host* names the simulated host the event belongs to.
+        It never affects ordering; an attached happens-before tracker
+        (:mod:`repro.analysis.hb`) records it per event, and perfbench's
+        tracer wraps the three scheduling methods by name, so the
+        signatures stay as they are."""
 
     @abstractmethod
     def schedule_at(
@@ -151,43 +145,18 @@ class SimBackend(ABC):
     def pending(self) -> int:
         """Number of live (uncancelled, unfired) queued events."""
 
-    # -- topology hooks ----------------------------------------------------
-    #
-    # The network layer announces hosts and link latencies here.  A
-    # partitioned backend uses them to map hosts onto shards and to derive
-    # conservative lookahead per shard pair; the serial backend ignores
-    # them.  Defaults are no-ops so plain Simulator stays zero-overhead.
 
-    def register_host(self, name: str) -> None:
-        """A host named *name* joined the simulated network."""
-
-    def register_default_lookahead(self, lookahead: float) -> None:
-        """Minimum cross-host message delay of the default link model."""
-
-    def register_lookahead(self, host_a: str, host_b: str, lookahead: float) -> None:
-        """Minimum message delay on the (symmetric) link *host_a*–*host_b*
-        (a route override, e.g. a WAN hop)."""
-
-
-def create_simulator(
-    seed: int = 0, backend: str = "serial", shards: int = 4
-) -> "SimBackend":
+def create_simulator(seed: int = 0, backend: str = "serial") -> "SimBackend":
     """Build a simulator by backend name (the ``VCEConfig.backend`` seam).
 
     Args:
         seed: root seed for every random stream derived from the run.
         backend: one of :data:`BACKEND_NAMES`.
-        shards: worker-shard count for the ``sharded`` backend (ignored by
-            ``serial``).
     """
     if backend == "serial":
         from repro.netsim.kernel import Simulator
 
         return Simulator(seed)
-    if backend == "sharded":
-        from repro.netsim.sharded import ShardedSimulator
-
-        return ShardedSimulator(seed, shards=shards)
     if backend == "network":
         from repro.netexec.wallclock import WallClockSimulator
 

@@ -4,9 +4,8 @@ A :class:`Simulator` holds a heap of ``(time, sequence, callback)`` entries.
 The sequence number breaks ties so that events scheduled earlier at the same
 timestamp run earlier — a deterministic total order, which is essential for
 reproducible experiments.  The same total order is the backend contract
-(:class:`repro.netsim.backend.SimBackend`): any backend — this serial heap or
-the sharded engine in :mod:`repro.netsim.sharded` — commits events in
-``(time, seq)`` order, which is why replay digests are backend-invariant.
+(:class:`repro.netsim.backend.SimBackend`): events commit in ``(time, seq)``
+order, which is why replay digests are reproducible byte for byte.
 
 The loop is a hot path: every message hop, timer tick, and compute slice in a
 run goes through it.  Entries are ``__slots__`` objects with a hand-written
@@ -141,8 +140,6 @@ class Simulator(SimBackend):
     """
 
     backend_name = "serial"
-    #: shard count (the serial kernel is one shard by definition)
-    shard_count = 1
 
     def __init__(self, seed: int = 0) -> None:
         self._heap: list[_Entry] = []
@@ -222,9 +219,9 @@ class Simulator(SimBackend):
         simulation alive: ``run()`` without a deadline stops once only
         daemon events remain — the same contract as daemon threads.
 
-        *host* attributes the event to a simulated host; the serial kernel
-        ignores it (one heap serves every host), a partitioned backend uses
-        it to pick the owning shard.
+        *host* names the simulated host the event belongs to.  One heap
+        serves every host, so it never affects ordering; an attached
+        happens-before tracker records it per event (``hb._node_hosts``).
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
@@ -390,13 +387,6 @@ class Simulator(SimBackend):
         finally:
             self._running = False
         return self._now
-
-    def _peek_time(self) -> float | None:
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_in_heap -= 1
-        return heap[0].time if heap else None
 
     def _compact(self) -> None:
         """Drop cancelled tombstones and re-heapify, in place.

@@ -140,9 +140,6 @@ class Network:
         """
         self.sim = sim
         self.latency = latency or LatencyModel()
-        # the default link's base latency is the conservative lookahead a
-        # partitioned backend may assume between any two hosts
-        sim.register_default_lookahead(self.latency.base_latency)
         self.hosts: dict[str, Host] = {}
         self._rng = sim.rng.stream("network.jitter")
         self._drop_rng = sim.rng.stream("network.drop")
@@ -184,7 +181,6 @@ class Network:
             raise SimulationError(f"duplicate host name {host.name!r}")
         self.hosts[host.name] = host
         host.network = self
-        self.sim.register_host(host.name)
         return host
 
     def add_host(self, name: str, speed: float = 1.0) -> Host:
@@ -202,7 +198,6 @@ class Network:
         e.g. a WAN link between hosts at different sites. A network of
         supercomputers across campuses is the VCE's motivating setting."""
         self._routes[frozenset((a, b))] = latency
-        self.sim.register_lookahead(a, b, latency.base_latency)
 
     def latency_between(self, a: str, b: str) -> LatencyModel:
         return self._routes.get(frozenset((a, b)), self.latency)

@@ -18,8 +18,7 @@ At the scales this targets (100k+ live instances) the flat
 one-leader-per-class bidding protocol is the bottleneck, which is why
 :class:`SoakConfig.fanout` defaults to hierarchical sub-leader cells
 (see :mod:`repro.scheduler.hierarchy` and docs/SCALE.md).  The run is
-digest-deterministic: same config, same seed → byte-identical event log
-on the serial and sharded backends.
+digest-deterministic: same config, same seed → byte-identical event log.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class SoakConfig:
         machines: workstation count (one scheduler daemon each).
         fanout: sub-leader cells (``1`` = the paper's flat leader).
         seed: root seed for population, arrivals, and the simulation.
-        backend/shards: simulation backend selection.
         instances: per-application instance range handed to the
             population builder (per-app placement is capped by distinct
             bidding machines, so keep the high end at or below
@@ -87,8 +85,6 @@ class SoakConfig:
     machines: int = 256
     fanout: int = 8
     seed: int = 0
-    backend: str = "serial"
-    shards: int = 4
     instances: tuple[int, int] = (96, 192)
     work: tuple[float, float] = (8.0, 16.0)
     mean_quota: int | None = None
@@ -116,7 +112,6 @@ class SoakReport:
     machines: int
     fanout: int
     seed: int
-    backend: str
     submitted: int = 0
     admitted: int = 0
     held: int = 0  # admissions that had to wait at the quota
@@ -361,8 +356,6 @@ def run_soak(
     )
     vce_config = VCEConfig(
         seed=cfg.seed,
-        backend=cfg.backend,
-        shards=cfg.shards,
         daemon=daemon,
         tenants=population,
         settle_time=cfg.settle,
@@ -408,7 +401,6 @@ def build_report(
         machines=cfg.machines,
         fanout=cfg.fanout,
         seed=cfg.seed,
-        backend=cfg.backend,
         submitted=driver.submitted,
         admitted=driver.admitted,
         held=driver.held,

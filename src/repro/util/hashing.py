@@ -1,15 +1,11 @@
 """Process-independent hashing and consistent-hash rings.
 
-Two subsystems partition work by consistent hash and must agree on the
-technique (and stay reproducible across interpreter runs, which rules out
-the per-process-salted builtin ``hash``):
+Hierarchical group leaders assign bid requests to sub-leader cells by
+consistent hash (:mod:`repro.scheduler.hierarchy`), which must stay
+reproducible across interpreter runs — that rules out the
+per-process-salted builtin ``hash``.
 
-- the sharded simulation backend assigns hosts to event-heap shards
-  (:mod:`repro.netsim.sharded`), and
-- hierarchical group leaders assign bid requests to sub-leader cells
-  (:mod:`repro.scheduler.hierarchy`).
-
-Both build a :class:`ConsistentHashRing`: each node contributes
+They build a :class:`ConsistentHashRing`: each node contributes
 ``replicas`` virtual points at ``stable_hash(f"{node}#{replica}")`` and a
 key maps to the owner of the first ring point clockwise of
 ``stable_hash(key)``.  Adding or removing one node therefore only moves

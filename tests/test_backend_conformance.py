@@ -3,13 +3,11 @@
 Two tiers, matching the two halves of the determinism contract
 (docs/NETWORK.md):
 
-- **Kernel-order tier** (``backend`` fixture, the virtual-time backends
-  only): exact ``(time, seq)`` pop order, FIFO ``call_soon``,
+- **Kernel-order tier** (``backend`` fixture, the virtual-time engine —
+  ``serial`` — only): exact ``(time, seq)`` pop order, FIFO ``call_soon``,
   lazy/idempotent cancel, accurate ``pending``, the daemon-run rule —
-  what makes replay digests backend-invariant between ``serial`` and
-  ``sharded``.  The ``network`` backend paces by the wall clock and
-  deliberately does not promise this order, so these tests run over
-  :data:`~repro.netsim.backend.SIM_BACKEND_NAMES`.
+  what makes replay digests reproducible.  The ``network`` backend paces
+  by the wall clock and deliberately does not promise this order.
 - **Behavior tier** (``behavior_backend`` fixture, *every* backend
   including ``network``, marked ``network`` so CI can select it): the
   same workload must produce the same task outcomes — DONE set, per-task
@@ -17,50 +15,66 @@ Two tiers, matching the two halves of the determinism contract
   completion under a daemon crash, whether the daemons are simulated
   processes or real ``SIGKILL``-able OS processes.
 
-The pop-order / pending-count Hypothesis property is the backend-agnostic
-port of the serial-only white-box property in ``test_perf_contract.py``:
-operations carry host tags so the sharded backend actually spreads entries
-across shards rather than conformance-testing one trivial shard.
+The pop-order / pending-count Hypothesis property is the black-box port of
+the white-box property in ``test_perf_contract.py``.  Operations carry
+``host=`` tags throughout: the tag must never affect ordering, and an
+attached happens-before tracker records it (asserted below).
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.netsim.backend import BACKEND_NAMES, SIM_BACKEND_NAMES, create_simulator
-from repro.util.errors import SimulationError
+from repro.netsim.backend import BACKEND_NAMES, create_simulator
+from repro.util.errors import ConfigurationError, SimulationError
 
-#: host names the tests tag events with; under 3 shards the consistent
-#: hash spreads these across more than one shard (asserted below)
+#: host names the tests tag events with
 HOSTS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
-
-SHARDS = 3
 
 
 def make_sim(backend: str, seed: int = 0):
-    sim = create_simulator(seed, backend=backend, shards=SHARDS)
-    for name in HOSTS:
-        sim.register_host(name)
-    return sim
+    return create_simulator(seed, backend=backend)
 
 
-@pytest.fixture(params=SIM_BACKEND_NAMES)
+@pytest.fixture(params=["serial"])
 def backend(request):
-    """The virtual-time backends: exact (time, seq) order is their
-    contract.  The ``network`` backend is covered by the behavior tier
-    below instead."""
+    """The virtual-time engine: exact (time, seq) order is its contract.
+    The ``network`` backend is covered by the behavior tier below
+    instead."""
     return request.param
-
-
-def test_host_tags_actually_spread_shards():
-    """Meta-check: the tagged hosts land on >1 shard, otherwise the sharded
-    half of this suite would be vacuous."""
-    sim = make_sim("sharded")
-    assert len({sim.shard_of(name) for name in HOSTS}) > 1
 
 
 def test_unknown_backend_rejected():
     with pytest.raises(SimulationError, match="unknown simulation backend"):
         create_simulator(0, backend="quantum")
+
+
+def test_removed_backend_rejected_by_config():
+    """There is one virtual-time engine; asking the environment for the
+    deleted second one is a configuration error, not a silent fallback."""
+    from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
+
+    assert BACKEND_NAMES == ("serial", "network")
+    with pytest.raises(
+        ConfigurationError,
+        match="unknown simulation backend 'sharded'.*expected one of serial, network",
+    ):
+        VirtualComputingEnvironment(
+            workstation_cluster(2), VCEConfig(backend="sharded")
+        )
+
+
+def test_host_tag_reaches_attached_tracker(backend):
+    """Why ``host=`` survives on the scheduling calls: an attached
+    happens-before tracker records it per scheduled event."""
+    from repro.analysis.hb import HBTracker
+
+    sim = make_sim(backend)
+    sim.hb = tracker = HBTracker()
+    before = len(tracker._node_hosts)
+    sim.schedule(1.0, lambda: None, host="alpha")
+    sim.schedule_at(2.0, lambda: None, host="bravo")
+    sim.call_soon(lambda: None)
+    assert tracker._node_hosts[before:] == ["alpha", "bravo", None]
 
 
 class TestPopOrder:
@@ -77,7 +91,7 @@ class TestPopOrder:
 
     def test_same_timestamp_batch_drains_in_schedule_order(self, backend):
         """All entries at one timestamp fire in scheduling (seq) order even
-        when they belong to different hosts/shards."""
+        when they belong to different hosts."""
         sim = make_sim(backend)
         fired = []
         for i, host in enumerate(HOSTS * 3):
@@ -135,7 +149,7 @@ class TestCallSoonFifo:
 
     def test_call_soon_runs_after_queued_events_at_now(self, backend):
         """A call_soon issued mid-callback lands *behind* events already
-        queued at the current timestamp (seq order), on every backend."""
+        queued at the current timestamp (seq order)."""
         sim = make_sim(backend)
         fired = []
         sim.schedule_at(1.0, lambda: fired.append("q1"), host="alpha")
@@ -215,8 +229,8 @@ class TestCancelSemantics:
         assert sim.pending == 0
 
     def test_tombstone_churn_keeps_heaps_bounded(self, backend):
-        """Schedule-then-cancel churn must compact tombstones on every
-        backend, not accumulate them (the serial perf contract, generalized)."""
+        """Schedule-then-cancel churn must compact tombstones, not
+        accumulate them (the perf contract, through the public seam)."""
         sim = make_sim(backend)
         keep = [
             sim.schedule(1e6 + i, lambda: None, host=HOSTS[i % len(HOSTS)])
@@ -318,7 +332,7 @@ class TestConformanceProperties:
     @given(ops=_OPS)
     def test_pop_order_and_pending_count(self, backend, ops):
         """Under arbitrary interleavings of the scheduling API — with events
-        tagged onto arbitrary hosts — every backend must (a) report
+        tagged onto arbitrary hosts — the kernel must (a) report
         ``pending`` equal to the count of live unfired entries and (b) fire
         callbacks in exact (time, seq) order."""
         sim = make_sim(backend)
@@ -364,15 +378,14 @@ class TestConformanceProperties:
 
 # ---------------------------------------------- scheduler-level conformance
 #
-# The SimBackend contract above makes replay digests backend-invariant for
-# raw event scheduling; the tests below assert the same contract one layer
-# up, through the whole scheduler: hierarchical group leaders (leader_fanout)
+# The SimBackend contract above makes replay digests reproducible for raw
+# event scheduling; the tests below assert the same contract one layer up,
+# through the whole scheduler: hierarchical group leaders (leader_fanout)
 # must not perturb the event schedule at fanout 1 (the degenerate flat case)
-# and must replay byte-identically across serial and sharded backends at any
-# fanout.
+# and must replay byte-identically at any fanout.
 
 
-def _run_fan_apps(fanout: int, backend: str = "serial", shards: int = 4):
+def _run_fan_apps(fanout: int, hb_sanitizer: bool = False):
     """Boot a 9-workstation VCE and run three fan-of-instances apps to
     completion; returns the VCE (digest, log, daemons all inspectable)."""
     from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
@@ -386,8 +399,7 @@ def _run_fan_apps(fanout: int, backend: str = "serial", shards: int = 4):
         workstation_cluster(9),
         VCEConfig(
             seed=7,
-            backend=backend,
-            shards=shards,
+            hb_sanitizer=hb_sanitizer,
             leader_fanout=fanout,
             settle_time=20.0,
         ),
@@ -456,29 +468,28 @@ class TestHierarchyConformance:
         )
 
     def test_hierarchical_digest_backend_invariant(self):
-        """A fanout-3 run must replay byte-identically on the serial kernel
-        and on the sharded backend at 1, 2, 4, and 8 shards."""
+        """A fanout-3 run replays byte-identically through the backend
+        seam, run after run, with the hierarchy actually engaged."""
         from repro.trace.replay import event_log_digest
 
-        serial = _run_fan_apps(fanout=3)
-        serial_digest = event_log_digest(serial.sim.log)
-        serial_placements = _placements(serial)
-        # hierarchy actually engaged (delegations happened), so the
-        # invariance below is about the interesting path
-        assert serial.sim.log.records(category="sched.delegate")
-        for shards in (1, 2, 4, 8):
-            sharded = _run_fan_apps(fanout=3, backend="sharded", shards=shards)
-            assert event_log_digest(sharded.sim.log) == serial_digest, shards
-            assert _placements(sharded) == serial_placements, shards
+        first = _run_fan_apps(fanout=3)
+        again = _run_fan_apps(fanout=3)
+        # delegations happened, so the invariance is about the
+        # interesting path
+        assert first.sim.log.records(category="sched.delegate")
+        assert event_log_digest(again.sim.log) == event_log_digest(first.sim.log)
+        assert _placements(again) == _placements(first)
 
     def test_flat_digest_backend_invariant(self):
-        """The flat path stays backend-invariant too (regression guard for
-        the consistent-hash ring refactor under the sharded router)."""
+        """The flat path's digest does not move when the backend's
+        sanitizer seam is in use: an attached happens-before tracker is a
+        pure observer of the ``host=``-tagged scheduling calls."""
         from repro.trace.replay import event_log_digest
 
-        serial = _run_fan_apps(fanout=1)
-        sharded = _run_fan_apps(fanout=1, backend="sharded", shards=3)
-        assert event_log_digest(sharded.sim.log) == event_log_digest(serial.sim.log)
+        plain = _run_fan_apps(fanout=1)
+        observed = _run_fan_apps(fanout=1, hb_sanitizer=True)
+        assert any(observed.hb_tracker._node_hosts)  # tags were recorded
+        assert event_log_digest(observed.sim.log) == event_log_digest(plain.sim.log)
 
 
 # ------------------------------------------------ transport-parametric tier
@@ -498,7 +509,6 @@ NET_TIMEOUT = 90.0    # wall-seconds ceiling per network run
 
 BEHAVIOR_BACKENDS = [
     "serial",
-    "sharded",
     pytest.param("network", marks=pytest.mark.network),
 ]
 
@@ -520,8 +530,8 @@ def _chain_spec(seed=11, min_work=2.0, max_work=5.0):
     )
 
 
-def _run_sim_behavior(backend, spec, seed, crash_first_host=False):
-    """Run *spec* on a virtual-time backend; optionally crash the host of
+def _run_sim_behavior(spec, seed, crash_first_host=False):
+    """Run *spec* on the simulator; optionally crash the host of
     the first dispatched instance mid-task."""
     from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
     from repro.faults.schedule import FaultSchedule
@@ -532,8 +542,7 @@ def _run_sim_behavior(backend, spec, seed, crash_first_host=False):
 
     vce = VirtualComputingEnvironment(
         workstation_cluster(MACHINES),
-        VCEConfig(seed=seed, backend=backend, shards=SHARDS,
-                  reliable_transport=True, failover=FailoverConfig()),
+        VCEConfig(seed=seed, reliable_transport=True, failover=FailoverConfig()),
     ).boot()
     run = vce.submit(build_workload(spec))
     if crash_first_host:
@@ -607,7 +616,7 @@ def _run_network_behavior(spec, seed, crash_first_host=False):
 def _run_behavior(backend, spec, seed, crash_first_host=False):
     if backend == "network":
         return _run_network_behavior(spec, seed, crash_first_host)
-    return _run_sim_behavior(backend, spec, seed, crash_first_host)
+    return _run_sim_behavior(spec, seed, crash_first_host)
 
 
 def _protocol_errors(records):
@@ -622,13 +631,12 @@ def _protocol_errors(records):
 class TestBehaviorConformance:
     def test_network_backend_registered(self):
         assert "network" in BACKEND_NAMES
-        assert "network" not in SIM_BACKEND_NAMES
 
     def test_task_outcomes_match_serial_reference(self, behavior_backend):
         """Same DONE set and per-task results digest as the serial kernel
         — the testable half of the cross-backend determinism contract."""
         spec = _chain_spec(seed=11)
-        reference = _run_sim_behavior("serial", spec, seed=11)
+        reference = _run_sim_behavior(spec, seed=11)
         outcome = _run_behavior(behavior_backend, spec, seed=11)
         assert outcome["done"] == reference["done"]
         assert outcome["digest"] == reference["digest"]
@@ -648,7 +656,7 @@ class TestBehaviorConformance:
         full DONE set is reached, the results digest is unchanged, and the
         protocol checker sees a clean strand→redispatch handshake."""
         spec = _chain_spec(seed=17, min_work=8.0, max_work=10.0)
-        reference = _run_sim_behavior("serial", spec, seed=17)
+        reference = _run_sim_behavior(spec, seed=17)
         outcome = _run_behavior(behavior_backend, spec, seed=17, crash_first_host=True)
         assert outcome["redispatches"] >= 1  # the crash actually bit
         assert outcome["done"] == reference["done"]

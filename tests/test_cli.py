@@ -269,3 +269,14 @@ class TestGantt:
         assert code == 0
         assert "timeline" in text and "#" in text
         assert "|" in text
+
+
+@pytest.mark.parametrize(
+    "argv", [["bench", "--backend", "sharded"], ["soak", "--shards", "2"]]
+)
+def test_second_engine_flags_are_gone(argv, capsys):
+    """There is one virtual-time engine and no flag that selects another."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

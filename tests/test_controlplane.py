@@ -4,7 +4,7 @@ Covers the subscription hub's backpressure contract (drop-oldest,
 bounded queues, accurate counters — example-based and as a hypothesis
 property over burst patterns), the entity model's translation of log
 records, golden-digest invariance with the control plane attached, the
-HTTP server end-to-end on both backends, run-directory round trips and
+HTTP server end-to-end, run-directory round trips and
 truncation detection, and the shared ``top --json`` metrics schema.
 """
 
@@ -298,7 +298,7 @@ class TestGoldenInvariance:
         save_run_dir(vce, rundir)
         assert event_log_digest(load_run_dir(rundir)) == load_manifest(rundir)["digest"]
 
-    @pytest.mark.parametrize("backend", ["serial", "sharded"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_serve_session_is_passive(self, backend):
         """Driving the same workload through ServeSession slices (the
         ``repro serve`` path) yields the same digest as a straight run."""
@@ -565,7 +565,7 @@ async def _read_sse(port, n_frames, topics=""):
     return snapshot, frames
 
 
-@pytest.mark.parametrize("backend", ["serial", "sharded"])
+@pytest.mark.parametrize("backend", ["serial"])
 def test_server_end_to_end(backend, tmp_path):
     """Boot `repro serve`'s server on a random port, stream SSE entity
     events for a randomdag workload, drive the control API mid-run

@@ -26,14 +26,14 @@ from repro.trace.replay import event_log_digest
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
-def _randomdag(seed: int, backend: str = "serial", shards: int = 4):
+def _randomdag(seed: int):
     from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
     from repro.scheduler.execution_program import RunState
     from repro.workloads import build_random_dag
 
     graph = build_random_dag(layers=8, width=8, seed=seed)
     vce = VirtualComputingEnvironment(
-        workstation_cluster(4), VCEConfig(seed=seed, backend=backend, shards=shards)
+        workstation_cluster(4), VCEConfig(seed=seed)
     ).boot()
     run = vce.submit(graph, class_map={node.name: None for node in graph})
     vce.run_to_completion(run, timeout=100_000.0)
@@ -41,7 +41,7 @@ def _randomdag(seed: int, backend: str = "serial", shards: int = 4):
     return vce.sim.log
 
 
-def _chaos_mix(seed: int, backend: str = "serial", shards: int = 4):
+def _chaos_mix(seed: int):
     from repro.core import VCEConfig, VirtualComputingEnvironment, heterogeneous_cluster
     from repro.migration.failover import FailoverConfig
     from repro.scheduler.execution_program import RunState
@@ -49,8 +49,6 @@ def _chaos_mix(seed: int, backend: str = "serial", shards: int = 4):
 
     config = VCEConfig(
         seed=seed,
-        backend=backend,
-        shards=shards,
         reliable_transport=True,
         failover=FailoverConfig(),
     )

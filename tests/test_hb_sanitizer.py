@@ -8,7 +8,7 @@ The two load-bearing guarantees pinned here:
   property below drives the tracker over arbitrary trees and checks every
   reported pair against an independent ancestry oracle;
 - the deliberately order-dependent ``injected-race`` fixture *is* detected
-  and classified digest-diverging on both backends, while the golden
+  and classified digest-diverging, while the golden
   scenarios stay byte-identical with the sanitizer attached.
 """
 
@@ -381,11 +381,8 @@ class TestOutcomeDigest:
 # --------------------------------------------------- sanitize harness
 
 
-@pytest.mark.parametrize("backend,shards", [("serial", 1), ("sharded", 2)])
-def test_injected_race_detected_and_real(backend, shards):
-    result = sanitize_scenario(
-        "injected-race", seed=3, backend=backend, shards=shards, shuffles=2
-    )
+def test_injected_race_detected_and_real():
+    result = sanitize_scenario("injected-race", seed=3, shuffles=2)
     assert result.classification == "real"
     assert result.races == 1
     assert result.diverged
@@ -397,10 +394,10 @@ def test_injected_race_detected_and_real(backend, shards):
 def test_injected_race_shuffle_is_salt_deterministic():
     fixture = SCENARIOS["injected-race"].run
     salt = shuffle_salt(3, 0)
-    d1 = outcome_digest(fixture(3, "serial", 1, False, salt).log)
-    d2 = outcome_digest(fixture(3, "serial", 1, False, salt).log)
+    d1 = outcome_digest(fixture(3, False, salt).log)
+    d2 = outcome_digest(fixture(3, False, salt).log)
     assert d1 == d2
-    base = outcome_digest(fixture(3, "serial", 1, False, 0).log)
+    base = outcome_digest(fixture(3, False, 0).log)
     assert d1 != base  # this salt permutes the tie — the fixture's point
 
 
@@ -418,11 +415,8 @@ def test_set_tie_shuffle_guards():
         sim.set_tie_shuffle(-1)
 
 
-@pytest.mark.parametrize("backend,shards", [("serial", 1), ("sharded", 2)])
-def test_randomdag_race_free_and_digest_stable(backend, shards):
-    result = sanitize_scenario(
-        "randomdag", seed=3, backend=backend, shards=shards, shuffles=1
-    )
+def test_randomdag_race_free_and_digest_stable():
+    result = sanitize_scenario("randomdag", seed=3, shuffles=1)
     assert result.classification == "race-free"
     assert result.report.errors == []
     assert not result.diverged
@@ -439,7 +433,7 @@ def test_golden_digest_unchanged_with_sanitizer_attached():
     golden = (
         Path(__file__).resolve().parent / "golden" / "randomdag_seed3.digest"
     ).read_text().strip()
-    vce = _randomdag(3, "serial", 4, hb_sanitizer=True, tie_shuffle=0)
+    vce = _randomdag(3, hb_sanitizer=True, tie_shuffle=0)
     assert event_log_digest(vce.sim.log) == golden
     assert vce.hb_tracker is not None and vce.hb_tracker.nodes > 100
     assert vce.protocol_monitor is not None
@@ -462,7 +456,7 @@ def test_cli_sanitize_injected_race(tmp_path):
     )
     assert code == 1  # the fixture race is an ERROR by design
     text = out.getvalue()
-    assert "injected-race[serial]: real" in text
+    assert "injected-race: real" in text
     payload = json.loads(artifact.read_text())
     assert payload["scenarios"][0]["classification"] == "real"
     assert payload["errors"] >= 1

@@ -6,7 +6,7 @@ tests hold the contract that makes that safe:
 
 - **differential** — the same seed run calm (parks) and with a fault rate
   that never fires (never parks) produces the same DONE set, results and
-  per-member view sequences, serial and sharded;
+  per-member view sequences;
 - **latency bounds** (hypothesis) — a fault at a random phase of a parked
   group is detected within ``hb_timeout + hb_interval`` and the oldest
   survivor takes over within ``hb_timeout * (1 + rank) + hb_interval``;
@@ -38,8 +38,6 @@ from tests.test_isis_group import build_group as formed_group
 #: of exactly 0.0 — so no message is ever dropped
 NEVER = 5e-324
 
-BACKENDS = [("serial", 1), ("sharded", 2)]
-
 
 # ----------------------------------------------------------- differential
 
@@ -57,10 +55,10 @@ def never_calm(monkeypatch):
     monkeypatch.setattr(VirtualComputingEnvironment, "boot", boot_disturbed)
 
 
-def _randomdag(backend, shards):
+def _randomdag():
     graph = build_random_dag(layers=6, width=6, seed=5, min_work=2.0, max_work=20.0)
     vce = VirtualComputingEnvironment(
-        workstation_cluster(4), VCEConfig(seed=5, backend=backend, shards=shards)
+        workstation_cluster(4), VCEConfig(seed=5)
     ).boot()
     run = vce.submit(graph, class_map={node.name: None for node in graph})
     vce.run_to_completion(run, timeout=100_000.0)
@@ -68,10 +66,10 @@ def _randomdag(backend, shards):
     return vce
 
 
-def _stencil(backend, shards):
+def _stencil():
     graph = build_stencil_graph(ranks=4, cells=64, iterations=12)
     vce = VirtualComputingEnvironment(
-        workstation_cluster(4), VCEConfig(seed=5, backend=backend, shards=shards)
+        workstation_cluster(4), VCEConfig(seed=5)
     ).boot()
     run = vce.submit(graph, class_map={"grid": MachineClass.WORKSTATION})
     vce.run_to_completion(run, timeout=100_000.0)
@@ -79,12 +77,12 @@ def _stencil(backend, shards):
     return vce
 
 
-def _quick_soak(backend, shards):
+def _quick_soak():
     vce, driver, report = run_soak(
         SoakConfig(
             tenants=4, apps=24, machines=12, fanout=3, seed=5, instances=(4, 8),
             work=(4.0, 8.0), arrival_span=40.0, telemetry_interval=200.0,
-            settle=20.0, backend=backend, shards=shards,
+            settle=20.0,
         )
     )
     assert driver.finished and report.failed == 0
@@ -113,14 +111,13 @@ def _beats(vce):
 
 
 @pytest.mark.parametrize("scenario", [_randomdag, _stencil, _quick_soak])
-@pytest.mark.parametrize("backend,shards", BACKENDS)
-def test_parked_run_matches_never_parked_run(scenario, backend, shards, request):
-    calm = scenario(backend, shards)
+def test_parked_run_matches_never_parked_run(scenario, request):
+    calm = scenario()
     assert calm.network.calm
     assert all(daemon.parked for daemon in calm.daemons.values())
 
     request.getfixturevalue("never_calm")
-    explicit = scenario(backend, shards)
+    explicit = scenario()
     assert not explicit.network.calm
     assert not any(daemon.parked for daemon in explicit.daemons.values())
     assert explicit.network.messages_lost == 0

@@ -125,7 +125,7 @@ class TestSoak:
         assert fingerprint(7) == fingerprint(7)
 
 
-def chaos_soak_run(seed=21, backend="serial", shards=4):
+def chaos_soak_run(seed=21):
     """A busy cluster under the lossy schedule plus daemon bounces, with
     the fault-tolerant execution layer on."""
     from repro.faults.schedule import FaultSchedule
@@ -134,8 +134,6 @@ def chaos_soak_run(seed=21, backend="serial", shards=4):
     machines = workstation_cluster(8)
     config = VCEConfig(
         seed=seed,
-        backend=backend,
-        shards=shards,
         reliable_transport=True,
         failover=FailoverConfig(),
     )
@@ -197,74 +195,13 @@ class TestChaosSoak:
         assert fingerprint(33) == fingerprint(33)
 
 
-@pytest.fixture(scope="module")
-def sharded_chaos_soak():
-    """The same chaos soak on the sharded backend (3 shards — a count the
-    golden tests don't cover, so invariance is not an artifact of one
-    partitioning)."""
-    return chaos_soak_run(backend="sharded", shards=3)
-
-
-class TestShardedChaosSoak:
-    """The fault-tolerant layer must behave identically on the sharded
-    backend: exactly-once commits and recovery telemetry in parity with the
-    serial run of the same soak."""
-
-    def test_every_run_completes_despite_faults(self, sharded_chaos_soak):
-        vce, runs = sharded_chaos_soak
-        for i, run in enumerate(runs):
-            assert run.state is RunState.DONE, (
-                f"run {i} ended {run.state}: {run.error}"
-            )
-
-    def test_exactly_once_commit(self, sharded_chaos_soak):
-        vce, runs = sharded_chaos_soak
-        seen = set()
-        for record in vce.sim.log.records(category="app.done"):
-            assert record.source not in seen, f"app {record.source} done twice"
-            seen.add(record.source)
-        assert len(seen) == len(runs)
-
-    def test_parity_with_serial_backend(self, chaos_soak, sharded_chaos_soak):
-        """The serial and sharded soaks must be the same run: identical
-        event-log digest, fault injections, and recovery telemetry."""
-        from repro.trace.replay import event_log_digest
-
-        serial_vce, _ = chaos_soak
-        sharded_vce, _ = sharded_chaos_soak
-        assert event_log_digest(sharded_vce.sim.log) == event_log_digest(
-            serial_vce.sim.log
-        )
-
-        def counters(vce, name):
-            family = vce.sim.telemetry.get(name)
-            if family is None:
-                return {}
-            return {values: child.value for values, child in family.samples()}
-
-        for name in ("faults_injected_total", "recovery_actions_total"):
-            assert counters(sharded_vce, name) == counters(serial_vce, name), name
-        assert (
-            sharded_vce.network.retransmissions == serial_vce.network.retransmissions
-        )
-
-    def test_shards_shared_the_work(self, sharded_chaos_soak):
-        """Partitioning sanity: more than one shard committed events, and
-        cross-shard channels carried traffic."""
-        vce, runs = sharded_chaos_soak
-        stats = vce.sim.shard_stats()
-        busy = [s for s in stats["per_shard"] if s["events"] > 0]
-        assert len(busy) > 1
-        assert stats["cross_shard_events"] > 0
-
-
 # ----------------------------------------- multi-tenant soak (repro soak)
 #
 # A small seeded multi-tenant soak run (~200 applications, ~2.4k drawn
 # instances on 24 workstations, fanout-4 hierarchical bidding, quotas
 # tight enough that admissions must wait) is driven to completion once
 # per module; the classes below assert the pinned end-state against that
-# shared run: determinism across repeats and backends, exactly-once
+# shared run: determinism across repeats, exactly-once
 # completion, and the quota/aging invariants actually engaging.
 
 import dataclasses
@@ -351,14 +288,6 @@ class TestTenantSoakDeterminism:
         _, _, second = run_soak(SMALL_SOAK)
         assert second.digest == first.digest
         assert second.to_dict() == first.to_dict()
-
-    def test_sharded_backend_is_byte_identical(self, small_soak):
-        _, _, serial = small_soak
-        for shards in (2, 3):
-            cfg = dataclasses.replace(SMALL_SOAK, backend="sharded", shards=shards)
-            _, _, sharded = run_soak(cfg)
-            assert sharded.digest == serial.digest, shards
-            assert dict(sharded.to_dict(), backend="serial") == serial.to_dict()
 
     def test_seed_changes_the_schedule(self, small_soak):
         _, _, base = small_soak
