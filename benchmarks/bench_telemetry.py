@@ -15,6 +15,12 @@ same run then costs about a third as much, and the same absolute cost would
 read as three times the share; the bound keeps its meaning only against a
 base that does not move with the park rule.
 
+The same choice keeps the gates meaningful now that the sampler is
+change-driven: with the detector awake there are heartbeat events between
+any two grid points, so every grid tick is a live sample (read, record,
+evaluate) and ``telemetry on`` still pays for the whole observer, not for
+the idle ticks a calm cluster would be skipping.
+
 - ``telemetry``: telemetry off vs. on (the sampler/watchdog/registry),
 - ``controlplane``: telemetry on vs. telemetry on **plus** an attached
   :class:`~repro.controlplane.entities.ControlPlaneModel` with a slow

@@ -14,6 +14,7 @@ tasks then effectively compute at ``speed * (1 - load(t))``.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Protocol, Sequence
 
 from repro.util.errors import ConfigurationError
@@ -24,6 +25,12 @@ class LoadModel(Protocol):
     """Anything that can report instantaneous local load in [0, 1]."""
 
     def load(self, t: float) -> float:  # pragma: no cover - protocol
+        ...
+
+    def next_change_after(self, t: float) -> float:  # pragma: no cover - protocol
+        """Earliest time strictly after *t* at which ``load`` may return a
+        different value (``math.inf`` if never) — what lets a load monitor
+        skip the stretch in between instead of polling it."""
         ...
 
 
@@ -41,6 +48,9 @@ class ConstantLoad:
 
     def load(self, t: float) -> float:
         return self.level
+
+    def next_change_after(self, t: float) -> float:
+        return math.inf
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ConstantLoad({self.level})"
@@ -62,6 +72,10 @@ class TraceLoad:
     def load(self, t: float) -> float:
         i = bisect.bisect_right(self._times, t)
         return self.initial if i == 0 else self._levels[i - 1]
+
+    def next_change_after(self, t: float) -> float:
+        i = bisect.bisect_right(self._times, t)
+        return self._times[i] if i < len(self._times) else math.inf
 
 
 class StochasticLoad:
@@ -115,8 +129,7 @@ class StochasticLoad:
         return self.busy_level if self._state_at_index(i) else 0.0
 
     def next_change_after(self, t: float) -> float:
-        """Time of the next state flip strictly after *t* (used by load
-        monitors that want to poll efficiently)."""
+        """Time of the next state flip strictly after *t*."""
         self._extend_to(t)
         i = bisect.bisect_right(self._switch_times, t)
         if i >= len(self._switch_times):

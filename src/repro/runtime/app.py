@@ -51,6 +51,10 @@ class InstanceRecord:
     #: commits when its instance carries the record's current epoch, which
     #: makes completion at-most-once under failover re-dispatch
     epoch: int = -1
+    #: the ``task_duration_seconds`` child of this task, resolved at
+    #: dispatch: the exit observes into it and the watchdog reads the
+    #: straggler baseline from it (None when telemetry is off)
+    duration: Any = None
 
     @property
     def key(self) -> tuple[str, int]:

@@ -268,6 +268,8 @@ class RuntimeManager:
         app.mark_dispatched(record)
         if self._m_dispatches is not None:
             self._m_dispatches.inc()
+            if record.duration is None:
+                record.duration = self._m_task_duration.labels(record.task)
         self.sim.emit(
             "runtime.dispatch",
             app.id,
@@ -366,9 +368,7 @@ class RuntimeManager:
         if self._m_task_exits is not None:
             self._m_task_exits.labels(state.value).inc()
             if state is InstanceState.DONE and record.dispatched_at is not None:
-                self._m_task_duration.labels(record.task).observe(
-                    self.sim.now - record.dispatched_at
-                )
+                record.duration.observe(self.sim.now - record.dispatched_at)
         if state is InstanceState.DONE:
             record.result = instance.result
             self._kill_redundant_copies(record, "primary-done")

@@ -9,12 +9,14 @@ current load" decisions (and every load-aware policy built on them) need:
   histograms, and P² quantile sketches, fed directly from emission points
   in the scheduler daemon, runtime manager, channels, vMPI interpreter,
   and migration engine. No per-sample storage.
-- :class:`ClusterSampler` — a periodic netsim process snapshotting per-host
-  load, queue depth, in-flight instances, and network counters into
-  bounded ring-buffer time series.
+- :class:`ClusterSampler` — a netsim process snapshotting per-host load,
+  queue depth, in-flight instances, and network counters into bounded
+  ring-buffer time series, on a fixed grid but only at grid points where
+  a reading can have changed.
 - :class:`HealthWatchdog` — rules over those series (stragglers, queue
   saturation, bid starvation, repeated allocation errors) raising
-  edge-triggered ``health.*`` events.
+  edge-triggered ``health.*`` events, and telling the sampler when a
+  verdict can next change with no event in between.
 - Exporters — Prometheus text exposition and JSON snapshots — plus the
   ``repro top`` renderer.
 """

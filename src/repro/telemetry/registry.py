@@ -243,7 +243,7 @@ class QuantileSketch:
 class MetricFamily:
     """One named metric with fixed label names and per-label-value children."""
 
-    __slots__ = ("name", "help", "label_names", "kind", "_children", "_make")
+    __slots__ = ("name", "help", "label_names", "kind", "_children", "_make", "_unlabelled")
 
     def __init__(self, name: str, help_text: str, label_names: tuple[str, ...], make) -> None:
         self.name = name
@@ -251,6 +251,7 @@ class MetricFamily:
         self.label_names = label_names
         self._make = make
         self._children: dict[tuple[str, ...], Any] = {}
+        self._unlabelled: Any = None  # the () child, kept after first use
         self.kind: str | None = None  # fixed by the registry at creation
 
     def labels(self, *values: Any) -> Any:
@@ -274,7 +275,10 @@ class MetricFamily:
     # unlabeled families delegate to the single () child ------------------
 
     def _solo(self) -> Any:
-        return self.labels()
+        child = self._unlabelled
+        if child is None:
+            child = self._unlabelled = self.labels()
+        return child
 
     def inc(self, amount: float = 1.0) -> None:
         self._solo().inc(amount)

@@ -1,8 +1,20 @@
-"""The cluster sampler: periodic snapshots of live cluster state.
+"""The cluster sampler: change-driven snapshots of live cluster state.
 
 A :class:`ClusterSampler` is a netsim process (conventionally spawned on
-the user's workstation) whose daemon timer fires every ``interval``
-simulated seconds. Each tick it reads — never re-scans the event log —
+the user's workstation) whose daemon timer fires on a fixed grid, every
+``interval`` simulated seconds. Everything it reads is piecewise constant
+in simulated time and can change only
+
+(i) when a kernel event other than the sampler's own tick runs,
+(ii) at a background-load switch time (:meth:`LoadModel.next_change_after`),
+(iii) when a watchdog rule's elapsed-time threshold is crossed
+     (:attr:`HealthWatchdog.next_deadline`),
+
+so a grid tick for which none of the three holds reads nothing, appends
+nothing and evaluates nothing: it would have recorded the previous sample
+again. A held sample is still taken every :data:`KEEPALIVE_TICKS` grid
+points so ring series and sparklines stay continuous. A *sample* reads —
+never re-scans the event log —
 
 - per-host background load (through each scheduler daemon's
   ``current_load``, the same number bids carry),
@@ -14,23 +26,28 @@ simulated seconds. Each tick it reads — never re-scans the event log —
   members keep themselves),
 
 publishes them as gauges in the registry, appends them to bounded
-ring-buffer time series, and then lets the health watchdog evaluate its
-rules over the fresh sample. Daemon timers never keep the simulation
+ring-buffer time series, lets the health watchdog evaluate its rules over
+the fresh sample, and writes the observers' own cost (``repro_self_*``)
+next to the cluster metrics. Daemon timers never keep the simulation
 alive, so an idle VCE still terminates.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.netsim.process import SimProcess
-from repro.telemetry.series import SeriesStore
+from repro.telemetry.series import GRID_TOLERANCE, SeriesStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.manager import RuntimeManager
     from repro.scheduler.daemon import SchedulerDaemon
     from repro.telemetry.registry import MetricsRegistry
     from repro.telemetry.watchdog import HealthWatchdog
+
+#: a sample is taken at least every this many grid points, changed or not
+KEEPALIVE_TICKS = 15
 
 
 class ClusterSampler(SimProcess):
@@ -40,8 +57,9 @@ class ClusterSampler(SimProcess):
         name: process name (conventionally ``"telemetry"``).
         registry: the live metrics registry to publish gauges into.
         runtime: the runtime manager (in-flight instances, running apps).
-        daemons: host name -> scheduler daemon (load and queue depth).
-        interval: simulated seconds between samples.
+        daemons: host name -> scheduler daemon (load and queue depth); read
+            through on every sample, so a restarted daemon is picked up.
+        interval: simulated seconds between grid points.
         store: ring-buffer series store (one is created if not given).
         watchdog: optional health watchdog evaluated after every sample.
     """
@@ -63,8 +81,15 @@ class ClusterSampler(SimProcess):
         self.interval = interval
         self.store = store if store is not None else SeriesStore()
         self.watchdog = watchdog
+        #: samples taken (grid points that were read and recorded)
         self.ticks = 0
-        #: callbacks invoked with the sample time after each tick — the
+        #: grid points that found nothing changed and returned at once
+        self.idle_ticks = 0
+        #: samples taken only because KEEPALIVE_TICKS grid points had passed
+        self.keepalives = 0
+        #: samples taken because a watchdog deadline fell due, no event since
+        self.deadline_wakes = 0
+        #: callbacks invoked with the sample time after each sample — the
         #: control plane's metric-stream hook.  Listeners run inside the
         #: simulation's deterministic event order and must only read.
         self.listeners: list = []
@@ -91,44 +116,104 @@ class ClusterSampler(SimProcess):
             "sched_event_share",
             "fraction of all log records from scheduling (sched.* + isis.*)",
         )
-        # per-tick handles (gauge children + ring series), resolved once on
-        # the first sample — the sampler runs inside the hot loop, so the
-        # steady-state tick does no dict/label lookups at all
+        self._c_samples = registry.counter(
+            "repro_self_sampler_samples_total", "cluster samples taken"
+        ).labels()
+        self._c_idle = registry.counter(
+            "repro_self_sampler_idle_ticks_total",
+            "sampler grid points skipped because nothing had changed",
+        ).labels()
+        self._c_keepalives = registry.counter(
+            "repro_self_sampler_keepalives_total",
+            "samples taken only to keep the series continuous",
+        ).labels()
+        self._c_wakes = registry.counter(
+            "repro_self_watchdog_deadline_wakes_total",
+            "samples taken because a watchdog deadline fell due",
+        ).labels()
+        self._g_events_per_instance = registry.gauge(
+            "repro_self_events_per_instance", "kernel events per instance DONE"
+        )
+        self._g_hb_share = registry.gauge(
+            "repro_self_heartbeat_event_share",
+            "fraction of kernel events that were failure-detector ticks or beats",
+        )
+        # handles (gauge children + ring series), resolved once on the first
+        # sample — a sample runs inside the hot loop and does no label lookups
         self._rows: list = []
         self._inflight_rows: dict = {}
         self._solo = None
+        self._sched_categories: list[str] = []
+        self._categories_seen = 0
+        # change detection: the kernel's event count at the previous grid
+        # point, the grid points since the last sample, and the earliest
+        # time (ii) or (iii) can change a reading with no event in between
+        self._events_seen = 0
+        self._held = 0
+        self._load_change_at = -math.inf
+        self._wake_at = -math.inf
+        # a deadline within this much after a grid point counts as due at it
+        self._slack = interval * GRID_TOLERANCE
 
     # ---------------------------------------------------------------- ticking
 
     def on_start(self) -> None:
+        self._events_seen = self.sim.events_processed
         self.set_timer(self.interval, "sample", daemon=True)
 
     def on_timer(self, key: str) -> None:
         if key == "sample":
-            self.sample()
+            self._grid_point()
             self.set_timer(self.interval, "sample", daemon=True)
+
+    def _grid_point(self) -> None:
+        sim = self.sim
+        events = sim.events_processed
+        # this tick is itself one kernel event; any other one may have
+        # changed what a sample reads
+        quiet = events - self._events_seen == 1
+        self._events_seen = events
+        if quiet:
+            due = sim.now + self._slack
+            if due < self._wake_at:
+                if self._held + 1 < KEEPALIVE_TICKS:
+                    self._held += 1
+                    self.idle_ticks += 1
+                    return
+                self.keepalives += 1
+            elif self.watchdog is not None and due >= self.watchdog.next_deadline:
+                self.deadline_wakes += 1
+        self.sample()
 
     # --------------------------------------------------------------- sampling
 
-    def _inflight_by_host(self) -> dict[str, int]:
+    def _scan_apps(self) -> tuple[int, dict[str, int]]:
+        """Applications still running, and live instances per host."""
+        running = 0
         out: dict[str, int] = {}
         for app in self.runtime.apps.values():
+            if not app.status.terminal:
+                running += 1
             # the app maintains its in-flight record index exactly, so this
             # scan costs O(live instances), not O(application size)
             for record in app.inflight.values():
-                for inst in (record.instance, *record.redundant_copies):
-                    if inst is not None and not inst.state.terminal and inst.host is not None:
+                inst = record.instance
+                if inst is not None and not inst.state.terminal and inst.host is not None:
+                    out[inst.host.name] = out.get(inst.host.name, 0) + 1
+                for inst in record.redundant_copies:
+                    if not inst.state.terminal and inst.host is not None:
                         out[inst.host.name] = out.get(inst.host.name, 0) + 1
-        return out
+        return running, out
 
     def _build_handles(self) -> None:
-        """Resolve gauge children and ring series once; the daemon set and
-        the sampler's own host are fixed for the life of the process."""
+        """Resolve gauge children and ring series once per host name. The
+        daemon *objects* are not cached: a restart replaces the entry in
+        the shared dict, and a sample reads whichever daemon is there."""
         store = self.store
-        for host_name, daemon in sorted(self.daemons.items()):
+        for host_name in sorted(self.daemons):
             self._rows.append(
                 (
-                    daemon,
+                    host_name,
                     self._g_load.labels(host_name),
                     self._g_queue.labels(host_name),
                     store.series("host_load", host_name),
@@ -138,10 +223,8 @@ class ClusterSampler(SimProcess):
         for host_name in sorted(
             set(self.daemons) | ({self.host.name} if self.host is not None else set())
         ):
-            self._inflight_rows[host_name] = (
-                self._g_inflight.labels(host_name),
-                store.series("host_inflight_instances", host_name),
-            )
+            self._inflight_row(host_name)
+        exits = self.registry.get("tasks_exited_total")
         self._solo = (
             self._g_running.labels(),
             store.series("apps_running", ""),
@@ -154,11 +237,15 @@ class ClusterSampler(SimProcess):
             store.series("sched_alloc_errors_total", ""),
             self._g_sched_share.labels(),
             store.series("sched_event_share", ""),
+            self._g_events.labels(),
+            exits.labels("done") if exits is not None else None,
+            self._g_events_per_instance.labels(),
+            self._g_hb_share.labels(),
         )
 
     def _inflight_row(self, host_name: str):
-        """Get-or-create the handle pair for a host outside the daemon set
-        (e.g. an instance migrated to a host with no scheduler daemon)."""
+        """Get-or-create the handle pair for a host (hosts outside the
+        daemon set appear when an instance migrates to one)."""
         row = self._inflight_rows.get(host_name)
         if row is None:
             row = (
@@ -168,32 +255,59 @@ class ClusterSampler(SimProcess):
             self._inflight_rows[host_name] = row
         return row
 
-    def sample(self) -> None:
-        """Take one snapshot now (also callable directly from tests)."""
+    def _sched_share(self) -> float:
+        """What fraction of everything the run logs is scheduling machinery
+        (the quantity hierarchical bidding keeps sub-linear at scale;
+        category_counts is maintained incrementally, so this never re-scans
+        the log)."""
+        counts = self.sim.log.category_counts()
+        if len(counts) != self._categories_seen:
+            self._categories_seen = len(counts)
+            self._sched_categories = [
+                k for k in counts if k.startswith("sched.") or k.startswith("isis.")
+            ]
+        total = sum(counts.values())
+        if not total:
+            return 0.0
+        return sum([counts[k] for k in self._sched_categories]) / total
+
+    def _heartbeat_events(self) -> float:
+        """Kernel events spent on failure detection: a detector tick is one
+        event, and so is the delivery of each beat. (The group members own
+        the two counters; there are none without a scheduler daemon.)"""
+        total = 0.0
+        for name in ("isis_hb_ticks_total", "isis_beats_sent_total"):
+            family = self.registry.get(name)
+            if family is not None:
+                total += family.value
+        return total
+
+    def _observe(self, now: float, record: bool) -> None:
+        """Read the cluster and publish the gauges; with *record*, also
+        append the readings to the ring series."""
         if self._solo is None:
             self._build_handles()
-        now = self.now
-        self.ticks += 1
-        inflight = self._inflight_by_host()
+        running, inflight = self._scan_apps()
+        daemons = self.daemons
 
-        for daemon, g_load, g_queue, s_load, s_queue in self._rows:
+        for host_name, g_load, g_queue, s_load, s_queue in self._rows:
+            daemon = daemons[host_name]
             load = daemon.current_load() if daemon.alive else 0.0
             depth = len(daemon.pending_queue)
             g_load.value = load
             g_queue.value = depth
-            s_load.append(now, load)
-            s_queue.append(now, depth)
+            if record:
+                s_load.append(now, load)
+                s_queue.append(now, depth)
 
         for host_name in inflight.keys() - self._inflight_rows.keys():
             self._inflight_row(host_name)
         for host_name, (g_inflight, s_inflight) in self._inflight_rows.items():
             n = inflight.get(host_name, 0)
             g_inflight.value = n
-            s_inflight.append(now, n)
+            if record:
+                s_inflight.append(now, n)
 
-        running = sum(
-            1 for app in self.runtime.apps.values() if not app.status.terminal
-        )
         (
             g_running,
             s_running,
@@ -206,36 +320,64 @@ class ClusterSampler(SimProcess):
             s_alloc,
             g_share,
             s_share,
+            g_events,
+            c_done,
+            g_events_per_instance,
+            g_hb_share,
         ) = self._solo
-        g_running.value = running
-        s_running.append(now, running)
-
         network = self.runtime.network
+        share = self._sched_share()
+        g_running.value = running
         g_sent.value = network.messages_sent
         g_delivered.value = network.messages_delivered
         g_bytes.value = network.bytes_sent
-        s_sent.append(now, network.messages_sent)
-        s_bytes.append(now, network.bytes_sent)
-        s_alloc.append(now, c_alloc.value)
-
-        self._g_events.set(self.sim.events_processed)
-
-        # scheduler event share: what fraction of everything the run logs
-        # is scheduling machinery (the quantity hierarchical bidding keeps
-        # sub-linear at scale; category_counts is maintained incrementally,
-        # so this never re-scans the log)
-        counts = self.sim.log.category_counts()
-        total = sum(counts.values())
-        sched = sum(
-            v
-            for k, v in counts.items()
-            if k.startswith("sched.") or k.startswith("isis.")
-        )
-        share = sched / total if total else 0.0
         g_share.value = share
-        s_share.append(now, share)
+        if record:
+            s_running.append(now, running)
+            s_sent.append(now, network.messages_sent)
+            s_bytes.append(now, network.bytes_sent)
+            s_alloc.append(now, c_alloc.value)
+            s_share.append(now, share)
 
+        # the observers' own cost, from counters that already exist
+        events = self.sim.events_processed
+        g_events.value = events
+        done = c_done.value if c_done is not None else 0.0
+        g_events_per_instance.value = events / done if done else 0.0
+        g_hb_share.value = self._heartbeat_events() / events if events else 0.0
+
+    def sample(self) -> None:
+        """Take one sample now: read, record, evaluate the watchdog, and
+        work out when a reading can next change with no event in between."""
+        now = self.now
+        self.ticks += 1
+        self._held = 0
+        self._observe(now, record=True)
+
+        if now >= self._load_change_at:
+            self._load_change_at = min(
+                (
+                    daemon.machine.background_load.next_change_after(now)
+                    for daemon in self.daemons.values()
+                ),
+                default=math.inf,
+            )
+        wake_at = self._load_change_at
         if self.watchdog is not None:
             self.watchdog.evaluate(now, self.store)
+            wake_at = min(wake_at, self.watchdog.next_deadline)
+        self._wake_at = wake_at
+
+        self._c_samples.value = self.ticks
+        self._c_idle.value = self.idle_ticks
+        self._c_keepalives.value = self.keepalives
+        self._c_wakes.value = self.deadline_wakes
         for listener in self.listeners:
             listener(now)
+
+    def refresh(self) -> None:
+        """Bring the gauges up to the current instant, off the grid, for a
+        reader (``repro top``, ``/api/metrics``). Looking must not change
+        the run: nothing is appended to a series, no watchdog rule is
+        evaluated and no listener is called."""
+        self._observe(self.now, record=False)

@@ -1,9 +1,14 @@
 """Bounded ring-buffer time series for sampled telemetry.
 
-The :class:`ClusterSampler` appends one point per metric per tick; a
+The :class:`ClusterSampler` appends one point per metric per sample; a
 :class:`RingSeries` keeps the last *capacity* of them so `repro top` can
 draw short load histories and the watchdog can evaluate windowed rules,
 while memory stays constant over arbitrarily long runs.
+
+A series is sample-and-hold: the sampler skips grid points at which
+nothing it reads can have changed, so between two points the value is that
+of the earlier one (:meth:`RingSeries.at`), and windowed rules are written
+in simulated time, not in numbers of points.
 """
 
 from __future__ import annotations
@@ -12,6 +17,11 @@ from collections import deque
 from typing import Iterator
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
+
+#: grid times are sums of the sampling interval, deadlines and window edges
+#: are sums and differences of other floats: two times closer than this
+#: fraction of the interval are the same grid point
+GRID_TOLERANCE = 1e-6
 
 
 class RingSeries:
@@ -52,6 +62,27 @@ class RingSeries:
             out.append((t, v))
         out.reverse()
         return out
+
+    def at(self, time: float) -> float | None:
+        """The value held at *time* — that of the newest point at or before
+        it; None before the first point."""
+        for t, v in reversed(self._points):
+            if t <= time:
+                return v
+        return None
+
+    def held_since(self, floor: float, horizon: float) -> float | None:
+        """Start time of the trailing run of points with value >= *floor*
+        (None when the newest point is below it), looking back no further
+        than the first point at or before *horizon*."""
+        start = None
+        for t, v in reversed(self._points):
+            if v < floor:
+                break
+            start = t
+            if t <= horizon:
+                break
+        return start
 
     def tail(self, n: int) -> list[float]:
         """The last *n* values (fewer if the series is shorter)."""

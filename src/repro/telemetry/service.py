@@ -48,6 +48,7 @@ class Telemetry:
             daemons,
             emit=lambda category, **data: sim.emit(category, "watchdog", **data),
             config=watchdog_config,
+            interval=interval,
         )
         self.sampler = ClusterSampler(
             "telemetry",
@@ -67,10 +68,12 @@ class Telemetry:
     # ------------------------------------------------------------ convenience
 
     def refresh(self) -> None:
-        """Take one sample right now (gauges are otherwise one tick stale
-        after ``run_to_completion`` stops the simulation mid-interval)."""
+        """Bring the gauges up to the current instant (they are otherwise
+        as old as the last sample). Read-only as far as the run is
+        concerned: no series point, no watchdog verdict, no log record —
+        see :meth:`ClusterSampler.refresh`."""
         if self.sampler.host is not None:
-            self.sampler.sample()
+            self.sampler.refresh()
 
     def render(self, title: str = "repro top", refresh: bool = True) -> str:
         if refresh:

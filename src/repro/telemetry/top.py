@@ -30,6 +30,15 @@ _TOTAL_COUNTERS = (
 )
 
 
+#: the observers' own cost, shown as one line, in display order
+_SELF_COUNTERS = (
+    ("samples", "repro_self_sampler_samples_total"),
+    ("idle ticks", "repro_self_sampler_idle_ticks_total"),
+    ("keep-alives", "repro_self_sampler_keepalives_total"),
+    ("deadline wakes", "repro_self_watchdog_deadline_wakes_total"),
+)
+
+
 def _family_total(registry: "MetricsRegistry", name: str) -> float:
     family = registry.get(name)
     if family is None:
@@ -105,6 +114,22 @@ def render_totals(registry: "MetricsRegistry") -> str:
     return "totals: " + "  ".join(parts) + "\n" + net
 
 
+def render_self(registry: "MetricsRegistry") -> str:
+    """What watching costs: sampler activity and kernel events per unit of
+    useful work (empty when no sampler has published them). The heartbeat
+    share, the other self-metric, is in the header."""
+    if registry.get(_SELF_COUNTERS[0][1]) is None:
+        return ""
+    parts = [
+        f"{label}={int(_gauge_value(registry, name))}"
+        for label, name in _SELF_COUNTERS
+    ]
+    parts.append(
+        f"events/instance={_gauge_value(registry, 'repro_self_events_per_instance'):.1f}"
+    )
+    return "self: " + "  ".join(parts)
+
+
 def render_health(watchdog: "HealthWatchdog | None", limit: int = 8) -> str:
     if watchdog is None:
         return ""
@@ -131,22 +156,19 @@ def render_top(
 ) -> str:
     """One full frame."""
     running = int(_gauge_value(registry, "apps_running"))
-    # a tick is one kernel event, and so is the delivery of each beat
-    heartbeat_events = _family_total(registry, "isis_hb_ticks_total") + _family_total(
-        registry, "isis_beats_sent_total"
-    )
-    events = _gauge_value(registry, "sim_events")
     header = (
         f"{title} — t={now:.2f}s  apps running: {running}  "
         f"isis: {int(_gauge_value(registry, 'isis_parked'))} parked / "
         f"{int(_gauge_value(registry, 'isis_awake'))} awake  "
-        f"heartbeat share: {heartbeat_events / events * 100 if events else 0.0:.1f}%"
+        f"heartbeat share: "
+        f"{_gauge_value(registry, 'repro_self_heartbeat_event_share') * 100:.1f}%"
     )
     sections = [
         header,
         render_host_table(registry, store),
         render_task_quantiles(registry),
         render_totals(registry),
+        render_self(registry),
         render_health(watchdog),
     ]
     return "\n\n".join(s for s in sections if s)

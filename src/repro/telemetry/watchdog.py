@@ -1,10 +1,19 @@
 """The health watchdog: rules over sampled telemetry.
 
-Evaluated once per sampler tick, each rule inspects live state (never the
+Evaluated once per sample, each rule inspects live state (never the
 event log) and raises a :class:`HealthEvent` when its condition holds.
 Events are edge-triggered — one ``health.<rule>`` record when a condition
 becomes active, one ``health.cleared`` when it goes away — so a stuck
-cluster does not flood the log at every tick.
+cluster does not flood the log at every sample.
+
+The sampler does not sample a grid point at which nothing can have
+changed, so every rule also answers *when* its verdict can next change
+with no event in between (an elapsed-time threshold crossed, a window
+sliding past a point): :attr:`HealthWatchdog.next_deadline` is the
+earliest such time, and the sampler takes its next sample no later than
+the first grid point at or after it. Windows are in simulated time —
+``ticks x interval`` — over the sample-and-hold series, which is what
+"the last N samples" meant when every grid point was sampled.
 
 Rules:
 
@@ -12,12 +21,13 @@ Rules:
   ``straggler_factor`` x the (histogram-estimated) median duration of
   completed instances of the same task.
 - **queue_saturation** — a daemon's pending-request queue has held
-  ``queue_depth_threshold`` or more entries for ``queue_depth_ticks``
-  consecutive samples.
+  ``queue_depth_threshold`` or more entries at ``queue_depth_ticks``
+  consecutive grid points.
 - **bid_starvation** — a queued request has been waiting longer than
   ``starvation_wait`` seconds without winning an allocation.
 - **alloc_errors** — ``sched_alloc_errors_total`` grew by at least
-  ``alloc_error_threshold`` over the last ``alloc_error_window`` samples.
+  ``alloc_error_threshold`` over the last ``alloc_error_window`` grid
+  intervals.
 - **host_down** — a daemon machine is down (crashed and not yet
   recovered by the fault injector / chaos controller).
 - **stranded** — an instance failed but its application is still running:
@@ -26,14 +36,17 @@ Rules:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
+
+from repro.telemetry.series import GRID_TOLERANCE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.manager import RuntimeManager
     from repro.scheduler.daemon import SchedulerDaemon
     from repro.telemetry.registry import Histogram, MetricsRegistry
-    from repro.telemetry.series import SeriesStore
+    from repro.telemetry.series import RingSeries, SeriesStore
 
 INFO = "info"
 WARNING = "warning"
@@ -113,6 +126,8 @@ class HealthWatchdog:
         emit: event sink called as ``emit(category, severity=..., **detail)``
             — the VCE wires this to ``sim.emit(category, "watchdog", ...)``.
         config: rule thresholds.
+        interval: simulated seconds per sampler grid point, the unit of the
+            tick-count thresholds in *config*.
     """
 
     def __init__(
@@ -122,11 +137,16 @@ class HealthWatchdog:
         daemons: dict[str, "SchedulerDaemon"],
         emit: EmitFn | None = None,
         config: WatchdogConfig | None = None,
+        interval: float = 1.0,
     ) -> None:
         self.registry = registry
         self.runtime = runtime
         self.daemons = daemons
         self.config = config or WatchdogConfig()
+        self.interval = interval
+        #: earliest time after the last evaluation at which a verdict can
+        #: change with no event in between (``math.inf``: only an event can)
+        self.next_deadline = math.inf
         self._emit = emit or (lambda category, **data: None)
         self._active: dict[tuple[str, str], HealthEvent] = {}
         self.events: list[HealthEvent] = []
@@ -137,19 +157,28 @@ class HealthWatchdog:
         self._m_durations = registry.histogram(
             "task_duration_seconds", "dispatch to exit", labels=("task",)
         )
-        # refreshed at each evaluation: chaos daemon restarts replace
-        # entries in the (shared) daemons dict
-        self._daemon_order = sorted(self.daemons.items())
-        self._depth_series: dict[str, Any] = {}
-        self._depth_store: Any = None
+        # host names in evaluation order; the daemons themselves are read
+        # through the (shared) dict, where a chaos restart replaces them
+        self._hosts = sorted(self.daemons)
+        self._store: "SeriesStore | None" = None
+        self._depth_series: dict[str, "RingSeries"] = {}
+        self._alloc_series: "RingSeries | None" = None
+        self._slack = interval * GRID_TOLERANCE
 
     # ------------------------------------------------------------- evaluation
 
     def evaluate(self, now: float, store: "SeriesStore") -> list[HealthEvent]:
-        """Run every rule; returns the events newly raised this tick."""
+        """Run every rule over the sample just taken at *now*; returns the
+        events newly raised and leaves :attr:`next_deadline` set."""
         seen: set[tuple[str, str]] = set()
         raised: list[HealthEvent] = []
-        self._daemon_order = sorted(self.daemons.items())
+        self.next_deadline = math.inf
+        if len(self._hosts) != len(self.daemons):
+            self._hosts = sorted(self.daemons)
+        if store is not self._store:
+            self._store = store
+            self._depth_series.clear()
+            self._alloc_series = store.series("sched_alloc_errors_total", "")
 
         for rule, key, severity, detail in self._conditions(now, store):
             seen.add((rule, key))
@@ -161,12 +190,25 @@ class HealthWatchdog:
             self._record(event)
             self._emit(f"health.{rule}", severity=severity, key=key, **detail)
 
-        for rule, key in [k for k in self._active if k not in seen]:
+        # every key seen is active, so equal sizes mean nothing went away
+        gone = (
+            [k for k in self._active if k not in seen]
+            if len(seen) != len(self._active)
+            else ()
+        )
+        for rule, key in gone:
             self._active.pop((rule, key))
             cleared = HealthEvent(now, "cleared", key, INFO, {"rule": rule})
             self._record(cleared)
             self._emit("health.cleared", severity=INFO, key=key, rule=rule)
+        if raised or gone:
+            # a health record is itself a change: the log just grew
+            self.next_deadline = now
         return raised
+
+    def _due(self, time: float) -> None:
+        if time < self.next_deadline:
+            self.next_deadline = time
 
     def _record(self, event: HealthEvent) -> None:
         self.events.append(event)
@@ -213,50 +255,75 @@ class HealthWatchdog:
 
     # ----------------------------------------------------------------- rules
 
-    def _conditions(self, now: float, store: "SeriesStore"):
-        yield from self._check_stragglers(now)
-        yield from self._check_queue_saturation(store)
-        yield from self._check_bid_starvation(now)
-        yield from self._check_alloc_errors(store)
-        yield from self._check_hosts_down()
-        yield from self._check_stranded()
+    def _conditions(self, now: float, store: "SeriesStore") -> list[tuple]:
+        """Every ``(rule, key, severity, detail)`` that holds at *now*."""
+        found: list[tuple] = []
+        self._check_stragglers(now, found)
+        self._check_queue_saturation(now, store, found)
+        self._check_bid_starvation(now, found)
+        self._check_alloc_errors(now, found)
+        self._check_hosts_down(found)
+        self._check_stranded(found)
+        return found
 
-    def _check_stragglers(self, now: float):
+    def _check_stragglers(self, now: float, found: list) -> None:
         if self.runtime is None or not self.runtime.apps:
             return
+        cfg = self.config
         durations = self._m_durations
+        active = self._active
         for app in self.runtime.apps.values():
             if app.status.terminal:
                 continue
-            for record in list(app.inflight.values()):
+            for record in app.inflight.values():
                 inst = record.instance
                 if inst is None or inst.state.terminal or record.dispatched_at is None:
                     continue
+                # the child the runtime manager observes this task's exits
+                # into, resolved once per record at dispatch
+                completed = record.duration
+                if completed is None:
+                    completed = record.duration = durations.labels(record.task)
+                if completed.count < cfg.straggler_min_completed:
+                    continue
+                median = completed.quantile(0.5)
+                if median <= 0:
+                    continue
                 elapsed = now - record.dispatched_at
-                completed = durations.labels(record.task)
-                severity = straggler_severity(elapsed, completed, self.config)
+                severity = (
+                    straggler_severity(elapsed, completed, cfg)
+                    if elapsed > cfg.straggler_factor * median
+                    else None
+                )
+                key = f"{app.id}.{record.task}[{record.rank}]"
                 if severity is not None:
-                    key = f"{app.id}.{record.task}[{record.rank}]"
-                    yield (
-                        "straggler",
-                        key,
-                        severity,
-                        {
-                            "app": app.id,
-                            "task": record.task,
-                            "rank": record.rank,
-                            "host": record.host_name,
-                            "elapsed": elapsed,
-                            "median": completed.quantile(0.5),
-                        },
+                    found.append(
+                        (
+                            "straggler",
+                            key,
+                            severity,
+                            {
+                                "app": app.id,
+                                "task": record.task,
+                                "rank": record.rank,
+                                "host": record.host_name,
+                                "elapsed": elapsed,
+                                "median": median,
+                            },
+                        )
+                    )
+                elif ("straggler", key) not in active:
+                    self._due(
+                        record.dispatched_at
+                        + max(cfg.straggler_factor * median, cfg.straggler_min_elapsed)
                     )
 
-    def _check_queue_saturation(self, store: "SeriesStore"):
+    def _check_queue_saturation(self, now: float, store: "SeriesStore", found: list) -> None:
         cfg = self.config
-        if store is not self._depth_store:
-            self._depth_store = store
-            self._depth_series.clear()
-        for host_name, _daemon in self._daemon_order:
+        # saturated at the last `queue_depth_ticks` grid points: at `now`
+        # and for the (ticks - 1) intervals before it
+        window = (cfg.queue_depth_ticks - 1) * self.interval
+        for host_name in self._hosts:
             series = self._depth_series.get(host_name)
             if series is None:
                 series = store.series("daemon_queue_depth", host_name)
@@ -265,62 +332,93 @@ class HealthWatchdog:
             latest = series.latest()
             if latest is None or latest < cfg.queue_depth_threshold:
                 continue
-            depths = series.tail(cfg.queue_depth_ticks)
-            if len(depths) < cfg.queue_depth_ticks:
+            since = series.held_since(cfg.queue_depth_threshold, now - window)
+            if since > now - window + self._slack:
+                # raised, if the queue stays this deep, when the window has
+                # slid past the last shallower point
+                self._due(since + window)
                 continue
-            if all(d >= cfg.queue_depth_threshold for d in depths):
-                severity = (
-                    CRITICAL
-                    if depths[-1] >= 2 * cfg.queue_depth_threshold
-                    else WARNING
-                )
-                yield (
+            severity = (
+                CRITICAL if latest >= 2 * cfg.queue_depth_threshold else WARNING
+            )
+            found.append(
+                (
                     "queue_saturation",
                     host_name,
                     severity,
-                    {"host": host_name, "depth": depths[-1]},
+                    {"host": host_name, "depth": latest},
                 )
+            )
 
-    def _check_bid_starvation(self, now: float):
+    def _check_bid_starvation(self, now: float, found: list) -> None:
         cfg = self.config
-        for host_name, daemon in self._daemon_order:
+        daemons = self.daemons
+        for host_name in self._hosts:
+            daemon = daemons[host_name]
             if not daemon.pending_queue or not daemon.is_coordinator:
                 continue
             for item in daemon.pending_queue.items():
                 waited = now - item.enqueued_at
                 if waited > cfg.starvation_wait:
-                    yield (
-                        "bid_starvation",
-                        item.request.req_id,
-                        WARNING,
-                        {
-                            "req_id": item.request.req_id,
-                            "app": item.request.app,
-                            "leader": host_name,
-                            "waited": waited,
-                            "attempts": item.attempts,
-                        },
+                    found.append(
+                        (
+                            "bid_starvation",
+                            item.request.req_id,
+                            WARNING,
+                            {
+                                "req_id": item.request.req_id,
+                                "app": item.request.app,
+                                "leader": host_name,
+                                "waited": waited,
+                                "attempts": item.attempts,
+                            },
+                        )
                     )
+                else:
+                    self._due(item.enqueued_at + cfg.starvation_wait)
 
-    def _check_alloc_errors(self, store: "SeriesStore"):
+    def _check_alloc_errors(self, now: float, found: list) -> None:
         cfg = self.config
-        series = store.series("sched_alloc_errors_total", "")
-        delta = series.delta(cfg.alloc_error_window)
-        if delta >= cfg.alloc_error_threshold:
-            yield (
+        series = self._alloc_series
+        latest = series.latest()
+        if not latest:
+            return  # no allocation error so far
+        window = cfg.alloc_error_window * self.interval
+        start = now - window + self._slack
+        base = series.at(start)
+        if base is None:
+            # the window reaches back before the first sample: no verdict
+            # yet, and the moment it is covered needs no event
+            first_time, first = next(iter(series))
+            if latest - first >= cfg.alloc_error_threshold:
+                self._due(first_time + window)
+            return
+        delta = latest - base
+        if delta < cfg.alloc_error_threshold:
+            return  # the count is monotone: only a new error can raise this
+        # cleared, with no further error, once the window has slid past
+        # enough of the errors it holds now
+        for time, value in series.window(start):
+            if latest - value < cfg.alloc_error_threshold:
+                self._due(time + window)
+                break
+        found.append(
+            (
                 "alloc_errors",
                 "cluster",
                 CRITICAL,
                 {"errors_in_window": delta, "window_ticks": cfg.alloc_error_window},
             )
+        )
 
-    def _check_hosts_down(self):
-        for host_name, daemon in self._daemon_order:
-            host = getattr(daemon, "host", None)
+    def _check_hosts_down(self, found: list) -> None:
+        daemons = self.daemons
+        for host_name in self._hosts:
+            host = getattr(daemons[host_name], "host", None)
             if host is not None and not host.up:
-                yield ("host_down", host_name, CRITICAL, {"host": host_name})
+                found.append(("host_down", host_name, CRITICAL, {"host": host_name}))
 
-    def _check_stranded(self):
+    def _check_stranded(self, found: list) -> None:
         if self.runtime is None:
             return
         for app in self.runtime.apps.values():
@@ -329,15 +427,17 @@ class HealthWatchdog:
             # FAILED state on a live app means a failure handler (failover)
             # absorbed the crash and re-dispatch is pending; the app indexes
             # those records so this is O(stranded), not O(records)
-            for record in list(app.failed.values()):
-                yield (
-                    "stranded",
-                    f"{app.id}.{record.task}[{record.rank}]",
-                    WARNING,
-                    {
-                        "app": app.id,
-                        "task": record.task,
-                        "rank": record.rank,
-                        "host": record.host_name,
-                    },
+            for record in app.failed.values():
+                found.append(
+                    (
+                        "stranded",
+                        f"{app.id}.{record.task}[{record.rank}]",
+                        WARNING,
+                        {
+                            "app": app.id,
+                            "task": record.task,
+                            "rank": record.rank,
+                            "host": record.host_name,
+                        },
+                    )
                 )

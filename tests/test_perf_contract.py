@@ -14,6 +14,9 @@ instrumentation-based, never wall-clock, so they are immune to CI noise:
 - Precedence costs O(arcs) per run: a completion walks its successors once
   and never asks for a successor's predecessors.
 - ``RuntimeManager.instances_on`` visits live records only.
+- The observers cost nothing when nothing changed: an idle cluster with
+  one instance in flight is sampled at the keep-alive rate only, and the
+  watchdog resolves no metric label on a tick with no new in-flight record.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -271,6 +274,53 @@ class TestInstancesOnContract:
         cluster.run()
         assert app.status is AppStatus.DONE
         assert manager.instances_on("ws0") == manager.instances_on("ws1") == []
+
+
+class TestObserverContracts:
+    def _one_long_instance(self):
+        from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
+
+        def long_haul(ctx):
+            yield Compute(100_000.0)
+
+        graph = TaskGraph("long-haul")
+        graph.add_task(TaskNode("haul", language="py", program=long_haul))
+        vce = VirtualComputingEnvironment(workstation_cluster(4), VCEConfig(seed=1)).boot()
+        vce.submit(graph, class_map={"haul": None})
+        vce.run(until=vce.sim.now + 20.0)  # dispatched, computing
+        app = next(iter(vce.runtime.apps.values()))
+        assert len(app.inflight) == 1
+        return vce
+
+    def test_idle_seconds_cost_keepalives_not_polls(self):
+        """1,000 simulated seconds in which nothing but the sampler's own
+        timer runs: at most one sample per KEEPALIVE_TICKS grid points."""
+        from repro.telemetry.sampler import KEEPALIVE_TICKS
+
+        vce = self._one_long_instance()
+        sampler = vce.telemetry.sampler
+        samples, events = sampler.ticks, vce.sim.events_processed
+        vce.run(until=vce.sim.now + 1000.0)
+        grid_points = vce.sim.events_processed - events
+        assert grid_points == 1000 / sampler.interval  # nothing else ran
+        assert sampler.ticks - samples <= 1000 / (sampler.interval * KEEPALIVE_TICKS) + 2
+
+    def test_watchdog_resolves_no_label_for_a_known_record(self, monkeypatch):
+        """The straggler baseline of an in-flight record is the histogram
+        child resolved at its dispatch, not a label lookup per tick."""
+        from repro.telemetry.registry import MetricFamily
+
+        vce = self._one_long_instance()
+        calls = []
+        original = MetricFamily.labels
+
+        def counting(family, *values):
+            calls.append(family.name)
+            return original(family, *values)
+
+        monkeypatch.setattr(MetricFamily, "labels", counting)
+        vce.telemetry.watchdog.evaluate(vce.sim.now, vce.telemetry.store)
+        assert calls == []
 
 
 class TestKernelProperties:

@@ -30,6 +30,7 @@ from repro.util.rng import RngStreams
 from repro.vmpi import Compute
 
 from tests.conftest import make_cluster, round_robin_placement
+from tests.helpers_telemetry import assert_matches_reference, health_records
 
 
 # ---------------------------------------------------------------- intervals
@@ -670,3 +671,83 @@ def test_rng_streams_isolated(seed, name):
     assert [s1.stream(name).random() for _ in range(5)] == [
         s2.stream(name).random() for _ in range(5)
     ]
+
+
+# ------------------------------------------- change-driven cluster sampling
+#
+# The shipped sampler skips every grid point at which nothing it reads can
+# have changed, and the watchdog wakes it by deadline. Against a poller that
+# samples every grid point (tests/helpers_telemetry.py) that must be
+# invisible: the same series change for change, the same health records.
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    layers=st.integers(2, 5),
+    width=st.integers(2, 6),
+    work=st.sampled_from([(0.5, 3.0), (2.0, 20.0), (20.0, 150.0)]),
+    tail=st.sampled_from([0.0, 130.0]),
+)
+def test_sampler_matches_reference_poller_on_layered_dags(seed, layers, width, work, tail):
+    from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
+    from repro.workloads import build_random_dag
+
+    def scenario():
+        graph = build_random_dag(
+            layers=layers, width=width, seed=seed, min_work=work[0], max_work=work[1]
+        )
+        vce = VirtualComputingEnvironment(
+            workstation_cluster(4, stochastic_load=(40.0, 15.0, 0.6), seed=seed),
+            VCEConfig(seed=seed, telemetry_series_capacity=100_000),
+        ).boot()
+        run = vce.submit(graph, class_map={node.name: None for node in graph})
+        vce.run_to_completion(run, timeout=100_000.0)
+        vce.run(until=vce.sim.now + tail)
+        return vce
+
+    shipped, reference = assert_matches_reference(scenario)
+    assert shipped.telemetry.sampler.ticks <= reference.telemetry.sampler.ticks
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_sampler_matches_reference_poller_under_chaos_mix(seed):
+    from repro.core import VCEConfig, VirtualComputingEnvironment, heterogeneous_cluster
+    from repro.migration.failover import FailoverConfig
+    from repro.workloads import WEATHER_SCRIPT, build_pipeline_graph, weather_programs
+
+    def scenario():
+        config = VCEConfig(seed=seed, reliable_transport=True, failover=FailoverConfig())
+        vce = VirtualComputingEnvironment(heterogeneous_cluster(), config).boot()
+        vce.chaos("chaos-mix", seed=seed)
+        runs = [
+            vce.run_script(WEATHER_SCRIPT, weather_programs(), name="weather"),
+            vce.submit(build_pipeline_graph(stages=4, stage_work=15.0, name="pipe")),
+        ]
+        for run in runs:
+            vce.run_to_completion(run, timeout=2_000.0)
+        vce.run(until=vce.sim.now + 300.0)  # heals, parks, goes quiet
+        return vce
+
+    shipped, _ = assert_matches_reference(scenario)
+    assert health_records(shipped.sim.log)
+    assert shipped.telemetry.sampler.idle_ticks > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sampler_matches_reference_poller_on_a_tenant_soak(seed):
+    from repro.soak import SoakConfig, run_soak
+
+    def scenario():
+        vce, driver, _ = run_soak(
+            SoakConfig(
+                tenants=4, apps=60, machines=8, fanout=2, seed=seed,
+                instances=(2, 6), work=(0.5, 2.0), arrival_span=6.0,
+                telemetry_interval=4.0, settle=15.0,
+            )
+        )
+        assert driver.finished
+        vce.run(until=vce.sim.now + 100.0)
+        return vce
+
+    assert_matches_reference(scenario)

@@ -8,7 +8,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import VCEConfig, VirtualComputingEnvironment, heterogeneous_cluster
+from repro.core import (
+    VCEConfig,
+    VirtualComputingEnvironment,
+    heterogeneous_cluster,
+    workstation_cluster,
+)
+from repro.faults.schedule import FaultSchedule
+from repro.machines import ConstantLoad, MachineClass, TraceLoad
+from repro.scheduler.execution_program import RunState
+from repro.taskgraph import TaskGraph, TaskNode
 from repro.telemetry import (
     ClusterSampler,
     Histogram,
@@ -26,8 +35,13 @@ from repro.telemetry import (
     to_prometheus,
 )
 from repro.telemetry.registry import DEFAULT_FACTOR
+from repro.telemetry.sampler import KEEPALIVE_TICKS
+from repro.trace.replay import event_log_digest
 from repro.util.errors import ConfigurationError
+from repro.vmpi import Compute
 from repro.workloads import WEATHER_SCRIPT, weather_programs
+
+from tests.helpers_telemetry import assert_matches_reference, changes, health_records
 
 
 # --------------------------------------------------------------- registry
@@ -360,9 +374,10 @@ class TestWatchdogRules:
         store = SeriesStore()
         for t, depth in enumerate([5, 5]):
             store.append("daemon_queue_depth", "ws0", float(t), depth)
-        assert dog.evaluate(2.0, store) == []  # only two ticks so far
-        store.append("daemon_queue_depth", "ws0", 3.0, 5)
-        raised = dog.evaluate(3.0, store)
+        assert dog.evaluate(1.0, store) == []  # only two ticks so far
+        assert dog.next_deadline == 2.0  # raised then, if the queue stays deep
+        store.append("daemon_queue_depth", "ws0", 2.0, 5)
+        raised = dog.evaluate(2.0, store)
         assert [e.rule for e in raised] == ["queue_saturation"]
         assert raised[0].severity == "warning"
 
@@ -414,6 +429,26 @@ class TestWatchdogRules:
         raised = dog.evaluate(3.0, store)
         assert [e.rule for e in raised] == ["alloc_errors"]
         assert raised[0].severity == "critical"
+
+    def test_next_deadline_is_when_a_verdict_can_change_without_an_event(self):
+        cfg = WatchdogConfig(queue_depth_threshold=4, queue_depth_ticks=3)
+        waiting = _StubDaemon(items=[_QueueItem("req-1", enqueued_at=2.0)])
+        dog, _, _ = self._watchdog(daemons={"ws0": waiting}, config=cfg)
+        store = SeriesStore()
+        assert dog.next_deadline == math.inf
+        store.append("daemon_queue_depth", "ws0", 10.0, 0)
+        assert dog.evaluate(10.0, store) == []
+        assert dog.next_deadline == 32.0  # req-1 starves at enqueued_at + 30
+        store.append("daemon_queue_depth", "ws0", 11.0, 6)
+        dog.evaluate(11.0, store)
+        assert dog.next_deadline == 13.0  # deep at 11, 12 and 13: saturated
+        # a sample-and-hold series: no point at 12, the depth held from 11
+        store.append("daemon_queue_depth", "ws0", 13.0, 6)
+        assert [e.rule for e in dog.evaluate(13.0, store)] == ["queue_saturation"]
+        assert dog.next_deadline == 13.0  # the record just written is a change
+        store.append("daemon_queue_depth", "ws0", 14.0, 6)
+        assert dog.evaluate(14.0, store) == []
+        assert dog.next_deadline == 32.0  # an active condition needs no wake
 
     def test_event_history_bounded(self):
         cfg = WatchdogConfig(queue_depth_threshold=1, queue_depth_ticks=1)
@@ -584,3 +619,172 @@ class TestRenderTop:
         frame = render_top(reg, SeriesStore(), watchdog=None, now=4.5)
         assert "t=4.50s" in frame
         assert "totals:" in frame
+
+
+# ------------------------------------- change-driven sampling and deadlines
+
+
+def _straggler_run():
+    """Four instances of one task: three take 10 s and give the baseline,
+    the fourth computes for 500 s with nothing else scheduled."""
+
+    def work(ctx):
+        yield Compute(10.0 if ctx.rank else 500.0)
+
+    graph = TaskGraph("slowpoke")
+    graph.add_task(TaskNode("work", instances=4, language="py", program=work))
+    vce = VirtualComputingEnvironment(workstation_cluster(4), VCEConfig(seed=5)).boot()
+    run = vce.submit(graph, class_map={"work": MachineClass.WORKSTATION})
+    vce.run_to_completion(run, timeout=5_000.0)
+    assert run.state is RunState.DONE, run.error
+    return vce
+
+
+def _load_step_run():
+    """No application at all: ws1's owner comes back at t=50."""
+    machines = workstation_cluster(4)
+    machines[1].background_load = TraceLoad([(50.0, 0.7)])
+    vce = VirtualComputingEnvironment(machines, VCEConfig(seed=5)).boot()
+    vce.run(until=100.0)
+    return vce
+
+
+def _alloc_error_burst_run():
+    """Six allocation errors in one event at t=61, then nothing."""
+    vce = VirtualComputingEnvironment(workstation_cluster(4), VCEConfig(seed=5)).boot()
+    errors = vce.sim.telemetry.counter("sched_alloc_errors_total")
+    vce.sim.schedule_at(61.0, lambda: errors.inc(6))
+    vce.run(until=200.0)
+    return vce
+
+
+def store_times(vce, metric, key):
+    return [t for t, _ in vce.telemetry.store.series(metric, key)]
+
+
+class TestChangeDrivenSampler:
+    def test_straggler_raised_by_deadline_with_no_event_in_between(self):
+        vce, _ = assert_matches_reference(_straggler_run)
+        sampler = vce.telemetry.sampler
+        (raised,) = [r for r in vce.sim.log.records("health.straggler")]
+        record = next(iter(vce.runtime.apps.values())).record("work", 0)
+        median = record.duration.quantile(0.5)
+        # the first grid point at which the poll would have found it
+        grid = sampler.interval
+        while not grid - record.dispatched_at > 3.0 * median:
+            grid += sampler.interval
+        assert raised.time == grid
+        assert raised.data["severity"] == "warning"
+        assert raised.data["elapsed"] == grid - record.dispatched_at
+        assert raised.data["median"] == median
+        # nothing but the sampler ran between the siblings' exits and then
+        assert sampler.deadline_wakes >= 1
+        assert store_times(vce, "host_load", "ws0").count(grid - sampler.interval) == 0
+        # ... and the long stretch after it cost keep-alives, not polls
+        assert sampler.ticks < sampler.idle_ticks / 5
+
+    def test_load_step_shows_at_the_first_grid_point_after_it(self):
+        vce, _ = assert_matches_reference(_load_step_run)
+        load = vce.telemetry.store.series("host_load", "ws1")
+        assert changes(load) == [(4.0, 0.0), (52.0, 0.7)]
+        assert 48.0 not in store_times(vce, "host_load", "ws1")  # idle, skipped
+        assert vce.telemetry.registry.get("host_load").labels("ws1").value == 0.7
+
+    def test_alloc_errors_clear_when_the_window_slides_out(self):
+        vce, _ = assert_matches_reference(_alloc_error_burst_run)
+        health = [
+            (r.time, r.category, r.data.get("rule"))
+            for r in vce.sim.log
+            if r.category.startswith("health.")
+        ]
+        # raised at the first grid point after the burst; cleared ten grid
+        # intervals later with no event in between to prompt it
+        assert health == [
+            (64.0, "health.alloc_errors", None),
+            (104.0, "health.cleared", "alloc_errors"),
+        ]
+        assert vce.telemetry.sampler.deadline_wakes >= 1
+
+    def test_idle_grid_points_cost_no_sample(self):
+        vce = VirtualComputingEnvironment(workstation_cluster(4), VCEConfig(seed=5)).boot()
+        sampler = vce.telemetry.sampler
+        before = sampler.ticks
+        vce.run(until=vce.sim.now + 1200.0)  # 300 grid points, parked cluster
+        assert sampler.ticks - before == 300 // KEEPALIVE_TICKS
+        assert sampler.keepalives == sampler.ticks - before
+        registry = vce.telemetry.registry
+        assert registry.get("repro_self_sampler_samples_total").value == sampler.ticks
+        assert registry.get("repro_self_sampler_keepalives_total").value == sampler.keepalives
+        # counters are written on a sample: the idle ticks since the last
+        # one are not in yet
+        idle = registry.get("repro_self_sampler_idle_ticks_total").value
+        assert sampler.idle_ticks - KEEPALIVE_TICKS < idle <= sampler.idle_ticks
+        assert "self: samples=" in vce.telemetry.render()
+
+
+class TestRefreshIsReadOnly:
+    def test_refresh_updates_gauges_but_records_nothing(self):
+        machines = workstation_cluster(2)
+        machines[0].background_load = TraceLoad([(21.0, 0.4)])
+        vce = VirtualComputingEnvironment(machines, VCEConfig(seed=5)).boot()
+        vce.run(until=22.0)
+        gauge = vce.telemetry.registry.get("host_load").labels("ws0")
+        points = len(vce.telemetry.store.series("host_load", "ws0"))
+        samples, records = vce.telemetry.sampler.ticks, len(vce.sim.log)
+        assert gauge.value == 0.0  # as of the sample at t=20
+        vce.telemetry.refresh()
+        assert gauge.value == 0.4
+        assert vce.telemetry.registry.get("sim_events").value == vce.sim.events_processed
+        assert len(vce.telemetry.store.series("host_load", "ws0")) == points
+        assert (vce.telemetry.sampler.ticks, len(vce.sim.log)) == (samples, records)
+
+    def test_looking_does_not_change_the_log(self):
+        """A soak that raises and clears watchdog conditions, once left
+        alone and once snapshotted after every 5 s slice (what `repro top`
+        and `GET /api/metrics` do): same event-log digest."""
+
+        def soak(peek: bool):
+            from repro.soak import SoakConfig, SoakDriver
+            from repro.workloads.tenants import build_population
+
+            cfg = SoakConfig(
+                tenants=4, apps=60, machines=8, fanout=2, seed=2,
+                instances=(2, 6), work=(0.5, 2.0), arrival_span=6.0,
+            )
+            population = build_population(
+                cfg.tenants, seed=cfg.seed, mean_quota=45,
+                instances=cfg.instances, work=cfg.work,
+            )
+            vce = VirtualComputingEnvironment(
+                workstation_cluster(cfg.machines),
+                VCEConfig(seed=cfg.seed, tenants=population, telemetry_interval=4.0),
+            ).boot()
+            driver = SoakDriver(vce, cfg, population)
+            vce.user_host.spawn(driver)
+            while not driver.finished:
+                vce.run(until=vce.sim.now + 5.0)
+                if peek:
+                    vce.telemetry.snapshot()
+            return vce.sim.log
+
+        alone, watched = soak(peek=False), soak(peek=True)
+        assert len(health_records(alone)) > 4
+        assert event_log_digest(watched) == event_log_digest(alone)
+
+
+class TestSamplerFollowsRestartedDaemons:
+    def test_bounced_host_is_read_through_its_new_daemon(self):
+        machines = workstation_cluster(4)
+        machines[1].background_load = ConstantLoad(0.5)
+        vce = VirtualComputingEnvironment(
+            machines, VCEConfig(seed=5, reliable_transport=True)
+        ).boot()
+        old = vce.daemons["ws1"]
+        vce.chaos(FaultSchedule("bounce").bounce(2.0, "ws1", down_for=6.0))
+        vce.run(until=vce.sim.now + 60.0)
+        assert vce.daemons["ws1"] is not old and not old.alive
+        load = vce.telemetry.store.series("host_load", "ws1")
+        # 0.5 before the crash, 0.0 while down, 0.5 again from the restart on
+        assert [v for _, v in changes(load)] == [0.5, 0.0, 0.5]
+        assert vce.telemetry.registry.get("host_load").labels("ws1").value == 0.5
+
