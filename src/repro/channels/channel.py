@@ -17,7 +17,7 @@ while the data path always pays wire costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.channels.port import Port, PortDirection
 from repro.netsim.host import Address
@@ -29,9 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.context import TraceContext
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelDelivery:
-    """The payload wrapper delivered to a receiving process.
+class ChannelDelivery(NamedTuple):
+    """The payload wrapper delivered to a receiving process (tuple-backed:
+    one is built per receiver of every send).
 
     Attributes:
         channel: channel name.
@@ -105,12 +105,19 @@ class Channel:
             )
         hb = self.network.sim.hb
         if hb is not None:
-            # rebind targets an existing port by name (see _bind_port's
-            # membership check); racing an attach of a different port is safe
+            # rebind targets an existing port by name (see bind's membership
+            # check); racing an attach of a different port is safe
             hb.write(f"chan:{self.name}", "R005", "channel.rebind")  # hbrace: ok(R005)
         port = Port(port_name, new_owner, PortDirection.RECEIVE)
         self._receivers[port_name] = port
         return port
+
+    def bind(self, port_name: str, owner: Address) -> Port:
+        """Point receive port *port_name* at *owner*: rebind it if the
+        channel has it (a re-dispatched rank), attach it otherwise."""
+        if port_name in self._receivers:
+            return self.rebind(port_name, owner)
+        return self.attach(Port(port_name, owner, PortDirection.RECEIVE))
 
     @property
     def receive_ports(self) -> list[Port]:
@@ -162,11 +169,15 @@ class Channel:
             sender_addr, sender_port = sender, str(sender)
         self.messages += 1
         self.bytes += size
-        if self._m_messages is not None:
-            self._m_messages.inc()
-            self._m_bytes.inc(size)
+        network = self.network
+        sim = network.sim
+        family = self._m_messages
+        if family is not None:
+            (family.child or family.solo()).inc()
+            family = self._m_bytes
+            (family.child or family.solo()).inc(size)
         if trace is not None:
-            self.network.sim.emit(
+            sim.emit(
                 "chan.send",
                 str(sender_addr),
                 channel=self.name,
@@ -174,7 +185,21 @@ class Channel:
                 size=size,
                 **trace.fields(),
             )
-        self._route(sender_addr, sender_port, data, size, to, stage=0)
+        if to is None or self._stages:
+            self._route(sender_addr, sender_port, data, size, to, stage=0)
+            return
+        # a directed send with no interposer is the whole data plane of a
+        # vMPI program: one probe of the receive ports, one network send
+        hb = sim.hb
+        if hb is not None:
+            hb.read(f"chan:{self.name}", "R005", "channel.route")
+        port = self._receivers.get(to)
+        if port is None:
+            self.dropped_no_receiver += 1
+            return
+        network.send(
+            sender_addr, port.owner, ChannelDelivery(self.name, to, sender_port, data, size), size
+        )
 
     def _route(
         self,

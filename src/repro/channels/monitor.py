@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.channels.channel import ChannelManager
+    from repro.channels.channel import Channel, ChannelManager
     from repro.netsim.kernel import Simulator
 
 
@@ -43,7 +43,9 @@ class ChannelMonitor:
         self.channels = channels
         self.interval = interval
         self._running = False
-        self._last: dict[str, tuple[int, int, int]] = {}  # msgs, bytes, drops
+        #: per channel seen at the last tick: the object and its counters
+        #: then (messages, bytes, drops)
+        self._last: dict[str, tuple["Channel", int, int, int]] = {}
         self.samples: list[ChannelSample] = []
 
     def start(self) -> "ChannelMonitor":
@@ -58,27 +60,40 @@ class ChannelMonitor:
     def _tick(self) -> None:
         if not self._running:
             return
-        now = self.sim.now
-        for name in list(self.channels._channels):
-            channel = self.channels._channels[name]
-            prev_m, prev_b, prev_d = self._last.get(name, (0, 0, 0))
-            dm = channel.messages - prev_m
-            db = channel.bytes - prev_b
-            dd = channel.dropped_no_receiver - prev_d
-            self._last[name] = (channel.messages, channel.bytes, channel.dropped_no_receiver)
-            if dm or db or dd:
-                sample = ChannelSample(
-                    name, now, dm / self.interval, db / self.interval, dd
-                )
-                self.samples.append(sample)
-                self.sim.emit(
-                    "channel.sample",
-                    name,
-                    messages_per_s=sample.messages_per_s,
-                    bytes_per_s=sample.bytes_per_s,
-                    drops=dd,
-                )
+        live = self.channels._channels
+        previous, self._last = self._last, {}
+        for name, entry in previous.items():
+            seen = self._sample(name, *entry)
+            if live.get(name) is entry[0]:
+                self._last[name] = seen
+            # else destroyed since the last tick: that was its tail, and the
+            # monitor forgets it
+        for name, channel in list(live.items()):
+            if name not in self._last:
+                self._last[name] = self._sample(name, channel, 0, 0, 0)
         self.sim.schedule(self.interval, self._tick, daemon=True)
+
+    def _sample(
+        self, name: str, channel: "Channel", prev_m: int, prev_b: int, prev_d: int
+    ) -> tuple["Channel", int, int, int]:
+        """Record *channel*'s traffic since the counters it had last tick;
+        returns what to compare against at the next one."""
+        dm = channel.messages - prev_m
+        db = channel.bytes - prev_b
+        dd = channel.dropped_no_receiver - prev_d
+        if dm or db or dd:
+            sample = ChannelSample(
+                name, self.sim.now, dm / self.interval, db / self.interval, dd
+            )
+            self.samples.append(sample)
+            self.sim.emit(
+                "channel.sample",
+                name,
+                messages_per_s=sample.messages_per_s,
+                bytes_per_s=sample.bytes_per_s,
+                drops=dd,
+            )
+        return (channel, channel.messages, channel.bytes, channel.dropped_no_receiver)
 
     # ------------------------------------------------------------- queries
 

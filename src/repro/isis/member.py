@@ -690,9 +690,12 @@ class IsisMember(SimProcess):
             "isis.view",
             group=self.group,
             view_id=view.view_id,
-            # lazy: the O(n) member-name list is only built if the log
-            # actually stores isis.view records (see EventLog.suppress)
-            members=lambda: [str(m) for m in view.members],
+            # the O(n) member-name list is only built if the log actually
+            # stores isis.view records (a suppressed emit is just counted)
+            members=(
+                [str(m) for m in view.members]
+                if self.sim.log.enabled("isis.view") else ()
+            ),
             coordinator=str(view.coordinator),
         )
         self.on_view_change(view, joined, left)

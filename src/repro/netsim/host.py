@@ -30,15 +30,17 @@ class Address:
     Immutable and hashable.  Addresses key the dicts on every message hop
     and membership check, so the hash is computed once at construction and
     equality short-circuits on identity (processes cache their own address,
-    making identity hits the common case).
+    making identity hits the common case).  ``str()`` names the source of
+    every traced channel send, so it is kept next to the hash.
     """
 
-    __slots__ = ("host", "proc", "_hash")
+    __slots__ = ("host", "proc", "_hash", "_str")
 
     def __init__(self, host: str, proc: str) -> None:
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "proc", proc)
         object.__setattr__(self, "_hash", hash((host, proc)))
+        object.__setattr__(self, "_str", f"{host}/{proc}")
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"Address is immutable (cannot set {name!r})")
@@ -59,8 +61,8 @@ class Address:
     def __repr__(self) -> str:  # pragma: no cover - repr convenience
         return f"Address(host={self.host!r}, proc={self.proc!r})"
 
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
-        return f"{self.host}/{self.proc}"
+    def __str__(self) -> str:
+        return self._str
 
 
 class Host:
@@ -145,17 +147,19 @@ class Host:
 
     # -- delivery ------------------------------------------------------------
 
-    def deliver(self, message: Any) -> None:
-        """Hand an arriving network message to the addressed process.
+    def deliver(self, message: Any) -> bool:
+        """Hand an arriving network message to the addressed process; True
+        when a live process received it.
 
         Messages to a down host or a dead process are silently dropped —
         exactly what a real crashed machine does.
         """
-        if not self.up:
-            return
-        process = self._processes.get(message.dst.proc)
-        if process is not None:
-            process._receive(message)
+        if self.up:
+            process = self._processes.get(message.dst.proc)
+            if process is not None and process.alive:
+                process.on_message(message.src, message.payload)
+                return True
+        return False
 
     # -- fault injection -------------------------------------------------------
 

@@ -417,5 +417,6 @@ class Simulator(SimBackend):
     # -- convenience -------------------------------------------------------
 
     def emit(self, category: str, source: str, **data: Any) -> None:
-        """Shorthand for ``self.log.emit(self.now, ...)``."""
-        self.log.emit(self._now, category, source, **data)
+        """Shorthand for ``self.log.emit(self.now, ...)``; the keyword dict
+        built for this call is handed over as the record's payload."""
+        self.log.append(self._now, category, source, data)

@@ -42,16 +42,15 @@ Two transport modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.netsim.backend import SimBackend
 from repro.netsim.host import Address, Host
 from repro.util.errors import SimulationError
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """A message in flight.
+class Message(NamedTuple):
+    """A message in flight (tuple-backed: one is built per send).
 
     Attributes:
         src: sender address.
@@ -200,7 +199,10 @@ class Network:
         self._routes[frozenset((a, b))] = latency
 
     def latency_between(self, a: str, b: str) -> LatencyModel:
-        return self._routes.get(frozenset((a, b)), self.latency)
+        routes = self._routes
+        if not routes:
+            return self.latency
+        return routes.get(frozenset((a, b)), self.latency)
 
     # -- calm and disturbance --------------------------------------------------
 
@@ -345,48 +347,50 @@ class Network:
         message = Message(src, dst, payload, size)
         self.messages_sent += 1
         self.bytes_sent += size
-        dst_host = self.host(dst.host)
-        if src.host == dst.host:
-            arrival = self.sim.now + self.latency.local_latency
-            self.sim.schedule_at(
-                arrival,
-                lambda: self._finish_delivery(dst_host, message),
-                host=dst.host,
-            )
+        src_name, dst_name = src.host, dst.host
+        dst_host = self.hosts.get(dst_name)
+        if dst_host is None:
+            dst_host = self.host(dst_name)  # raises, naming the host
+        sim = self.sim
+
+        def deliver() -> None:
+            # a delivery is a message a live process was handed
+            if dst_host.deliver(message):
+                self.messages_delivered += 1
+
+        if src_name == dst_name:
+            sim.schedule_at(sim.now + self.latency.local_latency, deliver, host=dst_name)
             return
         if self.transport is not None:
-            state = self._pair(src.host, dst.host)
+            state = self._pair(src_name, dst_name)
             seq = state.next_seq
             state.next_seq += 1
             self._transmit(message, seq, attempt=0)
             return
         # -- datagram path (the historical default) ------------------------
-        if not self._connected(src.host, dst.host):
-            self.sim.emit("net.partition_drop", src.host, dst=dst.host)
+        if self._partitions is not None and not self._connected(src_name, dst_name):
+            sim.emit("net.partition_drop", src_name, dst=dst_name)
             return
         if self._drop_rate > 0.0 and self._drop_rng.random() < self._drop_rate:
-            self.sim.emit("net.drop", src.host, dst=dst.host)
+            sim.emit("net.drop", src_name, dst=dst_name)
             return
-        arrival = self.sim.now + self._wire_delay(src.host, dst.host, size)
+        arrival = sim.now + self._wire_delay(src_name, dst_name, size)
         if self._reorder_rate > 0.0 and self._reorder_rng.random() < self._reorder_rate:
             # extra lag that skips the FIFO clamp: the copy can be overtaken
             self.reorders_injected += 1
             arrival += self._reorder_rng.random() * self._reorder_spread
-            self.sim.emit("net.reorder", src.host, dst=dst.host)
+            sim.emit("net.reorder", src_name, dst=dst_name)
         elif self._fifo:
-            key = (src.host, dst.host)
-            arrival = max(arrival, self._last_arrival.get(key, 0.0))
+            key = (src_name, dst_name)
+            last = self._last_arrival.get(key, 0.0)
+            if last > arrival:
+                arrival = last
             self._last_arrival[key] = arrival
-        self.sim.schedule_at(
-            arrival, lambda: self._finish_delivery(dst_host, message), host=dst.host
-        )
+        sim.schedule_at(arrival, deliver, host=dst_name)
         if self._duplicate_rate > 0.0 and self._dup_rng.random() < self._duplicate_rate:
             self.duplicates_injected += 1
-            self.sim.emit("net.duplicate", src.host, dst=dst.host)
-            copy_at = arrival + self.latency.local_latency
-            self.sim.schedule_at(
-                copy_at, lambda: self._finish_delivery(dst_host, message), host=dst.host
-            )
+            sim.emit("net.duplicate", src_name, dst=dst_name)
+            sim.schedule_at(arrival + self.latency.local_latency, deliver, host=dst_name)
 
     def _wire_delay(self, src_host: str, dst_host: str, size: int) -> float:
         model = self.latency_between(src_host, dst_host)
@@ -403,10 +407,6 @@ class Network:
         else:
             delay = model.delay(size, self._rng.random())
         return delay * self._latency_factor
-
-    def _finish_delivery(self, dst_host: Host, message: Message) -> None:
-        self.messages_delivered += 1
-        dst_host.deliver(message)
 
     # -- reliable transport ----------------------------------------------------
 
@@ -480,7 +480,8 @@ class Network:
             if state.deliver_next in state.buffer:
                 message = state.buffer.pop(state.deliver_next)
                 state.deliver_next += 1
-                self._finish_delivery(self.host(message.dst.host), message)
+                if self.host(message.dst.host).deliver(message):
+                    self.messages_delivered += 1
             elif state.deliver_next in state.abandoned:
                 state.abandoned.discard(state.deliver_next)
                 state.deliver_next += 1

@@ -53,15 +53,6 @@ class SimProcess:
         self.alive = True
         self.on_start()
 
-    def _receive(self, message: Any) -> None:
-        if self.alive:
-            self.on_message(message.src, message.payload)
-
-    def _fire(self, key: str) -> None:
-        self._timers.pop(key, None)
-        if self.alive:
-            self.on_timer(key)
-
     def _stopped(self) -> None:
         self.alive = False
         self._cancel_all_timers()
@@ -106,9 +97,10 @@ class SimProcess:
 
     def send(self, dst: Address, payload: Any, size: int = 256) -> None:
         """Send a message through the network (dropped if we are dead)."""
-        if not self.alive or self.host is None or self.host.network is None:
+        host = self.host
+        if not self.alive or host is None or host.network is None:
             return
-        self.host.network.send(self.address, dst, payload, size)
+        host.network.send(self._addr or self.address, dst, payload, size)
 
     def set_timer(self, delay: float, key: str, daemon: bool = False) -> None:
         """Arm (or re-arm) the named timer; ``on_timer(key)`` fires once after
@@ -118,8 +110,19 @@ class SimProcess:
         simulation alive — same contract as :meth:`Simulator.schedule`.
         """
         self.cancel_timer(key)
-        self._timers[key] = self.sim.schedule(
-            delay, lambda: self._fire(key), daemon=daemon, host=self.host.name
+        sim = self.sim
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
+        timers = self._timers
+
+        def fire() -> None:
+            timers.pop(key, None)
+            if self.alive:
+                self.on_timer(key)
+
+        # sim.now + delay is what Simulator.schedule would compute
+        timers[key] = sim.schedule_at(
+            sim.now + delay, fire, daemon=daemon, host=self.host.name
         )
 
     def cancel_timer(self, key: str) -> None:
@@ -136,7 +139,7 @@ class SimProcess:
         if source is None:
             self.address  # populate the cache (raises if unbound)
             source = self._addr_str
-        self.sim.emit(category, source, **data)
+        self.host.sim.emit(category, source, **data)
 
     # -- hooks -------------------------------------------------------------------
 

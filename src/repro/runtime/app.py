@@ -96,6 +96,9 @@ class Application:
         self.inflight: dict[tuple[str, int], InstanceRecord] = {}
         #: records currently in FAILED state (stranded-instance detection)
         self.failed: dict[tuple[str, int], InstanceRecord] = {}
+        #: names of the channels the runtime minted under this application's
+        #: id; it destroys them when the application reaches a terminal status
+        self.minted_channels: set[str] = set()
         self._on_complete: list[Callable[["Application"], None]] = []
 
     # -- queries -----------------------------------------------------------

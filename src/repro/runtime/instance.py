@@ -58,12 +58,16 @@ for _state in InstanceState:
 del _state
 
 
-def _host_compute_count(host: Any) -> int:
-    return getattr(host, "_vce_computing", 0)
+def _host_compute_delta(host: Any, delta: int) -> int:
+    """Add *delta* to the host's count of computing VCE instances; returns
+    the new count."""
+    count = host._vce_computing = getattr(host, "_vce_computing", 0) + delta
+    return count
 
 
-def _host_compute_delta(host: Any, delta: int) -> None:
-    host._vce_computing = _host_compute_count(host) + delta
+#: every syscall type, the per-message ones first; ``_step`` dispatches on
+#: the exact type and falls back to ``isinstance`` for a subclass
+_SYSCALLS = (Send, Recv, Compute, Checkpoint, Sleep, Emit, ReadFile, WriteFile)
 
 
 class _Envelope:
@@ -136,11 +140,20 @@ class TaskInstance(SimProcess):
         self._frozen_compute_remaining: float | None = None
         self._m_sends = None  # vMPI telemetry handles, cached at _begin
         self._m_compute = None
+        #: trace_id/span_id/parent_span_id of this incarnation's span
+        trace = ctx.trace
+        self._trace_fields: dict[str, Any] = trace.fields() if trace is not None else {}
+        # what a message needs beyond its own fields, resolved once per
+        # incarnation: the two sender ports name this address, so a dump
+        # migration (Host.adopt) drops them; the rank a sender port of the
+        # MPI channel stands for does not change
+        self._rank_port: Port | None = None
+        self._named_port: Port | None = None
+        self._sources: dict[str, int | str] = {}
 
-    def _trace_fields(self) -> dict[str, Any]:
-        """trace_id/span_id/parent_span_id of this incarnation's span."""
-        trace = self.ctx.trace
-        return trace.fields() if trace is not None else {}
+    def _invalidate_address_cache(self) -> None:
+        super()._invalidate_address_cache()
+        self._rank_port = self._named_port = None
 
     # ------------------------------------------------------------- lifecycle
 
@@ -168,9 +181,11 @@ class TaskInstance(SimProcess):
     def _begin(self) -> None:
         if self.node.program is None:
             raise SimulationError(f"task {self.node.name!r} has no program attached")
+        host = self.host
+        sim = host.sim
         self.state = InstanceState.RUNNING
-        self.started_at = self.now
-        tel = self.sim.telemetry
+        self.started_at = sim.now
+        tel = sim.telemetry
         if tel is not None:
             self._m_sends = tel.counter("vmpi_sends_total", "vMPI Send syscalls")
             self._m_compute = tel.histogram(
@@ -181,8 +196,8 @@ class TaskInstance(SimProcess):
             app=self.ctx.app,
             task=self.ctx.task,
             rank=self.ctx.rank,
-            host=self.host.name if self.host else "?",
-            **self._trace_fields(),
+            host=host.name,
+            **self._trace_fields,
         )
         self._gen = self.node.program(self.ctx)
         self._step(None)
@@ -191,13 +206,14 @@ class TaskInstance(SimProcess):
 
     def _step(self, send_value: Any) -> None:
         """Advance the generator until it blocks or finishes."""
+        gen = self._gen
         while self.alive and not self.state.terminal:
             try:
                 if self._gen_started:
-                    syscall = self._gen.send(send_value)
+                    syscall = gen.send(send_value)
                 else:
                     self._gen_started = True
-                    syscall = next(self._gen)
+                    syscall = next(gen)
             except StopIteration as stop:
                 self._finish(InstanceState.DONE, stop.value)
                 return
@@ -206,47 +222,48 @@ class TaskInstance(SimProcess):
                 return
             send_value = None
 
-            if isinstance(syscall, Compute):
+            kind = type(syscall)
+            if kind not in _SYSCALLS:
+                kind = next((k for k in _SYSCALLS if isinstance(syscall, k)), None)
+            if kind is Send:
+                self._do_send(syscall)
+            elif kind is Recv:
+                if self._mailbox:
+                    send_value = self._match_mailbox(syscall)
+                if send_value is None:
+                    self._parked_recv = syscall
+                    self.state = InstanceState.BLOCKED
+                    return
+            elif kind is Compute:
                 self._start_compute(syscall.work)
                 return
-            if isinstance(syscall, Send):
-                self._do_send(syscall)
-                continue
-            if isinstance(syscall, Recv):
-                matched = self._match_mailbox(syscall)
-                if matched is not None:
-                    send_value = matched
-                    continue
-                self._parked_recv = syscall
-                self.state = InstanceState.BLOCKED
-                return
-            if isinstance(syscall, Checkpoint):
+            elif kind is Checkpoint:
                 cost = self.checkpoints.put(
                     self.ctx.app, self.ctx.task, self.ctx.rank,
                     syscall.state, syscall.size, self.now,
                 )
                 self.emit("task.checkpoint", app=self.ctx.app, task=self.ctx.task,
-                          rank=self.ctx.rank, size=syscall.size, **self._trace_fields())
+                          rank=self.ctx.rank, size=syscall.size, **self._trace_fields)
                 self.set_timer(cost, "resume")
                 return
-            if isinstance(syscall, Sleep):
+            elif kind is Sleep:
                 self.set_timer(max(0.0, syscall.seconds), "resume")
                 return
-            if isinstance(syscall, Emit):
+            elif kind is Emit:
                 self.emit(syscall.category, **syscall.data)
-                continue
-            if isinstance(syscall, ReadFile):
+            elif kind is ReadFile:
                 self.set_timer(self._file_read_cost(syscall), "resume")
                 return
-            if isinstance(syscall, WriteFile):
+            elif kind is WriteFile:
                 machine = self.host.machine
                 if machine is not None:
                     machine.files.add(syscall.name)
                 self.set_timer(syscall.size * 1e-8, "resume")
                 return
-            raise SimulationError(
-                f"task {self.node.name!r} yielded unknown syscall {syscall!r}"
-            )
+            else:
+                raise SimulationError(
+                    f"task {self.node.name!r} yielded unknown syscall {syscall!r}"
+                )
 
     def _resume(self, value: Any) -> None:
         """Continue the generator, honouring suspension."""
@@ -261,22 +278,24 @@ class TaskInstance(SimProcess):
     # -------------------------------------------------------------- compute
 
     def _start_compute(self, work: float) -> None:
-        machine = self.host.machine
-        base = machine.effective_speed(self.now) if machine is not None else self.host.speed
+        host = self.host
+        now = host.sim.now
+        machine = host.machine
+        base = machine.effective_speed(now) if machine is not None else host.speed
         if base <= 1e-9:
             # machine saturated by local work: poll until capacity frees up
             self._stalled_work = work
             self.set_timer(self.STALL_RETRY, "compute-stalled")
             return
-        contenders = _host_compute_count(self.host) + 1
+        contenders = _host_compute_delta(host, +1)
         speed = base / contenders
         duration = work / speed
-        if self._m_compute is not None:
-            self._m_compute.observe(duration)
+        bursts = self._m_compute
+        if bursts is not None:
+            (bursts.child or bursts.solo()).observe(duration)
         self._computing = True
-        _host_compute_delta(self.host, +1)
         self.work_done += work
-        self._compute_finish_at = self.now + duration
+        self._compute_finish_at = now + duration
         self.set_timer(duration, "compute-done")
 
     # ---------------------------------------------------------------- comms
@@ -297,66 +316,76 @@ class TaskInstance(SimProcess):
             ) from None
 
     def _do_send(self, syscall: Send) -> None:
-        channel = self._channel_for(syscall.channel)
-        if self._m_sends is not None:
-            self._m_sends.inc()
-        if isinstance(syscall.dst, int):
-            to = str(syscall.dst)
-            sender_port = str(self.ctx.rank)
+        name = syscall.channel
+        channel = self.mpi_channel if name is None else self.channels.get(name)
+        if channel is None:
+            channel = self._channel_for(name)  # raises, naming what is missing
+        sends = self._m_sends
+        if sends is not None:
+            (sends.child or sends.solo()).inc()
+        dst = syscall.dst
+        if isinstance(dst, int):
+            to = str(dst)
+            sender = self._rank_port
+            if sender is None:
+                sender = self._rank_port = Port(
+                    str(self.ctx.rank), self.address, PortDirection.SEND
+                )
         else:
-            to = syscall.dst
-            sender_port = f"{self.ctx.task}[{self.ctx.rank}]"
-        channel.send(
-            Port(sender_port, self.address, PortDirection.SEND),
-            _Envelope(syscall.tag, syscall.data, self.ctx.trace),
-            size=syscall.size,
-            to=to,
-            trace=self.ctx.trace,
-        )
+            to = dst
+            sender = self._named_port
+            if sender is None:
+                sender = self._named_port = Port(
+                    f"{self.ctx.task}[{self.ctx.rank}]", self.address, PortDirection.SEND
+                )
+        trace = self.ctx.trace
+        channel.send(sender, _Envelope(syscall.tag, syscall.data, trace), syscall.size, to, trace)
 
     def _match_mailbox(self, pattern: Recv) -> tuple[Any, Any] | None:
         """Find, pop, and return (src, data) for the first matching message."""
-        for i, (chan, src, tag, data) in enumerate(self._mailbox):
-            if self._matches(pattern, chan, src, tag):
-                self._mailbox.pop(i)
-                return (src, data)
+        chan, src, tag = pattern.channel, pattern.src, pattern.tag
+        mailbox = self._mailbox
+        for i, message in enumerate(mailbox):
+            if (
+                message[0] == chan
+                and (src is ANY or message[1] == src)
+                and (tag is None or message[2] == tag)
+            ):
+                del mailbox[i]
+                return (message[1], message[3])
         return None
-
-    @staticmethod
-    def _matches(pattern: Recv, chan: str | None, src: Any, tag: str | None) -> bool:
-        if pattern.channel != chan:
-            return False
-        if pattern.src is not ANY and pattern.src != src:
-            return False
-        if pattern.tag is not None and pattern.tag != tag:
-            return False
-        return True
 
     def on_message(self, src: Address, payload: Any) -> None:
         if not isinstance(payload, ChannelDelivery):
             return
-        envelope = payload.data
-        tag = envelope.tag if isinstance(envelope, _Envelope) else None
-        data = envelope.data if isinstance(envelope, _Envelope) else envelope
-        sender_trace = envelope.trace if isinstance(envelope, _Envelope) else None
-        if sender_trace is not None and self.ctx.trace is not None:
-            # the causal hop: link the sender's span into our trace
-            self.emit(
-                "chan.recv",
-                channel=payload.channel,
-                from_span=sender_trace.span_id,
-                size=payload.size,
-                **self._trace_fields(),
-            )
-        if self.mpi_channel is not None and payload.channel == self.mpi_channel.name:
-            chan_key: str | None = None
-            try:
-                source: Any = int(payload.sender_port)
-            except ValueError:
-                source = payload.sender_port
+        channel, _port, sender_port, envelope, size = payload
+        if type(envelope) is _Envelope:
+            tag, data, sender_trace = envelope.tag, envelope.data, envelope.trace
+            if sender_trace is not None and self.ctx.trace is not None:
+                # the causal hop: link the sender's span into our trace
+                self.host.sim.emit(
+                    "chan.recv",
+                    self._addr_str or str(self.address),
+                    channel=channel,
+                    from_span=sender_trace.span_id,
+                    size=size,
+                    **self._trace_fields,
+                )
         else:
-            chan_key = payload.channel
-            source = payload.sender_port
+            tag, data = None, envelope
+        mpi_channel = self.mpi_channel
+        if mpi_channel is not None and channel == mpi_channel.name:
+            chan_key: str | None = None
+            source = self._sources.get(sender_port)
+            if source is None:
+                try:
+                    source = int(sender_port)
+                except ValueError:
+                    source = sender_port
+                self._sources[sender_port] = source
+        else:
+            chan_key = channel
+            source = sender_port
         self._mailbox.append((chan_key, source, tag, data))
         if self._parked_recv is not None and not self._suspended:
             matched = self._match_mailbox(self._parked_recv)
@@ -377,7 +406,7 @@ class TaskInstance(SimProcess):
         machine.files.add(syscall.name)
         self.emit("task.file_fetch", app=self.ctx.app, task=self.ctx.task,
                   rank=self.ctx.rank, file=syscall.name, size=syscall.size,
-                  **self._trace_fields())
+                  **self._trace_fields)
         return local_cost + fetch
 
     # ----------------------------------------------------------------- control
@@ -396,7 +425,7 @@ class TaskInstance(SimProcess):
             _host_compute_delta(self.host, -1)
         self.state = InstanceState.SUSPENDED
         self.emit("task.suspend", app=self.ctx.app, task=self.ctx.task,
-                  rank=self.ctx.rank, **self._trace_fields())
+                  rank=self.ctx.rank, **self._trace_fields)
 
     def resume(self) -> None:
         """Undo :meth:`suspend`."""
@@ -405,7 +434,7 @@ class TaskInstance(SimProcess):
         self._suspended = False
         self.state = InstanceState.BLOCKED if self._parked_recv else InstanceState.RUNNING
         self.emit("task.resume", app=self.ctx.app, task=self.ctx.task,
-                  rank=self.ctx.rank, **self._trace_fields())
+                  rank=self.ctx.rank, **self._trace_fields)
         if self._frozen_compute_remaining is not None:
             remaining = self._frozen_compute_remaining
             self._frozen_compute_remaining = None
@@ -452,7 +481,7 @@ class TaskInstance(SimProcess):
             task=self.ctx.task,
             rank=self.ctx.rank,
             host=self.host.name if self.host else "?",
-            **self._trace_fields(),
+            **self._trace_fields,
         )
         if self.on_exit is not None:
             self.on_exit(self, state, outcome)
@@ -466,6 +495,6 @@ class TaskInstance(SimProcess):
             self.error = SimulationError(f"host {self.host.name} crashed")
             self.finished_at = self.now
             self.emit("task.host_crashed", app=self.ctx.app, task=self.ctx.task,
-                      rank=self.ctx.rank, **self._trace_fields())
+                      rank=self.ctx.rank, **self._trace_fields)
             if self.on_exit is not None:
                 self.on_exit(self, InstanceState.FAILED, self.error)

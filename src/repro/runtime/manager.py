@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 
 from repro.channels.channel import Channel, ChannelManager
-from repro.channels.port import Port, PortDirection
 from repro.runtime.app import Application, AppStatus, InstanceRecord
 from repro.runtime.checkpoints import CheckpointStore
 from repro.runtime.instance import InstanceState, TaskInstance
@@ -174,6 +173,7 @@ class RuntimeManager:
                     copy.kill("app-terminated")
         app._mark_complete(AppStatus.TERMINATED, self.sim.now)
         self.checkpoints.drop_app(app.id)
+        self._destroy_channels(app)
         self.sim.emit("app.terminate", app.id, **trace_fields(app.trace))
 
     # -------------------------------------------------------------- dispatch
@@ -249,9 +249,9 @@ class RuntimeManager:
         address = host.spawn(instance)
         # point this rank's receive ports at the new incarnation
         if mpi_channel is not None:
-            self._bind_port(mpi_channel, str(record.rank), address)
+            mpi_channel.bind(str(record.rank), address)
         for channel in named.values():
-            self._bind_port(channel, f"{record.task}[{record.rank}]", address)
+            channel.bind(f"{record.task}[{record.rank}]", address)
 
         hb = self.sim.hb
         if hb is not None:
@@ -266,8 +266,9 @@ class RuntimeManager:
         record.dispatched_at = self.sim.now
         record.placements.append(host_name)
         app.mark_dispatched(record)
-        if self._m_dispatches is not None:
-            self._m_dispatches.inc()
+        dispatches = self._m_dispatches
+        if dispatches is not None:
+            (dispatches.child or dispatches.solo()).inc()
             if record.duration is None:
                 record.duration = self._m_task_duration.labels(record.task)
         self.sim.emit(
@@ -286,30 +287,36 @@ class RuntimeManager:
             hook(app, record)
         return instance
 
-    @staticmethod
-    def _bind_port(channel: Channel, port_name: str, address: Any) -> None:
-        existing = {p.name for p in channel.receive_ports}
-        if port_name in existing:
-            channel.rebind(port_name, address)
-        else:
-            channel.attach(Port(port_name, address, PortDirection.RECEIVE))
-
     def _wire_channels(
         self, app: Application, node: "TaskNode", rank: int
     ) -> tuple[Channel | None, dict[str, Channel]]:
+        """The channels of one instance. Those the runtime mints under the
+        application's id are recorded on it and destroyed with it; a channel
+        an arc names explicitly is its creator's to destroy."""
         mpi_channel = None
         if node.instances > 1:
-            mpi_channel = self.channels.get_or_create(f"{app.id}.{node.name}.mpi")
+            cname = f"{app.id}.{node.name}.mpi"
+            app.minted_channels.add(cname)
+            mpi_channel = self.channels.get_or_create(cname)
         named: dict[str, Channel] = {}
-        for arc in app.graph.arcs_from(node.name):
-            if arc.kind is ArcKind.STREAM:
-                cname = arc.channel or f"{app.id}.{arc.src}->{arc.dst}"
-                named[cname] = self.channels.get_or_create(cname)
-        for arc in app.graph.arcs_into(node.name):
-            if arc.kind is ArcKind.STREAM:
-                cname = arc.channel or f"{app.id}.{arc.src}->{arc.dst}"
-                named[cname] = self.channels.get_or_create(cname)
+        for arcs in (app.graph.arcs_from(node.name), app.graph.arcs_into(node.name)):
+            for arc in arcs:
+                if arc.kind is ArcKind.STREAM:
+                    cname = arc.channel
+                    if not cname:
+                        cname = f"{app.id}.{arc.src}->{arc.dst}"
+                        app.minted_channels.add(cname)
+                    named[cname] = self.channels.get_or_create(cname)
         return mpi_channel, named
+
+    def _destroy_channels(self, app: Application) -> None:
+        """*app* reached a terminal status: "the runtime system will be
+        responsible for the creation, placement, and destruction of" its
+        channels (§4.2). Instances still winding down keep the channel
+        objects they hold; the manager stops tracking (and rebinding) them."""
+        for cname in app.minted_channels:
+            self.channels.destroy(cname)
+        app.minted_channels.clear()
 
     def _stage_in_delay(self, app: Application, node: "TaskNode", host_name: str) -> float:
         """Max transfer time of incoming DATA-arc volumes produced on other
@@ -379,6 +386,7 @@ class RuntimeManager:
             handled = any(h(app, record, instance) for h in self.failure_handlers)
             if not handled:
                 app._mark_complete(AppStatus.FAILED, self.sim.now)
+                self._destroy_channels(app)
                 if self._m_apps is not None:
                     self._m_apps.labels(AppStatus.FAILED.value).inc()
                 self.sim.emit("app.failed", app.id, task=record.task, rank=record.rank,
@@ -408,6 +416,7 @@ class RuntimeManager:
             self.sim.emit("app.done", app.id, makespan=app.makespan,
                           **trace_fields(app.trace))
             self.checkpoints.drop_app(app.id)
+            self._destroy_channels(app)
             return
         for task in released:
             # a task is released again when a predecessor is re-run after

@@ -243,7 +243,7 @@ class QuantileSketch:
 class MetricFamily:
     """One named metric with fixed label names and per-label-value children."""
 
-    __slots__ = ("name", "help", "label_names", "kind", "_children", "_make", "_unlabelled")
+    __slots__ = ("name", "help", "label_names", "kind", "child", "_children", "_make")
 
     def __init__(self, name: str, help_text: str, label_names: tuple[str, ...], make) -> None:
         self.name = name
@@ -251,7 +251,10 @@ class MetricFamily:
         self.label_names = label_names
         self._make = make
         self._children: dict[tuple[str, ...], Any] = {}
-        self._unlabelled: Any = None  # the () child, kept after first use
+        #: the ``()`` child of an unlabelled family once it exists, else None;
+        #: a hot emission point updates ``family.child or family.solo()``
+        #: directly, the delegating methods below cost two more calls
+        self.child: Any = None
         self.kind: str | None = None  # fixed by the registry at creation
 
     def labels(self, *values: Any) -> Any:
@@ -274,30 +277,32 @@ class MetricFamily:
 
     # unlabeled families delegate to the single () child ------------------
 
-    def _solo(self) -> Any:
-        child = self._unlabelled
+    def solo(self) -> Any:
+        """The ``()`` child of an unlabelled family, created on first use
+        (so a family nothing was counted into exports no sample)."""
+        child = self.child
         if child is None:
-            child = self._unlabelled = self.labels()
+            child = self.child = self.labels()
         return child
 
     def inc(self, amount: float = 1.0) -> None:
-        self._solo().inc(amount)
+        self.solo().inc(amount)
 
     def dec(self, amount: float = 1.0) -> None:
-        self._solo().dec(amount)
+        self.solo().dec(amount)
 
     def set(self, value: float) -> None:
-        self._solo().set(value)
+        self.solo().set(value)
 
     def observe(self, value: float) -> None:
-        self._solo().observe(value)
+        self.solo().observe(value)
 
     @property
     def value(self) -> float:
-        return self._solo().value
+        return self.solo().value
 
     def quantile(self, q: float) -> float:
-        return self._solo().quantile(q)
+        return self.solo().quantile(q)
 
 
 class MetricsRegistry:

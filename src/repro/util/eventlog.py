@@ -26,11 +26,13 @@ Two properties matter at scale:
   so attaching one never changes what the log stores — replay digests are
   observer-invariant.  Suppressed categories never reach observers (no
   record object exists for them).
-- **Emit cost.** ``suppress(prefix, ...)`` turns matching categories into a
-  counter increment — no record object, no payload formatting.  Emitters
-  with expensive payloads can pass callables as data values; they are
-  invoked only when the record is actually stored, so a suppressed
-  category costs near zero even at chatty call sites.  Suppression changes
+- **Emit cost.** A stored record costs one probe of the per-category
+  table, one :class:`LogRecord` and one list append; the payload dict the
+  emitter built is the record's ``data`` (:meth:`EventLog.append` — nothing
+  is copied on the way in).  ``suppress(prefix, ...)`` turns matching
+  categories into a counter increment with no record object; an emitter
+  whose payload is expensive to build asks :meth:`EventLog.enabled` first
+  and emits a cheaper one while its category is suppressed.  Suppression changes
   which records exist, so never enable it in a run whose replay digest is
   compared against an unsuppressed one.
 """
@@ -39,13 +41,20 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class LogRecord:
-    """One timestamped event.
+class _Fields(NamedTuple):
+    time: float
+    category: str
+    source: str
+    data: dict[str, Any]
+
+
+class LogRecord(_Fields):
+    """One timestamped event.  Tuple-backed: two records are built for every
+    application message, and a tuple is what an immutable record costs
+    least as.
 
     Attributes:
         time: simulation time (seconds) at which the event occurred.
@@ -54,13 +63,32 @@ class LogRecord:
         data: free-form payload; keys are event-kind specific.
     """
 
-    time: float
-    category: str
-    source: str
-    data: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(
+        cls, time: float, category: str, source: str, data: dict[str, Any] | None = None
+    ) -> "LogRecord":
+        return tuple.__new__(cls, (time, category, source, {} if data is None else data))
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.data.get(key, default)
+
+
+_new_record = tuple.__new__
+
+
+class _Category:
+    """Always-exact state of one category: one table probe per emit finds
+    the count, the first and last record and the positions to append to."""
+
+    __slots__ = ("count", "first", "last", "positions")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.first: LogRecord | None = None
+        self.last: LogRecord | None = None
+        #: full-mode index: positions of this category in ``_records``
+        self.positions: list[int] = []
 
 
 class EventLog:
@@ -74,12 +102,8 @@ class EventLog:
     def __init__(self, capacity: int | None = None) -> None:
         self._records: list[LogRecord] = []
         self._ring: deque[LogRecord] | None = None
-        # always-exact per-category state, maintained in every mode:
-        self._counts: dict[str, int] = {}
-        self._first: dict[str, LogRecord] = {}
-        self._last: dict[str, LogRecord] = {}
-        # full-mode index: category -> positions in self._records
-        self._index: dict[str, list[int]] = {}
+        # per-category state, exact in every mode, in first-emit order
+        self._categories: dict[str, _Category] = {}
         # category prefixes whose emits are counted but not stored
         self._suppressed: tuple[str, ...] = ()
         # push subscribers, called with each surviving record at emit time
@@ -91,26 +115,25 @@ class EventLog:
 
     def emit(self, time: float, category: str, source: str, **data: Any) -> None:
         """Append a record (kept whole, ring-buffered, or counted-only
-        depending on the mode — see module docstring).
+        depending on the mode — see module docstring)."""
+        self.append(time, category, source, data)
 
-        Payload values may be zero-argument callables: they are resolved here,
-        and only when the record survives suppression — chatty emitters can
-        defer expensive formatting (member lists, repr-heavy summaries) behind
-        a lambda and pay nothing while their category is suppressed.
-        """
-        counts = self._counts
+    def append(self, time: float, category: str, source: str, data: dict[str, Any]) -> None:
+        """:meth:`emit` for a caller that already owns the payload dict:
+        *data* becomes the record's ``data`` as it is, so the caller must
+        not keep using it."""
+        state = self._categories.get(category)
+        if state is None:
+            state = self._categories[category] = _Category()
+        state.count += 1
         suppressed = self._suppressed
         if suppressed and category.startswith(suppressed):
-            counts[category] = counts.get(category, 0) + 1
             return
-        for key, value in data.items():
-            if callable(value):
-                data[key] = value()
-        record = LogRecord(time, category, source, data)
-        counts[category] = counts.get(category, 0) + 1
-        if category not in self._first:
-            self._first[category] = record
-        self._last[category] = record
+        # the generated LogRecord.__new__ is a Python frame per record
+        record = _new_record(LogRecord, (time, category, source, data))
+        if state.first is None:
+            state.first = record
+        state.last = record
         if self._observers:
             for observer in self._observers:
                 observer(record)
@@ -118,7 +141,7 @@ class EventLog:
             if self._ring.maxlen != 0:
                 self._ring.append(record)
             return
-        self._index.setdefault(category, []).append(len(self._records))
+        state.positions.append(len(self._records))
         self._records.append(record)
 
     def add_observer(self, observer: Callable[[LogRecord], None]) -> None:
@@ -174,20 +197,18 @@ class EventLog:
         )
         self._ring = deque(existing, maxlen=capacity)
         self._records = []
-        self._index = {}
+        for state in self._categories.values():
+            state.positions = []
 
     def set_unbounded(self) -> None:
         """Return to storing every record (ring contents are kept and the
         index is rebuilt over them)."""
         if self._ring is None:
             return
-        kept = list(self._ring)
+        self._records = list(self._ring)
         self._ring = None
-        self._records = []
-        self._index = {}
-        for record in kept:
-            self._index.setdefault(record.category, []).append(len(self._records))
-            self._records.append(record)
+        for position, record in enumerate(self._records):
+            self._categories[record.category].positions.append(position)
 
     @property
     def bounded(self) -> bool:
@@ -217,9 +238,9 @@ class EventLog:
             return (r for r in self._ring if r.category == category)
         if category.endswith("."):
             lists = [
-                positions
-                for cat, positions in self._index.items()
-                if cat.startswith(category)
+                state.positions
+                for cat, state in self._categories.items()
+                if state.positions and cat.startswith(category)
             ]
             if not lists:
                 return ()
@@ -228,7 +249,8 @@ class EventLog:
             else:
                 positions = heapq.merge(*lists)
             return (self._records[i] for i in positions)
-        return (self._records[i] for i in self._index.get(category, ()))
+        state = self._categories.get(category)
+        return (self._records[i] for i in state.positions) if state is not None else ()
 
     def records(
         self,
@@ -264,38 +286,44 @@ class EventLog:
         including any evicted from a bounded ring."""
         if category.endswith("."):
             return sum(
-                n for cat, n in self._counts.items() if cat.startswith(category)
+                state.count
+                for cat, state in self._categories.items()
+                if cat.startswith(category)
             )
-        return self._counts.get(category, 0)
+        state = self._categories.get(category)
+        return state.count if state is not None else 0
 
     def first(self, category: str) -> LogRecord | None:
         """First record ever emitted for *category* (exact in every mode).
         Prefix queries pick the earliest first-record among matches."""
         if category.endswith("."):
             matches = [
-                r for cat, r in self._first.items() if cat.startswith(category)
+                state.first
+                for cat, state in self._categories.items()
+                if state.first is not None and cat.startswith(category)
             ]
             return min(matches, key=lambda r: r.time, default=None)
-        return self._first.get(category)
+        state = self._categories.get(category)
+        return state.first if state is not None else None
 
     def last(self, category: str) -> LogRecord | None:
         """Last record ever emitted for *category* (exact in every mode)."""
         if category.endswith("."):
             matches = [
-                r for cat, r in self._last.items() if cat.startswith(category)
+                state.last
+                for cat, state in self._categories.items()
+                if state.last is not None and cat.startswith(category)
             ]
             return max(matches, key=lambda r: r.time, default=None)
-        return self._last.get(category)
+        state = self._categories.get(category)
+        return state.last if state is not None else None
 
     def category_counts(self) -> dict[str, int]:
         """Exact per-category emission counts for the whole run."""
-        return dict(self._counts)
+        return {cat: state.count for cat, state in self._categories.items()}
 
     def clear(self) -> None:
         self._records.clear()
-        self._index.clear()
-        self._counts.clear()
-        self._first.clear()
-        self._last.clear()
+        self._categories.clear()
         if self._ring is not None:
             self._ring.clear()

@@ -4,19 +4,23 @@ A task program is a generator; each ``yield`` hands the executor one of
 these objects and (for value-producing calls like :class:`Recv`) receives
 the result back through ``generator.send``. The generator's ``return``
 value becomes the task instance's result.
+
+Every syscall is immutable. ``Compute``, ``Send`` and ``Recv`` — one of each
+per halo message of a stencil — are tuple-backed, which is what an
+immutable value costs least to build as; the rarer ones are frozen
+dataclasses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 #: Wildcard source for Recv: match a message from any sender.
 ANY = None
 
 
-@dataclass(frozen=True, slots=True)
-class Compute:
+class Compute(NamedTuple):
     """Consume CPU: *work* work units (a speed-1.0 idle machine does one
     unit per second; background load and co-resident VCE tasks slow it
     down)."""
@@ -24,8 +28,7 @@ class Compute:
     work: float
 
 
-@dataclass(frozen=True, slots=True)
-class Send:
+class Send(NamedTuple):
     """Send *data* to another task instance. Non-blocking (buffered).
 
     Attributes:
@@ -44,8 +47,7 @@ class Send:
     channel: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Recv:
+class Recv(NamedTuple):
     """Block until a matching message arrives; evaluates to
     ``(src, data)``.
 

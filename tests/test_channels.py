@@ -238,6 +238,67 @@ class TestInterposition:
         assert [len(s.got) for s in sinks] == [0, 1, 0]
 
 
+class TestDirectedSendMidStream:
+    """A directed send on a channel with no interposer takes a short path;
+    nothing on it may be remembered from the previous send."""
+
+    def test_attach_and_detach_take_effect_on_the_next_send(self):
+        sim, net, mgr, chan, tx, sinks = rig(2)
+        chan.send(tx, "first", to="rx0")
+        chan.detach("rx0")
+        chan.send(tx, "to-nobody", to="rx0")
+        late = Sink("late")
+        net.add_host("late-host").spawn(late)
+        chan.attach(Port("rx0", late.address, PortDirection.RECEIVE))
+        chan.send(tx, "second", to="rx0")
+        sim.run()
+        assert [d.data for _, d in sinks[0].got] == ["first"]
+        assert [d.data for _, d in late.got] == ["second"]
+        assert chan.dropped_no_receiver == 1
+        assert (chan.messages, net.messages_sent) == (3, 2)
+
+    def test_rebind_mid_stream_moves_the_next_send(self):
+        sim, net, mgr, chan, tx, sinks = rig(1)
+        chan.send(tx, "before", to="rx0")
+        sim.run()
+        replacement = Sink("replacement")
+        net.add_host("new-host").spawn(replacement)
+        chan.rebind("rx0", replacement.address)
+        chan.send(tx, "after", to="rx0")
+        sim.run()
+        assert [d.data for _, d in sinks[0].got] == ["before"]
+        assert [d.data for _, d in replacement.got] == ["after"]
+
+    def test_split_after_traffic_interposes_the_next_send(self):
+        sim, net, mgr, chan, tx, sinks = rig(2)
+        chan.send(tx, "direct", to="rx1")
+        sim.run()
+        relay = AuthenticationInterposer("auth", allowed_senders={"someone-else"})
+        net.add_host("ihost").spawn(relay)
+        chan.split(relay)
+        chan.send(tx, "refused", to="rx1")
+        sim.run()
+        assert [d.data for _, d in sinks[1].got] == ["direct"]
+        assert (relay.processed, relay.dropped) == (0, 1)
+
+    def test_group_send_still_fans_out(self):
+        sim, net, mgr, chan, tx, sinks = rig(3)
+        chan.send(tx, "one", to="rx2")
+        chan.send(tx, "all")
+        sim.run()
+        assert [[d.data for _, d in s.got] for s in sinks] == [["all"], ["all"], ["one", "all"]]
+        assert net.messages_sent == 4
+
+    def test_delivery_is_immutable(self):
+        sim, net, mgr, chan, tx, sinks = rig(1)
+        chan.send(tx, "x", to="rx0")
+        sim.run()
+        delivery = sinks[0].got[0][1]
+        assert (delivery.channel, delivery.port, delivery.sender_port) == ("data", "rx0", "tx")
+        with pytest.raises(AttributeError):
+            delivery.data = "y"
+
+
 class TestChannelManager:
     def test_create_get_destroy(self):
         mgr = ChannelManager(Network(Simulator()))

@@ -439,6 +439,45 @@ def test_golden_digest_unchanged_with_sanitizer_attached():
     assert vce.protocol_monitor is not None
 
 
+def test_directed_channel_send_still_notes_the_route_read():
+    """The short path of a directed send (no interposer) keeps the R005
+    instrumentation of the general route: an attach that is unordered with
+    the send is still a reported race, with or without an interposer."""
+    from repro.channels import ChannelManager, Interposer, Port, PortDirection
+    from repro.netsim import Network, SimProcess, Simulator
+
+    def races(split: bool):
+        sim = Simulator(0)
+        hb = sim.hb = HBTracker()
+        net = Network(sim)
+        chan = ChannelManager(net).create("data")
+        host = net.add_host("h")
+        sink = SimProcess("sink")
+        host.spawn(sink)
+        if split:
+            relay = Interposer("relay")
+            host.spawn(relay)
+            chan.split(relay)
+        chan.attach(Port("rx0", sink.address, PortDirection.RECEIVE))
+        tx = Port("tx", sink.address, PortDirection.SEND)
+        sim.run()
+        notes = hb.notes
+        chan.send(tx, "x", to="rx0")
+        if not split:
+            assert hb.notes == notes + 1  # the read, on the send itself
+        # two sibling events: one sends, one attaches a port
+        sim.schedule(1.0, lambda: chan.send(tx, "y", to="rx0"))
+        sim.schedule(1.0, lambda: chan.attach(
+            Port("rx1", sink.address, PortDirection.RECEIVE)
+        ))
+        sim.run()
+        return [(r.rule, r.kind, r.var, r.site_a.name, r.site_b.name) for r in hb.races]
+
+    expected = [("R005", "read/write", "chan:data", "channel.route", "channel.attach")]
+    assert races(split=False) == expected
+    assert races(split=True) == expected
+
+
 # ------------------------------------------------------------- CLI surface
 
 

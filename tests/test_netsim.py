@@ -218,6 +218,28 @@ class TestNetwork:
         assert net.messages_delivered == 2
         assert net.bytes_sent == 100 + 256
 
+    @pytest.mark.parametrize("reliable", [False, True])
+    def test_delivered_counts_only_what_a_live_process_received(self, reliable):
+        """Three sends: one to a live process, two to a host that crashed
+        (one of them to a process that never existed)."""
+        sim = Simulator(0)
+        net = Network(sim)
+        h1, h2, h3 = (net.add_host(name) for name in ("h1", "h2", "h3"))
+        if reliable:
+            net.set_reliable()
+        sender, alive, doomed = SimProcess("sender"), _Echo("alive"), _Echo("doomed")
+        h1.spawn(sender)
+        h2.spawn(alive)
+        h3.spawn(doomed)
+        sim.run()
+        h3.crash()
+        for target in (alive.address, doomed.address, Address("h3", "never-existed")):
+            net.send(sender.address, target, "x")
+        sim.run()
+        assert alive.got == ["x"] and doomed.got == []
+        # the echo goes back to a process that ignores it, but receives it
+        assert (net.messages_sent, net.messages_delivered) == (4, 2)
+
     def test_determinism_same_seed(self):
         def run(seed):
             sim = Simulator(seed)

@@ -17,18 +17,31 @@ instrumentation-based, never wall-clock, so they are immune to CI noise:
 - The observers cost nothing when nothing changed: an idle cluster with
   one instance in flight is sampled at the keep-alive rate only, and the
   watchdog resolves no metric label on a tick with no new in-flight record.
+- One application message costs what varies per message: a bounded number
+  of Python frames, one probe of the receive ports, no ``frozenset`` for an
+  empty route table, no copy of the receive ports at dispatch, and one
+  payload dict per log record.
 """
+
+import sys
 
 from hypothesis import given, settings, strategies as st
 
+from repro.channels.channel import Channel
+from repro.machines import MachineDatabase
+from repro.netsim import network as network_module
 from repro.netsim.kernel import Simulator
-from repro.runtime import AppStatus
+from repro.netsim.network import Network
+from repro.netsim.process import SimProcess
+from repro.runtime import AppStatus, RuntimeManager
 from repro.scheduler.messages import ResourceRequest
 from repro.scheduler.queue import AgingQueue
 from repro.taskgraph import TaskGraph, TaskNode
-from repro.vmpi import Compute
+from repro.telemetry.registry import MetricsRegistry
+from repro.vmpi import Compute, Recv, Send
 
 from tests.conftest import make_cluster, place_all_on, round_robin_placement
+from tests.helpers_sched import wire_machines, workstation_farm
 
 
 class _CountingHeap(list):
@@ -321,6 +334,164 @@ class TestObserverContracts:
         monkeypatch.setattr(MetricFamily, "labels", counting)
         vce.telemetry.watchdog.evaluate(vce.sim.now, vce.telemetry.store)
         assert calls == []
+
+
+class _CountingPorts(dict):
+    """A receive-port table that counts how it is read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.probes = 0
+        self.walks = 0
+
+    def get(self, *args):
+        self.probes += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+    def _walk(self, how):
+        self.walks += 1
+        return how()
+
+    def __iter__(self):
+        return self._walk(super().__iter__)
+
+    def keys(self):
+        return self._walk(super().keys)
+
+    def values(self):
+        return self._walk(super().values)
+
+    def items(self):
+        return self._walk(super().items)
+
+
+class TestMessageContracts:
+    """What one application message may cost (ROADMAP 6(b)). The workload is
+    a two-rank ping-pong on two hosts with telemetry on, traced like every
+    application the runtime manager submits."""
+
+    def _ping_pong(self, round_trips):
+        def program(ctx):
+            other = 1 - ctx.rank
+            for _ in range(round_trips):
+                if ctx.rank == 0:
+                    yield Send(dst=other, data=1.0, tag="ping", size=16)
+                    yield Recv(src=other, tag="pong")
+                else:
+                    yield Recv(src=other, tag="ping")
+                    yield Send(dst=other, data=2.0, tag="pong", size=16)
+
+        sim = Simulator(0)
+        sim.telemetry = MetricsRegistry()
+        net = Network(sim)
+        wire_machines(net, MachineDatabase(), workstation_farm(2))
+        manager = RuntimeManager(sim, net)
+        graph = TaskGraph("ping-pong")
+        graph.add_task(TaskNode("t", instances=2, program=program))
+        app = manager.submit(graph, round_robin_placement(graph, ["ws0", "ws1"]))
+        return sim, net, manager, app
+
+    def _frames(self, round_trips):
+        """Python frames entered while the application runs."""
+        sim, net, _, app = self._ping_pong(round_trips)
+        frames = 0
+
+        def count(frame, event, arg):
+            nonlocal frames
+            if event == "call":
+                frames += 1
+
+        sys.setprofile(count)
+        try:
+            sim.run()
+        finally:
+            sys.setprofile(None)
+        assert app.status is AppStatus.DONE
+        assert net.messages_delivered == 2 * round_trips
+        return frames
+
+    def test_frames_per_message_are_bounded(self):
+        """Frames per delivered message, as the difference between a run of
+        200 messages and a run of none (dispatch and exit cancel out): 32.1
+        here; 54.1 before the data plane resolved its wiring once (82.6 on
+        the 8-rank stencil, which also computes between exchanges)."""
+        per_message = (self._frames(100) - self._frames(0)) / 200
+        assert per_message <= 38, per_message
+
+    def test_empty_route_table_builds_no_frozenset(self, monkeypatch):
+        built = []
+
+        def counting(pair):
+            built.append(pair)
+            return frozenset(pair)
+
+        monkeypatch.setattr(network_module, "frozenset", counting, raising=False)
+        sim, net, _, app = self._ping_pong(20)
+        sim.run()
+        assert app.status is AppStatus.DONE and net.messages_sent == 40
+        assert built == []
+        # the probe does see a route lookup once an override exists
+        net.set_route("ws0", "ws1", net.latency)
+        assert net.latency_between("ws1", "ws0") is net.latency
+        assert len(built) == 2
+
+    def test_dispatch_and_directed_send_copy_no_receive_ports(self, monkeypatch):
+        """Binding a rank's receive port tests membership, and a directed
+        send with no interposer probes the port table exactly once."""
+        copies = []
+        original = Channel.receive_ports
+
+        def counting(channel):
+            copies.append(channel.name)
+            return original.fget(channel)
+
+        monkeypatch.setattr(Channel, "receive_ports", property(counting))
+        sim, _, manager, app = self._ping_pong(20)
+        assert copies == []  # both ranks dispatched (and bound) at submit
+        channel = next(iter(manager.channels._channels.values()))
+        ports = channel._receivers = _CountingPorts(channel._receivers)
+        sim.run()
+        assert app.status is AppStatus.DONE and channel.messages == 40
+        assert copies == []
+        assert (ports.probes, ports.walks) == (40, 0)
+
+    def test_one_payload_dict_per_record(self):
+        """``SimProcess.emit`` re-packs its keywords once, for the tracer's
+        seam ``Simulator.emit(category, source, **data)``; that dict is the
+        stored record's payload, not a third copy of it."""
+        sim = Simulator(0)
+        process = SimProcess("p")
+        Network(sim).add_host("h").spawn(process)
+        sim.run()
+        seen = {}
+
+        def grab(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "emit":
+                owner = type(frame.f_locals.get("self")).__name__
+                seen[owner] = frame.f_locals["data"]
+
+        sys.setprofile(grab)
+        try:
+            process.emit("contract.probe", a=1, b=[2])
+        finally:
+            sys.setprofile(None)
+        record = sim.log.last("contract.probe")
+        assert set(seen) == {"SimProcess", "Simulator"}  # no EventLog.emit frame
+        assert record.data is seen["Simulator"]
+        assert record.data is not seen["SimProcess"]
+        assert record.data == {"a": 1, "b": [2]}
+        # the public keyword form stores the same thing
+        sim.log.emit(sim.now, "contract.probe", "h/p", a=1, b=[2])
+        assert sim.log.last("contract.probe").data == record.data
+        assert sim.log.count("contract.probe") == 2
 
 
 class TestKernelProperties:

@@ -288,6 +288,180 @@ class TestMessaging:
         assert all(r[3] == "hi" for r in results)
 
 
+class TestResolvedOnceDataPlane:
+    """What an instance resolves once per incarnation must follow it when
+    it moves, and what it dispatches on must still be open to subclasses."""
+
+    def test_dump_migration_mid_stream_rebuilds_the_sender_ports(self):
+        from repro.migration import DumpMigration, MigrationContext
+        from repro.netsim import Address
+
+        cluster = make_cluster(3)
+
+        def program(ctx):
+            other = 1 - ctx.rank
+            echoes = []
+            for i in range(6):
+                if ctx.rank == 0:
+                    yield Send(dst=other, data=i, tag="ping")
+                    _, echo = yield Recv(src=other, tag="pong")
+                    echoes.append(echo)
+                    yield Sleep(1.0)
+                else:
+                    _, value = yield Recv(src=other, tag="ping")
+                    yield Send(dst=other, data=value * 10, tag="pong")
+            return echoes
+
+        graph = simple_graph(program, instances=2)
+        app = cluster.manager.submit(graph, round_robin_placement(graph, ["ws0", "ws1"]))
+        cluster.run(until=2.5)
+        record = app.record("t", 1)
+        instance = record.instance
+        before = instance._rank_port
+        assert before.owner == Address("ws1", instance.name)
+        DumpMigration(MigrationContext(cluster.manager, cluster.net)).migrate(
+            app, record, "ws2"
+        )
+        cluster.run()
+        assert app.status is AppStatus.DONE
+        assert app.results("t")[0] == [0, 10, 20, 30, 40, 50]
+        # the moved incarnation kept receiving (its port was rebound) and
+        # sends under its new address, from a rebuilt sender port
+        assert record.placements == ["ws1", "ws2"]
+        assert instance._rank_port is not before
+        assert instance._rank_port.owner == Address("ws2", instance.name)
+        sources = [
+            r.source
+            for r in cluster.sim.log.records("chan.send")
+            if r.get("span_id") == instance.ctx.trace.span_id
+        ]
+        assert sources[:3] == [f"ws1/{instance.name}"] * 3
+        assert sources[3:] == [f"ws2/{instance.name}"] * 3
+
+    def test_subclassed_syscalls_still_dispatch(self):
+        cluster = make_cluster(2)
+
+        class Ping(Send):
+            pass
+
+        class Await(Recv):
+            pass
+
+        class Crunch(Compute):
+            pass
+
+        def program(ctx):
+            if ctx.rank == 0:
+                yield Ping(dst=1, data="hello", tag="x")
+                yield Crunch(2.0)
+                return "sent"
+            _, data = yield Await(src=0, tag="x")
+            return data
+
+        graph = simple_graph(program, instances=2)
+        app = cluster.manager.submit(graph, round_robin_placement(graph, ["ws0", "ws1"]))
+        cluster.run()
+        assert app.results("t") == ["sent", "hello"]
+        assert app.makespan == pytest.approx(2.0, abs=0.01)
+
+    def test_unknown_syscall_fails_the_instance_loudly(self):
+        from repro.util.errors import SimulationError
+
+        cluster = make_cluster(1)
+
+        def program(ctx):
+            yield "not a syscall"
+
+        graph = simple_graph(program)
+        cluster.manager.submit(graph, place_all_on(graph, "ws0"))
+        with pytest.raises(SimulationError, match="unknown syscall"):
+            cluster.run()
+
+    def test_per_message_values_refuse_assignment(self):
+        cluster = make_cluster(1)
+        cluster.sim.emit("probe", "src", a=1)
+        values = [
+            (Send(dst=1, data="x"), "data"),
+            (Recv(src=0), "src"),
+            (Compute(1.0), "work"),
+            (cluster.sim.log.last("probe"), "time"),
+        ]
+        for value, field in values:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+        # keyword construction and defaults are unchanged
+        assert Send(dst=1, data="x") == Send(1, "x", 256, None, None)
+        assert Recv() == Recv(None, None, None)
+
+
+class TestChannelLifecycle:
+    """The runtime destroys the channels it minted under an application's id
+    when that application ends (§4.2: "creation, placement, and
+    destruction"); explicitly named channels are their creator's."""
+
+    def _streaming(self, cluster, channel=None):
+        def producer(ctx):
+            yield Send(dst="consumer[0]", data=1, channel=name)
+            yield Send(dst=1, data=2)
+
+        def consumer(ctx):
+            yield Recv(channel=name)
+
+        spec = ProblemSpecification("pipe").task("producer", instances=2).task("consumer")
+        spec.stream("producer", "consumer", channel=channel)
+        graph = spec.build()
+        for task, program in (("producer", producer), ("consumer", consumer)):
+            node = graph.task(task)
+            node.problem_class = ProblemClass.ASYNCHRONOUS
+            node.language = "py"
+            node.program = program
+        app_id = cluster.sim.ids.next("app")
+        name = channel or f"{app_id}.producer->consumer"
+        return cluster.manager.submit(graph, place_all_on(graph, "ws0"), app_id=app_id)
+
+    def test_done_destroys_what_the_runtime_minted(self):
+        cluster = make_cluster(1)
+        app = self._streaming(cluster)
+        assert sorted(cluster.manager.channels._channels) == [
+            f"{app.id}.producer->consumer", f"{app.id}.producer.mpi"
+        ]
+        cluster.run()
+        assert app.status is AppStatus.DONE
+        assert len(cluster.manager.channels) == 0
+
+    def test_an_explicitly_named_channel_survives(self):
+        cluster = make_cluster(1)
+        app = self._streaming(cluster, channel="wire")
+        cluster.run()
+        assert app.status is AppStatus.DONE
+        assert list(cluster.manager.channels._channels) == ["wire"]
+
+    def test_terminate_and_failure_destroy_them_too(self):
+        cluster = make_cluster(2)
+
+        def forever(ctx):
+            while True:
+                yield Sleep(1.0)
+
+        graph = simple_graph(forever, instances=2)
+        app = cluster.manager.submit(graph, round_robin_placement(graph, ["ws0", "ws1"]))
+        cluster.run(until=3.0)
+        assert len(cluster.manager.channels) == 1
+        cluster.manager.terminate(app)
+        assert len(cluster.manager.channels) == 0
+
+        def crashing(ctx):
+            yield Sleep(1.0)
+            raise RuntimeError("boom")
+
+        graph = simple_graph(crashing, name="doomed", instances=2)
+        doomed = cluster.manager.submit(graph, round_robin_placement(graph, ["ws0", "ws1"]))
+        assert len(cluster.manager.channels) == 1
+        cluster.run()
+        assert doomed.status is AppStatus.FAILED
+        assert len(cluster.manager.channels) == 0
+
+
 class TestOtherSyscalls:
     def test_sleep_advances_time(self):
         cluster = make_cluster(1)

@@ -237,6 +237,13 @@ class TestTenantSoakEndState:
         assert report.completed == report.admitted == SMALL_SOAK.apps
         assert driver.finished
 
+    def test_finished_applications_leave_no_channels(self, small_soak):
+        vce, _, report = small_soak
+        apps = vce.runtime.apps.values()
+        assert len(apps) == report.completed and all(a.status.terminal for a in apps)
+        assert sum(node.instances > 1 for a in apps for node in a.graph) > 0
+        assert len(vce.runtime.channels) == 0
+
     def test_exactly_once_completion(self, small_soak):
         _, driver, report = small_soak
         assert driver._duplicate_finishes == 0

@@ -107,6 +107,22 @@ class TestCounterGauge:
             (("ws1",), 0.9),
         ]
 
+    def test_unlabelled_child_is_created_on_first_use_only(self):
+        """A hot site updates ``family.child or family.solo()``: the same
+        object the delegating methods update, and none until something was
+        counted (a declared-but-unused counter exports no sample)."""
+        reg = MetricsRegistry()
+        fam = reg.counter("x_total", "xs")
+        assert fam.child is None and list(fam.samples()) == []
+        assert "vce_x_total 0" not in to_prometheus(reg)
+        (fam.child or fam.solo()).inc()
+        fam.inc(2)
+        assert fam.child is fam.solo() is fam.labels()
+        assert fam.value == 3 and [v for v, _ in fam.samples()] == [()]
+        labelled = reg.counter("y_total", labels=("a",))
+        with pytest.raises(ConfigurationError):
+            labelled.solo()
+
     def test_wrong_label_arity_rejected(self):
         reg = MetricsRegistry()
         fam = reg.counter("x_total", labels=("a", "b"))

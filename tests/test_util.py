@@ -7,6 +7,7 @@ from repro.util import (
     AllocationError,
     EventLog,
     IdGenerator,
+    LogRecord,
     RngStreams,
     ScriptError,
     VCEError,
@@ -141,6 +142,33 @@ class TestEventLog:
         log.remove_observer(observer)  # no-op second time
         log.emit(3.0, "y", "s")
         assert len(seen) == 2
+
+    def test_suppressed_categories_are_counted_not_stored(self):
+        log = EventLog()
+        log.emit(0.0, "chat.hb", "s", n=0)
+        log.suppress("chat.")
+        log.emit(1.0, "chat.hb", "s", n=1)
+        log.emit(1.5, "chat.new", "s")
+        assert not log.enabled("chat.hb") and log.enabled("other")
+        assert log.count("chat.hb") == 2 and log.count("chat.") == 3
+        assert log.last("chat.hb").get("n") == 0  # the last one stored
+        assert log.first("chat.new") is None and log.records("chat.new") == []
+        assert [r.get("n") for r in log.records("chat.")] == [0]
+        log.unsuppress()
+        log.emit(2.0, "chat.new", "s")
+        assert log.count("chat.new") == 2 and log.first("chat.new").time == 2.0
+        assert log.category_counts() == {"chat.hb": 2, "chat.new": 2}
+
+    def test_append_hands_the_payload_over(self):
+        log = EventLog()
+        payload = {"k": [1, 2]}
+        log.append(3.0, "x", "s", payload)
+        record = log.last("x")
+        assert record.data is payload
+        assert record == LogRecord(3.0, "x", "s", {"k": [1, 2]})
+        assert LogRecord(0.0, "y", "s").data == {}
+        with pytest.raises(AttributeError):
+            record.time = 4.0
 
     def test_clear(self):
         log = EventLog()

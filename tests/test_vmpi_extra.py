@@ -164,6 +164,37 @@ class TestChannelMonitor:
         assert monitor.rate_series("idle") == []
 
 
+    def test_channel_destroyed_between_ticks_reports_its_tail_once(self):
+        """The runtime destroys an application's minted channels when it
+        ends; the monitor reports what such a channel carried since the last
+        tick at the next one, then forgets it."""
+        from repro.channels import Port, PortDirection
+        from repro.netsim import SimProcess
+
+        cluster = make_cluster(1)
+        channels = cluster.manager.channels
+        monitor = ChannelMonitor(cluster.sim, channels, interval=1.0).start()
+        sink = SimProcess("sink")
+        cluster.hosts["ws0"].spawn(sink)
+        doomed, kept = channels.create("doomed"), channels.create("kept")
+        tx = Port("tx", sink.address, PortDirection.SEND)
+        for chan in (doomed, kept):
+            chan.attach(Port("rx", sink.address, PortDirection.RECEIVE))
+            chan.send(tx, "early", size=100, to="rx")
+        cluster.run(until=1.5)
+        assert set(monitor._last) == {"doomed", "kept"}
+        doomed.send(tx, "tail", size=300, to="rx")
+        channels.destroy("doomed")
+        cluster.run(until=3.5)
+        assert monitor.rate_series("doomed") == [(1.0, 100.0), (2.0, 300.0)]
+        assert monitor.rate_series("kept") == [(1.0, 100.0)]
+        assert set(monitor._last) == {"kept"}
+        # a new channel under the old name starts from zero
+        channels.create("doomed").send(tx, "again", size=50, to="rx")
+        cluster.run(until=4.5)
+        assert monitor.rate_series("doomed")[-1] == (4.0, 50.0)
+
+
 class TestCommunicator:
     def test_port_names(self):
         from repro.channels import ChannelManager
