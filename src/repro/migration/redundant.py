@@ -26,7 +26,7 @@ Monte Carlo simulations and batch jobs) redundant execution targets.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.migration.base import MigrationContext, MigrationScheme
 from repro.runtime.instance import InstanceState, TaskInstance
@@ -45,6 +45,9 @@ class RedundantExecutionManager(MigrationScheme):
         self.copies_launched = 0
         self.copies_killed = 0
         self._installed = False
+        #: the ``on_exit`` of every unpromoted copy (promotion hands the copy
+        #: the runtime manager's); one bound method, no closure per copy
+        self._on_copy_exit = self._route_copy_exit
 
     def install(self) -> "RedundantExecutionManager":
         """Register as a runtime failure handler: when a primary instance
@@ -138,9 +141,8 @@ class RedundantExecutionManager(MigrationScheme):
                 channels={},
                 mpi_channel=None,
                 checkpoints=runtime.checkpoints,
-                on_exit=lambda inst, state, outcome: self._copy_exited(
-                    app, record, inst, state
-                ),
+                on_exit=self._on_copy_exit,
+                metrics=runtime.vmpi_metrics,
             )
             host.spawn(copy)
             record.redundant_copies.append(copy)
@@ -154,6 +156,12 @@ class RedundantExecutionManager(MigrationScheme):
         return copies
 
     # --------------------------------------------------------------- events
+
+    def _route_copy_exit(
+        self, copy: TaskInstance, state: InstanceState, outcome: Any
+    ) -> None:
+        app, record = self.context.runtime.record_of(copy)
+        self._copy_exited(app, record, copy, state)
 
     def _copy_exited(
         self,
@@ -188,9 +196,7 @@ class RedundantExecutionManager(MigrationScheme):
         record.instance = copy
         record.host_name = copy.host.name if copy.host else record.host_name
         record.placements.append(record.host_name or "?")
-        copy.on_exit = lambda inst, state, outcome: runtime._instance_exited(
-            app, record, inst, state, outcome
-        )
+        copy.on_exit = runtime.on_instance_exit
         if old_address is not None and copy.host is not None:
             runtime.rebind_instance(old_address, copy.address)
         self.context.sim.emit(

@@ -67,7 +67,10 @@ class _WallTimer:
         self.cancelled = True
 
     def __lt__(self, other: "_WallTimer") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        # (time, seq) order without building two tuples per heap comparison
+        if self.time != other.time:
+            return self.time < other.time
+        return self.seq < other.seq
 
 
 class WallClockSimulator(SimBackend):

@@ -139,6 +139,15 @@ class Host:
         if process is not None and not process.alive:
             del self._processes[proc_name]
 
+    def release(self, process: "SimProcess") -> None:
+        """Remove a process that ended on its own (a task instance that
+        finished or failed), without lifecycle callbacks, as :meth:`reap`
+        clears a corpse: later messages to it are dropped, and a crash of
+        this host no longer reaches it. No-op unless *process* is the one
+        registered under its name."""
+        if self._processes.get(process.name) is process:
+            del self._processes[process.name]
+
     def process(self, name: str) -> "SimProcess | None":
         return self._processes.get(name)
 

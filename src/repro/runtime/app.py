@@ -32,6 +32,9 @@ for _status in AppStatus:
     _status.terminal = _status in (AppStatus.DONE, AppStatus.FAILED, AppStatus.TERMINATED)
 del _status
 
+# the states the per-instance path tests, bound once (see runtime/instance.py)
+_PENDING, _DONE, _FAILED = InstanceState.PENDING, InstanceState.DONE, InstanceState.FAILED
+
 
 @dataclass
 class InstanceRecord:
@@ -115,10 +118,10 @@ class Application:
 
     def task_untouched(self, task: str) -> bool:
         """No instance of *task* has been dispatched or left PENDING."""
-        return all(
-            r.dispatched_at is None and r.state is InstanceState.PENDING
-            for r in self._by_task.get(task, ())
-        )
+        for r in self._by_task.get(task, ()):
+            if r.dispatched_at is not None or r.state is not _PENDING:
+                return False
+        return True
 
     def mark_dispatched(self, record: InstanceRecord) -> None:
         """Register *record* as in flight (called by the runtime manager at
@@ -139,15 +142,15 @@ class Application:
             return ()
         record.state = state
         released: Sequence[str] = ()
-        if state is InstanceState.DONE:
+        if state is _DONE:
             self._done_count += 1
             released = self.precedence.instance_done(record.task)
-        elif old is InstanceState.DONE:
+        elif old is _DONE:
             self._done_count -= 1
             self.precedence.instance_undone(record.task)
-        if state is InstanceState.FAILED:
+        if state is _FAILED:
             self.failed[record.key] = record
-        elif old is InstanceState.FAILED:
+        elif old is _FAILED:
             self.failed.pop(record.key, None)
         if state.terminal:
             # keep records that still own live redundant copies visible to

@@ -57,6 +57,14 @@ for _state in InstanceState:
     )
 del _state
 
+# The per-instance path names its states through these: on Python 3.11 a
+# member looked up on its enum class goes through the enum metaclass's
+# ``__getattr__`` (~0.1 us), and an instance's life takes a dozen lookups.
+_PENDING, _RUNNING, _DONE, _FAILED, _KILLED = (
+    InstanceState.PENDING, InstanceState.RUNNING, InstanceState.DONE,
+    InstanceState.FAILED, InstanceState.KILLED,
+)
+
 
 def _host_compute_delta(host: Any, delta: int) -> int:
     """Add *delta* to the host's count of computing VCE instances; returns
@@ -97,7 +105,27 @@ class TaskInstance(SimProcess):
         checkpoints: the checkpoint store.
         on_exit: callback ``(instance, state, result_or_error)`` fired once
             on DONE / FAILED / KILLED.
+        metrics: the ``(vmpi_sends_total, compute_burst_seconds)`` families
+            of the simulator's registry, or None (telemetry off).
+
+    A DONE or FAILED instance leaves its host and drops its finished
+    generator: after the exit only its result, context and record are read.
+    A KILLED one keeps its suspended generator (closing it would run the
+    program's ``finally`` blocks).
     """
+
+    # Slotted: a task instance carries more attributes than the per-class
+    # shared instance dict holds, and the plain dict it would fall back to
+    # is one more object for the collector to walk per instance ever run.
+    __slots__ = (
+        "ctx", "node", "channels", "mpi_channel", "checkpoints", "on_exit",
+        "start_delay", "allocation_epoch", "state", "result", "error",
+        "work_done", "started_at", "finished_at", "_gen", "_gen_started",
+        "_mailbox", "_parked_recv", "_suspended", "_held_resume", "_computing",
+        "_compute_finish_at", "_frozen_compute_remaining", "_stalled_work",
+        "_m_sends", "_m_compute", "_trace_fields", "_rank_port", "_named_port",
+        "_sources",
+    )
 
     #: polling interval when the machine is completely saturated by local load
     STALL_RETRY = 1.0
@@ -112,6 +140,7 @@ class TaskInstance(SimProcess):
         checkpoints: "CheckpointStore",
         on_exit: Callable[["TaskInstance", InstanceState, Any], None] | None = None,
         start_delay: float = 0.0,
+        metrics: tuple[Any, Any] | None = None,
     ) -> None:
         super().__init__(name)
         self.ctx = ctx
@@ -131,15 +160,15 @@ class TaskInstance(SimProcess):
 
         self._gen: Any = None
         self._gen_started = False
-        self._mailbox: list[tuple[str | None, str | int, str | None, Any]] = []
+        # created by the first message: most instances never receive one
+        self._mailbox: list[tuple[str | None, str | int, str | None, Any]] | None = None
         self._parked_recv: Recv | None = None
         self._suspended = False
         self._held_resume: tuple[Any] | None = None
         self._computing = False
         self._compute_finish_at: float | None = None
         self._frozen_compute_remaining: float | None = None
-        self._m_sends = None  # vMPI telemetry handles, cached at _begin
-        self._m_compute = None
+        self._m_sends, self._m_compute = metrics or (None, None)
         #: trace_id/span_id/parent_span_id of this incarnation's span
         trace = ctx.trace
         self._trace_fields: dict[str, Any] = trace.fields() if trace is not None else {}
@@ -158,7 +187,7 @@ class TaskInstance(SimProcess):
     # ------------------------------------------------------------- lifecycle
 
     def on_start(self) -> None:
-        if self.state is not InstanceState.PENDING:
+        if self.state is not _PENDING:
             return
         if self.start_delay > 0:
             # data-staging / binary-loading time before the program runs
@@ -183,19 +212,16 @@ class TaskInstance(SimProcess):
             raise SimulationError(f"task {self.node.name!r} has no program attached")
         host = self.host
         sim = host.sim
-        self.state = InstanceState.RUNNING
+        self.state = _RUNNING
         self.started_at = sim.now
-        tel = sim.telemetry
-        if tel is not None:
-            self._m_sends = tel.counter("vmpi_sends_total", "vMPI Send syscalls")
-            self._m_compute = tel.histogram(
-                "compute_burst_seconds", "simulated duration of Compute bursts"
-            )
-        self.emit(
+        ctx = self.ctx
+        # straight to the simulator, as on_message does: one dict per record
+        sim.emit(
             "task.start",
-            app=self.ctx.app,
-            task=self.ctx.task,
-            rank=self.ctx.rank,
+            self._addr_str or str(self.address),
+            app=ctx.app,
+            task=ctx.task,
+            rank=ctx.rank,
             host=host.name,
             **self._trace_fields,
         )
@@ -215,10 +241,10 @@ class TaskInstance(SimProcess):
                     self._gen_started = True
                     syscall = next(gen)
             except StopIteration as stop:
-                self._finish(InstanceState.DONE, stop.value)
+                self._finish(_DONE, stop.value)
                 return
             except Exception as err:  # noqa: BLE001 - task program fault
-                self._finish(InstanceState.FAILED, err)
+                self._finish(_FAILED, err)
                 return
             send_value = None
 
@@ -272,7 +298,7 @@ class TaskInstance(SimProcess):
         if self._suspended:
             self._held_resume = (value,)
             return
-        self.state = InstanceState.RUNNING
+        self.state = _RUNNING
         self._step(value)
 
     # -------------------------------------------------------------- compute
@@ -345,7 +371,7 @@ class TaskInstance(SimProcess):
         """Find, pop, and return (src, data) for the first matching message."""
         chan, src, tag = pattern.channel, pattern.src, pattern.tag
         mailbox = self._mailbox
-        for i, message in enumerate(mailbox):
+        for i, message in enumerate(mailbox or ()):
             if (
                 message[0] == chan
                 and (src is ANY or message[1] == src)
@@ -386,7 +412,10 @@ class TaskInstance(SimProcess):
         else:
             chan_key = channel
             source = sender_port
-        self._mailbox.append((chan_key, source, tag, data))
+        mailbox = self._mailbox
+        if mailbox is None:
+            mailbox = self._mailbox = []
+        mailbox.append((chan_key, source, tag, data))
         if self._parked_recv is not None and not self._suspended:
             matched = self._match_mailbox(self._parked_recv)
             if matched is not None:
@@ -469,20 +498,28 @@ class TaskInstance(SimProcess):
             self._computing = False
             _host_compute_delta(self.host, -1)
             self.cancel_timer("compute-done")
+        sim = self.sim
         self.state = state
-        self.finished_at = self.now
-        if state is InstanceState.DONE:
+        self.finished_at = sim.now
+        if state is _DONE:
             self.result = outcome
-        elif state is InstanceState.FAILED:
+        elif state is _FAILED:
             self.error = outcome
-        self.emit(
+        host = self.host
+        ctx = self.ctx
+        sim.emit(
             f"task.{state.value}",
-            app=self.ctx.app,
-            task=self.ctx.task,
-            rank=self.ctx.rank,
-            host=self.host.name if self.host else "?",
+            self._addr_str or str(self.address),
+            app=ctx.app,
+            task=ctx.task,
+            rank=ctx.rank,
+            host=host.name if host else "?",
             **self._trace_fields,
         )
+        if state is not _KILLED:
+            self._gen = None
+            if host is not None:
+                host.release(self)
         if self.on_exit is not None:
             self.on_exit(self, state, outcome)
 

@@ -38,6 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.taskgraph.node import TaskNode
 
 
+# enum members the dispatch and exit paths test, bound once: the stage-in
+# walk would look ``ArcKind.DATA`` up once per in-arc (see runtime/instance.py)
+_DATA = ArcKind.DATA
+_PENDING, _DONE, _FAILED = InstanceState.PENDING, InstanceState.DONE, InstanceState.FAILED
+
+
 class BinaryService(Protocol):
     """What the runtime manager needs from the compilation manager."""
 
@@ -97,9 +103,21 @@ class RuntimeManager:
         #: called after every instance dispatch — migration/redundancy
         #: services hook here (e.g. to launch redundant copies)
         self.dispatch_hooks: list[Callable[[Application, InstanceRecord], None]] = []
-        self._incarnations: dict[tuple[str, str, int], int] = {}
+        #: the ``on_exit`` of every primary incarnation: one bound method,
+        #: not a closure per instance that outlives the instance's run
+        self.on_instance_exit = self._route_exit
         # live-telemetry handles, cached once (None when telemetry is off)
         tel = sim.telemetry
+        #: the vMPI handles every instance counts into (see TaskInstance)
+        self.vmpi_metrics = (
+            (
+                tel.counter("vmpi_sends_total", "vMPI Send syscalls"),
+                tel.histogram(
+                    "compute_burst_seconds", "simulated duration of Compute bursts"
+                ),
+            )
+            if tel is not None else None
+        )
         self._m_dispatches = (
             tel.counter("runtime_dispatches_total", "instance dispatches")
             if tel is not None else None
@@ -144,6 +162,9 @@ class RuntimeManager:
         if not placement.covers(graph):
             raise ConfigurationError(f"placement does not cover graph {graph.name!r}")
         app_id = app_id or self.sim.ids.next("app")
+        if app_id in self.apps:
+            # an exit finds its application by this id
+            raise ConfigurationError(f"application {app_id!r} was already submitted")
         app = Application(app_id, graph, params)
         app.submitted_at = self.sim.now
         app.status = AppStatus.RUNNING
@@ -179,11 +200,9 @@ class RuntimeManager:
     # -------------------------------------------------------------- dispatch
 
     def _dispatch_task(self, app: Application, task: str) -> None:
-        node = app.graph.task(task)
-        for rank in range(node.instances):
-            record = app.record(task, rank)
-            host_name = app._placement.host_for(task, rank)
-            self.dispatch_instance(app, record, host_name)
+        placement = app._placement
+        for record in app._by_task[task]:  # rank order
+            self.dispatch_instance(app, record, placement.host_for(task, record.rank))
 
     def dispatch_instance(
         self,
@@ -197,91 +216,76 @@ class RuntimeManager:
         Also used by migration schemes for re-dispatch: pass
         ``restored_state`` to hand the program its last checkpoint.
         """
-        node = app.graph.task(record.task)
+        # A task is independent of every other while it executes (TSIA), so
+        # all of its wiring is fixed here; nothing below copies the graph.
+        task, rank = record.task, record.rank
+        graph = app.graph
+        node = graph.task(task)
         host = self.network.host(host_name)
-        key = (app.id, record.task, record.rank)
-        incarnation = self._incarnations.get(key, 0)
-        self._incarnations[key] = incarnation + 1
-        name = f"{app.id}.{record.task}.{record.rank}#{incarnation}"
+        # the allocation epoch doubles as the incarnation number
+        incarnation = record.epoch + 1
+        sim = self.sim
 
         # every incarnation gets its own span under the application span;
         # `after` names the predecessor-instance spans whose completion
         # released this dispatch (the causal edges of the critical path)
         by_task = app._by_task
-        after = tuple(
-            r.instance.ctx.trace.span_id
-            for pred in app.graph.predecessors(record.task)
+        after = tuple([
+            trace.span_id
+            for pred in graph.predecessor_view(task)
             for r in by_task[pred]
-            if r.instance is not None and r.instance.ctx.trace is not None
-        )
-        span = (
-            app.trace.child(self.sim.ids.next("span"))
-            if app.trace is not None
-            else None
-        )
-        ctx = TaskContext(
-            app=app.id,
-            task=record.task,
-            rank=record.rank,
-            size=node.instances,
-            params=app.params,
-            restored_state=restored_state,
-            trace=span,
-        )
-        mpi_channel, named = self._wire_channels(app, node, record.rank)
+            if r.instance is not None and (trace := r.instance.ctx.trace) is not None
+        ])
+        span = app.trace.child(sim.ids.next("span")) if app.trace is not None else None
+        mpi_channel, named = self._wire_channels(app, node, rank)
         stage_in = self._stage_in_delay(app, node, host_name)
         binary = self._binary_delay(node, host)
-        start_delay = stage_in + binary
 
         instance = TaskInstance(
-            name=name,
-            ctx=ctx,
-            node=node,
-            channels=named,
-            mpi_channel=mpi_channel,
-            checkpoints=self.checkpoints,
-            on_exit=lambda inst, state, outcome: self._instance_exited(
-                app, record, inst, state, outcome
-            ),
-            start_delay=start_delay,
+            f"{app.id}.{task}.{rank}#{incarnation}",
+            TaskContext(app.id, task, rank, node.instances, app.params, restored_state, span),
+            node,
+            named,
+            mpi_channel,
+            self.checkpoints,
+            self.on_instance_exit,
+            stage_in + binary,
+            self.vmpi_metrics,
         )
         instance.allocation_epoch = incarnation
         address = host.spawn(instance)
         # point this rank's receive ports at the new incarnation
         if mpi_channel is not None:
-            mpi_channel.bind(str(record.rank), address)
+            mpi_channel.bind(str(rank), address)
         for channel in named.values():
-            channel.bind(f"{record.task}[{record.rank}]", address)
+            channel.bind(f"{task}[{rank}]", address)
 
-        hb = self.sim.hb
+        hb = sim.hb
         if hb is not None:
-            hb.write(
-                f"epoch:{app.id}:{record.task}:{record.rank}",
-                "R003", "runtime.dispatch_commit",
-            )
+            hb.write(f"epoch:{app.id}:{task}:{rank}", "R003", "runtime.dispatch_commit")
         record.instance = instance
         record.epoch = incarnation
-        app.commit_state(record, InstanceState.PENDING)
+        app.commit_state(record, _PENDING)
         record.host_name = host_name
-        record.dispatched_at = self.sim.now
+        record.dispatched_at = sim.now
         record.placements.append(host_name)
         app.mark_dispatched(record)
         dispatches = self._m_dispatches
         if dispatches is not None:
             (dispatches.child or dispatches.solo()).inc()
             if record.duration is None:
-                record.duration = self._m_task_duration.labels(record.task)
-        self.sim.emit(
+                record.duration = self._m_task_duration.labels(task)
+        sim.emit(
             "runtime.dispatch",
             app.id,
-            task=record.task,
-            rank=record.rank,
+            task=task,
+            rank=rank,
             host=host_name,
             stage_in=stage_in,
             binary=binary,
             incarnation=incarnation,
             after=after,
-            **trace_fields(span),
+            **instance._trace_fields,
         )
         for hook in self.dispatch_hooks:
             hook(app, record)
@@ -299,14 +303,13 @@ class RuntimeManager:
             app.minted_channels.add(cname)
             mpi_channel = self.channels.get_or_create(cname)
         named: dict[str, Channel] = {}
-        for arcs in (app.graph.arcs_from(node.name), app.graph.arcs_into(node.name)):
+        for arcs in app.graph.stream_arcs(node.name):
             for arc in arcs:
-                if arc.kind is ArcKind.STREAM:
-                    cname = arc.channel
-                    if not cname:
-                        cname = f"{app.id}.{arc.src}->{arc.dst}"
-                        app.minted_channels.add(cname)
-                    named[cname] = self.channels.get_or_create(cname)
+                cname = arc.channel
+                if not cname:
+                    cname = f"{app.id}.{arc.src}->{arc.dst}"
+                    app.minted_channels.add(cname)
+                named[cname] = self.channels.get_or_create(cname)
         return mpi_channel, named
 
     def _destroy_channels(self, app: Application) -> None:
@@ -320,20 +323,22 @@ class RuntimeManager:
 
     def _stage_in_delay(self, app: Application, node: "TaskNode", host_name: str) -> float:
         """Max transfer time of incoming DATA-arc volumes produced on other
-        hosts (transfers proceed in parallel)."""
-        delay = 0.0
-        latency = self.network.latency
+        hosts (transfers proceed in parallel). Transfer time rises with
+        volume, so that is the transfer time of the largest such volume:
+        volumes are compared, and one is divided."""
+        volume = 0
         by_task = app._by_task
-        for arc in app.graph.arcs_into(node.name):
-            if arc.kind is not ArcKind.DATA or arc.volume <= 0:
-                continue
-            transfer = arc.volume / latency.bandwidth + latency.base_latency
-            if transfer > delay and any(
-                r.host_name is not None and r.host_name != host_name
-                for r in by_task[arc.src]
-            ):
-                delay = transfer
-        return delay
+        for arc in app.graph.arcs_into_view(node.name):
+            if arc.volume > volume and arc.kind is _DATA:
+                for r in by_task[arc.src]:
+                    producer = r.host_name
+                    if producer is not None and producer != host_name:
+                        volume = arc.volume
+                        break
+        if not volume:
+            return 0.0
+        latency = self.network.latency
+        return volume / latency.bandwidth + latency.base_latency
 
     def _binary_delay(self, node: "TaskNode", host: "Host") -> float:
         if self.binary_service is None or host.machine is None:
@@ -341,6 +346,18 @@ class RuntimeManager:
         return self.binary_service.load_delay(node, host.machine, self.sim.now)
 
     # ------------------------------------------------------------ transitions
+
+    def record_of(self, instance: TaskInstance) -> tuple[Application, InstanceRecord]:
+        """The application and record *instance* runs for: its context names
+        them (application ids are unique per manager)."""
+        ctx = instance.ctx
+        app = self.apps[ctx.app]
+        return app, app.records[ctx.task, ctx.rank]
+
+    def _route_exit(self, instance: TaskInstance, state: InstanceState, outcome: Any) -> None:
+        """``on_exit`` of every primary."""
+        app, record = self.record_of(instance)
+        self._instance_exited(app, record, instance, state, outcome)
 
     def _instance_exited(
         self,
@@ -371,16 +388,17 @@ class RuntimeManager:
             )
             return
         released = app.commit_state(record, state)
-        record.finished_at = self.sim.now
+        now = record.finished_at = self.sim.now
         if self._m_task_exits is not None:
             self._m_task_exits.labels(state.value).inc()
-            if state is InstanceState.DONE and record.dispatched_at is not None:
-                record.duration.observe(self.sim.now - record.dispatched_at)
-        if state is InstanceState.DONE:
+            if state is _DONE and record.dispatched_at is not None:
+                record.duration.observe(now - record.dispatched_at)
+        if state is _DONE:
             record.result = instance.result
-            self._kill_redundant_copies(record, "primary-done")
+            if record.redundant_copies:
+                self._kill_redundant_copies(record, "primary-done")
             self._advance(app, released)
-        elif state is InstanceState.FAILED:
+        elif state is _FAILED:
             if app.status.terminal:
                 return
             handled = any(h(app, record, instance) for h in self.failure_handlers)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
 
 from repro.taskgraph.arc import Arc, ArcKind
 from repro.taskgraph.node import TaskNode
 from repro.util.errors import TaskGraphError
+
+_NO_STREAMS: tuple[Sequence[Arc], Sequence[Arc]] = ((), ())
 
 
 class TaskGraph:
@@ -31,6 +33,8 @@ class TaskGraph:
         # arcs kept): what predecessors()/successors() answer from
         self._pred: dict[str, list[str]] = {}
         self._succ: dict[str, list[str]] = {}
+        # the STREAM arcs alone, (outgoing, incoming) per task that has any
+        self._streams: dict[str, tuple[list[Arc], list[Arc]]] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -50,6 +54,9 @@ class TaskGraph:
         if arc.kind.is_precedence:
             self._succ.setdefault(arc.src, []).append(arc.dst)
             self._pred.setdefault(arc.dst, []).append(arc.src)
+        else:
+            self._streams.setdefault(arc.src, ([], []))[0].append(arc)
+            self._streams.setdefault(arc.dst, ([], []))[1].append(arc)
         return arc
 
     def connect(
@@ -104,13 +111,28 @@ class TaskGraph:
 
     def stream_peers(self, name: str) -> list[str]:
         """Tasks this one exchanges messages with at runtime."""
-        peers = [
-            a.dst for a in self._arcs_out.get(name, ()) if a.kind is ArcKind.STREAM
-        ]
-        peers += [
-            a.src for a in self._arcs_in.get(name, ()) if a.kind is ArcKind.STREAM
-        ]
-        return peers
+        outgoing, incoming = self.stream_arcs(name)
+        return [a.dst for a in outgoing] + [a.src for a in incoming]
+
+    # The views below hand out the graph's own adjacency, not a copy: they
+    # are what a completion and the dispatches it releases read, once per
+    # task instance. Do not mutate.
+
+    def predecessor_view(self, name: str) -> Sequence[str]:
+        """:meth:`predecessors`, uncopied."""
+        return self._pred.get(name, ())
+
+    def successor_view(self, name: str) -> Sequence[str]:
+        """:meth:`successors`, uncopied."""
+        return self._succ.get(name, ())
+
+    def arcs_into_view(self, name: str) -> Sequence[Arc]:
+        """:meth:`arcs_into`, uncopied."""
+        return self._arcs_in.get(name, ())
+
+    def stream_arcs(self, name: str) -> tuple[Sequence[Arc], Sequence[Arc]]:
+        """The STREAM arcs (out of, into) *name*, in arc order, uncopied."""
+        return self._streams.get(name, _NO_STREAMS)
 
     # -- analyses ---------------------------------------------------------------
 

@@ -42,7 +42,7 @@ class DependencyCounters:
             return ()
         released = []
         blocked = self.blocked
-        for successor in dict.fromkeys(self._graph.successors(task)):
+        for successor in dict.fromkeys(self._graph.successor_view(task)):
             count = blocked[successor] - 1
             blocked[successor] = count
             if count == 0:
@@ -56,5 +56,5 @@ class DependencyCounters:
         self.remaining[task] = left + 1
         if left == 0:
             blocked = self.blocked
-            for successor in dict.fromkeys(self._graph.successors(task)):
+            for successor in dict.fromkeys(self._graph.successor_view(task)):
                 blocked[successor] += 1

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from typing import Any, Iterator
 
 from repro.util.errors import ConfigurationError
@@ -119,15 +120,8 @@ class Histogram:
         if value > bounds[-1]:
             self.overflow += 1
             return
-        # binary search for the first bound >= value
-        lo, hi = 0, len(bounds) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bounds[mid] >= value:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.bucket_counts[lo] += 1
+        # the first bound >= value
+        self.bucket_counts[bisect_left(bounds, value)] += 1
 
     @property
     def mean(self) -> float:
@@ -259,7 +253,7 @@ class MetricFamily:
 
     def labels(self, *values: Any) -> Any:
         """Get-or-create the child for one label-value combination."""
-        key = tuple(str(v) for v in values)
+        key = tuple(map(str, values))
         if len(key) != len(self.label_names):
             raise ConfigurationError(
                 f"metric {self.name!r} takes labels {self.label_names}, got {values!r}"

@@ -41,7 +41,7 @@ class Communicator:
         return str(rank)
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskContext:
     """Everything a task program knows about itself.
 

@@ -13,6 +13,9 @@ instrumentation-based, never wall-clock, so they are immune to CI noise:
   interleavings of schedule/schedule_at/call_soon/cancel.
 - Precedence costs O(arcs) per run: a completion walks its successors once
   and never asks for a successor's predecessors.
+- One task instance costs what varies per instance: a dispatch copies no
+  arc or predecessor list, and an exited instance leaves at most 17
+  collector-tracked objects behind.
 - ``RuntimeManager.instances_on`` visits live records only.
 - The observers cost nothing when nothing changed: an idle cluster with
   one instance in flight is sampled at the keep-alive rate only, and the
@@ -23,6 +26,7 @@ instrumentation-based, never wall-clock, so they are immune to CI noise:
   payload dict per log record.
 """
 
+import gc
 import sys
 
 from hypothesis import given, settings, strategies as st
@@ -36,7 +40,7 @@ from repro.netsim.process import SimProcess
 from repro.runtime import AppStatus, RuntimeManager
 from repro.scheduler.messages import ResourceRequest
 from repro.scheduler.queue import AgingQueue
-from repro.taskgraph import TaskGraph, TaskNode
+from repro.taskgraph import ArcKind, TaskGraph, TaskNode
 from repro.telemetry.registry import MetricsRegistry
 from repro.vmpi import Compute, Recv, Send
 
@@ -199,18 +203,25 @@ def _bipartite(k: int) -> TaskGraph:
 class TestPrecedenceContracts:
     def _adjacency_use(self, k, monkeypatch):
         """Submit and run the bipartite graph; per neighbourhood query,
-        [calls, names handed out]."""
+        [calls, names handed out]. ``predecessors`` counts the copying query
+        alone; ``successors`` counts it and the uncopied view together."""
         use = {"predecessors": [0, 0], "successors": [0, 0]}
-        for name, tally in use.items():
-            original = getattr(TaskGraph, name)
+        queries = {
+            "predecessors": ("predecessors",),
+            "successors": ("successors", "successor_view"),
+        }
+        for kind, names in queries.items():
+            tally = use[kind]
+            for name in names:
+                original = getattr(TaskGraph, name)
 
-            def counting(graph, task, _original=original, _tally=tally):
-                out = _original(graph, task)
-                _tally[0] += 1
-                _tally[1] += len(out)
-                return out
+                def counting(graph, task, _original=original, _tally=tally):
+                    out = _original(graph, task)
+                    _tally[0] += 1
+                    _tally[1] += len(out)
+                    return out
 
-            monkeypatch.setattr(TaskGraph, name, counting)
+                monkeypatch.setattr(TaskGraph, name, counting)
         cluster = make_cluster(4)
         graph = _bipartite(k)
         app = cluster.manager.submit(
@@ -223,22 +234,96 @@ class TestPrecedenceContracts:
 
     def test_a_run_walks_each_arc_once(self, monkeypatch):
         """Releasing successors costs one visit per arc over the whole run
-        (plus one query per task), and the predecessor side is read twice
-        per arc: once to count, once to name the ``after`` spans of the
-        dispatch record, which has an entry per predecessor anyway. A
-        completion that rescans its successors' predecessors reads
-        k per arc instead."""
+        (plus one query per task), and ``predecessors`` hands out one name
+        per arc: it is read once, to count. The ``after`` spans of a
+        dispatch record read the uncopied view. A completion that rescans
+        its successors' predecessors reads k per arc instead."""
         k = 20
         arcs, tasks = k * k, 2 * k
         use = self._adjacency_use(k, monkeypatch)
         assert use["successors"][0] + use["successors"][1] <= arcs + tasks
-        assert use["predecessors"][1] <= 2 * arcs
+        assert use["predecessors"][1] <= arcs
 
     def test_predecessor_queries_grow_with_tasks_not_arcs(self, monkeypatch):
         small = self._adjacency_use(20, monkeypatch)["predecessors"][0]
         monkeypatch.undo()
         large = self._adjacency_use(40, monkeypatch)["predecessors"][0]
         assert large <= 2 * small, (small, large)
+
+
+class TestDispatchContracts:
+    """What one task instance costs (ROADMAP 6(a))."""
+
+    def test_a_dispatch_copies_no_adjacency(self, monkeypatch):
+        """Neither a dispatch from submit or completion nor a re-dispatch
+        copies an arc list or a predecessor list: ``after``, the stage-in
+        delay and the channels read the graph's own adjacency."""
+        copies = []
+        depth = [0]
+        for name in ("arcs_from", "arcs_into", "predecessors"):
+            original = getattr(TaskGraph, name)
+
+            def counting(graph, task, _name=name, _original=original):
+                if depth[0]:
+                    copies.append(_name)
+                return _original(graph, task)
+
+            monkeypatch.setattr(TaskGraph, name, counting)
+        dispatch = RuntimeManager.dispatch_instance
+
+        def dispatching(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return dispatch(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(RuntimeManager, "dispatch_instance", dispatching)
+
+        graph = TaskGraph("every-arc-kind")
+        graph.add_task(TaskNode("src", instances=2, program=_burst))
+        for name in ("mid", "sink"):
+            graph.add_task(TaskNode(name, program=_burst))
+        graph.connect("src", "mid", ArcKind.DATA, volume=50_000)
+        graph.connect("src", "sink")
+        graph.connect("mid", "sink", ArcKind.DATA, volume=10_000)
+        graph.connect("mid", "sink", ArcKind.STREAM)
+        cluster = make_cluster(3)
+        app = cluster.manager.submit(
+            graph, round_robin_placement(graph, ["ws0", "ws1", "ws2"])
+        )
+        cluster.run(until=0.5)
+        cluster.manager.dispatch_instance(app, app.record("src", 1), "ws0")
+        cluster.run()
+        assert app.status is AppStatus.DONE
+        dispatches = cluster.sim.log.records("runtime.dispatch")
+        assert len(dispatches) == 5
+        assert any(r.get("stage_in") > 0 for r in dispatches)
+        assert copies == []
+
+    def test_an_exited_instance_leaves_little_for_the_collector(self):
+        """Collector-tracked objects still alive per finished instance of a
+        ~500-instance random DAG, as the ``gc.get_objects()`` delta across
+        a full collection: 23 before exits dropped the finished generator,
+        the per-instance exit closure and the host entry (15.3 after)."""
+        from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
+        from repro.workloads import build_random_dag
+
+        def retained_per_instance(layers):
+            graph = build_random_dag(
+                layers=layers, width=80, seed=3, min_work=0.002, max_work=0.02
+            )
+            vce = VirtualComputingEnvironment(workstation_cluster(4), VCEConfig(seed=3)).boot()
+            gc.collect()
+            before = len(gc.get_objects())
+            run = vce.submit(graph, class_map=dict.fromkeys(node.name for node in graph))
+            vce.run_to_completion(run, timeout=1_000_000.0)
+            assert run.app.status is AppStatus.DONE
+            gc.collect()
+            return (len(gc.get_objects()) - before) / len(run.app.records)
+
+        retained_per_instance(2)  # lazy imports and caches are not per instance
+        assert retained_per_instance(12) <= 17
 
 
 class TestInstancesOnContract:
