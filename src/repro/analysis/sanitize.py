@@ -22,8 +22,8 @@ dropped: a tie permutation legitimately reorders the log and re-deals
 jittered retry draws without changing what the run computed, and those
 artifacts must not convict a benign race.
 
-Scenarios mirror the golden determinism gate
-(``tests/test_determinism_golden.py``) plus ``injected-race``, a fixture
+Scenarios mirror the ``randomdag_seed3`` and ``chaosmix_seed3`` rows of the
+cost ledger (``tests/test_cost_ledger.py``) plus ``injected-race``, a fixture
 with a deliberately order-dependent pair of same-timestamp events that the
 sanitizer must detect and this harness must classify digest-diverging —
 the end-to-end self-test CI runs.

@@ -148,7 +148,8 @@ class SchedulerDaemon(IsisMember):
         #: members covered by this leader's disclosure fan-outs (flat: the
         #: whole view per round; hierarchical: only the cells polled) — the
         #: quantity the hierarchy makes sub-linear, reported per round by
-        #: the scale bench as ``bid_fanout_per_round``
+        #: ``repro soak`` and pinned by the cost ledger as
+        #: ``bid_fanout_per_round``
         self.members_polled = 0
         #: operator drain: a draining daemon declines every new bid (its
         #: running instances finish normally) until undrained — flipped by

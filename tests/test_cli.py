@@ -272,7 +272,7 @@ class TestGantt:
 
 
 @pytest.mark.parametrize(
-    "argv", [["bench", "--backend", "sharded"], ["soak", "--shards", "2"]]
+    "argv", [["run", "app.vce", "--backend", "sharded"], ["soak", "--shards", "2"]]
 )
 def test_second_engine_flags_are_gone(argv, capsys):
     """There is one virtual-time engine and no flag that selects another."""
@@ -280,3 +280,11 @@ def test_second_engine_flags_are_gone(argv, capsys):
         main(argv)
     assert exit_.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bench_verb_is_gone(capsys):
+    """Kernel and scale costs live in the tier-1 cost ledger, not a verb."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["bench"])
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -274,11 +274,9 @@ class TestGoldenInvariance:
         """The golden randomdag digest is byte-identical with the control
         plane attached — even with a slow subscriber forcing drops — and
         a saved run directory round-trips to the same digest."""
-        from pathlib import Path
+        from tests.test_cost_ledger import ledger
 
-        golden = (
-            Path(__file__).resolve().parent / "golden" / "randomdag_seed3.digest"
-        ).read_text().strip()
+        golden = ledger()["randomdag_seed3"]["digest"]
 
         from repro.workloads import build_random_dag
 

@@ -1,0 +1,275 @@
+"""The cost ledger: what each canonical scenario costs, pinned exactly.
+
+One row of ``tests/golden/costs.json`` per scenario records what a run did
+and how much of the program it took to do it:
+
+- ``digest`` — the full event log's :func:`event_log_digest`;
+- ``events`` — kernel events processed (``sim.events_processed``);
+- ``records`` — log records emitted;
+- ``samples`` — telemetry samples taken (``sampler.ticks``);
+- ``units`` — the useful work: task instances, or application messages for
+  the stencil;
+- ``calls`` — Python calls into ``repro.*`` per top-level subpackage
+  (``sys.setprofile`` "call" events; comprehension frames are skipped
+  because 3.12 inlines them, and module bodies run by a lazy import are
+  skipped because whether they run depends on what ran before). The soak
+  rows have none: profiling slows a run about sevenfold;
+- soak rows also record ``submitted``, ``admitted``, ``completed``,
+  ``failed``, ``peak_live_instances`` and ``bid_fanout_per_round``.
+
+Every field is a count or a digest of a seeded run, so the comparison is
+exact: the ledger is also the whole-run determinism gate. It was generated
+in another process, so nondeterminism that leaks into the event schedule
+(hash-randomized set iteration, unseeded RNG, wall-clock reads) fails it
+under a randomized ``PYTHONHASHSEED`` even when one process agrees with
+itself. A change that makes a run do more work shows up as the field that
+moved, e.g. ``dense: calls.taskgraph 21124 -> 21365``.
+
+Regenerate after an *intended* change to what a run does::
+
+    PYTHONPATH=src python tests/test_cost_ledger.py
+
+and commit the updated file with the change that caused it.
+"""
+
+from __future__ import annotations
+
+import functools
+import gc
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from repro.core import (
+    VCEConfig,
+    VirtualComputingEnvironment,
+    heterogeneous_cluster,
+    workstation_cluster,
+)
+from repro.machines import MachineClass
+from repro.migration.failover import FailoverConfig
+from repro.runtime import RuntimeManager
+from repro.scheduler.execution_program import RunState
+from repro.soak import SoakConfig, run_soak
+from repro.telemetry.registry import exponential_bounds
+from repro.trace.replay import event_log_digest
+from repro.workloads import (
+    WEATHER_SCRIPT,
+    build_pipeline_graph,
+    build_random_dag,
+    build_stencil_graph,
+    weather_programs,
+)
+
+LEDGER = Path(__file__).resolve().parent / "golden" / "costs.json"
+
+
+# --------------------------------------------------------------- scenarios
+
+
+def _dag(layers: int, width: int, seed: int, **work: float):
+    graph = build_random_dag(layers=layers, width=width, seed=seed, **work)
+    vce = VirtualComputingEnvironment(
+        workstation_cluster(4), VCEConfig(seed=seed)
+    ).boot()
+    run = vce.submit(graph, class_map={node.name: None for node in graph})
+    vce.run_to_completion(run, timeout=1_000_000.0)
+    assert run.state is RunState.DONE, run.error
+    return vce, sum(node.instances for node in graph), {}
+
+
+def _stencil(ranks: int, iterations: int, seed: int = 7):
+    graph = build_stencil_graph(ranks=ranks, cells=64, iterations=iterations)
+    vce = VirtualComputingEnvironment(
+        workstation_cluster(ranks), VCEConfig(seed=seed)
+    ).boot()
+    run = vce.submit(graph, class_map={"grid": MachineClass.WORKSTATION})
+    vce.run_to_completion(run, timeout=100_000.0)
+    assert run.state is RunState.DONE, run.error
+    sends = vce.sim.telemetry.get("vmpi_sends_total")
+    return vce, int(sum(child.value for _labels, child in sends.samples())), {}
+
+
+def _chaos_mix(seed: int):
+    config = VCEConfig(seed=seed, reliable_transport=True, failover=FailoverConfig())
+    vce = VirtualComputingEnvironment(heterogeneous_cluster(), config).boot()
+    vce.chaos("chaos-mix", seed=seed)
+    runs = [
+        vce.run_script(WEATHER_SCRIPT, weather_programs(), name="weather"),
+        vce.submit(build_pipeline_graph(stages=4, stage_work=15.0, name="pipe")),
+    ]
+    for run in runs:
+        vce.run_to_completion(run, timeout=2_000.0)
+        assert run.state is RunState.DONE, run.error
+    vce.run(until=vce.sim.now + 30.0)  # let trailing fault windows close
+    return vce, sum(len(run.app.records) for run in runs), {}
+
+
+#: the flat (fanout 1) and hierarchical twins place identical workloads,
+#: so their bid fan-out per round is comparable
+SOAK = dict(
+    tenants=8, apps=120, machines=48, seed=0, instances=(16, 32),
+    work=(8.0, 16.0), arrival_span=90.0, telemetry_interval=300.0, settle=30.0,
+)
+
+
+def _soak(fanout: int):
+    vce, _driver, report = run_soak(SoakConfig(fanout=fanout, **SOAK))
+    units = sum(len(app.records) for app in vce.runtime.apps.values())
+    fields = (
+        "submitted", "admitted", "completed", "failed",
+        "peak_live_instances", "bid_fanout_per_round",
+    )
+    return vce, units, {key: getattr(report, key) for key in fields}
+
+
+SCENARIOS = {
+    "randomdag_seed3": lambda: _dag(8, 8, seed=3),
+    "randomdag_seed11": lambda: _dag(8, 8, seed=11),
+    "chaosmix_seed3": lambda: _chaos_mix(3),
+    "chaosmix_seed11": lambda: _chaos_mix(11),
+    "randomdag_quick": lambda: _dag(12, 25, seed=7),
+    "stencil_quick": lambda: _stencil(ranks=4, iterations=12),
+    "dense": lambda: _dag(6, 100, seed=1, min_work=0.002, max_work=0.02),
+    "sparse": lambda: _dag(4, 50, seed=1, min_work=2.0, max_work=20.0),
+    "soak_flat": lambda: _soak(fanout=1),
+    "soak_hier": lambda: _soak(fanout=4),
+}
+
+
+# ------------------------------------------------------------- measurement
+
+_COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+UNPROFILED = frozenset({"soak_flat", "soak_hier"})
+
+
+def measure(name: str) -> dict:
+    """Run scenario *name* and return its ledger row."""
+    calls: Counter = Counter()
+    importing = 0
+
+    def profile(frame, event, _arg):
+        nonlocal importing
+        code = frame.f_code
+        if code.co_name == "<module>":
+            importing += (event == "call") - (event == "return")
+        elif event == "call" and not importing and code.co_name not in _COMPREHENSIONS:
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith("repro."):
+                calls[module.split(".")[1]] += 1
+
+    exponential_bounds.cache_clear()  # a warm cache would skip its frames
+    # closing a collected generator is a "call" too: collect what earlier
+    # runs left behind, and let no collection fall inside this one
+    gc.collect()
+    collecting = gc.isenabled()
+    if name not in UNPROFILED:
+        gc.disable()
+        sys.setprofile(profile)
+    try:
+        vce, units, extra = SCENARIOS[name]()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    row = {
+        "digest": event_log_digest(vce.sim.log),
+        "events": vce.sim.events_processed,
+        "records": sum(vce.sim.log.category_counts().values()),
+        "samples": vce.telemetry.sampler.ticks,
+        "units": units,
+        **extra,
+    }
+    if calls:
+        row["calls"] = dict(sorted(calls.items()))
+    return row
+
+
+def compare(name: str, row: dict, expected: dict) -> list[str]:
+    """Every field where *row* differs from *expected*, one message each."""
+
+    def flat(entry: dict) -> dict:
+        out = {key: value for key, value in entry.items() if key != "calls"}
+        out.update({f"calls.{k}": v for k, v in entry.get("calls", {}).items()})
+        return out
+
+    got, want = flat(row), flat(expected)
+    return [
+        f"{name}: {key} {want.get(key)} -> {got.get(key)}"
+        for key in sorted(got.keys() | want.keys())
+        if got.get(key) != want.get(key)
+    ]
+
+
+@functools.cache
+def measured(name: str) -> dict:
+    return measure(name)
+
+
+@functools.cache
+def ledger() -> dict:
+    assert LEDGER.exists(), (
+        f"missing {LEDGER}; regenerate with `PYTHONPATH=src python {__file__}`"
+    )
+    return json.loads(LEDGER.read_text())
+
+
+# ------------------------------------------------------------------- tests
+
+
+def test_ledger_has_one_row_per_scenario():
+    assert sorted(ledger()) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_row_matches_ledger(name):
+    failures = compare(name, measured(name), ledger()[name])
+    assert not failures, (
+        "the run diverged from the cost ledger — either nondeterminism "
+        "leaked into the schedule, or an intended change needs a "
+        "regenerated ledger (see module docstring):\n" + "\n".join(failures)
+    )
+
+
+@pytest.mark.parametrize("name", ["randomdag_seed3", "chaosmix_seed3"])
+def test_rerun_in_one_process_is_identical(name):
+    """A second run in the same process starts from fresh simulator state."""
+    assert measure(name) == measured(name)
+
+
+@pytest.mark.parametrize("name", ["soak_flat", "soak_hier"])
+def test_soak_drains(name):
+    row = measured(name)
+    assert row["failed"] == 0
+    assert row["completed"] == row["admitted"], "the soak did not drain"
+    assert row["submitted"] == SOAK["apps"]
+
+
+def test_hierarchy_polls_under_half_of_flat():
+    """Hierarchical bidding is sub-linear against the flat broadcast."""
+    flat = measured("soak_flat")["bid_fanout_per_round"]
+    hier = measured("soak_hier")["bid_fanout_per_round"]
+    assert flat / hier >= 2.0, f"fan-out reduction {flat / hier:.2f}x"
+
+
+def test_ledger_catches_an_extra_arc_copy(monkeypatch):
+    """Copying a task's out-arcs on every dispatch moves ``calls.taskgraph``."""
+    dispatch = RuntimeManager.dispatch_instance
+
+    def copying_dispatch(self, app, record, *args, **kwargs):
+        app.graph.arcs_from(record.task)
+        return dispatch(self, app, record, *args, **kwargs)
+
+    monkeypatch.setattr(RuntimeManager, "dispatch_instance", copying_dispatch)
+    failures = compare("dense", measure("dense"), ledger()["dense"])
+    assert any(f.startswith("dense: calls.taskgraph ") for f in failures), failures
+
+
+if __name__ == "__main__":
+    rows = {name: measure(name) for name in SCENARIOS}
+    LEDGER.write_text(json.dumps(rows, indent=2) + "\n")
+    for name, row in rows.items():
+        print(f"{name}: {row['digest'][:16]} {row['events']} events")

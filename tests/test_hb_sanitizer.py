@@ -425,14 +425,11 @@ def test_randomdag_race_free_and_digest_stable():
 def test_golden_digest_unchanged_with_sanitizer_attached():
     """The sanitizer is a pure observer: the golden replay digest must be
     byte-identical with it on."""
-    from pathlib import Path
-
     from repro.analysis.sanitize import _randomdag
     from repro.trace.replay import event_log_digest
+    from tests.test_cost_ledger import ledger
 
-    golden = (
-        Path(__file__).resolve().parent / "golden" / "randomdag_seed3.digest"
-    ).read_text().strip()
+    golden = ledger()["randomdag_seed3"]["digest"]
     vce = _randomdag(3, hb_sanitizer=True, tie_shuffle=0)
     assert event_log_digest(vce.sim.log) == golden
     assert vce.hb_tracker is not None and vce.hb_tracker.nodes > 100
