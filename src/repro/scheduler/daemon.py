@@ -12,6 +12,10 @@ Every daemon (leader included) answers the state-disclosure broadcast with
 a bid when it is "not already excessively loaded and can run remote jobs".
 Unsatisfiable requests flagged ``queue_if_insufficient`` enter the leader's
 :class:`~repro.scheduler.queue.AgingQueue` and are retried periodically.
+Only the coordinator holds that queue, and it is soft state: the execution
+program keeps each outstanding request and re-sends it when the group's
+leader changes, so a successor re-learns the queue from the requesters
+(with each request's age, which starts at ``issued_at``).
 """
 
 from __future__ import annotations
@@ -129,10 +133,6 @@ class SchedulerDaemon(IsisMember):
         self._load_cache = 0.0
         self.pending_queue = AgingQueue(self.daemon_config.aging_rate)
         self._collecting: dict[str, ResourceRequest] = {}
-        self._first_enqueued: dict[str, float] = {}
-        #: coordinatorship as of the last view change — a daemon that led a
-        #: minority view and lost the merge must hand its queue mirror over
-        self._led_previous_view = False
         self._bid_spans: dict[str, TraceContext] = {}  # req_id -> bidding span
         # hierarchical bidding (leader_fanout > 1): the view's cell
         # partition, live rounds at this root, live cell polls at this
@@ -230,25 +230,14 @@ class SchedulerDaemon(IsisMember):
                     ).inc()
                 for observer in self.host_lost_observers:
                     observer(member.host)
-        elif self._led_previous_view and self.pending_queue:
-            # A group merge after a partition can strand queue entries that
-            # were replicated only on our side of the split: we led a
-            # minority view, queued work there, and lost coordinatorship in
-            # the merge — the winning coordinator never saw those entries.
-            # Re-replicate our mirror in the merged view: push is idempotent
-            # by req_id, the original enqueue time rides along so aging is
-            # preserved, and the new coordinator's queue_add handler arms
-            # its own retry timer.
+        elif self.pending_queue:
+            # deposed (e.g. we led a minority view and lost the merge): the
+            # new leader learns these requests from their programs, which
+            # re-send on the directory's leader change
             hb = self.sim.hb
             if hb is not None:
-                hb.read(f"queue:{self.machine.name}", "R001", "daemon.queue_mirror")
-            for item in self.pending_queue.items():
-                self.cbcast(
-                    "queue_add",
-                    (item.request, self._first_enqueued.get(item.request.req_id, item.enqueued_at)),
-                    size=512,
-                )
-        self._led_previous_view = self.is_coordinator
+                hb.write(f"queue:{self.machine.name}", "R001", "daemon.queue_drop")
+            self.pending_queue.clear()
 
     # ----------------------------------------------------------- leader side
 
@@ -310,28 +299,37 @@ class SchedulerDaemon(IsisMember):
         if request.queue_if_insufficient and (self.pending_queue or self._collecting):
             # a backlog exists: fresh queueable arrivals take their place in
             # the aged-priority order rather than racing the queue (§4.3)
-            first = self._first_enqueued.setdefault(request.req_id, self.now)
             if request.req_id not in self.pending_queue and request.req_id not in self._collecting:
-                # replicate the queue entry to the whole group so it
-                # survives a leader crash (cbcast self-delivers, so our own
-                # queue is updated synchronously too)
-                self.cbcast("queue_add", (request, first), size=512)
+                self._enqueue(request)
             if not self._collecting:
                 self.set_timer(0.0, "retry-queue")
             return
         self._start_bidding(request)
 
+    def _enqueue(self, request: ResourceRequest) -> None:
+        hb = self.sim.hb
+        if hb is not None:
+            hb.write(f"queue:{self.machine.name}", "R001", "daemon.queue_push")
+        self.pending_queue.push(request, request.issued_at)
+
     def _on_set_priority(self, msg: SetPriority) -> None:
         """Runtime priority change for a queued request (§4.3). Leaders
-        apply and replicate; non-leaders forward."""
+        apply it and tell the requester, whose re-send after a leader
+        change then carries it; non-leaders forward."""
         if not self.joined:
             return
         if not self.is_coordinator:
             assert self.view is not None
             self.send(self.view.coordinator, msg, size=128)
             return
-        if msg.req_id in self.pending_queue:
-            self.cbcast("queue_reprioritize", (msg.req_id, msg.priority), size=128)
+        if msg.req_id not in self.pending_queue:
+            return
+        hb = self.sim.hb
+        if hb is not None:
+            hb.write(f"queue:{self.machine.name}", "R001", "daemon.queue_priority")
+        item = self.pending_queue.reprioritize(msg.req_id, msg.priority)
+        self.emit("sched.reprioritized", req_id=msg.req_id, priority=msg.priority)
+        self.send(item.request.reply_to, msg, size=128)
 
     def _start_bidding(self, request: ResourceRequest) -> None:
         self.requests_led += 1
@@ -415,17 +413,15 @@ class SchedulerDaemon(IsisMember):
                 size=256,
             )
             if queued and request.req_id not in self.pending_queue:
-                # preserve the original enqueue time across retries so the
-                # request keeps aging instead of resetting (§4.3); replicate
-                # it group-wide so it survives a leader crash
-                first = self._first_enqueued.setdefault(request.req_id, self.now)
-                self.cbcast("queue_add", (request, first), size=512)
+                self._enqueue(request)
             if self.pending_queue:
                 self.set_timer(self.daemon_config.retry_interval, "retry-queue")
             return
-        self._first_enqueued.pop(request.req_id, None)
         if request.req_id in self.pending_queue:
-            self.cbcast("queue_remove", request.req_id, size=128)
+            hb = self.sim.hb
+            if hb is not None:
+                hb.write(f"queue:{self.machine.name}", "R001", "daemon.queue_served")
+            self.pending_queue.remove(request.req_id)
         if tel is not None:
             tel.counter("sched_allocs_total", "successful allocations").inc()
         self.emit("sched.alloc", app=request.app, req_id=request.req_id, bids=len(bids),
@@ -606,32 +602,6 @@ class SchedulerDaemon(IsisMember):
             self.send(msg.root, report, size=1024)
 
     # ------------------------------------------------------------ member side
-
-    def on_cbcast(self, sender: Address, kind: str, payload: Any) -> None:
-        """Queue replication: every daemon mirrors the leader's pending
-        queue, so a new leader resumes queued work after a takeover
-        ("fault-tolerance of the group leader ... through redundancy")."""
-        hb = self.sim.hb
-        if kind == "queue_add":
-            request, first = payload
-            self._first_enqueued.setdefault(request.req_id, first)
-            if hb is not None:
-                hb.write(f"queue:{self.machine.name}", "R001", "daemon.queue_add")
-            self.pending_queue.push(request, first)
-            if self.is_coordinator and not self._collecting and not self.has_timer("retry-queue"):
-                self.set_timer(self.daemon_config.retry_interval, "retry-queue")
-        elif kind == "queue_remove":
-            if hb is not None:
-                hb.write(f"queue:{self.machine.name}", "R001", "daemon.queue_remove")
-            self.pending_queue.remove(payload)
-            self._first_enqueued.pop(payload, None)
-        elif kind == "queue_reprioritize":
-            req_id, priority = payload
-            if hb is not None:
-                hb.write(f"queue:{self.machine.name}", "R001", "daemon.queue_reprioritize")
-            if self.pending_queue.reprioritize(req_id, priority):
-                if self.is_coordinator:
-                    self.emit("sched.reprioritized", req_id=req_id, priority=priority)
 
     def _disclose_bid(self) -> MachineBid | None:
         """Answer one state disclosure (flat broadcast or hierarchy probe):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.machines.archclass import MachineClass
@@ -34,6 +34,7 @@ from repro.scheduler.messages import (
     MachineBid,
     ModuleNeed,
     ResourceRequest,
+    SetPriority,
     TerminateNotice,
 )
 from repro.scheduler.policies import PlacementPolicy, load_sorted_assignment
@@ -203,6 +204,7 @@ class ExecutionProgram(SimProcess):
             priority=self.priority,
             queue_if_insufficient=self.queue_if_insufficient,
             trace=req_span,
+            issued_at=self.now,
         )
 
     def _send_request(self, request: ResourceRequest) -> None:
@@ -214,6 +216,14 @@ class ExecutionProgram(SimProcess):
         self.send(self.directory.leader(cls), request, size=512)
         self.set_timer(self.REQUEST_TIMEOUT, f"reqto:{req_id}")
         self._request_cache[req_id] = request
+        # this program, not the leader's queue, is what keeps the request
+        # alive: a new leader is sent every request still outstanding
+        self.directory.watch_leader(self._on_leader_change)
+
+    def _on_leader_change(self, cls: MachineClass, leader: Address) -> None:
+        for req_id, pending_cls in self._pending.items():
+            if pending_cls is cls:
+                self.send(leader, self._request_cache[req_id], size=512)
 
     # -------------------------------------------------------------- replies
 
@@ -227,8 +237,15 @@ class ExecutionProgram(SimProcess):
             self.emit("exec.reply", app=self.app_id, cls=cls.value, bids=len(payload.bids),
                       req_id=payload.req_id,
                       **trace_fields(self._req_spans.get(payload.req_id)))
-            if not self._pending and self.run_handle.state is RunState.ALLOCATING:
-                self._allocate_and_go()
+            if not self._pending:
+                self.directory.unwatch_leader(self._on_leader_change)
+                if self.run_handle.state is RunState.ALLOCATING:
+                    self._allocate_and_go()
+        elif isinstance(payload, SetPriority):
+            # the leader applied a priority change: a re-send carries it
+            if payload.req_id in self._pending:
+                cache = self._request_cache
+                cache[payload.req_id] = replace(cache[payload.req_id], priority=payload.priority)
         elif isinstance(payload, AllocationError_):
             cls = self._pending.get(payload.req_id)
             if cls is None:
@@ -398,6 +415,7 @@ class ExecutionProgram(SimProcess):
     def _fail(self, reason: str) -> None:
         if self.run_handle.state in (RunState.DONE, RunState.FAILED):
             return
+        self.directory.unwatch_leader(self._on_leader_change)
         self.run_handle.state = RunState.FAILED
         self.run_handle.error = reason
         self.emit("exec.failed", app=self.app_id, reason=reason,

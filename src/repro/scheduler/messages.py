@@ -42,6 +42,9 @@ class ResourceRequest:
     #: the leader parents its bidding-round span under it (None when the
     #: request was built outside a traced flow).
     trace: TraceContext | None = None
+    #: when the execution program issued the request: a queued request
+    #: ages from here (§4.3), at whichever leader holds it
+    issued_at: float = 0.0
 
     @property
     def total_min(self) -> int:
@@ -166,8 +169,9 @@ class CellBids:
 class SetPriority:
     """Authorized user → group leader: change a queued request's base
     priority ("authorized users will be able to modify the priorities of
-    particular applications", §4.3). Applied (and replicated) if the
-    request is still queued."""
+    particular applications", §4.3). Applied if the request is still
+    queued; the leader then forwards it to the request's ``reply_to``, so
+    the execution program re-sends the new priority after a leader change."""
 
     req_id: str
     priority: float

@@ -91,8 +91,7 @@ class AgingQueue:
 
     def push(self, request: "ResourceRequest", now: float) -> QueuedRequest:
         """Enqueue (idempotent: re-pushing a queued req_id returns the
-        existing item, preserving its age — replication may deliver
-        duplicates)."""
+        existing item, preserving its age)."""
         existing = self._by_id.get(request.req_id)
         if existing is not None:
             return existing
@@ -108,17 +107,22 @@ class AgingQueue:
         self._note_stale()
         return True
 
-    def reprioritize(self, req_id: str, priority: float) -> bool:
+    def reprioritize(self, req_id: str, priority: float) -> QueuedRequest | None:
         """Apply a runtime priority change (§4.3) to a queued request.
-        Returns False when *req_id* is not queued."""
+        Returns the re-keyed item, or None when *req_id* is not queued."""
         item = self._by_id.get(req_id)
         if item is None:
-            return False
+            return None
         item.request = replace(item.request, priority=priority)
         item.sort_key = self._key(priority, item.enqueued_at)
         self._push_entry(item)  # old entry is now stale
         self._note_stale()
-        return True
+        return item
+
+    def clear(self) -> None:
+        self._by_id.clear()
+        self._heap = []
+        self._stale = 0
 
     def _note_stale(self) -> None:
         self._stale += 1
@@ -172,11 +176,6 @@ class AgingQueue:
 
     def __iter__(self) -> Iterator[QueuedRequest]:
         return iter(self.items())
-
-    @property
-    def _items(self) -> list[QueuedRequest]:
-        # Backwards-compatible view of the old list layout (arrival order).
-        return self.items()
 
     def wait_times(self, now: float) -> list[float]:
         self.stats["item_visits"] += len(self._by_id)

@@ -51,7 +51,9 @@ from repro.core import (
 )
 from repro.machines import MachineClass
 from repro.migration.failover import FailoverConfig
+from repro.netsim import Simulator
 from repro.runtime import RuntimeManager
+from repro.scheduler import SchedulerDaemon
 from repro.scheduler.execution_program import RunState
 from repro.soak import SoakConfig, run_soak
 from repro.telemetry.registry import exponential_bounds
@@ -266,6 +268,32 @@ def test_ledger_catches_an_extra_arc_copy(monkeypatch):
     monkeypatch.setattr(RuntimeManager, "dispatch_instance", copying_dispatch)
     failures = compare("dense", measure("dense"), ledger()["dense"])
     assert any(f.startswith("dense: calls.taskgraph ") for f in failures), failures
+
+
+def test_ledger_catches_a_group_wide_queue_fan_out(monkeypatch):
+    """Multicasting every enqueue to the whole group again (the replicated
+    leader queue this repo used to keep) moves ``soak_hier``'s events."""
+    enqueue = SchedulerDaemon._enqueue
+
+    def replicating_enqueue(self, request):
+        self.cbcast("queue_add", request, size=512)
+        enqueue(self, request)
+
+    monkeypatch.setattr(SchedulerDaemon, "_enqueue", replicating_enqueue)
+    failures = compare("soak_hier", measure("soak_hier"), ledger()["soak_hier"])
+    assert any(f.startswith("soak_hier: events ") for f in failures), failures
+
+
+def test_ledger_catches_a_second_emit_repack(monkeypatch):
+    """Routing ``Simulator.emit`` through ``EventLog.emit(**data)`` packs
+    each record's keyword dict twice, and moves ``calls.util``."""
+
+    def repacking_emit(self, category, source, **data):
+        self.log.emit(self.now, category, source, **data)
+
+    monkeypatch.setattr(Simulator, "emit", repacking_emit)
+    failures = compare("stencil_quick", measure("stencil_quick"), ledger()["stencil_quick"])
+    assert any(f.startswith("stencil_quick: calls.util ") for f in failures), failures
 
 
 if __name__ == "__main__":

@@ -653,7 +653,7 @@ def test_aging_queue_never_loses_a_request(ops, rate):
                 live.discard(req_id)
                 exited += 1
         assert len(queue) == len(live)
-    assert sorted(item.request.req_id for item in queue._items) == sorted(live)
+    assert sorted(item.request.req_id for item in queue.items()) == sorted(live)
     assert accepted == exited + len(queue)
 
 

@@ -1,115 +1,140 @@
-"""Queued requests survive group-leader crashes (replicated AgingQueue)."""
+"""Queued requests survive group-leader crashes without a replicated queue.
 
+Only the coordinator holds the aging queue. What makes a queued request
+outlive its leader is the execution program: it keeps every request it is
+still waiting on, watches the directory, and re-sends them to each new
+leader. A request ages from the moment its program issued it, so its age
+needs no replica either.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machines import MachineClass
-from repro.scheduler import DaemonConfig
+from repro.netsim import SimProcess
+from repro.scheduler import DaemonConfig, SetPriority
 from repro.scheduler.execution_program import ExecutionProgram, RunState
 
 from tests.helpers_sched import make_vce, workstation_farm
 from tests.test_scheduler import annotated_graph, launch
 
 
-def saturated_vce(n=3, seed=17):
-    """A VCE whose single-machine-per-job capacity keeps requests queued."""
-    return make_vce(
+def saturated_vce(n=3, seed=17, blocker_work=None):
+    """A VCE whose single-machine-per-job capacity keeps requests queued;
+    with *blocker_work*, every machine is then occupied by one blocker."""
+    vce = make_vce(
         workstation_farm(n),
         seed=seed,
         daemon_config=DaemonConfig(per_instance_load=0.9, retry_interval=1.0),
     )
+    if blocker_work is not None:
+        for i in range(n):
+            launch(vce, annotated_graph(name=f"blk{i}", tasks=(("t", 1, blocker_work),)))
+            vce.run(until=vce.sim.now + 3.0)
+    return vce
+
+
+def launch_queued(vce, name):
+    return launch(
+        vce, annotated_graph(name=name, tasks=(("t", 1, 2.0),)),
+        queue_if_insufficient=True,
+    )
+
+
+def crash_leader(vce):
+    leader = vce.leader_of(MachineClass.WORKSTATION)
+    vce.net.host(leader.machine.name).crash()
+    return leader
+
+
+def holders(vce):
+    return [d for d in vce.daemons.values() if d.alive and d.pending_queue]
+
+
+def queued_item(daemon):
+    (item,) = daemon.pending_queue.items()
+    return item
+
+
+@pytest.fixture
+def no_client_retries(monkeypatch):
+    """Silence the programs' own retransmission, so the re-send on a leader
+    change alone must carry a queued request."""
+    monkeypatch.setattr(ExecutionProgram, "MAX_REQUEST_RETRIES", 0)
 
 
 class TestQueueReplication:
-    def test_queue_mirrored_to_all_members(self):
-        vce = saturated_vce()
-        # occupy all machines
-        blockers = []
-        for i in range(3):
-            g = annotated_graph(name=f"blk{i}", tasks=(("t", 1, 60.0),))
-            blockers.append(launch(vce, g))
-            vce.run(until=vce.sim.now + 3.0)
-        run, _ = launch(
-            vce, annotated_graph(name="queued", tasks=(("t", 1, 2.0),)),
-            queue_if_insufficient=True,
-        )
+    def test_only_the_coordinator_holds_the_queue(self):
+        vce = saturated_vce(blocker_work=60.0)
+        launch_queued(vce, "queued")
         vce.run(until=vce.sim.now + 10.0)
-        # every daemon (not only the leader) holds the queued request
-        holders = [d for d in vce.daemons.values() if len(d.pending_queue) == 1]
-        assert len(holders) == len(vce.daemons)
+        assert holders(vce) == [vce.leader_of(MachineClass.WORKSTATION)]
 
-    def test_queued_request_served_after_leader_crash(self):
+    def test_queued_request_served_after_leader_crash(self, no_client_retries):
         """The crux: the execution program's request is parked in the
-        leader's queue when the leader dies; the successor leader serves it
-        from its replica without the client retransmitting."""
-        vce = saturated_vce()
-        blockers = []
-        for i in range(3):
-            g = annotated_graph(name=f"blk{i}", tasks=(("t", 1, 40.0),))
-            blockers.append(launch(vce, g))
-            vce.run(until=vce.sim.now + 3.0)
-        run, _ = launch(
-            vce, annotated_graph(name="queued", tasks=(("t", 1, 2.0),)),
-            queue_if_insufficient=True,
-        )
+        leader's queue when the leader dies; the program re-sends it to the
+        successor, which serves it."""
+        vce = saturated_vce(blocker_work=40.0)
+        run, _ = launch_queued(vce, "queued")
         vce.run(until=vce.sim.now + 5.0)
         assert run.state is RunState.ALLOCATING  # parked in the queue
+        crash_leader(vce)
+        vce.run(until=vce.sim.now + 200.0)
+        assert run.state is RunState.DONE, run.error
+        assert len(vce.sim.log.records(category="exec.reply")) == 4  # 3 blockers + 1
 
-        # silence the client's own retransmission so the replica alone
-        # must carry the request through the takeover
-        original_retries = ExecutionProgram.MAX_REQUEST_RETRIES
-        ExecutionProgram.MAX_REQUEST_RETRIES = 0
-        try:
-            leader = vce.leader_of(MachineClass.WORKSTATION)
-            vce.net.host(leader.machine.name).crash()
-            vce.run(until=vce.sim.now + 200.0)
-        finally:
-            ExecutionProgram.MAX_REQUEST_RETRIES = original_retries
+    def test_queued_request_served_after_two_leader_crashes(self, no_client_retries):
+        vce = saturated_vce(n=4, blocker_work=40.0)
+        run, _ = launch_queued(vce, "queued")
+        vce.run(until=vce.sim.now + 5.0)
+        first = crash_leader(vce)
+        vce.run(until=vce.sim.now + 15.0)
+        successor = vce.leader_of(MachineClass.WORKSTATION)
+        assert successor is not first
+        assert run.state is RunState.ALLOCATING
+        assert holders(vce) == [successor]  # re-learnt from the program
+        crash_leader(vce)
+        vce.run(until=vce.sim.now + 200.0)
+        assert vce.leader_of(MachineClass.WORKSTATION) not in (first, successor)
         assert run.state is RunState.DONE, run.error
 
     def test_queue_entry_removed_everywhere_after_service(self):
         vce = saturated_vce()
-        g = annotated_graph(name="blk", tasks=(("t", 1, 15.0),))
-        launch(vce, g)
+        launch(vce, annotated_graph(name="blk", tasks=(("t", 1, 15.0),)))
         vce.run(until=vce.sim.now + 3.0)
-        run, _ = launch(
-            vce, annotated_graph(name="queued", tasks=(("t", 1, 2.0),)),
-            queue_if_insufficient=True,
-        )
+        run, _ = launch_queued(vce, "queued")
         vce.run(until=vce.sim.now + 120.0)
         assert run.state is RunState.DONE
-        for daemon in vce.daemons.values():
-            if daemon.alive:
-                assert len(daemon.pending_queue) == 0
+        assert holders(vce) == []
 
     def test_aging_preserved_across_takeover(self):
-        """The replicated entry carries its original enqueue time, so its
-        age (and thus effective priority) survives the leader change."""
-        vce = saturated_vce()
-        for i in range(3):
-            g = annotated_graph(name=f"blk{i}", tasks=(("t", 1, 300.0),))
-            launch(vce, g)
-            vce.run(until=vce.sim.now + 3.0)
-        run, _ = launch(
-            vce, annotated_graph(name="queued", tasks=(("t", 1, 2.0),)),
-            queue_if_insufficient=True,
-        )
+        """A request ages from when its program issued it, at every leader
+        it passes through: the successor queues it with the same
+        ``enqueued_at``, the request's ``issued_at``."""
+        vce = saturated_vce(blocker_work=300.0)
+        launch_queued(vce, "queued")
         vce.run(until=vce.sim.now + 5.0)
-        leader = vce.leader_of(MachineClass.WORKSTATION)
-        enqueue_times = {
-            d.machine.name: d.pending_queue._items[0].enqueued_at
-            for d in vce.daemons.values()
-            if d.pending_queue
-        }
-        assert len(set(enqueue_times.values())) == 1  # identical replicas
-        t0 = next(iter(enqueue_times.values()))
-        vce.net.host(leader.machine.name).crash()
-        vce.run(until=vce.sim.now + 40.0)
-        survivors = [
-            d for d in vce.daemons.values()
-            if d.alive and d.pending_queue
+        (issued,) = [
+            r for r in vce.sim.log.records(category="exec.request")
+            if r.source == "user/exec-queued"
         ]
-        assert survivors
-        for daemon in survivors:
-            assert daemon.pending_queue._items[0].enqueued_at == t0
+        leader = vce.leader_of(MachineClass.WORKSTATION)
+        item = queued_item(leader)
+        assert item.enqueued_at == item.request.issued_at == issued.time
+        crash_leader(vce)
+        vce.run(until=vce.sim.now + 40.0)
+        (successor,) = holders(vce)
+        assert successor is not leader
+        assert queued_item(successor).enqueued_at == issued.time
+
+
+def set_priority(vce, leader, req_id, priority):
+    class User(SimProcess):
+        def on_start(self):
+            self.send(leader.address, SetPriority(req_id, priority), size=64)
+
+    vce.user_host.spawn(User("authorized-user"))
 
 
 class TestRuntimePriorityChange:
@@ -117,66 +142,59 @@ class TestRuntimePriorityChange:
     particular applications" — applied to queued requests at runtime."""
 
     def test_reprioritized_request_overtakes_queue(self):
-        from repro.netsim import SimProcess
-        from repro.scheduler import SetPriority
-
-        vce = saturated_vce()
-        # saturate all machines
-        for i in range(3):
-            g = annotated_graph(name=f"blk{i}", tasks=(("t", 1, 30.0),))
-            launch(vce, g)
-            vce.run(until=vce.sim.now + 3.0)
+        vce = saturated_vce(blocker_work=30.0)
         # two queued apps: "first" then "second" (equal priority, FIFO-aged)
-        r1, _ = launch(
-            vce, annotated_graph(name="first", tasks=(("t", 1, 2.0),)),
-            queue_if_insufficient=True,
-        )
+        r1, _ = launch_queued(vce, "first")
         vce.run(until=vce.sim.now + 2.0)
-        r2, _ = launch(
-            vce, annotated_graph(name="second", tasks=(("t", 1, 2.0),)),
-            queue_if_insufficient=True,
-        )
+        r2, _ = launch_queued(vce, "second")
         vce.run(until=vce.sim.now + 2.0)
         leader = vce.leader_of(MachineClass.WORKSTATION)
         assert len(leader.pending_queue) == 2
         # the user escalates the *second* (younger) app's queued request
-        items = sorted(leader.pending_queue._items, key=lambda q: q.enqueued_at)
-        second_req = items[-1].request.req_id
-
-        class User(SimProcess):
-            def on_start(self):
-                self.send(leader.address, SetPriority(second_req, 100.0), size=64)
-
-        vce.user_host.spawn(User("authorized-user"))
+        items = sorted(leader.pending_queue.items(), key=lambda q: q.enqueued_at)
+        set_priority(vce, leader, items[-1].request.req_id, 100.0)
         vce.run(until=vce.sim.now + 300.0)
         assert r1.state is RunState.DONE and r2.state is RunState.DONE
         # the escalated request was served first
         assert r2.completed_at < r1.completed_at
         assert vce.sim.log.records(category="sched.reprioritized")
 
-    def test_reprioritize_replicated_to_members(self):
-        from repro.netsim import SimProcess
-        from repro.scheduler import SetPriority
-
-        vce = saturated_vce()
-        for i in range(3):
-            g = annotated_graph(name=f"blk{i}", tasks=(("t", 1, 200.0),))
-            launch(vce, g)
-            vce.run(until=vce.sim.now + 3.0)
-        run, _ = launch(
-            vce, annotated_graph(name="q", tasks=(("t", 1, 2.0),)),
-            queue_if_insufficient=True,
-        )
+    def test_set_priority_survives_leader_change(self, no_client_retries):
+        """The leader forwards an applied ``SetPriority`` to the requester,
+        so the request it re-sends to the successor has the new priority."""
+        vce = saturated_vce(blocker_work=200.0)
+        launch_queued(vce, "q")
         vce.run(until=vce.sim.now + 3.0)
         leader = vce.leader_of(MachineClass.WORKSTATION)
-        req_id = leader.pending_queue._items[0].request.req_id
-
-        class User(SimProcess):
-            def on_start(self):
-                self.send(leader.address, SetPriority(req_id, 42.0), size=64)
-
-        vce.user_host.spawn(User("authorized-user"))
+        set_priority(vce, leader, queued_item(leader).request.req_id, 42.0)
         vce.run(until=vce.sim.now + 5.0)
-        for daemon in vce.daemons.values():
-            if daemon.alive and daemon.pending_queue:
-                assert daemon.pending_queue._items[0].request.priority == 42.0
+        assert queued_item(leader).request.priority == 42.0
+        crash_leader(vce)
+        vce.run(until=vce.sim.now + 40.0)
+        (successor,) = holders(vce)
+        assert successor is not leader
+        assert queued_item(successor).request.priority == 42.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(requests=st.integers(1, 4), crash_at=st.floats(0.0, 12.0))
+def test_every_queued_request_is_served_once_across_a_leader_crash(requests, crash_at):
+    """1–4 queued requests, and the leader crashes at a drawn moment while
+    they arrive, bid and queue: each program gets exactly one reply and no
+    run fails. (The blockers outlast the crash, so no queued request is yet
+    running on the leader when it dies.)"""
+    vce = saturated_vce(n=4, blocker_work=60.0)
+    vce.sim.schedule(crash_at, lambda: crash_leader(vce))
+    runs = []
+    for i in range(requests):
+        runs.append(launch_queued(vce, f"q{i}")[0])
+        vce.run(until=vce.sim.now + 1.0)
+    vce.run(until=vce.sim.now + 400.0)
+    for run in runs:
+        assert run.state is RunState.DONE, run.error
+    replies = [
+        r for r in vce.sim.log.records(category="exec.reply")
+        if r.source.startswith("user/exec-q")
+    ]
+    assert sorted(r.source for r in replies) == sorted({r.source for r in replies})
+    assert len(replies) == requests

@@ -357,7 +357,8 @@ class TestPolicies:
 class TestAllocationRetry:
     def test_leader_crash_mid_allocation_retried(self):
         """The leader dies after receiving the request but before replying;
-        the execution program's timeout retransmits to the successor."""
+        the execution program re-sends the request to the successor when
+        the directory's leader changes."""
         vce = make_vce(workstation_farm(4))
         leader = vce.leader_of(MachineClass.WORKSTATION)
         # crash the leader while the request is on the wire / mid-bidding,
@@ -368,5 +369,13 @@ class TestAllocationRetry:
         vce.run(until=vce.sim.now + 120.0)
         assert run.state is RunState.DONE, run.error
         assert run.placement.host_for("t", 0) != leader.machine.name
-        retries = vce.sim.log.records(category="exec.retry_request")
-        assert retries, "the retry path never fired"
+        (sent,) = vce.sim.log.records(category="exec.request")
+        successor = vce.leader_of(MachineClass.WORKSTATION)
+        assert successor is not leader
+        rounds = [
+            r for r in vce.sim.log.records(category="sched.request")
+            if r.data["req_id"] == sent.data["req_id"]
+        ]
+        (resent,) = [r for r in rounds if r.source == str(successor.address)]
+        # before the program's own timeout could have retransmitted it
+        assert resent.time < sent.time + ExecutionProgram.REQUEST_TIMEOUT

@@ -784,7 +784,10 @@ class TestRefreshIsReadOnly:
             return vce.sim.log
 
         alone, watched = soak(peek=False), soak(peek=True)
-        assert len(health_records(alone)) > 4
+        # only the leader holds a queue, so its saturation alarm is raised
+        # and cleared once (not once per member)
+        raised = {category for _t, category, _src, _data in health_records(alone)}
+        assert {"health.queue_saturation", "health.cleared"} <= raised
         assert event_log_digest(watched) == event_log_digest(alone)
 
 
