@@ -9,15 +9,16 @@ Isis Distributed Toolkit" and relies on four Isis facilities:
    broadcasts a request and gathers bids).
 3. **Error notification**, used so "the oldest surviving member of the group
    [can] assume the role of group leader in case the group leader fails".
-4. Ordered multicast delivery (Isis cbcast/abcast).
+4. Causally ordered multicast (Isis cbcast), which bcast/reply rides on.
 
-This package implements those facilities over the ``repro.netsim`` kernel:
+This package implements those facilities, and only those, over the
+``repro.netsim`` kernel:
 
 - :class:`View` — a numbered membership snapshot ordered by seniority; the
   coordinator (group leader) is the oldest member.
 - :class:`VectorClock` — causal-delivery bookkeeping for CBCAST.
 - :class:`IsisMember` — the actor base class giving subclasses ``cbcast``,
-  ``abcast``, ``group_request``/``reply`` (Isis bcast-and-collect-replies),
+  ``group_request``/``reply`` (Isis bcast-and-collect-replies),
   heartbeat failure detection, and coordinator-driven view changes with a
   flush round that re-multicasts recently delivered messages so that view
   changes approximate view-synchronous delivery.

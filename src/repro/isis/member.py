@@ -1,12 +1,11 @@
 """The Isis-style group member actor.
 
 :class:`IsisMember` gives subclasses the toolkit facilities the paper's
-prototype uses:
+prototype uses, and nothing else:
 
-- ``join`` / ``leave`` / automatic failure eviction, with coordinator-driven
+- ``join`` and automatic failure eviction, with coordinator-driven
   two-phase view changes (Flush, NewView);
 - ``cbcast`` — causal multicast (vector clocks, BSS delivery rule);
-- ``abcast`` — totally-ordered multicast (coordinator as sequencer);
 - ``group_request`` / ``reply`` — the Isis *bcast and collect nwanted
   replies* primitive used verbatim by the scheduler ("The prototype uses
   Isis bcast and reply primitives for communication between the execution
@@ -41,9 +40,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.isis.messages import (
-    AbcastReq,
-    AbcastSeq,
-    AbcastNack,
     CBcastAck,
     CBcastMsg,
     CoordBeat,
@@ -54,10 +50,8 @@ from repro.isis.messages import (
     GroupRequest,
     Heartbeat,
     JoinReq,
-    LeaveReq,
     NewView,
     ReplayRecord,
-    Suspect,
 )
 from repro.isis.vclock import VectorClock
 from repro.isis.views import View
@@ -104,7 +98,6 @@ class IsisConfig:
     control_size: int = 128
     require_majority: bool = False
     retransmit_interval: float = 0.75
-    abcast_history: int = 256
 
 
 @dataclass
@@ -151,7 +144,6 @@ class IsisMember(SimProcess):
         self._contact_idx = 0
 
         self.view: View | None = None
-        self._left = False
 
         # causal multicast state (reset each view)
         self._vc = VectorClock()
@@ -159,25 +151,16 @@ class IsisMember(SimProcess):
         self._delivered_ids: set[str] = set()
         self._replay: deque[ReplayRecord] = deque(maxlen=self.config.replay_window)
 
-        # total order state (reset each view)
-        self._ab_next_deliver = 0
-        self._ab_holdback: dict[int, AbcastSeq] = {}
-        self._ab_next_assign = 0  # sequencer counter (coordinator only)
-
         # reliability layer (lossy-link tolerance; reset each view)
         self._received_ids: set[str] = set()
         self._unacked: dict[str, tuple[CBcastMsg, set[Address], int]] = {}
-        self._ab_history: deque[AbcastSeq] = deque(maxlen=self.config.abcast_history)
-        self._ab_pending: dict[str, tuple[AbcastReq, int]] = {}  # unsequenced sends
-        self._ab_sequenced: set[str] = set()  # sequencer-side dedup
-        self._ab_known_high = 0  # sequencer high-water mark (from CoordBeat)
 
         # view-change state
         self._change: _ViewChange | None = None
         self._flushing = False
         self._queued_joins: list[Address] = []
         self._queued_leaves: set[Address] = set()
-        self._queued_mcasts: list[tuple[str, Any, bool]] = []  # (kind, payload, ordered)
+        self._queued_mcasts: list[tuple[str, Any]] = []  # (kind, payload)
         self._acting_coordinator = False
 
         # failure detection
@@ -209,7 +192,7 @@ class IsisMember(SimProcess):
 
     @property
     def joined(self) -> bool:
-        return self.view is not None and not self._left
+        return self.view is not None
 
     @property
     def parked(self) -> bool:
@@ -218,17 +201,15 @@ class IsisMember(SimProcess):
 
     @property
     def is_coordinator(self) -> bool:
-        return (
-            self.view is not None
-            and not self._left
-            and (self.view.coordinator == self.address or self._acting_coordinator)
+        return self.view is not None and (
+            self.view.coordinator == self.address or self._acting_coordinator
         )
 
     def cbcast(self, kind: str, payload: Any, size: int = 256) -> None:
         """Causally ordered multicast to the group (including self)."""
         self._require_joined()
         if self._flushing:
-            self._queued_mcasts.append((kind, payload, False))
+            self._queued_mcasts.append((kind, payload))
             return
         assert self.view is not None
         self._vc.increment(self.address)
@@ -254,28 +235,6 @@ class IsisMember(SimProcess):
             if not self.has_timer("rtx"):
                 self.set_timer(self.config.retransmit_interval, "rtx")
         self._deliver_cbcast(msg)
-
-    def abcast(self, kind: str, payload: Any, size: int = 256) -> None:
-        """Totally ordered multicast (sequenced by the coordinator)."""
-        self._require_joined()
-        if self._flushing:
-            self._queued_mcasts.append((kind, payload, True))
-            return
-        assert self.view is not None
-        req = AbcastReq(
-            msg_id=self.sim.ids.next(f"ab.{self.name}"),
-            sender=self.address,
-            view_id=self.view.view_id,
-            kind=kind,
-            payload=payload,
-        )
-        self._ab_pending[req.msg_id] = (req, size)
-        if not self.has_timer("rtx"):
-            self.set_timer(self.config.retransmit_interval, "rtx")
-        if self.is_coordinator:
-            self._sequence_abcast(req)
-        else:
-            self.send(self.view.coordinator, req, size=size)
 
     def group_request(
         self,
@@ -308,26 +267,6 @@ class IsisMember(SimProcess):
         self.cbcast("__request__", GroupRequest(req_id, self.address, body))
         return req_id
 
-    def leave(self) -> None:
-        """Gracefully depart the group."""
-        if not self.joined:
-            return
-        assert self.view is not None
-        # going silent is, to a parked group, what a kill is: the others
-        # must be awake to miss this member's beats
-        self.host.network.disturb(self)
-        self._left = True
-        self._set_parked(False)
-        self.cancel_timer("hb")
-        if self.view.coordinator == self.address or self._acting_coordinator:
-            # Coordinator hands off by running one last view change that
-            # excludes itself; the next-oldest member leads the new view.
-            self._queued_leaves.add(self.address)
-            self._maybe_start_view_change()
-        else:
-            self.send(self.view.coordinator, LeaveReq(self.address), size=self.config.control_size)
-        self.emit("isis.leave", group=self.group)
-
     # ----------------------------------------------------------------- hooks
 
     def on_view_change(self, view: View, joined: list[Address], left: list[Address]) -> None:
@@ -336,27 +275,11 @@ class IsisMember(SimProcess):
     def on_cbcast(self, sender: Address, kind: str, payload: Any) -> None:
         """A causal multicast was delivered. Override in subclasses."""
 
-    def on_abcast(self, sender: Address, kind: str, payload: Any) -> None:
-        """A totally-ordered multicast was delivered. Override."""
-
     def on_group_request(
         self, requester: Address, body: Any, reply: Callable[[Any], None]
     ) -> None:
         """A ``group_request`` arrived; call ``reply(value)`` to answer (or
         don't — e.g. an overloaded daemon that declines to bid)."""
-
-    def on_join_failed(self) -> None:
-        """All join attempts are failing (no contact responded). Default:
-        keep retrying; override to give up."""
-
-    def get_group_state(self) -> Any:
-        """Coordinator-side state-transfer hook: return a snapshot to hand
-        to members joining in the next view (None = no state transfer)."""
-        return None
-
-    def on_state_received(self, state: Any) -> None:
-        """Joiner-side state-transfer hook: called with the coordinator's
-        snapshot just before ``on_view_change`` for the joining view."""
 
     # ------------------------------------------------------------- lifecycle
 
@@ -394,8 +317,6 @@ class IsisMember(SimProcess):
         self._contact_idx += 1
         self.send(contact, JoinReq(self.address), size=self.config.control_size)
         self.set_timer(self.config.join_retry, "join-retry")
-        if self._contact_idx > 0 and self._contact_idx % (2 * len(self._contacts)) == 0:
-            self.on_join_failed()
 
     def _require_joined(self) -> None:
         if not self.joined:
@@ -404,8 +325,6 @@ class IsisMember(SimProcess):
     # ------------------------------------------------------------ dispatch
 
     def on_message(self, src: Address, payload: Any) -> None:
-        if self._left:
-            return
         handler = self._HANDLERS.get(type(payload))
         if handler is not None:
             handler(self, src, payload)
@@ -448,13 +367,6 @@ class IsisMember(SimProcess):
             # the legitimate coordinator is alive: stand down any
             # takeover attempt (e.g. after a heal)
             self._acting_coordinator = False
-            if msg.view_id == view.view_id:
-                self._ab_known_high = max(self._ab_known_high, msg.high_seq)
-                if (
-                    self._ab_known_high > self._ab_next_deliver
-                    and not self.has_timer("abgap")
-                ):
-                    self.set_timer(self.config.retransmit_interval, "abgap")
             # park and wake with the coordinator, never alone: its order
             # holds if it is for this view and nothing disturbed the
             # network since it was sent
@@ -494,20 +406,10 @@ class IsisMember(SimProcess):
         else:
             self.send(self.view.coordinator, req, size=self.config.control_size)
 
-    def _on_leave_req(self, src: Address, req: LeaveReq) -> None:
-        if not self.joined:
-            return
-        assert self.view is not None
-        if self.is_coordinator:
-            self._queued_leaves.add(req.leaver)
-            self._maybe_start_view_change()
-        else:
-            self.send(self.view.coordinator, req, size=self.config.control_size)
-
     def _on_evicted(self, src: Address, msg: Evicted) -> None:
         """We were removed from the group while unreachable: reset
         membership state and rejoin through the current coordinator."""
-        if self.view is None or self._left:
+        if self.view is None:
             return
         if msg.group_view_id < self.view.view_id:
             return  # stale
@@ -520,17 +422,11 @@ class IsisMember(SimProcess):
         self._queued_joins.clear()
         self._queued_leaves.clear()
         self._cb_holdback.clear()
-        self._ab_holdback.clear()
         self.cancel_timer("hb")
         self.cancel_timer("flush-timeout")
         self._contacts = [msg.coordinator]
         self._contact_idx = 0
         self._try_join()
-
-    def _on_suspect(self, src: Address, msg: Suspect) -> None:
-        if self.is_coordinator and self.view is not None and msg.suspect in self.view:
-            self._queued_leaves.add(msg.suspect)
-            self._maybe_start_view_change()
 
     def _maybe_start_view_change(self) -> None:
         if self._change is not None or not self.is_coordinator or self.view is None:
@@ -609,26 +505,14 @@ class IsisMember(SimProcess):
         change = self._change
         assert change is not None
         self._change = None
-        replay = tuple(change.replay.values())
-        old_members = set(self.view.members) if self.view is not None else set()
-        joiners = [m for m in change.proposed.members if m not in old_members]
-        state = self.get_group_state() if joiners else None
+        # the proposal always keeps the coordinator: every member it evicts
+        # is another one (timed out, a straggler or a senior presumed dead)
+        new_view = NewView(change.proposed, tuple(change.replay.values()))
+        size = self.config.control_size + 64 * len(new_view.replay)
         for member in change.proposed.members:
             if member != self.address:
-                self.send(
-                    member,
-                    NewView(
-                        change.proposed,
-                        replay,
-                        state=(state if member in joiners else None),
-                    ),
-                    size=self.config.control_size + 64 * len(replay),
-                )
-        if self.address in change.proposed:
-            self._on_new_view(self.address, NewView(change.proposed, replay))
-        else:
-            # Coordinator excluded itself (graceful leave): go quiet.
-            self.view = None
+                self.send(member, new_view, size=size)
+        self._on_new_view(self.address, new_view)
 
     def _on_new_view(self, src: Address, msg: NewView) -> None:
         if self.view is not None and msg.view.view_id <= self.view.view_id:
@@ -637,11 +521,7 @@ class IsisMember(SimProcess):
         for rec in msg.replay:
             if rec.msg_id not in self._delivered_ids:
                 self._delivered_ids.add(rec.msg_id)
-                self._dispatch(rec.sender, rec.kind, rec.payload, ordered=False)
-        if msg.state is not None:
-            # Isis state transfer: we are joining; adopt the coordinator's
-            # snapshot before any view/application callbacks fire
-            self.on_state_received(msg.state)
+                self._dispatch(rec.sender, rec.kind, rec.payload)
         self._install(msg.view, msg.replay)
 
     def _install(self, view: View, replay: tuple[ReplayRecord, ...]) -> None:
@@ -658,24 +538,9 @@ class IsisMember(SimProcess):
         self._cb_holdback.clear()
         self._delivered_ids = set()
         self._replay.clear()
-        self._ab_next_deliver = 0
-        self._ab_holdback.clear()
-        self._ab_next_assign = 0
         self._received_ids = set()
         self._unacked.clear()
-        self._ab_history.clear()
-        resend = [
-            (req.kind, req.payload, size) for req, size in self._ab_pending.values()
-        ]
-        self._ab_pending.clear()
-        self._ab_sequenced = set()
-        self._ab_known_high = 0
         self.cancel_timer("rtx")
-        self.cancel_timer("abgap")
-        for kind, payload, size in resend:
-            # sends from the superseded view that never got sequenced are
-            # re-issued in the new view (after the install completes)
-            self._queued_mcasts.append((kind, payload, True))
         self._flushing = False
         self._acting_coordinator = False
         self._change = None
@@ -701,11 +566,8 @@ class IsisMember(SimProcess):
         self.on_view_change(view, joined, left)
         # Re-issue multicasts queued while flushing.
         queued, self._queued_mcasts = self._queued_mcasts, []
-        for kind, payload, ordered in queued:
-            if ordered:
-                self.abcast(kind, payload)
-            else:
-                self.cbcast(kind, payload)
+        for kind, payload in queued:
+            self.cbcast(kind, payload)
         # A fresh coordinator may have inherited queued membership work.
         if self.is_coordinator:
             self._maybe_start_view_change()
@@ -717,8 +579,6 @@ class IsisMember(SimProcess):
             self._heartbeat_tick()
         elif key == "rtx":
             self._retransmit_unacked()
-        elif key == "abgap":
-            self._nack_abcast_gap()
         elif key == "join-retry":
             self._try_join()
         elif key == "flush-timeout":
@@ -746,8 +606,7 @@ class IsisMember(SimProcess):
             ]
             park = not dead and self._steady()
             beat = CoordBeat(
-                me, self.view.view_id, self._ab_next_assign,
-                network.disturbances if park else -1,
+                me, self.view.view_id, network.disturbances if park else -1
             )
             beats = len(self.view) - 1
             for member in self.view.members:
@@ -814,7 +673,7 @@ class IsisMember(SimProcess):
         """Enter or leave the parked state, keeping the ``isis_parked`` /
         ``isis_awake`` gauges in step: a member counts in one of them while
         it is alive and joined.  Every change to that — joining, eviction,
-        leaving, death — passes through here."""
+        stop, death — passes through here."""
         self._parked = parked
         if self._tel_parked is not None:
             gauge = None
@@ -894,7 +753,7 @@ class IsisMember(SimProcess):
             # tell the rival about us; it will dissolve on receipt
             self.send(
                 beat.sender,
-                CoordBeat(self.address, self.view.view_id, self._ab_next_assign),
+                CoordBeat(self.address, self.view.view_id),
                 size=self.config.control_size,
             )
             return
@@ -943,35 +802,8 @@ class IsisMember(SimProcess):
             for member in members:
                 if member in pending:
                     self.send(member, msg, size=size)
-        for req, size in list(self._ab_pending.values()):
-            if self.is_coordinator:
-                self._sequence_abcast(req)
-            else:
-                self.send(self.view.coordinator, req, size=size)
-        if self._unacked or self._ab_pending:
+        if self._unacked:
             self.set_timer(self.config.retransmit_interval, "rtx")
-
-    def _nack_abcast_gap(self) -> None:
-        if not self.joined or self.view is None:
-            return
-        behind_high = self._ab_known_high > self._ab_next_deliver
-        if behind_high or (
-            self._ab_holdback and min(self._ab_holdback) > self._ab_next_deliver
-        ):
-            self.send(
-                self.view.coordinator,
-                AbcastNack(self._ab_next_deliver, self.address, self.view.view_id),
-                size=self.config.control_size,
-            )
-            # keep probing until the gap closes
-            self.set_timer(self.config.retransmit_interval, "abgap")
-
-    def _on_abcast_nack(self, src: Address, msg: AbcastNack) -> None:
-        if self.view is None or msg.view_id != self.view.view_id or not self.is_coordinator:
-            return
-        for entry in self._ab_history:
-            if entry.seq >= msg.from_seq:
-                self.send(msg.requester, entry)
 
     # ------------------------------------------------------------- multicast
 
@@ -1002,48 +834,9 @@ class IsisMember(SimProcess):
     def _deliver_cbcast(self, msg: CBcastMsg) -> None:
         self._delivered_ids.add(msg.msg_id)
         self._replay.append(ReplayRecord(msg.msg_id, msg.sender, msg.kind, msg.payload))
-        self._dispatch(msg.sender, msg.kind, msg.payload, ordered=False)
+        self._dispatch(msg.sender, msg.kind, msg.payload)
 
-    def _sequence_abcast(self, req: AbcastReq) -> None:
-        assert self.view is not None
-        if req.msg_id in self._ab_sequenced:
-            return  # duplicate request (the sender's ack — its own delivery — was delayed)
-        self._ab_sequenced.add(req.msg_id)
-        seq = self._ab_next_assign
-        self._ab_next_assign += 1
-        out = AbcastSeq(seq, req.msg_id, req.sender, self.view.view_id, req.kind, req.payload)
-        self._ab_history.append(out)
-        for member in self.view.members:
-            if member != self.address:
-                self.send(member, out)
-        self._on_abcast_seq(self.address, out)
-
-    def _on_abcast_req(self, src: Address, req: AbcastReq) -> None:
-        if self.view is None or req.view_id != self.view.view_id or not self.is_coordinator:
-            return
-        self._sequence_abcast(req)
-
-    def _on_abcast_seq(self, src: Address, msg: AbcastSeq) -> None:
-        if self.view is None or msg.view_id != self.view.view_id:
-            return
-        if msg.seq < self._ab_next_deliver:
-            return
-        self._ab_holdback[msg.seq] = msg
-        if msg.seq > self._ab_next_deliver and not self.has_timer("abgap"):
-            # a gap: give the missing copies one retransmit interval to
-            # arrive, then NACK the sequencer
-            self.set_timer(self.config.retransmit_interval, "abgap")
-        while self._ab_next_deliver in self._ab_holdback:
-            ready = self._ab_holdback.pop(self._ab_next_deliver)
-            self._ab_next_deliver += 1
-            self._ab_pending.pop(ready.msg_id, None)  # our send got through
-            self._delivered_ids.add(ready.msg_id)
-            self._replay.append(
-                ReplayRecord(ready.msg_id, ready.sender, ready.kind, ready.payload)
-            )
-            self._dispatch(ready.sender, ready.kind, ready.payload, ordered=True)
-
-    def _dispatch(self, sender: Address, kind: str, payload: Any, ordered: bool) -> None:
+    def _dispatch(self, sender: Address, kind: str, payload: Any) -> None:
         if kind == "__request__":
             request: GroupRequest = payload
 
@@ -1055,8 +848,6 @@ class IsisMember(SimProcess):
                 )
 
             self.on_group_request(request.requester, request.body, reply)
-        elif ordered:
-            self.on_abcast(sender, kind, payload)
         else:
             self.on_cbcast(sender, kind, payload)
 
@@ -1084,18 +875,13 @@ class IsisMember(SimProcess):
     #: message class -> handler(self, src, msg); one lookup per message
     _HANDLERS: dict[type, Callable[["IsisMember", Address, Any], None]] = {
         JoinReq: _on_join_req,
-        LeaveReq: _on_leave_req,
         Flush: _on_flush,
         FlushOk: _on_flush_ok,
         NewView: _on_new_view,
         Heartbeat: _on_heartbeat,
         CoordBeat: _on_coord_beat,
         Evicted: _on_evicted,
-        Suspect: _on_suspect,
         CBcastMsg: _on_cbcast_msg,
         CBcastAck: _on_cbcast_ack,
-        AbcastNack: _on_abcast_nack,
-        AbcastReq: _on_abcast_req,
-        AbcastSeq: _on_abcast_seq,
         GroupReply: _on_group_reply,
     }

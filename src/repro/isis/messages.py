@@ -26,13 +26,6 @@ class JoinReq:
 
 
 @dataclass(frozen=True, slots=True)
-class LeaveReq:
-    """Graceful departure announcement."""
-
-    leaver: Address
-
-
-@dataclass(frozen=True, slots=True)
 class Flush:
     """Phase 1 of a view change: the coordinator announces the proposed view
     and asks survivors to stop multicasting and report recent messages."""
@@ -65,13 +58,10 @@ class ReplayRecord:
 @dataclass(frozen=True, slots=True)
 class NewView:
     """Phase 2: install the view. ``replay`` is the union of survivors'
-    windows; installers deliver anything they have not yet delivered.
-    ``state`` carries the coordinator's application-state snapshot to
-    *joiners* only (Isis state transfer); None for surviving members."""
+    windows; installers deliver anything they have not yet delivered."""
 
     view: View
     replay: tuple[ReplayRecord, ...] = ()
-    state: Any = None
 
 
 # -- failure detection -------------------------------------------------------
@@ -92,16 +82,13 @@ class Heartbeat:
 
 @dataclass(frozen=True, slots=True)
 class CoordBeat:
-    """Coordinator -> members liveness signal. Piggybacks the sequencer's
-    high-water mark so members can detect (and NACK) lost tail AbcastSeq
-    messages even when no later sequence number ever arrives.  ``park`` is
-    the group's park order: the network's disturbance count when the
-    coordinator found the group steady and the network calm and stopped
-    beating (-1: keep beating).  It holds only while that count stands."""
+    """Coordinator -> members liveness signal.  ``park`` is the group's park
+    order: the network's disturbance count when the coordinator found the
+    group steady and the network calm and stopped beating (-1: keep
+    beating).  It holds only while that count stands."""
 
     sender: Address
     view_id: int
-    high_seq: int = 0
     park: int = -1
 
 
@@ -115,16 +102,7 @@ class Evicted:
     coordinator: Address
 
 
-@dataclass(frozen=True, slots=True)
-class Suspect:
-    """A member reports a peer it believes has failed (e.g. a reply never
-    arrived); the coordinator verifies via its own timeout bookkeeping."""
-
-    suspect: Address
-    reporter: Address
-
-
-# -- ordered multicast ----------------------------------------------------------
+# -- causal multicast -----------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,39 +125,6 @@ class CBcastAck:
 
     msg_id: str
     sender: Address
-
-
-@dataclass(frozen=True, slots=True)
-class AbcastNack:
-    """Receiver -> sequencer: sequence numbers from *from_seq* up are
-    missing in my holdback; please re-send from your history."""
-
-    from_seq: int
-    requester: Address
-    view_id: int
-
-
-@dataclass(frozen=True, slots=True)
-class AbcastReq:
-    """Sender -> sequencer (coordinator): please order this message."""
-
-    msg_id: str
-    sender: Address
-    view_id: int
-    kind: str
-    payload: Any
-
-
-@dataclass(frozen=True, slots=True)
-class AbcastSeq:
-    """Sequencer -> members: message with its global sequence number."""
-
-    seq: int
-    msg_id: str
-    sender: Address
-    view_id: int
-    kind: str
-    payload: Any
 
 
 # -- request / reply (Isis bcast-and-collect) -------------------------------------

@@ -241,53 +241,7 @@ class SchedulerDaemon(IsisMember):
 
     # ----------------------------------------------------------- leader side
 
-    def on_message(self, src: Address, payload: Any) -> None:
-        if isinstance(payload, ResourceRequest):
-            self._on_resource_request(payload)
-            return
-        if isinstance(payload, ExecutionInfo):
-            hb = self.sim.hb
-            if hb is not None:
-                # commutative increment: hosting updates from concurrent
-                # allocations may land in any order
-                hb.write(f"load:{self.machine.name}", "R002", "daemon.hosting")  # hbrace: ok(R002)
-            self.hosted[payload.app] = self.hosted.get(payload.app, 0) + len(payload.tasks)
-            self._hosted_total += len(payload.tasks)
-            self._load_cache_time = -1.0
-            self.emit("sched.hosting", app=payload.app, count=len(payload.tasks))
-            return
-        if isinstance(payload, SetPriority):
-            self._on_set_priority(payload)
-            return
-        if isinstance(payload, DelegateRequest):
-            self._on_delegate(payload)
-            return
-        if isinstance(payload, DiscloseProbe):
-            self.send(payload.reply_to, ProbeReply(payload.req_id, self._disclose_bid()), size=256)
-            return
-        if isinstance(payload, ProbeReply):
-            self._on_probe_reply(payload)
-            return
-        if isinstance(payload, CellBids):
-            self._on_cell_bids(payload)
-            return
-        if isinstance(payload, TerminateNotice):
-            if payload.app in self.hosted:
-                hb = self.sim.hb
-                if hb is not None:
-                    # guarded pop (`payload.app in self.hosted`): a release
-                    # arriving before/after an unrelated hosting update is safe
-                    hb.write(f"load:{self.machine.name}", "R002", "daemon.released")  # hbrace: ok(R002)
-                self._hosted_total -= self.hosted.pop(payload.app)
-                self._load_cache_time = -1.0
-                self.emit("sched.released", app=payload.app)
-                # capacity freed: give queued requests another chance
-                if self.is_coordinator and self.pending_queue:
-                    self.set_timer(0.0, "retry-queue")
-            return
-        super().on_message(src, payload)
-
-    def _on_resource_request(self, request: ResourceRequest) -> None:
+    def _on_resource_request(self, src: Address, request: ResourceRequest) -> None:
         if not self.joined:
             return
         if not self.is_coordinator:
@@ -312,7 +266,7 @@ class SchedulerDaemon(IsisMember):
             hb.write(f"queue:{self.machine.name}", "R001", "daemon.queue_push")
         self.pending_queue.push(request, request.issued_at)
 
-    def _on_set_priority(self, msg: SetPriority) -> None:
+    def _on_set_priority(self, src: Address, msg: SetPriority) -> None:
         """Runtime priority change for a queued request (§4.3). Leaders
         apply it and tell the requester, whose re-send after a leader
         change then carries it; non-leaders forward."""
@@ -492,11 +446,11 @@ class SchedulerDaemon(IsisMember):
         self.set_timer(self.daemon_config.bid_timeout * 2 + 0.5, f"hier:{req_id}")
         message = DelegateRequest(round_.request, cell, members, self.address)
         if sub_leader == self.address:
-            self._on_delegate(message)
+            self._on_delegate(self.address, message)
         else:
             self.send(sub_leader, message, size=768)
 
-    def _on_cell_bids(self, msg: CellBids) -> None:
+    def _on_cell_bids(self, src: Address, msg: CellBids) -> None:
         # cache the aggregate even when the round is gone: stale reports
         # still teach the root where capacity is
         self._cell_loads[msg.cell] = msg.mean_load
@@ -555,7 +509,7 @@ class SchedulerDaemon(IsisMember):
 
     # ---------------------------------------------------- hierarchy sub-leader
 
-    def _on_delegate(self, msg: DelegateRequest) -> None:
+    def _on_delegate(self, src: Address, msg: DelegateRequest) -> None:
         if not self.alive or msg.request.req_id in self._cell_rounds:
             return
         round_ = _CellRound(msg)
@@ -580,7 +534,7 @@ class SchedulerDaemon(IsisMember):
         else:
             self.set_timer(self.daemon_config.bid_timeout, f"cell:{msg.request.req_id}")
 
-    def _on_probe_reply(self, msg: ProbeReply) -> None:
+    def _on_probe_reply(self, src: Address, msg: ProbeReply) -> None:
         round_ = self._cell_rounds.get(msg.req_id)
         if round_ is None:
             return
@@ -597,11 +551,40 @@ class SchedulerDaemon(IsisMember):
         self._cell_rounds.pop(req_id, None)
         report = CellBids(req_id, msg.cell, tuple(round_.bids), polled=len(msg.members))
         if msg.root == self.address:
-            self._on_cell_bids(report)
+            self._on_cell_bids(self.address, report)
         else:
             self.send(msg.root, report, size=1024)
 
     # ------------------------------------------------------------ member side
+
+    def _on_execution_info(self, src: Address, info: ExecutionInfo) -> None:
+        hb = self.sim.hb
+        if hb is not None:
+            # commutative increment: hosting updates from concurrent
+            # allocations may land in any order
+            hb.write(f"load:{self.machine.name}", "R002", "daemon.hosting")  # hbrace: ok(R002)
+        self.hosted[info.app] = self.hosted.get(info.app, 0) + len(info.tasks)
+        self._hosted_total += len(info.tasks)
+        self._load_cache_time = -1.0
+        self.emit("sched.hosting", app=info.app, count=len(info.tasks))
+
+    def _on_terminate_notice(self, src: Address, notice: TerminateNotice) -> None:
+        if notice.app not in self.hosted:
+            return
+        hb = self.sim.hb
+        if hb is not None:
+            # guarded pop (`notice.app in self.hosted`): a release
+            # arriving before/after an unrelated hosting update is safe
+            hb.write(f"load:{self.machine.name}", "R002", "daemon.released")  # hbrace: ok(R002)
+        self._hosted_total -= self.hosted.pop(notice.app)
+        self._load_cache_time = -1.0
+        self.emit("sched.released", app=notice.app)
+        # capacity freed: give queued requests another chance
+        if self.is_coordinator and self.pending_queue:
+            self.set_timer(0.0, "retry-queue")
+
+    def _on_disclose_probe(self, src: Address, probe: DiscloseProbe) -> None:
+        self.send(probe.reply_to, ProbeReply(probe.req_id, self._disclose_bid()), size=256)
 
     def _disclose_bid(self) -> MachineBid | None:
         """Answer one state disclosure (flat broadcast or hierarchy probe):
@@ -670,3 +653,17 @@ class SchedulerDaemon(IsisMember):
             **trace_fields(item.request.trace),
         )
         self._start_bidding(item.request)
+
+    #: the group protocol's table plus the scheduler's own messages: one
+    #: type-keyed lookup per message in ``IsisMember.on_message``
+    _HANDLERS = {
+        **IsisMember._HANDLERS,
+        ResourceRequest: _on_resource_request,
+        SetPriority: _on_set_priority,
+        ExecutionInfo: _on_execution_info,
+        TerminateNotice: _on_terminate_notice,
+        DelegateRequest: _on_delegate,
+        DiscloseProbe: _on_disclose_probe,
+        ProbeReply: _on_probe_reply,
+        CellBids: _on_cell_bids,
+    }

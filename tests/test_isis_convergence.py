@@ -1,7 +1,7 @@
 """Randomized membership convergence.
 
-A seeded adversary performs a random sequence of joins, graceful leaves,
-and crashes against a process group; after a quiescence period, every
+A seeded adversary performs a random sequence of joins, crashes and
+recoveries against a process group; after a quiescence period, every
 surviving member must agree on a single view containing exactly the
 survivors, with the oldest survivor as coordinator. Run across several
 seeds — a deterministic stand-in for stateful property testing of the
@@ -18,6 +18,11 @@ from repro.netsim import Network, Simulator
 from tests.test_isis_group import Recorder
 
 
+def live_members(members):
+    """Members whose process is up and holds a view."""
+    return [m for m in members if m.alive and m.joined]
+
+
 def adversarial_run(seed: int, operations: int = 12):
     rng = random.Random(seed)
     sim = Simulator(seed)
@@ -25,12 +30,13 @@ def adversarial_run(seed: int, operations: int = 12):
     members = []
     counter = [0]
 
-    def spawn_member():
+    def spawn_member(host=None):
         i = counter[0]
         counter[0] += 1
-        host = net.add_host(f"h{i}")
+        if host is None:
+            host = net.add_host(f"h{i}")
         contacts = None
-        alive = [m for m in members if m.joined and m.host.up]
+        alive = live_members(members)
         if alive:
             contacts = [m.address for m in rng.sample(alive, k=min(2, len(alive)))]
         elif members:
@@ -44,15 +50,19 @@ def adversarial_run(seed: int, operations: int = 12):
     sim.run(until=5.0)
 
     for _ in range(operations):
-        candidates = [m for m in members if m.joined and m.host.up]
-        op = rng.choice(["join", "join", "crash", "leave"])
-        if op == "join" or len(candidates) <= 2:
-            spawn_member()
-        elif op == "crash":
-            victim = rng.choice(candidates)
-            victim.host.crash()
+        candidates = live_members(members)
+        down = list(dict.fromkeys(m.host for m in members if not m.host.up))
+        op = rng.choice(["join", "join", "crash", "recover"])
+        if op == "crash" and len(candidates) > 2:
+            rng.choice(candidates).host.crash()
+        elif op == "recover" and down:
+            # a recovered machine starts a fresh member, as a rebooted
+            # host starts a new daemon
+            host = rng.choice(down)
+            host.recover()
+            spawn_member(host)
         else:
-            rng.choice(candidates).leave()
+            spawn_member()
         sim.run(until=sim.now + rng.uniform(1.0, 8.0))
 
     # quiescence: generous time for detection + takeover chains
@@ -63,7 +73,7 @@ def adversarial_run(seed: int, operations: int = 12):
 @pytest.mark.parametrize("seed", [1, 2, 3, 5, 8, 13, 21])
 def test_membership_converges_under_random_churn(seed):
     sim, members = adversarial_run(seed)
-    live = [m for m in members if m.joined and m.host.up]
+    live = live_members(members)
     assert live, f"seed {seed}: everyone died (adversary too strong?)"
     assert views_converged(live), (
         f"seed {seed}: views diverged: "
@@ -83,11 +93,13 @@ def test_membership_converges_under_random_churn(seed):
 @pytest.mark.parametrize("seed", [4, 9])
 def test_multicast_works_after_churn(seed):
     sim, members = adversarial_run(seed)
-    live = [m for m in members if m.joined and m.host.up]
+    live = live_members(members)
     sender = live[-1]
-    sender.abcast("post-churn", seed)
+    results = {}
+    sender.group_request("post-churn", on_done=lambda r, t: results.update(r=r, t=t))
     sender.cbcast("post-churn-cb", seed)
     sim.run(until=sim.now + 10.0)
+    assert results["t"] is False and len(results["r"]) == len(live)
     for m in live:
-        assert ("post-churn" in [k for (_, k, _) in m.ab_deliveries])
-        assert ("post-churn-cb" in [k for (_, k, _) in m.cb_deliveries])
+        assert "post-churn" in m.requests_seen
+        assert "post-churn-cb" in [k for (_, k, _) in m.cb_deliveries]

@@ -120,9 +120,13 @@ class TestWithQuorum:
             {m.address.host for m in ordered[3:]},
         )
         sim.run(until=sim.now + 40.0)
-        ordered[1].abcast("during-partition", "x")
+        results = {}
+        ordered[1].cbcast("during-partition", "x")
+        ordered[1].group_request("state?", on_done=lambda r, t: results.update(r=r, t=t))
         sim.run(until=sim.now + 5.0)
         for m in ordered[:3]:
-            assert ("during-partition" in [k for (_, k, _) in m.ab_deliveries])
+            assert "during-partition" in [k for (_, k, _) in m.cb_deliveries]
         for m in ordered[3:]:
-            assert "during-partition" not in [k for (_, k, _) in m.ab_deliveries]
+            assert "during-partition" not in [k for (_, k, _) in m.cb_deliveries]
+        assert results["t"] is False
+        assert {a for a, _ in results["r"]} == {m.address for m in ordered[:3]}
