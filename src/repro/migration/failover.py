@@ -219,7 +219,6 @@ class FailoverManager:
 
     def _pick_host(self, app: Application, record: InstanceRecord) -> str | None:
         """Least-loaded live host of a compatible class (deterministic)."""
-        runtime = self.context.runtime
         network = self.context.network
         wanted_class = None
         if self.config.same_class_only and record.host_name is not None:
@@ -227,13 +226,14 @@ class FailoverManager:
                 wanted_class = self.context.machine_of(record.host_name).arch_class
             except Exception:
                 wanted_class = None
+        load = self.context.runtime.instances_by_host()
         candidates: list[tuple[int, str]] = []
         for host in network.hosts.values():
             if not host.up or host.machine is None:
                 continue
             if wanted_class is not None and host.machine.arch_class is not wanted_class:
                 continue
-            candidates.append((len(runtime.instances_on(host.name)), host.name))
+            candidates.append((len(load.get(host.name, ())), host.name))
         if not candidates:
             return None
         candidates.sort()

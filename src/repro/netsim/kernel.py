@@ -1,15 +1,19 @@
 """The serial discrete-event backend (the default ``SimBackend``).
 
-A :class:`Simulator` holds a heap of ``(time, sequence, callback)`` entries.
-The sequence number breaks ties so that events scheduled earlier at the same
-timestamp run earlier — a deterministic total order, which is essential for
+A :class:`Simulator` holds a heap of ``(time, skey, timer)`` tuples.  The
+sort key ``skey`` (the scheduling sequence number, unless tie-shuffle is on)
+breaks ties so that events scheduled earlier at the same timestamp run
+earlier — a deterministic total order, which is essential for
 reproducible experiments.  The same total order is the backend contract
 (:class:`repro.netsim.backend.SimBackend`): events commit in ``(time, seq)``
 order, which is why replay digests are reproducible byte for byte.
 
 The loop is a hot path: every message hop, timer tick, and compute slice in a
-run goes through it.  Entries are ``__slots__`` objects with a hand-written
-``__lt__`` (no per-comparison tuple allocation), ``pending`` is O(1) via a
+run goes through it.  Heap items are plain ``(time, skey, timer)`` tuples,
+so ``heapq`` orders them with C tuple comparison (``(time, skey)`` is unique,
+so the third field is never compared); the :class:`Timer` in the tuple is
+both the entry and the caller's cancellation handle, one object per
+scheduled event besides the tuple.  ``pending`` is O(1) via a
 cancelled-entry counter, and cancelled entries are compacted out of the heap
 once they dominate it so cancel-heavy workloads (retry timers, heartbeat
 reschedules) cannot grow the heap without bound.  None of this changes the
@@ -61,47 +65,37 @@ _COMPACT_MIN = 64
 _TIE_MIX_MUL = 0x9E3779B1
 
 
-class _Entry:
-    __slots__ = ("time", "seq", "skey", "callback", "cancelled", "daemon", "fired", "hb")
+class Timer:
+    """A scheduled event: the heap entry and its cancellation handle.
+
+    Cancellation is lazy: the entry is flagged and skipped when popped,
+    which keeps ``cancel`` O(1) (amortised — see ``Simulator._compact``).
+    """
+
+    __slots__ = ("time", "seq", "callback", "cancelled", "daemon", "fired", "hb", "_sim")
 
     def __init__(
-        self, time: float, seq: int, skey: int, callback: Callable[[], None], daemon: bool
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[[], None],
+        daemon: bool,
+        sim: "Simulator",
     ) -> None:
         self.time = time
         self.seq = seq
-        #: tie-break sort key — equals ``seq`` unless tie-shuffle is active
-        self.skey = skey
         self.callback = callback
         self.cancelled = False
         self.daemon = daemon
         self.fired = False
         #: happens-before tracker node of the scheduling event (0 = root)
         self.hb = 0
-
-    def __lt__(self, other: "_Entry") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.skey < other.skey
-
-
-class Timer:
-    """Handle to a scheduled event; supports cancellation.
-
-    Cancellation is lazy: the heap entry is flagged and skipped when popped,
-    which keeps ``cancel`` O(1) (amortised — see ``Simulator._compact``).
-    """
-
-    __slots__ = ("_entry", "_sim")
-
-    def __init__(self, entry: _Entry, sim: "Simulator") -> None:
-        self._entry = entry
         self._sim = sim
 
     def cancel(self) -> None:
-        entry = self._entry
-        if entry.cancelled or entry.fired:
+        if self.cancelled or self.fired:
             return
-        entry.cancelled = True
+        self.cancelled = True
         sim = self._sim
         if not sim._heap:
             # Terminal: the heap has fully drained, so this entry cannot be
@@ -110,7 +104,7 @@ class Timer:
             # an empty heap (``pending`` would go negative) and corrupt the
             # live-event count for later runs.  Mark it cancelled and stop.
             return
-        if not entry.daemon:
+        if not self.daemon:
             sim._live_nondaemon -= 1
         sim._cancelled_in_heap += 1
         if (
@@ -118,14 +112,6 @@ class Timer:
             and sim._cancelled_in_heap * 2 > len(sim._heap)
         ):
             sim._compact()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry.cancelled
-
-    @property
-    def time(self) -> float:
-        return self._entry.time
 
 
 class Simulator(SimBackend):
@@ -142,7 +128,7 @@ class Simulator(SimBackend):
     backend_name = "serial"
 
     def __init__(self, seed: int = 0) -> None:
-        self._heap: list[_Entry] = []
+        self._heap: list[tuple[float, int, Timer]] = []
         self._seq = 0
         self._now = 0.0
         self._running = False
@@ -241,18 +227,19 @@ class Simulator(SimBackend):
             )
         seq = self._seq
         self._seq = seq + 1
-        entry = _Entry(time, seq, seq if not self._tie_mix else self._skey(seq),
-                       callback, daemon)
+        timer = Timer(time, seq, callback, daemon, self)
         hb = self.hb
         if hb is not None:
             parents = hb._parents
-            entry.hb = len(parents)
+            timer.hb = len(parents)
             parents.append(hb._current)
             hb._node_hosts.append(host)
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(
+            self._heap, (time, seq if not self._tie_mix else self._skey(seq), timer)
+        )
         if not daemon:
             self._live_nondaemon += 1
-        return Timer(entry, self)
+        return timer
 
     def call_soon(
         self,
@@ -266,18 +253,20 @@ class Simulator(SimBackend):
         """
         seq = self._seq
         self._seq = seq + 1
-        entry = _Entry(self._now, seq, seq if not self._tie_mix else self._skey(seq),
-                       callback, daemon)
+        now = self._now
+        timer = Timer(now, seq, callback, daemon, self)
         hb = self.hb
         if hb is not None:
             parents = hb._parents
-            entry.hb = len(parents)
+            timer.hb = len(parents)
             parents.append(hb._current)
             hb._node_hosts.append(host)
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(
+            self._heap, (now, seq if not self._tie_mix else self._skey(seq), timer)
+        )
         if not daemon:
             self._live_nondaemon += 1
-        return Timer(entry, self)
+        return timer
 
     # -- running -----------------------------------------------------------
 
@@ -286,7 +275,7 @@ class Simulator(SimBackend):
         empty."""
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
+            entry = heapq.heappop(heap)[2]
             if entry.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
@@ -337,12 +326,11 @@ class Simulator(SimBackend):
         mix = self._tie_mix
         try:
             while heap:
-                entry = heap[0]
+                t, _, entry = heap[0]
                 if entry.cancelled:
                     heappop(heap)
                     self._cancelled_in_heap -= 1
                     continue
-                t = entry.time
                 if until is not None:
                     if t > until:
                         break
@@ -375,8 +363,8 @@ class Simulator(SimBackend):
                         )
                     if not heap:
                         break
-                    entry = heap[0]
-                    if entry.cancelled or entry.time != t:
+                    next_t, _, entry = heap[0]
+                    if entry.cancelled or next_t != t:
                         break
                     if until is None and self._live_nondaemon == 0:
                         break
@@ -399,7 +387,7 @@ class Simulator(SimBackend):
         pops identically.
         """
         heap = self._heap
-        heap[:] = [e for e in heap if not e.cancelled]
+        heap[:] = [item for item in heap if not item[2].cancelled]
         heapq.heapify(heap)
         self._cancelled_in_heap = 0
         self._compactions += 1

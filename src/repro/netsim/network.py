@@ -31,7 +31,8 @@ Two transport modes:
   sequence number; a drop or partition block schedules a retransmission
   after an exponentially backed-off RTO instead of losing the message;
   the receiving side holds a reorder buffer that delivers strictly in
-  sequence order and absorbs duplicates. A message that stays
+  sequence order and absorbs duplicates (an in-order arrival with nothing
+  held back is handed over directly). A message that stays
   undeliverable for :attr:`TransportConfig.max_retries` attempts is
   *abandoned* (``net.lost``) and its sequence slot released so later
   traffic is not wedged behind the gap. Faults then surface as latency —
@@ -417,7 +418,7 @@ class Network:
         cfg = self.transport
         assert cfg is not None
         src_host, dst_host = message.src.host, message.dst.host
-        blocked = not self._connected(src_host, dst_host)
+        blocked = self._partitions is not None and not self._connected(src_host, dst_host)
         if blocked:
             self.sim.emit("net.partition_drop", src_host, dst=dst_host, seq=seq)
         elif self._drop_rate > 0.0 and self._drop_rng.random() < self._drop_rate:
@@ -457,15 +458,22 @@ class Network:
 
     def _arrive(self, message: Message, seq: int) -> None:
         """Receiver side: dedup by sequence number, restore order, deliver."""
-        state = self._pair(message.src.host, message.dst.host)
-        if seq < state.deliver_next or seq in state.buffer or seq in state.abandoned:
+        src_host, dst_host = message.src.host, message.dst.host
+        state = self._pairs[(src_host, dst_host)]
+        buffer = state.buffer
+        if seq == state.deliver_next and not buffer and not state.abandoned:
+            # in order with nothing held back: the buffer would release
+            # exactly this message, so hand it over directly
+            state.deliver_next = seq + 1
+            if self.hosts[dst_host].deliver(message):
+                self.messages_delivered += 1
+            return
+        if seq < state.deliver_next or seq in buffer or seq in state.abandoned:
             self.duplicates_dropped += 1
             self._tel_inc("net_dup_dropped_total", "duplicate deliveries absorbed")
-            self.sim.emit(
-                "net.dup_dropped", message.src.host, dst=message.dst.host, seq=seq
-            )
+            self.sim.emit("net.dup_dropped", src_host, dst=dst_host, seq=seq)
             return
-        state.buffer[seq] = message
+        buffer[seq] = message
         self._release(state)
 
     def _abandon(self, src_host: str, dst_host: str, seq: int) -> None:
@@ -480,7 +488,7 @@ class Network:
             if state.deliver_next in state.buffer:
                 message = state.buffer.pop(state.deliver_next)
                 state.deliver_next += 1
-                if self.host(message.dst.host).deliver(message):
+                if self.hosts[message.dst.host].deliver(message):
                     self.messages_delivered += 1
             elif state.deliver_next in state.abandoned:
                 state.abandoned.discard(state.deliver_next)

@@ -447,29 +447,26 @@ class RuntimeManager:
     def add_failure_handler(self, handler: FailureHandler) -> None:
         self.failure_handlers.append(handler)
 
-    def instances_on(self, host_name: str) -> list[TaskInstance]:
-        """Live VCE task instances currently on *host_name*, redundant
-        copies included. Scans each application's in-flight index, so the
-        cost follows live work, not everything ever submitted."""
-        out = []
+    def instances_by_host(self) -> dict[str, list[TaskInstance]]:
+        """Live VCE task instances per host name, redundant copies included,
+        in one pass over each application's in-flight index (so the cost
+        follows live work, not everything ever submitted). Hosts running
+        nothing are absent."""
+        out: dict[str, list[TaskInstance]] = {}
         for app in self.apps.values():
             for record in app.inflight.values():
                 inst = record.instance
-                if (
-                    inst is not None
-                    and not inst.state.terminal
-                    and inst.host is not None
-                    and inst.host.name == host_name
-                ):
-                    out.append(inst)
+                if inst is not None and not inst.state.terminal and inst.host is not None:
+                    out.setdefault(inst.host.name, []).append(inst)
                 for copy in record.redundant_copies:
-                    if (
-                        not copy.state.terminal
-                        and copy.host is not None
-                        and copy.host.name == host_name
-                    ):
-                        out.append(copy)
+                    if not copy.state.terminal and copy.host is not None:
+                        out.setdefault(copy.host.name, []).append(copy)
         return out
+
+    def instances_on(self, host_name: str) -> list[TaskInstance]:
+        """Live VCE task instances currently on *host_name* (see
+        :meth:`instances_by_host`)."""
+        return self.instances_by_host().get(host_name, [])
 
     def rebind_instance(self, old_address: Any, new_address: Any) -> int:
         """Channel handoff after a migration (counts ports moved)."""

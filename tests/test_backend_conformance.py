@@ -339,21 +339,21 @@ class TestConformanceProperties:
         timers = []
         fired: list[tuple[float, int]] = []
 
-        def make_cb(entry):
-            return lambda: fired.append((entry.time, entry.seq))
+        def make_cb(timer):
+            return lambda: fired.append((timer.time, timer.seq))
 
         for op, delay, index, host in ops:
             if op == "schedule":
                 timer = sim.schedule(delay, lambda: None, host=host)
-                timer._entry.callback = make_cb(timer._entry)
+                timer.callback = make_cb(timer)
                 timers.append(timer)
             elif op == "schedule_at":
                 timer = sim.schedule_at(delay, lambda: None, host=host)
-                timer._entry.callback = make_cb(timer._entry)
+                timer.callback = make_cb(timer)
                 timers.append(timer)
             elif op == "call_soon":
                 timer = sim.call_soon(lambda: None, host=host)
-                timer._entry.callback = make_cb(timer._entry)
+                timer.callback = make_cb(timer)
                 timers.append(timer)
             elif op == "cancel" and timers:
                 timers[index % len(timers)].cancel()
@@ -361,16 +361,10 @@ class TestConformanceProperties:
                 timer = timers[index % len(timers)]
                 timer.cancel()
                 timer.cancel()
-            live = sum(
-                1 for t in timers if not t._entry.cancelled and not t._entry.fired
-            )
+            live = sum(1 for t in timers if not t.cancelled and not t.fired)
             assert sim.pending == live
 
-        expected = sorted(
-            (t._entry.time, t._entry.seq)
-            for t in timers
-            if not t._entry.cancelled
-        )
+        expected = sorted((t.time, t.seq) for t in timers if not t.cancelled)
         sim.run()
         assert fired == expected
         assert sim.pending == 0

@@ -1,9 +1,10 @@
 """Tests for the discrete-event kernel, hosts, network, and processes."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.netsim import Address, Host, LatencyModel, Network, SimProcess, Simulator
+from repro.netsim.network import TransportConfig
 from repro.util.errors import SimulationError
 
 
@@ -254,6 +255,95 @@ class TestNetwork:
 
         assert run(5) == run(5)
         assert run(5) != run(6)
+
+
+class _Recorder(SimProcess):
+    def __init__(self, name):
+        super().__init__(name)
+        self.got = []
+
+    def on_message(self, src, payload):
+        self.got.append(payload)
+
+
+_RELIABLE_HOSTS = ("h0", "h1", "h2")
+
+
+class TestReliableTransport:
+    """The contract of ``set_reliable()`` under every fault knob at once."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        drop=st.floats(0.0, 0.7),
+        duplicate=st.floats(0.0, 0.5),
+        reorder=st.floats(0.0, 0.5),
+        max_retries=st.integers(0, 4),
+        sends=st.lists(
+            st.tuples(st.floats(0.0, 0.5), st.integers(0, 2), st.integers(1, 2)),
+            min_size=1,
+            max_size=40,
+        ),
+        windows=st.lists(
+            st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.8), st.integers(0, 2)),
+            max_size=2,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_in_order_exactly_once_or_counted_lost(
+        self, drop, duplicate, reorder, max_retries, sends, windows, seed
+    ):
+        """Per (src, dst) pair the receiver sees strictly increasing send
+        indices; every message is delivered or counted in
+        ``messages_lost`` by the time the run drains, so nothing is left
+        wedged behind an abandoned sequence number; and a probe sent once
+        the faults stop arrives last."""
+        sim = Simulator(seed)
+        net = Network(sim)
+        recorders = {}
+        for name in _RELIABLE_HOSTS:
+            recorders[name] = _Recorder("p")
+            net.add_host(name).spawn(recorders[name])
+        net.set_reliable(TransportConfig(max_retries=max_retries))
+        net.set_drop_rate(drop)
+        net.set_duplicate_rate(duplicate)
+        net.set_reorder_rate(reorder, spread=0.05)
+        for start, length, isolated in windows:
+            sim.schedule_at(start, lambda h=_RELIABLE_HOSTS[isolated]: net.partition({h}))
+            sim.schedule_at(start + length, net.heal)
+        sent = {}
+
+        def send(src, dst):
+            index = sent.get((src, dst), 0)
+            sent[(src, dst)] = index + 1
+            net.send(Address(src, "p"), Address(dst, "p"), (src, index))
+
+        for at, src, hop in sends:
+            src_name = _RELIABLE_HOSTS[src]
+            dst_name = _RELIABLE_HOSTS[(src + hop) % len(_RELIABLE_HOSTS)]
+            sim.schedule_at(at, lambda s=src_name, d=dst_name: send(s, d))
+        sim.run()
+        # the run drained: nothing may wait in a reorder buffer any more
+        assert net.messages_delivered + net.messages_lost == sum(sent.values())
+
+        net.heal()
+        net.set_drop_rate(0.0)
+        net.set_duplicate_rate(0.0)
+        net.set_reorder_rate(0.0)
+        probes = dict(sent)
+        for src, dst in probes:
+            send(src, dst)
+        sim.run()
+
+        delivered = 0
+        for dst, recorder in recorders.items():
+            for src in _RELIABLE_HOSTS:
+                indices = [i for s, i in recorder.got if s == src]
+                assert indices == sorted(set(indices)), (src, dst, indices)
+                if (src, dst) in probes:
+                    assert indices[-1] == probes[(src, dst)], "a probe was wedged"
+                delivered += len(indices)
+        assert delivered == net.messages_delivered
+        assert delivered + net.messages_lost == sum(sent.values())
 
 
 class TestHost:

@@ -16,7 +16,9 @@ instrumentation-based, never wall-clock, so they are immune to CI noise:
 - One task instance costs what varies per instance: a dispatch copies no
   arc or predecessor list, and an exited instance leaves at most 17
   collector-tracked objects behind.
-- ``RuntimeManager.instances_on`` visits live records only.
+- ``RuntimeManager.instances_on`` visits live records only, and a failover
+  re-dispatch scans each application's in-flight records once, not once
+  per candidate host.
 - The observers cost nothing when nothing changed: an idle cluster with
   one instance in flight is sampled at the keep-alive rate only, and the
   watchdog resolves no metric label on a tick with no new in-flight record.
@@ -328,8 +330,8 @@ class TestDispatchContracts:
 
 class TestInstancesOnContract:
     def test_finished_application_is_never_visited(self):
-        """``instances_on`` is asked once per candidate host per failover
-        re-dispatch: its cost must follow live work, not history."""
+        """``instances_on`` (and the per-host load a failover re-dispatch
+        ranks by) must cost what live work costs, not history."""
 
         class Untouchable(dict):
             def _refuse(self, *args):
@@ -372,6 +374,62 @@ class TestInstancesOnContract:
         cluster.run()
         assert app.status is AppStatus.DONE
         assert manager.instances_on("ws0") == manager.instances_on("ws1") == []
+
+    def test_redispatch_scans_each_application_once(self):
+        """Ranking the candidate hosts of a failover re-dispatch reads each
+        live application's in-flight records once, however many hosts are
+        candidates."""
+        from repro.migration import MigrationContext
+        from repro.migration.failover import FailoverManager
+
+        class CountingInflight(dict):
+            scans = 0
+
+            def _count(method):
+                def counted(self, *args):
+                    self.scans += 1
+                    return method(self, *args)
+
+                return counted
+
+            __iter__ = _count(dict.__iter__)
+            keys = _count(dict.keys)
+            values = _count(dict.values)
+            items = _count(dict.items)
+
+        def long_burst(ctx):
+            yield Compute(50.0)
+
+        hosts = [f"ws{i}" for i in range(6)]
+        cluster = make_cluster(len(hosts))
+        manager = cluster.manager
+        failover = FailoverManager(MigrationContext(manager, cluster.net)).install()
+        apps = []
+        for name in ("a", "b", "c"):
+            graph = TaskGraph(name)
+            graph.add_task(TaskNode("t", instances=len(hosts), program=long_burst))
+            apps.append(manager.submit(graph, round_robin_placement(graph, hosts)))
+        cluster.run(until=5.0)
+        for app in apps:
+            app.inflight = CountingInflight(app.inflight)
+
+        picks = []
+        pick_host = failover._pick_host
+
+        def counting_pick_host(app, record):
+            before = [a.inflight.scans for a in apps]
+            target = pick_host(app, record)
+            picks.append([a.inflight.scans - b for a, b in zip(apps, before)])
+            return target
+
+        failover._pick_host = counting_pick_host
+        cluster.hosts["ws0"].crash()  # strands one instance of each application
+        cluster.run()
+        assert failover.redispatches == len(apps)
+        assert picks == [[1] * len(apps)] * len(apps), (
+            "a re-dispatch scanned an application once per candidate host"
+        )
+        assert all(app.status is AppStatus.DONE for app in apps)
 
 
 class TestObserverContracts:
@@ -590,21 +648,21 @@ class TestKernelProperties:
         timers = []
         fired: list[tuple[float, int]] = []
 
-        def make_cb(entry):
-            return lambda: fired.append((entry.time, entry.seq))
+        def make_cb(timer):
+            return lambda: fired.append((timer.time, timer.seq))
 
         for op, delay, index in ops:
             if op == "schedule":
                 timer = sim.schedule(delay, lambda: None)
-                timer._entry.callback = make_cb(timer._entry)
+                timer.callback = make_cb(timer)
                 timers.append(timer)
             elif op == "schedule_at":
                 timer = sim.schedule_at(delay, lambda: None)
-                timer._entry.callback = make_cb(timer._entry)
+                timer.callback = make_cb(timer)
                 timers.append(timer)
             elif op == "call_soon":
                 timer = sim.call_soon(lambda: None)
-                timer._entry.callback = make_cb(timer._entry)
+                timer.callback = make_cb(timer)
                 timers.append(timer)
             elif op == "cancel" and timers:
                 timers[index % len(timers)].cancel()
@@ -614,15 +672,11 @@ class TestKernelProperties:
                 timer.cancel()
                 timer.cancel()
             brute = sum(
-                1 for e in sim._heap if not e.cancelled and not e.fired
+                1 for _, _, e in sim._heap if not e.cancelled and not e.fired
             )
             assert sim.pending == brute
 
-        expected = sorted(
-            (t._entry.time, t._entry.seq)
-            for t in timers
-            if not t._entry.cancelled
-        )
+        expected = sorted((t.time, t.seq) for t in timers if not t.cancelled)
         sim.run()
         assert fired == expected
         assert sim.pending == 0
