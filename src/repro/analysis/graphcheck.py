@@ -43,12 +43,11 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
-from typing import Callable, Iterable
-
-import networkx as nx
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.report import AnalysisReport, Finding, Severity
 from repro.taskgraph import ArcKind, ProblemClass, TaskGraph
+from repro.taskgraph.graph import find_cycle
 
 #: A verifier pass: graph -> findings.
 GraphPass = Callable[[TaskGraph], list[Finding]]
@@ -71,30 +70,77 @@ _LIBRARY_TAGS = frozenset(
 def pass_cycles(graph: TaskGraph) -> list[Finding]:
     """G001: precedence cycles (the runtime's topological dispatch would
     deadlock — no root to start from inside the cycle)."""
-    g = nx.DiGraph()
-    g.add_nodes_from(t.name for t in graph)
+    nodes = [t.name for t in graph]
+    succ: dict[str, list[str]] = {name: [] for name in nodes}
     for arc in graph.arcs:
         if arc.kind.is_precedence and arc.src != arc.dst:
-            if arc.src in g and arc.dst in g:
-                g.add_edge(arc.src, arc.dst)
+            if arc.src in succ and arc.dst in succ:
+                succ[arc.src].append(arc.dst)
     out: list[Finding] = []
     # Report one representative cycle per strongly connected component so a
     # single mis-wired loop yields one finding, not factorially many.
-    for component in nx.strongly_connected_components(g):
-        if len(component) < 2:
-            continue
-        cycle = nx.find_cycle(g.subgraph(component))
-        pretty = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[0][0]}"
+    for component in _cyclic_components(nodes, succ):
+        members = [name for name in nodes if name in component]
+        inside = {name: [s for s in succ[name] if s in component] for name in members}
+        cycle = find_cycle(members, inside)
         out.append(
             Finding(
                 "G001",
                 Severity.ERROR,
-                f"precedence cycle: {pretty}",
+                f"precedence cycle: {' -> '.join(cycle + cycle[:1])}",
                 locus=f"task {min(component)}",
                 hint="break the loop or use STREAM arcs for concurrent exchange",
             )
         )
     return sorted(out, key=lambda f: f.locus)
+
+
+def _cyclic_components(
+    nodes: Iterable[str], succ: Mapping[str, Sequence[str]]
+) -> list[set[str]]:
+    """The strongly connected components of two or more nodes (Tarjan's
+    algorithm, with an explicit stack instead of recursion)."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    frames: list[tuple[str, Iterator[str]]] = []
+    out: list[set[str]] = []
+
+    def visit(node: str) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        frames.append((node, iter(succ[node])))
+
+    for root in nodes:
+        if root in index:
+            continue
+        visit(root)
+        while frames:
+            node, children = frames[-1]
+            for child in children:
+                if child not in index:
+                    visit(child)
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                        if member == node:
+                            break
+                    if len(component) > 1:
+                        out.append(component)
+    return out
 
 
 def pass_self_arcs(graph: TaskGraph) -> list[Finding]:

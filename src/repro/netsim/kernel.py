@@ -20,6 +20,18 @@ reschedules) cannot grow the heap without bound.  None of this changes the
 pop order — the (time, seq) total order is unique, so compaction and batching
 are invisible to replay digests.
 
+A run freezes the heap it inherits: :meth:`Simulator.run` calls
+``gc.freeze()`` on entry and ``gc.unfreeze()`` on exit (both O(1) list
+splices), unless the caller has frozen objects of its own.  A collection
+during the run then walks only what the run allocated, never the set-up
+heap (the cluster, the graphs, the imported modules), and nothing stays
+frozen once ``run`` returns.  It relies on a run making no cyclic
+garbage: what an event allocates dies by reference count.  Were that
+broken, a cycle one ``run`` call left behind would sit frozen through the
+next, so a caller advancing the clock in many short calls would pile them
+up.  ``tests/test_gc_contract.py`` pins the invariant on every cost ledger
+scenario; a callback that closes over itself breaks it.
+
 Two opt-in sanitizer seams ride the same hot path (both cost one predictable
 branch per event when disabled):
 
@@ -43,6 +55,7 @@ branch per event when disabled):
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -324,6 +337,10 @@ class Simulator(SimBackend):
         # changes mid-run), so the disabled case costs one local check
         hb = self.hb
         mix = self._tie_mix
+        # leave a caller's own freeze alone (see the module docstring)
+        freeze = gc.get_freeze_count() == 0
+        if freeze:
+            gc.freeze()
         try:
             while heap:
                 t, _, entry = heap[0]
@@ -374,6 +391,8 @@ class Simulator(SimBackend):
                 self._now = until
         finally:
             self._running = False
+            if freeze:
+                gc.unfreeze()
         return self._now
 
     def _compact(self) -> None:

@@ -117,30 +117,41 @@ def interpret(
         )
         paths[directive.path] = task
 
-    def run(body: Iterable[Stmt]) -> None:
-        for stmt in body:
-            if isinstance(stmt, Directive):
-                add_module(stmt)
-            elif isinstance(stmt, ChannelStmt):
-                src = paths.get(stmt.src_path)
-                dst = paths.get(stmt.dst_path)
-                if src is None or dst is None:
-                    missing = stmt.src_path if src is None else stmt.dst_path
-                    raise ScriptError(
-                        f"CHANNEL references undeclared module {missing!r}",
-                        line=stmt.line,
-                    )
-                desc.channels.append(ChannelSpec(stmt.name, src, dst, stmt.volume))
-            elif isinstance(stmt, SetVar):
-                env.variables[stmt.name] = env.eval(stmt.expr)
-            elif isinstance(stmt, PrioritySpec):
-                desc.priority = float(stmt.value)
-            elif isinstance(stmt, Condition):
-                run(stmt.then_body if env.eval(stmt.expr) else stmt.else_body)
-            else:  # pragma: no cover - parser guarantees coverage
-                raise ScriptError(f"unknown statement {stmt!r}")
-
-    run(statements)
+    _run(statements, env, desc, paths, add_module)
     if not desc.modules:
         raise ScriptError("script declares no modules")
     return desc
+
+
+def _run(
+    body: Iterable[Stmt],
+    env: Environment,
+    desc: ApplicationDescription,
+    paths: dict[str, str],
+    add_module: Callable[[Directive], None],
+) -> None:
+    # module-level, not nested in interpret: a nested function that recurses
+    # through its own closure cell is a reference cycle holding every local
+    # of the call, which only the cyclic collector could free
+    for stmt in body:
+        if isinstance(stmt, Directive):
+            add_module(stmt)
+        elif isinstance(stmt, ChannelStmt):
+            src = paths.get(stmt.src_path)
+            dst = paths.get(stmt.dst_path)
+            if src is None or dst is None:
+                missing = stmt.src_path if src is None else stmt.dst_path
+                raise ScriptError(
+                    f"CHANNEL references undeclared module {missing!r}",
+                    line=stmt.line,
+                )
+            desc.channels.append(ChannelSpec(stmt.name, src, dst, stmt.volume))
+        elif isinstance(stmt, SetVar):
+            env.variables[stmt.name] = env.eval(stmt.expr)
+        elif isinstance(stmt, PrioritySpec):
+            desc.priority = float(stmt.value)
+        elif isinstance(stmt, Condition):
+            branch = stmt.then_body if env.eval(stmt.expr) else stmt.else_body
+            _run(branch, env, desc, paths, add_module)
+        else:  # pragma: no cover - parser guarantees coverage
+            raise ScriptError(f"unknown statement {stmt!r}")

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
-
-import networkx as nx
+import heapq
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.taskgraph.arc import Arc, ArcKind
 from repro.taskgraph.node import TaskNode
 from repro.util.errors import TaskGraphError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 _NO_STREAMS: tuple[Sequence[Arc], Sequence[Arc]] = ((), ())
 
@@ -136,19 +138,11 @@ class TaskGraph:
 
     # -- analyses ---------------------------------------------------------------
 
-    def _precedence_digraph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self._nodes)
-        for arc in self._arcs:
-            if arc.kind.is_precedence:
-                g.add_edge(arc.src, arc.dst)
-        return g
-
     def validate(self) -> None:
         """Raise :class:`TaskGraphError` on structural problems.
 
-        Kahn's algorithm over the precedence index, O(tasks + arcs); the
-        networkx digraph is built only to name a cycle that was found.
+        Kahn's algorithm over the precedence index, O(tasks + arcs); a
+        cycle, once found, is named by :func:`find_cycle`.
         """
         blocked = {name: len(self._pred.get(name, ())) for name in self._nodes}
         free = [name for name, count in blocked.items() if count == 0]
@@ -160,14 +154,25 @@ class TaskGraph:
                 if blocked[dst] == 0:
                     free.append(dst)
         if ordered < len(self._nodes):
-            cycle = nx.find_cycle(self._precedence_digraph())
-            pretty = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[0][0]}"
-            raise TaskGraphError(f"precedence cycle: {pretty}")
+            cycle = find_cycle(self._nodes, self._succ)
+            raise TaskGraphError(f"precedence cycle: {' -> '.join(cycle + cycle[:1])}")
 
     def topological_order(self) -> list[str]:
-        """Deterministic topological order (ties broken lexicographically)."""
+        """Deterministic topological order: of the tasks whose predecessors
+        are all placed, the lexicographically smallest comes next."""
         self.validate()
-        return list(nx.lexicographical_topological_sort(self._precedence_digraph()))
+        blocked = {name: len(preds) for name, preds in self._pred.items()}
+        ready = [name for name in self._nodes if name not in blocked]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for dst in self._succ.get(name, ()):
+                blocked[dst] -= 1
+                if blocked[dst] == 0:
+                    heapq.heappush(ready, dst)
+        return order
 
     def levels(self) -> list[list[str]]:
         """Antichains of tasks with equal precedence depth — everything in a
@@ -223,7 +228,10 @@ class TaskGraph:
     # -- export ----------------------------------------------------------------
 
     def to_networkx(self) -> nx.DiGraph:
-        """Full graph (all arc kinds) with node/arc attributes."""
+        """Full graph (all arc kinds) with node/arc attributes (needs networkx,
+        which is not a dependency of this package)."""
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         for node in self._nodes.values():
             g.add_node(
@@ -265,3 +273,35 @@ class TaskGraph:
             if arc.src in keep and arc.dst in keep:
                 out.add_arc(arc)
         return out
+
+
+def find_cycle(nodes: Iterable[str], succ: Mapping[str, Iterable[str]]) -> list[str]:
+    """One cycle of the digraph *succ*, as the list of its nodes, or ``[]``.
+
+    Depth-first from each of *nodes* in turn, following successors in
+    order; the first arc back onto the current path closes the cycle, which
+    starts at that arc's head.  This is the cycle ``networkx.find_cycle``
+    names on a digraph built with the same node and arc order.
+    """
+    visited: set[str] = set()
+    for start in nodes:
+        if start in visited:
+            continue
+        visited.add(start)
+        path = [start]
+        on_path = {start}
+        frames = [iter(succ.get(start, ()))]
+        while frames:
+            for head in frames[-1]:
+                if head in on_path:
+                    return path[path.index(head):]
+                if head not in visited:
+                    visited.add(head)
+                    path.append(head)
+                    on_path.add(head)
+                    frames.append(iter(succ.get(head, ())))
+                    break
+            else:
+                frames.pop()
+                on_path.discard(path.pop())
+    return []

@@ -1,0 +1,122 @@
+"""The collector contract of the event loop.
+
+``Simulator.run`` freezes the heap it inherits for the length of the run
+(``gc.freeze()`` on entry, ``gc.unfreeze()`` on exit), so a collection
+during a run walks only what the run allocated. That is sound only while a
+run makes no cyclic garbage: a cycle one ``run`` call leaves behind sits
+frozen through the next. These tests pin both halves:
+
+- every cost ledger scenario, run with the collector off, leaves nothing
+  for ``gc.collect()`` to find;
+- the freeze is scoped to one ``run`` call — dropped however the call ends
+  (drained heap, ``until``, ``stop_when``, a raising callback) — and a
+  caller's own freeze is left exactly as it was.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+
+from repro.netsim.kernel import Simulator
+
+from tests.test_cost_ledger import SCENARIOS
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_scenario_makes_no_cyclic_garbage(name):
+    was_enabled = gc.isenabled()
+    gc.collect()  # what earlier tests (and their reports) left is not this run's
+    gc.disable()
+    try:
+        vce, _units, _extra = SCENARIOS[name]()  # kept alive: only garbage counts
+        found = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert vce.sim.events_processed > 0
+    assert found == 0, (
+        f"{name} left {found} objects in reference cycles; a run must free "
+        f"what it allocates by reference count (see netsim/kernel.py)"
+    )
+
+
+# ------------------------------------------------------------ the freeze
+
+
+def _sim_with_events(n: int = 5) -> Simulator:
+    sim = Simulator(seed=0)
+    for i in range(n):
+        sim.schedule(float(i + 1), lambda: None)
+    return sim
+
+
+@pytest.mark.parametrize(
+    "how",
+    [
+        lambda sim: sim.run(),
+        lambda sim: sim.run(until=2.5),
+        lambda sim: sim.run(stop_when=lambda: sim.now >= 3.0),
+    ],
+    ids=["drained", "until", "stop_when"],
+)
+def test_nothing_stays_frozen_after_run(how):
+    assert gc.get_freeze_count() == 0
+    sim = _sim_with_events()
+    how(sim)
+    assert sim.events_processed > 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_nothing_stays_frozen_after_a_raising_callback():
+    sim = _sim_with_events()
+
+    def boom() -> None:
+        raise RuntimeError("boom")
+
+    sim.schedule(1.5, boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert gc.get_freeze_count() == 0
+
+
+def _tracked(obj) -> bool:
+    """Is *obj* in one of the collector's generations (i.e. not frozen)?"""
+    return any(o is obj for o in gc.get_objects())
+
+
+def test_the_inherited_heap_is_frozen_during_run():
+    sim = Simulator(seed=0)
+    before = [object()]  # a tracked object alive before the run
+    seen: dict[str, object] = {}
+
+    def probe() -> None:
+        during = [object()]
+        seen["freeze_count"] = gc.get_freeze_count()
+        seen["before_tracked"] = _tracked(before)
+        seen["during_tracked"] = _tracked(during)
+
+    sim.schedule(1.0, probe)
+    sim.run()
+    assert seen["freeze_count"] > 0
+    assert seen["before_tracked"] is False, "a pre-run object was collectable"
+    assert seen["during_tracked"] is True, "an object the run made was frozen"
+    assert _tracked(before), "the run did not unfreeze what it froze"
+
+
+def test_a_callers_freeze_is_left_alone():
+    sim = Simulator(seed=0)
+    before = [object()]
+    kept: list[list] = []
+    gc.freeze()
+    try:
+        own = gc.get_freeze_count()
+        for i in range(5):
+            sim.schedule(float(i + 1), lambda: kept.append([object()]))
+        sim.run()
+        assert gc.get_freeze_count() == own
+        assert not _tracked(before), "the run unfroze the caller's objects"
+        assert all(_tracked(made) for made in kept), "the run froze its own objects"
+    finally:
+        gc.unfreeze()
