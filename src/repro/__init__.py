@@ -16,21 +16,17 @@ by the benchmark suite.
 Start with :class:`repro.core.VirtualComputingEnvironment`.
 """
 
-from repro.core import (
-    VCEConfig,
-    VirtualComputingEnvironment,
-    heterogeneous_cluster,
-    multi_site_cluster,
-    workstation_cluster,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "VirtualComputingEnvironment",
-    "VCEConfig",
-    "workstation_cluster",
-    "heterogeneous_cluster",
-    "multi_site_cluster",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "core": (
+        "VCEConfig",
+        "VirtualComputingEnvironment",
+        "heterogeneous_cluster",
+        "multi_site_cluster",
+        "workstation_cluster",
+    ),
+})
+__all__.append("__version__")

@@ -23,49 +23,20 @@ Two prongs (see ``docs/ANALYSIS.md`` for the full rule catalog):
   Surfaced by ``repro sanitize`` and ``repro lint --hb``.
 """
 
-from repro.analysis.detlint import (
-    iter_python_files,
-    lint_paths,
-    lint_source,
-    load_baseline,
-)
-from repro.analysis.feasibility import FeasibilityPass
-from repro.analysis.graphcheck import (
-    DEFAULT_PASSES,
-    GraphVerifier,
-    verify_graph,
-)
-from repro.analysis.hb import RACE_RULES, HBTracker
-from repro.analysis.protocol import (
-    DEFAULT_FSMS,
-    ProtocolFSM,
-    ProtocolMonitor,
-    check_protocol_sources,
-    check_records,
-)
-from repro.analysis.report import AnalysisReport, Finding, Severity
-from repro.analysis.sanitize import SCENARIOS, outcome_digest, sanitize_scenario
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalysisReport",
-    "Finding",
-    "Severity",
-    "GraphVerifier",
-    "FeasibilityPass",
-    "DEFAULT_PASSES",
-    "verify_graph",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "iter_python_files",
-    "HBTracker",
-    "RACE_RULES",
-    "ProtocolFSM",
-    "ProtocolMonitor",
-    "DEFAULT_FSMS",
-    "check_records",
-    "check_protocol_sources",
-    "SCENARIOS",
-    "outcome_digest",
-    "sanitize_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "detlint": ("iter_python_files", "lint_paths", "lint_source", "load_baseline"),
+    "feasibility": ("FeasibilityPass",),
+    "graphcheck": ("DEFAULT_PASSES", "GraphVerifier", "verify_graph"),
+    "hb": ("RACE_RULES", "HBTracker"),
+    "protocol": (
+        "DEFAULT_FSMS",
+        "ProtocolFSM",
+        "ProtocolMonitor",
+        "check_protocol_sources",
+        "check_records",
+    ),
+    "report": ("AnalysisReport", "Finding", "Severity"),
+    "sanitize": ("SCENARIOS", "outcome_digest", "sanitize_scenario"),
+})

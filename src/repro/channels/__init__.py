@@ -22,24 +22,11 @@ Key properties implemented here:
   the peers noticing.
 """
 
-from repro.channels.port import Port, PortDirection
-from repro.channels.channel import Channel, ChannelDelivery, ChannelManager
-from repro.channels.interpose import (
-    AuthenticationInterposer,
-    DataConversionInterposer,
-    Interposer,
-)
-from repro.channels.monitor import ChannelMonitor, ChannelSample
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChannelMonitor",
-    "ChannelSample",
-    "Port",
-    "PortDirection",
-    "Channel",
-    "ChannelDelivery",
-    "ChannelManager",
-    "Interposer",
-    "AuthenticationInterposer",
-    "DataConversionInterposer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "port": ("Port", "PortDirection"),
+    "channel": ("Channel", "ChannelDelivery", "ChannelManager"),
+    "interpose": ("AuthenticationInterposer", "DataConversionInterposer", "Interposer"),
+    "monitor": ("ChannelMonitor", "ChannelSample"),
+})

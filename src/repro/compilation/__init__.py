@@ -26,21 +26,11 @@ Pieces:
   not-yet-dispatchable modules and replicate their input files.
 """
 
-from repro.compilation.classes import DEFAULT_CLASS_MAP, candidate_classes
-from repro.compilation.compiler import Binary, Compiler, CompilerRegistry, default_registry
-from repro.compilation.manager import BinaryCache, CompilationManager, CompilationPlan, CompileJob
-from repro.compilation.anticipatory import AnticipatoryEngine
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CLASS_MAP",
-    "candidate_classes",
-    "Compiler",
-    "CompilerRegistry",
-    "default_registry",
-    "Binary",
-    "BinaryCache",
-    "CompilationManager",
-    "CompilationPlan",
-    "CompileJob",
-    "AnticipatoryEngine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "classes": ("DEFAULT_CLASS_MAP", "candidate_classes"),
+    "compiler": ("Binary", "Compiler", "CompilerRegistry", "default_registry"),
+    "manager": ("BinaryCache", "CompilationManager", "CompilationPlan", "CompileJob"),
+    "anticipatory": ("AnticipatoryEngine",),
+})

@@ -17,32 +17,18 @@ Layers (each usable on its own):
   truncation-detecting loads.
 """
 
-from repro.controlplane.driver import WORKLOAD_NAMES, ServeSession, submit_workload
-from repro.controlplane.entities import ControlPlaneModel
-from repro.controlplane.hub import Event, Subscription, SubscriptionHub, topic_matches
-from repro.controlplane.rundir import (
-    TruncatedRunError,
-    load_manifest,
-    load_metrics,
-    load_run_dir,
-    save_run_dir,
-)
-from repro.controlplane.server import ControlPlaneServer, serve
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ControlPlaneModel",
-    "ControlPlaneServer",
-    "Event",
-    "ServeSession",
-    "Subscription",
-    "SubscriptionHub",
-    "TruncatedRunError",
-    "WORKLOAD_NAMES",
-    "load_manifest",
-    "load_metrics",
-    "load_run_dir",
-    "save_run_dir",
-    "serve",
-    "submit_workload",
-    "topic_matches",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "driver": ("WORKLOAD_NAMES", "ServeSession", "submit_workload"),
+    "entities": ("ControlPlaneModel",),
+    "hub": ("Event", "Subscription", "SubscriptionHub", "topic_matches"),
+    "rundir": (
+        "TruncatedRunError",
+        "load_manifest",
+        "load_metrics",
+        "load_run_dir",
+        "save_run_dir",
+    ),
+    "server": ("ControlPlaneServer", "serve"),
+})

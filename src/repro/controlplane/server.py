@@ -387,7 +387,8 @@ class ControlPlaneServer:
         return False
 
     def _trace_summary(self) -> dict:
-        from repro.trace import TraceAssembler, critical_path
+        from repro.trace.assemble import TraceAssembler
+        from repro.trace.critical import critical_path
 
         paths = []
         for trace in TraceAssembler(self.vce.sim.log).assemble():

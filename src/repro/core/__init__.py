@@ -17,28 +17,12 @@ Typical use::
     print(run.app.results("mytask"))
 """
 
-from repro.core.config import VCEConfig
-from repro.core.cluster import heterogeneous_cluster, multi_site_cluster, workstation_cluster
-from repro.core.environment import VirtualComputingEnvironment, materialize_description
-from repro.core.spec import load_cluster_file, machines_from_spec
-from repro.core.tenancy import (
-    QuotaExceededError,
-    TenantRegistry,
-    TenantSpec,
-    TenantState,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VirtualComputingEnvironment",
-    "VCEConfig",
-    "materialize_description",
-    "workstation_cluster",
-    "heterogeneous_cluster",
-    "multi_site_cluster",
-    "machines_from_spec",
-    "load_cluster_file",
-    "TenantSpec",
-    "TenantState",
-    "TenantRegistry",
-    "QuotaExceededError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("VCEConfig",),
+    "cluster": ("heterogeneous_cluster", "multi_site_cluster", "workstation_cluster"),
+    "environment": ("VirtualComputingEnvironment", "materialize_description"),
+    "spec": ("load_cluster_file", "machines_from_spec"),
+    "tenancy": ("QuotaExceededError", "TenantRegistry", "TenantSpec", "TenantState"),
+})

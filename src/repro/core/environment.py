@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from dataclasses import replace
 
@@ -12,12 +12,9 @@ from repro.core.config import VCEConfig
 from repro.core.tenancy import TenantRegistry
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import ChaosController, FaultSchedule, build_schedule
-from repro.loadbalance.balancer import LoadBalancer
-from repro.loadbalance.policies import BalancingPolicy
 from repro.machines.archclass import MachineClass
 from repro.machines.database import MachineDatabase
 from repro.machines.machine import Machine
-from repro.metrics.collector import MetricsCollector
 from repro.migration.base import MigrationContext
 from repro.migration.failover import FailoverConfig, FailoverManager
 from repro.migration.selector import MigrationSelector
@@ -29,13 +26,16 @@ from repro.scheduler.daemon import SchedulerDaemon
 from repro.scheduler.directory import GroupDirectory
 from repro.scheduler.execution_program import AppRun, ExecutionProgram, RunState
 from repro.scheduler.policies import PlacementPolicy, load_sorted_assignment
-from repro.script.ast import ApplicationDescription
-from repro.script.interp import Environment, interpret
-from repro.script.parser import parse_script
 from repro.sdm.problemspec import ProblemSpecification
 from repro.taskgraph import ArcKind, TaskGraph
 from repro.telemetry.service import Telemetry
 from repro.util.errors import ConfigurationError, ScriptError, VerificationError
+
+if TYPE_CHECKING:
+    from repro.loadbalance.balancer import LoadBalancer
+    from repro.loadbalance.policies import BalancingPolicy
+    from repro.metrics.collector import MetricsCollector
+    from repro.script.ast import ApplicationDescription
 
 
 
@@ -234,7 +234,7 @@ class VirtualComputingEnvironment:
         """Run the static task-graph verifier (structure, annotations, and
         class→machine feasibility against this VCE's machine database).
         Returns an :class:`~repro.analysis.report.AnalysisReport`."""
-        from repro.analysis import verify_graph
+        from repro.analysis.graphcheck import verify_graph
 
         return verify_graph(graph, compilation=self.compilation)
 
@@ -404,6 +404,9 @@ class VirtualComputingEnvironment:
     ) -> ApplicationDescription:
         """Script text → ApplicationDescription, with AVAILABLE() answered
         from the live group directory."""
+        from repro.script.interp import Environment, interpret
+        from repro.script.parser import parse_script
+
         available = {
             cls: self.directory.group_size(cls) for cls in self.directory.classes()
         }
@@ -512,6 +515,8 @@ class VirtualComputingEnvironment:
         self, policy: BalancingPolicy, busy_threshold: float = 0.5, interval: float = 1.0
     ) -> LoadBalancer:
         """Attach and start a load balancer with *policy*."""
+        from repro.loadbalance.balancer import LoadBalancer
+
         self.balancer = LoadBalancer(
             self.runtime, self.database, policy, busy_threshold, interval
         )
@@ -519,6 +524,8 @@ class VirtualComputingEnvironment:
         return self.balancer
 
     def metrics(self) -> MetricsCollector:
+        from repro.metrics.collector import MetricsCollector
+
         return MetricsCollector(self.sim.log, self.network)
 
     def leader_of(self, arch_class: MachineClass) -> SchedulerDaemon:

@@ -8,28 +8,10 @@ oldest-survivor leadership, bounded detection latency, and application
 completion despite daemon churn.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import (
-    leadership_transfer_times,
-    surviving_leader_is_oldest,
-    views_converged,
-)
-from repro.faults.schedule import (
-    SCHEDULES,
-    ChaosController,
-    FaultAction,
-    FaultSchedule,
-    build_schedule,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCHEDULES",
-    "ChaosController",
-    "FaultAction",
-    "FaultInjector",
-    "FaultSchedule",
-    "build_schedule",
-    "leadership_transfer_times",
-    "surviving_leader_is_oldest",
-    "views_converged",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "injector": ("FaultInjector",),
+    "invariants": ("leadership_transfer_times", "surviving_leader_is_oldest", "views_converged"),
+    "schedule": ("SCHEDULES", "ChaosController", "FaultAction", "FaultSchedule", "build_schedule"),
+})

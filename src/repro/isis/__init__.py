@@ -30,8 +30,10 @@ partition heals — adequate for the crash/recovery experiments the paper's
 prototype targets.
 """
 
-from repro.isis.views import View
-from repro.isis.vclock import VectorClock
-from repro.isis.member import ALL, MAJORITY, IsisConfig, IsisMember
+from repro._lazy import lazy_exports
 
-__all__ = ["View", "VectorClock", "IsisMember", "IsisConfig", "ALL", "MAJORITY"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "views": ("View",),
+    "vclock": ("VectorClock",),
+    "member": ("ALL", "MAJORITY", "IsisConfig", "IsisMember"),
+})

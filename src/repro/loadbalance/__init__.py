@@ -19,18 +19,9 @@ initiated processes increase" on a machine hosting remote VCE work:
 compares them), and :class:`NoActionPolicy` is the control.
 """
 
-from repro.loadbalance.policies import (
-    BalancingPolicy,
-    MigrateOnLoadPolicy,
-    NoActionPolicy,
-    SuspendResumePolicy,
-)
-from repro.loadbalance.balancer import LoadBalancer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LoadBalancer",
-    "BalancingPolicy",
-    "SuspendResumePolicy",
-    "MigrateOnLoadPolicy",
-    "NoActionPolicy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "policies": ("BalancingPolicy", "MigrateOnLoadPolicy", "NoActionPolicy", "SuspendResumePolicy"),
+    "balancer": ("LoadBalancer",),
+})

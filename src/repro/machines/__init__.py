@@ -16,22 +16,11 @@ machines like the CM5 and the MasPar MP-1"). This package provides:
   load-balancing sections reason about.
 """
 
-from repro.machines.archclass import MachineClass
-from repro.machines.load import (
-    ConstantLoad,
-    LoadModel,
-    StochasticLoad,
-    TraceLoad,
-)
-from repro.machines.machine import Machine
-from repro.machines.database import MachineDatabase
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MachineClass",
-    "Machine",
-    "MachineDatabase",
-    "LoadModel",
-    "ConstantLoad",
-    "TraceLoad",
-    "StochasticLoad",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "archclass": ("MachineClass",),
+    "load": ("ConstantLoad", "LoadModel", "StochasticLoad", "TraceLoad"),
+    "machine": ("Machine",),
+    "database": ("MachineDatabase",),
+})

@@ -5,16 +5,10 @@ Everything is computed from the run-wide :class:`~repro.util.eventlog.EventLog`
 experiment can be re-analyzed after the fact.
 """
 
-from repro.metrics.collector import MetricsCollector
-from repro.metrics.report import format_table, format_series
-from repro.metrics.timeline import Span, build_timeline, host_busy_fraction, render_gantt
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MetricsCollector",
-    "format_table",
-    "format_series",
-    "Span",
-    "build_timeline",
-    "render_gantt",
-    "host_busy_fraction",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "collector": ("MetricsCollector",),
+    "report": ("format_table", "format_series"),
+    "timeline": ("Span", "build_timeline", "host_busy_fraction", "render_gantt"),
+})

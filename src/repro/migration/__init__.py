@@ -22,22 +22,14 @@ trade-offs it describes:
 state of the system and the characteristics of the task(s) involved".
 """
 
-from repro.migration.base import MigrationContext, MigrationScheme
-from repro.migration.redundant import RedundantExecutionManager
-from repro.migration.checkpoint import CheckpointMigration
-from repro.migration.dump import DumpMigration
-from repro.migration.failover import FailoverConfig, FailoverManager
-from repro.migration.recompile import RecompileMigration
-from repro.migration.selector import MigrationSelector
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MigrationContext",
-    "MigrationScheme",
-    "RedundantExecutionManager",
-    "CheckpointMigration",
-    "DumpMigration",
-    "FailoverConfig",
-    "FailoverManager",
-    "RecompileMigration",
-    "MigrationSelector",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("MigrationContext", "MigrationScheme"),
+    "redundant": ("RedundantExecutionManager",),
+    "checkpoint": ("CheckpointMigration",),
+    "dump": ("DumpMigration",),
+    "failover": ("FailoverConfig", "FailoverManager"),
+    "recompile": ("RecompileMigration",),
+    "selector": ("MigrationSelector",),
+})

@@ -32,7 +32,9 @@ See docs/NETWORK.md for the determinism contract (what is and is not
 digest-stable across the sim/network seam).
 """
 
-from repro.netexec.supervisor import NetworkVCE
-from repro.netexec.wallclock import WallClockSimulator
+from repro._lazy import lazy_exports
 
-__all__ = ["NetworkVCE", "WallClockSimulator"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "supervisor": ("NetworkVCE",),
+    "wallclock": ("WallClockSimulator",),
+})

@@ -22,22 +22,12 @@ Layering:
   handlers plus ``send`` and ``set_timer`` effects.
 """
 
-from repro.netsim.backend import BACKEND_NAMES, SimBackend, create_simulator
-from repro.netsim.kernel import Simulator, Timer
-from repro.netsim.network import Network, LatencyModel, Message
-from repro.netsim.host import Host, Address
-from repro.netsim.process import SimProcess
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKEND_NAMES",
-    "SimBackend",
-    "create_simulator",
-    "Simulator",
-    "Timer",
-    "Network",
-    "LatencyModel",
-    "Message",
-    "Host",
-    "Address",
-    "SimProcess",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "backend": ("BACKEND_NAMES", "SimBackend", "create_simulator"),
+    "kernel": ("Simulator", "Timer"),
+    "network": ("Network", "LatencyModel", "Message"),
+    "host": ("Host", "Address"),
+    "process": ("SimProcess",),
+})

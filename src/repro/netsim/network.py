@@ -353,6 +353,13 @@ class Network:
         if dst_host is None:
             dst_host = self.host(dst_name)  # raises, naming the host
         sim = self.sim
+        if self.transport is not None and src_name != dst_name:
+            # the reliable transport delivers through its own frames
+            state = self._pair(src_name, dst_name)
+            seq = state.next_seq
+            state.next_seq += 1
+            self._transmit(message, seq, attempt=0)
+            return
 
         def deliver() -> None:
             # a delivery is a message a live process was handed
@@ -361,12 +368,6 @@ class Network:
 
         if src_name == dst_name:
             sim.schedule_at(sim.now + self.latency.local_latency, deliver, host=dst_name)
-            return
-        if self.transport is not None:
-            state = self._pair(src_name, dst_name)
-            seq = state.next_seq
-            state.next_seq += 1
-            self._transmit(message, seq, attempt=0)
             return
         # -- datagram path (the historical default) ------------------------
         if self._partitions is not None and not self._connected(src_name, dst_name):

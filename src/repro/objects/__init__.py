@@ -27,28 +27,17 @@ Pieces:
   for a typed client stub, standing in for the OMG IDL compiler.
 """
 
-from repro.objects.idl import Interface, Method, Param, parse_idl
-from repro.objects.marshal import conversion_seconds, wire_size
-from repro.objects.proxy import (
-    ClientStub,
-    MethodCall,
-    MethodReply,
-    RemoteError,
-    generate_stub_source,
-    serve,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Interface",
-    "Method",
-    "Param",
-    "parse_idl",
-    "wire_size",
-    "conversion_seconds",
-    "ClientStub",
-    "serve",
-    "MethodCall",
-    "MethodReply",
-    "RemoteError",
-    "generate_stub_source",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "idl": ("Interface", "Method", "Param", "parse_idl"),
+    "marshal": ("conversion_seconds", "wire_size"),
+    "proxy": (
+        "ClientStub",
+        "MethodCall",
+        "MethodReply",
+        "RemoteError",
+        "generate_stub_source",
+        "serve",
+    ),
+})

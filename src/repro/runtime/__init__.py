@@ -18,29 +18,12 @@ provide fault tolerance, if required or requested by the user." (§3.1.2)
   hooks migration and load-balancing policies act through.
 """
 
-from repro.runtime.checkpoints import CheckpointStore, CheckpointRecord
-from repro.runtime.instance import InstanceState, TaskInstance
-from repro.runtime.app import Application, InstanceRecord, AppStatus
-from repro.runtime.manager import Placement, RuntimeManager
-from repro.runtime.local import (
-    LocalBackend,
-    LocalContext,
-    LocalExecutionError,
-    round_robin_local_placement,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TaskInstance",
-    "InstanceState",
-    "CheckpointStore",
-    "CheckpointRecord",
-    "Application",
-    "InstanceRecord",
-    "AppStatus",
-    "RuntimeManager",
-    "Placement",
-    "LocalBackend",
-    "LocalContext",
-    "LocalExecutionError",
-    "round_robin_local_placement",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "checkpoints": ("CheckpointStore", "CheckpointRecord"),
+    "instance": ("InstanceState", "TaskInstance"),
+    "app": ("Application", "InstanceRecord", "AppStatus"),
+    "manager": ("Placement", "RuntimeManager"),
+    "local": ("LocalBackend", "LocalContext", "LocalExecutionError", "round_robin_local_placement"),
+})

@@ -29,64 +29,36 @@ Components:
   the daemons' view-change callbacks.
 """
 
-from repro.scheduler.messages import (
-    AllocationError_,
-    AllocationReply,
-    Allocation,
-    CellBids,
-    DelegateRequest,
-    DiscloseProbe,
-    ExecutionInfo,
-    ModuleNeed,
-    ProbeReply,
-    ResourceRequest,
-    MachineBid,
-    SetPriority,
-    TerminateNotice,
-)
-from repro.scheduler.directory import GroupDirectory
-from repro.scheduler.daemon import DaemonConfig, SchedulerDaemon
-from repro.scheduler.hierarchy import CellMap, build_cells
-from repro.scheduler.policies import (
-    PlacementPolicy,
-    greedy_assignment,
-    load_sorted_assignment,
-    random_assignment,
-    round_robin_assignment,
-    site_packed_assignment,
-    utilization_first_assignment,
-)
-from repro.scheduler.queue import AgingQueue, QueuedRequest
-from repro.scheduler.execution_program import AppRun, ExecutionProgram
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SchedulerDaemon",
-    "DaemonConfig",
-    "ExecutionProgram",
-    "AppRun",
-    "GroupDirectory",
-    "ResourceRequest",
-    "ModuleNeed",
-    "MachineBid",
-    "AllocationReply",
-    "AllocationError_",
-    "Allocation",
-    "ExecutionInfo",
-    "TerminateNotice",
-    "SetPriority",
-    "PlacementPolicy",
-    "load_sorted_assignment",
-    "greedy_assignment",
-    "random_assignment",
-    "round_robin_assignment",
-    "utilization_first_assignment",
-    "site_packed_assignment",
-    "AgingQueue",
-    "QueuedRequest",
-    "CellMap",
-    "build_cells",
-    "DelegateRequest",
-    "DiscloseProbe",
-    "ProbeReply",
-    "CellBids",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "messages": (
+        "AllocationError_",
+        "AllocationReply",
+        "Allocation",
+        "CellBids",
+        "DelegateRequest",
+        "DiscloseProbe",
+        "ExecutionInfo",
+        "ModuleNeed",
+        "ProbeReply",
+        "ResourceRequest",
+        "MachineBid",
+        "SetPriority",
+        "TerminateNotice",
+    ),
+    "directory": ("GroupDirectory",),
+    "daemon": ("DaemonConfig", "SchedulerDaemon"),
+    "hierarchy": ("CellMap", "build_cells"),
+    "policies": (
+        "PlacementPolicy",
+        "greedy_assignment",
+        "load_sorted_assignment",
+        "random_assignment",
+        "round_robin_assignment",
+        "site_packed_assignment",
+        "utilization_first_assignment",
+    ),
+    "queue": ("AgingQueue", "QueuedRequest"),
+    "execution_program": ("AppRun", "ExecutionProgram"),
+})

@@ -27,31 +27,19 @@ This package implements the full planned vocabulary:
 - ``PRIORITY n`` to set the application's base scheduling priority.
 """
 
-from repro.script.lexer import Token, TokenKind, tokenize
-from repro.script.ast import (
-    ApplicationDescription,
-    ChannelSpec,
-    Condition,
-    Directive,
-    ModuleDirective,
-    PrioritySpec,
-    SetVar,
-)
-from repro.script.parser import parse_script
-from repro.script.interp import Environment, interpret
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "tokenize",
-    "Token",
-    "TokenKind",
-    "parse_script",
-    "interpret",
-    "Environment",
-    "ApplicationDescription",
-    "ModuleDirective",
-    "ChannelSpec",
-    "Directive",
-    "Condition",
-    "SetVar",
-    "PrioritySpec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "lexer": ("Token", "TokenKind", "tokenize"),
+    "ast": (
+        "ApplicationDescription",
+        "ChannelSpec",
+        "Condition",
+        "Directive",
+        "ModuleDirective",
+        "PrioritySpec",
+        "SetVar",
+    ),
+    "parser": ("parse_script",),
+    "interp": ("Environment", "interpret"),
+})

@@ -15,15 +15,11 @@ attaching specific information to the task graph." (§3.1.1)
   verifies the completed task graph carries everything the EXM needs.
 """
 
-from repro.sdm.problemspec import ProblemSpecification
-from repro.sdm.design import DesignStage
-from repro.sdm.coding import CodingLevel, SourceModule
-from repro.sdm.module import SoftwareDevelopmentModule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProblemSpecification",
-    "DesignStage",
-    "CodingLevel",
-    "SourceModule",
-    "SoftwareDevelopmentModule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "problemspec": ("ProblemSpecification",),
+    "design": ("DesignStage",),
+    "coding": ("CodingLevel", "SourceModule"),
+    "module": ("SoftwareDevelopmentModule",),
+})

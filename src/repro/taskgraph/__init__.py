@@ -10,23 +10,11 @@ The SDM layers annotate this graph (problem class, sources, hints); the EXM
 uses it to compile, place, and run the application.
 """
 
-from repro.taskgraph.node import (
-    ExecutionHints,
-    ProblemClass,
-    TaskNature,
-    TaskNode,
-)
-from repro.taskgraph.arc import Arc, ArcKind
-from repro.taskgraph.graph import TaskGraph
-from repro.taskgraph.precedence import DependencyCounters
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TaskGraph",
-    "DependencyCounters",
-    "TaskNode",
-    "Arc",
-    "ArcKind",
-    "ProblemClass",
-    "TaskNature",
-    "ExecutionHints",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "node": ("ExecutionHints", "ProblemClass", "TaskNature", "TaskNode"),
+    "arc": ("Arc", "ArcKind"),
+    "graph": ("TaskGraph",),
+    "precedence": ("DependencyCounters",),
+})

@@ -22,12 +22,16 @@ class ArcKind(enum.Enum):
     DATA = "data"
     STREAM = "stream"
 
-    @property
-    def is_precedence(self) -> bool:
-        return self in (ArcKind.DEPENDENCY, ArcKind.DATA)
+
+# ``is_precedence`` is a plain member attribute, not a property: graph
+# construction tests it once per arc, and descriptor dispatch through the
+# enum metaclass dominates that loop on a wide graph.
+for _kind in ArcKind:
+    _kind.is_precedence = _kind in (ArcKind.DEPENDENCY, ArcKind.DATA)
+del _kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     """A directed arc between two named tasks.
 

@@ -47,18 +47,38 @@ class TaskGraph:
         return node
 
     def add_arc(self, arc: Arc) -> Arc:
-        for end in (arc.src, arc.dst):
+        src, dst = arc.src, arc.dst
+        for end in (src, dst):
             if end not in self._nodes:
                 raise TaskGraphError(f"arc references unknown task {end!r}")
         self._arcs.append(arc)
-        self._arcs_out.setdefault(arc.src, []).append(arc)
-        self._arcs_in.setdefault(arc.dst, []).append(arc)
-        if arc.kind.is_precedence:
-            self._succ.setdefault(arc.src, []).append(arc.dst)
-            self._pred.setdefault(arc.dst, []).append(arc.src)
+        # the per-arc index appends are spelled out (setdefault would build a
+        # throwaway list per call): a wide graph adds tens of thousands of
+        # precedence arcs; STREAM arcs are few
+        arcs = self._arcs_out.get(src)
+        if arcs is None:
+            self._arcs_out[src] = [arc]
         else:
-            self._streams.setdefault(arc.src, ([], []))[0].append(arc)
-            self._streams.setdefault(arc.dst, ([], []))[1].append(arc)
+            arcs.append(arc)
+        arcs = self._arcs_in.get(dst)
+        if arcs is None:
+            self._arcs_in[dst] = [arc]
+        else:
+            arcs.append(arc)
+        if arc.kind.is_precedence:
+            names = self._succ.get(src)
+            if names is None:
+                self._succ[src] = [dst]
+            else:
+                names.append(dst)
+            names = self._pred.get(dst)
+            if names is None:
+                self._pred[dst] = [src]
+            else:
+                names.append(src)
+        else:
+            self._streams.setdefault(src, ([], []))[0].append(arc)
+            self._streams.setdefault(dst, ([], []))[1].append(arc)
         return arc
 
     def connect(

@@ -21,51 +21,27 @@ current load" decisions (and every load-aware policy built on them) need:
   ``repro top`` renderer.
 """
 
-from repro.telemetry.export import (
-    registry_from_snapshot,
-    snapshot,
-    to_prometheus,
-    write_json,
-    write_prometheus,
-)
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    QuantileSketch,
-    exponential_bounds,
-)
-from repro.telemetry.sampler import ClusterSampler
-from repro.telemetry.series import RingSeries, SeriesStore
-from repro.telemetry.service import Telemetry
-from repro.telemetry.top import render_top
-from repro.telemetry.watchdog import (
-    HealthEvent,
-    HealthWatchdog,
-    WatchdogConfig,
-    straggler_severity,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterSampler",
-    "Counter",
-    "Gauge",
-    "HealthEvent",
-    "HealthWatchdog",
-    "Histogram",
-    "MetricsRegistry",
-    "QuantileSketch",
-    "RingSeries",
-    "SeriesStore",
-    "Telemetry",
-    "WatchdogConfig",
-    "exponential_bounds",
-    "registry_from_snapshot",
-    "render_top",
-    "snapshot",
-    "straggler_severity",
-    "to_prometheus",
-    "write_json",
-    "write_prometheus",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "export": (
+        "registry_from_snapshot",
+        "snapshot",
+        "to_prometheus",
+        "write_json",
+        "write_prometheus",
+    ),
+    "registry": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "QuantileSketch",
+        "exponential_bounds",
+    ),
+    "sampler": ("ClusterSampler",),
+    "series": ("RingSeries", "SeriesStore"),
+    "service": ("Telemetry",),
+    "top": ("render_top",),
+    "watchdog": ("HealthEvent", "HealthWatchdog", "WatchdogConfig", "straggler_severity"),
+})

@@ -14,7 +14,6 @@ from repro.telemetry.export import snapshot, to_prometheus
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.sampler import ClusterSampler
 from repro.telemetry.series import SeriesStore
-from repro.telemetry.top import render_top
 from repro.telemetry.watchdog import HealthWatchdog, WatchdogConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,6 +75,8 @@ class Telemetry:
             self.sampler.refresh()
 
     def render(self, title: str = "repro top", refresh: bool = True) -> str:
+        from repro.telemetry.top import render_top
+
         if refresh:
             self.refresh()
         return render_top(

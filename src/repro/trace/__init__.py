@@ -21,23 +21,12 @@ On top of the tagged log:
   reproduces it byte for byte.
 """
 
-from repro.trace.assemble import Span, Trace, TraceAssembler
-from repro.trace.context import TraceContext, trace_fields
-from repro.trace.critical import CriticalPath, PathSegment, critical_path
-from repro.trace.export import chrome_trace, export_chrome_trace
-from repro.trace.replay import assert_deterministic, event_log_digest
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TraceContext",
-    "trace_fields",
-    "Span",
-    "Trace",
-    "TraceAssembler",
-    "CriticalPath",
-    "PathSegment",
-    "critical_path",
-    "chrome_trace",
-    "export_chrome_trace",
-    "event_log_digest",
-    "assert_deterministic",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "assemble": ("Span", "Trace", "TraceAssembler"),
+    "context": ("TraceContext", "trace_fields"),
+    "critical": ("CriticalPath", "PathSegment", "critical_path"),
+    "export": ("chrome_trace", "export_chrome_trace"),
+    "replay": ("assert_deterministic", "event_log_digest"),
+})

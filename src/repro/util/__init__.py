@@ -6,36 +6,22 @@ seeded random-number streams, and the structured event log that all
 simulated components write to (and that the metrics layer reads from).
 """
 
-from repro.util.errors import (
-    VCEError,
-    ConfigurationError,
-    AllocationError,
-    CompilationError,
-    MigrationError,
-    CommunicationError,
-    ScriptError,
-    TaskGraphError,
-    MembershipError,
-    SimulationError,
-)
-from repro.util.ids import IdGenerator, fresh_id
-from repro.util.rng import RngStreams
-from repro.util.eventlog import EventLog, LogRecord
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VCEError",
-    "ConfigurationError",
-    "AllocationError",
-    "CompilationError",
-    "MigrationError",
-    "CommunicationError",
-    "ScriptError",
-    "TaskGraphError",
-    "MembershipError",
-    "SimulationError",
-    "IdGenerator",
-    "fresh_id",
-    "RngStreams",
-    "EventLog",
-    "LogRecord",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "errors": (
+        "VCEError",
+        "ConfigurationError",
+        "AllocationError",
+        "CompilationError",
+        "MigrationError",
+        "CommunicationError",
+        "ScriptError",
+        "TaskGraphError",
+        "MembershipError",
+        "SimulationError",
+    ),
+    "ids": ("IdGenerator", "fresh_id"),
+    "rng": ("RngStreams",),
+    "eventlog": ("EventLog", "LogRecord"),
+})

@@ -20,49 +20,30 @@ onto channels, so that "the runtime system will be able to monitor,
 redirect, and move connections between tasks".
 """
 
-from repro.vmpi.api import (
-    ANY,
-    Checkpoint,
-    Compute,
-    Emit,
-    ReadFile,
-    Recv,
-    Send,
-    Sleep,
-    WriteFile,
-)
-from repro.vmpi.communicator import Communicator, TaskContext
-from repro.vmpi.collectives import (
-    allgather,
-    allreduce,
-    alltoall,
-    barrier,
-    bcast,
-    gather,
-    reduce,
-    scatter,
-    sendrecv,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ANY",
-    "Compute",
-    "Send",
-    "Recv",
-    "Checkpoint",
-    "Sleep",
-    "Emit",
-    "ReadFile",
-    "WriteFile",
-    "Communicator",
-    "TaskContext",
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "scatter",
-    "gather",
-    "allgather",
-    "alltoall",
-    "sendrecv",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "api": (
+        "ANY",
+        "Checkpoint",
+        "Compute",
+        "Emit",
+        "ReadFile",
+        "Recv",
+        "Send",
+        "Sleep",
+        "WriteFile",
+    ),
+    "communicator": ("Communicator", "TaskContext"),
+    "collectives": (
+        "allgather",
+        "allreduce",
+        "alltoall",
+        "barrier",
+        "bcast",
+        "gather",
+        "reduce",
+        "scatter",
+        "sendrecv",
+    ),
+})

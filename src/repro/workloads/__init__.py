@@ -7,32 +7,14 @@ weather-forecasting pipeline, the Monte Carlo farms and batch jobs the
 parameter sweeps.
 """
 
-from repro.workloads.weather import (
-    WEATHER_SCRIPT,
-    build_weather_graph,
-    weather_class_map,
-    weather_programs,
-)
-from repro.workloads.montecarlo import build_monte_carlo_graph
-from repro.workloads.pipeline import build_diamond_graph, build_pipeline_graph
-from repro.workloads.randomdag import build_random_dag
-from repro.workloads.stencil import build_stencil_graph, heat_reference
-from repro.workloads.sweep import build_sweep_graph
-from repro.workloads.tenants import arrival_times, build_population, tenant_app
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "build_stencil_graph",
-    "heat_reference",
-    "WEATHER_SCRIPT",
-    "build_weather_graph",
-    "weather_programs",
-    "weather_class_map",
-    "build_monte_carlo_graph",
-    "build_pipeline_graph",
-    "build_diamond_graph",
-    "build_random_dag",
-    "build_sweep_graph",
-    "build_population",
-    "arrival_times",
-    "tenant_app",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "weather": ("WEATHER_SCRIPT", "build_weather_graph", "weather_class_map", "weather_programs"),
+    "montecarlo": ("build_monte_carlo_graph",),
+    "pipeline": ("build_diamond_graph", "build_pipeline_graph"),
+    "randomdag": ("build_random_dag",),
+    "stencil": ("build_stencil_graph", "heat_reference"),
+    "sweep": ("build_sweep_graph",),
+    "tenants": ("arrival_times", "build_population", "tenant_app"),
+})

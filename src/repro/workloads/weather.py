@@ -115,7 +115,7 @@ def build_weather_graph(
 
 def weather_class_map():
     """task → machine class, exactly as the script's directives request."""
-    from repro.machines import MachineClass
+    from repro.machines.archclass import MachineClass
 
     return {
         "collector": MachineClass.WORKSTATION,  # ASYNC -> workstation group

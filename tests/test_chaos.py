@@ -9,12 +9,20 @@ and the whole chaotic run replays byte-identically.
 
 import pytest
 
-from repro.core import VCEConfig, VirtualComputingEnvironment, heterogeneous_cluster
+from repro.core import (
+    VCEConfig,
+    VirtualComputingEnvironment,
+    heterogeneous_cluster,
+    workstation_cluster,
+)
 from repro.faults.schedule import SCHEDULES, FaultSchedule, build_schedule
 from repro.migration.failover import FailoverConfig
 from repro.scheduler.execution_program import RunState
+from repro.sdm import ProblemSpecification
+from repro.taskgraph import ProblemClass
 from repro.trace.replay import event_log_digest
 from repro.util.errors import SimulationError
+from repro.vmpi import Compute
 from repro.workloads import WEATHER_SCRIPT, build_pipeline_graph, weather_programs
 
 # seed 3 makes chaos-mix crash ws0 (~t+3.2s), which hosts both a weather
@@ -199,3 +207,44 @@ class TestDaemonRestart:
 
         members = vce.directory.members(MachineClass.WORKSTATION)
         assert any(m.host == victim for m in members)
+
+
+class TestStaleIncarnation:
+    """An incarnation dispatched to a host that is already down never
+    starts; once failover re-dispatches its record it must leave that
+    host's process table, or the host's next crash fails it again."""
+
+    def _job(self):
+        graph = ProblemSpecification("job-app").task("job", work=30.0).build()
+        node = graph.task("job")
+        node.problem_class = ProblemClass.ASYNCHRONOUS
+        node.language = "py"
+
+        def program(ctx):
+            yield Compute(30.0)
+            return "ok"
+
+        node.program = program
+        return graph
+
+    def test_redispatch_releases_the_never_started_incarnation(self, monkeypatch):
+        vce = VirtualComputingEnvironment(
+            workstation_cluster(1), VCEConfig(seed=1, failover=FailoverConfig())
+        ).boot()
+        runtime, host = vce.runtime, vce.network.host("ws0")
+        dispatch = runtime.dispatch_instance
+
+        def dispatch_to_down_host(app, record, host_name, restored_state=None):
+            # the first dispatch lands just after its host went down
+            monkeypatch.setattr(runtime, "dispatch_instance", dispatch)
+            host.crash()
+            vce.sim.schedule(1.0, host.recover)
+            return dispatch(app, record, host_name, restored_state)
+
+        monkeypatch.setattr(runtime, "dispatch_instance", dispatch_to_down_host)
+        run = vce.run_to_completion(vce.submit(self._job()), timeout=1_000.0)
+        assert run.state is RunState.DONE
+        assert vce.sim.log.count("recovery.redispatch") == 1
+        assert [p.name for p in host.processes()] == ["vced"]
+        host.crash()
+        assert vce.sim.log.count("task.host_crashed") == 0
