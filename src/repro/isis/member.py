@@ -14,18 +14,28 @@ prototype uses, and nothing else:
   surviving member of the group assume[s] the role of group leader".
 
 The failure detector has one extra state, **parked**.  While the network is
-calm (:attr:`repro.netsim.network.Network.calm`) and the group is steady,
-every beat would arrive and every timeout check would pass, so the ``hb``
-timer is not re-armed and no beat is sent.  The coordinator decides for the
-whole group — a member that parked while its coordinator stayed awake would
-go stale and be suspected — by stamping its last :class:`CoordBeat` with the
-network's disturbance count; members park when that beat arrives under the
-same count.  The network raises a disturbance edge *before* any fault takes
-effect (crash, kill of a member, partition, fault rate, heal ...): every
-member then forgives the agreed silence (timestamps refreshed to ``now``,
-as ``_install`` does on a view change), re-arms ``hb`` on its old phase,
-and the explicit protocol below runs unchanged.  A member also wakes when a
+calm as the group observes it (:meth:`repro.netsim.network.Network.calm_for`
+over the view's hosts) and the group is steady, every beat would arrive and
+every timeout check would pass, so the ``hb`` timer is not re-armed and no
+beat is sent.  The coordinator decides for the whole group — a member that
+parked while its coordinator watched it would go stale and be suspected —
+by stamping its last :class:`CoordBeat` with the network's disturbance
+count; members park when that beat arrives with no edge that voids it in
+between.  The network raises a disturbance edge *before* any fault takes
+effect (crash, kill of a member, partition, fault rate, heal ...): a woken
+member forgives the agreed silence (timestamps refreshed to ``now``, as
+``_install`` does on a view change), re-arms ``hb`` on its old phase, and
+the explicit protocol below runs unchanged.  A member also wakes when a
 beat from its coordinator carries no valid park order.
+
+Under the reliable transport the detector is *scoped* to the disturbance:
+an edge that names dying members other than the coordinator wakes only
+the coordinator, which watches the named members alone until they are
+evicted, while everyone else keeps its park order; a view change that
+every member vouched for in one disturbance epoch installs parked; and
+departed members are probed on a backoff of their own instead of keeping
+the group awake.  The datagram detector wakes the whole group on every
+edge.
 
 Concurrency note: everything runs inside one deterministic simulator, so no
 locking is needed; correctness concerns are protocol-level (stale views,
@@ -116,6 +126,8 @@ class _ViewChange:
     proposed: View
     waiting_on: set[Address]
     replay: dict[str, ReplayRecord]
+    #: the network's disturbance count when the change started
+    epoch: int
 
 
 class IsisMember(SimProcess):
@@ -168,15 +180,24 @@ class IsisMember(SimProcess):
         self._last_coord_seen = 0.0
         # group-merge machinery: departed members we occasionally probe so
         # that concurrently-formed rival groups discover each other
-        self._alumni: dict[Address, int] = {}  # address -> probes sent
+        self._alumni: dict[Address, tuple[int, float]] = {}  # -> (probes sent, next due)
         self._hb_ticks = 0
         # parked state (see module docstring): when the hb timer is next
         # due — its phase, kept while parked — and, coordinator side, the
-        # members whose Heartbeat arrived from this view under the current
-        # disturbance count ("heard from since calm returned")
+        # members whose Heartbeat arrived from this view with no edge that
+        # concerns them since it was sent ("heard from since calm returned")
         self._parked = False
         self._hb_due = 0.0
         self._heard: set[Address] = set()
+        # the disturbance count of the last edge that voids this member's
+        # park orders and the beats it receives; coordinator side, the count
+        # at which a member was named dying (its older beats vouch for
+        # nothing), the members a named edge woke it for (None: the whole
+        # view) and the count each queued joiner sent its JoinReq under
+        self._voided_at = 0
+        self._named_at: dict[Address, int] = {}
+        self._suspects: set[Address] | None = None
+        self._join_epochs: dict[Address, int] = {}
         # live metrics (resolved at start; None when telemetry is off); the
         # gauge is the one of isis_parked / isis_awake this member counts in
         self._tel_ticks: Any = None
@@ -283,8 +304,19 @@ class IsisMember(SimProcess):
 
     # ------------------------------------------------------------- lifecycle
 
+    @property
+    def _scoped(self) -> bool:
+        """Does the detector follow the disturbance?  Under the reliable
+        transport a named death wakes only the coordinator, a view install
+        the group vouched for leaves it parked and departed members are
+        probed without keeping anyone awake (docs/PROTOCOLS.md, "Failure
+        detection"); the datagram detector wakes whole."""
+        return self.host.network.transport is not None
+
     def on_start(self) -> None:
-        self.host.network.watch(self, self._on_disturbance)
+        network = self.host.network
+        network.watch(self, self._on_disturbance)
+        self._voided_at = network.disturbances
         tel = self.sim.telemetry
         if tel is not None:
             self._tel_ticks = tel.counter(
@@ -315,7 +347,11 @@ class IsisMember(SimProcess):
             return
         contact = self._contacts[self._contact_idx % len(self._contacts)]
         self._contact_idx += 1
-        self.send(contact, JoinReq(self.address), size=self.config.control_size)
+        self.send(
+            contact,
+            JoinReq(self.address, self.host.network.disturbances),
+            size=self.config.control_size,
+        )
         self.set_timer(self.config.join_retry, "join-retry")
 
     def _require_joined(self) -> None:
@@ -347,7 +383,8 @@ class IsisMember(SimProcess):
             )
         elif (
             msg.view_id == view.view_id
-            and msg.epoch == self.host.network.disturbances
+            and msg.epoch >= self._voided_at
+            and msg.epoch >= self._named_at.get(msg.sender, 0)
         ):
             self._heard.add(msg.sender)
 
@@ -371,7 +408,7 @@ class IsisMember(SimProcess):
             # holds if it is for this view and nothing disturbed the
             # network since it was sent
             if (
-                msg.park == self.host.network.disturbances
+                msg.park >= self._voided_at
                 and msg.view_id == view.view_id
                 and msg.sender == view.coordinator
             ):
@@ -402,6 +439,8 @@ class IsisMember(SimProcess):
         if self.is_coordinator:
             if req.joiner not in self._queued_joins:
                 self._queued_joins.append(req.joiner)
+            epochs = self._join_epochs
+            epochs[req.joiner] = max(req.epoch, epochs.get(req.joiner, -1))
             self._maybe_start_view_change()
         else:
             self.send(self.view.coordinator, req, size=self.config.control_size)
@@ -416,6 +455,7 @@ class IsisMember(SimProcess):
         self.emit("isis.evicted", group=self.group, rejoin_via=str(msg.coordinator))
         self.view = None
         self._set_parked(False)
+        self._suspects = None
         self._acting_coordinator = False
         self._change = None
         self._flushing = False
@@ -460,7 +500,9 @@ class IsisMember(SimProcess):
         survivors = [
             m for m in self.view.members if m in proposed and m != self.address
         ]
-        self._change = _ViewChange(proposed, set(survivors), {})
+        self._change = _ViewChange(
+            proposed, set(survivors), {}, self.host.network.disturbances
+        )
         self._flushing = True
         for rec in self._replay:
             self._change.replay[rec.msg_id] = rec
@@ -507,12 +549,36 @@ class IsisMember(SimProcess):
         self._change = None
         # the proposal always keeps the coordinator: every member it evicts
         # is another one (timed out, a straggler or a senior presumed dead)
-        new_view = NewView(change.proposed, tuple(change.replay.values()))
+        network = self.host.network
+        park = network.disturbances if self._vouched(change) else -1
+        new_view = NewView(change.proposed, tuple(change.replay.values()), park)
         size = self.config.control_size + 64 * len(new_view.replay)
         for member in change.proposed.members:
             if member != self.address:
                 self.send(member, new_view, size=size)
         self._on_new_view(self.address, new_view)
+
+    def _vouched(self, change: _ViewChange) -> bool:
+        """May the view *change* installs park at once?  Under the scoped
+        detector, when nothing disturbed the network since the change
+        started, every survivor's FlushOk and every joiner's JoinReq was
+        sent and received in this disturbance epoch — each vouches for its
+        sender as a beat would — and nothing else is queued."""
+        old = self.view
+        assert old is not None
+        epoch = change.epoch
+        return (
+            self._scoped
+            and self.host.network.disturbances == epoch
+            and not self._queued_joins
+            and not self._queued_leaves
+            and all(
+                self._join_epochs.get(m) == epoch
+                for m in change.proposed.members
+                if m not in old
+            )
+            and self.host.network.calm_for(change.proposed.members)
+        )
 
     def _on_new_view(self, src: Address, msg: NewView) -> None:
         if self.view is not None and msg.view.view_id <= self.view.view_id:
@@ -522,17 +588,26 @@ class IsisMember(SimProcess):
             if rec.msg_id not in self._delivered_ids:
                 self._delivered_ids.add(rec.msg_id)
                 self._dispatch(rec.sender, rec.kind, rec.payload)
-        self._install(msg.view, msg.replay)
+        self._install(
+            msg.view,
+            msg.replay,
+            park=msg.park >= self._voided_at and src == msg.view.coordinator,
+        )
 
-    def _install(self, view: View, replay: tuple[ReplayRecord, ...]) -> None:
+    def _install(
+        self, view: View, replay: tuple[ReplayRecord, ...], park: bool = False
+    ) -> None:
         old = self.view
         old_members = set(old.members) if old else set()
         joined = [m for m in view.members if m not in old_members]
         left = [m for m in (old.members if old else ()) if m not in view]
+        now = self.now
+        first_probe = now + 4 * self.config.hb_interval
         for gone in left:
-            self._alumni.setdefault(gone, 0)
+            self._alumni.setdefault(gone, (0, first_probe))
         for member in view.members:
             self._alumni.pop(member, None)
+            self._join_epochs.pop(member, None)
         self.view = view
         self._vc = VectorClock()
         self._cb_holdback.clear()
@@ -544,13 +619,29 @@ class IsisMember(SimProcess):
         self._flushing = False
         self._acting_coordinator = False
         self._change = None
-        self._last_coord_seen = self.now
-        self._last_seen = {m: self.now for m in view.members}
-        self._heard = set()
-        self._set_parked(False)
+        self._last_coord_seen = now
+        self._last_seen = dict.fromkeys(view.members, now)
+        self._named_at.clear()
+        self._suspects = None
         self.cancel_timer("join-retry")
-        self._hb_due = self.now + self.config.hb_interval
-        self.set_timer(self.config.hb_interval, "hb")
+        self._hb_due = now + self.config.hb_interval
+        if park:
+            # the change vouched for every member: install parked
+            self._heard = set(view.members)
+            self._heard.discard(self.address)
+            self.cancel_timer("hb")
+            self._set_parked(True)
+        else:
+            self._heard = set()
+            self._set_parked(False)
+            self.set_timer(self.config.hb_interval, "hb")
+        if (
+            self._alumni
+            and self._scoped
+            and view.coordinator == self.address
+            and not self.has_timer("probe")
+        ):
+            self._arm_probe()
         self.emit(
             "isis.view",
             group=self.group,
@@ -579,6 +670,8 @@ class IsisMember(SimProcess):
             self._heartbeat_tick()
         elif key == "rtx":
             self._retransmit_unacked()
+        elif key == "probe":
+            self._probe_alumni()
         elif key == "join-retry":
             self._try_join()
         elif key == "flush-timeout":
@@ -597,29 +690,36 @@ class IsisMember(SimProcess):
         self._hb_ticks += 1
         park = False
         if self.is_coordinator:
+            # woken by a named edge, the coordinator watches only the named
+            # members: every other one keeps its park order
+            suspects = self._suspects
             # a list, in _last_seen insertion order (deterministic): the
             # emits below must not follow set-iteration order
             dead = [
                 m
                 for m, seen in self._last_seen.items()
-                if m != me and now - seen > cfg.hb_timeout and m in self.view
+                if m != me
+                and now - seen > cfg.hb_timeout
+                and m in self.view
+                and (suspects is None or m in suspects)
             ]
             park = not dead and self._steady()
             beat = CoordBeat(
                 me, self.view.view_id, network.disturbances if park else -1
             )
-            beats = len(self.view) - 1
+            beats = 0
             for member in self.view.members:
-                if member != me:
+                if member != me and (suspects is None or member in suspects):
                     self.send(member, beat, size=cfg.control_size)
-            if self._hb_ticks % 4 == 0:
+                    beats += 1
+            if self._hb_ticks % 4 == 0 and not self._scoped:
                 # probe departed members: if one of them now leads a rival
                 # group, the beat triggers merge resolution on its side
-                for alumnus in list(self._alumni):
-                    self._alumni[alumnus] += 1
-                    if self._alumni[alumnus] > 20:
+                for alumnus, (sent, due) in list(self._alumni.items()):
+                    if sent >= 20:
                         del self._alumni[alumnus]  # presumed really gone
                         continue
+                    self._alumni[alumnus] = (sent + 1, due)
                     self.send(alumnus, beat, size=cfg.control_size)
                     beats += 1
             if dead:
@@ -644,19 +744,52 @@ class IsisMember(SimProcess):
         # the phase is kept either way; parked, the beats above were the last
         self._hb_due = now + cfg.hb_interval
         if park:
+            self._suspects = None
             self._set_parked(True)
         else:
             self.set_timer(cfg.hb_interval, "hb")
+
+    def _arm_probe(self) -> None:
+        due = min(due for _, due in self._alumni.values())
+        self.set_timer(max(0.0, due - self.now), "probe")
+
+    def _probe_alumni(self) -> None:
+        """Scoped detector: probe each departed member five times, from a
+        timer of its own so the group may park meanwhile — 4 hb intervals
+        after it left, then on a doubling backoff (8, 16, 32, 64
+        intervals).  The reliable transport retransmits a probe a drop would
+        have lost, so one per period finds a rival group as surely as the
+        datagram detector's one every fourth tick."""
+        if not self.is_coordinator or self.view is None:
+            return
+        now = self.now
+        period = 4 * self.config.hb_interval
+        beat = CoordBeat(self.address, self.view.view_id)
+        probes = 0
+        for alumnus, (sent, due) in list(self._alumni.items()):
+            if due > now:
+                continue
+            self.send(alumnus, beat, size=self.config.control_size)
+            probes += 1
+            if sent + 1 >= 5:
+                del self._alumni[alumnus]  # presumed really gone
+            else:
+                self._alumni[alumnus] = (sent + 1, now + period * 2 ** (sent + 1))
+        if self._tel_beats is not None:
+            self._tel_beats.inc(probes)
+        if self._alumni:
+            self._arm_probe()
 
     def _steady(self) -> bool:
         """Coordinator side: may the group park?  Steady means nothing that
         a tick would act on or discover: the real coordinator, no view
         change or flush in progress, no queued joins or suspicions, no
-        departed member left to probe, and every member heard from — in
-        this view, since the last disturbance — on a calm network.  In that
-        state the dead-check and the members' takeover-check cannot fire:
-        every member process is up and reachable, or the network would have
-        raised the edge first."""
+        departed member left to probe (the datagram detector probes from
+        its ticks), and every member heard from — in this view, since the
+        last edge that concerned it — on a network calm for the view's
+        hosts.  In that state the dead-check and the members'
+        takeover-check cannot fire: every member process is up and
+        reachable, or the network would have raised the edge first."""
         assert self.view is not None
         return (
             not self._acting_coordinator
@@ -664,9 +797,9 @@ class IsisMember(SimProcess):
             and not self._flushing
             and not self._queued_joins
             and not self._queued_leaves
-            and not self._alumni
+            and (not self._alumni or self._scoped)
             and len(self._heard) == len(self.view) - 1
-            and self.host.network.calm
+            and self.host.network.calm_for(self.view.members)
         )
 
     def _set_parked(self, parked: bool) -> None:
@@ -701,11 +834,45 @@ class IsisMember(SimProcess):
         self._hb_due = due
         self.set_timer(max(0.0, due - now), "hb")
 
-    def _on_disturbance(self) -> None:
+    def _on_disturbance(self, dying: tuple[Any, ...]) -> None:
         """The network's disturbance edge (see ``Network.disturb``): beats
         heard so far no longer vouch for anyone, and a parked member goes
-        back to the explicit protocol."""
+        back to the explicit protocol.  Under the scoped detector an edge
+        that names dying processes other than this member's coordinator
+        touches only the named members of its view: the coordinator forgets
+        having heard from them and watches them alone; everyone else keeps
+        its park order."""
+        view = self.view
+        count = self.host.network.disturbances
+        if dying and view is not None and self._scoped:
+            gone = {process.address for process in dying}
+            if view.coordinator not in gone:
+                named = [m for m in view.members if m in gone]
+                if named and view.coordinator == self.address:
+                    for member in named:
+                        self._named_at[member] = count
+                        self._heard.discard(member)
+                    if self._parked:
+                        self._suspects = set(named)
+                        self._wake()
+                    elif self._suspects is not None:
+                        # newly watched: its silence so far was agreed
+                        now = self.now
+                        for member in named:
+                            if member not in self._suspects:
+                                self._last_seen[member] = now
+                        self._suspects.update(named)
+                return
+        self._voided_at = count
         self._heard.clear()
+        if self._suspects is not None:
+            # the members this coordinator did not watch were parked: their
+            # silence so far was agreed, as in _wake
+            now = self.now
+            for member in self._last_seen:
+                if member not in self._suspects:
+                    self._last_seen[member] = now
+            self._suspects = None
         if self._parked:
             self._wake()
 

@@ -20,9 +20,12 @@ from repro.netsim.host import Address
 @dataclass(frozen=True, slots=True)
 class JoinReq:
     """A process asks to join; sent to a contact member and forwarded to the
-    coordinator."""
+    coordinator.  ``epoch`` is the network's disturbance count when it was
+    sent (see ``Heartbeat``): one that still stands when the joiner's view
+    is installed vouches for the joiner the way a beat does."""
 
     joiner: Address
+    epoch: int = -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,10 +61,14 @@ class ReplayRecord:
 @dataclass(frozen=True, slots=True)
 class NewView:
     """Phase 2: install the view. ``replay`` is the union of survivors'
-    windows; installers deliver anything they have not yet delivered."""
+    windows; installers deliver anything they have not yet delivered.
+    ``park`` is a park order as in ``CoordBeat``, given when every member
+    of the new view vouched for itself during the change (-1: install
+    awake)."""
 
     view: View
     replay: tuple[ReplayRecord, ...] = ()
+    park: int = -1
 
 
 # -- failure detection -------------------------------------------------------
@@ -70,8 +77,10 @@ class NewView:
 @dataclass(frozen=True, slots=True)
 class Heartbeat:
     """Member -> coordinator liveness signal.  ``epoch`` is the network's
-    disturbance count when the beat was sent: a beat that arrives under the
-    same count tells the coordinator the member has been alive, and in view
+    disturbance count when the beat was sent: a beat that arrives with no
+    edge concerning its sender since (on the datagram transport any edge;
+    under the reliable one an edge that named it or named nobody) tells
+    the coordinator the member has been alive, and in view
     ``view_id``, through an undisturbed interval (see ``IsisMember`` on the
     parked failure detector)."""
 
@@ -85,7 +94,9 @@ class CoordBeat:
     """Coordinator -> members liveness signal.  ``park`` is the group's park
     order: the network's disturbance count when the coordinator found the
     group steady and the network calm and stopped beating (-1: keep
-    beating).  It holds only while that count stands."""
+    beating).  It holds only while no edge that concerns the receiver came
+    after that count (on the datagram transport any edge; under the
+    reliable one an edge that named nobody or named its coordinator)."""
 
     sender: Address
     view_id: int

@@ -16,9 +16,14 @@ The network also tells failure detectors when they are needed at all:
 a message (no partition, every fault rate 0, latency factor 1, every host
 up), and every change to that — plus the death of a *watched* process — is
 announced to the watchers as a **disturbance edge**, raised before the
-change takes effect (:meth:`Network.watch`, :meth:`Network.disturb`).  A
-watcher that stayed silent because the network was calm therefore always
-learns of a fault at the instant it happens, never after.
+change takes effect (:meth:`Network.watch`, :meth:`Network.disturb`).  An
+edge names the processes it kills, if any, so a watcher can tell a death
+it must look for from a change that concerns everyone.  A watcher that
+stayed silent because the network was calm therefore always learns of a
+fault at the instant it happens, never after.  What a group of processes
+observes is narrower (:meth:`Network.calm_for`): only its own hosts need be
+up, and under the reliable transport drops, duplicates and reordering
+surface as latency, not loss.
 
 Two transport modes:
 
@@ -43,7 +48,7 @@ Two transport modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.netsim.backend import SimBackend
 from repro.netsim.host import Address, Host
@@ -153,10 +158,10 @@ class Network:
         self._partitions: list[set[str]] | None = None
         #: failure-detecting processes -> their disturbance callback, in
         #: registration order (the order the edge calls them in)
-        self._watchers: dict[Any, Callable[[], None]] = {}
+        self._watchers: dict[Any, Callable[[tuple[Any, ...]], None]] = {}
         #: disturbance edges raised so far.  A message that carries the
         #: count it was sent under vouches for "nothing has happened since"
-        #: exactly when the count still matches on arrival.
+        #: when no edge its receiver cares about came after that count.
         self.disturbances = 0
         self._fifo = fifo
         self._egress_serialization = egress_serialization
@@ -211,9 +216,10 @@ class Network:
     def calm(self) -> bool:
         """True while no message can be lost, duplicated, reordered, slowed
         or withheld: no partition, every attached host up, every fault rate
-        0 and the latency factor 1.  One network-wide predicate; a process
-        that dies on an up host does not change it (that is an edge only —
-        see :meth:`disturb`)."""
+        0 and the latency factor 1.  One network-wide predicate, whatever
+        the transport; a process that dies on an up host does not change it
+        (that is an edge only — see :meth:`disturb`).  A failure detector
+        reads :meth:`calm_for` instead."""
         return (
             self._partitions is None
             and self._drop_rate == 0.0
@@ -223,7 +229,28 @@ class Network:
             and all(host.up for host in self.hosts.values())
         )
 
-    def watch(self, process: Any, on_disturbance: Callable[[], None]) -> None:
+    def calm_for(self, members: Iterable[Address]) -> bool:
+        """:attr:`calm` as a group of *members* observes it: no partition,
+        latency factor 1 and every member's host up (a down host no member
+        lives on is invisible to the group).  Under the reliable transport
+        drops, duplicates and reordering below a drop rate of 1 are absorbed
+        — a message arrives, late, in order and once — so only a datagram
+        network must also have every fault rate 0."""
+        if self._partitions is not None or self._latency_factor != 1.0:
+            return False
+        if (self.transport is None or self._drop_rate == 1.0) and (
+            self._drop_rate or self._duplicate_rate or self._reorder_rate
+        ):
+            return False
+        hosts = self.hosts
+        for member in members:
+            if not hosts[member.host].up:
+                return False
+        return True
+
+    def watch(
+        self, process: Any, on_disturbance: Callable[[tuple[Any, ...]], None]
+    ) -> None:
         """Register *process* as a failure detector's subject and listener:
         *on_disturbance* runs on every disturbance edge, and killing the
         process is itself an edge.  The registration ends when the process
@@ -235,9 +262,10 @@ class Network:
         return process in self._watchers
 
     def disturb(self, *dying: Any) -> None:
-        """Raise the disturbance edge: count it and tell every watcher.
-        *dying* are processes about to die or fall silent; they lose their
-        registration first and are not told.
+        """Raise the disturbance edge: count it and tell every watcher,
+        passing *dying* (empty for an edge that names nobody).  *dying* are
+        processes about to die or fall silent; they lose their registration
+        first and are not told.
 
         Called by :meth:`partition`/:meth:`heal`, the ``set_*`` fault
         setters, ``Host.crash``/``recover`` and ``Host.kill`` of a watched
@@ -247,7 +275,7 @@ class Network:
             self._watchers.pop(process, None)
         self.disturbances += 1
         for callback in list(self._watchers.values()):
-            callback()
+            callback(dying)
 
     # -- fault knobs -----------------------------------------------------------
 

@@ -29,10 +29,13 @@ class Recorder(IsisMember):
             reply(self.bid_value)
 
 
-def build_group(n, seed=0, config=None, settle=10.0):
-    """Spin up n members on n hosts; member 0 founds the group."""
+def build_group(n, seed=0, config=None, settle=10.0, reliable=False):
+    """Spin up n members on n hosts; member 0 founds the group.  With
+    *reliable*, the hosts talk over the reliable transport."""
     sim = Simulator(seed)
     net = Network(sim)
+    if reliable:
+        net.set_reliable()
     members = []
     founder_addr = Address("h0", "m0")
     for i in range(n):

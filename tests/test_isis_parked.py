@@ -6,7 +6,8 @@ tests hold the contract that makes that safe:
 
 - **differential** — the same seed run calm (parks) and with a fault rate
   that never fires (never parks) produces the same DONE set, results and
-  per-member view sequences;
+  per-member view sequences; so does the same seed run under the reliable
+  transport with 5% drop, parked and forced awake;
 - **latency bounds** (hypothesis) — a fault at a random phase of a parked
   group is detected within ``hb_timeout + hb_interval`` and the oldest
   survivor takes over within ``hb_timeout * (1 + rank) + hb_interval``;
@@ -26,16 +27,19 @@ from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_clust
 from repro.faults.schedule import FaultSchedule
 from repro.isis.member import IsisConfig
 from repro.machines import MachineClass
+from repro.netsim.network import Network
 from repro.runtime.instance import InstanceState
 from repro.scheduler.execution_program import RunState
 from repro.soak import SoakConfig, run_soak
 from repro.workloads import build_random_dag, build_stencil_graph
 
+from tests.test_isis_group import Recorder
 from tests.test_isis_group import build_group as formed_group
 
-#: the smallest positive float: a drop rate > 0 keeps ``Network.calm``
-#: False for the whole run, and ``random() < NEVER`` holds only for a draw
-#: of exactly 0.0 — so no message is ever dropped
+#: the smallest positive float: on the datagram transport a drop rate > 0
+#: keeps the group's calm predicate (``Network.calm_for``) False for the
+#: whole run, and ``random() < NEVER`` holds only for a draw of exactly
+#: 0.0 — so no message is ever dropped
 NEVER = 5e-324
 
 
@@ -128,15 +132,59 @@ def test_parked_run_matches_never_parked_run(scenario, request):
     assert _outcome(calm) == _outcome(explicit)
 
 
+@pytest.fixture
+def lossy_reliable(monkeypatch):
+    """Every VCE booted inside the test runs over the reliable transport,
+    with 5% of all transmissions dropped once the group has formed: the
+    transport absorbs the drops, so the group still parks."""
+    boot = VirtualComputingEnvironment.boot
+
+    def boot_lossy(vce):
+        vce.network.set_reliable()
+        booted = boot(vce)
+        vce.network.set_drop_rate(0.05)
+        return booted
+
+    monkeypatch.setattr(VirtualComputingEnvironment, "boot", boot_lossy)
+
+
+@pytest.mark.parametrize("scenario", [_randomdag, _stencil, _quick_soak])
+def test_reliable_transport_parked_run_matches_forced_awake_run(
+    scenario, lossy_reliable, monkeypatch
+):
+    parked = scenario()
+    assert all(daemon.parked for daemon in parked.daemons.values())
+
+    # the detector's calm predicate never holds: no group ever parks
+    monkeypatch.setattr(Network, "calm_for", lambda network, members: False)
+    awake = scenario()
+    assert not any(daemon.parked for daemon in awake.daemons.values())
+    # a quiet run: nobody was falsely suspected, so the view sequences
+    # must match as well as the results
+    assert not awake.sim.log.records(category="isis.failure_detected")
+
+    # drops really happened, and parking really removed the beats
+    assert awake.network.retransmissions > 0
+    assert _beats(awake) > 10 * _beats(parked)
+    assert _outcome(parked) == _outcome(awake)
+
+
 # -------------------------------------------------------- latency bounds
 
 
-def build_group(n, seed=0, require_majority=False):
+def build_group(n, seed=0, require_majority=False, drop_rate=None):
     """n members on n hosts, settled: one view, everyone parked.  Members
-    are returned in rank order."""
+    are returned in rank order.  With a *drop_rate* the group runs over the
+    reliable transport, and settles again after that rate is set."""
     sim, net, members = formed_group(
-        n, seed, IsisConfig(require_majority=require_majority)
+        n, seed, IsisConfig(require_majority=require_majority),
+        reliable=drop_rate is not None,
     )
+    if drop_rate is not None:
+        net.set_drop_rate(drop_rate)
+        deadline = sim.now + 30.0
+        while not all(m.parked for m in members) and sim.now < deadline:
+            sim.run(until=sim.now + 0.25)
     view = members[0].view
     assert all(m.view == view for m in members)
     assert all(m.parked for m in members)
@@ -166,7 +214,7 @@ def times(sim, category, **match):
     ]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(3, 5),
     fault=st.sampled_from(["crash", "kill", "partition", "drop"]),
@@ -174,11 +222,13 @@ def times(sim, category, **match):
     phase=st.floats(0.0, 1.0, exclude_max=True),
     require_majority=st.booleans(),
     seed=st.integers(0, 3),
+    # None: the datagram transport; a rate: parked under the reliable one
+    drop_rate=st.one_of(st.none(), st.floats(0.0, 0.1, exclude_min=True)),
 )
 def test_fault_in_parked_group_detected_within_bounds(
-    n, fault, victim_rank, phase, require_majority, seed
+    n, fault, victim_rank, phase, require_majority, seed, drop_rate
 ):
-    sim, net, members = build_group(n, seed, require_majority)
+    sim, net, members = build_group(n, seed, require_majority, drop_rate)
     cfg = members[0].config
     victim = members[victim_rank % n]
     sent_while_parked = net.messages_sent
@@ -305,6 +355,68 @@ def test_beat_in_flight_at_a_kill_vouches_for_nobody():
     assert detected and fault_at + cfg.hb_timeout - cfg.hb_interval < detected[0]
 
 
+@pytest.mark.parametrize("fault", ["crash", "kill"])
+def test_named_death_under_the_reliable_transport_wakes_only_the_coordinator(
+    fault,
+):
+    """The scoped detector: a crash or kill names the dying member, so only
+    the coordinator wakes, and it watches that member alone; everyone else
+    keeps its park order and sends nothing.  The eviction's view change,
+    vouched for by the survivors' FlushOks, installs parked, although the
+    crashed host is still down."""
+    sim, net, members = build_group(4, drop_rate=0.05)
+    cfg = members[0].config
+    coordinator, victim = members[0], members[2]
+    others = [m for m in members if m is not coordinator and m is not victim]
+    old_view = coordinator.view.view_id
+    if fault == "crash":
+        victim.host.crash()
+    else:
+        victim.host.kill(victim.name)
+    assert not coordinator.parked and all(m.parked for m in others)
+    ticks = [m._hb_ticks for m in others]
+    fault_at = sim.now
+    while coordinator.view.view_id == old_view:
+        sim.run(until=sim.now + 0.05)
+        assert all(m.parked for m in others), sim.now
+        assert sim.now <= fault_at + cfg.hb_timeout + cfg.hb_interval + 0.1
+    assert [m._hb_ticks for m in others] == ticks
+    sim.run(until=sim.now + 0.1)  # the NewView has arrived
+    assert all(victim.address not in m.view for m in others)
+    assert coordinator.parked and all(m.parked for m in others)
+    failed = {r.get("failed") for r in sim.log.records(category="isis.failure_detected")}
+    assert failed == {str(victim.address)}
+    sent = net.messages_sent
+    sim.run(until=sim.now + 100.0)
+    # five probes of the departed member, and nothing else
+    assert net.messages_sent - sent == 5
+
+
+def test_coordinator_death_wakes_every_member_under_the_reliable_transport():
+    sim, net, members = build_group(4, drop_rate=0.05)
+    members[0].host.crash()
+    assert not any(m.parked for m in members[1:])
+
+
+def test_parked_group_probes_a_departed_member_that_leads_its_own_group():
+    """Departed members no longer keep the group awake, but the parked
+    coordinator still probes them, on a backoff of its own: a member that
+    comes back leading a group of its own (a restarted process that found
+    no contact) is found and merged."""
+    sim, net, members = build_group(3, drop_rate=0.05)
+    coordinator, victim = members[0], members[2]
+    victim.host.kill(victim.name)
+    sim.run(until=sim.now + 5.0)
+    assert victim.address not in coordinator.view
+    assert coordinator.parked and members[1].parked
+    rival = Recorder(victim.name)  # founds a group alone
+    victim.host.spawn(rival)
+    sim.run(until=sim.now + 30.0)
+    assert sim.log.records(category="isis.group_merge")
+    assert rival.view == coordinator.view and len(coordinator.view) == 3
+    assert all(m.parked for m in (coordinator, members[1], rival))
+
+
 # ------------------------------------------------------------- re-parking
 
 
@@ -345,6 +457,28 @@ def test_heal_merges_and_parks_again(require_majority):
     schedule.partition_window(1.0, 8.0, ["ws3"])
     vce.chaos(schedule)
     vce.run(until=vce.sim.now + 6.0)
+    assert not any(daemon.parked for daemon in vce.daemons.values())
+    vce.run(until=vce.sim.now + 60.0)
+    assert len(vce.leader_of(MachineClass.WORKSTATION).view) == 4
+    _assert_idle_and_silent(vce)
+
+
+@pytest.mark.parametrize("require_majority", [False, True])
+def test_partition_keeps_a_reliable_group_awake_and_probes_find_the_rival(
+    require_majority,
+):
+    """The reliable transport absorbs drops, not partitions: nobody parks
+    while the cut lasts, although each side evicts the other.  Departed
+    members no longer keep the group awake, so after the heal it is the
+    coordinators' backed-off probes that find the rival group (without
+    quorum the cut-off host leads a group of its own)."""
+    vce = _vce(isis=IsisConfig(require_majority=require_majority), reliable_transport=True)
+    schedule = FaultSchedule("cut")
+    schedule.partition_window(1.0, 8.0, ["ws3"])
+    vce.chaos(schedule)
+    vce.run(until=vce.sim.now + 6.0)
+    leader = vce.leader_of(MachineClass.WORKSTATION)
+    assert "ws3" not in {m.host for m in leader.view.members}
     assert not any(daemon.parked for daemon in vce.daemons.values())
     vce.run(until=vce.sim.now + 60.0)
     assert len(vce.leader_of(MachineClass.WORKSTATION).view) == 4
