@@ -431,9 +431,18 @@ class IsisMember(SimProcess):
         if not self.joined:
             return
         assert self.view is not None
-        if req.joiner in self.view and self._change is None:
+        if (
+            req.joiner in self.view
+            and self._change is None
+            and req.joiner != self.view.coordinator
+        ):
             # Duplicate join (e.g. retransmission raced the NewView): resend
-            # the current view so the joiner learns it is already in.
+            # the current view so the joiner learns it is already in.  Never
+            # to the view's own coordinator: that joiner is a restarted
+            # coordinator the group has not replaced yet, which lost its
+            # state; given this view it would lead a group of stale members
+            # (docs/FAULTS.md, known issue 5) — it retries until a takeover
+            # has evicted its old incarnation.
             self.send(req.joiner, NewView(self.view), size=self.config.control_size)
             return
         if self.is_coordinator:

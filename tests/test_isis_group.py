@@ -305,6 +305,38 @@ class TestLeaveAndFailure:
         assert joiner.joined
         assert joiner.view.coordinator == second_oldest.address
 
+    @pytest.mark.parametrize("reliable", [False, True])
+    def test_coordinator_restarted_before_takeover_rejoins_as_member(self, reliable):
+        """A crashed coordinator restarted before anyone has taken over
+        asks a member that still holds the old view, in which the restarted
+        process is the coordinator.  It must not get that view back (it
+        would lead a group of stale members, having lost the coordinator's
+        state): it retries until the takeover has evicted its old
+        incarnation and then joins the successor's group."""
+        sim, net, members = build_group(4, reliable=reliable)
+        by_addr = {m.address: m for m in members}
+        old, successor = (by_addr[a] for a in members[0].view.members[:2])
+        old_view = old.view.view_id
+        old.host.crash()
+        sim.run(until=sim.now + 1.0)
+        old.host.recover()
+        old.host.reap(old.name)
+        restarted = Recorder(old.name, contacts=[successor.address])
+        old.host.spawn(restarted)
+        restarted_at = sim.now
+        sim.run(until=sim.now + 30.0)
+        assert restarted.view is not None and restarted.view.view_id > old_view
+        assert restarted.view.coordinator == successor.address
+        assert all(m.view == restarted.view for m in members if m is not old)
+        assert len(restarted.view) == 4
+        stale = [
+            r for r in sim.log.records(category="isis.view")
+            if r.source == str(restarted.address)
+            and r.time >= restarted_at
+            and r.get("view_id") <= old_view
+        ]
+        assert not stale
+
     def test_multicast_still_works_after_takeover(self):
         sim, net, members = build_group(3)
         net.host("h0").crash()
