@@ -85,17 +85,17 @@ class ProtocolFSM:
 
 
 def _req_key(record: "LogRecord") -> str | None:
-    return record.data.get("req_id")
+    return record.get("req_id")
 
 
 def _instance_key(record: "LogRecord") -> str | None:
-    task = record.data.get("task")
-    rank = record.data.get("rank")
+    task = record.get("task")
+    rank = record.get("rank")
     if task is None or rank is None:
         return None
     # runtime./recovery. records carry the app id as the record source;
     # task.* records carry it in data
-    app = record.data.get("app", record.source)
+    app = record.get("app", record.source)
     return f"{app}:{task}:{rank}"
 
 
@@ -407,10 +407,11 @@ class ProtocolMonitor:
 
 
 def _emit_categories(tree: ast.AST) -> tuple[set[str], set[str]]:
-    """All ``emit("<category>", ...)`` literals in *tree*.
+    """All ``emit("<category>", ...)`` literals in *tree*, and every
+    category a handle is resolved for (``log.category("<category>", ...)``).
 
-    Returns ``(exact, prefixes)`` where *prefixes* covers f-string emits
-    like ``emit(f"task.{state.value}", ...)`` as wildcard prefixes.
+    Returns ``(exact, prefixes)`` where *prefixes* covers f-string names
+    like ``category(f"task.{state.value}", ...)`` as wildcard prefixes.
     """
     exact: set[str] = set()
     prefixes: set[str] = set()
@@ -421,7 +422,7 @@ def _emit_categories(tree: ast.AST) -> tuple[set[str], set[str]]:
         name = fn.attr if isinstance(fn, ast.Attribute) else (
             fn.id if isinstance(fn, ast.Name) else ""
         )
-        if name != "emit":
+        if name not in ("emit", "category"):
             continue
         first = node.args[0]
         if isinstance(first, ast.Constant) and isinstance(first.value, str):

@@ -35,7 +35,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.analysis.hb import HBTracker
 from repro.analysis.protocol import DEFAULT_FSMS, ProtocolFSM, check_records
@@ -61,6 +61,12 @@ DURABLE_KEYS = frozenset({
 })
 
 
+def _outcome_line(record: Any) -> str:
+    data = record.data  # built on read: once per record
+    durable = ",".join(f"{k}={data[k]!r}" for k in sorted(data) if k in DURABLE_KEYS)
+    return f"{record.category}|{record.source}|{durable}"
+
+
 def outcome_digest(log: Iterable) -> str:
     """SHA-256 over the *sorted* canonical outcome records of *log*.
 
@@ -71,15 +77,7 @@ def outcome_digest(log: Iterable) -> str:
     different final value diverges.
     """
     lines = sorted(
-        "{}|{}|{}".format(
-            record.category,
-            record.source,
-            ",".join(
-                f"{k}={record.data[k]!r}"
-                for k in sorted(record.data)
-                if k in DURABLE_KEYS
-            ),
-        )
+        _outcome_line(record)
         for record in log
         if record.category.startswith(OUTCOME_PREFIXES)
     )

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.channels.port import Port, PortDirection
 from repro.netsim.host import Address
+from repro.trace.context import TRACE_FIELDS
 from repro.util.errors import CommunicationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,6 +61,9 @@ class Channel:
         self.messages = 0
         self.bytes = 0
         self.dropped_no_receiver = 0
+        self._sends = network.sim.log.category(
+            "chan.send", ("channel", "to", "size", *TRACE_FIELDS)
+        )
         # live-telemetry handles, cached per channel (hot path)
         tel = network.sim.telemetry
         self._m_messages = (
@@ -177,14 +181,7 @@ class Channel:
             family = self._m_bytes
             (family.child or family.solo()).inc(size)
         if trace is not None:
-            sim.emit(
-                "chan.send",
-                str(sender_addr),
-                channel=self.name,
-                to=to,
-                size=size,
-                **trace.fields(),
-            )
+            sim.emit(self._sends, str(sender_addr), self.name, to, size, *trace.values())
         if to is None or self._stages:
             self._route(sender_addr, sender_port, data, size, to, stage=0)
             return

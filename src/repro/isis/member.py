@@ -314,6 +314,9 @@ class IsisMember(SimProcess):
         return self.host.network.transport is not None
 
     def on_start(self) -> None:
+        self._views = self.sim.log.category(
+            "isis.view", ("group", "view_id", "members", "coordinator")
+        )
         network = self.host.network
         network.watch(self, self._on_disturbance)
         self._voided_at = network.disturbances
@@ -651,17 +654,15 @@ class IsisMember(SimProcess):
             and not self.has_timer("probe")
         ):
             self._arm_probe()
+        views = self._views
         self.emit(
-            "isis.view",
-            group=self.group,
-            view_id=view.view_id,
+            views,
+            self.group,
+            view.view_id,
             # the O(n) member-name list is only built if the log actually
             # stores isis.view records (a suppressed emit is just counted)
-            members=(
-                [str(m) for m in view.members]
-                if self.sim.log.enabled("isis.view") else ()
-            ),
-            coordinator=str(view.coordinator),
+            [str(m) for m in view.members] if views.stored else (),
+            str(view.coordinator),
         )
         self.on_view_change(view, joined, left)
         # Re-issue multicasts queued while flushing.

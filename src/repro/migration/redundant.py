@@ -143,6 +143,7 @@ class RedundantExecutionManager(MigrationScheme):
                 checkpoints=runtime.checkpoints,
                 on_exit=self._on_copy_exit,
                 metrics=runtime.vmpi_metrics,
+                categories=runtime.task_categories,
             )
             host.spawn(copy)
             record.redundant_copies.append(copy)

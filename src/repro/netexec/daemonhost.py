@@ -161,6 +161,22 @@ class DaemonHost:
             Envelope(self.addr, LOG_ADDR, EmitRecord(category, source, tuple(data.items())))
         )
 
+    def _forward_task(
+        self, category: str, source: str, assignment: TaskAssignment, *extra: tuple[str, Any]
+    ) -> None:
+        """Forward a ``task.*`` record: the instance, *extra* items, then
+        the assignment's trace ids (the simulator's order)."""
+        identity = (
+            ("app", assignment.app), ("task", assignment.task),
+            ("rank", assignment.rank), ("host", self.host),
+        )
+        self.conn.send(
+            Envelope(
+                self.addr, LOG_ADDR,
+                EmitRecord(category, source, identity + extra + assignment.trace),
+            )
+        )
+
     def send_to(self, dst: Address, payload: Any) -> None:
         self.conn.send(Envelope(self.addr, dst, payload))
 
@@ -272,33 +288,20 @@ class DaemonHost:
 
     async def _run_task(self, assignment: TaskAssignment) -> None:
         source = f"{assignment.app}/{assignment.task}:{assignment.rank}"
-        trace = dict(assignment.trace)
-        self.emit(
-            "task.start", source,
-            app=assignment.app, task=assignment.task, rank=assignment.rank,
-            host=self.host, **trace,
-        )
+        self._forward_task("task.start", source, assignment)
         try:
             result = await self._execute(assignment)
         except asyncio.CancelledError:
             raise
         except Exception as exc:
-            self.emit(
-                "task.failed", source,
-                app=assignment.app, task=assignment.task, rank=assignment.rank,
-                host=self.host, error=str(exc), **trace,
-            )
+            self._forward_task("task.failed", source, assignment, ("error", str(exc)))
             self.send_to(
                 EXEC_ADDR,
                 TaskFailed(assignment.app, assignment.task, assignment.rank,
                            assignment.epoch, str(exc)),
             )
             return
-        self.emit(
-            "task.done", source,
-            app=assignment.app, task=assignment.task, rank=assignment.rank,
-            host=self.host, **trace,
-        )
+        self._forward_task("task.done", source, assignment)
         self.send_to(
             EXEC_ADDR,
             TaskDone(assignment.app, assignment.task, assignment.rank,

@@ -63,6 +63,7 @@ from repro.netexec.frames import (
 from repro.netexec.transport import FrameRouter, TransportError
 from repro.netsim.backend import create_simulator
 from repro.netsim.host import Address
+from repro.runtime.instance import DISPATCH_FIELDS
 from repro.scheduler.messages import (
     AllocationError_,
     AllocationReply,
@@ -196,6 +197,7 @@ class NetworkVCE:
         self.machines = {m.name: m for m in machines}
         self.sim = create_simulator(self.config.seed, backend="network")
         self.sim.set_rate(rate)
+        self._dispatches = self.sim.log.category("runtime.dispatch", DISPATCH_FIELDS)
         self.rate = rate
         self.failover = failover or FailoverConfig()
         self.eager_detection = eager_detection
@@ -278,8 +280,8 @@ class NetworkVCE:
     def _on_local(self, envelope: Envelope) -> None:
         payload = envelope.payload
         if isinstance(payload, EmitRecord):
-            self.sim.log.emit(
-                self.sim.now, payload.category, payload.source, **dict(payload.data)
+            self.sim.log.append(
+                self.sim.now, payload.category, payload.source, dict(payload.data)
             )
         elif isinstance(payload, (AllocationReply, AllocationError_)):
             waiter = self._alloc_waiters.pop(payload.req_id, None)
@@ -393,11 +395,10 @@ class NetworkVCE:
         node = app.graph.task(record.task)
         record.dispatched = True
         self.sim.emit(
-            "runtime.dispatch", app.id,
-            task=record.task, rank=record.rank, host=host,
-            stage_in=(), binary="", incarnation=record.attempts,
-            after=tuple(app.graph.predecessors(record.task)),
-            **app.trace.fields(),
+            self._dispatches, app.id,
+            record.task, record.rank, host, (), "", record.attempts,
+            tuple(app.graph.predecessors(record.task)),
+            *app.trace.values(),
         )
         self.router.send(
             host,

@@ -37,7 +37,7 @@ from typing import Any, Callable
 from repro.netsim.pacing import WallClockPacer
 from repro.netsim.backend import SimBackend
 from repro.util.errors import SimulationError
-from repro.util.eventlog import EventLog
+from repro.util.eventlog import Category, EventLog
 from repro.util.ids import IdGenerator
 from repro.util.rng import RngStreams
 
@@ -141,9 +141,13 @@ class WallClockSimulator(SimBackend):
 
     # -- component surface -------------------------------------------------
 
-    def emit(self, category: str, source: str, **data: Any) -> None:
-        """Append to the run's event log, stamped with the current time."""
-        self.log.emit(self.now, category, source, **data)
+    def emit(self, category: str | Category, source: str, *values: Any, **data: Any) -> None:
+        """Append to the run's event log, stamped with the current time
+        (:meth:`repro.netsim.kernel.Simulator.emit`'s two forms)."""
+        if type(category) is Category:
+            self.log.write(category, self.now, source, values)
+        else:
+            self.log.append(self.now, category, source, data)
 
     # -- external work (sockets, subprocesses) -----------------------------
 

@@ -64,7 +64,7 @@ from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.registry import MetricsRegistry
-from repro.util.eventlog import EventLog
+from repro.util.eventlog import Category, EventLog
 from repro.util.ids import IdGenerator
 from repro.util.rng import RngStreams
 
@@ -423,7 +423,11 @@ class Simulator(SimBackend):
 
     # -- convenience -------------------------------------------------------
 
-    def emit(self, category: str, source: str, **data: Any) -> None:
-        """Shorthand for ``self.log.emit(self.now, ...)``; the keyword dict
-        built for this call is handed over as the record's payload."""
-        self.log.append(self._now, category, source, data)
+    def emit(self, category: str | Category, source: str, *values: Any, **data: Any) -> None:
+        """Shorthand for ``self.log.emit(self.now, ...)``: a category name
+        takes a keyword payload, a :class:`~repro.util.eventlog.Category`
+        handle a positional one, which builds no dict."""
+        if type(category) is Category:
+            self.log.write(category, self._now, source, values)
+        else:
+            self.log.append(self._now, category, source, data)

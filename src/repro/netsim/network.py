@@ -146,6 +146,12 @@ class Network:
         self.sim = sim
         self.latency = latency or LatencyModel()
         self.hosts: dict[str, Host] = {}
+        # a datagram loss names its destination; a reliable-transport one
+        # adds the sequence number (and a retransmit its attempt)
+        log = sim.log
+        self._partition_drops = log.category("net.partition_drop", ("dst", "seq"))
+        self._drops = log.category("net.drop", ("dst", "seq"))
+        self._retransmits = log.category("net.retransmit", ("dst", "seq", "attempt"))
         self._rng = sim.rng.stream("network.jitter")
         self._drop_rng = sim.rng.stream("network.drop")
         self._dup_rng = sim.rng.stream("network.duplicate")
@@ -399,10 +405,10 @@ class Network:
             return
         # -- datagram path (the historical default) ------------------------
         if self._partitions is not None and not self._connected(src_name, dst_name):
-            sim.emit("net.partition_drop", src_name, dst=dst_name)
+            sim.emit(self._partition_drops, src_name, dst_name)
             return
         if self._drop_rate > 0.0 and self._drop_rng.random() < self._drop_rate:
-            sim.emit("net.drop", src_name, dst=dst_name)
+            sim.emit(self._drops, src_name, dst_name)
             return
         arrival = sim.now + self._wire_delay(src_name, dst_name, size)
         if self._reorder_rate > 0.0 and self._reorder_rng.random() < self._reorder_rate:
@@ -449,9 +455,9 @@ class Network:
         src_host, dst_host = message.src.host, message.dst.host
         blocked = self._partitions is not None and not self._connected(src_host, dst_host)
         if blocked:
-            self.sim.emit("net.partition_drop", src_host, dst=dst_host, seq=seq)
+            self.sim.emit(self._partition_drops, src_host, dst_host, seq)
         elif self._drop_rate > 0.0 and self._drop_rng.random() < self._drop_rate:
-            self.sim.emit("net.drop", src_host, dst=dst_host, seq=seq)
+            self.sim.emit(self._drops, src_host, dst_host, seq)
             blocked = True
         if blocked:
             if attempt >= cfg.max_retries:
@@ -464,9 +470,7 @@ class Network:
                 return
             self.retransmissions += 1
             self._tel_inc("net_retransmits_total", "reliable-transport retransmissions")
-            self.sim.emit(
-                "net.retransmit", src_host, dst=dst_host, seq=seq, attempt=attempt + 1
-            )
+            self.sim.emit(self._retransmits, src_host, dst_host, seq, attempt + 1)
             self.sim.schedule(
                 cfg.retry_delay(attempt),
                 lambda: self._transmit(message, seq, attempt + 1),

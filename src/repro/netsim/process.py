@@ -17,6 +17,7 @@ from repro.util.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.host import Host
     from repro.netsim.kernel import Simulator
+    from repro.util.eventlog import Category
 
 
 class SimProcess:
@@ -133,13 +134,14 @@ class SimProcess:
     def has_timer(self, key: str) -> bool:
         return key in self._timers
 
-    def emit(self, category: str, **data: Any) -> None:
-        """Write to the run-wide event log, tagged with this process."""
+    def emit(self, category: str | Category, *values: Any, **data: Any) -> None:
+        """Write to the run-wide event log, tagged with this process
+        (a category name with keywords, or a handle with positional values)."""
         source = self._addr_str
         if source is None:
             self.address  # populate the cache (raises if unbound)
             source = self._addr_str
-        self.host.sim.emit(category, source, **data)
+        self.host.sim.emit(category, source, *values, **data)
 
     # -- hooks -------------------------------------------------------------------
 

@@ -23,12 +23,13 @@ redundant-execution scheme kills copies), and *adopted* by another host
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.channels.channel import Channel, ChannelDelivery
 from repro.channels.port import Port, PortDirection
 from repro.netsim.host import Address
 from repro.netsim.process import SimProcess
+from repro.trace.context import TRACE_FIELDS
 from repro.util.errors import CommunicationError, SimulationError
 from repro.vmpi.api import ANY, Checkpoint, Compute, Emit, ReadFile, Recv, Send, Sleep, WriteFile
 from repro.vmpi.communicator import TaskContext
@@ -36,6 +37,7 @@ from repro.vmpi.communicator import TaskContext
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.checkpoints import CheckpointStore
     from repro.taskgraph.node import TaskNode
+    from repro.util.eventlog import Category, EventLog
 
 
 class InstanceState(enum.Enum):
@@ -71,6 +73,40 @@ def _host_compute_delta(host: Any, delta: int) -> int:
     the new count."""
     count = host._vce_computing = getattr(host, "_vce_computing", 0) + delta
     return count
+
+
+#: the payload of ``task.start`` and of an instance's exit record
+_TASK_FIELDS = ("app", "task", "rank", "host", *TRACE_FIELDS)
+
+#: the payload of a ``runtime.dispatch`` record
+DISPATCH_FIELDS = (
+    "task", "rank", "host", "stage_in", "binary", "incarnation", "after", *TRACE_FIELDS
+)
+
+#: vMPI destination ranks as channel port names, one string per rank
+_RANK_NAMES: dict[int, str] = {}
+
+
+class TaskCategories(NamedTuple):
+    """The event-log handles every instance of one run writes through,
+    resolved once per run by the runtime manager."""
+
+    start: "Category"
+    recv: "Category"
+    done: "Category"
+    failed: "Category"
+    killed: "Category"
+
+    @classmethod
+    def of(cls, log: "EventLog") -> "TaskCategories":
+        return cls(
+            log.category("task.start", _TASK_FIELDS),
+            log.category("chan.recv", ("channel", "from_span", "size", *TRACE_FIELDS)),
+            *[
+                log.category(f"task.{state.value}", _TASK_FIELDS)
+                for state in (_DONE, _FAILED, _KILLED)
+            ],
+        )
 
 
 #: every syscall type, the per-message ones first; ``_step`` dispatches on
@@ -123,8 +159,8 @@ class TaskInstance(SimProcess):
         "work_done", "started_at", "finished_at", "_gen", "_gen_started",
         "_mailbox", "_parked_recv", "_suspended", "_held_resume", "_computing",
         "_compute_finish_at", "_frozen_compute_remaining", "_stalled_work",
-        "_m_sends", "_m_compute", "_trace_fields", "_rank_port", "_named_port",
-        "_sources",
+        "_m_sends", "_m_compute", "_categories", "_trace_values", "_rank_port",
+        "_named_port", "_sources",
     )
 
     #: polling interval when the machine is completely saturated by local load
@@ -141,6 +177,8 @@ class TaskInstance(SimProcess):
         on_exit: Callable[["TaskInstance", InstanceState, Any], None] | None = None,
         start_delay: float = 0.0,
         metrics: tuple[Any, Any] | None = None,
+        *,
+        categories: TaskCategories,
     ) -> None:
         super().__init__(name)
         self.ctx = ctx
@@ -169,9 +207,10 @@ class TaskInstance(SimProcess):
         self._compute_finish_at: float | None = None
         self._frozen_compute_remaining: float | None = None
         self._m_sends, self._m_compute = metrics or (None, None)
+        self._categories = categories
         #: trace_id/span_id/parent_span_id of this incarnation's span
         trace = ctx.trace
-        self._trace_fields: dict[str, Any] = trace.fields() if trace is not None else {}
+        self._trace_values: tuple[str, ...] = trace.values() if trace is not None else ()
         # what a message needs beyond its own fields, resolved once per
         # incarnation: the two sender ports name this address, so a dump
         # migration (Host.adopt) drops them; the rank a sender port of the
@@ -179,6 +218,11 @@ class TaskInstance(SimProcess):
         self._rank_port: Port | None = None
         self._named_port: Port | None = None
         self._sources: dict[str, int | str] = {}
+
+    @property
+    def _trace_fields(self) -> dict[str, Any]:
+        """The trace ids as a keyword payload, for the rarer categories."""
+        return dict(zip(TRACE_FIELDS, self._trace_values))
 
     def _invalidate_address_cache(self) -> None:
         super()._invalidate_address_cache()
@@ -215,15 +259,15 @@ class TaskInstance(SimProcess):
         self.state = _RUNNING
         self.started_at = sim.now
         ctx = self.ctx
-        # straight to the simulator, as on_message does: one dict per record
+        # straight to the simulator, as on_message does
         sim.emit(
-            "task.start",
+            self._categories.start,
             self._addr_str or str(self.address),
-            app=ctx.app,
-            task=ctx.task,
-            rank=ctx.rank,
-            host=host.name,
-            **self._trace_fields,
+            ctx.app,
+            ctx.task,
+            ctx.rank,
+            host.name,
+            *self._trace_values,
         )
         self._gen = self.node.program(self.ctx)
         self._step(None)
@@ -351,7 +395,9 @@ class TaskInstance(SimProcess):
             (sends.child or sends.solo()).inc()
         dst = syscall.dst
         if isinstance(dst, int):
-            to = str(dst)
+            to = _RANK_NAMES.get(dst)
+            if to is None:
+                to = _RANK_NAMES[dst] = str(dst)
             sender = self._rank_port
             if sender is None:
                 sender = self._rank_port = Port(
@@ -390,12 +436,12 @@ class TaskInstance(SimProcess):
             if sender_trace is not None and self.ctx.trace is not None:
                 # the causal hop: link the sender's span into our trace
                 self.host.sim.emit(
-                    "chan.recv",
+                    self._categories.recv,
                     self._addr_str or str(self.address),
-                    channel=channel,
-                    from_span=sender_trace.span_id,
-                    size=size,
-                    **self._trace_fields,
+                    channel,
+                    sender_trace.span_id,
+                    size,
+                    *self._trace_values,
                 )
         else:
             tag, data = None, envelope
@@ -501,20 +547,25 @@ class TaskInstance(SimProcess):
         sim = self.sim
         self.state = state
         self.finished_at = sim.now
+        # picked by identity: an enum member hashes in Python
         if state is _DONE:
             self.result = outcome
+            category = self._categories.done
         elif state is _FAILED:
             self.error = outcome
+            category = self._categories.failed
+        else:
+            category = self._categories.killed
         host = self.host
         ctx = self.ctx
         sim.emit(
-            f"task.{state.value}",
+            category,
             self._addr_str or str(self.address),
-            app=ctx.app,
-            task=ctx.task,
-            rank=ctx.rank,
-            host=host.name if host else "?",
-            **self._trace_fields,
+            ctx.app,
+            ctx.task,
+            ctx.rank,
+            host.name if host else "?",
+            *self._trace_values,
         )
         if state is not _KILLED:
             self._gen = None

@@ -24,7 +24,12 @@ from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 from repro.channels.channel import Channel, ChannelManager
 from repro.runtime.app import Application, AppStatus, InstanceRecord
 from repro.runtime.checkpoints import CheckpointStore
-from repro.runtime.instance import InstanceState, TaskInstance
+from repro.runtime.instance import (
+    DISPATCH_FIELDS,
+    InstanceState,
+    TaskCategories,
+    TaskInstance,
+)
 from repro.taskgraph import ArcKind, TaskGraph
 from repro.trace.context import TraceContext, trace_fields
 from repro.util.errors import ConfigurationError
@@ -106,6 +111,9 @@ class RuntimeManager:
         #: the ``on_exit`` of every primary incarnation: one bound method,
         #: not a closure per instance that outlives the instance's run
         self.on_instance_exit = self._route_exit
+        #: the event-log handles of the dispatch and of every instance
+        self.task_categories = TaskCategories.of(sim.log)
+        self._dispatches = sim.log.category("runtime.dispatch", DISPATCH_FIELDS)
         # live-telemetry handles, cached once (None when telemetry is off)
         tel = sim.telemetry
         #: the vMPI handles every instance counts into (see TaskInstance)
@@ -251,6 +259,7 @@ class RuntimeManager:
             self.on_instance_exit,
             stage_in + binary,
             self.vmpi_metrics,
+            categories=self.task_categories,
         )
         instance.allocation_epoch = incarnation
         address = host.spawn(instance)
@@ -276,16 +285,16 @@ class RuntimeManager:
             if record.duration is None:
                 record.duration = self._m_task_duration.labels(task)
         sim.emit(
-            "runtime.dispatch",
+            self._dispatches,
             app.id,
-            task=task,
-            rank=rank,
-            host=host_name,
-            stage_in=stage_in,
-            binary=binary,
-            incarnation=incarnation,
-            after=after,
-            **instance._trace_fields,
+            task,
+            rank,
+            host_name,
+            stage_in,
+            binary,
+            incarnation,
+            after,
+            *instance._trace_values,
         )
         for hook in self.dispatch_hooks:
             hook(app, record)

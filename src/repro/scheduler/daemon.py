@@ -161,6 +161,14 @@ class SchedulerDaemon(IsisMember):
         #: instances (see repro.migration.failover)
         self.host_lost_observers: list[Callable[[str], None]] = []
 
+    def on_start(self) -> None:
+        # the event-log handles need the simulator, which a daemon reaches
+        # only once bound to a host
+        log = self.sim.log
+        self._hosting = log.category("sched.hosting", ("app", "count"))
+        self._released = log.category("sched.released", ("app",))
+        super().on_start()
+
     def _tel(self):
         """The live metrics registry, or None when telemetry is off. Looked
         up per call: the daemon is constructed before it is bound to a
@@ -566,7 +574,7 @@ class SchedulerDaemon(IsisMember):
         self.hosted[info.app] = self.hosted.get(info.app, 0) + len(info.tasks)
         self._hosted_total += len(info.tasks)
         self._load_cache_time = -1.0
-        self.emit("sched.hosting", app=info.app, count=len(info.tasks))
+        self.emit(self._hosting, info.app, len(info.tasks))
 
     def _on_terminate_notice(self, src: Address, notice: TerminateNotice) -> None:
         if notice.app not in self.hosted:
@@ -578,7 +586,7 @@ class SchedulerDaemon(IsisMember):
             hb.write(f"load:{self.machine.name}", "R002", "daemon.released")  # hbrace: ok(R002)
         self._hosted_total -= self.hosted.pop(notice.app)
         self._load_cache_time = -1.0
-        self.emit("sched.released", app=notice.app)
+        self.emit(self._released, notice.app)
         # capacity freed: give queued requests another chance
         if self.is_coordinator and self.pending_queue:
             self.set_timer(0.0, "retry-queue")

@@ -30,6 +30,7 @@ pre-hierarchy builds (the degenerate-case conformance tests pin this).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.util.hashing import ConsistentHashRing
@@ -75,6 +76,21 @@ class CellMap:
         return [primary, *rest]
 
 
+# A ring is a pure function of its node names and costs 64 MD5 points per
+# node, while a leader re-partitions on every view change: the slot ring
+# depends on the fanout alone, the router ring on the occupied cells alone.
+
+
+@lru_cache(maxsize=16)
+def _slot_ring(fanout: int) -> ConsistentHashRing:
+    return ConsistentHashRing([f"cell-{i}" for i in range(fanout)])
+
+
+@lru_cache(maxsize=256)
+def _router_ring(cell_ids: tuple[int, ...]) -> ConsistentHashRing:
+    return ConsistentHashRing([f"cell-{c}" for c in cell_ids])
+
+
 def build_cells(
     members: Sequence["Address"], fanout: int, view_id: int = -1
 ) -> CellMap:
@@ -90,12 +106,11 @@ def build_cells(
         raise ValueError(f"leader_fanout must be >= 1, got {fanout}")
     if not members:
         raise ValueError("cannot build cells from an empty view")
-    slots = ConsistentHashRing([f"cell-{i}" for i in range(fanout)])
+    slots = _slot_ring(fanout)
     grouped: dict[int, list[Address]] = {}
     for member in members:
         cell = int(slots.lookup(member.host).removeprefix("cell-"))
         grouped.setdefault(cell, []).append(member)
     cell_ids = tuple(sorted(grouped))
     cells = tuple(tuple(grouped[c]) for c in cell_ids)
-    router = ConsistentHashRing([f"cell-{c}" for c in cell_ids])
-    return CellMap(cells=cells, cell_ids=cell_ids, view_id=view_id, _router=router)
+    return CellMap(cells=cells, cell_ids=cell_ids, view_id=view_id, _router=_router_ring(cell_ids))

@@ -144,7 +144,7 @@ class TraceAssembler:
                     category=category,
                     start=record.time,
                     attrs={
-                        k: record.get(k) for k in _ATTR_KEYS if k in record.data
+                        k: record.get(k) for k in _ATTR_KEYS if k in record.fields
                     },
                 )
                 if category == "app":

@@ -14,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+#: the payload keys a traced record ends with, in :meth:`TraceContext.fields` order
+TRACE_FIELDS = ("trace_id", "span_id", "parent_span_id")
+
 
 @dataclass(frozen=True, slots=True)
 class TraceContext:
@@ -39,6 +42,13 @@ class TraceContext:
         if self.parent_span_id is not None:
             out["parent_span_id"] = self.parent_span_id
         return out
+
+    def values(self) -> tuple[str, ...]:
+        """:meth:`fields`' values, for an emit through a category handle
+        whose fields end with :data:`TRACE_FIELDS`."""
+        if self.parent_span_id is None:
+            return (self.trace_id, self.span_id)
+        return (self.trace_id, self.span_id, self.parent_span_id)
 
 
 def trace_fields(ctx: TraceContext | None) -> dict[str, Any]:

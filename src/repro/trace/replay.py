@@ -20,7 +20,8 @@ from repro.util.eventlog import EventLog, LogRecord
 def canonical_record(record: LogRecord) -> str:
     """A stable one-line rendering of *record* (sorted payload keys,
     ``repr`` values so floats round-trip exactly)."""
-    payload = ",".join(f"{k}={record.data[k]!r}" for k in sorted(record.data))
+    data = record.data  # built on read: once per record
+    payload = ",".join(f"{k}={data[k]!r}" for k in sorted(data))
     return f"{record.time!r}|{record.category}|{record.source}|{payload}"
 
 

@@ -23,5 +23,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "ids": ("IdGenerator", "fresh_id"),
     "rng": ("RngStreams",),
-    "eventlog": ("EventLog", "LogRecord"),
+    "eventlog": ("Category", "EventLog", "LogRecord"),
 })

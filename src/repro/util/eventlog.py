@@ -26,41 +26,54 @@ Two properties matter at scale:
   so attaching one never changes what the log stores — replay digests are
   observer-invariant.  Suppressed categories never reach observers (no
   record object exists for them).
-- **Emit cost.** A stored record costs one probe of the per-category
-  table, one :class:`LogRecord` and one list append; the payload dict the
-  emitter built is the record's ``data`` (:meth:`EventLog.append` — nothing
-  is copied on the way in).  ``suppress(prefix, ...)`` turns matching
-  categories into a counter increment with no record object; an emitter
-  whose payload is expensive to build asks :meth:`EventLog.enabled` first
-  and emits a cheaper one while its category is suppressed.  Suppression changes
-  which records exist, so never enable it in a run whose replay digest is
-  compared against an unsuppressed one.
+- **Emit cost.** A record is one flat tuple: time, category, source, the
+  payload's field names (one interned tuple shared by every record of that
+  shape) and the payload's values.  No dict is stored; :attr:`LogRecord.data`
+  builds one on read, with the emitter's keys in the emitter's order.  A
+  category written on a hot path is a :class:`Category` handle resolved once
+  (:meth:`EventLog.category` fixes its field names), and an emit through it
+  passes the values positionally, so no payload dict is ever built.  The
+  keyword form (``emit(category, source, **data)``) is the generic path: it
+  costs one probe of the per-category table plus one probe of the field-name
+  cache, and its dict is dropped once its values are copied.
+  ``suppress(prefix, ...)`` turns matching categories into a counter
+  increment with no record object; an emitter whose payload is expensive to
+  build reads its handle's ``stored`` flag first and emits a cheaper one
+  while its category is suppressed.  Suppression changes which records
+  exist, so never enable it in a run whose replay digest is compared against
+  an unsuppressed one.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator
+
+#: every payload shape (field-name tuple) seen so far, so that records of
+#: one shape share one tuple: ``_intern(fields, fields)`` is the shared copy
+_SHAPES: dict[tuple[str, ...], tuple[str, ...]] = {}
+_intern = _SHAPES.setdefault
 
 
-class _Fields(NamedTuple):
-    time: float
-    category: str
-    source: str
-    data: dict[str, Any]
-
-
-class LogRecord(_Fields):
-    """One timestamped event.  Tuple-backed: two records are built for every
-    application message, and a tuple is what an immutable record costs
-    least as.
+class LogRecord(tuple):
+    """One timestamped event, stored as the flat tuple ``(time, category,
+    source, fields, *values)``: two records are built for every application
+    message, and one tuple is what an immutable record costs least as.
 
     Attributes:
         time: simulation time (seconds) at which the event occurred.
         category: dotted event kind, e.g. ``"sched.bid"`` or ``"task.done"``.
         source: name of the emitting component (host, daemon, task id...).
-        data: free-form payload; keys are event-kind specific.
+        fields: the payload's keys, in emission order (an interned tuple).
+        data: the payload as a fresh dict, built on every read; a reader
+            that needs several keys reads it once, or uses :meth:`get`.
+
+    Equality, ``repr`` and pickling treat the payload as a dict, so a record
+    equals the one ``LogRecord(time, category, source, data)`` builds from
+    the same payload.
     """
 
     __slots__ = ()
@@ -68,27 +81,86 @@ class LogRecord(_Fields):
     def __new__(
         cls, time: float, category: str, source: str, data: dict[str, Any] | None = None
     ) -> "LogRecord":
-        return tuple.__new__(cls, (time, category, source, {} if data is None else data))
+        if not data:
+            return tuple.__new__(cls, (time, category, source, ()))
+        keys = tuple(data)
+        return tuple.__new__(cls, (time, category, source, _intern(keys, keys), *data.values()))
+
+    time = property(itemgetter(0))
+    category = property(itemgetter(1))
+    source = property(itemgetter(2))
+    fields = property(itemgetter(3))
+
+    @property
+    def data(self) -> dict[str, Any]:
+        return dict(zip(self[3], self[4:]))
 
     def get(self, key: str, default: Any = None) -> Any:
-        return self.data.get(key, default)
+        fields = self[3]
+        return self[4 + fields.index(key)] if key in fields else default
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LogRecord):
+            return NotImplemented
+        return tuple.__eq__(self, other) or (
+            self[:3] == other[:3] and self.data == other.data
+        )
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    # equal records may differ in key order, which a tuple hash cannot follow
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"LogRecord(time={self[0]!r}, category={self[1]!r}, "
+            f"source={self[2]!r}, data={self.data!r})"
+        )
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (LogRecord, (self[0], self[1], self[2], self.data))
 
 
 _new_record = tuple.__new__
 
 
-class _Category:
-    """Always-exact state of one category: one table probe per emit finds
-    the count, the first and last record and the positions to append to."""
+class Category:
+    """A handle on one category, and its always-exact state: one table
+    probe per keyword emit (none per handle emit) finds the count, the
+    first and last record and the positions to append to.
 
-    __slots__ = ("count", "first", "last", "positions")
+    A handle emit (``sim.emit(handle, source, *values)``) names its
+    values by the handle's ``fields``; it may leave out trailing fields (an
+    untraced emitter omits the trace ids), and its record then carries only
+    the fields it gave.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("name", "fields", "shapes", "stored", "count", "first", "last", "positions")
+
+    def __init__(self, name: str, stored: bool) -> None:
+        self.name = name
+        #: the declared field names (``()`` until a handle declares them)
+        self.fields: tuple[str, ...] = ()
+        #: ``shapes[n]`` is the interned ``fields[:n]``
+        self.shapes: tuple[tuple[str, ...], ...] = ((),)
+        #: False while the category is suppressed (counted, never stored)
+        self.stored = stored
         self.count = 0
         self.first: LogRecord | None = None
         self.last: LogRecord | None = None
         #: full-mode index: positions of this category in ``_records``
-        self.positions: list[int] = []
+        self.positions = array("q")
+
+    def _declare(self, fields: tuple[str, ...]) -> None:
+        if self.fields:
+            raise ValueError(
+                f"category {self.name!r} has fields {self.fields}, not {fields}"
+            )
+        self.fields = _intern(fields, fields)
+        prefixes = [fields[:n] for n in range(len(fields) + 1)]
+        self.shapes = tuple([_intern(prefix, prefix) for prefix in prefixes])
 
 
 class EventLog:
@@ -102,8 +174,8 @@ class EventLog:
     def __init__(self, capacity: int | None = None) -> None:
         self._records: list[LogRecord] = []
         self._ring: deque[LogRecord] | None = None
-        # per-category state, exact in every mode, in first-emit order
-        self._categories: dict[str, _Category] = {}
+        # per-category state, exact in every mode, in first-use order
+        self._categories: dict[str, Category] = {}
         # category prefixes whose emits are counted but not stored
         self._suppressed: tuple[str, ...] = ()
         # push subscribers, called with each surviving record at emit time
@@ -113,24 +185,47 @@ class EventLog:
 
     # -- writing -----------------------------------------------------------
 
+    def category(self, name: str, fields: Iterable[str] = ()) -> Category:
+        """The handle of category *name*, its payload named by *fields*.
+
+        Resolve a handle once, where the emitter is built, and emit through
+        it with positional values.  Asking again with the same fields
+        returns the same handle; other fields raise ValueError.
+        """
+        state = self._categories.get(name)
+        if state is None:
+            suppressed = self._suppressed
+            state = self._categories[name] = Category(
+                name, not (suppressed and name.startswith(suppressed))
+            )
+        fields = tuple(fields)
+        if fields and fields != state.fields:
+            state._declare(fields)
+        return state
+
     def emit(self, time: float, category: str, source: str, **data: Any) -> None:
         """Append a record (kept whole, ring-buffered, or counted-only
         depending on the mode — see module docstring)."""
         self.append(time, category, source, data)
 
     def append(self, time: float, category: str, source: str, data: dict[str, Any]) -> None:
-        """:meth:`emit` for a caller that already owns the payload dict:
-        *data* becomes the record's ``data`` as it is, so the caller must
-        not keep using it."""
+        """:meth:`emit` for a caller that already holds the payload dict;
+        the record copies its keys and values, and keeps no reference to
+        the dict."""
         state = self._categories.get(category)
         if state is None:
-            state = self._categories[category] = _Category()
+            state = self.category(category)
         state.count += 1
-        suppressed = self._suppressed
-        if suppressed and category.startswith(suppressed):
+        if not state.stored:
             return
-        # the generated LogRecord.__new__ is a Python frame per record
-        record = _new_record(LogRecord, (time, category, source, data))
+        if data:
+            keys = tuple(data)
+            record = _new_record(
+                LogRecord, (time, category, source, _intern(keys, keys), *data.values())
+            )
+        else:
+            record = _new_record(LogRecord, (time, category, source, ()))
+        # the storage below is write()'s, inlined: a call per record costs more
         if state.first is None:
             state.first = record
         state.last = record
@@ -142,6 +237,28 @@ class EventLog:
                 self._ring.append(record)
             return
         state.positions.append(len(self._records))
+        self._records.append(record)
+
+    def write(self, handle: Category, time: float, source: str, values: tuple[Any, ...]) -> None:
+        """Append a record of *handle*'s category whose payload is *values*,
+        named by the handle's fields (see :class:`Category`)."""
+        handle.count += 1
+        if not handle.stored:
+            return
+        record = _new_record(
+            LogRecord, (time, handle.name, source, handle.shapes[len(values)]) + values
+        )
+        if handle.first is None:
+            handle.first = record
+        handle.last = record
+        if self._observers:
+            for observer in self._observers:
+                observer(record)
+        if self._ring is not None:
+            if self._ring.maxlen != 0:
+                self._ring.append(record)
+            return
+        handle.positions.append(len(self._records))
         self._records.append(record)
 
     def add_observer(self, observer: Callable[[LogRecord], None]) -> None:
@@ -161,27 +278,26 @@ class EventLog:
     def suppress(self, *prefixes: str) -> None:
         """Stop storing records whose category starts with any of *prefixes*.
 
-        Suppressed categories keep exact :meth:`count` totals (one dict
+        Suppressed categories keep exact :meth:`count` totals (one counter
         increment per emit) but produce no records and no first/last — the
         near-zero-cost mode for categories a run does not care about.  Each
         prefix matches as a plain string prefix (``"isis.hb"`` also matches
         ``"isis.hbx"``); pass dotted prefixes like ``"isis."`` to scope to a
         subsystem.
         """
-        self._suppressed = tuple(dict.fromkeys(self._suppressed + prefixes))
+        self._suppressed = suppressed = tuple(dict.fromkeys(self._suppressed + prefixes))
+        for name, state in self._categories.items():
+            state.stored = not name.startswith(suppressed)
 
     def unsuppress(self) -> None:
         """Store every category again (counts taken while suppressed remain)."""
         self._suppressed = ()
+        for state in self._categories.values():
+            state.stored = True
 
     @property
     def suppressed(self) -> tuple[str, ...]:
         return self._suppressed
-
-    def enabled(self, category: str) -> bool:
-        """True when emits for *category* are stored (O(#prefixes))."""
-        suppressed = self._suppressed
-        return not (suppressed and category.startswith(suppressed))
 
     def set_bounded(self, capacity: int) -> None:
         """Keep only the last *capacity* records from now on.
@@ -198,7 +314,7 @@ class EventLog:
         self._ring = deque(existing, maxlen=capacity)
         self._records = []
         for state in self._categories.values():
-            state.positions = []
+            state.positions = array("q")
 
     def set_unbounded(self) -> None:
         """Return to storing every record (ring contents are kept and the
@@ -319,11 +435,16 @@ class EventLog:
         return state.last if state is not None else None
 
     def category_counts(self) -> dict[str, int]:
-        """Exact per-category emission counts for the whole run."""
-        return {cat: state.count for cat, state in self._categories.items()}
+        """Exact per-category emission counts for the whole run (a handle
+        that has not emitted yet is not listed)."""
+        return {cat: state.count for cat, state in self._categories.items() if state.count}
 
     def clear(self) -> None:
+        """Drop every record and count; handles stay valid."""
         self._records.clear()
-        self._categories.clear()
+        for state in self._categories.values():
+            state.count = 0
+            state.first = state.last = None
+            state.positions = array("q")
         if self._ring is not None:
             self._ring.clear()

@@ -30,6 +30,7 @@ from repro.controlplane import (
 from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
 from repro.scheduler.execution_program import RunState
 from repro.trace.replay import event_log_digest
+from repro.util.eventlog import LogRecord
 
 
 def _make_vce(seed=3, hosts=4, backend="serial", **kw):
@@ -418,6 +419,25 @@ class TestRunDir:
         manifest = load_manifest(rundir)
         assert manifest["records"] == len(log)
         assert manifest["seed"] == 3 and manifest["backend"] == "serial"
+
+    def test_handle_records_equal_dict_records_and_round_trip(self, tmp_path):
+        """Records written through category handles equal the LogRecord
+        built from their payload dict, and load back from a run directory
+        equal (after the JSON round trip that turns tuples into lists)."""
+        vce, rundir = self._saved(tmp_path)
+        loaded = load_run_dir(rundir)
+        for category in ("task.start", "task.done", "runtime.dispatch"):
+            written = vce.sim.log.records(category=category)
+            assert written, category
+            for record in written:
+                rebuilt = LogRecord(record.time, record.category, record.source, record.data)
+                assert rebuilt == record and list(rebuilt.data) == list(record.data)
+            json_view = [
+                LogRecord(r.time, r.category, r.source, json.loads(json.dumps(r.data)))
+                for r in written
+            ]
+            assert loaded.records(category=category) == json_view
+        assert loaded.records(category="task.done") == vce.sim.log.records(category="task.done")
 
     def test_truncated_events_detected(self, tmp_path):
         _, rundir = self._saved(tmp_path)

@@ -58,6 +58,7 @@ from repro.scheduler.execution_program import RunState
 from repro.soak import SoakConfig, run_soak
 from repro.telemetry.registry import exponential_bounds
 from repro.trace.replay import event_log_digest
+from repro.util.eventlog import Category
 from repro.workloads import (
     WEATHER_SCRIPT,
     build_pipeline_graph,
@@ -285,11 +286,15 @@ def test_ledger_catches_a_group_wide_queue_fan_out(monkeypatch):
 
 
 def test_ledger_catches_a_second_emit_repack(monkeypatch):
-    """Routing ``Simulator.emit`` through ``EventLog.emit(**data)`` packs
-    each record's keyword dict twice, and moves ``calls.util``."""
+    """Routing ``Simulator.emit``'s keyword form through
+    ``EventLog.emit(**data)`` packs each such record's dict twice, and moves
+    ``calls.util``."""
 
-    def repacking_emit(self, category, source, **data):
-        self.log.emit(self.now, category, source, **data)
+    def repacking_emit(self, category, source, *values, **data):
+        if type(category) is Category:
+            self.log.write(category, self.now, source, values)
+        else:
+            self.log.emit(self.now, category, source, **data)
 
     monkeypatch.setattr(Simulator, "emit", repacking_emit)
     failures = compare("stencil_quick", measure("stencil_quick"), ledger()["stencil_quick"])

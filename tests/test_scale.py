@@ -118,6 +118,37 @@ class TestCellStability:
         assert order[0] == primary
         assert sorted(order) == sorted(cell_map.cell_ids)
 
+    @given(
+        hosts=host_names,
+        fanout=st.integers(1, 8),
+        req_ids=st.lists(
+            st.text(alphabet="0123456789abcdef-", min_size=1, max_size=16),
+            min_size=1, max_size=6,
+        ),
+        loads=st.lists(st.floats(0.0, 2.0, allow_nan=False), max_size=8),
+    )
+    def test_memoized_rings_route_like_a_fresh_build(self, hosts, fanout, req_ids, loads):
+        """build_cells reuses its rings across views: a map built from
+        warm caches places, routes and escalates exactly as rings built
+        afresh from the same names do."""
+        members = [Address(h, "vced") for h in hosts]
+        build_cells(members, fanout)
+        cell_map = build_cells(members, fanout)
+        slots = ConsistentHashRing([f"cell-{i}" for i in range(fanout)])
+        assert _cell_of(cell_map) == {
+            h: int(slots.lookup(h).removeprefix("cell-")) for h in hosts
+        }
+        router = ConsistentHashRing([f"cell-{c}" for c in cell_map.cell_ids])
+        cell_loads = dict(zip(cell_map.cell_ids, loads))
+        for req_id in req_ids:
+            primary = int(router.lookup(req_id).removeprefix("cell-"))
+            rest = sorted(
+                (c for c in cell_map.cell_ids if c != primary),
+                key=lambda c: (cell_loads.get(c, -1.0), c),
+            )
+            assert cell_map.route(req_id) == primary
+            assert cell_map.escalation_order(req_id, cell_loads) == [primary, *rest]
+
 
 # ------------------------------------------------------------ tenant quotas
 

@@ -1,5 +1,7 @@
 """Tests for repro.util: ids, rng streams, event log, errors."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -149,26 +151,64 @@ class TestEventLog:
         log.suppress("chat.")
         log.emit(1.0, "chat.hb", "s", n=1)
         log.emit(1.5, "chat.new", "s")
-        assert not log.enabled("chat.hb") and log.enabled("other")
+        hb = log.category("chat.hb")
+        assert not hb.stored and log.category("other").stored
+        assert not log.category("chat.later").stored  # declared while suppressed
         assert log.count("chat.hb") == 2 and log.count("chat.") == 3
         assert log.last("chat.hb").get("n") == 0  # the last one stored
         assert log.first("chat.new") is None and log.records("chat.new") == []
         assert [r.get("n") for r in log.records("chat.")] == [0]
         log.unsuppress()
+        assert hb.stored
         log.emit(2.0, "chat.new", "s")
         assert log.count("chat.new") == 2 and log.first("chat.new").time == 2.0
         assert log.category_counts() == {"chat.hb": 2, "chat.new": 2}
 
-    def test_append_hands_the_payload_over(self):
+    def test_append_keeps_the_values_not_the_dict(self):
         log = EventLog()
-        payload = {"k": [1, 2]}
+        payload = {"k": [1, 2], "n": 1}
         log.append(3.0, "x", "s", payload)
         record = log.last("x")
-        assert record.data is payload
-        assert record == LogRecord(3.0, "x", "s", {"k": [1, 2]})
+        assert record.data == payload and record.data is not payload
+        assert list(record.data) == ["k", "n"]  # the emitter's key order
+        assert record.get("k") is payload["k"] and record.get("missing", 7) == 7
+        assert record == LogRecord(3.0, "x", "s", {"k": [1, 2], "n": 1})
+        # equality is the payload dict's: key order does not matter
+        assert record == LogRecord(3.0, "x", "s", {"n": 1, "k": [1, 2]})
+        assert record != LogRecord(3.0, "x", "s", {"n": 2, "k": [1, 2]})
         assert LogRecord(0.0, "y", "s").data == {}
         with pytest.raises(AttributeError):
             record.time = 4.0
+
+    def test_handle_emit_stores_the_dict_record(self):
+        log = EventLog()
+        send = log.category("chan.send", ("channel", "to", "size", "trace_id"))
+        assert log.category("chan.send", ("channel", "to", "size", "trace_id")) is send
+        with pytest.raises(ValueError):
+            log.category("chan.send", ("channel",))
+        log.write(send, 1.0, "h/p", ("c", "3", 64, "t1"))
+        log.write(send, 2.0, "h/p", ("c", "4", 64))  # an untraced send
+        log.emit(3.0, "chan.send", "h/p", channel="c", to="5", size=8)
+        full, short, keyword = log.records("chan.send")
+        assert full == LogRecord(1.0, "chan.send", "h/p",
+                                 {"channel": "c", "to": "3", "size": 64, "trace_id": "t1"})
+        assert short.data == {"channel": "c", "to": "4", "size": 64}
+        assert short.get("trace_id") is None and short.fields is keyword.fields
+        assert list(full.data) == ["channel", "to", "size", "trace_id"]
+        assert log.count("chan.send") == 3 and send.count == 3
+        assert pickle.loads(pickle.dumps(full)) == full
+        assert repr(full).startswith("LogRecord(time=1.0, category='chan.send'")
+        with pytest.raises(TypeError):
+            hash(full)  # a record was a dict payload's tuple: unhashable
+
+    def test_clear_keeps_handles(self):
+        log = EventLog()
+        handle = log.category("x", ("i",))
+        log.write(handle, 0.0, "s", (0,))
+        log.clear()
+        assert log.count("x") == 0 and log.category_counts() == {}
+        log.write(handle, 1.0, "s", (1,))
+        assert log.count("x") == 1 and log.first("x").get("i") == 1
 
     def test_clear(self):
         log = EventLog()
