@@ -5,13 +5,12 @@ prototype uses, and nothing else:
 
 - ``join`` and automatic failure eviction, with coordinator-driven
   two-phase view changes (Flush, NewView);
-- ``cbcast`` — causal multicast (vector clocks, BSS delivery rule);
-- ``group_request`` / ``reply`` — the Isis *bcast and collect nwanted
-  replies* primitive used verbatim by the scheduler ("The prototype uses
-  Isis bcast and reply primitives for communication between the execution
-  program, group leaders, and group members");
 - heartbeat failure detection with rank-staggered takeover so "the oldest
   surviving member of the group assume[s] the role of group leader".
+
+It sends no multicast.  A subclass talks to the members of its view point
+to point (``send``); the scheduler's bidding round is such a fan-out of
+probes and replies (:mod:`repro.scheduler.daemon`).
 
 The failure detector has one extra state, **parked**.  While the network is
 calm as the group observes it (:meth:`repro.netsim.network.Network.calm_for`
@@ -45,35 +44,21 @@ crashed coordinators, messages from superseded views).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.isis.messages import (
-    CBcastAck,
-    CBcastMsg,
     CoordBeat,
     Evicted,
     Flush,
     FlushOk,
-    GroupReply,
-    GroupRequest,
     Heartbeat,
     JoinReq,
     NewView,
-    ReplayRecord,
 )
-from repro.isis.vclock import VectorClock
 from repro.isis.views import View
 from repro.netsim.host import Address
 from repro.netsim.process import SimProcess
-from repro.util.errors import MembershipError
-
-#: Sentinel for ``group_request(n_wanted=ALL)``: wait for a reply from every
-#: member of the view in force when the request was issued.
-ALL = -1
-#: Sentinel: wait for a strict majority of the view.
-MAJORITY = -2
 
 
 @dataclass
@@ -86,10 +71,6 @@ class IsisConfig:
         flush_timeout: how long the coordinator waits for FlushOk before
             treating non-responders as failed (s).
         join_retry: joiner's retransmission period (s).
-        request_timeout: default ``group_request`` reply-collection timeout.
-        replay_window: how many recently delivered multicasts each member
-            retains for re-delivery during a flush (bounded stand-in for
-            Isis stability tracking).
         control_size: wire size charged to protocol messages (bytes).
         require_majority: when True, a view change only installs if a
             strict majority of the previous view survives into the new one
@@ -103,20 +84,8 @@ class IsisConfig:
     hb_timeout: float = 2.0
     flush_timeout: float = 1.5
     join_retry: float = 1.0
-    request_timeout: float = 3.0
-    replay_window: int = 64
     control_size: int = 128
     require_majority: bool = False
-    retransmit_interval: float = 0.75
-
-
-@dataclass
-class _PendingRequest:
-    req_id: str
-    wanted: int
-    replies: list[tuple[Address, Any]]
-    on_done: Callable[[list[tuple[Address, Any]], bool], None]
-    done: bool = False
 
 
 @dataclass
@@ -125,7 +94,6 @@ class _ViewChange:
 
     proposed: View
     waiting_on: set[Address]
-    replay: dict[str, ReplayRecord]
     #: the network's disturbance count when the change started
     epoch: int
 
@@ -157,22 +125,11 @@ class IsisMember(SimProcess):
 
         self.view: View | None = None
 
-        # causal multicast state (reset each view)
-        self._vc = VectorClock()
-        self._cb_holdback: list[CBcastMsg] = []
-        self._delivered_ids: set[str] = set()
-        self._replay: deque[ReplayRecord] = deque(maxlen=self.config.replay_window)
-
-        # reliability layer (lossy-link tolerance; reset each view)
-        self._received_ids: set[str] = set()
-        self._unacked: dict[str, tuple[CBcastMsg, set[Address], int]] = {}
-
         # view-change state
         self._change: _ViewChange | None = None
         self._flushing = False
         self._queued_joins: list[Address] = []
         self._queued_leaves: set[Address] = set()
-        self._queued_mcasts: list[tuple[str, Any]] = []  # (kind, payload)
         self._acting_coordinator = False
 
         # failure detection
@@ -206,9 +163,6 @@ class IsisMember(SimProcess):
         self._tel_awake: Any = None
         self._tel_gauge: Any = None
 
-        # request/reply
-        self._pending_requests: dict[str, _PendingRequest] = {}
-
     # ------------------------------------------------------------------ API
 
     @property
@@ -226,81 +180,10 @@ class IsisMember(SimProcess):
             self.view.coordinator == self.address or self._acting_coordinator
         )
 
-    def cbcast(self, kind: str, payload: Any, size: int = 256) -> None:
-        """Causally ordered multicast to the group (including self)."""
-        self._require_joined()
-        if self._flushing:
-            self._queued_mcasts.append((kind, payload))
-            return
-        assert self.view is not None
-        self._vc.increment(self.address)
-        msg = CBcastMsg(
-            msg_id=self.sim.ids.next(f"cb.{self.name}"),
-            sender=self.address,
-            view_id=self.view.view_id,
-            clock=self._vc.snapshot(),
-            kind=kind,
-            payload=payload,
-        )
-        # Fan out in view order (never set order): the send sequence feeds
-        # the network's deterministic event schedule, so it must not depend
-        # on hash-randomised set iteration.
-        me = self.address
-        pending = set()
-        for member in self.view.members:
-            if member != me:
-                pending.add(member)
-                self.send(member, msg, size=size)
-        if pending:
-            self._unacked[msg.msg_id] = (msg, pending, size)
-            if not self.has_timer("rtx"):
-                self.set_timer(self.config.retransmit_interval, "rtx")
-        self._deliver_cbcast(msg)
-
-    def group_request(
-        self,
-        body: Any,
-        n_wanted: int = ALL,
-        timeout: float | None = None,
-        on_done: Callable[[list[tuple[Address, Any]], bool], None] | None = None,
-    ) -> str:
-        """Isis bcast-and-reply: multicast *body*; collect replies.
-
-        ``on_done(replies, timed_out)`` fires once, either when ``n_wanted``
-        replies arrived (``ALL``/``MAJORITY`` resolve against the current
-        view) or at timeout with whatever has arrived. Returns the request
-        id.
-        """
-        self._require_joined()
-        assert self.view is not None
-        if n_wanted == ALL:
-            wanted = len(self.view)
-        elif n_wanted == MAJORITY:
-            wanted = self.view.majority()
-        else:
-            wanted = n_wanted
-        if wanted <= 0:
-            raise MembershipError(f"n_wanted must resolve positive, got {wanted}")
-        req_id = self.sim.ids.next(f"req.{self.name}")
-        pending = _PendingRequest(req_id, wanted, [], on_done or (lambda r, t: None))
-        self._pending_requests[req_id] = pending
-        self.set_timer(timeout if timeout is not None else self.config.request_timeout, f"req:{req_id}")
-        self.cbcast("__request__", GroupRequest(req_id, self.address, body))
-        return req_id
-
     # ----------------------------------------------------------------- hooks
 
     def on_view_change(self, view: View, joined: list[Address], left: list[Address]) -> None:
         """Membership changed. Override in subclasses."""
-
-    def on_cbcast(self, sender: Address, kind: str, payload: Any) -> None:
-        """A causal multicast was delivered. Override in subclasses."""
-
-    def on_group_request(
-        self, requester: Address, body: Any, reply: Callable[[Any], None]
-    ) -> None:
-        """A ``group_request`` arrived; call ``reply(value)`` to answer (or
-        don't — e.g. an overloaded daemon that declines to bid)."""
 
     # ------------------------------------------------------------- lifecycle
 
@@ -335,7 +218,7 @@ class IsisMember(SimProcess):
                 "isis_awake", "group members running the explicit heartbeat protocol"
             ).labels()
         if not self._contacts:
-            self._install(View(1, (self.address,)), replay=())
+            self._install(View(1, (self.address,)))
         else:
             self._try_join()
 
@@ -356,10 +239,6 @@ class IsisMember(SimProcess):
             size=self.config.control_size,
         )
         self.set_timer(self.config.join_retry, "join-retry")
-
-    def _require_joined(self) -> None:
-        if not self.joined:
-            raise MembershipError(f"{self.address} is not a member of group {self.group!r}")
 
     # ------------------------------------------------------------ dispatch
 
@@ -421,13 +300,6 @@ class IsisMember(SimProcess):
             elif self._parked:
                 self._wake()
 
-    def _on_cbcast_ack(self, src: Address, msg: CBcastAck) -> None:
-        entry = self._unacked.get(msg.msg_id)
-        if entry is not None:
-            entry[1].discard(msg.sender)
-            if not entry[1]:
-                del self._unacked[msg.msg_id]
-
     # ------------------------------------------------------------ membership
 
     def _on_join_req(self, src: Address, req: JoinReq) -> None:
@@ -473,7 +345,6 @@ class IsisMember(SimProcess):
         self._flushing = False
         self._queued_joins.clear()
         self._queued_leaves.clear()
-        self._cb_holdback.clear()
         self.cancel_timer("hb")
         self.cancel_timer("flush-timeout")
         self._contacts = [msg.coordinator]
@@ -513,11 +384,9 @@ class IsisMember(SimProcess):
             m for m in self.view.members if m in proposed and m != self.address
         ]
         self._change = _ViewChange(
-            proposed, set(survivors), {}, self.host.network.disturbances
+            proposed, set(survivors), self.host.network.disturbances
         )
         self._flushing = True
-        for rec in self._replay:
-            self._change.replay[rec.msg_id] = rec
         self.emit(
             "isis.flush_start",
             group=self.group,
@@ -538,9 +407,7 @@ class IsisMember(SimProcess):
             return
         self._flushing = True
         self.send(
-            src,
-            FlushOk(self.address, msg.change_id, tuple(self._replay)),
-            size=self.config.control_size + 64 * len(self._replay),
+            src, FlushOk(self.address, msg.change_id), size=self.config.control_size
         )
 
     def _on_flush_ok(self, src: Address, msg: FlushOk) -> None:
@@ -549,8 +416,6 @@ class IsisMember(SimProcess):
             return
         if msg.sender in change.waiting_on:
             change.waiting_on.discard(msg.sender)
-            for rec in msg.recent:
-                change.replay.setdefault(rec.msg_id, rec)
             if not change.waiting_on:
                 self.cancel_timer("flush-timeout")
                 self._finish_view_change()
@@ -563,11 +428,10 @@ class IsisMember(SimProcess):
         # is another one (timed out, a straggler or a senior presumed dead)
         network = self.host.network
         park = network.disturbances if self._vouched(change) else -1
-        new_view = NewView(change.proposed, tuple(change.replay.values()), park)
-        size = self.config.control_size + 64 * len(new_view.replay)
+        new_view = NewView(change.proposed, park)
         for member in change.proposed.members:
             if member != self.address:
-                self.send(member, new_view, size=size)
+                self.send(member, new_view, size=self.config.control_size)
         self._on_new_view(self.address, new_view)
 
     def _vouched(self, change: _ViewChange) -> bool:
@@ -595,20 +459,12 @@ class IsisMember(SimProcess):
     def _on_new_view(self, src: Address, msg: NewView) -> None:
         if self.view is not None and msg.view.view_id <= self.view.view_id:
             return
-        # Deliver replayed multicasts we missed from the old view.
-        for rec in msg.replay:
-            if rec.msg_id not in self._delivered_ids:
-                self._delivered_ids.add(rec.msg_id)
-                self._dispatch(rec.sender, rec.kind, rec.payload)
         self._install(
             msg.view,
-            msg.replay,
             park=msg.park >= self._voided_at and src == msg.view.coordinator,
         )
 
-    def _install(
-        self, view: View, replay: tuple[ReplayRecord, ...], park: bool = False
-    ) -> None:
+    def _install(self, view: View, park: bool = False) -> None:
         old = self.view
         old_members = set(old.members) if old else set()
         joined = [m for m in view.members if m not in old_members]
@@ -621,13 +477,6 @@ class IsisMember(SimProcess):
             self._alumni.pop(member, None)
             self._join_epochs.pop(member, None)
         self.view = view
-        self._vc = VectorClock()
-        self._cb_holdback.clear()
-        self._delivered_ids = set()
-        self._replay.clear()
-        self._received_ids = set()
-        self._unacked.clear()
-        self.cancel_timer("rtx")
         self._flushing = False
         self._acting_coordinator = False
         self._change = None
@@ -665,10 +514,6 @@ class IsisMember(SimProcess):
             str(view.coordinator),
         )
         self.on_view_change(view, joined, left)
-        # Re-issue multicasts queued while flushing.
-        queued, self._queued_mcasts = self._queued_mcasts, []
-        for kind, payload in queued:
-            self.cbcast(kind, payload)
         # A fresh coordinator may have inherited queued membership work.
         if self.is_coordinator:
             self._maybe_start_view_change()
@@ -678,16 +523,12 @@ class IsisMember(SimProcess):
     def on_timer(self, key: str) -> None:
         if key == "hb":
             self._heartbeat_tick()
-        elif key == "rtx":
-            self._retransmit_unacked()
         elif key == "probe":
             self._probe_alumni()
         elif key == "join-retry":
             self._try_join()
         elif key == "flush-timeout":
             self._flush_timed_out()
-        elif key.startswith("req:"):
-            self._request_timed_out(key[4:])
 
     def _heartbeat_tick(self) -> None:
         if not self.joined:
@@ -964,91 +805,6 @@ class IsisMember(SimProcess):
                     self._queued_joins.append(m)
         self._maybe_start_view_change()
 
-    def _retransmit_unacked(self) -> None:
-        if not self.joined or self.view is None:
-            return
-        live = self.view.member_set
-        members = self.view.members
-        for msg_id in list(self._unacked):
-            msg, pending, size = self._unacked[msg_id]
-            pending &= live  # departed members never need to ack
-            if not pending:
-                del self._unacked[msg_id]
-                continue
-            # view-order fan-out, never set order (determinism)
-            for member in members:
-                if member in pending:
-                    self.send(member, msg, size=size)
-        if self._unacked:
-            self.set_timer(self.config.retransmit_interval, "rtx")
-
-    # ------------------------------------------------------------- multicast
-
-    def _on_cbcast_msg(self, src: Address, msg: CBcastMsg) -> None:
-        if self.view is None or msg.view_id != self.view.view_id:
-            return  # stale or early; flush replay covers the gap
-        # ack every copy (including duplicates: the original ack was lost)
-        self.send(msg.sender, CBcastAck(msg.msg_id, self.address),
-                  size=self.config.control_size)
-        if msg.msg_id in self._delivered_ids or msg.msg_id in self._received_ids:
-            return
-        self._received_ids.add(msg.msg_id)
-        self._cb_holdback.append(msg)
-        self._drain_cb_holdback()
-
-    def _drain_cb_holdback(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            for msg in list(self._cb_holdback):
-                if self._vc.can_deliver_from(msg.sender, msg.clock):
-                    self._cb_holdback.remove(msg)
-                    self._vc.increment(msg.sender)
-                    self._vc.merge(msg.clock)
-                    self._deliver_cbcast(msg)
-                    progress = True
-
-    def _deliver_cbcast(self, msg: CBcastMsg) -> None:
-        self._delivered_ids.add(msg.msg_id)
-        self._replay.append(ReplayRecord(msg.msg_id, msg.sender, msg.kind, msg.payload))
-        self._dispatch(msg.sender, msg.kind, msg.payload)
-
-    def _dispatch(self, sender: Address, kind: str, payload: Any) -> None:
-        if kind == "__request__":
-            request: GroupRequest = payload
-
-            def reply(value: Any) -> None:
-                self.send(
-                    request.requester,
-                    GroupReply(request.req_id, self.address, value),
-                    size=self.config.control_size,
-                )
-
-            self.on_group_request(request.requester, request.body, reply)
-        else:
-            self.on_cbcast(sender, kind, payload)
-
-    # ---------------------------------------------------------- request/reply
-
-    def _on_group_reply(self, src: Address, msg: GroupReply) -> None:
-        pending = self._pending_requests.get(msg.req_id)
-        if pending is None or pending.done:
-            return
-        pending.replies.append((msg.sender, msg.body))
-        if len(pending.replies) >= pending.wanted:
-            self._finish_request(pending, timed_out=False)
-
-    def _request_timed_out(self, req_id: str) -> None:
-        pending = self._pending_requests.get(req_id)
-        if pending is not None and not pending.done:
-            self._finish_request(pending, timed_out=True)
-
-    def _finish_request(self, pending: _PendingRequest, timed_out: bool) -> None:
-        pending.done = True
-        self.cancel_timer(f"req:{pending.req_id}")
-        del self._pending_requests[pending.req_id]
-        pending.on_done(list(pending.replies), timed_out)
-
     #: message class -> handler(self, src, msg); one lookup per message
     _HANDLERS: dict[type, Callable[["IsisMember", Address, Any], None]] = {
         JoinReq: _on_join_req,
@@ -1058,7 +814,4 @@ class IsisMember(SimProcess):
         Heartbeat: _on_heartbeat,
         CoordBeat: _on_coord_beat,
         Evicted: _on_evicted,
-        CBcastMsg: _on_cbcast_msg,
-        CBcastAck: _on_cbcast_ack,
-        GroupReply: _on_group_reply,
     }

@@ -8,9 +8,7 @@ from superseded views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
-from repro.isis.vclock import VectorClock
 from repro.isis.views import View
 from repro.netsim.host import Address
 
@@ -31,7 +29,7 @@ class JoinReq:
 @dataclass(frozen=True, slots=True)
 class Flush:
     """Phase 1 of a view change: the coordinator announces the proposed view
-    and asks survivors to stop multicasting and report recent messages."""
+    to the survivors, each of which answers that it is alive."""
 
     proposed: View
     change_id: int
@@ -39,35 +37,19 @@ class Flush:
 
 @dataclass(frozen=True, slots=True)
 class FlushOk:
-    """A member's phase-1 acknowledgement, carrying its replay window of
-    recently delivered multicasts (msg_id -> replayable record)."""
+    """A member's phase-1 acknowledgement."""
 
     sender: Address
     change_id: int
-    recent: tuple["ReplayRecord", ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class ReplayRecord:
-    """A delivered multicast carried through a flush so that members that
-    missed it can still deliver it in the old view's scope."""
-
-    msg_id: str
-    sender: Address
-    kind: str
-    payload: Any
 
 
 @dataclass(frozen=True, slots=True)
 class NewView:
-    """Phase 2: install the view. ``replay`` is the union of survivors'
-    windows; installers deliver anything they have not yet delivered.
-    ``park`` is a park order as in ``CoordBeat``, given when every member
-    of the new view vouched for itself during the change (-1: install
-    awake)."""
+    """Phase 2: install the view.  ``park`` is a park order as in
+    ``CoordBeat``, given when every member of the new view vouched for
+    itself during the change (-1: install awake)."""
 
     view: View
-    replay: tuple[ReplayRecord, ...] = ()
     park: int = -1
 
 
@@ -111,49 +93,3 @@ class Evicted:
 
     group_view_id: int
     coordinator: Address
-
-
-# -- causal multicast -----------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class CBcastMsg:
-    """A causal multicast: carries the sender's vector clock."""
-
-    msg_id: str
-    sender: Address
-    view_id: int
-    clock: VectorClock
-    kind: str
-    payload: Any
-
-
-@dataclass(frozen=True, slots=True)
-class CBcastAck:
-    """Receiver -> sender: a CBCAST copy arrived (reliability layer).
-    Unacked copies are retransmitted periodically until acked or the view
-    changes — tolerance for lossy links beyond the paper's LAN."""
-
-    msg_id: str
-    sender: Address
-
-
-# -- request / reply (Isis bcast-and-collect) -------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class GroupRequest:
-    """Payload of a ``group_request`` multicast."""
-
-    req_id: str
-    requester: Address
-    body: Any
-
-
-@dataclass(frozen=True, slots=True)
-class GroupReply:
-    """A member's unicast answer to a :class:`GroupRequest`."""
-
-    req_id: str
-    sender: Address
-    body: Any

@@ -201,12 +201,6 @@ class FailoverManager:
             app.id, record.task, record.rank
         )
         restored = checkpoint.state if checkpoint is not None else None
-        stale = record.instance
-        if stale is not None and stale.state is InstanceState.PENDING and not stale.alive:
-            # dispatched to a host that was already down, it never started:
-            # take it out of that host's table, or the host's next crash
-            # would fail it a second time
-            stale.host.release(stale)
         latency = sim.now - stranded_at
         self._tel_count("redispatch")
         tel = sim.telemetry

@@ -157,7 +157,8 @@ class TaskInstance(SimProcess):
         "ctx", "node", "channels", "mpi_channel", "checkpoints", "on_exit",
         "start_delay", "allocation_epoch", "state", "result", "error",
         "work_done", "started_at", "finished_at", "_gen", "_gen_started",
-        "_mailbox", "_parked_recv", "_suspended", "_held_resume", "_computing",
+        "_mailbox", "_parked_recv", "_suspended", "_held_resume", "_held_timer",
+        "_computing",
         "_compute_finish_at", "_frozen_compute_remaining", "_stalled_work",
         "_m_sends", "_m_compute", "_categories", "_trace_values", "_rank_port",
         "_named_port", "_sources",
@@ -203,6 +204,8 @@ class TaskInstance(SimProcess):
         self._parked_recv: Recv | None = None
         self._suspended = False
         self._held_resume: tuple[Any] | None = None
+        # a stage-in or compute-stalled timer that fired while suspended
+        self._held_timer: str | None = None
         self._computing = False
         self._compute_finish_at: float | None = None
         self._frozen_compute_remaining: float | None = None
@@ -240,16 +243,19 @@ class TaskInstance(SimProcess):
             self._begin()
 
     def on_timer(self, key: str) -> None:
-        if key == "stage-in":
-            self._begin()
-        elif key == "compute-done":
+        if key == "compute-done":
             self._computing = False
             _host_compute_delta(self.host, -1)
             self._resume(None)
-        elif key == "compute-stalled":
-            self._start_compute(self._stalled_work)
         elif key == "resume":
             self._resume(None)
+        elif self._suspended:
+            # nothing starts while suspended: resume() acts on it
+            self._held_timer = key
+        elif key == "stage-in":
+            self._begin()
+        elif key == "compute-stalled":
+            self._start_compute(self._stalled_work)
 
     def _begin(self) -> None:
         if self.node.program is None:
@@ -489,7 +495,8 @@ class TaskInstance(SimProcess):
     def suspend(self) -> None:
         """Stop advancing the program (Stealth-style local-priority yield).
         An in-flight compute burst is frozen and its remaining time resumes
-        on :meth:`resume` — the CPU really is taken away."""
+        on :meth:`resume` — the CPU really is taken away.  A stage-in or
+        stalled burst that comes due meanwhile starts on :meth:`resume`."""
         if self.state.terminal or self._suspended:
             return
         self._suspended = True
@@ -510,6 +517,11 @@ class TaskInstance(SimProcess):
         self.state = InstanceState.BLOCKED if self._parked_recv else InstanceState.RUNNING
         self.emit("task.resume", app=self.ctx.app, task=self.ctx.task,
                   rank=self.ctx.rank, **self._trace_fields)
+        held = self._held_timer
+        if held is not None:
+            self._held_timer = None
+            self.on_timer(held)
+            return
         if self._frozen_compute_remaining is not None:
             remaining = self._frozen_compute_remaining
             self._frozen_compute_remaining = None
@@ -536,6 +548,16 @@ class TaskInstance(SimProcess):
         self._finish(InstanceState.KILLED, reason)
         if self.host is not None:
             self.host.kill(self.name)
+
+    def refuse(self, error: Exception) -> None:
+        """Fail an instance that never started, its host being down when it
+        was dispatched: its exit reaches ``on_exit`` as a crash of that host
+        would make it, but it logs no lifecycle record, having never run."""
+        self.state = _FAILED
+        self.error = error
+        self.finished_at = self.now
+        if self.on_exit is not None:
+            self.on_exit(self, _FAILED, error)
 
     def _finish(self, state: InstanceState, outcome: Any) -> None:
         if self.state.terminal:

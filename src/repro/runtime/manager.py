@@ -32,7 +32,7 @@ from repro.runtime.instance import (
 )
 from repro.taskgraph import ArcKind, TaskGraph
 from repro.trace.context import TraceContext, trace_fields
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, SimulationError
 from repro.vmpi.communicator import TaskContext
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -262,7 +262,14 @@ class RuntimeManager:
             categories=self.task_categories,
         )
         instance.allocation_epoch = incarnation
-        address = host.spawn(instance)
+        up = host.up
+        if up:
+            address = host.spawn(instance)
+        else:
+            # nothing starts on a host that is down: the instance is placed
+            # there, not spawned, and fails below (docs/FAULTS.md, issue 6)
+            instance.host = host
+            address = instance.address
         # point this rank's receive ports at the new incarnation
         if mpi_channel is not None:
             mpi_channel.bind(str(rank), address)
@@ -298,6 +305,10 @@ class RuntimeManager:
         )
         for hook in self.dispatch_hooks:
             hook(app, record)
+        if not up:
+            sim.emit("runtime.host_down", app.id, task=task, rank=rank,
+                     host=host_name, incarnation=incarnation)
+            instance.refuse(SimulationError(f"host {host_name} is down"))
         return instance
 
     def _wire_channels(

@@ -8,8 +8,14 @@ runs the C-style ``groupLeader()`` loop from §5:
     receiveRequest → bcastRequestToGroup → collect bids →
     sortBidsByLoad → returnBids | returnAllocError
 
-Every daemon (leader included) answers the state-disclosure broadcast with
-a bid when it is "not already excessively loaded and can run remote jobs".
+The broadcast is a fan-out of point-to-point ``DiscloseProbe`` messages,
+one bidding round however the view is cut: the leader partitions its view
+into ``leader_fanout`` cells (:mod:`repro.scheduler.hierarchy`) and has each
+polled cell probed by its sub-leader, or by the leader itself when the cell
+contains it — at the default fanout of 1, one cell that the leader probes
+directly, every round.  Every daemon (leader included) answers the
+state-disclosure probe with a ``ProbeReply``: a bid when it is "not already
+excessively loaded and can run remote jobs", else a decline.
 Unsatisfiable requests flagged ``queue_if_insufficient`` enter the leader's
 :class:`~repro.scheduler.queue.AgingQueue` and are retried periodically.
 Only the coordinator holds that queue, and it is soft state: the execution
@@ -21,9 +27,9 @@ leader changes, so a successor re-learns the queue from the requesters
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.isis.member import ALL, IsisConfig, IsisMember
+from repro.isis.member import IsisConfig, IsisMember
 from repro.isis.views import View
 from repro.netsim.host import Address
 from repro.scheduler.directory import GroupDirectory
@@ -63,10 +69,10 @@ class DaemonConfig:
         accepts_remote: whether this machine hosts remote executions at all.
         leader_fanout: number of sub-leader cells the group leader splits
             its view into (see :mod:`repro.scheduler.hierarchy`).  1 (the
-            default) keeps the paper's flat full-group broadcast,
-            byte-identical to pre-hierarchy builds; >1 delegates each
-            bidding round to consistent-hash-assigned cells and escalates
-            in cached-load order only while bids run short.
+            default) is one cell: the leader probes every member itself,
+            the paper's flat broadcast; >1 delegates each bidding round to
+            consistent-hash-assigned cells and escalates in cached-load
+            order only while bids run short.
     """
 
     busy_threshold: float = 0.8
@@ -80,7 +86,7 @@ class DaemonConfig:
 
 @dataclass
 class _HierRound:
-    """Root-leader state for one hierarchical bidding round."""
+    """Root-leader state for one bidding round."""
 
     request: ResourceRequest
     cell_map: CellMap
@@ -134,10 +140,10 @@ class SchedulerDaemon(IsisMember):
         self.pending_queue = AgingQueue(self.daemon_config.aging_rate)
         self._collecting: dict[str, ResourceRequest] = {}
         self._bid_spans: dict[str, TraceContext] = {}  # req_id -> bidding span
-        # hierarchical bidding (leader_fanout > 1): the view's cell
-        # partition, live rounds at this root, live cell polls at this
-        # sub-leader, and the cached per-cell aggregate load that orders
-        # escalation (see repro.scheduler.hierarchy)
+        # bidding rounds: the view's cell partition, live rounds at this
+        # root, live cell polls at this sub-leader, and the cached per-cell
+        # aggregate load that orders escalation (see
+        # repro.scheduler.hierarchy)
         self._cell_map: CellMap | None = None
         self._hier_rounds: dict[str, _HierRound] = {}
         self._cell_rounds: dict[str, _CellRound] = {}
@@ -145,9 +151,9 @@ class SchedulerDaemon(IsisMember):
         self.delegations_sent = 0
         self.bids_made = 0
         self.requests_led = 0
-        #: members covered by this leader's disclosure fan-outs (flat: the
-        #: whole view per round; hierarchical: only the cells polled) — the
-        #: quantity the hierarchy makes sub-linear, reported per round by
+        #: members covered by this leader's disclosure fan-outs (fanout 1:
+        #: the whole view per round; more cells: only the cells polled) —
+        #: the quantity the hierarchy makes sub-linear, reported per round by
         #: ``repro soak`` and pinned by the cost ledger as
         #: ``bid_fanout_per_round``
         self.members_polled = 0
@@ -308,36 +314,7 @@ class SchedulerDaemon(IsisMember):
                   needed=request.total_min,
                   **trace_fields(self._bid_spans.get(request.req_id)))
         self._collecting[request.req_id] = request
-        if (
-            self.daemon_config.leader_fanout > 1
-            and self.view is not None
-            and len(self.view.members) > 1
-        ):
-            self._start_hier_round(request)
-            return
-        if self.view is not None:
-            self.members_polled += len(self.view.members)
-        self.group_request(
-            ("disclose", request.req_id),
-            n_wanted=ALL,
-            timeout=self.daemon_config.bid_timeout,
-            on_done=lambda replies, timed_out: self._bids_collected(
-                request, replies, timed_out
-            ),
-        )
-
-    def _bids_collected(
-        self,
-        request: ResourceRequest,
-        replies: list[tuple[Address, Any]],
-        timed_out: bool,
-    ) -> None:
-        self._collecting.pop(request.req_id, None)
-        bid_span = self._bid_spans.pop(request.req_id, None)
-        if not self.alive or not self.is_coordinator:
-            return
-        bids = [b for (_, b) in replies if isinstance(b, MachineBid)]
-        self._finish_round(request, bids, bid_span)
+        self._start_hier_round(request)
 
     def _finish_round(
         self,
@@ -345,8 +322,8 @@ class SchedulerDaemon(IsisMember):
         bids: list[MachineBid],
         bid_span: TraceContext | None,
     ) -> None:
-        """Shared decision tail of a bidding round (flat or hierarchical):
-        sort, reply-or-error, and queue maintenance."""
+        """Decision tail of a bidding round: sort, reply-or-error, and queue
+        maintenance."""
         # sortBidsByLoad(); ties broken by speed (faster first), then name
         bids.sort(key=lambda b: (b.load, -b.speed, b.machine))
         tel = self._tel()
@@ -392,7 +369,7 @@ class SchedulerDaemon(IsisMember):
         if self.pending_queue:
             self.set_timer(self.daemon_config.retry_interval, "retry-queue")
 
-    # ---------------------------------------------- hierarchical bidding root
+    # ---------------------------------------------------- bidding round root
 
     def _cell_map_for_view(self) -> CellMap:
         assert self.view is not None
@@ -426,7 +403,10 @@ class SchedulerDaemon(IsisMember):
         round_.next_index += 1
         round_.awaiting = cell
         members = round_.cell_map.members_of(cell)
-        sub_leader = round_.cell_map.sub_leader(cell)
+        # the root polls its own cell: an acting coordinator never hands its
+        # round to the senior it presumes dead (the cell's oldest member)
+        me = self.address
+        sub_leader = me if me in members else round_.cell_map.sub_leader(cell)
         escalated = round_.next_index > 1
         self.delegations_sent += 1
         self.members_polled += len(members)
@@ -452,9 +432,9 @@ class SchedulerDaemon(IsisMember):
         # window + report hop; a dead sub-leader costs one window, not the
         # round
         self.set_timer(self.daemon_config.bid_timeout * 2 + 0.5, f"hier:{req_id}")
-        message = DelegateRequest(round_.request, cell, members, self.address)
-        if sub_leader == self.address:
-            self._on_delegate(self.address, message)
+        message = DelegateRequest(round_.request, cell, members, me)
+        if sub_leader == me:
+            self._on_delegate(me, message)
         else:
             self.send(sub_leader, message, size=768)
 
@@ -515,7 +495,7 @@ class SchedulerDaemon(IsisMember):
             return
         self._finish_round(request, bids, bid_span)
 
-    # ---------------------------------------------------- hierarchy sub-leader
+    # ------------------------------------------------------- cell sub-leader
 
     def _on_delegate(self, src: Address, msg: DelegateRequest) -> None:
         if not self.alive or msg.request.req_id in self._cell_rounds:
@@ -595,7 +575,7 @@ class SchedulerDaemon(IsisMember):
         self.send(probe.reply_to, ProbeReply(probe.req_id, self._disclose_bid()), size=256)
 
     def _disclose_bid(self) -> MachineBid | None:
-        """Answer one state disclosure (flat broadcast or hierarchy probe):
+        """Answer one state disclosure (a probe, or the sub-leader's own):
         a bid when "not already excessively loaded", else a decline."""
         tel = self._tel()
         if self.can_bid():
@@ -609,13 +589,6 @@ class SchedulerDaemon(IsisMember):
             ).inc()
         self.emit("sched.decline", load=self.current_load())
         return None
-
-    def on_group_request(self, requester: Address, body: Any, reply: Callable[[Any], None]) -> None:
-        if isinstance(body, tuple) and body and body[0] == "disclose":
-            bid = self._disclose_bid()
-            if bid is not None:
-                reply(bid)
-            return
 
     # ---------------------------------------------------------------- timers
 

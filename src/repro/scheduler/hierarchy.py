@@ -1,16 +1,16 @@
 """Hierarchical group leaders: cells, sub-leaders, and request routing.
 
 The paper's one-leader-per-architecture design makes every bidding round a
-full-group broadcast — O(n) messages per request through the Isis cbcast
-layer, each with per-member acks.  Past a few dozen daemons the leader
-becomes the hot spot (ROADMAP item 2).  With
-``DaemonConfig.leader_fanout > 1`` the group leader instead partitions its
-view into *cells* on a consistent-hash ring, delegates each request to the
-sub-leader of the cell the request hashes to, and escalates to further
-cells — in cached-aggregate-load order — only while the collected bids are
-still short of the request's minimum.  Fan-out per round drops from the
-whole group to ``cells_polled × cell_size``; for a fanout of ~log n the
-common (no-escalation) round is logarithmic in daemon count.
+full-group broadcast: the leader probes each member and collects a reply
+from each, O(n) messages per request.  Past a few dozen daemons the leader
+becomes the hot spot.  With ``DaemonConfig.leader_fanout > 1`` the group
+leader instead partitions its view into *cells* on a consistent-hash ring,
+delegates each request to the sub-leader of the cell the request hashes
+to, and escalates to further cells — in cached-aggregate-load order — only
+while the collected bids are still short of the request's minimum.
+Fan-out per round drops from the whole group to ``cells_polled ×
+cell_size``; for a fanout of ~log n the common (no-escalation) round is
+logarithmic in daemon count.
 
 Everything here is pure data/derivation so the protocol in
 :class:`~repro.scheduler.daemon.SchedulerDaemon` stays testable without a
@@ -22,9 +22,9 @@ simulator:
 - :class:`CellMap` — frozen per view; routes ``req_id`` to a primary cell
   and yields the escalation order given the root's cached cell loads.
 
-A fanout of 1 never reaches this module: the daemon short-circuits to the
-historical flat broadcast, which keeps replay digests byte-identical with
-pre-hierarchy builds (the degenerate-case conformance tests pin this).
+A fanout of 1 is one cell holding the whole view, which the leader polls
+itself: the paper's flat broadcast is the degenerate case of this round,
+not a second protocol.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class CellMap:
     cells: tuple[tuple["Address", ...], ...]
     cell_ids: tuple[int, ...]
     view_id: int
-    _router: ConsistentHashRing
+    _router: ConsistentHashRing | None  # None: one cell, nothing to route
 
     def members_of(self, cell: int) -> tuple["Address", ...]:
         return self.cells[self.cell_ids.index(cell)]
@@ -64,6 +64,8 @@ class CellMap:
 
     def route(self, req_id: str) -> int:
         """The primary cell for a request (consistent hash of its id)."""
+        if self._router is None:
+            return self.cell_ids[0]
         return int(self._router.lookup(req_id).removeprefix("cell-"))
 
     def escalation_order(self, req_id: str, cell_loads: Mapping[int, float]) -> list[int]:
@@ -106,6 +108,8 @@ def build_cells(
         raise ValueError(f"leader_fanout must be >= 1, got {fanout}")
     if not members:
         raise ValueError("cannot build cells from an empty view")
+    if fanout == 1:
+        return CellMap(cells=(tuple(members),), cell_ids=(0,), view_id=view_id, _router=None)
     slots = _slot_ring(fanout)
     grouped: dict[int, list[Address]] = {}
     for member in members:

@@ -435,17 +435,36 @@ def _placements(vce) -> list[tuple]:
 
 
 class TestHierarchyConformance:
-    def test_fanout1_is_byte_identical_to_flat(self):
-        """leader_fanout=1 must short-circuit to the paper's flat broadcast:
-        identical replay digest, identical placements, zero delegations."""
+    def test_fanout1_is_byte_identical_to_flat(self, monkeypatch):
+        """leader_fanout=1 is one cell: each round is one delegation the
+        leader makes to itself, so no DelegateRequest goes on the wire, and
+        it polls the whole view.  The run replays byte-identically."""
+        from repro.netsim.network import Network
+        from repro.scheduler.messages import DelegateRequest
         from repro.trace.replay import event_log_digest
 
+        wire = []
+        send = Network.send
+
+        def counting_send(self, src, dst, payload, size=256):
+            wire.append(type(payload))
+            send(self, src, dst, payload, size)
+
+        monkeypatch.setattr(Network, "send", counting_send)
         flat = _run_fan_apps(fanout=1)
         default = _run_fan_apps(fanout=1)
         assert event_log_digest(flat.sim.log) == event_log_digest(default.sim.log)
         assert _placements(flat) == _placements(default)
-        assert not flat.sim.log.records(category="sched.delegate")
-        assert sum(d.delegations_sent for d in flat.daemons.values()) == 0
+        assert wire and DelegateRequest not in wire
+        log = flat.sim.log
+        delegations = log.records(category="sched.delegate")
+        assert len(delegations) == len(log.records(category="sched.request")) > 0
+        for record in delegations:
+            assert record.get("sub_leader") == record.source.split("/")[0]
+            assert record.get("members") == 9 and not record.get("escalated")
+        for daemon in flat.daemons.values():
+            assert daemon.delegations_sent == daemon.requests_led
+            assert daemon.members_polled == 9 * daemon.requests_led
 
     def test_fanout1_config_matches_daemon_default(self):
         """VCEConfig(leader_fanout=1) and an untouched DaemonConfig are the

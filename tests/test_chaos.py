@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.faults.schedule import SCHEDULES, FaultSchedule, build_schedule
 from repro.migration.failover import FailoverConfig
+from repro.runtime.instance import InstanceState
 from repro.scheduler.execution_program import RunState
 from repro.sdm import ProblemSpecification
 from repro.taskgraph import ProblemClass
@@ -248,3 +249,34 @@ class TestStaleIncarnation:
         assert [p.name for p in host.processes()] == ["vced"]
         host.crash()
         assert vce.sim.log.count("task.host_crashed") == 0
+
+
+class TestDispatchToDownHost:
+    """Nothing starts on a host that is down: an instance dispatched there
+    fails at once, as a crash of that host would have failed it."""
+
+    def test_without_failover_the_application_fails(self, monkeypatch):
+        from repro.runtime import AppStatus
+
+        vce = VirtualComputingEnvironment(
+            workstation_cluster(2), VCEConfig(seed=1)
+        ).boot()
+        runtime = vce.runtime
+        dispatch = runtime.dispatch_instance
+
+        def dispatch_to_down_host(app, record, host_name, restored_state=None):
+            monkeypatch.setattr(runtime, "dispatch_instance", dispatch)
+            vce.network.host(host_name).crash()
+            return dispatch(app, record, host_name, restored_state)
+
+        monkeypatch.setattr(runtime, "dispatch_instance", dispatch_to_down_host)
+        run = vce.run_to_completion(
+            vce.submit(TestStaleIncarnation()._job()), timeout=200.0
+        )
+        assert run.app.status is AppStatus.FAILED
+        assert run.state is RunState.FAILED
+        (record,) = run.app.records.values()
+        assert record.state is InstanceState.FAILED
+        assert not record.instance.alive and record.instance.started_at is None
+        assert vce.sim.log.count("runtime.host_down") == 1
+        assert vce.runtime.instances_by_host() == {}

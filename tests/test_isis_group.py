@@ -1,32 +1,53 @@
 """Integration tests for the Isis-style process group protocol."""
 
+from dataclasses import dataclass
+
 import pytest
 
-from repro.isis import ALL, MAJORITY, IsisMember
+from repro.isis import IsisMember
 from repro.netsim import Address, Network, Simulator
-from repro.util.errors import MembershipError
+
+
+@dataclass(frozen=True)
+class Ping:
+    probe: str
+    reply_to: Address
+
+
+@dataclass(frozen=True)
+class Pong:
+    probe: str
+    sender: Address
 
 
 class Recorder(IsisMember):
-    """Member that records every delivery and view change."""
+    """Member that records every view change, and answers point-to-point
+    liveness probes (the fan-out a bidding round makes)."""
 
-    def __init__(self, name, group="g", contacts=None, config=None, bid_value=None):
+    def __init__(self, name, group="g", contacts=None, config=None):
         super().__init__(name, group, contacts, config)
         self.views = []
-        self.cb_deliveries = []
-        self.requests_seen = []
-        self.bid_value = bid_value if bid_value is not None else name
+        self.pings_seen = []
+        self.pongs = {}
 
     def on_view_change(self, view, joined, left):
         self.views.append((view.view_id, tuple(view.members), tuple(joined), tuple(left)))
 
-    def on_cbcast(self, sender, kind, payload):
-        self.cb_deliveries.append((sender, kind, payload))
+    def probe(self, probe):
+        """Send *probe* to every member of this view, self included; the
+        members that answer land in ``self.pongs[probe]``."""
+        self.pongs[probe] = []
+        for member in self.view.members:
+            self.send(member, Ping(probe, self.address), size=128)
 
-    def on_group_request(self, requester, body, reply):
-        self.requests_seen.append(body)
-        if body != "no-reply-please":
-            reply(self.bid_value)
+    def _on_ping(self, src, msg):
+        self.pings_seen.append(msg.probe)
+        self.send(msg.reply_to, Pong(msg.probe, self.address), size=128)
+
+    def _on_pong(self, src, msg):
+        self.pongs[msg.probe].append(msg.sender)
+
+    _HANDLERS = {**IsisMember._HANDLERS, Ping: _on_ping, Pong: _on_pong}
 
 
 def build_group(n, seed=0, config=None, settle=10.0, reliable=False):
@@ -123,138 +144,6 @@ class TestFormation:
         assert joiner.view.coordinator == m1.address
 
 
-class TestMulticast:
-    def test_cbcast_reaches_everyone_including_sender(self):
-        sim, net, members = build_group(3)
-        members[1].cbcast("news", {"x": 1})
-        sim.run(until=sim.now + 5.0)
-        for m in members:
-            assert (members[1].address, "news", {"x": 1}) in m.cb_deliveries
-
-    def test_cbcast_fifo_per_sender(self):
-        sim, net, members = build_group(4)
-        for i in range(10):
-            members[0].cbcast("seq", i)
-        sim.run(until=sim.now + 5.0)
-        for m in members:
-            seqs = [p for (_, k, p) in m.cb_deliveries if k == "seq"]
-            assert seqs == list(range(10))
-
-    def test_cbcast_causal_across_senders(self):
-        # m1 multicasts "question"; m2 multicasts "answer" only after
-        # delivering it. No member may see the answer before the question.
-        sim, net, members = build_group(3)
-        m1, m2 = members[1], members[2]
-
-        original = m2.on_cbcast
-
-        def reactive(sender, kind, payload):
-            original(sender, kind, payload)
-            if kind == "question":
-                m2.cbcast("answer", "42")
-
-        m2.on_cbcast = reactive
-        m1.cbcast("question", "what?")
-        sim.run(until=sim.now + 5.0)
-        for m in members:
-            kinds = [k for (_, k, _) in m.cb_deliveries]
-            assert "question" in kinds and "answer" in kinds
-            assert kinds.index("question") < kinds.index("answer")
-
-    def test_multicast_before_join_raises(self):
-        sim = Simulator()
-        net = Network(sim)
-        h = net.add_host("h")
-        m = Recorder("m", contacts=[Address("nowhere", "x")])
-        h.spawn(m)
-        with pytest.raises(MembershipError):
-            m.cbcast("x", 1)
-        with pytest.raises(MembershipError):
-            m.group_request("x")
-
-
-class TestFlushReplay:
-    @pytest.mark.parametrize("primitive", ["cbcast", "group_request"])
-    def test_crashed_senders_multicast_reaches_every_survivor_once(self, primitive):
-        """A multicast that reached one peer before its sender crashed is
-        delivered by the others from the flush replay of the view change
-        that evicts the sender, exactly once everywhere."""
-        sim, net, members = build_group(4)
-        by_addr = {m.address: m for m in members}
-        ordered = [by_addr[a] for a in members[0].view.members]
-        sender, peer = ordered[1], ordered[2]
-        net.partition({sender.address.host, peer.address.host})
-        if primitive == "cbcast":
-            sender.cbcast("last-words", "x")
-        else:
-            sender.group_request("last-words")
-        sim.run(until=sim.now + 0.05)
-        net.host(sender.address.host).crash()
-        net.heal()
-        sim.run(until=sim.now + 15.0)
-        for m in ordered:
-            if m is sender:
-                continue
-            assert sender.address not in m.view
-            if primitive == "cbcast":
-                seen = [p for (_, k, p) in m.cb_deliveries if k == "last-words"]
-            else:
-                seen = [b for b in m.requests_seen if b == "last-words"]
-            assert len(seen) == 1, f"{m.name} delivered it {len(seen)} times"
-
-
-class TestRequestReply:
-    def test_collect_all_replies(self):
-        sim, net, members = build_group(3)
-        results = {}
-        members[0].group_request(
-            "state?", n_wanted=ALL, on_done=lambda r, t: results.update(r=r, t=t)
-        )
-        sim.run(until=sim.now + 5.0)
-        assert results["t"] is False
-        assert len(results["r"]) == 3
-        assert {v for (_, v) in results["r"]} == {"m0", "m1", "m2"}
-
-    def test_collect_n_wanted_subset(self):
-        sim, net, members = build_group(5)
-        results = {}
-        members[2].group_request(
-            "state?", n_wanted=2, on_done=lambda r, t: results.update(r=r, t=t)
-        )
-        sim.run(until=sim.now + 5.0)
-        assert results["t"] is False
-        assert len(results["r"]) == 2
-
-    def test_majority(self):
-        sim, net, members = build_group(5)
-        results = {}
-        members[0].group_request(
-            "state?", n_wanted=MAJORITY, on_done=lambda r, t: results.update(r=r, t=t)
-        )
-        sim.run(until=sim.now + 5.0)
-        assert len(results["r"]) == 3
-
-    def test_timeout_with_partial_replies(self):
-        sim, net, members = build_group(3)
-        results = {}
-        members[0].group_request(
-            "no-reply-please",
-            n_wanted=ALL,
-            timeout=2.0,
-            on_done=lambda r, t: results.update(r=r, t=t),
-        )
-        sim.run(until=sim.now + 5.0)
-        assert results["t"] is True
-        assert results["r"] == []
-
-    def test_all_members_see_request(self):
-        sim, net, members = build_group(3)
-        members[1].group_request("state?", on_done=lambda r, t: None)
-        sim.run(until=sim.now + 5.0)
-        for m in members:
-            assert "state?" in m.requests_seen
-
-
 class TestLeaveAndFailure:
     def test_member_crash_detected_and_evicted(self):
         sim, net, members = build_group(3)
@@ -338,19 +227,19 @@ class TestLeaveAndFailure:
         assert not stale
 
     def test_multicast_still_works_after_takeover(self):
+        """After the takeover, a fan-out from either survivor reaches both
+        survivors and nobody else."""
         sim, net, members = build_group(3)
         net.host("h0").crash()
         sim.run(until=sim.now + 30.0)
-        results = {}
-        members[2].group_request(
-            "post-fail", on_done=lambda r, t: results.update(r=r, t=t)
-        )
-        members[1].cbcast("post-fail-cb", "hi")
+        members[2].probe("post-fail")
+        members[1].probe("post-fail-2")
         sim.run(until=sim.now + 5.0)
-        assert results["t"] is False and len(results["r"]) == 2
+        survivors = {m.address for m in members[1:]}
+        assert set(members[2].pongs["post-fail"]) == survivors
+        assert set(members[1].pongs["post-fail-2"]) == survivors
         for m in members[1:]:
-            assert "post-fail" in m.requests_seen
-            assert ("post-fail-cb" in [k for (_, k, _) in m.cb_deliveries])
+            assert sorted(m.pings_seen) == ["post-fail", "post-fail-2"]
 
 
 class TestDeterminism:

@@ -95,6 +95,7 @@ class TestWithQuorum:
         assert len(evictions) >= 2  # both minority members rejoined
 
     def test_group_request_still_works_after_heal(self):
+        """After the heal, a fan-out from the coordinator reaches all five."""
         sim, net, members = build_partitionable_group(5, config=self.CFG)
         ordered = seniority_ordered(members)
         net.partition(
@@ -104,15 +105,13 @@ class TestWithQuorum:
         sim.run(until=sim.now + 40.0)
         net.heal()
         sim.run(until=sim.now + 60.0)
-        results = {}
-        ordered[0].group_request(
-            "state?", on_done=lambda r, t: results.update(r=r, t=t)
-        )
+        ordered[0].probe("state?")
         sim.run(until=sim.now + 10.0)
-        assert results["t"] is False
-        assert len(results["r"]) == 5
+        assert len(ordered[0].pongs["state?"]) == 5
 
     def test_majority_side_keeps_multicasting_during_partition(self):
+        """During the partition a fan-out from the majority side reaches
+        exactly the majority side: its view no longer holds the others."""
         sim, net, members = build_partitionable_group(5, config=self.CFG)
         ordered = seniority_ordered(members)
         net.partition(
@@ -120,13 +119,12 @@ class TestWithQuorum:
             {m.address.host for m in ordered[3:]},
         )
         sim.run(until=sim.now + 40.0)
-        results = {}
-        ordered[1].cbcast("during-partition", "x")
-        ordered[1].group_request("state?", on_done=lambda r, t: results.update(r=r, t=t))
+        ordered[1].probe("during-partition")
         sim.run(until=sim.now + 5.0)
         for m in ordered[:3]:
-            assert "during-partition" in [k for (_, k, _) in m.cb_deliveries]
+            assert "during-partition" in m.pings_seen
         for m in ordered[3:]:
-            assert "during-partition" not in [k for (_, k, _) in m.cb_deliveries]
-        assert results["t"] is False
-        assert {a for a, _ in results["r"]} == {m.address for m in ordered[:3]}
+            assert "during-partition" not in m.pings_seen
+        assert set(ordered[1].pongs["during-partition"]) == {
+            m.address for m in ordered[:3]
+        }

@@ -9,7 +9,6 @@ import random
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.isis import VectorClock
 from repro.machines import MachineClass
 from repro.metrics.collector import _merge
 from repro.objects import wire_size
@@ -57,32 +56,6 @@ def test_merge_intervals_invariants(intervals):
         total = sum(e - s for s, e in merged)
         assert total <= sum(e - s for s, e in intervals) + 1e-9
         assert total >= max(e - s for s, e in intervals) - 1e-9
-
-
-# -------------------------------------------------------------- vector clocks
-
-
-@given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=40))
-def test_vector_clock_counts_increments(events):
-    vc = VectorClock()
-    for who in events:
-        vc.increment(who)
-    for who in "abcd":
-        assert vc.get(who) == events.count(who)
-
-
-@given(
-    st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 8)), max_size=6).map(dict),
-    st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 8)), max_size=6).map(dict),
-    st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 8)), max_size=6).map(dict),
-)
-def test_vector_clock_partial_order_transitive(d1, d2, d3):
-    a, b, c = VectorClock(d1), VectorClock(d2), VectorClock(d3)
-    if a <= b and b <= c:
-        assert a <= c
-    # antisymmetry
-    if a <= b and b <= a:
-        assert a == b
 
 
 # ------------------------------------------------------------------ marshal

@@ -583,6 +583,37 @@ class TestSuspendResumeKill:
         cluster.run()
         assert app.results("t")[1] == "hello"
 
+    def test_suspended_during_stage_in_starts_on_resume(self):
+        """A stage-in that comes due while the instance is suspended starts
+        nothing: the program begins on resume."""
+
+        class SlowBinaries:
+            def load_delay(self, task, machine, now):
+                return 5.0
+
+        cluster = make_cluster(1)
+        cluster.manager.binary_service = SlowBinaries()
+
+        def program(ctx):
+            yield Compute(1.0)
+            return "ok"
+
+        graph = simple_graph(program)
+        app = cluster.manager.submit(graph, place_all_on(graph, "ws0"))
+        cluster.run(until=1.0)
+        inst = app.record("t", 0).instance
+        inst.suspend()
+        cluster.run(until=10.0)
+        assert inst.state is InstanceState.SUSPENDED and inst.started_at is None
+        assert getattr(cluster.hosts["ws0"], "_vce_computing", 0) == 0
+        inst.resume()
+        assert inst.started_at == cluster.sim.now
+        assert cluster.hosts["ws0"]._vce_computing == 1
+        cluster.run()
+        assert app.status is AppStatus.DONE
+        assert app.completed_at == pytest.approx(11.0)
+        assert cluster.hosts["ws0"]._vce_computing == 0
+
     def test_kill_terminates_instance(self):
         cluster = make_cluster(1)
 

@@ -232,6 +232,43 @@ class TestLeaderFailover:
         vce.run(until=vce.sim.now + 30.0)
         assert replies, "forwarded request never answered"
 
+    def test_acting_coordinator_polls_the_live_members(self):
+        """A round led by an acting coordinator, whose crashed senior is
+        still in the view, is probed by the acting coordinator itself (not
+        delegated to the senior, the one-cell view's oldest member): it
+        allocates from the live members' bids."""
+        from repro.netsim import SimProcess
+        from repro.scheduler.messages import AllocationReply
+
+        vce = make_vce(workstation_farm(4))
+        leader = vce.leader_of(MachineClass.WORKSTATION)
+        members = leader.view.members
+        successor = next(d for d in vce.daemons.values() if d.address == members[1])
+        vce.net.host(leader.machine.name).crash()
+        vce.sim.run(
+            until=vce.sim.now + 30.0, stop_when=lambda: successor._acting_coordinator
+        )
+        assert successor._acting_coordinator and successor.view.members == members
+        replies = []
+
+        class Requester(SimProcess):
+            def on_message(self, src, payload):
+                replies.append(payload)
+
+        requester = Requester("req")
+        vce.user_host.spawn(requester)
+        request = ResourceRequest(
+            "r1", "a", MachineClass.WORKSTATION, (ModuleNeed("t", 3, 3),),
+            requester.address,
+        )
+        successor._on_resource_request(requester.address, request)
+        vce.run(until=vce.sim.now + 10.0)
+        (reply,) = replies
+        assert isinstance(reply, AllocationReply)
+        assert {bid.daemon for bid in reply.bids} == set(members[1:])
+        (delegation,) = vce.sim.log.records(category="sched.delegate")
+        assert delegation.get("sub_leader") == successor.machine.name
+
 
 class TestQueueingAndAging:
     def test_queued_request_eventually_served(self):
