@@ -121,9 +121,7 @@ def bench_e9_churn_survival(benchmark):
 def _pipeline_run(seed: int, faulty: bool):
     """One 4-stage pipeline with the fault-tolerant layer on; when
     *faulty*, the host running the current stage is crash-restarted."""
-    config = VCEConfig(
-        seed=seed, reliable_transport=True, failover=FailoverConfig()
-    )
+    config = VCEConfig(seed=seed, failover=FailoverConfig())
     vce = fresh_vce(workstations(8), config=config)
     run = vce.submit(build_pipeline_graph(stages=4, stage_work=20.0, name="pipe"))
     if faulty:

@@ -7,13 +7,15 @@ the same loop through its log observer, so it gets the same treatment.
 Three gates, each < 10%, recorded per-section in ``BENCH_telemetry.json``
 at the repo root.
 
-The run is taken with the Isis failure detector awake (a drop rate that
-never fires, set before boot): that is the run the 10% was fitted to, and
-the one where the per-event costs gated here — the schedule-parent appends,
-the tick and beat counters — are all exercised.  A calm cluster parks, the
-same run then costs about a third as much, and the same absolute cost would
-read as three times the share; the bound keeps its meaning only against a
-base that does not move with the park rule.
+The run is taken with the Isis failure detector awake (a latency factor one
+ulp above 1, set before boot: no group parks while the factor is not 1,
+and no delay moves by more than an ulp): that is the run the 10% was
+fitted to, and the one where the per-event costs gated here — the
+schedule-parent appends, the tick and beat counters — are all exercised.
+A calm cluster parks, the same run then costs about a third as much, and
+the same absolute cost would read as three times the share; the bound
+keeps its meaning only against a base that does not move with the park
+rule.
 
 The same choice keeps the gates meaningful now that the sampler is
 change-driven: with the detector awake there are heartbeat events between
@@ -51,6 +53,7 @@ that dwarf the effect being measured. The protocol is built for that:
 
 import gc
 import json
+import math
 import statistics
 import time
 from pathlib import Path
@@ -65,9 +68,10 @@ BATCH = 6  # weather runs per timed batch
 SINGLES = 30  # interleaved single runs per column for the min estimator
 ATTEMPTS = 3  # re-measure on a suspected contention burst
 MAX_OVERHEAD = 0.10
-#: smallest positive float: ``random() < NEVER`` is never true, so nothing is
-#: ever dropped, but the network is not calm and no group parks
-NEVER = 5e-324
+#: the smallest latency factor above 1: every delay stays what it was to
+#: within an ulp, but the network is not calm and no group parks (a drop
+#: rate below 1 is absorbed by the transport, so it no longer wakes anyone)
+AWAKE = math.nextafter(1.0, 2.0)
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
 
@@ -81,7 +85,7 @@ def _weather_run(
         heterogeneous_cluster(n_workstations=6),
         VCEConfig(seed=5, telemetry=telemetry, hb_sanitizer=hb_sanitizer),
     )
-    vce.network.set_drop_rate(NEVER)
+    vce.network.set_latency_factor(AWAKE)
     vce.boot()
     if controlplane:
         from repro.controlplane import ControlPlaneModel

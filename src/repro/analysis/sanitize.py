@@ -140,8 +140,7 @@ def _chaos_mix(seed: int, hb_sanitizer: bool, tie_shuffle: int):
 
     config = VCEConfig(
         seed=seed,
-        reliable_transport=True, failover=FailoverConfig(),
-        hb_sanitizer=hb_sanitizer, tie_shuffle=tie_shuffle,
+        failover=FailoverConfig(), hb_sanitizer=hb_sanitizer, tie_shuffle=tie_shuffle,
     )
     vce = VirtualComputingEnvironment(heterogeneous_cluster(), config).boot()
     vce.chaos("chaos-mix", seed=seed)

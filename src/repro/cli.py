@@ -46,8 +46,8 @@ Usage (also via ``python -m repro``):
         self-test fixture. Exit status: 1 on any unsuppressed finding.
 
     repro chaos SCRIPT.vce [run options] [--schedule NAME] [--fault-seed N]
-        Run a script under a named fault schedule with the fault-tolerant
-        execution layer on (reliable transport + lease-based failover):
+        Run a script under a named fault schedule with lease-based
+        failover on (every run already has the reliable transport):
         daemons crash and reboot, messages drop, partitions open and heal.
         Prints the run outcome plus injected-fault and recovery-action
         counts from the telemetry registry. Schedules: see
@@ -425,7 +425,7 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:
         print(f"recovery actions: {recovery_s}", file=out)
         return 0
 
-    vce = _boot_vce(args, reliable_transport=True, failover=FailoverConfig())
+    vce = _boot_vce(args, failover=FailoverConfig())
     fault_seed = args.seed if args.fault_seed is None else args.fault_seed
     controller = vce.chaos(args.schedule, seed=fault_seed)
     run = _launch_script(vce, args)
@@ -722,7 +722,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
     if args.failover:
         from repro.migration.failover import FailoverConfig
 
-        overrides.update(reliable_transport=True, failover=FailoverConfig())
+        overrides.update(failover=FailoverConfig())
     vce = _boot_vce(args, **overrides)
     session = ServeSession(
         vce, slice_seconds=args.slice, pacer=WallClockPacer(args.pace)
@@ -1000,8 +1000,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     soak.add_argument(
         "--chaos", choices=sorted(_SCHEDULES), default=None,
-        help="run under a named fault schedule (enables reliable "
-             "transport + failover)",
+        help="run under a named fault schedule (enables lease-based "
+             "failover)",
     )
     soak.add_argument(
         "--top", type=int, default=12, help="tenant rows to print (default 12)"
@@ -1039,7 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--failover", action="store_true",
-        help="enable reliable transport + lease-based failover (as repro chaos does)",
+        help="enable lease-based failover (as repro chaos does)",
     )
     serve.add_argument(
         "--exit-when-done", action="store_true",

@@ -55,12 +55,11 @@ class VCEConfig:
         telemetry_interval: simulated seconds between cluster samples.
         telemetry_series_capacity: ring-buffer length of each sampled
             time series.
-        reliable_transport: run every remote message over the sequenced
-            retransmitting transport (see repro.netsim.Network
-            ``set_reliable``); required for workloads that must survive
-            message drops. Off by default — the historical datagram
-            semantics stay byte-identical.
-        transport: retransmission timing when ``reliable_transport`` is on.
+        reliable_transport: always True.  Every remote message runs over
+            the sequenced retransmitting transport (see
+            :mod:`repro.netsim.network`); the datagram mode it once
+            switched off was removed, and False raises ``ValueError``.
+        transport: retransmission timing of that transport.
         failover: when set, install the lease-based
             :class:`~repro.migration.failover.FailoverManager` at boot and
             wire daemon peer-takeover notifications into it (see
@@ -104,7 +103,7 @@ class VCEConfig:
     telemetry: bool = True
     telemetry_interval: float = 4.0
     telemetry_series_capacity: int = 600
-    reliable_transport: bool = False
+    reliable_transport: bool = True
     transport: TransportConfig = field(default_factory=TransportConfig)
     failover: FailoverConfig | None = None
     verify: str = "off"
@@ -113,3 +112,7 @@ class VCEConfig:
 
     #: Legal values of :attr:`verify`.
     VERIFY_MODES = ("off", "warn", "strict")
+
+    def __post_init__(self) -> None:
+        if not self.reliable_transport:
+            raise ValueError("the datagram transport was removed: reliable_transport must be True")

@@ -109,6 +109,7 @@ class VirtualComputingEnvironment:
             self.sim,
             self.config.latency,
             egress_serialization=self.config.egress_serialization,
+            transport=self.config.transport,
         )
         self.database = MachineDatabase()
         self.directory = GroupDirectory()
@@ -135,8 +136,6 @@ class VirtualComputingEnvironment:
         # graphs submitted while verify="off", still checkable by
         # run(verify=...) before their execution programs dispatch
         self._unverified: list[TaskGraph] = []
-        if self.config.reliable_transport:
-            self.network.set_reliable(self.config.transport)
 
         first_of_class: dict[MachineClass, Any] = {}
         for machine in machines:

@@ -27,14 +27,12 @@ member forgives the agreed silence (timestamps refreshed to ``now``, as
 the explicit protocol below runs unchanged.  A member also wakes when a
 beat from its coordinator carries no valid park order.
 
-Under the reliable transport the detector is *scoped* to the disturbance:
-an edge that names dying members other than the coordinator wakes only
-the coordinator, which watches the named members alone until they are
-evicted, while everyone else keeps its park order; a view change that
-every member vouched for in one disturbance epoch installs parked; and
-departed members are probed on a backoff of their own instead of keeping
-the group awake.  The datagram detector wakes the whole group on every
-edge.
+The detector is *scoped* to the disturbance: an edge that names dying
+members other than the coordinator wakes only the coordinator, which
+watches the named members alone until they are evicted, while everyone
+else keeps its park order; a view change that every member vouched for in
+one disturbance epoch installs parked; and departed members are probed on
+a backoff of their own instead of keeping the group awake.
 
 Concurrency note: everything runs inside one deterministic simulator, so no
 locking is needed; correctness concerns are protocol-level (stale views,
@@ -186,15 +184,6 @@ class IsisMember(SimProcess):
         """Membership changed. Override in subclasses."""
 
     # ------------------------------------------------------------- lifecycle
-
-    @property
-    def _scoped(self) -> bool:
-        """Does the detector follow the disturbance?  Under the reliable
-        transport a named death wakes only the coordinator, a view install
-        the group vouched for leaves it parked and departed members are
-        probed without keeping anyone awake (docs/PROTOCOLS.md, "Failure
-        detection"); the datagram detector wakes whole."""
-        return self.host.network.transport is not None
 
     def on_start(self) -> None:
         self._views = self.sim.log.category(
@@ -435,17 +424,16 @@ class IsisMember(SimProcess):
         self._on_new_view(self.address, new_view)
 
     def _vouched(self, change: _ViewChange) -> bool:
-        """May the view *change* installs park at once?  Under the scoped
-        detector, when nothing disturbed the network since the change
-        started, every survivor's FlushOk and every joiner's JoinReq was
-        sent and received in this disturbance epoch — each vouches for its
-        sender as a beat would — and nothing else is queued."""
+        """May the view *change* installs park at once?  When nothing
+        disturbed the network since the change started, every survivor's
+        FlushOk and every joiner's JoinReq was sent and received in this
+        disturbance epoch — each vouches for its sender as a beat would —
+        and nothing else is queued."""
         old = self.view
         assert old is not None
         epoch = change.epoch
         return (
-            self._scoped
-            and self.host.network.disturbances == epoch
+            self.host.network.disturbances == epoch
             and not self._queued_joins
             and not self._queued_leaves
             and all(
@@ -496,12 +484,7 @@ class IsisMember(SimProcess):
             self._heard = set()
             self._set_parked(False)
             self.set_timer(self.config.hb_interval, "hb")
-        if (
-            self._alumni
-            and self._scoped
-            and view.coordinator == self.address
-            and not self.has_timer("probe")
-        ):
+        if self._alumni and view.coordinator == self.address and not self.has_timer("probe"):
             self._arm_probe()
         views = self._views
         self.emit(
@@ -563,16 +546,6 @@ class IsisMember(SimProcess):
                 if member != me and (suspects is None or member in suspects):
                     self.send(member, beat, size=cfg.control_size)
                     beats += 1
-            if self._hb_ticks % 4 == 0 and not self._scoped:
-                # probe departed members: if one of them now leads a rival
-                # group, the beat triggers merge resolution on its side
-                for alumnus, (sent, due) in list(self._alumni.items()):
-                    if sent >= 20:
-                        del self._alumni[alumnus]  # presumed really gone
-                        continue
-                    self._alumni[alumnus] = (sent + 1, due)
-                    self.send(alumnus, beat, size=cfg.control_size)
-                    beats += 1
             if dead:
                 for m in dead:
                     self.emit("isis.failure_detected", group=self.group, failed=str(m))
@@ -605,12 +578,12 @@ class IsisMember(SimProcess):
         self.set_timer(max(0.0, due - self.now), "probe")
 
     def _probe_alumni(self) -> None:
-        """Scoped detector: probe each departed member five times, from a
-        timer of its own so the group may park meanwhile — 4 hb intervals
-        after it left, then on a doubling backoff (8, 16, 32, 64
-        intervals).  The reliable transport retransmits a probe a drop would
-        have lost, so one per period finds a rival group as surely as the
-        datagram detector's one every fourth tick."""
+        """Probe each departed member five times, from a timer of its own so
+        the group may park meanwhile — 4 hb intervals after it left, then on
+        a doubling backoff (8, 16, 32, 64 intervals).  If one of them now
+        leads a rival group, the beat triggers merge resolution on its side;
+        the transport retransmits a probe a drop would have lost, so one per
+        period is enough."""
         if not self.is_coordinator or self.view is None:
             return
         now = self.now
@@ -634,13 +607,13 @@ class IsisMember(SimProcess):
     def _steady(self) -> bool:
         """Coordinator side: may the group park?  Steady means nothing that
         a tick would act on or discover: the real coordinator, no view
-        change or flush in progress, no queued joins or suspicions, no
-        departed member left to probe (the datagram detector probes from
-        its ticks), and every member heard from — in this view, since the
-        last edge that concerned it — on a network calm for the view's
-        hosts.  In that state the dead-check and the members'
-        takeover-check cannot fire: every member process is up and
-        reachable, or the network would have raised the edge first."""
+        change or flush in progress, no queued joins or suspicions, and
+        every member heard from — in this view, since the last edge that
+        concerned it — on a network calm for the view's hosts (departed
+        members are probed from a timer of their own).  In that state the
+        dead-check and the members' takeover-check cannot fire: every
+        member process is up and reachable, or the network would have
+        raised the edge first."""
         assert self.view is not None
         return (
             not self._acting_coordinator
@@ -648,7 +621,6 @@ class IsisMember(SimProcess):
             and not self._flushing
             and not self._queued_joins
             and not self._queued_leaves
-            and (not self._alumni or self._scoped)
             and len(self._heard) == len(self.view) - 1
             and self.host.network.calm_for(self.view.members)
         )
@@ -688,14 +660,13 @@ class IsisMember(SimProcess):
     def _on_disturbance(self, dying: tuple[Any, ...]) -> None:
         """The network's disturbance edge (see ``Network.disturb``): beats
         heard so far no longer vouch for anyone, and a parked member goes
-        back to the explicit protocol.  Under the scoped detector an edge
-        that names dying processes other than this member's coordinator
-        touches only the named members of its view: the coordinator forgets
-        having heard from them and watches them alone; everyone else keeps
-        its park order."""
+        back to the explicit protocol.  An edge that names dying processes
+        other than this member's coordinator touches only the named members
+        of its view: the coordinator forgets having heard from them and
+        watches them alone; everyone else keeps its park order."""
         view = self.view
         count = self.host.network.disturbances
-        if dying and view is not None and self._scoped:
+        if dying and view is not None:
             gone = {process.address for process in dying}
             if view.coordinator not in gone:
                 named = [m for m in view.members if m in gone]

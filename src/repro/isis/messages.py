@@ -60,9 +60,8 @@ class NewView:
 class Heartbeat:
     """Member -> coordinator liveness signal.  ``epoch`` is the network's
     disturbance count when the beat was sent: a beat that arrives with no
-    edge concerning its sender since (on the datagram transport any edge;
-    under the reliable one an edge that named it or named nobody) tells
-    the coordinator the member has been alive, and in view
+    edge concerning its sender since (an edge that named it or named
+    nobody) tells the coordinator the member has been alive, and in view
     ``view_id``, through an undisturbed interval (see ``IsisMember`` on the
     parked failure detector)."""
 
@@ -77,8 +76,8 @@ class CoordBeat:
     order: the network's disturbance count when the coordinator found the
     group steady and the network calm and stopped beating (-1: keep
     beating).  It holds only while no edge that concerns the receiver came
-    after that count (on the datagram transport any edge; under the
-    reliable one an edge that named nobody or named its coordinator)."""
+    after that count (an edge that named nobody or named its
+    coordinator)."""
 
     sender: Address
     view_id: int

@@ -11,38 +11,32 @@ Delivery between two processes on the *same* host bypasses the wire and costs
 :attr:`LatencyModel.local_latency` — the paper's LAN prototype similarly
 distinguishes local procedure calls from remote messages.
 
+Cross-host traffic runs over one transport, a TCP-like layer that models
+the reliable FIFO channels the paper's Isis toolkit gave its daemons (and
+the TCP connections of the :mod:`repro.netexec` backend).  Every cross-host
+message gets a per-``(src host, dst host)`` sequence number; a drop or
+partition block schedules a retransmission after an exponentially
+backed-off RTO (:class:`TransportConfig`), and :meth:`Network.heal`
+re-sends every message still waiting at once; the receiver's reorder
+buffer delivers strictly in sequence order and absorbs duplicates.  A
+message undeliverable for :attr:`TransportConfig.max_retries` attempts is
+*abandoned* (``net.lost``) and its sequence slot released, so later traffic
+is not wedged behind the gap.  The delivery contract is per-pair FIFO, at
+most once, with loss only as abandonment; every other fault surfaces as
+latency.
+
 The network also tells failure detectors when they are needed at all:
-:attr:`Network.calm` is True while nothing here can lose, delay or withhold
-a message (no partition, every fault rate 0, latency factor 1, every host
-up), and every change to that — plus the death of a *watched* process — is
-announced to the watchers as a **disturbance edge**, raised before the
-change takes effect (:meth:`Network.watch`, :meth:`Network.disturb`).  An
-edge names the processes it kills, if any, so a watcher can tell a death
-it must look for from a change that concerns everyone.  A watcher that
-stayed silent because the network was calm therefore always learns of a
-fault at the instant it happens, never after.  What a group of processes
-observes is narrower (:meth:`Network.calm_for`): only its own hosts need be
-up, and under the reliable transport drops, duplicates and reordering
-surface as latency, not loss.
-
-Two transport modes:
-
-- **datagram** (default): the historical behaviour — a dropped or
-  partition-blocked message is gone, duplicates arrive twice, reordering
-  is visible to the receiver. Protocols above (Isis retransmission,
-  execution-program retries) carry the recovery burden.
-- **reliable** (``set_reliable()``): a TCP-like layer under the chaos
-  harness. Every cross-host message gets a per-``(src host, dst host)``
-  sequence number; a drop or partition block schedules a retransmission
-  after an exponentially backed-off RTO instead of losing the message;
-  the receiving side holds a reorder buffer that delivers strictly in
-  sequence order and absorbs duplicates (an in-order arrival with nothing
-  held back is handed over directly). A message that stays
-  undeliverable for :attr:`TransportConfig.max_retries` attempts is
-  *abandoned* (``net.lost``) and its sequence slot released so later
-  traffic is not wedged behind the gap. Faults then surface as latency —
-  which is exactly what makes "all tasks complete exactly once, makespan
-  degrades gracefully" a testable property of the layers above.
+:meth:`Network.calm_for` is True while nothing here can withhold or delay a
+message between a group's members (no partition, latency factor 1, a drop
+rate below 1 and every member's host up — drops, duplicates and reordering
+below that are absorbed by the transport), and every change to the fault
+state — plus the death of a *watched* process — is announced to the
+watchers as a **disturbance edge**, raised before the change takes effect
+(:meth:`Network.watch`, :meth:`Network.disturb`).  An edge names the
+processes it kills, if any, so a watcher can tell a death it must look for
+from a change that concerns everyone.  A watcher that stayed silent because
+the network was calm therefore always learns of a fault at the instant it
+happens, never after.
 """
 
 from __future__ import annotations
@@ -93,7 +87,7 @@ class LatencyModel:
 
 @dataclass
 class TransportConfig:
-    """Reliable-transport timing (see module docstring).
+    """Transport timing (see module docstring).
 
     Attributes:
         rto: first retransmission timeout after a lost attempt (s).
@@ -128,13 +122,10 @@ class Network:
         self,
         sim: SimBackend,
         latency: LatencyModel | None = None,
-        fifo: bool = True,
         egress_serialization: bool = False,
+        transport: TransportConfig | None = None,
     ) -> None:
         """Args:
-        fifo: when True (default), messages between a given host pair
-            arrive in send order, as they would over a TCP connection —
-            the ordering the Isis toolkit assumes of its transport.
         egress_serialization: when True, each host has one NIC: concurrent
             outgoing messages queue behind each other for their
             transmission time (size/bandwidth). Off by default — the
@@ -142,12 +133,13 @@ class Network:
             adequate for control traffic but understates the cost of
             fan-out-heavy data patterns like alltoall (ablated in
             benchmark E12b).
+        transport: retransmission timing (default :class:`TransportConfig`).
         """
         self.sim = sim
         self.latency = latency or LatencyModel()
         self.hosts: dict[str, Host] = {}
-        # a datagram loss names its destination; a reliable-transport one
-        # adds the sequence number (and a retransmit its attempt)
+        # a loss names its destination and sequence number (a retransmit
+        # also its attempt)
         log = sim.log
         self._partition_drops = log.category("net.partition_drop", ("dst", "seq"))
         self._drops = log.category("net.drop", ("dst", "seq"))
@@ -169,13 +161,14 @@ class Network:
         #: count it was sent under vouches for "nothing has happened since"
         #: when no edge its receiver cares about came after that count.
         self.disturbances = 0
-        self._fifo = fifo
         self._egress_serialization = egress_serialization
         self._egress_free: dict[str, float] = {}
-        self._last_arrival: dict[tuple[str, str], float] = {}
         self._routes: dict[frozenset[str], LatencyModel] = {}
-        self.transport: TransportConfig | None = None
+        self.transport = transport or TransportConfig()
         self._pairs: dict[tuple[str, str], _PairState] = {}
+        #: (src host, dst host, seq) -> (message, next attempt) of every
+        #: message waiting on a retransmission timer
+        self._held: dict[tuple[str, str, int], tuple[Message, int]] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.bytes_sent = 0
@@ -218,34 +211,18 @@ class Network:
 
     # -- calm and disturbance --------------------------------------------------
 
-    @property
-    def calm(self) -> bool:
-        """True while no message can be lost, duplicated, reordered, slowed
-        or withheld: no partition, every attached host up, every fault rate
-        0 and the latency factor 1.  One network-wide predicate, whatever
-        the transport; a process that dies on an up host does not change it
-        (that is an edge only — see :meth:`disturb`).  A failure detector
-        reads :meth:`calm_for` instead."""
-        return (
-            self._partitions is None
-            and self._drop_rate == 0.0
-            and self._duplicate_rate == 0.0
-            and self._reorder_rate == 0.0
-            and self._latency_factor == 1.0
-            and all(host.up for host in self.hosts.values())
-        )
-
     def calm_for(self, members: Iterable[Address]) -> bool:
-        """:attr:`calm` as a group of *members* observes it: no partition,
-        latency factor 1 and every member's host up (a down host no member
-        lives on is invisible to the group).  Under the reliable transport
-        drops, duplicates and reordering below a drop rate of 1 are absorbed
-        — a message arrives, late, in order and once — so only a datagram
-        network must also have every fault rate 0."""
-        if self._partitions is not None or self._latency_factor != 1.0:
-            return False
-        if (self.transport is None or self._drop_rate == 1.0) and (
-            self._drop_rate or self._duplicate_rate or self._reorder_rate
+        """True while no message between *members* can be withheld or
+        delayed: no partition, latency factor 1, a drop rate below 1 and
+        every member's host up (a down host no member lives on is invisible
+        to the group).  Drops, duplicates and reordering below a drop rate
+        of 1 are absorbed by the transport — a message arrives, late, in
+        order and once.  A process that dies on an up host does not change
+        it (that is an edge only — see :meth:`disturb`)."""
+        if (
+            self._partitions is not None
+            or self._latency_factor != 1.0
+            or self._drop_rate == 1.0
         ):
             return False
         hosts = self.hosts
@@ -286,27 +263,26 @@ class Network:
     # -- fault knobs -----------------------------------------------------------
 
     def set_drop_rate(self, p: float) -> None:
-        """Drop each cross-host message independently with probability *p*.
-        Under the reliable transport a "drop" costs a retransmission round
-        instead of losing the message."""
+        """Drop each cross-host transmission independently with probability
+        *p*.  A drop costs a retransmission round, not the message."""
         if not 0.0 <= p <= 1.0:
             raise SimulationError(f"drop rate must be in [0,1], got {p}")
         self.disturb()
         self._drop_rate = p
 
     def set_duplicate_rate(self, p: float) -> None:
-        """Deliver each cross-host message twice with probability *p* (the
-        reliable transport's receiver absorbs the copy; datagram mode hands
-        both to the process)."""
+        """Deliver each cross-host transmission twice with probability *p*
+        (the receiver absorbs the copy)."""
         if not 0.0 <= p <= 1.0:
             raise SimulationError(f"duplicate rate must be in [0,1], got {p}")
         self.disturb()
         self._duplicate_rate = p
 
     def set_reorder_rate(self, p: float, spread: float | None = None) -> None:
-        """Give each cross-host message probability *p* of an extra delay of
-        up to *spread* seconds that bypasses the FIFO clamp, so it can
-        overtake or fall behind its neighbours."""
+        """Give each cross-host transmission probability *p* of an extra
+        delay of up to *spread* seconds, so it can overtake or fall behind
+        its neighbours on the wire (the receiver's reorder buffer restores
+        the order)."""
         if not 0.0 <= p <= 1.0:
             raise SimulationError(f"reorder rate must be in [0,1], got {p}")
         if spread is not None and spread < 0:
@@ -327,12 +303,6 @@ class Network:
     @property
     def latency_factor(self) -> float:
         return self._latency_factor
-
-    def set_reliable(self, config: TransportConfig | None = None) -> None:
-        """Switch cross-host traffic to the sequenced reliable transport
-        (see module docstring). Call before traffic starts; switching with
-        messages in flight would renumber mid-stream."""
-        self.transport = config or TransportConfig()
 
     def _pair(self, src_host: str, dst_host: str) -> _PairState:
         key = (src_host, dst_host)
@@ -357,9 +327,15 @@ class Network:
         self._partitions = named
 
     def heal(self) -> None:
-        """Remove any partition."""
+        """Remove any partition, and re-send every message waiting on a
+        retransmission timer at once: traffic on a pair that was cut flows
+        again within one wire delay, not at the oldest message's backed-off
+        retry."""
         self.disturb()
         self._partitions = None
+        held, self._held = self._held, {}
+        for (_, _, seq), (message, attempt) in held.items():
+            self._transmit(message, seq, attempt)
 
     def _connected(self, a: str, b: str) -> bool:
         if self._partitions is None:
@@ -374,10 +350,10 @@ class Network:
     def send(self, src: Address, dst: Address, payload: Any, size: int = 256) -> None:
         """Send a message; delivery is scheduled per the latency model.
 
-        Sends to unknown hosts raise (a programming error); sends to crashed
-        hosts or across a partition are silently dropped (a runtime
-        condition the protocols must tolerate) — except under the reliable
-        transport, which retransmits until delivered or abandoned.
+        Sends to unknown hosts raise (a programming error); a message to a
+        crashed host is delivered to nobody, and one across a partition or
+        dropped is retransmitted until delivered or abandoned (a runtime
+        condition the protocols must tolerate).
         """
         message = Message(src, dst, payload, size)
         self.messages_sent += 1
@@ -386,9 +362,7 @@ class Network:
         dst_host = self.hosts.get(dst_name)
         if dst_host is None:
             dst_host = self.host(dst_name)  # raises, naming the host
-        sim = self.sim
-        if self.transport is not None and src_name != dst_name:
-            # the reliable transport delivers through its own frames
+        if src_name != dst_name:
             state = self._pair(src_name, dst_name)
             seq = state.next_seq
             state.next_seq += 1
@@ -400,33 +374,8 @@ class Network:
             if dst_host.deliver(message):
                 self.messages_delivered += 1
 
-        if src_name == dst_name:
-            sim.schedule_at(sim.now + self.latency.local_latency, deliver, host=dst_name)
-            return
-        # -- datagram path (the historical default) ------------------------
-        if self._partitions is not None and not self._connected(src_name, dst_name):
-            sim.emit(self._partition_drops, src_name, dst_name)
-            return
-        if self._drop_rate > 0.0 and self._drop_rng.random() < self._drop_rate:
-            sim.emit(self._drops, src_name, dst_name)
-            return
-        arrival = sim.now + self._wire_delay(src_name, dst_name, size)
-        if self._reorder_rate > 0.0 and self._reorder_rng.random() < self._reorder_rate:
-            # extra lag that skips the FIFO clamp: the copy can be overtaken
-            self.reorders_injected += 1
-            arrival += self._reorder_rng.random() * self._reorder_spread
-            sim.emit("net.reorder", src_name, dst=dst_name)
-        elif self._fifo:
-            key = (src_name, dst_name)
-            last = self._last_arrival.get(key, 0.0)
-            if last > arrival:
-                arrival = last
-            self._last_arrival[key] = arrival
-        sim.schedule_at(arrival, deliver, host=dst_name)
-        if self._duplicate_rate > 0.0 and self._dup_rng.random() < self._duplicate_rate:
-            self.duplicates_injected += 1
-            sim.emit("net.duplicate", src_name, dst=dst_name)
-            sim.schedule_at(arrival + self.latency.local_latency, deliver, host=dst_name)
+        sim = self.sim
+        sim.schedule_at(sim.now + self.latency.local_latency, deliver, host=dst_name)
 
     def _wire_delay(self, src_host: str, dst_host: str, size: int) -> float:
         model = self.latency_between(src_host, dst_host)
@@ -444,14 +393,13 @@ class Network:
             delay = model.delay(size, self._rng.random())
         return delay * self._latency_factor
 
-    # -- reliable transport ----------------------------------------------------
+    # -- sequencing and retransmission -----------------------------------------
 
     def _transmit(self, message: Message, seq: int, attempt: int) -> None:
         """One delivery attempt of a sequenced message; drops and partition
         blocks cost a backed-off retransmission round instead of the
         message."""
         cfg = self.transport
-        assert cfg is not None
         src_host, dst_host = message.src.host, message.dst.host
         blocked = self._partitions is not None and not self._connected(src_host, dst_host)
         if blocked:
@@ -471,9 +419,11 @@ class Network:
             self.retransmissions += 1
             self._tel_inc("net_retransmits_total", "reliable-transport retransmissions")
             self.sim.emit(self._retransmits, src_host, dst_host, seq, attempt + 1)
+            key = (src_host, dst_host, seq)
+            self._held[key] = (message, attempt + 1)
             self.sim.schedule(
                 cfg.retry_delay(attempt),
-                lambda: self._transmit(message, seq, attempt + 1),
+                lambda: self._retry(key, attempt + 1),
                 host=src_host,  # the retransmit timer runs on the sender
             )
             return
@@ -488,6 +438,14 @@ class Network:
             self.sim.emit("net.duplicate", src_host, dst=dst_host, seq=seq)
             copy_at = arrival + self.latency.local_latency
             self.sim.schedule_at(copy_at, lambda: self._arrive(message, seq), host=dst_host)
+
+    def _retry(self, key: tuple[str, str, int], attempt: int) -> None:
+        """The backoff timer of *attempt*: a no-op once :meth:`heal` has
+        re-sent the message (and maybe held it again for a later attempt)."""
+        held = self._held.get(key)
+        if held is not None and held[1] == attempt:
+            del self._held[key]
+            self._transmit(held[0], key[2], attempt)
 
     def _arrive(self, message: Message, seq: int) -> None:
         """Receiver side: dedup by sequence number, restore order, deliver."""

@@ -555,7 +555,7 @@ def _run_sim_behavior(spec, seed, crash_first_host=False):
 
     vce = VirtualComputingEnvironment(
         workstation_cluster(MACHINES),
-        VCEConfig(seed=seed, reliable_transport=True, failover=FailoverConfig()),
+        VCEConfig(seed=seed, failover=FailoverConfig()),
     ).boot()
     run = vce.submit(build_workload(spec))
     if crash_first_host:

@@ -34,7 +34,6 @@ SEED = 3
 def chaos_vce(seed=SEED, schedule="chaos-mix", **config_kw):
     config = VCEConfig(
         seed=seed,
-        reliable_transport=True,
         failover=FailoverConfig(),
         **config_kw,
     )

@@ -258,7 +258,7 @@ class TestEntityModel:
         assert model.hub.published == before
 
     def test_chaos_feed_events(self):
-        vce = _make_vce(reliable_transport=True)
+        vce = _make_vce()
         model = ControlPlaneModel(vce).attach()
         feed = model.hub.subscribe("feed", topics=("chaos", "recovery"), limit=10_000)
         vce.chaos("daemon-bounce", seed=3)

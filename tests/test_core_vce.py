@@ -38,6 +38,13 @@ class TestBootAndSubmit:
         with pytest.raises(ConfigurationError):
             VirtualComputingEnvironment([])
 
+    def test_datagram_transport_is_gone(self):
+        """The sequenced reliable transport is the only one; asking for the
+        removed datagram mode is an error, not a silent upgrade."""
+        assert VCEConfig().reliable_transport
+        with pytest.raises(ValueError, match="datagram"):
+            VCEConfig(reliable_transport=False)
+
     def test_pipeline_runs_to_completion(self):
         vce = VirtualComputingEnvironment(workstation_cluster(4)).boot()
         run = vce.submit(build_pipeline_graph(stages=3, stage_work=5.0))

@@ -97,7 +97,7 @@ def _stencil(ranks: int, iterations: int, seed: int = 7):
 
 
 def _chaos_mix(seed: int):
-    config = VCEConfig(seed=seed, reliable_transport=True, failover=FailoverConfig())
+    config = VCEConfig(seed=seed, failover=FailoverConfig())
     vce = VirtualComputingEnvironment(heterogeneous_cluster(), config).boot()
     vce.chaos("chaos-mix", seed=seed)
     runs = [

@@ -139,7 +139,7 @@ vce = VirtualComputingEnvironment(
     workstation_cluster(cfg.machines),
     VCEConfig(
         seed=cfg.seed, daemon=DaemonConfig(leader_fanout=cfg.fanout),
-        tenants=population, settle_time=cfg.settle, reliable_transport=True,
+        tenants=population, settle_time=cfg.settle,
         failover=FailoverConfig(max_redispatches=20),
         isis=IsisConfig(require_majority=True),
     ),

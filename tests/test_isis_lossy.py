@@ -1,25 +1,26 @@
-"""The group and the scheduler under message loss.
+"""The group and the scheduler under message drops.
 
 The paper's prototype assumed a LAN.  These tests run over a network that
-drops a share of cross-host messages.
+drops a share of cross-host transmissions; the transport retransmits each
+one, so a drop arrives as extra latency on its pair, not as a lost message.
 """
 
 from repro.isis import IsisConfig
 
 
 #: On lossy links the failure-detection timeout must be long enough that a
-#: run of dropped heartbeats is overwhelmingly unlikely to be mistaken for
-#: a crash (p_false ~ drop^(timeout/interval) per check window). 12 beats at
-#: 30% loss gives ~5e-7 — the standard deployment-time tuning.
+#: run of retransmission back-offs is overwhelmingly unlikely to be
+#: mistaken for a crash: a timeout of 12 beat intervals outlasts several
+#: consecutive drops of one beat — the standard deployment-time tuning.
 LOSSY_CFG = IsisConfig(hb_interval=0.5, hb_timeout=6.0, flush_timeout=4.0)
 
 
 class TestLossyScheduling:
     def test_bidding_still_allocates_under_loss(self):
         """The scheduler's request path (disclosure probes + bid replies)
-        tolerates a lossy network: lost bids are simply absent from the
-        reply set and the leader decides from what arrived, or the exec
-        program retries on timeout."""
+        tolerates a lossy network: a late bid is absent from the reply set
+        and the leader decides from what arrived, or the exec program
+        retries on timeout."""
         from tests.helpers_sched import make_vce, workstation_farm
         from tests.test_scheduler import annotated_graph, launch
         from repro.scheduler.execution_program import RunState

@@ -1,18 +1,17 @@
 """The parked state of the Isis failure detector.
 
-On a calm network a steady group arms no ``hb`` timer and sends no beat;
-any disturbance puts every member back on the explicit protocol.  These
-tests hold the contract that makes that safe:
+On a calm network a steady group arms no ``hb`` timer and sends no beat; a
+disturbance puts the members it concerns back on the explicit protocol.
+These tests hold the contract that makes that safe:
 
-- **differential** — the same seed run calm (parks) and with a fault rate
-  that never fires (never parks) produces the same DONE set, results and
-  per-member view sequences; so does the same seed run under the reliable
-  transport with 5% drop, parked and forced awake;
+- **differential** — the same seed run parked and forced awake, with no
+  drops and with 5% drop, produces the same DONE set, results and
+  per-member view sequences;
 - **latency bounds** (hypothesis) — a fault at a random phase of a parked
   group is detected within ``hb_timeout + hb_interval`` and the oldest
   survivor takes over within ``hb_timeout * (1 + rank) + hb_interval``;
-- **group consistency** — with one dead member still in the view nobody
-  parks and no live member is suspected;
+- **group consistency** — with one dead member still in the view the
+  coordinator does not park and no live member is suspected;
 - **re-parking** — after heal / restart the group parks again and sends
   nothing for 100 idle simulated seconds.
 """
@@ -36,27 +35,8 @@ from repro.workloads import build_random_dag, build_stencil_graph
 from tests.test_isis_group import Recorder
 from tests.test_isis_group import build_group as formed_group
 
-#: the smallest positive float: on the datagram transport a drop rate > 0
-#: keeps the group's calm predicate (``Network.calm_for``) False for the
-#: whole run, and ``random() < NEVER`` holds only for a draw of exactly
-#: 0.0 — so no message is ever dropped
-NEVER = 5e-324
-
 
 # ----------------------------------------------------------- differential
-
-
-@pytest.fixture
-def never_calm(monkeypatch):
-    """Every VCE booted inside the test runs under the never-firing drop
-    rate, set before the first event."""
-    boot = VirtualComputingEnvironment.boot
-
-    def boot_disturbed(vce):
-        vce.network.set_drop_rate(NEVER)
-        return boot(vce)
-
-    monkeypatch.setattr(VirtualComputingEnvironment, "boot", boot_disturbed)
 
 
 def _randomdag():
@@ -114,44 +94,29 @@ def _beats(vce):
     return vce.sim.telemetry.get("isis_beats_sent_total").value
 
 
-@pytest.mark.parametrize("scenario", [_randomdag, _stencil, _quick_soak])
-def test_parked_run_matches_never_parked_run(scenario, request):
-    calm = scenario()
-    assert calm.network.calm
-    assert all(daemon.parked for daemon in calm.daemons.values())
-
-    request.getfixturevalue("never_calm")
-    explicit = scenario()
-    assert not explicit.network.calm
-    assert not any(daemon.parked for daemon in explicit.daemons.values())
-    assert explicit.network.messages_lost == 0
-    assert not explicit.sim.log.records(category="net.drop")
-
-    # the explicit protocol really ran, and parking really removed it
-    assert _beats(explicit) > 10 * _beats(calm)
-    assert _outcome(calm) == _outcome(explicit)
-
-
-@pytest.fixture
-def lossy_reliable(monkeypatch):
-    """Every VCE booted inside the test runs over the reliable transport,
-    with 5% of all transmissions dropped once the group has formed: the
-    transport absorbs the drops, so the group still parks."""
+@pytest.mark.parametrize(
+    "scenario, drop",
+    [
+        pytest.param(scenario, drop, id=scenario.__name__ + ("" if drop else "-no-drop"))
+        for scenario in (_randomdag, _stencil, _quick_soak)
+        for drop in (0.05, 0.0)
+    ],
+)
+def test_reliable_transport_parked_run_matches_forced_awake_run(
+    scenario, drop, monkeypatch
+):
+    """With *drop*, every VCE booted inside the test drops that share of
+    all transmissions once the group has formed: the transport absorbs the
+    drops, so the group still parks."""
     boot = VirtualComputingEnvironment.boot
 
     def boot_lossy(vce):
-        vce.network.set_reliable()
         booted = boot(vce)
-        vce.network.set_drop_rate(0.05)
+        if drop:
+            vce.network.set_drop_rate(drop)
         return booted
 
     monkeypatch.setattr(VirtualComputingEnvironment, "boot", boot_lossy)
-
-
-@pytest.mark.parametrize("scenario", [_randomdag, _stencil, _quick_soak])
-def test_reliable_transport_parked_run_matches_forced_awake_run(
-    scenario, lossy_reliable, monkeypatch
-):
     parked = scenario()
     assert all(daemon.parked for daemon in parked.daemons.values())
 
@@ -162,9 +127,10 @@ def test_reliable_transport_parked_run_matches_forced_awake_run(
     # a quiet run: nobody was falsely suspected, so the view sequences
     # must match as well as the results
     assert not awake.sim.log.records(category="isis.failure_detected")
+    assert awake.network.messages_lost == 0
 
     # drops really happened, and parking really removed the beats
-    assert awake.network.retransmissions > 0
+    assert (awake.network.retransmissions > 0) == bool(drop)
     assert _beats(awake) > 10 * _beats(parked)
     assert _outcome(parked) == _outcome(awake)
 
@@ -174,11 +140,10 @@ def test_reliable_transport_parked_run_matches_forced_awake_run(
 
 def build_group(n, seed=0, require_majority=False, drop_rate=None):
     """n members on n hosts, settled: one view, everyone parked.  Members
-    are returned in rank order.  With a *drop_rate* the group runs over the
-    reliable transport, and settles again after that rate is set."""
+    are returned in rank order.  With a *drop_rate* the group settles again
+    after that rate is set."""
     sim, net, members = formed_group(
-        n, seed, IsisConfig(require_majority=require_majority),
-        reliable=drop_rate is not None,
+        n, seed, IsisConfig(require_majority=require_majority)
     )
     if drop_rate is not None:
         net.set_drop_rate(drop_rate)
@@ -222,7 +187,7 @@ def times(sim, category, **match):
     phase=st.floats(0.0, 1.0, exclude_max=True),
     require_majority=st.booleans(),
     seed=st.integers(0, 3),
-    # None: the datagram transport; a rate: parked under the reliable one
+    # None: no drops; a rate: parked under that drop rate
     drop_rate=st.one_of(st.none(), st.floats(0.0, 0.1, exclude_min=True)),
 )
 def test_fault_in_parked_group_detected_within_bounds(
@@ -274,53 +239,13 @@ def test_fault_in_parked_group_detected_within_bounds(
 # ------------------------------------------------------ group consistency
 
 
-@pytest.mark.parametrize("fault", ["kill", "crash-recover"])
-def test_dead_member_in_view_keeps_whole_group_awake(fault):
-    """The asymmetric case: the network is calm but one member is dead and
-    not yet evicted.  Parking is the coordinator's decision, so nobody
-    parks (a member that did would go stale and be suspected), no live
-    member is suspected, and the group parks again only once the eviction
-    view is installed."""
-    sim, net, members = build_group(4)
-    cfg = members[0].config
-    coordinator, victim = members[0], members[2]
-    survivors = [m for m in members if m is not victim]
-    old_view = coordinator.view.view_id
-    if fault == "kill":
-        victim.host.kill(victim.name)
-    else:
-        victim.host.crash()
-        victim.host.recover()
-    assert net.calm
-    fault_at = sim.now
-    evicted_at = None
-    while sim.now < fault_at + 10.0:
-        sim.run(until=sim.now + 0.05)
-        installed = all(m.view.view_id > old_view for m in survivors)
-        if not installed:
-            assert not any(m.parked for m in survivors), sim.now
-        elif evicted_at is None:
-            evicted_at = sim.now
-    assert evicted_at is not None
-    assert fault_at + cfg.hb_timeout < evicted_at
-    assert evicted_at <= fault_at + cfg.hb_timeout + cfg.hb_interval + 0.1
-    failed = {r.get("failed") for r in sim.log.records(category="isis.failure_detected")}
-    assert failed == {str(victim.address)}
-    assert not sim.log.records(category="isis.takeover")
-    assert all(victim.address not in m.view for m in survivors)
-    # the coordinator probes the departed member (it might lead a rival
-    # group) 20 times, every 4th tick, before it presumes it gone
-    assert not any(m.parked for m in survivors)
-    sim.run(until=sim.now + 20 * 4 * cfg.hb_interval + 2.0)
-    assert all(m.parked for m in survivors)
-
-
 def test_member_parks_only_on_a_current_order():
     """A park order is void once anything disturbed the network after it
     was sent: the member that receives it stays awake."""
     sim, net, members = build_group(3)
     net.set_latency_factor(1.0)  # an edge that leaves the network calm
-    assert net.calm and not any(m.parked for m in members)
+    assert net.calm_for(m.address for m in members)
+    assert not any(m.parked for m in members)
     # run tick by tick until the coordinator parks, then void its order
     # while the beats that carry it are still in flight
     while not members[0].parked:
@@ -355,37 +280,47 @@ def test_beat_in_flight_at_a_kill_vouches_for_nobody():
     assert detected and fault_at + cfg.hb_timeout - cfg.hb_interval < detected[0]
 
 
-@pytest.mark.parametrize("fault", ["crash", "kill"])
+@pytest.mark.parametrize("fault", ["crash", "kill", "crash-recover"])
 def test_named_death_under_the_reliable_transport_wakes_only_the_coordinator(
     fault,
 ):
-    """The scoped detector: a crash or kill names the dying member, so only
-    the coordinator wakes, and it watches that member alone; everyone else
-    keeps its park order and sends nothing.  The eviction's view change,
-    vouched for by the survivors' FlushOks, installs parked, although the
-    crashed host is still down."""
+    """The asymmetric case: one member is dead and not yet evicted.  A
+    crash or kill names the dying member, so only the coordinator wakes,
+    and it watches that member alone; everyone else keeps its park order
+    and sends nothing.  A recovery right after the crash is an edge that
+    names nobody and wakes everyone, but parking is the coordinator's
+    decision: nobody parks while the dead member is in the view, and no
+    live member is suspected.  The eviction's view change, vouched for by
+    the survivors' FlushOks, installs parked (the crashed host may still be
+    down), and the departed member is probed five times."""
     sim, net, members = build_group(4, drop_rate=0.05)
     cfg = members[0].config
     coordinator, victim = members[0], members[2]
     others = [m for m in members if m is not coordinator and m is not victim]
     old_view = coordinator.view.view_id
-    if fault == "crash":
-        victim.host.crash()
-    else:
+    if fault == "kill":
         victim.host.kill(victim.name)
-    assert not coordinator.parked and all(m.parked for m in others)
+    else:
+        victim.host.crash()
+        if fault == "crash-recover":
+            victim.host.recover()
+    named = fault != "crash-recover"
     ticks = [m._hb_ticks for m in others]
     fault_at = sim.now
     while coordinator.view.view_id == old_view:
+        assert not coordinator.parked
+        assert all(m.parked == named for m in others), sim.now
         sim.run(until=sim.now + 0.05)
-        assert all(m.parked for m in others), sim.now
         assert sim.now <= fault_at + cfg.hb_timeout + cfg.hb_interval + 0.1
-    assert [m._hb_ticks for m in others] == ticks
+    assert sim.now > fault_at + cfg.hb_timeout
+    if named:
+        assert [m._hb_ticks for m in others] == ticks
     sim.run(until=sim.now + 0.1)  # the NewView has arrived
     assert all(victim.address not in m.view for m in others)
     assert coordinator.parked and all(m.parked for m in others)
     failed = {r.get("failed") for r in sim.log.records(category="isis.failure_detected")}
     assert failed == {str(victim.address)}
+    assert not sim.log.records(category="isis.takeover")
     sent = net.messages_sent
     sim.run(until=sim.now + 100.0)
     # five probes of the departed member, and nothing else
@@ -427,7 +362,7 @@ def _vce(**config):
 
 
 def _assert_idle_and_silent(vce):
-    assert vce.network.calm
+    assert vce.network.calm_for(daemon.address for daemon in vce.daemons.values())
     assert all(daemon.parked for daemon in vce.daemons.values())
     assert len({daemon.view for daemon in vce.daemons.values()}) == 1
     sent, ticks = vce.network.messages_sent, vce.sim.telemetry.get("isis_hb_ticks_total").value
@@ -437,29 +372,26 @@ def _assert_idle_and_silent(vce):
 
 
 def test_restart_rejoins_and_parks_again():
+    """The crash names the daemon it kills, so only the coordinator wakes,
+    and the eviction installs parked; after the reboot (an edge that names
+    nobody) the new daemon rejoins and the group parks again."""
     vce = _vce()
-    assert all(daemon.parked for daemon in vce.daemons.values())
+    daemons = vce.daemons
+    assert all(daemon.parked for daemon in daemons.values())
+    leader = vce.leader_of(MachineClass.WORKSTATION)
+    bystanders = [d for d in daemons.values() if d is not leader and d.host.name != "ws2"]
     schedule = FaultSchedule("bounce")
     schedule.bounce(1.0, "ws2", down_for=6.0)
     vce.chaos(schedule)
-    vce.run(until=vce.sim.now + 5.0)
-    assert not vce.network.calm
-    assert not any(daemon.parked for daemon in vce.daemons.values())
+    start = vce.sim.now
+    while vce.sim.now < start + 6.5:
+        vce.run(until=vce.sim.now + 0.05)
+        assert all(daemon.parked for daemon in bystanders), vce.sim.now
+    assert not vce.network.calm_for(daemon.address for daemon in daemons.values())
+    assert "ws2" not in {m.host for m in leader.view.members}
+    assert leader.parked
     vce.run(until=vce.sim.now + 30.0)
     assert "ws2" in {m.host for m in vce.leader_of(MachineClass.WORKSTATION).view.members}
-    _assert_idle_and_silent(vce)
-
-
-@pytest.mark.parametrize("require_majority", [False, True])
-def test_heal_merges_and_parks_again(require_majority):
-    vce = _vce(isis=IsisConfig(require_majority=require_majority))
-    schedule = FaultSchedule("cut")
-    schedule.partition_window(1.0, 8.0, ["ws3"])
-    vce.chaos(schedule)
-    vce.run(until=vce.sim.now + 6.0)
-    assert not any(daemon.parked for daemon in vce.daemons.values())
-    vce.run(until=vce.sim.now + 60.0)
-    assert len(vce.leader_of(MachineClass.WORKSTATION).view) == 4
     _assert_idle_and_silent(vce)
 
 
@@ -467,12 +399,13 @@ def test_heal_merges_and_parks_again(require_majority):
 def test_partition_keeps_a_reliable_group_awake_and_probes_find_the_rival(
     require_majority,
 ):
-    """The reliable transport absorbs drops, not partitions: nobody parks
-    while the cut lasts, although each side evicts the other.  Departed
-    members no longer keep the group awake, so after the heal it is the
-    coordinators' backed-off probes that find the rival group (without
-    quorum the cut-off host leads a group of its own)."""
-    vce = _vce(isis=IsisConfig(require_majority=require_majority), reliable_transport=True)
+    """The transport absorbs drops, not partitions: nobody parks while the
+    cut lasts, although each side evicts the other.  Departed members do
+    not keep the group awake, so after the heal it is the coordinators'
+    backed-off probes that find the rival group (without quorum the
+    cut-off host leads a group of its own); the group merges and parks
+    again."""
+    vce = _vce(isis=IsisConfig(require_majority=require_majority))
     schedule = FaultSchedule("cut")
     schedule.partition_window(1.0, 8.0, ["ws3"])
     vce.chaos(schedule)

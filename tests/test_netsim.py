@@ -193,6 +193,30 @@ class TestNetwork:
         sim.run()
         assert echo.got == ["again"]
 
+    def test_heal_resends_a_blocked_message_within_one_wire_delay(self):
+        """A message held behind a partition goes out again the moment the
+        partition heals, not at its backed-off retry — which would also hold
+        every later message on the pair in the receiver's reorder buffer."""
+        model = LatencyModel(base_latency=0.01, bandwidth=1e9, jitter=0.0)
+        sim, net, h1, h2 = self._pair(latency=model)
+        sink, sender = _Recorder("sink"), SimProcess("sender")
+        h2.spawn(sink)
+        h1.spawn(sender)
+        net.partition({"h1"}, {"h2"})
+        net.send(sender.address, sink.address, "held")
+        # retries back off 0.05, 0.1, ... 1.6 s: the one due after 3.15 s
+        # is 6.35 s after the send
+        sim.run(until=4.0)
+        assert sink.got == []
+        net.heal()
+        net.send(sender.address, sink.address, "after")
+        sim.run(until=4.0 + 0.0101)
+        assert sink.got == ["held", "after"]
+        # the backoff timer of the re-sent message does nothing
+        sim.run()
+        assert sink.got == ["held", "after"]
+        assert net.duplicates_dropped == 0 and net.messages_lost == 0
+
     def test_drop_rate_one_drops_everything(self):
         sim, net, h1, h2 = self._pair()
         net.set_drop_rate(1.0)
@@ -219,15 +243,12 @@ class TestNetwork:
         assert net.messages_delivered == 2
         assert net.bytes_sent == 100 + 256
 
-    @pytest.mark.parametrize("reliable", [False, True])
-    def test_delivered_counts_only_what_a_live_process_received(self, reliable):
+    def test_delivered_counts_only_what_a_live_process_received(self):
         """Three sends: one to a live process, two to a host that crashed
         (one of them to a process that never existed)."""
         sim = Simulator(0)
         net = Network(sim)
         h1, h2, h3 = (net.add_host(name) for name in ("h1", "h2", "h3"))
-        if reliable:
-            net.set_reliable()
         sender, alive, doomed = SimProcess("sender"), _Echo("alive"), _Echo("doomed")
         h1.spawn(sender)
         h2.spawn(alive)
@@ -270,7 +291,8 @@ _RELIABLE_HOSTS = ("h0", "h1", "h2")
 
 
 class TestReliableTransport:
-    """The contract of ``set_reliable()`` under every fault knob at once."""
+    """The transport's delivery contract under every fault knob at once:
+    per-pair FIFO, at most once, loss only as counted abandonment."""
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -298,12 +320,11 @@ class TestReliableTransport:
         wedged behind an abandoned sequence number; and a probe sent once
         the faults stop arrives last."""
         sim = Simulator(seed)
-        net = Network(sim)
+        net = Network(sim, transport=TransportConfig(max_retries=max_retries))
         recorders = {}
         for name in _RELIABLE_HOSTS:
             recorders[name] = _Recorder("p")
             net.add_host(name).spawn(recorders[name])
-        net.set_reliable(TransportConfig(max_retries=max_retries))
         net.set_drop_rate(drop)
         net.set_duplicate_rate(duplicate)
         net.set_reorder_rate(reorder, spread=0.05)

@@ -555,7 +555,7 @@ def test_allocation_epochs_unique_under_random_faults(schedule):
     from repro.migration.failover import FailoverConfig
     from repro.workloads import build_pipeline_graph
 
-    config = VCEConfig(seed=1, reliable_transport=True, failover=FailoverConfig())
+    config = VCEConfig(seed=1, failover=FailoverConfig())
     vce = VirtualComputingEnvironment(workstation_cluster(4), config).boot()
     vce.chaos(schedule)
     vce.submit(build_pipeline_graph(stages=2, stage_work=6.0, name="prop"))
@@ -690,7 +690,7 @@ def test_sampler_matches_reference_poller_under_chaos_mix(seed):
     from repro.workloads import WEATHER_SCRIPT, build_pipeline_graph, weather_programs
 
     def scenario():
-        config = VCEConfig(seed=seed, reliable_transport=True, failover=FailoverConfig())
+        config = VCEConfig(seed=seed, failover=FailoverConfig())
         vce = VirtualComputingEnvironment(heterogeneous_cluster(), config).boot()
         vce.chaos("chaos-mix", seed=seed)
         runs = [
