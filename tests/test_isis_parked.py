@@ -11,7 +11,8 @@ These tests hold the contract that makes that safe:
   group is detected within ``hb_timeout + hb_interval`` and the oldest
   survivor takes over within ``hb_timeout * (1 + rank) + hb_interval``;
 - **group consistency** — with one dead member still in the view the
-  coordinator does not park and no live member is suspected;
+  coordinator does not park (in an awake group, nobody does) and no live
+  member is suspected;
 - **re-parking** — after heal / restart the group parks again and sends
   nothing for 100 idle simulated seconds.
 """
@@ -280,41 +281,34 @@ def test_beat_in_flight_at_a_kill_vouches_for_nobody():
     assert detected and fault_at + cfg.hb_timeout - cfg.hb_interval < detected[0]
 
 
-@pytest.mark.parametrize("fault", ["crash", "kill", "crash-recover"])
+@pytest.mark.parametrize("fault", ["crash", "kill"])
 def test_named_death_under_the_reliable_transport_wakes_only_the_coordinator(
     fault,
 ):
-    """The asymmetric case: one member is dead and not yet evicted.  A
-    crash or kill names the dying member, so only the coordinator wakes,
-    and it watches that member alone; everyone else keeps its park order
-    and sends nothing.  A recovery right after the crash is an edge that
-    names nobody and wakes everyone, but parking is the coordinator's
-    decision: nobody parks while the dead member is in the view, and no
-    live member is suspected.  The eviction's view change, vouched for by
-    the survivors' FlushOks, installs parked (the crashed host may still be
-    down), and the departed member is probed five times."""
+    """The asymmetric case on a parked group: one member is dead and not
+    yet evicted.  A crash or kill names the dying member, so only the
+    coordinator wakes, and it watches that member alone; everyone else
+    keeps its park order and sends nothing.  The eviction's view change,
+    vouched for by the survivors' FlushOks, installs parked (the crashed
+    host is still down), and the departed member is probed five times."""
     sim, net, members = build_group(4, drop_rate=0.05)
     cfg = members[0].config
     coordinator, victim = members[0], members[2]
     others = [m for m in members if m is not coordinator and m is not victim]
     old_view = coordinator.view.view_id
-    if fault == "kill":
-        victim.host.kill(victim.name)
-    else:
+    if fault == "crash":
         victim.host.crash()
-        if fault == "crash-recover":
-            victim.host.recover()
-    named = fault != "crash-recover"
+    else:
+        victim.host.kill(victim.name)
     ticks = [m._hb_ticks for m in others]
     fault_at = sim.now
     while coordinator.view.view_id == old_view:
         assert not coordinator.parked
-        assert all(m.parked == named for m in others), sim.now
+        assert all(m.parked for m in others), sim.now
         sim.run(until=sim.now + 0.05)
         assert sim.now <= fault_at + cfg.hb_timeout + cfg.hb_interval + 0.1
     assert sim.now > fault_at + cfg.hb_timeout
-    if named:
-        assert [m._hb_ticks for m in others] == ticks
+    assert [m._hb_ticks for m in others] == ticks
     sim.run(until=sim.now + 0.1)  # the NewView has arrived
     assert all(victim.address not in m.view for m in others)
     assert coordinator.parked and all(m.parked for m in others)
@@ -325,6 +319,50 @@ def test_named_death_under_the_reliable_transport_wakes_only_the_coordinator(
     sim.run(until=sim.now + 100.0)
     # five probes of the departed member, and nothing else
     assert net.messages_sent - sent == 5
+
+
+@pytest.mark.parametrize("fault", ["kill", "crash-recover"])
+def test_dead_member_in_view_keeps_whole_group_awake(fault):
+    """The asymmetric case on an awake group: one member is dead and not
+    yet evicted while every member is awake, either because an edge that
+    names nobody woke the group just before a kill, or because the host
+    recovered right after its crash (an edge of its own).  Parking is the
+    coordinator's decision, so nobody parks while the dead member is in
+    the view (a member that did would go stale and be suspected), no live
+    member is suspected, and the group parks again once the eviction view
+    is installed."""
+    sim, net, members = build_group(4)
+    cfg = members[0].config
+    coordinator, victim = members[0], members[2]
+    survivors = [m for m in members if m is not victim]
+    old_view = coordinator.view.view_id
+    if fault == "kill":
+        net.set_latency_factor(1.0)  # wake everyone
+        victim.host.kill(victim.name)
+    else:
+        victim.host.crash()
+        victim.host.recover()
+    assert not any(m.parked for m in survivors)
+    fault_at = sim.now
+    evicted_at = None
+    while sim.now < fault_at + 10.0:
+        sim.run(until=sim.now + 0.05)
+        installed = all(m.view.view_id > old_view for m in survivors)
+        if not installed:
+            assert not any(m.parked for m in survivors), sim.now
+        elif evicted_at is None:
+            evicted_at = sim.now
+    assert evicted_at is not None
+    assert fault_at + cfg.hb_timeout < evicted_at
+    assert evicted_at <= fault_at + cfg.hb_timeout + cfg.hb_interval + 0.1
+    failed = {r.get("failed") for r in sim.log.records(category="isis.failure_detected")}
+    assert failed == {str(victim.address)}
+    assert not sim.log.records(category="isis.takeover")
+    assert all(victim.address not in m.view for m in survivors)
+    assert all(m.parked for m in survivors)
+    ticks = [m._hb_ticks for m in survivors]
+    sim.run(until=sim.now + 100.0)
+    assert [m._hb_ticks for m in survivors] == ticks
 
 
 def test_coordinator_death_wakes_every_member_under_the_reliable_transport():
@@ -392,6 +430,27 @@ def test_restart_rejoins_and_parks_again():
     assert leader.parked
     vce.run(until=vce.sim.now + 30.0)
     assert "ws2" in {m.host for m in vce.leader_of(MachineClass.WORKSTATION).view.members}
+    _assert_idle_and_silent(vce)
+
+
+@pytest.mark.parametrize("require_majority", [False, True])
+def test_heal_merges_and_parks_again(require_majority):
+    """An even split: without quorum each half forms a group of its own,
+    and the two merge after the heal; with quorum neither half may install
+    a view, so the old one outlasts the cut.  Either way nobody parks while
+    the cut lasts, and afterwards the group is whole and parks again."""
+    vce = _vce(isis=IsisConfig(require_majority=require_majority))
+    before = vce.leader_of(MachineClass.WORKSTATION).view
+    schedule = FaultSchedule("cut")
+    schedule.partition_window(1.0, 8.0, ["ws2", "ws3"])
+    vce.chaos(schedule)
+    vce.run(until=vce.sim.now + 6.0)
+    assert not any(daemon.parked for daemon in vce.daemons.values())
+    vce.run(until=vce.sim.now + 60.0)
+    merged = vce.sim.log.records(category="isis.group_merge")
+    assert bool(merged) != require_majority
+    after = vce.leader_of(MachineClass.WORKSTATION).view
+    assert (after == before) == require_majority and len(after) == 4
     _assert_idle_and_silent(vce)
 
 

@@ -243,12 +243,19 @@ class TestNetwork:
         assert net.messages_delivered == 2
         assert net.bytes_sent == 100 + 256
 
-    def test_delivered_counts_only_what_a_live_process_received(self):
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_delivered_counts_only_what_a_live_process_received(self, faulty):
         """Three sends: one to a live process, two to a host that crashed
-        (one of them to a process that never existed)."""
+        (one of them to a process that never existed).  On a *faulty*
+        network every transmission is duplicated and half are dropped: the
+        transport's retransmissions and duplicate copies count neither as
+        sent nor as delivered."""
         sim = Simulator(0)
         net = Network(sim)
         h1, h2, h3 = (net.add_host(name) for name in ("h1", "h2", "h3"))
+        if faulty:
+            net.set_drop_rate(0.5)
+            net.set_duplicate_rate(1.0)
         sender, alive, doomed = SimProcess("sender"), _Echo("alive"), _Echo("doomed")
         h1.spawn(sender)
         h2.spawn(alive)
@@ -261,6 +268,8 @@ class TestNetwork:
         assert alive.got == ["x"] and doomed.got == []
         # the echo goes back to a process that ignores it, but receives it
         assert (net.messages_sent, net.messages_delivered) == (4, 2)
+        if faulty:
+            assert net.duplicates_dropped > 0 and net.retransmissions > 0
 
     def test_determinism_same_seed(self):
         def run(seed):
