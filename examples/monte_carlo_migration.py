@@ -54,7 +54,7 @@ def main() -> None:
     print(f"\n(workers were frozen only during dump transfers: "
           f"{total_frozen:.1f}s total across {len(spans)} freezes — "
           "contrast with the suspend-until-idle policy in "
-          "benchmarks/bench_e6_ripple.py)")
+          "tests/test_paper_claims.py::test_e6_ripple_effect)")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ the compilation manager with anticipatory compilation, the Figure-3 bidding
 scheduler with group leaders and priority aging, the runtime manager, four
 process-migration schemes, load-balancing policies, fault injection, the
 application description script language, and the workloads and metrics used
-by the benchmark suite.
+by the paper-claim tests.
 
 Start with :class:`repro.core.VirtualComputingEnvironment`.
 """

@@ -117,7 +117,7 @@ class Race:
 
 def _rel(path: str) -> str:
     """Shorten an absolute module path to something report-friendly."""
-    for anchor in ("src/", "tests/", "benchmarks/"):
+    for anchor in ("src/", "tests/"):
         idx = path.find(anchor)
         if idx >= 0:
             return path[idx:]

@@ -27,11 +27,6 @@ class VCEConfig:
             outcome parity only.
         latency: LAN latency/bandwidth model.
         daemon: scheduler-daemon policy knobs.
-        leader_fanout: sub-leader cells per group leader (hierarchical
-            bidding; see :mod:`repro.scheduler.hierarchy` and
-            docs/SCALE.md).  1 — the default — keeps the paper's flat
-            full-group broadcast byte-identical to earlier builds; >1
-            overrides :attr:`DaemonConfig.leader_fanout` on every daemon.
         tenants: tenant populations for multi-tenant runs (see
             :class:`~repro.core.tenancy.TenantSpec`).  The environment
             builds a :class:`~repro.core.tenancy.TenantRegistry` from them
@@ -91,7 +86,6 @@ class VCEConfig:
     backend: str = "serial"
     latency: LatencyModel = field(default_factory=LatencyModel)
     daemon: DaemonConfig = field(default_factory=DaemonConfig)
-    leader_fanout: int = 1
     tenants: tuple[TenantSpec, ...] = ()
     isis: IsisConfig = field(default_factory=IsisConfig)
     settle_time: float = 15.0

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from dataclasses import replace
-
 from repro.compilation.anticipatory import AnticipatoryEngine
 from repro.compilation.manager import CompilationManager
 from repro.core.config import VCEConfig
@@ -68,20 +66,6 @@ class VirtualComputingEnvironment:
                 "backend='network' runs daemons as real processes and is "
                 "driven by repro.netexec.NetworkVCE, not the in-process "
                 "VirtualComputingEnvironment (see docs/NETWORK.md)"
-            )
-        if self.config.leader_fanout < 1:
-            raise ConfigurationError(
-                f"leader_fanout must be >= 1, got {self.config.leader_fanout}"
-            )
-        # VCEConfig.leader_fanout overrides the per-daemon knob so callers
-        # can flip hierarchy on without rebuilding a DaemonConfig
-        self._daemon_config = self.config.daemon
-        if (
-            self.config.leader_fanout != 1
-            and self._daemon_config.leader_fanout != self.config.leader_fanout
-        ):
-            self._daemon_config = replace(
-                self._daemon_config, leader_fanout=self.config.leader_fanout
             )
         self.sim = create_simulator(self.config.seed, backend=self.config.backend)
         if self.config.telemetry:
@@ -149,7 +133,7 @@ class VirtualComputingEnvironment:
             )
             daemon = SchedulerDaemon(
                 "vced", machine, self.directory, contacts,
-                self._daemon_config, self.config.isis,
+                self.config.daemon, self.config.isis,
             )
             host.spawn(daemon)
             first_of_class.setdefault(machine.arch_class, daemon.address)
@@ -456,7 +440,7 @@ class VirtualComputingEnvironment:
                 break
         daemon = SchedulerDaemon(
             "vced", machine, self.directory, contacts,
-            self._daemon_config, self.config.isis,
+            self.config.daemon, self.config.isis,
         )
         host.spawn(daemon)
         # in place: the telemetry sampler/watchdog hold this same dict

@@ -268,6 +268,11 @@ class IsisMember(SimProcess):
             # another coordinator exists (concurrent takeovers formed
             # rival groups): resolve deterministically and merge
             self._on_rival_coordinator(msg)
+        elif msg.view_id > view.view_id and msg.sender in view and self.is_coordinator:
+            # a member of our view coordinates a newer one: the group went
+            # on without us (e.g. we were cut off with no quorum), so our
+            # view is dead — rejoin through its coordinator
+            self._on_evicted(msg.sender, Evicted(msg.view_id, msg.sender))
         elif msg.view_id >= view.view_id and msg.sender in view:
             self._last_coord_seen = self.now
             if msg.sender == me:

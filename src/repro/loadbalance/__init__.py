@@ -15,7 +15,7 @@ initiated processes increase" on a machine hosting remote VCE work:
 
 :class:`LoadBalancer` polls machine loads and applies a pluggable
 :class:`BalancingPolicy`; :class:`SuspendResumePolicy` and
-:class:`MigrateOnLoadPolicy` implement the two philosophies (benchmark E6
+:class:`MigrateOnLoadPolicy` implement the two philosophies (experiment E6
 compares them), and :class:`NoActionPolicy` is the control.
 """
 

@@ -1,4 +1,4 @@
-"""Plain-text tables and series for benchmark output."""
+"""Plain-text tables and series for experiment output."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ def _fmt(value: Any) -> str:
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str = "") -> str:
-    """Monospace table; the benchmark harness prints these as the paper's
+    """Monospace table; the paper-claim tests print these as the paper's
     'tables'."""
     cells = [[_fmt(v) for v in row] for row in rows]
     widths = [

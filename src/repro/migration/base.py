@@ -43,7 +43,7 @@ class MigrationScheme(abc.ABC):
     destination. Schemes emit ``migration.*`` events for the metrics layer.
     """
 
-    #: scheme name used in events and benchmark tables
+    #: scheme name used in events and experiment tables
     name: str = "abstract"
 
     def __init__(self, context: MigrationContext) -> None:

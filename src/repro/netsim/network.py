@@ -132,7 +132,7 @@ class Network:
             plain model delivers every message independently, which is
             adequate for control traffic but understates the cost of
             fan-out-heavy data patterns like alltoall (ablated in
-            benchmark E12b).
+            experiment E12b).
         transport: retransmission timing (default :class:`TransportConfig`).
         """
         self.sim = sim
@@ -166,9 +166,9 @@ class Network:
         self._routes: dict[frozenset[str], LatencyModel] = {}
         self.transport = transport or TransportConfig()
         self._pairs: dict[tuple[str, str], _PairState] = {}
-        #: (src host, dst host, seq) -> (message, next attempt) of every
-        #: message waiting on a retransmission timer
-        self._held: dict[tuple[str, str, int], tuple[Message, int]] = {}
+        #: (src host, dst host, seq) -> (message, next attempt, its backoff
+        #: timer) of every message waiting on a retransmission timer
+        self._held: dict[tuple[str, str, int], tuple[Message, int, Any]] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.bytes_sent = 0
@@ -334,7 +334,8 @@ class Network:
         self.disturb()
         self._partitions = None
         held, self._held = self._held, {}
-        for (_, _, seq), (message, attempt) in held.items():
+        for (_, _, seq), (message, attempt, timer) in held.items():
+            timer.cancel()
             self._transmit(message, seq, attempt)
 
     def _connected(self, a: str, b: str) -> bool:
@@ -420,12 +421,12 @@ class Network:
             self._tel_inc("net_retransmits_total", "reliable-transport retransmissions")
             self.sim.emit(self._retransmits, src_host, dst_host, seq, attempt + 1)
             key = (src_host, dst_host, seq)
-            self._held[key] = (message, attempt + 1)
-            self.sim.schedule(
+            timer = self.sim.schedule(
                 cfg.retry_delay(attempt),
-                lambda: self._retry(key, attempt + 1),
+                lambda: self._retry(key),
                 host=src_host,  # the retransmit timer runs on the sender
             )
+            self._held[key] = (message, attempt + 1, timer)
             return
         arrival = self.sim.now + self._wire_delay(src_host, dst_host, message.size)
         if self._reorder_rate > 0.0 and self._reorder_rng.random() < self._reorder_rate:
@@ -439,13 +440,11 @@ class Network:
             copy_at = arrival + self.latency.local_latency
             self.sim.schedule_at(copy_at, lambda: self._arrive(message, seq), host=dst_host)
 
-    def _retry(self, key: tuple[str, str, int], attempt: int) -> None:
-        """The backoff timer of *attempt*: a no-op once :meth:`heal` has
-        re-sent the message (and maybe held it again for a later attempt)."""
-        held = self._held.get(key)
-        if held is not None and held[1] == attempt:
-            del self._held[key]
-            self._transmit(held[0], key[2], attempt)
+    def _retry(self, key: tuple[str, str, int]) -> None:
+        """The backoff timer of a held message (:meth:`heal` cancels it
+        when it re-sends the message first)."""
+        message, attempt, _timer = self._held.pop(key)
+        self._transmit(message, key[2], attempt)
 
     def _arrive(self, message: Message, seq: int) -> None:
         """Receiver side: dedup by sequence number, restore order, deliver."""

@@ -14,7 +14,7 @@ decide which machine runs which task instance. Policies provided:
   there are no other idle [machines] available — the second job should be
   made to wait".
 - :func:`random_assignment`, :func:`round_robin_assignment` — baselines
-  for benchmark E2.
+  for experiment E2.
 
 All policies take ``needs``: a list of ``(task, rank, candidates)`` where
 *candidates* is the subset of offered machine names this instance may use

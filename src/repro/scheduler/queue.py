@@ -8,7 +8,7 @@ modify the priorities of particular applications." (§4.3)
 
 Effective priority = base priority + aging_rate × wait time. The queue pops
 in descending effective priority; with ``aging_rate = 0`` this degrades to
-strict base-priority order, which is what benchmark E4 contrasts against.
+strict base-priority order, which is what experiment E4 contrasts against.
 
 Implementation note: aging raises every queued item's effective priority at
 the *same* rate, so the difference between any two items is constant over

@@ -1,5 +1,4 @@
-"""Helpers to stand up a full VCE (daemons + directory + runtime) in tests
-and benchmarks.
+"""Helpers to stand up a full VCE (daemons + directory + runtime) in tests.
 
 Machine *composition* lives in :mod:`repro.core.cluster` — the helpers here
 only add what tests need on top: per-machine load/speed overrides
@@ -115,10 +114,14 @@ def make_full_vce(
     **config_kw,
 ) -> VirtualComputingEnvironment:
     """Boot the real environment facade on a small workstation cluster —
-    the builder for hierarchy/tenancy/soak tests (``leader_fanout``,
-    ``tenants=``, backend selection all flow through *config_kw*)."""
+    the builder for hierarchy/tenancy/soak tests (*fanout* is
+    ``DaemonConfig.leader_fanout``; ``tenants=`` and backend selection
+    flow through *config_kw*)."""
     config = VCEConfig(
-        seed=seed, leader_fanout=fanout, settle_time=settle, **config_kw
+        seed=seed,
+        daemon=DaemonConfig(leader_fanout=fanout),
+        settle_time=settle,
+        **config_kw,
     )
     return VirtualComputingEnvironment(
         machines if machines is not None else workstation_cluster(n_machines),

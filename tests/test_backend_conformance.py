@@ -384,6 +384,7 @@ def _run_fan_apps(fanout: int, hb_sanitizer: bool = False):
     completion; returns the VCE (digest, log, daemons all inspectable)."""
     from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
     from repro.machines import MachineClass
+    from repro.scheduler.daemon import DaemonConfig
     from repro.scheduler.execution_program import RunState
     from repro.sdm import ProblemSpecification
     from repro.taskgraph import ProblemClass
@@ -394,7 +395,7 @@ def _run_fan_apps(fanout: int, hb_sanitizer: bool = False):
         VCEConfig(
             seed=7,
             hb_sanitizer=hb_sanitizer,
-            leader_fanout=fanout,
+            daemon=DaemonConfig(leader_fanout=fanout),
             settle_time=20.0,
         ),
     ).boot()
@@ -465,20 +466,6 @@ class TestHierarchyConformance:
         for daemon in flat.daemons.values():
             assert daemon.delegations_sent == daemon.requests_led
             assert daemon.members_polled == 9 * daemon.requests_led
-
-    def test_fanout1_config_matches_daemon_default(self):
-        """VCEConfig(leader_fanout=1) and an untouched DaemonConfig are the
-        same degenerate hierarchy — digests must agree."""
-        from repro.trace.replay import event_log_digest
-        from tests.helpers_sched import make_full_vce
-
-        explicit = make_full_vce(n_machines=4, fanout=1, settle=20.0)
-        implicit = make_full_vce(n_machines=4, settle=20.0)
-        explicit.sim.run(until=40.0)
-        implicit.sim.run(until=40.0)
-        assert event_log_digest(explicit.sim.log) == event_log_digest(
-            implicit.sim.log
-        )
 
     def test_hierarchical_digest_backend_invariant(self):
         """A fanout-3 run replays byte-identically through the backend

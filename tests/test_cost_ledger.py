@@ -15,15 +15,21 @@ and how much of the program it took to do it:
   skipped because whether they run depends on what ran before). The soak
   rows have none: profiling slows a run about sevenfold;
 - soak rows also record ``submitted``, ``admitted``, ``completed``,
-  ``failed``, ``peak_live_instances`` and ``bid_fanout_per_round``.
+  ``failed``, ``peak_live_instances`` and ``bid_fanout_per_round``;
+- the ``weather_*`` rows run one scenario under four observer sets, so
+  ``calls.telemetry``, ``calls.controlplane`` and ``calls.analysis`` are
+  what each observer costs (a run with telemetry off has no ``samples``);
+- ``faults_e9`` records its recovery latencies, injected faults,
+  retransmissions and makespan; ``faults_e9_calm`` is its fault-free twin.
 
-Every field is a count or a digest of a seeded run, so the comparison is
-exact: the ledger is also the whole-run determinism gate. It was generated
-in another process, so nondeterminism that leaks into the event schedule
-(hash-randomized set iteration, unseeded RNG, wall-clock reads) fails it
-under a randomized ``PYTHONHASHSEED`` even when one process agrees with
-itself. A change that makes a run do more work shows up as the field that
-moved, e.g. ``dense: calls.taskgraph 21124 -> 21365``.
+Every field is a count, a digest or a simulated time of a seeded run, so
+the comparison is exact: the ledger is also the whole-run determinism
+gate. It was generated in another process, so nondeterminism that leaks
+into the event schedule (hash-randomized set iteration, unseeded RNG,
+wall-clock reads) fails it under a randomized ``PYTHONHASHSEED`` even when
+one process agrees with itself. A change that makes a run do more work shows up as the field that
+moved, e.g. ``dense: calls.taskgraph 21124 -> 21365``. What it cannot see
+is a call that does the same work more slowly: wall time is perfbench's.
 
 Regenerate after an *intended* change to what a run does::
 
@@ -37,6 +43,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -49,6 +56,9 @@ from repro.core import (
     heterogeneous_cluster,
     workstation_cluster,
 )
+from repro.controlplane.entities import ControlPlaneModel
+from repro.controlplane.hub import SubscriptionHub, topic_matches
+from repro.faults.schedule import FaultSchedule
 from repro.machines import MachineClass
 from repro.migration.failover import FailoverConfig
 from repro.netsim import Simulator
@@ -57,6 +67,7 @@ from repro.scheduler import SchedulerDaemon
 from repro.scheduler.execution_program import RunState
 from repro.soak import SoakConfig, run_soak
 from repro.telemetry.registry import exponential_bounds
+from repro.telemetry.sampler import ClusterSampler
 from repro.trace.replay import event_log_digest
 from repro.util.eventlog import Category
 from repro.workloads import (
@@ -111,6 +122,80 @@ def _chaos_mix(seed: int):
     return vce, sum(len(run.app.records) for run in runs), {}
 
 
+#: the smallest latency factor above 1: every delay stays what it was to
+#: within an ulp, but no group parks, so the observers see the failure
+#: detector's beats and every grid tick is a live sample
+AWAKE = math.nextafter(1.0, 2.0)
+
+
+def _weather(telemetry: bool = True, controlplane: bool = False, sanitizer: bool = False):
+    """E1's weather script (hetero:6,2,1, seed 5) with the failure detector
+    awake, under one set of observers; with *controlplane*, the entity
+    model feeds a subscriber that never drains (its 64-event queue takes
+    every publish: 76 of the 122 coalesce, none is dropped)."""
+    vce = VirtualComputingEnvironment(
+        heterogeneous_cluster(n_workstations=6),
+        VCEConfig(seed=5, telemetry=telemetry, hb_sanitizer=sanitizer),
+    )
+    vce.network.set_latency_factor(AWAKE)  # before boot: nothing parks
+    vce.boot()
+    if controlplane:
+        hub = ControlPlaneModel(vce).attach().hub
+        slow = hub.subscribe("ledger-slow", limit=64)
+    run = vce.run_script(
+        WEATHER_SCRIPT,
+        weather_programs(predict_work=200.0),
+        works={"collector": 20, "usercollect": 10, "predictor": 200, "display": 2},
+        name="snow",
+    )
+    vce.run_to_completion(run, timeout=5_000.0)
+    assert run.state is RunState.DONE, run.error
+    extra = {}
+    if controlplane:
+        extra.update(hub_published=hub.published, hub_matched=slow.matched)
+    if sanitizer:
+        extra.update(
+            hb_nodes=vce.hb_tracker.nodes, protocol_violations=vce.protocol_monitor.violations
+        )
+    return vce, len(run.app.records), extra
+
+
+def _faults_e9(faulty: bool):
+    """E9c's run: a 4-stage pipeline under the fault-tolerant layer on
+    ws:8, seed 15; when *faulty*, the host running the current stage is
+    bounced for 4 s."""
+    config = VCEConfig(seed=15, failover=FailoverConfig())
+    vce = VirtualComputingEnvironment(workstation_cluster(8), config).boot()
+    run = vce.submit(build_pipeline_graph(stages=4, stage_work=20.0, name="pipe"))
+    if faulty:
+        vce.run(until=vce.sim.now + 5.0)  # let a stage start executing
+        victim = next(
+            record.host_name
+            for record in run.app.records.values()
+            if record.host_name is not None
+        )
+        vce.chaos(FaultSchedule("bounce").bounce(0.0, victim, down_for=4.0))
+    vce.run_to_completion(run, timeout=2_000.0)
+    assert run.state is RunState.DONE, run.error
+    vce.run(until=vce.sim.now + 10.0)  # drain trailing recovery events
+    if not faulty:
+        return vce, len(run.app.records), {"makespan": run.app.makespan}
+    strands = {}
+    latencies = []  # strand -> redispatch, per (app, task, rank)
+    for record in vce.sim.log.records(category="recovery.strand"):
+        strands[(record.source, record.get("task"), record.get("rank"))] = record.time
+    for record in vce.sim.log.records(category="recovery.redispatch"):
+        key = (record.source, record.get("task"), record.get("rank"))
+        if key in strands:
+            latencies.append(record.time - strands.pop(key))
+    return vce, len(run.app.records), {
+        "recovery_latencies": latencies,
+        "injected": vce.chaos_controller.report(),
+        "retransmissions": vce.network.retransmissions,
+        "makespan": run.app.makespan,
+    }
+
+
 #: the flat (fanout 1) and hierarchical twins place identical workloads,
 #: so their bid fan-out per round is comparable
 SOAK = dict(
@@ -140,6 +225,14 @@ SCENARIOS = {
     "sparse": lambda: _dag(4, 50, seed=1, min_work=2.0, max_work=20.0),
     "soak_flat": lambda: _soak(fanout=1),
     "soak_hier": lambda: _soak(fanout=4),
+    "weather_quiet": lambda: _weather(telemetry=False),
+    "weather_telemetry": lambda: _weather(),
+    "weather_controlplane": lambda: _weather(controlplane=True),
+    "weather_sanitizer": lambda: _weather(sanitizer=True),
+    "faults_e9": lambda: _faults_e9(faulty=True),
+    # its fault-free twin is a row of its own: a scenario keeps one
+    # environment alive, and a dropped one would be cyclic garbage
+    "faults_e9_calm": lambda: _faults_e9(faulty=False),
 }
 
 
@@ -182,10 +275,10 @@ def measure(name: str) -> dict:
         "digest": event_log_digest(vce.sim.log),
         "events": vce.sim.events_processed,
         "records": sum(vce.sim.log.category_counts().values()),
-        "samples": vce.telemetry.sampler.ticks,
-        "units": units,
-        **extra,
     }
+    if vce.telemetry is not None:
+        row["samples"] = vce.telemetry.sampler.ticks
+    row.update(units=units, **extra)
     if calls:
         row["calls"] = dict(sorted(calls.items()))
     return row
@@ -302,6 +395,36 @@ def test_ledger_catches_a_second_emit_repack(monkeypatch):
     monkeypatch.setattr(Simulator, "emit", repacking_emit)
     failures = compare("stencil_quick", measure("stencil_quick"), ledger()["stencil_quick"])
     assert any(f.startswith("stencil_quick: calls.util ") for f in failures), failures
+
+
+def test_ledger_catches_an_extra_call_per_grid_tick(monkeypatch):
+    """One more registry lookup per sampler grid tick moves
+    ``weather_telemetry``'s ``calls.telemetry``."""
+    grid_point = ClusterSampler._grid_point
+
+    def looking_up_grid_point(self):
+        self.sim.telemetry.get("isis_hb_ticks_total")
+        grid_point(self)
+
+    monkeypatch.setattr(ClusterSampler, "_grid_point", looking_up_grid_point)
+    name = "weather_telemetry"
+    failures = compare(name, measure(name), ledger()[name])
+    assert any(f.startswith(f"{name}: calls.telemetry ") for f in failures), failures
+
+
+def test_ledger_catches_an_extra_call_per_publish(monkeypatch):
+    """One more topic match per hub publish moves
+    ``weather_controlplane``'s ``calls.controlplane``."""
+    publish = SubscriptionHub.publish
+
+    def matching_publish(self, topic, *args, **kwargs):
+        topic_matches(topic, ())
+        return publish(self, topic, *args, **kwargs)
+
+    monkeypatch.setattr(SubscriptionHub, "publish", matching_publish)
+    name = "weather_controlplane"
+    failures = compare(name, measure(name), ledger()[name])
+    assert any(f.startswith(f"{name}: calls.controlplane ") for f in failures), failures
 
 
 if __name__ == "__main__":

@@ -477,6 +477,25 @@ def test_partition_keeps_a_reliable_group_awake_and_probes_find_the_rival(
     _assert_idle_and_silent(vce)
 
 
+@pytest.mark.parametrize("hosts, cut", [(4, ["ws0"]), (5, ["ws0", "ws1"])])
+def test_cut_off_coordinator_learns_it_was_evicted(hosts, cut):
+    """Under quorum a coordinator cut off with a minority is blocked; the
+    majority's coordinator answers its beats after the heal with its own,
+    for a newer view, and that is how the blocked one learns it was
+    evicted: it rejoins, and within ``hb_timeout`` of the heal the group
+    is whole and parked."""
+    isis = IsisConfig(require_majority=True)
+    vce = VirtualComputingEnvironment(
+        workstation_cluster(hosts), VCEConfig(seed=2, isis=isis)
+    ).boot()
+    schedule = FaultSchedule("cut")
+    schedule.partition_window(1.0, 8.0, cut)
+    vce.chaos(schedule)
+    vce.run(until=vce.sim.now + 1.0 + 8.0 + isis.hb_timeout)
+    assert len(vce.leader_of(MachineClass.WORKSTATION).view) == hosts
+    _assert_idle_and_silent(vce)
+
+
 # ------------------------------------------------------------ idle kernel
 
 
