@@ -107,7 +107,9 @@ class VirtualComputingEnvironment:
         self.migration = MigrationSelector(
             MigrationContext(self.runtime, self.network, self.compilation)
         )
-        self.faults = FaultInjector(self.sim, self.network)
+        self.faults = FaultInjector(
+            self.sim, self.network, restart_daemon=self.restart_daemon
+        )
         self.chaos_controller = ChaosController(
             self.sim, self.network, restart_daemon=self.restart_daemon
         )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machines.archclass import MachineClass
@@ -12,11 +12,27 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class FaultInjector:
-    """Schedules crashes, recoveries, and churn on a simulated cluster."""
+    """Schedules crashes, recoveries, and churn on a simulated cluster.
 
-    def __init__(self, sim: "Simulator", network: "Network") -> None:
+    Args:
+        sim: the simulator.
+        network: the cluster network.
+        restart_daemon: called with a host name after the host recovers, to
+            reboot its scheduler daemon (the VCE supplies
+            :meth:`~repro.core.environment.VirtualComputingEnvironment
+            .restart_daemon`, as it does to the chaos controller). When
+            None, a recovery only brings the host back up.
+    """
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        network: "Network",
+        restart_daemon: Callable[[str], None] | None = None,
+    ) -> None:
         self.sim = sim
         self.network = network
+        self.restart_daemon = restart_daemon
         self._rng = sim.rng.stream("faults")
         self.crashes = 0
 
@@ -40,6 +56,8 @@ class FaultInjector:
             if not host.up:
                 self.sim.emit("fault.recover", host_name)
                 host.recover()
+                if self.restart_daemon is not None:
+                    self.restart_daemon(host_name)
 
         self.sim.schedule_at(time, fix)
 

@@ -33,6 +33,14 @@ The contract every backend must keep (the conformance suite in
 - ``pending`` equals the number of live (uncancelled, unfired) entries.
 - Daemon events never keep ``run()`` alive.
 
+The clock-observer seam is not part of this interface.  The telemetry
+sampler's grid points are read off the clock, not the event heap
+(:meth:`repro.netsim.kernel.Simulator.observe_grid`): a grid point at
+``g`` runs before any event at ``g`` and is no event itself.  Only the
+``serial`` kernel has it, because only the in-process
+:class:`~repro.core.environment.VirtualComputingEnvironment` runs a
+sampler, and it refuses ``backend="network"``.
+
 Sanitizer seams (see :mod:`repro.analysis.hb` and docs/ANALYSIS.md) — two
 further obligations every backend must honour so the happens-before race
 sanitizer and the tie-shuffle harness work unchanged on top of it:

@@ -32,6 +32,15 @@ next, so a caller advancing the clock in many short calls would pile them
 up.  ``tests/test_gc_contract.py`` pins the invariant on every cost ledger
 scenario; a callback that closes over itself breaks it.
 
+Grid points are read off the clock, not the heap.  One clock observer
+(:meth:`Simulator.observe_grid`, the telemetry sampler) is called at fixed
+grid times without being a kernel event: before the loop advances the clock
+to a batch at ``t`` it sets the clock to each due grid point ``g <= t`` in
+turn and calls the observer, which returns the next grid time.  The check is
+one comparison per timestamp batch.  A grid point at ``g`` therefore reads
+the state after every event before ``g`` and before any event at ``g``; an
+idle stretch costs no heap push, no ``Timer`` and no event.
+
 Two opt-in sanitizer seams ride the same hot path (both cost one predictable
 branch per event when disabled):
 
@@ -57,6 +66,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import math
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.netsim.backend import SimBackend
@@ -163,6 +173,12 @@ class Simulator(SimBackend):
         # tie-shuffle state: 0 = historical (time, seq) order
         self._tie_mix = 0
         self._firing_seq = 0
+        # the clock observer (see observe_grid): its callback, the time of
+        # its next grid point, and that point's happens-before node
+        self._grid_observer: Callable[[], float] | None = None
+        self._grid_at = math.inf
+        self._grid_hb = 0
+        self._grid_host: str | None = None
 
     # -- time --------------------------------------------------------------
 
@@ -281,17 +297,74 @@ class Simulator(SimBackend):
             self._live_nondaemon += 1
         return timer
 
+    # -- the clock observer ------------------------------------------------
+
+    def observe_grid(
+        self, first: float, callback: Callable[[], float], host: str | None = None
+    ) -> None:
+        """Call *callback* at grid points read off the clock, not the heap.
+
+        The first grid point is at *first*; each call returns the time of
+        the next one (``math.inf`` stops observing and frees the slot).  A
+        grid point at ``g`` sees the state after every event before ``g``
+        and before any event at ``g``: the loop sets the clock to ``g`` and
+        calls the observer before it advances to a batch at ``t >= g``.
+        ``run(until=...)`` and :meth:`step` catch up to their time
+        inclusively.  A grid point is no kernel event: it consumes no
+        sequence number, adds nothing to ``events_processed`` or
+        ``pending``, and never keeps ``run()`` alive.
+
+        There is one slot (its user is the telemetry sampler); installing
+        a second observer while one is active raises.  *host* is recorded
+        by an attached happens-before tracker, as for :meth:`schedule`.
+        """
+        if self._grid_observer is not None:
+            raise SimulationError("a grid observer is already installed")
+        if first < self._now:
+            raise SimulationError(
+                f"cannot observe a grid point at t={first} before now={self._now}"
+            )
+        self._grid_observer = callback
+        self._grid_at = first
+        self._grid_host = host
+        hb = self.hb
+        if hb is not None:
+            self._grid_hb = hb.on_schedule(host)
+
+    def _run_grid_point(self) -> None:
+        """Run the due grid point.  Under a happens-before tracker each grid
+        point is a node of its own whose parent is the previous grid point,
+        the chain a re-armed timer made; the observer's reads are booked to
+        it, not to whichever event fired last."""
+        at = self._now = self._grid_at
+        hb = self.hb
+        if hb is not None:
+            hb._current = self._grid_hb
+        following = self._grid_observer()
+        if following == math.inf:
+            self._grid_observer = None
+        elif not following > at:
+            raise SimulationError(f"grid point after t={at} must be later, got {following}")
+        elif hb is not None:
+            self._grid_hb = hb.on_schedule(self._grid_host)
+        self._grid_at = following
+
     # -- running -----------------------------------------------------------
 
     def step(self) -> bool:
-        """Process the single next event. Returns False when the queue is
-        empty."""
+        """Process the single next event, after any grid point due at or
+        before it. Returns False when the queue is empty."""
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)[2]
+            time, _, entry = heap[0]
             if entry.cancelled:
+                heapq.heappop(heap)
                 self._cancelled_in_heap -= 1
                 continue
+            if time >= self._grid_at:
+                self._run_grid_point()
+                continue  # the observer may have scheduled an earlier event
+            heapq.heappop(heap)
             if entry.time < self._now:
                 raise SimulationError("event queue produced time in the past")
             entry.fired = True
@@ -318,10 +391,12 @@ class Simulator(SimBackend):
 
         Args:
             until: stop once simulation time would exceed this (the clock is
-                advanced to ``until`` on a timed-out run).
+                advanced to ``until`` on a timed-out run, after every grid
+                point at or before it).
             max_events: safety valve against livelock; raises
                 :class:`SimulationError` when hit.
-            stop_when: checked after every event; return True to stop.
+            stop_when: checked after every event; return True to stop (grid
+                points after that event are left to the next call).
 
         Returns the simulation time when the loop stopped.
         """
@@ -342,7 +417,12 @@ class Simulator(SimBackend):
         if freeze:
             gc.freeze()
         try:
-            while heap:
+            while True:
+                if not heap:
+                    if until is not None and self._grid_at <= until:
+                        self._run_grid_point()
+                        continue
+                    break
                 t, _, entry = heap[0]
                 if entry.cancelled:
                     heappop(heap)
@@ -350,9 +430,17 @@ class Simulator(SimBackend):
                     continue
                 if until is not None:
                     if t > until:
+                        if self._grid_at <= until:
+                            self._run_grid_point()
+                            continue
                         break
                 elif self._live_nondaemon == 0:
-                    break  # only daemon events (monitors/samplers) remain
+                    break  # only daemon events (monitors) remain
+                if t >= self._grid_at:
+                    # once per batch, not per event; the observer may have
+                    # scheduled something earlier than t, so look again
+                    self._run_grid_point()
+                    continue
                 if t < self._now:
                     raise SimulationError("event queue produced time in the past")
                 self._now = t

@@ -1,35 +1,42 @@
 """The cluster sampler: change-driven snapshots of live cluster state.
 
 A :class:`ClusterSampler` is a netsim process (conventionally spawned on
-the user's workstation) whose daemon timer fires on a fixed grid, every
-``interval`` simulated seconds. Everything it reads is piecewise constant
-in simulated time and can change only
+the user's workstation) that reads the cluster on a fixed grid, every
+``interval`` simulated seconds. Grid points are read off the clock, not
+the event heap: the sampler is the kernel's clock observer
+(:meth:`Simulator.observe_grid`), so a grid point is no kernel event and
+sees the state after every event before it and before any event at its
+own time. Everything it reads is piecewise constant in simulated time and
+can change only
 
-(i) when a kernel event other than the sampler's own tick runs,
+(i) when a kernel event runs,
 (ii) at a background-load switch time (:meth:`LoadModel.next_change_after`),
 (iii) when a watchdog rule's elapsed-time threshold is crossed
      (:attr:`HealthWatchdog.next_deadline`),
 
-so a grid tick for which none of the three holds reads nothing, appends
+so a grid point for which none of the three holds reads nothing, appends
 nothing and evaluates nothing: it would have recorded the previous sample
 again. A held sample is still taken every :data:`KEEPALIVE_TICKS` grid
 points so ring series and sparklines stay continuous. A *sample* reads —
-never re-scans the event log —
+never re-scans the event log — each of these once:
 
 - per-host background load (through each scheduler daemon's
   ``current_load``, the same number bids carry),
 - per-daemon pending-queue depth,
-- in-flight VCE instances per host,
+- in-flight VCE instances per host, in the same pass that collects the
+  dispatched records the watchdog's straggler rule checks,
 - the network's cumulative message/byte counters,
+- the event log's per-category counts (the scheduling share),
 - the simulator's event count (the base of the heartbeat share ``repro
   top`` shows beside the ``isis_parked`` / ``isis_awake`` gauges the group
-  members keep themselves),
+  members keep themselves; grid points are not in it),
 
 publishes them as gauges in the registry, appends them to bounded
 ring-buffer time series, lets the health watchdog evaluate its rules over
 the fresh sample, and writes the observers' own cost (``repro_self_*``)
-next to the cluster metrics. Daemon timers never keep the simulation
-alive, so an idle VCE still terminates.
+next to the cluster metrics. A grid point never keeps the simulation
+alive, so an idle VCE still terminates; the sampler stops observing once
+its host is down.
 """
 
 from __future__ import annotations
@@ -39,8 +46,10 @@ from typing import TYPE_CHECKING
 
 from repro.netsim.process import SimProcess
 from repro.telemetry.series import GRID_TOLERANCE, SeriesStore
+from repro.telemetry.watchdog import scan_inflight
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.netsim.kernel import Simulator
     from repro.runtime.manager import RuntimeManager
     from repro.scheduler.daemon import SchedulerDaemon
     from repro.telemetry.registry import MetricsRegistry
@@ -143,7 +152,10 @@ class ClusterSampler(SimProcess):
         self._rows: list = []
         self._inflight_rows: dict = {}
         self._solo = None
-        self._sched_categories: list[str] = []
+        self._sim: "Simulator | None" = None
+        # the log's category states (a live view) and the scheduling ones
+        self._categories = None
+        self._sched_categories: list = []
         self._categories_seen = 0
         # change detection: the kernel's event count at the previous grid
         # point, the grid points since the last sample, and the earliest
@@ -158,20 +170,24 @@ class ClusterSampler(SimProcess):
     # ---------------------------------------------------------------- ticking
 
     def on_start(self) -> None:
-        self._events_seen = self.sim.events_processed
-        self.set_timer(self.interval, "sample", daemon=True)
+        sim = self._sim = self.sim
+        self._events_seen = sim.events_processed
+        sim.observe_grid(sim.now + self.interval, self._on_grid, host=self.host.name)
 
-    def on_timer(self, key: str) -> None:
-        if key == "sample":
-            self._grid_point()
-            self.set_timer(self.interval, "sample", daemon=True)
+    def _on_grid(self) -> float:
+        """The kernel's clock observer: run this grid point, return the
+        next one (``math.inf`` once the host is down, which stops it)."""
+        if not self.alive:
+            return math.inf
+        self._grid_point()
+        return self._sim.now + self.interval
 
     def _grid_point(self) -> None:
-        sim = self.sim
+        sim = self._sim
         events = sim.events_processed
-        # this tick is itself one kernel event; any other one may have
-        # changed what a sample reads
-        quiet = events - self._events_seen == 1
+        # a grid point is no kernel event; any event may have changed
+        # what a sample reads
+        quiet = events == self._events_seen
         self._events_seen = events
         if quiet:
             due = sim.now + self._slack
@@ -186,24 +202,6 @@ class ClusterSampler(SimProcess):
         self.sample()
 
     # --------------------------------------------------------------- sampling
-
-    def _scan_apps(self) -> tuple[int, dict[str, int]]:
-        """Applications still running, and live instances per host."""
-        running = 0
-        out: dict[str, int] = {}
-        for app in self.runtime.apps.values():
-            if not app.status.terminal:
-                running += 1
-            # the app maintains its in-flight record index exactly, so this
-            # scan costs O(live instances), not O(application size)
-            for record in app.inflight.values():
-                inst = record.instance
-                if inst is not None and not inst.state.terminal and inst.host is not None:
-                    out[inst.host.name] = out.get(inst.host.name, 0) + 1
-                for inst in record.redundant_copies:
-                    if not inst.state.terminal and inst.host is not None:
-                        out[inst.host.name] = out.get(inst.host.name, 0) + 1
-        return running, out
 
     def _build_handles(self) -> None:
         """Resolve gauge children and ring series once per host name. The
@@ -255,21 +253,25 @@ class ClusterSampler(SimProcess):
             self._inflight_rows[host_name] = row
         return row
 
-    def _sched_share(self) -> float:
+    def _sched_share(self, sim: "Simulator") -> float:
         """What fraction of everything the run logs is scheduling machinery
-        (the quantity hierarchical bidding keeps sub-linear at scale;
-        category_counts is maintained incrementally, so this never re-scans
-        the log)."""
-        counts = self.sim.log.category_counts()
-        if len(counts) != self._categories_seen:
-            self._categories_seen = len(counts)
+        (the quantity hierarchical bidding keeps sub-linear at scale): the
+        sum of the sched.*/isis.* category counts over the sum of all of
+        them, read off the log's category states, never its records."""
+        categories = self._categories
+        if categories is None:
+            categories = self._categories = sim.log.categories()
+        if len(categories) != self._categories_seen:
+            self._categories_seen = len(categories)
             self._sched_categories = [
-                k for k in counts if k.startswith("sched.") or k.startswith("isis.")
+                state
+                for state in categories
+                if state.name.startswith("sched.") or state.name.startswith("isis.")
             ]
-        total = sum(counts.values())
+        total = sum([state.count for state in categories])
         if not total:
             return 0.0
-        return sum([counts[k] for k in self._sched_categories]) / total
+        return sum([state.count for state in self._sched_categories]) / total
 
     def _heartbeat_events(self) -> float:
         """Kernel events spent on failure detection: a detector tick is one
@@ -282,12 +284,13 @@ class ClusterSampler(SimProcess):
                 total += family.value
         return total
 
-    def _observe(self, now: float, record: bool) -> None:
+    def _observe(self, sim: "Simulator", now: float, record: bool) -> list:
         """Read the cluster and publish the gauges; with *record*, also
-        append the readings to the ring series."""
+        append the readings to the ring series. Returns the dispatched
+        in-flight records the watchdog's straggler rule checks."""
         if self._solo is None:
             self._build_handles()
-        running, inflight = self._scan_apps()
+        running, inflight, dispatched = scan_inflight(self.runtime.apps)
         daemons = self.daemons
 
         for host_name, g_load, g_queue, s_load, s_queue in self._rows:
@@ -300,9 +303,11 @@ class ClusterSampler(SimProcess):
                 s_load.append(now, load)
                 s_queue.append(now, depth)
 
-        for host_name in inflight.keys() - self._inflight_rows.keys():
-            self._inflight_row(host_name)
-        for host_name, (g_inflight, s_inflight) in self._inflight_rows.items():
+        rows = self._inflight_rows
+        for host_name in inflight:
+            if host_name not in rows:
+                self._inflight_row(host_name)
+        for host_name, (g_inflight, s_inflight) in rows.items():
             n = inflight.get(host_name, 0)
             g_inflight.value = n
             if record:
@@ -326,7 +331,7 @@ class ClusterSampler(SimProcess):
             g_hb_share,
         ) = self._solo
         network = self.runtime.network
-        share = self._sched_share()
+        share = self._sched_share(sim)
         g_running.value = running
         g_sent.value = network.messages_sent
         g_delivered.value = network.messages_delivered
@@ -340,19 +345,21 @@ class ClusterSampler(SimProcess):
             s_share.append(now, share)
 
         # the observers' own cost, from counters that already exist
-        events = self.sim.events_processed
+        events = sim.events_processed
         g_events.value = events
         done = c_done.value if c_done is not None else 0.0
         g_events_per_instance.value = events / done if done else 0.0
         g_hb_share.value = self._heartbeat_events() / events if events else 0.0
+        return dispatched
 
     def sample(self) -> None:
         """Take one sample now: read, record, evaluate the watchdog, and
         work out when a reading can next change with no event in between."""
-        now = self.now
+        sim = self._sim
+        now = sim.now
         self.ticks += 1
         self._held = 0
-        self._observe(now, record=True)
+        dispatched = self._observe(sim, now, record=True)
 
         if now >= self._load_change_at:
             self._load_change_at = min(
@@ -364,7 +371,7 @@ class ClusterSampler(SimProcess):
             )
         wake_at = self._load_change_at
         if self.watchdog is not None:
-            self.watchdog.evaluate(now, self.store)
+            self.watchdog.evaluate(now, self.store, dispatched)
             wake_at = min(wake_at, self.watchdog.next_deadline)
         self._wake_at = wake_at
 
@@ -380,4 +387,5 @@ class ClusterSampler(SimProcess):
         reader (``repro top``, ``/api/metrics``). Looking must not change
         the run: nothing is appended to a series, no watchdog rule is
         evaluated and no listener is called."""
-        self._observe(self.now, record=False)
+        sim = self.sim
+        self._observe(sim, sim.now, record=False)

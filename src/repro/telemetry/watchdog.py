@@ -115,6 +115,40 @@ def straggler_severity(
     return None
 
 
+def scan_inflight(apps: dict) -> tuple[int, dict[str, int], list]:
+    """One pass over every application's in-flight records: how many
+    applications are still running, the live instances per host
+    (redundant copies included), and what the straggler rule checks —
+    ``(app id, records)`` for each running application with a dispatched,
+    live instance. The app maintains its in-flight index exactly, so this
+    costs O(live instances), not O(application size)."""
+    running = 0
+    per_host: dict[str, int] = {}
+    count = per_host.get
+    dispatched: list = []
+    for app in apps.values():
+        checked = None if app.status.terminal else []
+        for record in app.inflight.values():
+            inst = record.instance
+            if inst is not None and not inst.state.terminal:
+                host = inst.host
+                if host is not None:
+                    name = host.name
+                    per_host[name] = count(name, 0) + 1
+                if checked is not None and record.dispatched_at is not None:
+                    checked.append(record)
+            if record.redundant_copies:
+                for inst in record.redundant_copies:
+                    if not inst.state.terminal and inst.host is not None:
+                        name = inst.host.name
+                        per_host[name] = count(name, 0) + 1
+        if checked is not None:
+            running += 1
+            if checked:
+                dispatched.append((app.id, checked))
+    return running, per_host, dispatched
+
+
 class HealthWatchdog:
     """See module docstring.
 
@@ -167,9 +201,18 @@ class HealthWatchdog:
 
     # ------------------------------------------------------------- evaluation
 
-    def evaluate(self, now: float, store: "SeriesStore") -> list[HealthEvent]:
+    def evaluate(
+        self, now: float, store: "SeriesStore", dispatched: list | None = None
+    ) -> list[HealthEvent]:
         """Run every rule over the sample just taken at *now*; returns the
-        events newly raised and leaves :attr:`next_deadline` set."""
+        events newly raised and leaves :attr:`next_deadline` set.
+
+        *dispatched* is the straggler rule's input, the third value of
+        :func:`scan_inflight`; a sampler that has just made that pass
+        hands it over so the in-flight records are walked once per sample.
+        """
+        if dispatched is None:
+            dispatched = [] if self.runtime is None else scan_inflight(self.runtime.apps)[2]
         seen: set[tuple[str, str]] = set()
         raised: list[HealthEvent] = []
         self.next_deadline = math.inf
@@ -180,7 +223,7 @@ class HealthWatchdog:
             self._depth_series.clear()
             self._alloc_series = store.series("sched_alloc_errors_total", "")
 
-        for rule, key, severity, detail in self._conditions(now, store):
+        for rule, key, severity, detail in self._conditions(now, store, dispatched):
             seen.add((rule, key))
             if (rule, key) in self._active:
                 continue
@@ -255,10 +298,10 @@ class HealthWatchdog:
 
     # ----------------------------------------------------------------- rules
 
-    def _conditions(self, now: float, store: "SeriesStore") -> list[tuple]:
+    def _conditions(self, now: float, store: "SeriesStore", dispatched: list) -> list[tuple]:
         """Every ``(rule, key, severity, detail)`` that holds at *now*."""
         found: list[tuple] = []
-        self._check_stragglers(now, found)
+        self._check_stragglers(now, dispatched, found)
         self._check_queue_saturation(now, store, found)
         self._check_bid_starvation(now, found)
         self._check_alloc_errors(now, found)
@@ -266,19 +309,12 @@ class HealthWatchdog:
         self._check_stranded(found)
         return found
 
-    def _check_stragglers(self, now: float, found: list) -> None:
-        if self.runtime is None or not self.runtime.apps:
-            return
+    def _check_stragglers(self, now: float, dispatched: list, found: list) -> None:
         cfg = self.config
         durations = self._m_durations
         active = self._active
-        for app in self.runtime.apps.values():
-            if app.status.terminal:
-                continue
-            for record in app.inflight.values():
-                inst = record.instance
-                if inst is None or inst.state.terminal or record.dispatched_at is None:
-                    continue
+        for app_id, records in dispatched:
+            for record in records:
                 # the child the runtime manager observes this task's exits
                 # into, resolved once per record at dispatch
                 completed = record.duration
@@ -295,7 +331,7 @@ class HealthWatchdog:
                     if elapsed > cfg.straggler_factor * median
                     else None
                 )
-                key = f"{app.id}.{record.task}[{record.rank}]"
+                key = f"{app_id}.{record.task}[{record.rank}]"
                 if severity is not None:
                     found.append(
                         (
@@ -303,7 +339,7 @@ class HealthWatchdog:
                             key,
                             severity,
                             {
-                                "app": app.id,
+                                "app": app_id,
                                 "task": record.task,
                                 "rank": record.rank,
                                 "host": record.host_name,

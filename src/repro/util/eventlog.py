@@ -50,7 +50,7 @@ import heapq
 from array import array
 from collections import deque
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, ValuesView
 
 #: every payload shape (field-name tuple) seen so far, so that records of
 #: one shape share one tuple: ``_intern(fields, fields)`` is the shared copy
@@ -438,6 +438,13 @@ class EventLog:
         """Exact per-category emission counts for the whole run (a handle
         that has not emitted yet is not listed)."""
         return {cat: state.count for cat, state in self._categories.items() if state.count}
+
+    def categories(self) -> ValuesView[Category]:
+        """Every category's state, in first-use order: a live view that
+        grows as categories are first used, so a reader that sums counts
+        per sample can hold it instead of building
+        :meth:`category_counts`."""
+        return self._categories.values()
 
     def clear(self) -> None:
         """Drop every record and count; handles stay valid."""

@@ -307,6 +307,120 @@ class TestRunSemantics:
         assert errors and "re-entrant" in errors[0]
 
 
+class TestClockObserver:
+    """``observe_grid``: grid points read off the clock, not the heap (the
+    telemetry sampler's seam, on the ``serial`` kernel only)."""
+
+    @staticmethod
+    def observe(sim, seen, first=1.0, interval=1.0, stop_after=None):
+        """Record ``(time, events so far)`` at each grid point."""
+
+        def point():
+            seen.append((sim.now, sim.events_processed))
+            if stop_after is not None and len(seen) >= stop_after:
+                return float("inf")
+            return sim.now + interval
+
+        sim.observe_grid(first, point, host="alpha")
+
+    def test_grid_point_at_a_tie_runs_before_the_events_at_its_time(self, backend):
+        sim = make_sim(backend)
+        order = []
+        sim.schedule(1.0, lambda: order.append("before"), host="bravo")
+        sim.schedule(2.0, lambda: order.append("tie"), host="bravo")  # queued first
+        sim.observe_grid(2.0, lambda: order.append(("grid", sim.now)) or float("inf"))
+        sim.run()
+        assert order == ["before", ("grid", 2.0), "tie"]
+
+    def test_run_until_catches_up_inclusively(self, backend):
+        sim = make_sim(backend)
+        seen = []
+        self.observe(sim, seen)
+        sim.schedule(1.5, lambda: None, host="bravo")
+        assert sim.run(until=4.0) == 4.0
+        assert seen == [(1.0, 0), (2.0, 1), (3.0, 1), (4.0, 1)]
+        sim.run(until=4.0)  # nothing more is due
+        assert len(seen) == 4
+
+    def test_stop_when_leaves_later_grid_points_to_the_next_run(self, backend):
+        sim = make_sim(backend)
+        seen, fired = [], []
+        self.observe(sim, seen)
+        for t in (0.5, 2.5, 4.5):
+            sim.schedule(t, lambda t=t: fired.append(t), host="bravo")
+        sim.run(stop_when=lambda: len(fired) >= 2)
+        assert fired == [0.5, 2.5] and sim.now == 2.5
+        assert [t for t, _ in seen] == [1.0, 2.0]
+        sim.run()
+        assert [t for t, _ in seen] == [1.0, 2.0, 3.0, 4.0]
+
+    def test_step_catches_up(self, backend):
+        sim = make_sim(backend)
+        seen = []
+        self.observe(sim, seen)
+        sim.schedule(2.5, lambda: None, host="bravo")
+        assert sim.step()
+        assert seen == [(1.0, 0), (2.0, 0)] and sim.now == 2.5
+        assert not sim.step()
+        assert len(seen) == 2  # an empty queue has no time to catch up to
+
+    def test_grid_points_are_not_events(self, backend):
+        """With or without an observer, the same events run, and the grid
+        never keeps ``run()`` alive."""
+        counts = []
+        for observing in (False, True):
+            sim = make_sim(backend)
+            seen = []
+            if observing:
+                self.observe(sim, seen, interval=0.25)
+            for i in range(5):
+                sim.schedule(float(i) + 0.1, lambda: None, host=HOSTS[i])
+            sim.run()
+            counts.append((sim.events_processed, sim.pending, sim.now))
+            assert len(seen) == (13 if observing else 0)
+        assert counts[0] == counts[1] == (5, 0, 4.1)
+
+    def test_one_slot(self, backend):
+        sim = make_sim(backend)
+        seen = []
+        self.observe(sim, seen, stop_after=2)
+        with pytest.raises(SimulationError, match="already installed"):
+            sim.observe_grid(5.0, lambda: float("inf"))
+        sim.run(until=10.0)
+        assert len(seen) == 2  # returning inf stopped it and freed the slot
+        self.observe(sim, seen, first=11.0)
+        sim.run(until=12.0)
+        assert [t for t, _ in seen] == [1.0, 2.0, 11.0, 12.0]
+        with pytest.raises(SimulationError, match="before now"):
+            make_sim(backend).observe_grid(-1.0, lambda: float("inf"))
+
+    def test_next_grid_point_must_be_later(self, backend):
+        sim = make_sim(backend)
+        sim.observe_grid(1.0, lambda: sim.now)
+        with pytest.raises(SimulationError, match="must be later"):
+            sim.run(until=2.0)
+
+    def test_each_grid_point_is_a_tracker_node_chained_to_the_last(self, backend):
+        from repro.analysis.hb import HBTracker
+
+        sim = make_sim(backend)
+        sim.hb = tracker = HBTracker()
+        nodes = []
+
+        def point():
+            nodes.append(tracker.current_node)
+            return sim.now + 1.0
+
+        sim.schedule(0.5, lambda: sim.observe_grid(1.0, point, host="alpha"))
+        sim.schedule(2.5, lambda: nodes.append(tracker.current_node), host="bravo")
+        sim.run(until=3.0)
+        first, second, event, third = nodes
+        registering = tracker._parents[first]
+        assert tracker._node_hosts[first] == "alpha" and registering != 0
+        assert tracker._parents[second] == first and tracker._parents[third] == second
+        assert not tracker.ordered(event, third)  # the grid is its own chain
+
+
 # --------------------------------------------------------- property tests
 
 _OPS = st.lists(

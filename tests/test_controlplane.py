@@ -331,8 +331,8 @@ class TestIdleSlices:
         start, events = vce.sim.now, vce.sim.events_processed
         for n in range(1, 4):
             assert session.advance() == start + 2.0 * n
-        # only the telemetry sampler (one daemon tick per 4 s) ran
-        assert vce.sim.events_processed - events <= 2
+        # nothing ran: the sampler's grid points are not kernel events
+        assert vce.sim.events_processed == events
         assert session.slices == 3
 
     def test_pacer_paces_empty_slices(self):

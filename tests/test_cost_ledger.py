@@ -124,7 +124,7 @@ def _chaos_mix(seed: int):
 
 #: the smallest latency factor above 1: every delay stays what it was to
 #: within an ulp, but no group parks, so the observers see the failure
-#: detector's beats and every grid tick is a live sample
+#: detector's beats and every grid point is a live sample
 AWAKE = math.nextafter(1.0, 2.0)
 
 
@@ -398,7 +398,7 @@ def test_ledger_catches_a_second_emit_repack(monkeypatch):
 
 
 def test_ledger_catches_an_extra_call_per_grid_tick(monkeypatch):
-    """One more registry lookup per sampler grid tick moves
+    """One more registry lookup per sampler grid point moves
     ``weather_telemetry``'s ``calls.telemetry``."""
     grid_point = ClusterSampler._grid_point
 

@@ -120,3 +120,43 @@ def test_a_callers_freeze_is_left_alone():
         assert all(_tracked(made) for made in kept), "the run froze its own objects"
     finally:
         gc.unfreeze()
+
+
+# ------------------------------------------------------- the cycle census
+
+
+def test_cycle_census_names_the_reference_each_cycle_runs_through():
+    from tests.helpers_gc import cycle_census
+
+    class Node:
+        def __init__(self):
+            self.peer = None
+
+    class Slotted:
+        __slots__ = ("back",)
+
+    def build():
+        a, b, s = Node(), Node(), Slotted()
+        a.peer, b.peer = b, a  # one two-object cycle
+        s.back = s  # one self-reference
+        leaf = Node()  # freed with the cycle, on none
+        a.leaf = leaf
+        return a
+
+    found, census = cycle_census(build)
+    assert found >= 4  # the three on cycles and the leaf they hold
+    pair, alone = census
+    assert pair.types["Node"] == 2 and pair.size >= 2
+    assert sum(n for label, n in pair.edges.items() if label.endswith("-> Node")) == 2
+    assert alone.size == 1 and alone.edges == {"Slotted.back -> Slotted": 1}
+
+
+def test_a_dropped_environment_is_held_by_named_cycles():
+    """What a dropped VCE leaves for the collector, reachable by name:
+    every object of a cyclic component is garbage the collector counted."""
+    from tests.helpers_gc import cycle_census
+
+    found, census = cycle_census(lambda: SCENARIOS["faults_e9_calm"]()[0])
+    assert found >= sum(component.size for component in census)
+    for component in census:
+        assert component.edges and sum(component.types.values()) == component.size

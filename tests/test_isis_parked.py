@@ -501,8 +501,8 @@ def test_cut_off_coordinator_learns_it_was_evicted(hosts, cut):
 
 def test_run_without_deadline_returns_on_an_idle_cluster():
     """``Simulator.run()`` with no ``until`` stops when only daemon events
-    (the telemetry sampler) remain; heartbeats used to keep it alive
-    forever."""
+    remain (the telemetry sampler's grid is not even an event); heartbeats
+    used to keep it alive forever."""
     vce = _vce()
     before = vce.sim.now
     vce.sim.run(max_events=10_000)  # SimulationError if it never goes idle

@@ -224,3 +224,24 @@ class TestFaultInjector:
         crashed = {r.source for r in cluster.sim.log.records(category="fault.crash")}
         assert "ws2" not in crashed
         assert crashed  # others did crash
+
+    def test_a_churned_workstation_hosts_work_after_it_recovers(self):
+        """A recovery reboots the machine's scheduler daemon, so the
+        machine bids again: a job that needs every workstation runs."""
+        from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
+        from repro.machines import MachineClass
+        from repro.scheduler.execution_program import RunState
+        from repro.workloads import build_sweep_graph
+
+        vce = VirtualComputingEnvironment(workstation_cluster(4), VCEConfig(seed=3)).boot()
+        assert vce.directory.leader(MachineClass.WORKSTATION).host != "ws3"
+        vce.faults.crash_at("ws3", vce.sim.now + 1.0)
+        vce.faults.recover_at("ws3", vce.sim.now + 5.0)
+        vce.run(until=vce.sim.now + 60.0)
+        assert vce.daemons["ws3"].alive
+        run = vce.submit(build_sweep_graph(points=4, work_per_point=10.0, name="wide"))
+        vce.run_to_completion(run, timeout=1_000.0)
+        assert run.state is RunState.DONE, run.error
+        assert sorted(r.host_name for r in run.app.records.values()) == [
+            "ws0", "ws1", "ws2", "ws3",
+        ]

@@ -451,16 +451,18 @@ class TestObserverContracts:
         return vce
 
     def test_idle_seconds_cost_keepalives_not_polls(self):
-        """1,000 simulated seconds in which nothing but the sampler's own
-        timer runs: at most one sample per KEEPALIVE_TICKS grid points."""
+        """1,000 idle simulated seconds cost no kernel event at all: the
+        sampler's grid points are read off the clock, and at most one per
+        KEEPALIVE_TICKS of them takes a sample."""
         from repro.telemetry.sampler import KEEPALIVE_TICKS
 
         vce = self._one_long_instance()
         sampler = vce.telemetry.sampler
         samples, events = sampler.ticks, vce.sim.events_processed
+        grid_points = sampler.ticks + sampler.idle_ticks
         vce.run(until=vce.sim.now + 1000.0)
-        grid_points = vce.sim.events_processed - events
-        assert grid_points == 1000 / sampler.interval  # nothing else ran
+        assert vce.sim.events_processed == events
+        assert sampler.ticks + sampler.idle_ticks - grid_points == 1000 / sampler.interval
         assert sampler.ticks - samples <= 1000 / (sampler.interval * KEEPALIVE_TICKS) + 2
 
     def test_watchdog_resolves_no_label_for_a_known_record(self, monkeypatch):

@@ -552,7 +552,7 @@ class TestSamplerIntegration:
         assert predictor.quantile(0.5) > 0
 
     def test_run_completes_despite_daemon_timer(self, weather_vce):
-        # the sampler's daemon timer must never keep the simulation alive
+        # the sampler's grid points must never keep the simulation alive
         vce, run = weather_vce
         assert run.state.value == "done"
 
