@@ -92,17 +92,14 @@ class AccessSite:
         return f"{self.path}:{self.line}"
 
 
-# Not slots=True: that decorator builds a second class and leaves the first
-# as cyclic garbage, which a first import inside a run would hand to the
-# collector (tests/test_gc_contract.py).
-@dataclass
+@dataclass(slots=True)
 class _VarState:
     write_node: int = -1  # -1: no write seen yet
     write_site: AccessSite | None = None
     reads: list[tuple[int, AccessSite]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Race:
     """One deduplicated race: a pair of conflicting, HB-unordered sites."""
 

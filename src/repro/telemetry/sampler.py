@@ -42,6 +42,7 @@ its host is down.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.netsim.process import SimProcess
@@ -57,6 +58,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: a sample is taken at least every this many grid points, changed or not
 KEEPALIVE_TICKS = 15
+
+#: the counters whose sum is the kernel events spent on failure detection
+HEARTBEAT_COUNTERS = ("isis_hb_ticks_total", "isis_beats_sent_total")
+
+_count = attrgetter("count")
+_value = attrgetter("value")
 
 
 class ClusterSampler(SimProcess):
@@ -147,11 +154,13 @@ class ClusterSampler(SimProcess):
             "repro_self_heartbeat_event_share",
             "fraction of kernel events that were failure-detector ticks or beats",
         )
-        # handles (gauge children + ring series), resolved once on the first
-        # sample — a sample runs inside the hot loop and does no label lookups
+        # handles (gauge children + the ring series' push methods), resolved
+        # once on the first sample — a sample runs inside the hot loop and
+        # does no label lookups
         self._rows: list = []
         self._inflight_rows: dict = {}
         self._solo = None
+        self._hb_counters: list = []
         self._sim: "Simulator | None" = None
         # the log's category states (a live view) and the scheduling ones
         self._categories = None
@@ -214,8 +223,8 @@ class ClusterSampler(SimProcess):
                     host_name,
                     self._g_load.labels(host_name),
                     self._g_queue.labels(host_name),
-                    store.series("host_load", host_name),
-                    store.series("daemon_queue_depth", host_name),
+                    store.series("host_load", host_name).push,
+                    store.series("daemon_queue_depth", host_name).push,
                 )
             )
         for host_name in sorted(
@@ -225,16 +234,16 @@ class ClusterSampler(SimProcess):
         exits = self.registry.get("tasks_exited_total")
         self._solo = (
             self._g_running.labels(),
-            store.series("apps_running", ""),
+            store.series("apps_running", "").push,
             self._g_sent.labels(),
             self._g_delivered.labels(),
             self._g_bytes.labels(),
-            store.series("net_messages_sent", ""),
-            store.series("net_bytes_sent", ""),
+            store.series("net_messages_sent", "").push,
+            store.series("net_bytes_sent", "").push,
             self._c_alloc_errors.labels(),
-            store.series("sched_alloc_errors_total", ""),
+            store.series("sched_alloc_errors_total", "").push,
             self._g_sched_share.labels(),
-            store.series("sched_event_share", ""),
+            store.series("sched_event_share", "").push,
             self._g_events.labels(),
             exits.labels("done") if exits is not None else None,
             self._g_events_per_instance.labels(),
@@ -248,7 +257,7 @@ class ClusterSampler(SimProcess):
         if row is None:
             row = (
                 self._g_inflight.labels(host_name),
-                self.store.series("host_inflight_instances", host_name),
+                self.store.series("host_inflight_instances", host_name).push,
             )
             self._inflight_rows[host_name] = row
         return row
@@ -268,21 +277,21 @@ class ClusterSampler(SimProcess):
                 for state in categories
                 if state.name.startswith("sched.") or state.name.startswith("isis.")
             ]
-        total = sum([state.count for state in categories])
+        total = sum(map(_count, categories))
         if not total:
             return 0.0
-        return sum([state.count for state in self._sched_categories]) / total
+        return sum(map(_count, self._sched_categories)) / total
 
     def _heartbeat_events(self) -> float:
         """Kernel events spent on failure detection: a detector tick is one
         event, and so is the delivery of each beat. (The group members own
-        the two counters; there are none without a scheduler daemon.)"""
-        total = 0.0
-        for name in ("isis_hb_ticks_total", "isis_beats_sent_total"):
-            family = self.registry.get(name)
-            if family is not None:
-                total += family.value
-        return total
+        the two counters; there are none without a scheduler daemon, so
+        they are looked up again until both exist.)"""
+        counters = self._hb_counters
+        if len(counters) < len(HEARTBEAT_COUNTERS):
+            families = [self.registry.get(name) for name in HEARTBEAT_COUNTERS]
+            counters = self._hb_counters = [f.solo() for f in families if f is not None]
+        return sum(map(_value, counters))
 
     def _observe(self, sim: "Simulator", now: float, record: bool) -> list:
         """Read the cluster and publish the gauges; with *record*, also
@@ -300,8 +309,8 @@ class ClusterSampler(SimProcess):
             g_load.value = load
             g_queue.value = depth
             if record:
-                s_load.append(now, load)
-                s_queue.append(now, depth)
+                s_load((now, load))
+                s_queue((now, depth))
 
         rows = self._inflight_rows
         for host_name in inflight:
@@ -311,7 +320,7 @@ class ClusterSampler(SimProcess):
             n = inflight.get(host_name, 0)
             g_inflight.value = n
             if record:
-                s_inflight.append(now, n)
+                s_inflight((now, n))
 
         (
             g_running,
@@ -338,11 +347,11 @@ class ClusterSampler(SimProcess):
         g_bytes.value = network.bytes_sent
         g_share.value = share
         if record:
-            s_running.append(now, running)
-            s_sent.append(now, network.messages_sent)
-            s_bytes.append(now, network.bytes_sent)
-            s_alloc.append(now, c_alloc.value)
-            s_share.append(now, share)
+            s_running((now, running))
+            s_sent((now, network.messages_sent))
+            s_bytes((now, network.bytes_sent))
+            s_alloc((now, c_alloc.value))
+            s_share((now, share))
 
         # the observers' own cost, from counters that already exist
         events = sim.events_processed

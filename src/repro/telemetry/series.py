@@ -27,12 +27,15 @@ GRID_TOLERANCE = 1e-6
 class RingSeries:
     """The last *capacity* ``(time, value)`` points of one series."""
 
-    __slots__ = ("_points",)
+    __slots__ = ("_points", "push")
 
     def __init__(self, capacity: int = 600) -> None:
         if capacity < 1:
             raise ValueError(f"series capacity must be >= 1, got {capacity}")
         self._points: deque[tuple[float, float]] = deque(maxlen=capacity)
+        #: ``push((time, value))`` appends one point: the ring's own append,
+        #: for a writer that appends to many series per sample
+        self.push = self._points.append
 
     def append(self, time: float, value: float) -> None:
         self._points.append((time, value))

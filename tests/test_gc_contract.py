@@ -19,6 +19,10 @@ import gc
 
 import pytest
 
+# imported here, not first inside a scenario: each ``@dataclass(slots=True)``
+# there builds a second class and leaves the first as cyclic garbage, once
+# per interpreter, which a scenario importing the sanitizer would be charged
+import repro.analysis.hb  # noqa: F401
 from repro.netsim.kernel import Simulator
 
 from tests.test_cost_ledger import SCENARIOS
@@ -152,11 +156,25 @@ def test_cycle_census_names_the_reference_each_cycle_runs_through():
 
 
 def test_a_dropped_environment_is_held_by_named_cycles():
-    """What a dropped VCE leaves for the collector, reachable by name:
-    every object of a cyclic component is garbage the collector counted."""
+    """What a dropped VCE leaves for the collector is the three cyclic
+    components docs/PERFORMANCE.md ("What holds a dropped environment")
+    names, held by the back-references it names: a new cycle, or a cut
+    one, shows up here and in that section together."""
     from tests.helpers_gc import cycle_census
 
     found, census = cycle_census(lambda: SCENARIOS["faults_e9_calm"]()[0])
-    assert found >= sum(component.size for component in census)
-    for component in census:
-        assert component.edges and sum(component.types.values()) == component.size
+    assert [component.size for component in census] == [100, 5, 2]
+    assert found >= 1_500  # the rest hangs off the cycles
+    environment, restart_hooks, redundancy = census
+    # the backbone: each of the nine hosts points back at the simulator and
+    # the network, and bound methods in observer lists close the rest
+    assert environment.edges["Host.sim -> Simulator"] == 9
+    assert environment.edges["Host.network -> Network"] == 9
+    assert environment.edges["method.__self__ -> FailoverManager"] == 10
+    assert environment.edges["Simulator._grid_observer -> method"] == 1
+    assert restart_hooks.edges["VirtualComputingEnvironment.faults -> FaultInjector"] == 1
+    assert restart_hooks.edges["FaultInjector.restart_daemon -> method"] == 1
+    assert redundancy.edges == {
+        "method.__self__ -> RedundantExecutionManager": 1,
+        "RedundantExecutionManager._on_copy_exit -> method": 1,
+    }
