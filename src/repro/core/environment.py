@@ -412,14 +412,13 @@ class VirtualComputingEnvironment:
     def enable_failover(self, config: FailoverConfig | None = None) -> FailoverManager:
         """Install the lease-based crash-recovery layer (idempotent):
         instance failures strand-and-redispatch instead of failing the
-        application, and every scheduler daemon reports departed peers to
-        it for takeover of orphaned instances."""
+        application, and the hosts that group coordinators report lost
+        (``GroupDirectory.host_lost_hooks``) are taken over at once."""
         if self.failover is None:
             self.failover = FailoverManager(
                 self.migration.context, config or FailoverConfig()
             ).install()
-            for daemon in self.daemons.values():
-                daemon.host_lost_observers.append(self.failover.host_lost)
+            self.directory.host_lost_hooks.append(self.failover.host_lost)
         return self.failover
 
     def restart_daemon(self, host_name: str) -> SchedulerDaemon:
@@ -447,8 +446,6 @@ class VirtualComputingEnvironment:
         host.spawn(daemon)
         # in place: the telemetry sampler/watchdog hold this same dict
         self.daemons[host_name] = daemon
-        if self.failover is not None:
-            daemon.host_lost_observers.append(self.failover.host_lost)
         self.sim.emit("sched.daemon_restart", host_name)
         return daemon
 

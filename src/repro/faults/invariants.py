@@ -33,7 +33,7 @@ def surviving_leader_is_oldest(view_members_before: Iterable[str], leader_after:
 
 
 def views_converged(members) -> bool:
-    """All live members agree on (view id, membership)."""
+    """All joined memberships (``Membership``) agree on (view id, members)."""
     live = [m for m in members if m.joined]
     if not live:
         return True

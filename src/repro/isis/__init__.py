@@ -17,8 +17,8 @@ and replies to the members of the current view
 
 - :class:`View` — a numbered membership snapshot ordered by seniority; the
   coordinator (group leader) is the oldest member.
-- :class:`IsisMember` — the actor base class giving subclasses heartbeat
-  failure detection and coordinator-driven two-phase view changes.
+- :class:`Membership` — the component a process owns to be a group member:
+  heartbeat failure detection and coordinator-driven two-phase view changes.
 
 Simplification relative to full Isis (documented in DESIGN.md):
 concurrent-partition (split-brain) membership is resolved only when the
@@ -30,5 +30,5 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "views": ("View",),
-    "member": ("IsisConfig", "IsisMember"),
+    "member": ("IsisConfig", "Membership"),
 })

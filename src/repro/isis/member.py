@@ -1,14 +1,14 @@
-"""The Isis-style group member actor.
+"""The Isis-style group membership component.
 
-:class:`IsisMember` gives subclasses the toolkit facilities the paper's
-prototype uses, and nothing else:
+A process that joins a group owns one :class:`Membership`.  It gives its
+owner the toolkit facilities the paper's prototype uses, and nothing else:
 
 - ``join`` and automatic failure eviction, with coordinator-driven
   two-phase view changes (Flush, NewView);
 - heartbeat failure detection with rank-staggered takeover so "the oldest
   surviving member of the group assume[s] the role of group leader".
 
-It sends no multicast.  A subclass talks to the members of its view point
+It sends no multicast.  The owner talks to the members of its view point
 to point (``send``); the scheduler's bidding round is such a fan-out of
 probes and replies (:mod:`repro.scheduler.daemon`).
 
@@ -42,6 +42,7 @@ crashed coordinators, messages from superseded views).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -96,12 +97,14 @@ class _ViewChange:
     epoch: int
 
 
-class IsisMember(SimProcess):
-    """A process-group member. Subclass and override the ``on_*`` hooks.
+class Membership:
+    """A process's membership in one group.  The owner starts and stops it
+    and hands it the messages and timer keys the owner does not handle; it
+    acts through the owner and calls its ``on_view_change(view, joined, left)``.
 
     Args:
-        name: process name (unique per host).
-        group: group name (informational; one member object serves one group).
+        owner: the process that owns the component.
+        group: group name (informational; one component serves one group).
         contacts: addresses of existing members to join through; ``None`` or
             empty founds a new group as its first (and thus coordinator)
             member.
@@ -110,12 +113,14 @@ class IsisMember(SimProcess):
 
     def __init__(
         self,
-        name: str,
+        owner: SimProcess,
         group: str,
         contacts: list[Address] | None = None,
         config: IsisConfig | None = None,
     ) -> None:
-        super().__init__(name)
+        # weak, so the two form no cycle; a proxy cannot key Network.watch
+        self._owner = weakref.proxy(owner)
+        self._process = weakref.ref(owner)
         self.group = group
         self.config = config or IsisConfig()
         self._contacts = list(contacts or [])
@@ -175,24 +180,20 @@ class IsisMember(SimProcess):
     @property
     def is_coordinator(self) -> bool:
         return self.view is not None and (
-            self.view.coordinator == self.address or self._acting_coordinator
+            self.view.coordinator == self._owner.address or self._acting_coordinator
         )
-
-    # ----------------------------------------------------------------- hooks
-
-    def on_view_change(self, view: View, joined: list[Address], left: list[Address]) -> None:
-        """Membership changed. Override in subclasses."""
 
     # ------------------------------------------------------------- lifecycle
 
-    def on_start(self) -> None:
-        self._views = self.sim.log.category(
+    def start(self) -> None:
+        """Found the group, or join it through the contacts."""
+        self._views = self._owner.sim.log.category(
             "isis.view", ("group", "view_id", "members", "coordinator")
         )
-        network = self.host.network
-        network.watch(self, self._on_disturbance)
+        network = self._owner.host.network
+        network.watch(self._process(), self._on_disturbance)
         self._voided_at = network.disturbances
-        tel = self.sim.telemetry
+        tel = self._owner.sim.telemetry
         if tel is not None:
             self._tel_ticks = tel.counter(
                 "isis_hb_ticks_total", "failure-detector timer ticks"
@@ -207,27 +208,24 @@ class IsisMember(SimProcess):
                 "isis_awake", "group members running the explicit heartbeat protocol"
             ).labels()
         if not self._contacts:
-            self._install(View(1, (self.address,)))
+            self._install(View(1, (self._owner.address,)))
         else:
             self._try_join()
 
-    def on_stop(self) -> None:
-        self._set_parked(False)
-
-    def on_crash(self) -> None:
+    def stop(self) -> None:
         self._set_parked(False)
 
     def _try_join(self) -> None:
-        if self.joined or not self.alive:
+        if self.joined or not self._owner.alive:
             return
         contact = self._contacts[self._contact_idx % len(self._contacts)]
         self._contact_idx += 1
-        self.send(
+        self._owner.send(
             contact,
-            JoinReq(self.address, self.host.network.disturbances),
+            JoinReq(self._owner.address, self._owner.host.network.disturbances),
             size=self.config.control_size,
         )
-        self.set_timer(self.config.join_retry, "join-retry")
+        self._owner.set_timer(self.config.join_retry, "join-retry")
 
     # ------------------------------------------------------------ dispatch
 
@@ -237,7 +235,7 @@ class IsisMember(SimProcess):
             handler(self, src, payload)
 
     def _on_heartbeat(self, src: Address, msg: Heartbeat) -> None:
-        self._last_seen[msg.sender] = self.now
+        self._last_seen[msg.sender] = self._owner.now
         # a live heartbeat retracts any queued suspicion (partition heal)
         self._queued_leaves.discard(msg.sender)
         view = self.view
@@ -247,7 +245,7 @@ class IsisMember(SimProcess):
             # a non-member is heartbeating us: it was evicted (losing
             # side of a partition, or a superseded rival group) and
             # should rejoin through our coordinator
-            self.send(
+            self._owner.send(
                 msg.sender,
                 Evicted(view.view_id, view.coordinator),
                 size=self.config.control_size,
@@ -263,7 +261,7 @@ class IsisMember(SimProcess):
         view = self.view
         if view is None:
             return
-        me = self.address
+        me = self._owner.address
         if view.coordinator == me and msg.sender != me and msg.sender not in view:
             # another coordinator exists (concurrent takeovers formed
             # rival groups): resolve deterministically and merge
@@ -274,7 +272,7 @@ class IsisMember(SimProcess):
             # view is dead — rejoin through its coordinator
             self._on_evicted(msg.sender, Evicted(msg.view_id, msg.sender))
         elif msg.view_id >= view.view_id and msg.sender in view:
-            self._last_coord_seen = self.now
+            self._last_coord_seen = self._owner.now
             if msg.sender == me:
                 return
             # the legitimate coordinator is alive: stand down any
@@ -289,7 +287,7 @@ class IsisMember(SimProcess):
                 and msg.sender == view.coordinator
             ):
                 if not self._parked:
-                    self.cancel_timer("hb")
+                    self._owner.cancel_timer("hb")
                     self._set_parked(True)
             elif self._parked:
                 self._wake()
@@ -312,7 +310,7 @@ class IsisMember(SimProcess):
             # state; given this view it would lead a group of stale members
             # (docs/FAULTS.md, known issue 5) — it retries until a takeover
             # has evicted its old incarnation.
-            self.send(req.joiner, NewView(self.view), size=self.config.control_size)
+            self._owner.send(req.joiner, NewView(self.view), size=self.config.control_size)
             return
         if self.is_coordinator:
             if req.joiner not in self._queued_joins:
@@ -321,7 +319,7 @@ class IsisMember(SimProcess):
             epochs[req.joiner] = max(req.epoch, epochs.get(req.joiner, -1))
             self._maybe_start_view_change()
         else:
-            self.send(self.view.coordinator, req, size=self.config.control_size)
+            self._owner.send(self.view.coordinator, req, size=self.config.control_size)
 
     def _on_evicted(self, src: Address, msg: Evicted) -> None:
         """We were removed from the group while unreachable: reset
@@ -330,7 +328,7 @@ class IsisMember(SimProcess):
             return
         if msg.group_view_id < self.view.view_id:
             return  # stale
-        self.emit("isis.evicted", group=self.group, rejoin_via=str(msg.coordinator))
+        self._owner.emit("isis.evicted", group=self.group, rejoin_via=str(msg.coordinator))
         self.view = None
         self._set_parked(False)
         self._suspects = None
@@ -339,8 +337,8 @@ class IsisMember(SimProcess):
         self._flushing = False
         self._queued_joins.clear()
         self._queued_leaves.clear()
-        self.cancel_timer("hb")
-        self.cancel_timer("flush-timeout")
+        self._owner.cancel_timer("hb")
+        self._owner.cancel_timer("flush-timeout")
         self._contacts = [msg.coordinator]
         self._contact_idx = 0
         self._try_join()
@@ -359,7 +357,7 @@ class IsisMember(SimProcess):
             if len(survivors) < self.view.majority():
                 # minority side of a partition: do NOT install a view — keep
                 # the suspicions queued and retry when connectivity returns
-                self.emit(
+                self._owner.emit(
                     "isis.quorum_blocked",
                     group=self.group,
                     survivors=len(survivors),
@@ -375,13 +373,13 @@ class IsisMember(SimProcess):
         # survivors kept in view order: the Flush fan-out below must follow a
         # deterministic sequence, not hash-randomised set order
         survivors = [
-            m for m in self.view.members if m in proposed and m != self.address
+            m for m in self.view.members if m in proposed and m != self._owner.address
         ]
         self._change = _ViewChange(
-            proposed, set(survivors), self.host.network.disturbances
+            proposed, set(survivors), self._owner.host.network.disturbances
         )
         self._flushing = True
-        self.emit(
+        self._owner.emit(
             "isis.flush_start",
             group=self.group,
             proposed=proposed.view_id,
@@ -393,15 +391,15 @@ class IsisMember(SimProcess):
             return
         flush = Flush(proposed, proposed.view_id)
         for member in survivors:
-            self.send(member, flush, size=self.config.control_size)
-        self.set_timer(self.config.flush_timeout, "flush-timeout")
+            self._owner.send(member, flush, size=self.config.control_size)
+        self._owner.set_timer(self.config.flush_timeout, "flush-timeout")
 
     def _on_flush(self, src: Address, msg: Flush) -> None:
         if self.view is None or msg.proposed.view_id <= self.view.view_id:
             return
         self._flushing = True
-        self.send(
-            src, FlushOk(self.address, msg.change_id), size=self.config.control_size
+        self._owner.send(
+            src, FlushOk(self._owner.address, msg.change_id), size=self.config.control_size
         )
 
     def _on_flush_ok(self, src: Address, msg: FlushOk) -> None:
@@ -411,7 +409,7 @@ class IsisMember(SimProcess):
         if msg.sender in change.waiting_on:
             change.waiting_on.discard(msg.sender)
             if not change.waiting_on:
-                self.cancel_timer("flush-timeout")
+                self._owner.cancel_timer("flush-timeout")
                 self._finish_view_change()
 
     def _finish_view_change(self) -> None:
@@ -420,13 +418,13 @@ class IsisMember(SimProcess):
         self._change = None
         # the proposal always keeps the coordinator: every member it evicts
         # is another one (timed out, a straggler or a senior presumed dead)
-        network = self.host.network
+        network = self._owner.host.network
         park = network.disturbances if self._vouched(change) else -1
         new_view = NewView(change.proposed, park)
         for member in change.proposed.members:
-            if member != self.address:
-                self.send(member, new_view, size=self.config.control_size)
-        self._on_new_view(self.address, new_view)
+            if member != self._owner.address:
+                self._owner.send(member, new_view, size=self.config.control_size)
+        self._on_new_view(self._owner.address, new_view)
 
     def _vouched(self, change: _ViewChange) -> bool:
         """May the view *change* installs park at once?  When nothing
@@ -438,7 +436,7 @@ class IsisMember(SimProcess):
         assert old is not None
         epoch = change.epoch
         return (
-            self.host.network.disturbances == epoch
+            self._owner.host.network.disturbances == epoch
             and not self._queued_joins
             and not self._queued_leaves
             and all(
@@ -446,7 +444,7 @@ class IsisMember(SimProcess):
                 for m in change.proposed.members
                 if m not in old
             )
-            and self.host.network.calm_for(change.proposed.members)
+            and self._owner.host.network.calm_for(change.proposed.members)
         )
 
     def _on_new_view(self, src: Address, msg: NewView) -> None:
@@ -462,7 +460,8 @@ class IsisMember(SimProcess):
         old_members = set(old.members) if old else set()
         joined = [m for m in view.members if m not in old_members]
         left = [m for m in (old.members if old else ()) if m not in view]
-        now = self.now
+        owner = self._owner
+        now = owner.now
         first_probe = now + 4 * self.config.hb_interval
         for gone in left:
             self._alumni.setdefault(gone, (0, first_probe))
@@ -477,22 +476,22 @@ class IsisMember(SimProcess):
         self._last_seen = dict.fromkeys(view.members, now)
         self._named_at.clear()
         self._suspects = None
-        self.cancel_timer("join-retry")
+        owner.cancel_timer("join-retry")
         self._hb_due = now + self.config.hb_interval
         if park:
             # the change vouched for every member: install parked
             self._heard = set(view.members)
-            self._heard.discard(self.address)
-            self.cancel_timer("hb")
+            self._heard.discard(owner.address)
+            owner.cancel_timer("hb")
             self._set_parked(True)
         else:
             self._heard = set()
             self._set_parked(False)
-            self.set_timer(self.config.hb_interval, "hb")
-        if self._alumni and view.coordinator == self.address and not self.has_timer("probe"):
+            owner.set_timer(self.config.hb_interval, "hb")
+        if self._alumni and view.coordinator == owner.address and not owner.has_timer("probe"):
             self._arm_probe()
         views = self._views
-        self.emit(
+        owner.emit(
             views,
             self.group,
             view.view_id,
@@ -501,7 +500,7 @@ class IsisMember(SimProcess):
             [str(m) for m in view.members] if views.stored else (),
             str(view.coordinator),
         )
-        self.on_view_change(view, joined, left)
+        owner.on_view_change(view, joined, left)
         # A fresh coordinator may have inherited queued membership work.
         if self.is_coordinator:
             self._maybe_start_view_change()
@@ -523,9 +522,9 @@ class IsisMember(SimProcess):
             return
         assert self.view is not None
         cfg = self.config
-        now = self.now
-        me = self.address
-        network = self.host.network
+        now = self._owner.now
+        me = self._owner.address
+        network = self._owner.host.network
         self._hb_ticks += 1
         park = False
         if self.is_coordinator:
@@ -549,15 +548,15 @@ class IsisMember(SimProcess):
             beats = 0
             for member in self.view.members:
                 if member != me and (suspects is None or member in suspects):
-                    self.send(member, beat, size=cfg.control_size)
+                    self._owner.send(member, beat, size=cfg.control_size)
                     beats += 1
             if dead:
                 for m in dead:
-                    self.emit("isis.failure_detected", group=self.group, failed=str(m))
+                    self._owner.emit("isis.failure_detected", group=self.group, failed=str(m))
                 self._queued_leaves.update(dead)
                 self._maybe_start_view_change()
         else:
-            self.send(
+            self._owner.send(
                 self.view.coordinator,
                 Heartbeat(me, self.view.view_id, network.disturbances),
                 size=cfg.control_size,
@@ -576,11 +575,11 @@ class IsisMember(SimProcess):
             self._suspects = None
             self._set_parked(True)
         else:
-            self.set_timer(cfg.hb_interval, "hb")
+            self._owner.set_timer(cfg.hb_interval, "hb")
 
     def _arm_probe(self) -> None:
         due = min(due for _, due in self._alumni.values())
-        self.set_timer(max(0.0, due - self.now), "probe")
+        self._owner.set_timer(max(0.0, due - self._owner.now), "probe")
 
     def _probe_alumni(self) -> None:
         """Probe each departed member five times, from a timer of its own so
@@ -591,14 +590,14 @@ class IsisMember(SimProcess):
         period is enough."""
         if not self.is_coordinator or self.view is None:
             return
-        now = self.now
+        now = self._owner.now
         period = 4 * self.config.hb_interval
-        beat = CoordBeat(self.address, self.view.view_id)
+        beat = CoordBeat(self._owner.address, self.view.view_id)
         probes = 0
         for alumnus, (sent, due) in list(self._alumni.items()):
             if due > now:
                 continue
-            self.send(alumnus, beat, size=self.config.control_size)
+            self._owner.send(alumnus, beat, size=self.config.control_size)
             probes += 1
             if sent + 1 >= 5:
                 del self._alumni[alumnus]  # presumed really gone
@@ -627,7 +626,7 @@ class IsisMember(SimProcess):
             and not self._queued_joins
             and not self._queued_leaves
             and len(self._heard) == len(self.view) - 1
-            and self.host.network.calm_for(self.view.members)
+            and self._owner.host.network.calm_for(self.view.members)
         )
 
     def _set_parked(self, parked: bool) -> None:
@@ -638,7 +637,7 @@ class IsisMember(SimProcess):
         self._parked = parked
         if self._tel_parked is not None:
             gauge = None
-            if self.alive and self.joined:
+            if self._owner.alive and self.joined:
                 gauge = self._tel_parked if parked else self._tel_awake
             if gauge is not self._tel_gauge:
                 if self._tel_gauge is not None:
@@ -652,7 +651,7 @@ class IsisMember(SimProcess):
         forgiven (timestamps to ``now``, as on a view change) and timeouts
         count from here; the hb timer resumes on the phase it had."""
         self._set_parked(False)
-        now = self.now
+        now = self._owner.now
         self._last_coord_seen = now
         self._last_seen = dict.fromkeys(self._last_seen, now)
         due = self._hb_due
@@ -660,7 +659,7 @@ class IsisMember(SimProcess):
             interval = self.config.hb_interval
             due += math.ceil((now - due) / interval) * interval
         self._hb_due = due
-        self.set_timer(max(0.0, due - now), "hb")
+        self._owner.set_timer(max(0.0, due - now), "hb")
 
     def _on_disturbance(self, dying: tuple[Any, ...]) -> None:
         """The network's disturbance edge (see ``Network.disturb``): beats
@@ -670,12 +669,12 @@ class IsisMember(SimProcess):
         of its view: the coordinator forgets having heard from them and
         watches them alone; everyone else keeps its park order."""
         view = self.view
-        count = self.host.network.disturbances
+        count = self._owner.host.network.disturbances
         if dying and view is not None:
             gone = {process.address for process in dying}
             if view.coordinator not in gone:
                 named = [m for m in view.members if m in gone]
-                if named and view.coordinator == self.address:
+                if named and view.coordinator == self._owner.address:
                     for member in named:
                         self._named_at[member] = count
                         self._heard.discard(member)
@@ -684,7 +683,7 @@ class IsisMember(SimProcess):
                         self._wake()
                     elif self._suspects is not None:
                         # newly watched: its silence so far was agreed
-                        now = self.now
+                        now = self._owner.now
                         for member in named:
                             if member not in self._suspects:
                                 self._last_seen[member] = now
@@ -695,7 +694,7 @@ class IsisMember(SimProcess):
         if self._suspects is not None:
             # the members this coordinator did not watch were parked: their
             # silence so far was agreed, as in _wake
-            now = self.now
+            now = self._owner.now
             for member in self._last_seen:
                 if member not in self._suspects:
                     self._last_seen[member] = now
@@ -708,28 +707,28 @@ class IsisMember(SimProcess):
         stayed silent past its own (shorter) takeover deadline, so presume
         the whole senior prefix dead and lead a view excluding it."""
         assert self.view is not None
-        rank = self.view.rank(self.address)
+        rank = self.view.rank(self._owner.address)
         if self.config.require_majority and len(self.view) - rank < self.view.majority():
             # we cannot see a majority: never seize leadership from a
             # minority side — wait for the partition to heal instead
-            self.emit(
+            self._owner.emit(
                 "isis.quorum_blocked",
                 group=self.group,
                 survivors=len(self.view) - rank,
                 needed=self.view.majority(),
             )
-            self._last_coord_seen = self.now  # back off; re-check later
+            self._last_coord_seen = self._owner.now  # back off; re-check later
             return
         presumed_dead = self.view.members[:rank]
-        self.emit(
+        self._owner.emit(
             "isis.takeover",
             group=self.group,
-            new_coordinator=str(self.address),
+            new_coordinator=str(self._owner.address),
             presumed_dead=[str(m) for m in presumed_dead],
         )
         self._acting_coordinator = True
         self._queued_leaves.update(presumed_dead)
-        self._last_coord_seen = self.now  # don't re-trigger while changing
+        self._last_coord_seen = self._owner.now  # don't re-trigger while changing
         self._maybe_start_view_change()
 
     def _on_rival_coordinator(self, beat: CoordBeat) -> None:
@@ -741,17 +740,17 @@ class IsisMember(SimProcess):
         assert self.view is not None
         i_lose = beat.view_id > self.view.view_id or (
             beat.view_id == self.view.view_id
-            and str(beat.sender) < str(self.address)
+            and str(beat.sender) < str(self._owner.address)
         )
         if not i_lose:
             # tell the rival about us; it will dissolve on receipt
-            self.send(
+            self._owner.send(
                 beat.sender,
-                CoordBeat(self.address, self.view.view_id),
+                CoordBeat(self._owner.address, self.view.view_id),
                 size=self.config.control_size,
             )
             return
-        self.emit(
+        self._owner.emit(
             "isis.group_merge",
             group=self.group,
             dissolved_view=self.view.view_id,
@@ -759,9 +758,9 @@ class IsisMember(SimProcess):
         )
         order = Evicted(self.view.view_id, beat.sender)
         for member in self.view.members:
-            if member != self.address:
-                self.send(member, order, size=self.config.control_size)
-        self._on_evicted(self.address, order)
+            if member != self._owner.address:
+                self._owner.send(member, order, size=self.config.control_size)
+        self._on_evicted(self._owner.address, order)
 
     def _flush_timed_out(self) -> None:
         """Survivors that never acknowledged the flush are treated as failed:
@@ -772,7 +771,7 @@ class IsisMember(SimProcess):
         stragglers = set(change.waiting_on)
         self._change = None
         for m in sorted(stragglers, key=str):
-            self.emit("isis.flush_straggler", group=self.group, member=str(m))
+            self._owner.emit("isis.flush_straggler", group=self.group, member=str(m))
         self._queued_leaves.update(stragglers)
         # Preserve the joins the aborted proposal carried.
         if self.view is not None:
@@ -782,7 +781,7 @@ class IsisMember(SimProcess):
         self._maybe_start_view_change()
 
     #: message class -> handler(self, src, msg); one lookup per message
-    _HANDLERS: dict[type, Callable[["IsisMember", Address, Any], None]] = {
+    _HANDLERS: dict[type, Callable[["Membership", Address, Any], None]] = {
         JoinReq: _on_join_req,
         Flush: _on_flush,
         FlushOk: _on_flush_ok,

@@ -1,6 +1,6 @@
 """Wire messages of the virtual-synchrony protocol.
 
-All are plain frozen dataclasses; the :class:`~repro.isis.member.IsisMember`
+All are plain frozen dataclasses; the :class:`~repro.isis.member.Membership`
 dispatches on type. ``view_id`` fields let receivers discard stale traffic
 from superseded views.
 """
@@ -62,8 +62,8 @@ class Heartbeat:
     disturbance count when the beat was sent: a beat that arrives with no
     edge concerning its sender since (an edge that named it or named
     nobody) tells the coordinator the member has been alive, and in view
-    ``view_id``, through an undisturbed interval (see ``IsisMember`` on the
-    parked failure detector)."""
+    ``view_id``, through an undisturbed interval (see :mod:`repro.isis.member`
+    on the parked failure detector)."""
 
     sender: Address
     view_id: int

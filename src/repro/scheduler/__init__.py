@@ -13,8 +13,8 @@ that effect is returned to the execution program."
 Components:
 
 - :class:`SchedulerDaemon` — "a scheduling/dispatching daemon that runs in
-  each workstation authorized to host remote executions"; an
-  :class:`~repro.isis.IsisMember` of its machine-class group. The oldest
+  each workstation authorized to host remote executions"; it owns a
+  :class:`~repro.isis.Membership` in its machine-class group. The oldest
   member acts as group leader, fielding requests, broadcasting
   state-disclosure, sorting bids by load, and replying (or queueing
   unsatisfiable requests with priority aging, §4.3).

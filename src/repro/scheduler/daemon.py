@@ -27,11 +27,12 @@ leader changes, so a successor re-learns the queue from the requesters
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any
 
-from repro.isis.member import IsisConfig, IsisMember
+from repro.isis.member import IsisConfig, Membership
 from repro.isis.views import View
 from repro.netsim.host import Address
+from repro.netsim.process import SimProcess
 from repro.scheduler.directory import GroupDirectory
 from repro.scheduler.hierarchy import CellMap, build_cells
 from repro.scheduler.messages import (
@@ -106,7 +107,7 @@ class _CellRound:
     bids: list[MachineBid] = field(default_factory=list)
 
 
-class SchedulerDaemon(IsisMember):
+class SchedulerDaemon(SimProcess):
     """See module docstring.
 
     Args:
@@ -126,8 +127,8 @@ class SchedulerDaemon(IsisMember):
         config: DaemonConfig | None = None,
         isis_config: IsisConfig | None = None,
     ) -> None:
-        group_name = f"vce.{machine.arch_class.value}"
-        super().__init__(name, group_name, contacts, isis_config)
+        super().__init__(name)
+        self.membership = Membership(self, f"vce.{machine.arch_class.value}", contacts, isis_config)
         self.machine = machine
         self.directory = directory
         self.daemon_config = config or DaemonConfig()
@@ -161,11 +162,6 @@ class SchedulerDaemon(IsisMember):
         #: running instances finish normally) until undrained — flipped by
         #: ``VirtualComputingEnvironment.drain_host`` / the control plane
         self.draining = False
-        #: called with each departed member's host name when this daemon,
-        #: as group coordinator, sees the member drop out of the view —
-        #: the failover layer hooks here for peer takeover of orphaned
-        #: instances (see repro.migration.failover)
-        self.host_lost_observers: list[Callable[[str], None]] = []
 
     def on_start(self) -> None:
         # the event-log handles need the simulator, which a daemon reaches
@@ -173,7 +169,12 @@ class SchedulerDaemon(IsisMember):
         log = self.sim.log
         self._hosting = log.category("sched.hosting", ("app", "count"))
         self._released = log.category("sched.released", ("app",))
-        super().on_start()
+        self.membership.start()
+
+    def on_stop(self) -> None:
+        self.membership.stop()
+
+    on_crash = on_stop
 
     def _tel(self):
         """The live metrics registry, or None when telemetry is off. Looked
@@ -225,25 +226,25 @@ class SchedulerDaemon(IsisMember):
     # ------------------------------------------------------- membership hooks
 
     def on_view_change(self, view: View, joined: list[Address], left: list[Address]) -> None:
-        if self.is_coordinator:
+        if self.membership.is_coordinator:
             self.directory.update(
                 self.machine.arch_class, self.address, list(view.members), view.view_id
             )
-            self.emit("sched.leader", group=self.group, view_id=view.view_id)
+            self.emit("sched.leader", group=self.membership.group, view_id=view.view_id)
             if self.pending_queue:
                 self.set_timer(self.daemon_config.retry_interval, "retry-queue")
-            # peer takeover: the surviving coordinator announces departed
-            # members so the execution layer can reclaim orphaned work
+            # peer takeover: the surviving coordinator reports departed
+            # members' hosts lost, so failover can reclaim orphaned work
             for member in left:
-                self.emit("sched.peer_lost", group=self.group, host=member.host)
+                self.emit("sched.peer_lost", group=self.membership.group, host=member.host)
                 tel = self._tel()
                 if tel is not None:
                     tel.counter(
                         "daemon_peers_lost_total",
                         "group members dropped from a view (leader-observed)",
                     ).inc()
-                for observer in self.host_lost_observers:
-                    observer(member.host)
+                for hook in self.directory.host_lost_hooks:
+                    hook(member.host)
         elif self.pending_queue:
             # deposed (e.g. we led a minority view and lost the merge): the
             # new leader learns these requests from their programs, which
@@ -256,13 +257,13 @@ class SchedulerDaemon(IsisMember):
     # ----------------------------------------------------------- leader side
 
     def _on_resource_request(self, src: Address, request: ResourceRequest) -> None:
-        if not self.joined:
+        view = self.membership.view
+        if view is None:
             return
-        if not self.is_coordinator:
+        if not self.membership.is_coordinator:
             # forward to the leader (the execution program may hold a stale
             # directory entry across a leader failure)
-            assert self.view is not None
-            self.send(self.view.coordinator, request, size=512)
+            self.send(view.coordinator, request, size=512)
             return
         if request.queue_if_insufficient and (self.pending_queue or self._collecting):
             # a backlog exists: fresh queueable arrivals take their place in
@@ -284,11 +285,11 @@ class SchedulerDaemon(IsisMember):
         """Runtime priority change for a queued request (§4.3). Leaders
         apply it and tell the requester, whose re-send after a leader
         change then carries it; non-leaders forward."""
-        if not self.joined:
+        view = self.membership.view
+        if view is None:
             return
-        if not self.is_coordinator:
-            assert self.view is not None
-            self.send(self.view.coordinator, msg, size=128)
+        if not self.membership.is_coordinator:
+            self.send(view.coordinator, msg, size=128)
             return
         if msg.req_id not in self.pending_queue:
             return
@@ -372,12 +373,12 @@ class SchedulerDaemon(IsisMember):
     # ---------------------------------------------------- bidding round root
 
     def _cell_map_for_view(self) -> CellMap:
-        assert self.view is not None
-        if self._cell_map is None or self._cell_map.view_id != self.view.view_id:
+        assert self.membership.view is not None
+        if self._cell_map is None or self._cell_map.view_id != self.membership.view.view_id:
             self._cell_map = build_cells(
-                list(self.view.members),
+                list(self.membership.view.members),
                 self.daemon_config.leader_fanout,
-                self.view.view_id,
+                self.membership.view.view_id,
             )
             tel = self._tel()
             if tel is not None:
@@ -491,7 +492,7 @@ class SchedulerDaemon(IsisMember):
         self.cancel_timer(f"hier:{request.req_id}")
         self._collecting.pop(request.req_id, None)
         bid_span = self._bid_spans.pop(request.req_id, None)
-        if not self.alive or not self.is_coordinator:
+        if not self.alive or not self.membership.is_coordinator:
             return
         self._finish_round(request, bids, bid_span)
 
@@ -568,7 +569,7 @@ class SchedulerDaemon(IsisMember):
         self._load_cache_time = -1.0
         self.emit(self._released, notice.app)
         # capacity freed: give queued requests another chance
-        if self.is_coordinator and self.pending_queue:
+        if self.membership.is_coordinator and self.pending_queue:
             self.set_timer(0.0, "retry-queue")
 
     def _on_disclose_probe(self, src: Address, probe: DiscloseProbe) -> None:
@@ -602,10 +603,10 @@ class SchedulerDaemon(IsisMember):
             if round_ is not None:
                 self._cell_finish(round_)
         else:
-            super().on_timer(key)
+            self.membership.on_timer(key)
 
     def _retry_queued(self) -> None:
-        if not self.is_coordinator or not self.pending_queue:
+        if not self.membership.is_coordinator or not self.pending_queue:
             return
         if self._collecting:
             # one bidding round at a time: queue order must not be bypassed
@@ -635,10 +636,15 @@ class SchedulerDaemon(IsisMember):
         )
         self._start_bidding(item.request)
 
-    #: the group protocol's table plus the scheduler's own messages: one
-    #: type-keyed lookup per message in ``IsisMember.on_message``
+    def on_message(self, src: Address, payload: Any) -> None:
+        handler = self._HANDLERS.get(type(payload))
+        if handler is None:
+            self.membership.on_message(src, payload)
+        else:
+            handler(self, src, payload)
+
+    #: the scheduler's own messages; every other type is the membership's
     _HANDLERS = {
-        **IsisMember._HANDLERS,
         ResourceRequest: _on_resource_request,
         SetPriority: _on_set_priority,
         ExecutionInfo: _on_execution_info,

@@ -39,6 +39,8 @@ class GroupDirectory:
         # insertion-ordered (notification order is part of the schedule);
         # a dict so register and unregister are O(1)
         self._leader_observers: dict[LeaderObserver, None] = {}
+        #: called with the host of each member a group coordinator sees leave
+        self.host_lost_hooks: list[Callable[[str], None]] = []
 
     def update(
         self, arch_class: MachineClass, leader: Address, members: list[Address], view_id: int

@@ -391,7 +391,7 @@ class HealthWatchdog:
         daemons = self.daemons
         for host_name in self._hosts:
             daemon = daemons[host_name]
-            if not daemon.pending_queue or not daemon.is_coordinator:
+            if not daemon.pending_queue or not daemon.membership.is_coordinator:
                 continue
             for item in daemon.pending_queue.items():
                 waited = now - item.enqueued_at

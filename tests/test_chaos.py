@@ -201,7 +201,7 @@ class TestDaemonRestart:
         vce.run(until=vce.sim.now + 40.0)
         daemon = vce.daemons[victim]
         assert daemon.alive
-        assert daemon.joined
+        assert daemon.membership.joined
         # the group's directory converges back to including the victim
         from repro.machines import MachineClass
 
@@ -279,3 +279,57 @@ class TestDispatchToDownHost:
         assert not record.instance.alive and record.instance.started_at is None
         assert vce.sim.log.count("runtime.host_down") == 1
         assert vce.runtime.instances_by_host() == {}
+
+
+class TestHostLostTakeover:
+    """A group coordinator that sees a member's host leave its view reports
+    it through ``GroupDirectory.host_lost_hooks``; failover subscribes once
+    and re-dispatches what was stranded there at once
+    (``via="daemon-takeover"``).  The subscription is the directory's, not a
+    daemon's, so it holds across a daemon restart whichever came first;
+    here the coordinator that reports the loss is itself a restarted
+    daemon."""
+
+    # the fallback re-dispatch comes this long after a strand: any
+    # re-dispatch sooner is the coordinator's report
+    DETECTION = 60.0
+
+    def _bounce_then_lose_the_worker(self, failover_first):
+        """Two workstations.  The founder's daemon (ws0) is bounced, so ws1
+        leads and the new ws0 daemon joins under it.  The job is placed on
+        ws1 (ws0 is drained), and ws1 crashes while it runs: the restarted
+        ws0 daemon takes over the group and reports ws1 lost."""
+        from repro.machines import MachineClass
+
+        vce = VirtualComputingEnvironment(workstation_cluster(2), VCEConfig(seed=1)).boot()
+        config = FailoverConfig(detection=self.DETECTION)
+        if failover_first:
+            vce.enable_failover(config)
+        vce.restart_daemon("ws0")
+        vce.run(until=vce.sim.now + 20.0)
+        if not failover_first:
+            vce.enable_failover(config)
+        assert vce.directory.leader(MachineClass.WORKSTATION).host == "ws1"
+        vce.drain_host("ws0")
+        run = vce.submit(TestStaleIncarnation()._job())
+        vce.sim.run(stop_when=lambda: vce.sim.log.count("task.start") == 1)
+        (record,) = run.app.records.values()
+        assert record.host_name == "ws1"
+        crashed_at = vce.sim.now
+        vce.network.host("ws1").crash()
+        vce.run_to_completion(run, timeout=1_000.0)
+        return vce, run, crashed_at
+
+    @pytest.mark.parametrize("failover_first", [True, False], ids=["before", "after"])
+    def test_a_lost_host_is_taken_over_once(self, failover_first):
+        vce, run, crashed_at = self._bounce_then_lose_the_worker(failover_first)
+        assert run.state is RunState.DONE
+        # the bounce was a loss too (ws1 evicted ws0's old incarnation)
+        (lost,) = [
+            r for r in vce.sim.log.records(category="sched.peer_lost") if r.time >= crashed_at
+        ]
+        assert (lost.source, lost.get("host")) == ("ws0/vced", "ws1")
+        (redispatch,) = vce.sim.log.records(category="recovery.redispatch")
+        assert redispatch.get("via") == "daemon-takeover"
+        assert redispatch.get("src") == "ws1"
+        assert redispatch.time - crashed_at < self.DETECTION

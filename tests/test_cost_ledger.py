@@ -371,7 +371,7 @@ def test_ledger_catches_a_group_wide_queue_fan_out(monkeypatch):
     enqueue = SchedulerDaemon._enqueue
 
     def replicating_enqueue(self, request):
-        for member in self.view.members:
+        for member in self.membership.view.members:
             if member != self.address:
                 self.send(member, ("queue_add", request), size=512)
         enqueue(self, request)

@@ -20,7 +20,7 @@ from tests.test_isis_group import Recorder
 
 def live_members(members):
     """Members whose process is up and holds a view."""
-    return [m for m in members if m.alive and m.joined]
+    return [m for m in members if m.alive and m.membership.joined]
 
 
 def adversarial_run(seed: int, operations: int = 12):
@@ -75,17 +75,20 @@ def test_membership_converges_under_random_churn(seed):
     sim, members = adversarial_run(seed)
     live = live_members(members)
     assert live, f"seed {seed}: everyone died (adversary too strong?)"
-    assert views_converged(live), (
+    assert views_converged([m.membership for m in live]), (
         f"seed {seed}: views diverged: "
-        + str({m.name: (m.view.view_id, [str(x) for x in m.view.members]) for m in live})
+        + str({
+            m.name: (m.membership.view.view_id, [str(x) for x in m.membership.view.members])
+            for m in live
+        })
     )
-    view = live[0].view
+    view = live[0].membership.view
     # the agreed view contains exactly the live members
     assert {m.address for m in live} == set(view.members), (
         f"seed {seed}: view {view} vs live {[m.name for m in live]}"
     )
     # exactly one coordinator, and it is the view's oldest member
-    coordinators = [m for m in live if m.is_coordinator]
+    coordinators = [m for m in live if m.membership.is_coordinator]
     assert len(coordinators) == 1
     assert coordinators[0].address == view.coordinator
 

@@ -2,8 +2,8 @@
 
 from dataclasses import dataclass
 
-from repro.isis import IsisMember
-from repro.netsim import Address, Network, Simulator
+from repro.isis import Membership
+from repro.netsim import Address, Network, Simulator, SimProcess
 
 
 @dataclass(frozen=True)
@@ -18,15 +18,36 @@ class Pong:
     sender: Address
 
 
-class Recorder(IsisMember):
-    """Member that records every view change, and answers point-to-point
-    liveness probes (the fan-out a bidding round makes)."""
+class Recorder(SimProcess):
+    """A process that owns a group membership, records every view change,
+    and answers point-to-point liveness probes (the fan-out a bidding round
+    makes).  Its own messages are Ping and Pong; it routes every other
+    message and every timer to its membership."""
 
     def __init__(self, name, group="g", contacts=None, config=None):
-        super().__init__(name, group, contacts, config)
+        super().__init__(name)
+        self.membership = Membership(self, group, contacts, config)
         self.views = []
         self.pings_seen = []
         self.pongs = {}
+
+    def on_start(self):
+        self.membership.start()
+
+    def on_stop(self):
+        self.membership.stop()
+
+    on_crash = on_stop
+
+    def on_message(self, src, payload):
+        handler = self._HANDLERS.get(type(payload))
+        if handler is None:
+            self.membership.on_message(src, payload)
+        else:
+            handler(self, src, payload)
+
+    def on_timer(self, key):
+        self.membership.on_timer(key)
 
     def on_view_change(self, view, joined, left):
         self.views.append((view.view_id, tuple(view.members), tuple(joined), tuple(left)))
@@ -35,7 +56,7 @@ class Recorder(IsisMember):
         """Send *probe* to every member of this view, self included; the
         members that answer land in ``self.pongs[probe]``."""
         self.pongs[probe] = []
-        for member in self.view.members:
+        for member in self.membership.view.members:
             self.send(member, Ping(probe, self.address), size=128)
 
     def _on_ping(self, src, msg):
@@ -45,7 +66,7 @@ class Recorder(IsisMember):
     def _on_pong(self, src, msg):
         self.pongs[msg.probe].append(msg.sender)
 
-    _HANDLERS = {**IsisMember._HANDLERS, Ping: _on_ping, Pong: _on_pong}
+    _HANDLERS = {Ping: _on_ping, Pong: _on_pong}
 
 
 def build_group(n, seed=0, config=None, settle=10.0):
@@ -67,24 +88,24 @@ def build_group(n, seed=0, config=None, settle=10.0):
 class TestFormation:
     def test_founder_is_coordinator_of_singleton_view(self):
         sim, net, (m,) = build_group(1)
-        assert m.joined and m.is_coordinator
-        assert m.view.view_id == 1
-        assert m.view.members == (m.address,)
+        assert m.membership.joined and m.membership.is_coordinator
+        assert m.membership.view.view_id == 1
+        assert m.membership.view.members == (m.address,)
 
     def test_three_members_converge(self):
         sim, net, members = build_group(3)
-        views = {m.view.view_id for m in members}
+        views = {m.membership.view.view_id for m in members}
         assert len(views) == 1
-        membership = {m.view.members for m in members}
+        membership = {m.membership.view.members for m in members}
         assert len(membership) == 1
-        assert len(members[0].view) == 3
+        assert len(members[0].membership.view) == 3
 
     def test_founder_remains_coordinator(self):
         sim, net, members = build_group(4)
         for m in members:
-            assert m.view.coordinator == members[0].address
-        assert members[0].is_coordinator
-        assert not members[1].is_coordinator
+            assert m.membership.view.coordinator == members[0].address
+        assert members[0].membership.is_coordinator
+        assert not members[1].membership.is_coordinator
 
     def test_join_through_non_coordinator_contact(self):
         sim = Simulator(0)
@@ -99,9 +120,9 @@ class TestFormation:
         m2 = Recorder("m2", contacts=[Address("h1", "m1")])
         h2.spawn(m2)
         sim.run(until=10.0)
-        assert m2.joined
-        assert len(m2.view) == 3
-        assert m2.view.coordinator == m0.address
+        assert m2.membership.joined
+        assert len(m2.membership.view) == 3
+        assert m2.membership.view.coordinator == m0.address
 
     def test_view_change_callbacks_report_joined(self):
         sim, net, members = build_group(2)
@@ -117,10 +138,10 @@ class TestFormation:
         late = Recorder("m9", contacts=[members[0].address])
         host.spawn(late)
         sim.run(until=sim.now + 10.0)
-        assert late.joined
-        assert len(late.view) == 3
+        assert late.membership.joined
+        assert len(late.membership.view) == 3
         for m in members:
-            assert late.address in m.view
+            assert late.address in m.membership.view
 
     def test_join_retries_through_second_contact(self):
         sim = Simulator(0)
@@ -135,8 +156,8 @@ class TestFormation:
         joiner = Recorder("m2", contacts=[Address("h0", "m0"), Address("h1", "m1")])
         h2.spawn(joiner)
         sim.run(until=40.0)
-        assert joiner.joined
-        assert joiner.view.coordinator == m1.address
+        assert joiner.membership.joined
+        assert joiner.membership.view.coordinator == m1.address
 
 
 class TestLeaveAndFailure:
@@ -145,49 +166,49 @@ class TestLeaveAndFailure:
         net.host("h2").crash()
         sim.run(until=sim.now + 15.0)
         for m in members[:2]:
-            assert members[2].address not in m.view
+            assert members[2].address not in m.membership.view
         failures = sim.log.records(category="isis.failure_detected")
         assert any(r.get("failed") == str(members[2].address) for r in failures)
 
     def test_coordinator_crash_oldest_survivor_takes_over(self):
         sim, net, members = build_group(4)
         by_addr = {m.address: m for m in members}
-        second_oldest = by_addr[members[0].view.members[1]]
+        second_oldest = by_addr[members[0].membership.view.members[1]]
         net.host("h0").crash()
         sim.run(until=sim.now + 30.0)
         for m in members[1:]:
-            assert m.view.coordinator == second_oldest.address
-            assert members[0].address not in m.view
-            assert len(m.view) == 3
-        assert second_oldest.is_coordinator
+            assert m.membership.view.coordinator == second_oldest.address
+            assert members[0].address not in m.membership.view
+            assert len(m.membership.view) == 3
+        assert second_oldest.membership.is_coordinator
         takeovers = sim.log.records(category="isis.takeover")
         assert takeovers and takeovers[0].get("new_coordinator") == str(second_oldest.address)
 
     def test_double_crash_third_member_takes_over(self):
         sim, net, members = build_group(4)
         by_addr = {m.address: m for m in members}
-        ordered = [by_addr[a] for a in members[0].view.members]
+        ordered = [by_addr[a] for a in members[0].membership.view.members]
         # crash the two most senior members
         net.host(ordered[0].address.host).crash()
         net.host(ordered[1].address.host).crash()
         sim.run(until=sim.now + 60.0)
         survivors = ordered[2:]
         for m in survivors:
-            assert m.view.coordinator == ordered[2].address
-            assert len(m.view) == 2
+            assert m.membership.view.coordinator == ordered[2].address
+            assert len(m.membership.view) == 2
 
     def test_group_survives_leader_churn_and_accepts_joins(self):
         sim, net, members = build_group(3)
         by_addr = {m.address: m for m in members}
-        second_oldest = by_addr[members[0].view.members[1]]
+        second_oldest = by_addr[members[0].membership.view.members[1]]
         net.host("h0").crash()
         sim.run(until=sim.now + 30.0)
         host = net.add_host("h9")
         joiner = Recorder("m9", contacts=[members[1].address])
         host.spawn(joiner)
         sim.run(until=sim.now + 15.0)
-        assert joiner.joined
-        assert joiner.view.coordinator == second_oldest.address
+        assert joiner.membership.joined
+        assert joiner.membership.view.coordinator == second_oldest.address
 
     def test_coordinator_restarted_before_takeover_rejoins_as_member(self):
         """A crashed coordinator restarted before anyone has taken over
@@ -198,8 +219,8 @@ class TestLeaveAndFailure:
         incarnation and then joins the successor's group."""
         sim, net, members = build_group(4)
         by_addr = {m.address: m for m in members}
-        old, successor = (by_addr[a] for a in members[0].view.members[:2])
-        old_view = old.view.view_id
+        old, successor = (by_addr[a] for a in members[0].membership.view.members[:2])
+        old_view = old.membership.view.view_id
         old.host.crash()
         sim.run(until=sim.now + 1.0)
         old.host.recover()
@@ -208,10 +229,13 @@ class TestLeaveAndFailure:
         old.host.spawn(restarted)
         restarted_at = sim.now
         sim.run(until=sim.now + 30.0)
-        assert restarted.view is not None and restarted.view.view_id > old_view
-        assert restarted.view.coordinator == successor.address
-        assert all(m.view == restarted.view for m in members if m is not old)
-        assert len(restarted.view) == 4
+        assert (
+            restarted.membership.view is not None
+            and restarted.membership.view.view_id > old_view
+        )
+        assert restarted.membership.view.coordinator == successor.address
+        assert all(m.membership.view == restarted.membership.view for m in members if m is not old)
+        assert len(restarted.membership.view) == 4
         stale = [
             r for r in sim.log.records(category="isis.view")
             if r.source == str(restarted.address)
@@ -258,17 +282,17 @@ class TestSuspectReports:
 
         sim, net, members = build_group(5, config=IsisConfig(require_majority=True))
         by_addr = {m.address: m for m in members}
-        ordered = [by_addr[a] for a in members[0].view.members]
-        coordinator, view_before = ordered[0], ordered[0].view
+        ordered = [by_addr[a] for a in members[0].membership.view.members]
+        coordinator, view_before = ordered[0], ordered[0].membership.view
         # detection takes at most hb_timeout + hb_interval (2.5 s); the first
         # takeover on the majority side (rank 2) waits 3 * hb_timeout (6 s)
         net.partition({m.address.host for m in ordered[:2]})
         sim.run(until=sim.now + 3.5)
-        assert coordinator._queued_leaves == {m.address for m in ordered[2:]}
+        assert coordinator.membership._queued_leaves == {m.address for m in ordered[2:]}
         assert sim.log.records(category="isis.quorum_blocked")
         net.heal()
         sim.run(until=sim.now + 20.0)
-        assert not coordinator._queued_leaves
+        assert not coordinator.membership._queued_leaves
         assert not sim.log.records(category="isis.takeover")
         for m in ordered:
-            assert m.view == view_before
+            assert m.membership.view == view_before

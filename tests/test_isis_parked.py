@@ -119,12 +119,12 @@ def test_reliable_transport_parked_run_matches_forced_awake_run(
 
     monkeypatch.setattr(VirtualComputingEnvironment, "boot", boot_lossy)
     parked = scenario()
-    assert all(daemon.parked for daemon in parked.daemons.values())
+    assert all(daemon.membership.parked for daemon in parked.daemons.values())
 
     # the detector's calm predicate never holds: no group ever parks
     monkeypatch.setattr(Network, "calm_for", lambda network, members: False)
     awake = scenario()
-    assert not any(daemon.parked for daemon in awake.daemons.values())
+    assert not any(daemon.membership.parked for daemon in awake.daemons.values())
     # a quiet run: nobody was falsely suspected, so the view sequences
     # must match as well as the results
     assert not awake.sim.log.records(category="isis.failure_detected")
@@ -149,11 +149,11 @@ def build_group(n, seed=0, require_majority=False, drop_rate=None):
     if drop_rate is not None:
         net.set_drop_rate(drop_rate)
         deadline = sim.now + 30.0
-        while not all(m.parked for m in members) and sim.now < deadline:
+        while not all(m.membership.parked for m in members) and sim.now < deadline:
             sim.run(until=sim.now + 0.25)
-    view = members[0].view
-    assert all(m.view == view for m in members)
-    assert all(m.parked for m in members)
+    view = members[0].membership.view
+    assert all(m.membership.view == view for m in members)
+    assert all(m.membership.parked for m in members)
     by_address = {m.address: m for m in members}
     return sim, net, [by_address[a] for a in view.members]
 
@@ -195,7 +195,7 @@ def test_fault_in_parked_group_detected_within_bounds(
     n, fault, victim_rank, phase, require_majority, seed, drop_rate
 ):
     sim, net, members = build_group(n, seed, require_majority, drop_rate)
-    cfg = members[0].config
+    cfg = members[0].membership.config
     victim = members[victim_rank % n]
     sent_while_parked = net.messages_sent
     sim.run(until=sim.now + phase)
@@ -246,17 +246,17 @@ def test_member_parks_only_on_a_current_order():
     sim, net, members = build_group(3)
     net.set_latency_factor(1.0)  # an edge that leaves the network calm
     assert net.calm_for(m.address for m in members)
-    assert not any(m.parked for m in members)
+    assert not any(m.membership.parked for m in members)
     # run tick by tick until the coordinator parks, then void its order
     # while the beats that carry it are still in flight
-    while not members[0].parked:
+    while not members[0].membership.parked:
         sim.run(until=sim.now + 1e-4)
-    assert not any(m.parked for m in members[1:])
+    assert not any(m.membership.parked for m in members[1:])
     net.set_latency_factor(1.0)
     sim.run(until=sim.now + 0.01)  # the stale orders have arrived by now
-    assert not any(m.parked for m in members)
+    assert not any(m.membership.parked for m in members)
     sim.run(until=sim.now + 5.0)
-    assert all(m.parked for m in members)
+    assert all(m.membership.parked for m in members)
     assert not sim.log.records(category="isis.failure_detected")
 
 
@@ -265,11 +265,11 @@ def test_beat_in_flight_at_a_kill_vouches_for_nobody():
     arrives after must not count as "heard from since": the coordinator
     would park with a dead member in its view and never find out."""
     sim, net, members = build_group(3)
-    cfg = members[0].config
+    cfg = members[0].membership.config
     victim = members[1]
     net.set_latency_factor(1.0)  # wake everyone
-    ticks = victim._hb_ticks
-    while victim._hb_ticks == ticks:
+    ticks = victim.membership._hb_ticks
+    while victim.membership._hb_ticks == ticks:
         sim.run(until=sim.now + 1e-4)
     sent = net.messages_delivered
     victim.host.kill(victim.name)  # its beat is still on the wire
@@ -292,26 +292,26 @@ def test_named_death_under_the_reliable_transport_wakes_only_the_coordinator(
     vouched for by the survivors' FlushOks, installs parked (the crashed
     host is still down), and the departed member is probed five times."""
     sim, net, members = build_group(4, drop_rate=0.05)
-    cfg = members[0].config
+    cfg = members[0].membership.config
     coordinator, victim = members[0], members[2]
     others = [m for m in members if m is not coordinator and m is not victim]
-    old_view = coordinator.view.view_id
+    old_view = coordinator.membership.view.view_id
     if fault == "crash":
         victim.host.crash()
     else:
         victim.host.kill(victim.name)
-    ticks = [m._hb_ticks for m in others]
+    ticks = [m.membership._hb_ticks for m in others]
     fault_at = sim.now
-    while coordinator.view.view_id == old_view:
-        assert not coordinator.parked
-        assert all(m.parked for m in others), sim.now
+    while coordinator.membership.view.view_id == old_view:
+        assert not coordinator.membership.parked
+        assert all(m.membership.parked for m in others), sim.now
         sim.run(until=sim.now + 0.05)
         assert sim.now <= fault_at + cfg.hb_timeout + cfg.hb_interval + 0.1
     assert sim.now > fault_at + cfg.hb_timeout
-    assert [m._hb_ticks for m in others] == ticks
+    assert [m.membership._hb_ticks for m in others] == ticks
     sim.run(until=sim.now + 0.1)  # the NewView has arrived
-    assert all(victim.address not in m.view for m in others)
-    assert coordinator.parked and all(m.parked for m in others)
+    assert all(victim.address not in m.membership.view for m in others)
+    assert coordinator.membership.parked and all(m.membership.parked for m in others)
     failed = {r.get("failed") for r in sim.log.records(category="isis.failure_detected")}
     assert failed == {str(victim.address)}
     assert not sim.log.records(category="isis.takeover")
@@ -332,24 +332,24 @@ def test_dead_member_in_view_keeps_whole_group_awake(fault):
     member is suspected, and the group parks again once the eviction view
     is installed."""
     sim, net, members = build_group(4)
-    cfg = members[0].config
+    cfg = members[0].membership.config
     coordinator, victim = members[0], members[2]
     survivors = [m for m in members if m is not victim]
-    old_view = coordinator.view.view_id
+    old_view = coordinator.membership.view.view_id
     if fault == "kill":
         net.set_latency_factor(1.0)  # wake everyone
         victim.host.kill(victim.name)
     else:
         victim.host.crash()
         victim.host.recover()
-    assert not any(m.parked for m in survivors)
+    assert not any(m.membership.parked for m in survivors)
     fault_at = sim.now
     evicted_at = None
     while sim.now < fault_at + 10.0:
         sim.run(until=sim.now + 0.05)
-        installed = all(m.view.view_id > old_view for m in survivors)
+        installed = all(m.membership.view.view_id > old_view for m in survivors)
         if not installed:
-            assert not any(m.parked for m in survivors), sim.now
+            assert not any(m.membership.parked for m in survivors), sim.now
         elif evicted_at is None:
             evicted_at = sim.now
     assert evicted_at is not None
@@ -358,17 +358,17 @@ def test_dead_member_in_view_keeps_whole_group_awake(fault):
     failed = {r.get("failed") for r in sim.log.records(category="isis.failure_detected")}
     assert failed == {str(victim.address)}
     assert not sim.log.records(category="isis.takeover")
-    assert all(victim.address not in m.view for m in survivors)
-    assert all(m.parked for m in survivors)
-    ticks = [m._hb_ticks for m in survivors]
+    assert all(victim.address not in m.membership.view for m in survivors)
+    assert all(m.membership.parked for m in survivors)
+    ticks = [m.membership._hb_ticks for m in survivors]
     sim.run(until=sim.now + 100.0)
-    assert [m._hb_ticks for m in survivors] == ticks
+    assert [m.membership._hb_ticks for m in survivors] == ticks
 
 
 def test_coordinator_death_wakes_every_member_under_the_reliable_transport():
     sim, net, members = build_group(4, drop_rate=0.05)
     members[0].host.crash()
-    assert not any(m.parked for m in members[1:])
+    assert not any(m.membership.parked for m in members[1:])
 
 
 def test_parked_group_probes_a_departed_member_that_leads_its_own_group():
@@ -380,14 +380,17 @@ def test_parked_group_probes_a_departed_member_that_leads_its_own_group():
     coordinator, victim = members[0], members[2]
     victim.host.kill(victim.name)
     sim.run(until=sim.now + 5.0)
-    assert victim.address not in coordinator.view
-    assert coordinator.parked and members[1].parked
+    assert victim.address not in coordinator.membership.view
+    assert coordinator.membership.parked and members[1].membership.parked
     rival = Recorder(victim.name)  # founds a group alone
     victim.host.spawn(rival)
     sim.run(until=sim.now + 30.0)
     assert sim.log.records(category="isis.group_merge")
-    assert rival.view == coordinator.view and len(coordinator.view) == 3
-    assert all(m.parked for m in (coordinator, members[1], rival))
+    assert (
+        rival.membership.view == coordinator.membership.view
+        and len(coordinator.membership.view) == 3
+    )
+    assert all(m.membership.parked for m in (coordinator, members[1], rival))
 
 
 # ------------------------------------------------------------- re-parking
@@ -401,8 +404,8 @@ def _vce(**config):
 
 def _assert_idle_and_silent(vce):
     assert vce.network.calm_for(daemon.address for daemon in vce.daemons.values())
-    assert all(daemon.parked for daemon in vce.daemons.values())
-    assert len({daemon.view for daemon in vce.daemons.values()}) == 1
+    assert all(daemon.membership.parked for daemon in vce.daemons.values())
+    assert len({daemon.membership.view for daemon in vce.daemons.values()}) == 1
     sent, ticks = vce.network.messages_sent, vce.sim.telemetry.get("isis_hb_ticks_total").value
     vce.run(until=vce.sim.now + 100.0)
     assert vce.network.messages_sent == sent
@@ -415,7 +418,7 @@ def test_restart_rejoins_and_parks_again():
     nobody) the new daemon rejoins and the group parks again."""
     vce = _vce()
     daemons = vce.daemons
-    assert all(daemon.parked for daemon in daemons.values())
+    assert all(daemon.membership.parked for daemon in daemons.values())
     leader = vce.leader_of(MachineClass.WORKSTATION)
     bystanders = [d for d in daemons.values() if d is not leader and d.host.name != "ws2"]
     schedule = FaultSchedule("bounce")
@@ -424,12 +427,14 @@ def test_restart_rejoins_and_parks_again():
     start = vce.sim.now
     while vce.sim.now < start + 6.5:
         vce.run(until=vce.sim.now + 0.05)
-        assert all(daemon.parked for daemon in bystanders), vce.sim.now
+        assert all(daemon.membership.parked for daemon in bystanders), vce.sim.now
     assert not vce.network.calm_for(daemon.address for daemon in daemons.values())
-    assert "ws2" not in {m.host for m in leader.view.members}
-    assert leader.parked
+    assert "ws2" not in {m.host for m in leader.membership.view.members}
+    assert leader.membership.parked
     vce.run(until=vce.sim.now + 30.0)
-    assert "ws2" in {m.host for m in vce.leader_of(MachineClass.WORKSTATION).view.members}
+    assert "ws2" in {
+        m.host for m in vce.leader_of(MachineClass.WORKSTATION).membership.view.members
+    }
     _assert_idle_and_silent(vce)
 
 
@@ -440,16 +445,16 @@ def test_heal_merges_and_parks_again(require_majority):
     a view, so the old one outlasts the cut.  Either way nobody parks while
     the cut lasts, and afterwards the group is whole and parks again."""
     vce = _vce(isis=IsisConfig(require_majority=require_majority))
-    before = vce.leader_of(MachineClass.WORKSTATION).view
+    before = vce.leader_of(MachineClass.WORKSTATION).membership.view
     schedule = FaultSchedule("cut")
     schedule.partition_window(1.0, 8.0, ["ws2", "ws3"])
     vce.chaos(schedule)
     vce.run(until=vce.sim.now + 6.0)
-    assert not any(daemon.parked for daemon in vce.daemons.values())
+    assert not any(daemon.membership.parked for daemon in vce.daemons.values())
     vce.run(until=vce.sim.now + 60.0)
     merged = vce.sim.log.records(category="isis.group_merge")
     assert bool(merged) != require_majority
-    after = vce.leader_of(MachineClass.WORKSTATION).view
+    after = vce.leader_of(MachineClass.WORKSTATION).membership.view
     assert (after == before) == require_majority and len(after) == 4
     _assert_idle_and_silent(vce)
 
@@ -470,10 +475,10 @@ def test_partition_keeps_a_reliable_group_awake_and_probes_find_the_rival(
     vce.chaos(schedule)
     vce.run(until=vce.sim.now + 6.0)
     leader = vce.leader_of(MachineClass.WORKSTATION)
-    assert "ws3" not in {m.host for m in leader.view.members}
-    assert not any(daemon.parked for daemon in vce.daemons.values())
+    assert "ws3" not in {m.host for m in leader.membership.view.members}
+    assert not any(daemon.membership.parked for daemon in vce.daemons.values())
     vce.run(until=vce.sim.now + 60.0)
-    assert len(vce.leader_of(MachineClass.WORKSTATION).view) == 4
+    assert len(vce.leader_of(MachineClass.WORKSTATION).membership.view) == 4
     _assert_idle_and_silent(vce)
 
 
@@ -492,7 +497,7 @@ def test_cut_off_coordinator_learns_it_was_evicted(hosts, cut):
     schedule.partition_window(1.0, 8.0, cut)
     vce.chaos(schedule)
     vce.run(until=vce.sim.now + 1.0 + 8.0 + isis.hb_timeout)
-    assert len(vce.leader_of(MachineClass.WORKSTATION).view) == hosts
+    assert len(vce.leader_of(MachineClass.WORKSTATION).membership.view) == hosts
     _assert_idle_and_silent(vce)
 
 
@@ -511,4 +516,4 @@ def test_run_without_deadline_returns_on_an_idle_cluster():
     run = vce.submit(graph, class_map={node.name: None for node in graph})
     vce.sim.run(max_events=100_000)
     assert run.state is RunState.DONE
-    assert all(daemon.parked for daemon in vce.daemons.values())
+    assert all(daemon.membership.parked for daemon in vce.daemons.values())

@@ -25,13 +25,13 @@ def build_partitionable_group(n, seed=0, config=None, settle=10.0):
         host.spawn(member)
         members.append(member)
     sim.run(until=settle)
-    assert all(m.joined for m in members)
+    assert all(m.membership.joined for m in members)
     return sim, net, members
 
 
 def seniority_ordered(members):
     by_addr = {m.address: m for m in members}
-    return [by_addr[a] for a in members[0].view.members]
+    return [by_addr[a] for a in members[0].membership.view.members]
 
 
 class TestWithoutQuorum:
@@ -44,13 +44,13 @@ class TestWithoutQuorum:
         minority = {m.address.host for m in ordered[3:]}
         net.partition(majority, minority)
         sim.run(until=sim.now + 60.0)
-        major_views = {m.view.members for m in ordered[:3]}
-        minor_views = {m.view.members for m in ordered[3:]}
+        major_views = {m.membership.view.members for m in ordered[:3]}
+        minor_views = {m.membership.view.members for m in ordered[3:]}
         assert len(major_views) == 1 and len(minor_views) == 1
         # two disjoint groups, each with its own coordinator: split brain
         assert major_views != minor_views
-        assert ordered[0].is_coordinator
-        assert ordered[3].is_coordinator
+        assert ordered[0].membership.is_coordinator
+        assert ordered[3].membership.is_coordinator
 
 
 class TestWithQuorum:
@@ -59,20 +59,20 @@ class TestWithQuorum:
     def test_minority_side_stalls(self):
         sim, net, members = build_partitionable_group(5, config=self.CFG)
         ordered = seniority_ordered(members)
-        view_before = ordered[0].view
+        view_before = ordered[0].membership.view
         majority = {m.address.host for m in ordered[:3]}
         minority = {m.address.host for m in ordered[3:]}
         net.partition(majority, minority)
         sim.run(until=sim.now + 60.0)
         # majority side installed a 3-member view
         for m in ordered[:3]:
-            assert len(m.view) == 3
-            assert m.view.coordinator == ordered[0].address
+            assert len(m.membership.view) == 3
+            assert m.membership.view.coordinator == ordered[0].address
         # minority side is blocked: it still holds the old 5-member view
         for m in ordered[3:]:
-            assert m.view.view_id == view_before.view_id
-            assert len(m.view) == 5
-            assert not m.is_coordinator
+            assert m.membership.view.view_id == view_before.view_id
+            assert len(m.membership.view) == 5
+            assert not m.membership.is_coordinator
         blocked = sim.log.records(category="isis.quorum_blocked")
         assert blocked, "minority never hit the quorum guard"
 
@@ -87,10 +87,10 @@ class TestWithQuorum:
         sim.run(until=sim.now + 60.0)
         # everyone converges on one 5-member view led by the original
         # coordinator; the minority members rejoined after eviction
-        final_views = {m.view.members for m in members if m.joined}
+        final_views = {m.membership.view.members for m in members if m.membership.joined}
         assert len(final_views) == 1
-        assert len(members[0].view) == 5
-        assert members[0].view.coordinator == ordered[0].address
+        assert len(members[0].membership.view) == 5
+        assert members[0].membership.view.coordinator == ordered[0].address
         evictions = sim.log.records(category="isis.evicted")
         assert len(evictions) >= 2  # both minority members rejoined
 

@@ -73,7 +73,7 @@ class TestGroupFormation:
     def test_first_daemon_is_leader(self):
         vce = make_vce(workstation_farm(3))
         leader = vce.leader_of(MachineClass.WORKSTATION)
-        assert leader.is_coordinator
+        assert leader.membership.is_coordinator
 
 
 class TestBiddingBasics:
@@ -242,13 +242,17 @@ class TestLeaderFailover:
 
         vce = make_vce(workstation_farm(4))
         leader = vce.leader_of(MachineClass.WORKSTATION)
-        members = leader.view.members
+        members = leader.membership.view.members
         successor = next(d for d in vce.daemons.values() if d.address == members[1])
         vce.net.host(leader.machine.name).crash()
         vce.sim.run(
-            until=vce.sim.now + 30.0, stop_when=lambda: successor._acting_coordinator
+            until=vce.sim.now + 30.0,
+            stop_when=lambda: successor.membership._acting_coordinator,
         )
-        assert successor._acting_coordinator and successor.view.members == members
+        assert (
+            successor.membership._acting_coordinator
+            and successor.membership.view.members == members
+        )
         replies = []
 
         class Requester(SimProcess):

@@ -4,6 +4,7 @@ watchdog, and the `repro top` renderer."""
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,7 +351,7 @@ class _StubDaemon:
     """Just enough daemon surface for queue/starvation rules."""
 
     def __init__(self, items=()):
-        self.is_coordinator = bool(items)
+        self.membership = SimpleNamespace(is_coordinator=bool(items))
         self._items = list(items)
 
     @property
@@ -602,10 +603,10 @@ class TestSamplerIntegration:
         assert f"heartbeat share: {share * 100:.1f}%" in frame
         # the gauges count the members the tick counters count: any group
         # member, daemon or not, and only while it is alive and joined
-        from repro.isis.member import IsisMember
+        from tests.test_isis_group import Recorder
 
         host = next(iter(vce.network.hosts.values()))
-        host.spawn(IsisMember("lone", "OTHER"))
+        host.spawn(Recorder("lone", "OTHER"))
         vce.run(until=vce.sim.now + 0.1)  # it starts, founding its own group
         assert registry.get("isis_awake").value == members + 1
         host.crash()
