@@ -5,7 +5,7 @@ Center, Syracuse University; HPDC 1994.
 
 The package implements the complete VCE stack over a deterministic
 discrete-event cluster simulator: task graphs and the three SDM layers, an
-Isis-style virtual-synchrony toolkit, channels/ports with interposition and
+Isis-style group membership toolkit, channels/ports with interposition and
 redirection, a vMPI message-passing library, IDL-generated object proxies,
 the compilation manager with anticipatory compilation, the Figure-3 bidding
 scheduler with group leaders and priority aging, the runtime manager, four

@@ -18,7 +18,7 @@ and replies to the members of the current view
 - :class:`View` — a numbered membership snapshot ordered by seniority; the
   coordinator (group leader) is the oldest member.
 - :class:`Membership` — the component a process owns to be a group member:
-  heartbeat failure detection and coordinator-driven two-phase view changes.
+  heartbeat failure detection and coordinator-driven one-round view changes.
 
 Simplification relative to full Isis (documented in DESIGN.md):
 concurrent-partition (split-brain) membership is resolved only when the

@@ -4,7 +4,7 @@ A process that joins a group owns one :class:`Membership`.  It gives its
 owner the toolkit facilities the paper's prototype uses, and nothing else:
 
 - ``join`` and automatic failure eviction, with coordinator-driven
-  two-phase view changes (Flush, NewView);
+  one-round view changes (NewView, answered by a ViewAck);
 - heartbeat failure detection with rank-staggered takeover so "the oldest
   surviving member of the group assume[s] the role of group leader".
 
@@ -30,13 +30,11 @@ beat from its coordinator carries no valid park order.
 The detector is *scoped* to the disturbance: an edge that names dying
 members other than the coordinator wakes only the coordinator, which
 watches the named members alone until they are evicted, while everyone
-else keeps its park order; a view change that every member vouched for in
-one disturbance epoch installs parked; and departed members are probed on
-a backoff of their own instead of keeping the group awake.
-
-Concurrency note: everything runs inside one deterministic simulator, so no
-locking is needed; correctness concerns are protocol-level (stale views,
-crashed coordinators, messages from superseded views).
+else keeps its park order; a view change whose joiners vouched for
+themselves in the current disturbance epoch installs parked, and each
+member's ``ViewAck`` vouches for it as a beat would; and departed members
+are probed on a backoff of their own instead of keeping the group awake.
+Everything runs inside one deterministic simulator, so nothing is locked.
 """
 
 from __future__ import annotations
@@ -46,15 +44,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.isis.messages import (
-    CoordBeat,
-    Evicted,
-    Flush,
-    FlushOk,
-    Heartbeat,
-    JoinReq,
-    NewView,
-)
+from repro.isis.messages import CoordBeat, Evicted, Heartbeat, JoinReq, NewView, ViewAck
 from repro.isis.views import View
 from repro.netsim.host import Address
 from repro.netsim.process import SimProcess
@@ -66,14 +56,15 @@ class IsisConfig:
 
     Attributes:
         hb_interval: heartbeat period (s).
-        hb_timeout: silence after which a member is declared failed (s).
-        flush_timeout: how long the coordinator waits for FlushOk before
-            treating non-responders as failed (s).
+        hb_timeout: silence after which a member is declared failed (s);
+            also how long the coordinator waits for a member's ViewAck
+            before it suspects the member.
         join_retry: joiner's retransmission period (s).
         control_size: wire size charged to protocol messages (bytes).
         require_majority: when True, a view change only installs if a
-            strict majority of the previous view survives into the new one
-            — the quorum rule that prevents split-brain under network
+            strict majority of the previous view survives into the new one,
+            and a takeover only once such a majority has acked its view —
+            the quorum rule that prevents split-brain under network
             partitions (an extension beyond the paper's LAN prototype).
             Members on a minority side stall until the partition heals,
             then learn they were evicted and rejoin.
@@ -81,20 +72,9 @@ class IsisConfig:
 
     hb_interval: float = 0.5
     hb_timeout: float = 2.0
-    flush_timeout: float = 1.5
     join_retry: float = 1.0
     control_size: int = 128
     require_majority: bool = False
-
-
-@dataclass
-class _ViewChange:
-    """Coordinator-side state of an in-progress view change."""
-
-    proposed: View
-    waiting_on: set[Address]
-    #: the network's disturbance count when the change started
-    epoch: int
 
 
 class Membership:
@@ -128,12 +108,15 @@ class Membership:
 
         self.view: View | None = None
 
-        # view-change state
-        self._change: _ViewChange | None = None
-        self._flushing = False
+        # view-change state: coordinator side, the members of the installed
+        # view whose ViewAck is still due (the next change waits for them);
+        # under quorum, a takeover's view that no majority has acked yet;
+        # and whether this member is blocked on quorum
+        self._acks_due: set[Address] = set()
+        self._proposal: View | None = None
         self._queued_joins: list[Address] = []
         self._queued_leaves: set[Address] = set()
-        self._acting_coordinator = False
+        self._quorum_blocked = False
 
         # failure detection
         self._last_seen: dict[Address, float] = {}
@@ -179,9 +162,7 @@ class Membership:
 
     @property
     def is_coordinator(self) -> bool:
-        return self.view is not None and (
-            self.view.coordinator == self._owner.address or self._acting_coordinator
-        )
+        return self.view is not None and self.view.coordinator == self._owner.address
 
     # ------------------------------------------------------------- lifecycle
 
@@ -234,17 +215,31 @@ class Membership:
         if handler is not None:
             handler(self, src, payload)
 
-    def _on_heartbeat(self, src: Address, msg: Heartbeat) -> None:
+    def _on_heartbeat(self, src: Address, msg: Heartbeat | ViewAck) -> None:
+        """A beat, or a ViewAck, which vouches for its sender as a beat
+        does; either one shows that the sender holds the view it names."""
         self._last_seen[msg.sender] = self._owner.now
-        # a live heartbeat retracts any queued suspicion (partition heal)
-        self._queued_leaves.discard(msg.sender)
+        queued = self._queued_leaves
+        if queued and msg.sender in queued:
+            # a live heartbeat retracts its queued suspicion (partition heal)
+            queued.discard(msg.sender)
+            if not queued:
+                self._quorum_blocked = False  # the blocked episode is over
+        proposal, due = self._proposal, self._acks_due
+        if due and msg.sender in due and msg.view_id == (proposal or self.view).view_id:
+            due.discard(msg.sender)
+            if proposal is not None and len(proposal) - len(due) >= self.view.majority():
+                self._install(proposal)  # a takeover's view a majority acked
+                self._acks_due = due
+            elif not due:
+                self._owner.cancel_timer("ack-timeout")
+                self._maybe_start_view_change()
         view = self.view
         if view is None:
             return
         if msg.sender not in view:
-            # a non-member is heartbeating us: it was evicted (losing
-            # side of a partition, or a superseded rival group) and
-            # should rejoin through our coordinator
+            # a non-member beats us: it was evicted (losing side of a
+            # partition, or a dissolved rival group) and rejoins via ours
             self._owner.send(
                 msg.sender,
                 Evicted(view.view_id, view.coordinator),
@@ -275,12 +270,9 @@ class Membership:
             self._last_coord_seen = self._owner.now
             if msg.sender == me:
                 return
-            # the legitimate coordinator is alive: stand down any
-            # takeover attempt (e.g. after a heal)
-            self._acting_coordinator = False
-            # park and wake with the coordinator, never alone: its order
-            # holds if it is for this view and nothing disturbed the
-            # network since it was sent
+            self._quorum_blocked = False  # we hear our coordinator again
+            # park and wake with the coordinator, never alone: its order holds
+            # if it is for this view and no edge came since it was sent
             if (
                 msg.park >= self._voided_at
                 and msg.view_id == view.view_id
@@ -295,22 +287,15 @@ class Membership:
     # ------------------------------------------------------------ membership
 
     def _on_join_req(self, src: Address, req: JoinReq) -> None:
-        if not self.joined:
+        view = self.view
+        if view is None:
             return
-        assert self.view is not None
-        if (
-            req.joiner in self.view
-            and self._change is None
-            and req.joiner != self.view.coordinator
-        ):
-            # Duplicate join (e.g. retransmission raced the NewView): resend
-            # the current view so the joiner learns it is already in.  Never
-            # to the view's own coordinator: that joiner is a restarted
-            # coordinator the group has not replaced yet, which lost its
-            # state; given this view it would lead a group of stale members
-            # (docs/FAULTS.md, known issue 5) — it retries until a takeover
-            # has evicted its old incarnation.
-            self._owner.send(req.joiner, NewView(self.view), size=self.config.control_size)
+        if req.joiner in view and not self._acks_due and req.joiner != view.coordinator:
+            # Duplicate join (its retransmission raced the NewView): resend
+            # the view.  Never to the view's own coordinator, a restarted one
+            # the group has not replaced yet: it would lead stale members
+            # (docs/FAULTS.md, issue 5), so it retries until a takeover.
+            self._owner.send(req.joiner, NewView(view), size=self.config.control_size)
             return
         if self.is_coordinator:
             if req.joiner not in self._queued_joins:
@@ -319,7 +304,7 @@ class Membership:
             epochs[req.joiner] = max(req.epoch, epochs.get(req.joiner, -1))
             self._maybe_start_view_change()
         else:
-            self._owner.send(self.view.coordinator, req, size=self.config.control_size)
+            self._owner.send(view.coordinator, req, size=self.config.control_size)
 
     def _on_evicted(self, src: Address, msg: Evicted) -> None:
         """We were removed from the group while unreachable: reset
@@ -332,127 +317,80 @@ class Membership:
         self.view = None
         self._set_parked(False)
         self._suspects = None
-        self._acting_coordinator = False
-        self._change = None
-        self._flushing = False
+        self._acks_due.clear()
+        self._proposal = None
+        self._quorum_blocked = False
         self._queued_joins.clear()
         self._queued_leaves.clear()
         self._owner.cancel_timer("hb")
-        self._owner.cancel_timer("flush-timeout")
+        self._owner.cancel_timer("ack-timeout")
         self._contacts = [msg.coordinator]
         self._contact_idx = 0
         self._try_join()
 
     def _maybe_start_view_change(self) -> None:
-        if self._change is not None or not self.is_coordinator or self.view is None:
-            return
-        joins = [j for j in self._queued_joins if j not in self.view]
-        leaves = {l for l in self._queued_leaves if l in self.view}
+        """Start the queued joins and leaves as one view change, once the
+        installed view's acks are in (until then they batch)."""
+        if not self._acks_due and self.is_coordinator:
+            self._change_view()
+
+    def _change_view(self) -> None:
+        """Install the next view here and send it to every other member.
+        The proposal always keeps this member, and leads with it: every
+        member it evicts is another one (silent, a straggler, or a senior
+        presumed dead by a takeover).  Under quorum a takeover's view
+        installs once a majority has acked it, in ``_on_heartbeat``."""
+        view = self.view
+        assert view is not None
+        joins = [j for j in self._queued_joins if j not in view]
+        leaves = {l for l in self._queued_leaves if l in view}
         if not joins and not leaves:
             self._queued_joins.clear()
             self._queued_leaves.clear()
             return
-        if self.config.require_majority:
-            survivors = [m for m in self.view.members if m not in leaves]
-            if len(survivors) < self.view.majority():
-                # minority side of a partition: do NOT install a view — keep
-                # the suspicions queued and retry when connectivity returns
-                self._owner.emit(
-                    "isis.quorum_blocked",
-                    group=self.group,
-                    survivors=len(survivors),
-                    needed=self.view.majority(),
-                )
-                return
+        if self._quorum_lost(len(view) - len(leaves)):
+            return  # minority side of a partition: keep the suspicions queued
         self._queued_joins.clear()
         self._queued_leaves.clear()
-        members = self.view.without(*leaves) + tuple(joins)
-        if not members:
-            return
-        proposed = View(self.view.view_id + 1, members)
-        # survivors kept in view order: the Flush fan-out below must follow a
-        # deterministic sequence, not hash-randomised set order
-        survivors = [
-            m for m in self.view.members if m in proposed and m != self._owner.address
-        ]
-        self._change = _ViewChange(
-            proposed, set(survivors), self._owner.host.network.disturbances
-        )
-        self._flushing = True
-        self._owner.emit(
-            "isis.flush_start",
+        new_view = View(view.view_id + 1, view.without(*leaves) + tuple(joins))
+        owner = self._owner
+        network = owner.host.network
+        # the park order: each joiner vouched for itself with its JoinReq in
+        # this disturbance epoch; each survivor vouches with its ViewAck
+        epoch = network.disturbances
+        vouched = all(self._join_epochs.get(j) == epoch for j in joins)
+        pending = self.config.require_majority and not self.is_coordinator
+        park = epoch if vouched and not pending and network.calm_for(new_view.members) else -1
+        owner.emit(
+            "isis.view_start",
             group=self.group,
-            proposed=proposed.view_id,
+            proposed=new_view.view_id,
             joins=[str(j) for j in joins],
             leaves=sorted(str(l) for l in leaves),
         )
-        if not survivors:
-            self._finish_view_change()
-            return
-        flush = Flush(proposed, proposed.view_id)
-        for member in survivors:
-            self._owner.send(member, flush, size=self.config.control_size)
-        self._owner.set_timer(self.config.flush_timeout, "flush-timeout")
-
-    def _on_flush(self, src: Address, msg: Flush) -> None:
-        if self.view is None or msg.proposed.view_id <= self.view.view_id:
-            return
-        self._flushing = True
-        self._owner.send(
-            src, FlushOk(self._owner.address, msg.change_id), size=self.config.control_size
-        )
-
-    def _on_flush_ok(self, src: Address, msg: FlushOk) -> None:
-        change = self._change
-        if change is None or msg.change_id != change.proposed.view_id:
-            return
-        if msg.sender in change.waiting_on:
-            change.waiting_on.discard(msg.sender)
-            if not change.waiting_on:
-                self._owner.cancel_timer("flush-timeout")
-                self._finish_view_change()
-
-    def _finish_view_change(self) -> None:
-        change = self._change
-        assert change is not None
-        self._change = None
-        # the proposal always keeps the coordinator: every member it evicts
-        # is another one (timed out, a straggler or a senior presumed dead)
-        network = self._owner.host.network
-        park = network.disturbances if self._vouched(change) else -1
-        new_view = NewView(change.proposed, park)
-        for member in change.proposed.members:
-            if member != self._owner.address:
-                self._owner.send(member, new_view, size=self.config.control_size)
-        self._on_new_view(self._owner.address, new_view)
-
-    def _vouched(self, change: _ViewChange) -> bool:
-        """May the view *change* installs park at once?  When nothing
-        disturbed the network since the change started, every survivor's
-        FlushOk and every joiner's JoinReq was sent and received in this
-        disturbance epoch — each vouches for its sender as a beat would —
-        and nothing else is queued."""
-        old = self.view
-        assert old is not None
-        epoch = change.epoch
-        return (
-            self._owner.host.network.disturbances == epoch
-            and not self._queued_joins
-            and not self._queued_leaves
-            and all(
-                self._join_epochs.get(m) == epoch
-                for m in change.proposed.members
-                if m not in old
-            )
-            and self._owner.host.network.calm_for(change.proposed.members)
-        )
+        order = NewView(new_view, park)
+        # view order: the fan-out must follow a deterministic sequence
+        others = new_view.members[1:]
+        for member in others:
+            owner.send(member, order, size=self.config.control_size)
+        if pending:
+            self._proposal = new_view
+        else:
+            self._install(new_view, park=park >= 0)
+        if others:
+            self._acks_due = set(others)
+            owner.set_timer(self.config.hb_timeout, "ack-timeout")
 
     def _on_new_view(self, src: Address, msg: NewView) -> None:
-        if self.view is not None and msg.view.view_id <= self.view.view_id:
+        view = msg.view
+        if self.view is not None and view.view_id <= self.view.view_id:
             return
-        self._install(
-            msg.view,
-            park=msg.park >= self._voided_at and src == msg.view.coordinator,
+        self._install(view, park=msg.park >= self._voided_at and src == view.coordinator)
+        owner = self._owner
+        owner.send(
+            view.coordinator,
+            ViewAck(owner.address, view.view_id, owner.host.network.disturbances),
+            size=self.config.control_size,
         )
 
     def _install(self, view: View, park: bool = False) -> None:
@@ -469,23 +407,21 @@ class Membership:
             self._alumni.pop(member, None)
             self._join_epochs.pop(member, None)
         self.view = view
-        self._flushing = False
-        self._acting_coordinator = False
-        self._change = None
+        self._acks_due = set()
+        self._proposal = None
+        self._quorum_blocked = False
         self._last_coord_seen = now
         self._last_seen = dict.fromkeys(view.members, now)
         self._named_at.clear()
         self._suspects = None
+        # the coordinator hears from each member again through its ViewAck
+        self._heard = set()
         owner.cancel_timer("join-retry")
         self._hb_due = now + self.config.hb_interval
         if park:
-            # the change vouched for every member: install parked
-            self._heard = set(view.members)
-            self._heard.discard(owner.address)
             owner.cancel_timer("hb")
             self._set_parked(True)
         else:
-            self._heard = set()
             self._set_parked(False)
             owner.set_timer(self.config.hb_interval, "hb")
         if self._alumni and view.coordinator == owner.address and not owner.has_timer("probe"):
@@ -501,9 +437,6 @@ class Membership:
             str(view.coordinator),
         )
         owner.on_view_change(view, joined, left)
-        # A fresh coordinator may have inherited queued membership work.
-        if self.is_coordinator:
-            self._maybe_start_view_change()
 
     # --------------------------------------------------------- failure detect
 
@@ -514,20 +447,20 @@ class Membership:
             self._probe_alumni()
         elif key == "join-retry":
             self._try_join()
-        elif key == "flush-timeout":
-            self._flush_timed_out()
+        elif key == "ack-timeout":
+            self._ack_timed_out()
 
     def _heartbeat_tick(self) -> None:
-        if not self.joined:
+        view = self.view
+        if view is None:
             return
-        assert self.view is not None
         cfg = self.config
         now = self._owner.now
         me = self._owner.address
         network = self._owner.host.network
         self._hb_ticks += 1
         park = False
-        if self.is_coordinator:
+        if view.coordinator == me:
             # woken by a named edge, the coordinator watches only the named
             # members: every other one keeps its park order
             suspects = self._suspects
@@ -538,37 +471,41 @@ class Membership:
                 for m, seen in self._last_seen.items()
                 if m != me
                 and now - seen > cfg.hb_timeout
-                and m in self.view
+                and m in view
                 and (suspects is None or m in suspects)
             ]
             park = not dead and self._steady()
-            beat = CoordBeat(
-                me, self.view.view_id, network.disturbances if park else -1
-            )
+            beat = CoordBeat(me, view.view_id, network.disturbances if park else -1)
             beats = 0
-            for member in self.view.members:
+            for member in view.members:
                 if member != me and (suspects is None or member in suspects):
                     self._owner.send(member, beat, size=cfg.control_size)
                     beats += 1
             if dead:
+                queued = self._queued_leaves
                 for m in dead:
-                    self._owner.emit("isis.failure_detected", group=self.group, failed=str(m))
-                self._queued_leaves.update(dead)
+                    if m not in queued:  # suspected once, not at every tick
+                        self._owner.emit(
+                            "isis.failure_detected", group=self.group, failed=str(m)
+                        )
+                queued.update(dead)
                 self._maybe_start_view_change()
         else:
             self._owner.send(
-                self.view.coordinator,
-                Heartbeat(me, self.view.view_id, network.disturbances),
+                view.coordinator,
+                Heartbeat(me, view.view_id, network.disturbances),
                 size=cfg.control_size,
             )
             beats = 1
-            rank = self.view.rank(me)
+            rank = view.rank(me)
             takeover_after = cfg.hb_timeout * (1 + rank)
             if now - self._last_coord_seen > takeover_after:
                 self._take_over()
         if self._tel_ticks is not None:
             self._tel_ticks.inc()
             self._tel_beats.inc(beats)
+        if self.view is not view:
+            return  # the tick installed a view, which set the hb timer itself
         # the phase is kept either way; parked, the beats above were the last
         self._hb_due = now + cfg.hb_interval
         if park:
@@ -584,10 +521,8 @@ class Membership:
     def _probe_alumni(self) -> None:
         """Probe each departed member five times, from a timer of its own so
         the group may park meanwhile — 4 hb intervals after it left, then on
-        a doubling backoff (8, 16, 32, 64 intervals).  If one of them now
-        leads a rival group, the beat triggers merge resolution on its side;
-        the transport retransmits a probe a drop would have lost, so one per
-        period is enough."""
+        a doubling backoff (8 ... 64 intervals).  If one of them now leads a
+        rival group, the beat triggers merge resolution on its side."""
         if not self.is_coordinator or self.view is None:
             return
         now = self._owner.now
@@ -609,20 +544,15 @@ class Membership:
             self._arm_probe()
 
     def _steady(self) -> bool:
-        """Coordinator side: may the group park?  Steady means nothing that
-        a tick would act on or discover: the real coordinator, no view
-        change or flush in progress, no queued joins or suspicions, and
-        every member heard from — in this view, since the last edge that
-        concerned it — on a network calm for the view's hosts (departed
-        members are probed from a timer of their own).  In that state the
-        dead-check and the members' takeover-check cannot fire: every
-        member process is up and reachable, or the network would have
-        raised the edge first."""
+        """Coordinator side: may the group park?  Steady means every ack of
+        the installed view in, nothing queued, and every member heard from —
+        by its ack or a beat, in this view, since the last edge that
+        concerned it — on a network calm for the view's hosts.  Then no
+        dead-check or takeover-check can fire: every member is up and
+        reachable, or the network would have raised the edge first."""
         assert self.view is not None
         return (
-            not self._acting_coordinator
-            and self._change is None
-            and not self._flushing
+            not self._acks_due
             and not self._queued_joins
             and not self._queued_leaves
             and len(self._heard) == len(self.view) - 1
@@ -705,31 +635,43 @@ class Membership:
     def _take_over(self) -> None:
         """Rank-staggered coordinator takeover: every member senior to us has
         stayed silent past its own (shorter) takeover deadline, so presume
-        the whole senior prefix dead and lead a view excluding it."""
-        assert self.view is not None
-        rank = self.view.rank(self._owner.address)
-        if self.config.require_majority and len(self.view) - rank < self.view.majority():
-            # we cannot see a majority: never seize leadership from a
-            # minority side — wait for the partition to heal instead
+        the whole senior prefix dead and install a view excluding it — at
+        once, or under quorum once a majority has acked it."""
+        view = self.view
+        assert view is not None
+        rank = view.rank(self._owner.address)
+        self._last_coord_seen = self._owner.now  # re-checked one deadline later
+        if self._quorum_lost(len(view) - rank):
+            return  # never seize leadership from a minority side
+        presumed_dead = view.members[:rank]
+        if not self._quorum_blocked:  # a blocked member retries silently
+            self._owner.emit(
+                "isis.takeover",
+                group=self.group,
+                new_coordinator=str(self._owner.address),
+                presumed_dead=[str(m) for m in presumed_dead],
+            )
+        self._queued_leaves.update(presumed_dead)
+        self._change_view()
+
+    def _quorum_lost(self, survivors: int) -> bool:
+        """Under ``require_majority``, are *survivors* no majority of the
+        view?  Logged once per blocked episode, which ends when a view
+        installs, the member is evicted, a heartbeat retracts its last
+        queued suspicion or it hears its coordinator again."""
+        view = self.view
+        assert view is not None
+        if not self.config.require_majority or survivors >= view.majority():
+            return False
+        if not self._quorum_blocked:
+            self._quorum_blocked = True
             self._owner.emit(
                 "isis.quorum_blocked",
                 group=self.group,
-                survivors=len(self.view) - rank,
-                needed=self.view.majority(),
+                survivors=survivors,
+                needed=view.majority(),
             )
-            self._last_coord_seen = self._owner.now  # back off; re-check later
-            return
-        presumed_dead = self.view.members[:rank]
-        self._owner.emit(
-            "isis.takeover",
-            group=self.group,
-            new_coordinator=str(self._owner.address),
-            presumed_dead=[str(m) for m in presumed_dead],
-        )
-        self._acting_coordinator = True
-        self._queued_leaves.update(presumed_dead)
-        self._last_coord_seen = self._owner.now  # don't re-trigger while changing
-        self._maybe_start_view_change()
+        return True
 
     def _on_rival_coordinator(self, beat: CoordBeat) -> None:
         """Two coordinators lead disjoint groups (concurrent takeovers or a
@@ -762,30 +704,35 @@ class Membership:
                 self._owner.send(member, order, size=self.config.control_size)
         self._on_evicted(self._owner.address, order)
 
-    def _flush_timed_out(self) -> None:
-        """Survivors that never acknowledged the flush are treated as failed:
-        restart the change without them."""
-        change = self._change
-        if change is None:
+    def _ack_timed_out(self) -> None:
+        """Members whose ViewAck did not arrive within ``hb_timeout`` are
+        suspects for the next view, as a silent member is; a parked
+        coordinator wakes to watch them."""
+        proposal = self._proposal
+        if proposal is not None:
+            # no majority acked the takeover's view: stand down, retry later
+            self._proposal = None
+            self._quorum_lost(len(proposal) - len(self._acks_due))
+            self._acks_due.clear()
             return
-        stragglers = set(change.waiting_on)
-        self._change = None
-        for m in sorted(stragglers, key=str):
-            self._owner.emit("isis.flush_straggler", group=self.group, member=str(m))
+        view = self.view
+        assert view is not None
+        stragglers = [m for m in view.members if m in self._acks_due]
+        if not stragglers:
+            return  # a NewView from another coordinator replaced the view
+        self._acks_due.clear()
+        for m in stragglers:
+            self._owner.emit("isis.ack_straggler", group=self.group, member=str(m))
         self._queued_leaves.update(stragglers)
-        # Preserve the joins the aborted proposal carried.
-        if self.view is not None:
-            for m in change.proposed.members:
-                if m not in self.view and m not in self._queued_joins:
-                    self._queued_joins.append(m)
+        if self._parked:
+            self._wake()
         self._maybe_start_view_change()
 
     #: message class -> handler(self, src, msg); one lookup per message
     _HANDLERS: dict[type, Callable[["Membership", Address, Any], None]] = {
         JoinReq: _on_join_req,
-        Flush: _on_flush,
-        FlushOk: _on_flush_ok,
         NewView: _on_new_view,
+        ViewAck: _on_heartbeat,
         Heartbeat: _on_heartbeat,
         CoordBeat: _on_coord_beat,
         Evicted: _on_evicted,

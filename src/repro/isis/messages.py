@@ -1,4 +1,4 @@
-"""Wire messages of the virtual-synchrony protocol.
+"""Wire messages of the group membership protocol.
 
 All are plain frozen dataclasses; the :class:`~repro.isis.member.Membership`
 dispatches on type. ``view_id`` fields let receivers discard stale traffic
@@ -27,30 +27,26 @@ class JoinReq:
 
 
 @dataclass(frozen=True, slots=True)
-class Flush:
-    """Phase 1 of a view change: the coordinator announces the proposed view
-    to the survivors, each of which answers that it is alive."""
-
-    proposed: View
-    change_id: int
-
-
-@dataclass(frozen=True, slots=True)
-class FlushOk:
-    """A member's phase-1 acknowledgement."""
-
-    sender: Address
-    change_id: int
-
-
-@dataclass(frozen=True, slots=True)
 class NewView:
-    """Phase 2: install the view.  ``park`` is a park order as in
-    ``CoordBeat``, given when every member of the new view vouched for
-    itself during the change (-1: install awake)."""
+    """Coordinator -> every other member of the view: install it, and answer
+    with a ``ViewAck``.  ``park`` is a park order as in ``CoordBeat``, given
+    when every joiner's ``JoinReq`` vouched for it in the current disturbance
+    epoch and the network is calm for the view (-1: install awake)."""
 
     view: View
     park: int = -1
+
+
+@dataclass(frozen=True, slots=True)
+class ViewAck:
+    """Member -> coordinator: the member installed view ``view_id``.  It
+    vouches for its sender as a ``Heartbeat`` does (``epoch`` is the
+    disturbance count when it was sent); an ack that has not arrived within
+    ``hb_timeout`` makes its member a suspect for the next view."""
+
+    sender: Address
+    view_id: int
+    epoch: int = -1
 
 
 # -- failure detection -------------------------------------------------------

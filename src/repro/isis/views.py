@@ -24,7 +24,7 @@ class View:
         members: addresses ordered oldest-first.
 
     Membership tests and rank lookups are O(1): views are consulted on every
-    heartbeat, multicast, and delivery, and a linear ``tuple.index`` showed
+    heartbeat, ack and bidding round, and a linear ``tuple.index`` showed
     up as a top cost in large-cluster profiles.
     """
 

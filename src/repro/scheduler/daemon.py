@@ -404,10 +404,10 @@ class SchedulerDaemon(SimProcess):
         round_.next_index += 1
         round_.awaiting = cell
         members = round_.cell_map.members_of(cell)
-        # the root polls its own cell: an acting coordinator never hands its
-        # round to the senior it presumes dead (the cell's oldest member)
+        # the leader is the oldest member of the view, so it is the
+        # sub-leader of its own cell and polls that cell itself
         me = self.address
-        sub_leader = me if me in members else round_.cell_map.sub_leader(cell)
+        sub_leader = round_.cell_map.sub_leader(cell)
         escalated = round_.next_index > 1
         self.delegations_sent += 1
         self.members_polled += len(members)

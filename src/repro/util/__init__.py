@@ -18,7 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "CommunicationError",
         "ScriptError",
         "TaskGraphError",
-        "MembershipError",
         "SimulationError",
     ),
     "ids": ("IdGenerator", "fresh_id"),

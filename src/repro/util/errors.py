@@ -76,11 +76,6 @@ class VerificationError(VCEError):
         self.report = report
 
 
-class MembershipError(VCEError):
-    """Illegal process-group operation (joining twice, multicasting before
-    joining, replying outside a request context)."""
-
-
 class SimulationError(VCEError):
     """Internal inconsistency in the discrete-event kernel (time moving
     backwards, events scheduled on a stopped simulator)."""

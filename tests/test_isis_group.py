@@ -1,8 +1,10 @@
 """Integration tests for the Isis-style process group protocol."""
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.isis import Membership
+from repro.isis.messages import ViewAck
 from repro.netsim import Address, Network, Simulator, SimProcess
 
 
@@ -143,6 +145,29 @@ class TestFormation:
         for m in members:
             assert late.address in m.membership.view
 
+    def test_one_join_is_one_round(self):
+        """A join that makes a parked group of n members costs one JoinReq,
+        n-1 NewViews and n-1 ViewAcks, and nothing else: there is no flush
+        round, and the acks vouch for the members, so the view installs
+        parked and no beat follows."""
+        sim, net, members = build_group(4)
+        assert all(m.membership.parked for m in members)
+        sent = Counter()
+        send = net.send
+
+        def counting_send(src, dst, payload, size=256):
+            sent[type(payload).__name__] += 1
+            send(src, dst, payload, size)
+
+        net.send = counting_send
+        late = Recorder("m9", contacts=[members[0].address])
+        net.add_host("h9").spawn(late)
+        sim.run(until=sim.now + 30.0)
+        n = len(members) + 1
+        assert len(late.membership.view) == n
+        assert sent == Counter(JoinReq=1, NewView=n - 1, ViewAck=n - 1)
+        assert all(m.membership.parked for m in members + [late])
+
     def test_join_retries_through_second_contact(self):
         sim = Simulator(0)
         net = Network(sim)
@@ -161,6 +186,42 @@ class TestFormation:
 
 
 class TestLeaveAndFailure:
+    def test_member_whose_ack_is_held_is_left_out_of_the_next_view(self):
+        """A ViewAck that has not arrived within ``hb_timeout`` makes its
+        member a suspect: the coordinator logs it once as a straggler and
+        installs the next view without it.  (Its held ack, arriving later
+        from outside the view, is answered with ``Evicted``; it rejoins.)"""
+        sim, net, members = build_group(3)
+        cfg = members[0].membership.config
+        hold = cfg.hb_timeout + 0.5
+
+        class SlowAcker(Recorder):
+            held = False
+
+            def send(self, dst, payload, size=256):
+                if isinstance(payload, ViewAck) and not self.held:
+                    self.held = True
+                    self.sim.schedule(hold, lambda: Recorder.send(self, dst, payload, size))
+                else:
+                    super().send(dst, payload, size)
+
+        slow = SlowAcker("m9", contacts=[members[0].address])
+        net.add_host("h9").spawn(slow)
+        joined_at = sim.now
+        coordinator = members[0].membership
+        while slow.address not in coordinator.view:
+            sim.run(until=sim.now + 0.01)
+        installed = coordinator.view.view_id
+        sim.run(until=joined_at + hold)
+        assert slow.address not in coordinator.view
+        assert coordinator.view.view_id == installed + 1
+        (straggler,) = sim.log.records(category="isis.ack_straggler")
+        assert straggler.get("member") == str(slow.address)
+        assert straggler.time - joined_at <= cfg.hb_timeout + 0.1
+        sim.run(until=sim.now + 30.0)
+        assert slow.address in coordinator.view
+        assert len(sim.log.records(category="isis.ack_straggler")) == 1
+
     def test_member_crash_detected_and_evicted(self):
         sim, net, members = build_group(3)
         net.host("h2").crash()

@@ -12,7 +12,7 @@ from repro.isis import IsisConfig
 #: run of retransmission back-offs is overwhelmingly unlikely to be
 #: mistaken for a crash: a timeout of 12 beat intervals outlasts several
 #: consecutive drops of one beat — the standard deployment-time tuning.
-LOSSY_CFG = IsisConfig(hb_interval=0.5, hb_timeout=6.0, flush_timeout=4.0)
+LOSSY_CFG = IsisConfig(hb_interval=0.5, hb_timeout=6.0)
 
 
 class TestLossyScheduling:

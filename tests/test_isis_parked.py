@@ -288,9 +288,9 @@ def test_named_death_under_the_reliable_transport_wakes_only_the_coordinator(
     """The asymmetric case on a parked group: one member is dead and not
     yet evicted.  A crash or kill names the dying member, so only the
     coordinator wakes, and it watches that member alone; everyone else
-    keeps its park order and sends nothing.  The eviction's view change,
-    vouched for by the survivors' FlushOks, installs parked (the crashed
-    host is still down), and the departed member is probed five times."""
+    keeps its park order and sends nothing.  The eviction's view change
+    installs parked (the crashed host is still down; the survivors' ViewAcks
+    vouch for them), and the departed member is probed five times."""
     sim, net, members = build_group(4, drop_rate=0.05)
     cfg = members[0].membership.config
     coordinator, victim = members[0], members[2]
@@ -499,6 +499,50 @@ def test_cut_off_coordinator_learns_it_was_evicted(hosts, cut):
     vce.run(until=vce.sim.now + 1.0 + 8.0 + isis.hb_timeout)
     assert len(vce.leader_of(MachineClass.WORKSTATION).membership.view) == hosts
     _assert_idle_and_silent(vce)
+
+
+def test_quorum_blocked_coordinator_logs_each_suspicion_once():
+    """A coordinator cut off alone under quorum suspects each member it
+    cannot hear once and reports itself blocked once, not at every tick of
+    a long cut; after the heal it learns it was evicted and rejoins."""
+    isis = IsisConfig(require_majority=True)
+    vce = VirtualComputingEnvironment(
+        workstation_cluster(4), VCEConfig(seed=2, isis=isis)
+    ).boot()
+    schedule = FaultSchedule("cut")
+    schedule.partition_window(1.0, 30.0, ["ws0"])
+    vce.chaos(schedule)
+    vce.run(until=vce.sim.now + 1.0 + 30.0 + isis.hb_timeout)
+    cut_off = str(vce.daemons["ws0"].address)
+
+    def logged(category):
+        return [r for r in vce.sim.log.records(category=category) if r.source == cut_off]
+
+    suspected = [r.get("failed") for r in logged("isis.failure_detected")]
+    assert sorted(suspected) == sorted(
+        str(d.address) for name, d in vce.daemons.items() if name != "ws0"
+    )
+    assert len(logged("isis.quorum_blocked")) == 1
+    assert len(vce.leader_of(MachineClass.WORKSTATION).membership.view) == 4
+
+
+def test_quorum_blocked_is_logged_once_per_cut():
+    """Two short cuts of the coordinator, each healed before any junior
+    takes over: the heartbeats that retract its suspicions end the blocked
+    episode, so each cut is reported once and no view changes."""
+    isis = IsisConfig(require_majority=True)
+    vce = VirtualComputingEnvironment(
+        workstation_cluster(4), VCEConfig(seed=2, isis=isis)
+    ).boot()
+    view = vce.daemons["ws0"].membership.view
+    schedule = FaultSchedule("cuts")
+    schedule.partition_window(1.0, 3.0, ["ws0"])
+    schedule.partition_window(20.0, 3.0, ["ws0"])
+    vce.chaos(schedule)
+    vce.run(until=vce.sim.now + 40.0)
+    blocked = vce.sim.log.records(category="isis.quorum_blocked")
+    assert [r.source for r in blocked] == [str(vce.daemons["ws0"].address)] * 2
+    assert vce.daemons["ws0"].membership.view is view
 
 
 # ------------------------------------------------------------ idle kernel

@@ -76,6 +76,30 @@ class TestWithQuorum:
         blocked = sim.log.records(category="isis.quorum_blocked")
         assert blocked, "minority never hit the quorum guard"
 
+    def test_a_junior_cut_off_with_a_minority_never_leads(self):
+        """Rank 1 cut off with rank 4 times out on the coordinator and takes
+        over.  Its view would name ranks 2 and 3, which it cannot reach, so
+        it installs only once a majority has acked: there is never more
+        than one coordinator, and after the heal one view again."""
+        sim, net, members = build_partitionable_group(5, config=self.CFG)
+        ordered = seniority_ordered(members)
+        cut = {ordered[1].address.host, ordered[4].address.host}
+        net.partition({m.address.host for m in ordered} - cut, cut)
+        for _ in range(400):
+            sim.run(until=sim.now + 0.1)
+            leading = [m for m in ordered if m.membership.is_coordinator]
+            assert leading == [ordered[0]]
+        assert [len(m.membership.view) for m in ordered[:4:2]] == [3, 3]
+        blocked = sim.log.records(category="isis.quorum_blocked")
+        assert {r.source for r in blocked} == {str(ordered[1].address), str(ordered[4].address)}
+        net.heal()
+        sim.run(until=sim.now + 60.0)
+        assert {m.membership.view.members for m in members} == {
+            members[0].membership.view.members
+        }
+        assert len(members[0].membership.view) == 5
+        assert members[0].membership.view.coordinator == ordered[0].address
+
     def test_heal_evicts_and_rejoins_minority(self):
         sim, net, members = build_partitionable_group(5, config=self.CFG)
         ordered = seniority_ordered(members)

@@ -1107,7 +1107,7 @@ def test_e9_leader_recovery_latency():
     )
     print(format_series("transfer", list(results), list(results.values())))
     # recovery latency tracks the detection timeout (rank-1 takeover fires
-    # after ~2x hb_timeout plus a flush round)
+    # after ~2x hb_timeout and installs its view at once)
     values = [results[t] for t in E9_TIMEOUTS]
     assert all(a < b for a, b in zip(values, values[1:]))
     for timeout, value in results.items():

@@ -233,10 +233,10 @@ class TestLeaderFailover:
         assert replies, "forwarded request never answered"
 
     def test_acting_coordinator_polls_the_live_members(self):
-        """A round led by an acting coordinator, whose crashed senior is
-        still in the view, is probed by the acting coordinator itself (not
-        delegated to the senior, the one-cell view's oldest member): it
-        allocates from the live members' bids."""
+        """A takeover installs the successor's view at once: from the moment
+        the successor coordinates, its crashed senior is out of the view, so
+        the round it leads polls the live members itself, allocates from
+        their bids and delegates nothing to the senior."""
         from repro.netsim import SimProcess
         from repro.scheduler.messages import AllocationReply
 
@@ -247,11 +247,11 @@ class TestLeaderFailover:
         vce.net.host(leader.machine.name).crash()
         vce.sim.run(
             until=vce.sim.now + 30.0,
-            stop_when=lambda: successor.membership._acting_coordinator,
+            stop_when=lambda: successor.membership.is_coordinator,
         )
         assert (
-            successor.membership._acting_coordinator
-            and successor.membership.view.members == members
+            successor.membership.is_coordinator
+            and successor.membership.view.members == members[1:]
         )
         replies = []
 
