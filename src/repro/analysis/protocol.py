@@ -153,9 +153,11 @@ BIDDING_FSM = ProtocolFSM(
     key=_req_key,
 )
 
-#: P002 — lease/epoch failover handshake (PR 3): dispatch arms a lease;
-#: expiry or a crash strands the record; a strand is re-dispatched under a
-#: new allocation epoch; stale epochs must never commit.
+#: P002 — epoch failover handshake: a crash strands the record; a strand
+#: is re-dispatched under a new allocation epoch; stale epochs must never
+#: commit. The simulator's failover arms no lease (it learns of a lost
+#: host from the membership); the network supervisor still arms one per
+#: dispatch and emits ``recovery.lease_expired``, hence that transition.
 FAILOVER_FSM = ProtocolFSM(
     rule="P002",
     name="failover",

@@ -46,8 +46,8 @@ Usage (also via ``python -m repro``):
         self-test fixture. Exit status: 1 on any unsuppressed finding.
 
     repro chaos SCRIPT.vce [run options] [--schedule NAME] [--fault-seed N]
-        Run a script under a named fault schedule with lease-based
-        failover on (every run already has the reliable transport):
+        Run a script under a named fault schedule with failover on
+        (every run already has the reliable transport):
         daemons crash and reboot, messages drop, partitions open and heal.
         Prints the run outcome plus injected-fault and recovery-action
         counts from the telemetry registry. Schedules: see
@@ -1000,8 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     soak.add_argument(
         "--chaos", choices=sorted(_SCHEDULES), default=None,
-        help="run under a named fault schedule (enables lease-based "
-             "failover)",
+        help="run under a named fault schedule (enables failover)",
     )
     soak.add_argument(
         "--top", type=int, default=12, help="tenant rows to print (default 12)"
@@ -1039,7 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--failover", action="store_true",
-        help="enable lease-based failover (as repro chaos does)",
+        help="enable failover (as repro chaos does)",
     )
     serve.add_argument(
         "--exit-when-done", action="store_true",

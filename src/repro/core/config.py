@@ -55,11 +55,11 @@ class VCEConfig:
             :mod:`repro.netsim.network`); the datagram mode it once
             switched off was removed, and False raises ``ValueError``.
         transport: retransmission timing of that transport.
-        failover: when set, install the lease-based
-            :class:`~repro.migration.failover.FailoverManager` at boot and
-            wire daemon peer-takeover notifications into it (see
-            ``enable_failover``). None = crashes fail applications, as
-            before.
+        failover: when set, install the
+            :class:`~repro.migration.failover.FailoverManager` at boot: a
+            crashed instance is stranded and re-dispatched when its class
+            group reports the host lost (see ``enable_failover``). None =
+            crashes fail applications, as before.
         verify: pre-dispatch static verification of every submitted task
             graph (see :mod:`repro.analysis`). ``"off"`` skips it;
             ``"warn"`` runs the verifier and logs findings as

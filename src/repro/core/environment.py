@@ -410,10 +410,10 @@ class VirtualComputingEnvironment:
     # --------------------------------------------------------------- services
 
     def enable_failover(self, config: FailoverConfig | None = None) -> FailoverManager:
-        """Install the lease-based crash-recovery layer (idempotent):
-        instance failures strand-and-redispatch instead of failing the
-        application, and the hosts that group coordinators report lost
-        (``GroupDirectory.host_lost_hooks``) are taken over at once."""
+        """Install the crash-recovery layer (idempotent): instance
+        failures strand instead of failing the application, and what is
+        stranded on a host that a group coordinator reports lost
+        (``GroupDirectory.host_lost_hooks``) is re-dispatched at once."""
         if self.failover is None:
             self.failover = FailoverManager(
                 self.migration.context, config or FailoverConfig()

@@ -1,23 +1,20 @@
-"""Crash recovery: lease-based allocations and stranded-task re-dispatch.
+"""Crash recovery: stranded-task re-dispatch when the group reports a host lost.
 
 The paper's EXM "migrates tasks when machines fail or are reclaimed"; the
 :class:`FailoverManager` is the execution-layer half of that promise. It
-installs itself as a runtime failure handler and dispatch hook:
+installs itself as a runtime failure handler:
 
-- every dispatch takes a **lease**: a periodic check that the instance is
-  still alive on a reachable host. A live instance renews; an expired
-  lease (dead instance whose exit was never committed, or a host that
-  silently vanished) strands the allocation and re-enters it into the
-  dispatch pipeline.
 - an instance crash (host loss) is offered to the failure handler, which
-  **strands** the record instead of failing the application, then
-  re-dispatches after a detection delay — or immediately when a scheduler
-  daemon's failure detector reports the host lost (peer takeover via
-  :meth:`host_lost`).
+  **strands** the record instead of failing the application;
+- a group coordinator's report of the host lost (:meth:`host_lost`, via
+  ``GroupDirectory.host_lost_hooks``) re-dispatches it at once
+  (``via="daemon-takeover"``), so the membership's detector sets the delay;
+- one backstop timer, ``lease`` seconds after the strand, covers a loss no
+  survivor reports, e.g. in a one-member group (``via="lease"``);
 - re-dispatch bumps the record's **allocation epoch** (the runtime refuses
   exit commits from stale epochs — at-most-once completion), restores the
   latest checkpoint when one exists, and targets the least-loaded live
-  host of a compatible machine class.
+  host of the original placement's machine class.
 
 Every recovery action emits a ``recovery.*`` event and bumps the
 ``recovery_actions_total`` counter; strand-to-redispatch time lands in the
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.migration.base import MigrationContext
 from repro.runtime.app import Application, InstanceRecord
-from repro.runtime.instance import InstanceState, TaskInstance
+from repro.runtime.instance import TaskInstance
 
 
 @dataclass
@@ -39,24 +36,19 @@ class FailoverConfig:
     """Knobs for crash recovery.
 
     Attributes:
-        lease: simulated seconds between lease checks on a live instance.
-        detection: delay between a strand and its re-dispatch when no
-            daemon reports the loss earlier (models failure-detection
-            latency of the crash-notification path).
+        lease: simulated seconds from a strand to its backstop re-dispatch,
+            for a loss no group coordinator reports; also the retry period
+            of a re-dispatch that finds no live target.
         max_redispatches: per-(task, rank) re-dispatch budget; exhausting
             it lets the failure propagate (application fails).
-        same_class_only: restrict re-dispatch targets to hosts whose
-            machine class matches the original placement's class.
     """
 
     lease: float = 8.0
-    detection: float = 2.0
     max_redispatches: int = 5
-    same_class_only: bool = True
 
 
 class FailoverManager:
-    """Lease-based allocation recovery (see module docstring)."""
+    """Strand-and-redispatch crash recovery (see module docstring)."""
 
     name = "failover"
 
@@ -66,7 +58,6 @@ class FailoverManager:
         self.context = context
         self.config = config or FailoverConfig()
         self.redispatches = 0
-        self.leases_expired = 0
         #: (app.id, task, rank) -> (app, record, epoch, stranded_at)
         self._stranded: dict[tuple[str, str, int], tuple] = {}
         self._attempts: dict[tuple[str, str, int], int] = {}
@@ -77,54 +68,9 @@ class FailoverManager:
     def install(self) -> "FailoverManager":
         """Register with the runtime manager (idempotent)."""
         if not self._installed:
-            runtime = self.context.runtime
-            runtime.add_failure_handler(self._on_failure)
-            runtime.dispatch_hooks.append(self._on_dispatch)
+            self.context.runtime.add_failure_handler(self._on_failure)
             self._installed = True
         return self
-
-    # ----------------------------------------------------------------- leases
-
-    def _on_dispatch(self, app: Application, record: InstanceRecord) -> None:
-        self._arm_lease(app, record, record.epoch)
-
-    def _arm_lease(self, app: Application, record: InstanceRecord, epoch: int) -> None:
-        self.context.sim.schedule(
-            self.config.lease, lambda: self._check_lease(app, record, epoch)
-        )
-
-    def _check_lease(self, app: Application, record: InstanceRecord, epoch: int) -> None:
-        hb = self.context.sim.hb
-        if hb is not None:
-            # a lease check racing a strand/redispatch is a no-op: the epoch
-            # comparison below drops checks against superseded allocations
-            hb.read(  # hbrace: ok(R004)
-                f"lease:{app.id}:{record.task}:{record.rank}",
-                "R004", "failover.check_lease",
-            )
-        if app.status.terminal or record.epoch != epoch:
-            return  # app over, or this allocation was already superseded
-        if record.state in (InstanceState.DONE, InstanceState.KILLED):
-            return
-        instance = record.instance
-        host_up = (
-            instance is not None
-            and instance.host is not None
-            and instance.host.up
-        )
-        if instance is not None and instance.alive and host_up:
-            self._arm_lease(app, record, epoch)  # renewed
-            return
-        # lease expired: the allocation is dead but nothing committed its
-        # exit — strand it and put the task back into the dispatch pipeline
-        self.leases_expired += 1
-        self._tel_count("lease_expired")
-        self.context.sim.emit(
-            "recovery.lease_expired", app.id,
-            task=record.task, rank=record.rank, epoch=epoch,
-            host=record.host_name,
-        )
-        self._strand(app, record, reason="lease-expired")
 
     # ---------------------------------------------------------------- failure
 
@@ -159,9 +105,9 @@ class FailoverManager:
             task=record.task, rank=record.rank, epoch=record.epoch,
             host=record.host_name, reason=reason,
         )
-        # fallback path: re-dispatch after the detection delay unless a
-        # daemon's failure detector gets there first via host_lost()
-        sim.schedule(self.config.detection, lambda: self._redispatch(key, "timeout"))
+        # backstop for a loss no coordinator reports via host_lost()
+        epoch = record.epoch
+        sim.schedule(self.config.lease, lambda: self._redispatch(key, "lease", epoch))
 
     # ------------------------------------------------------------- redispatch
 
@@ -177,13 +123,22 @@ class FailoverManager:
             self._tel_count("takeover")
             self._redispatch(key, "daemon-takeover")
 
-    def _redispatch(self, key: tuple[str, str, int], via: str) -> None:
+    def _redispatch(
+        self, key: tuple[str, str, int], via: str, armed_for: int | None = None
+    ) -> None:
+        """Re-dispatch the strand at *key*; a timer passes the epoch it was
+        armed for (*armed_for*) and does nothing to a later strand."""
         hb = self.context.sim.hb
         if hb is not None:
-            hb.write(f"lease:{':'.join(map(str, key))}", "R004", "failover.redispatch")
-        entry = self._stranded.pop(key, None)
-        if entry is None:
-            return  # already handled by the other path
+            # the report and the backstop race to here unordered: the first
+            # call pops the strand and the second finds nothing
+            hb.write(  # hbrace: ok(R004)
+                f"lease:{':'.join(map(str, key))}", "R004", "failover.redispatch"
+            )
+        entry = self._stranded.get(key)
+        if entry is None or armed_for not in (None, entry[2]):
+            return  # handled already, or the timer was armed for an earlier strand
+        del self._stranded[key]
         app, record, epoch, stranded_at = entry
         sim = self.context.sim
         if app.status.terminal or record.epoch != epoch:
@@ -191,9 +146,9 @@ class FailoverManager:
         target = self._pick_host(app, record)
         if target is None:
             # no live host right now — keep the allocation stranded and
-            # retry after another detection period
+            # retry after another lease period
             self._stranded[key] = entry
-            sim.schedule(self.config.detection, lambda: self._redispatch(key, via))
+            sim.schedule(self.config.lease, lambda: self._redispatch(key, via, epoch))
             return
         self._attempts[key] = self._attempts.get(key, 0) + 1
         self.redispatches += 1
@@ -221,7 +176,7 @@ class FailoverManager:
         """Least-loaded live host of a compatible class (deterministic)."""
         network = self.context.network
         wanted_class = None
-        if self.config.same_class_only and record.host_name is not None:
+        if record.host_name is not None:
             try:
                 wanted_class = self.context.machine_of(record.host_name).arch_class
             except Exception:
@@ -254,10 +209,3 @@ class FailoverManager:
     def stranded(self) -> list[tuple[str, str, int]]:
         """Currently-stranded allocations (app, task, rank)."""
         return sorted(self._stranded)
-
-    def report(self) -> dict[str, int]:
-        return {
-            "redispatches": self.redispatches,
-            "leases_expired": self.leases_expired,
-            "stranded": len(self._stranded),
-        }

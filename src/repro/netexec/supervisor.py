@@ -20,7 +20,7 @@ program / EXM role itself — the same flow
    sim-seconds meaning, scaled by the backend rate); a dead daemon — EOF
    on its connection, or a lease that finds it gone — strands its
    allocations (``recovery.lease_expired`` / ``recovery.strand``) and
-   re-dispatches at a bumped epoch (``recovery.redispatch``), refusing
+   re-dispatches at once at a bumped epoch (``recovery.redispatch``), refusing
    stale commits (``runtime.stale_commit``) for at-most-once completion;
 5. chaos ``crash`` actions become real ``SIGKILL`` of the daemon
    subprocess; ``restart`` respawns it.
@@ -172,7 +172,7 @@ class NetworkVCE:
             and chaos times are sim-denominated and divide by this, so
             tests can run an 8-second lease in well under a second.
         port: router port to request (0 = pick a free one, the default).
-        failover: lease/detection/attempt knobs (sim seconds).
+        failover: lease and attempt knobs (sim seconds).
         eager_detection: strand a daemon's allocations the moment its
             connection drops; False leaves detection to lease expiry
             (the pure "kill -9 → lease-expiry redispatch" path).
@@ -385,9 +385,9 @@ class NetworkVCE:
         if host is None or host not in self.router.peers:
             host = self._pick_host(record)
             if host is None:
-                # nobody alive right now; lease/detection path will retry
+                # nobody alive right now; retry after a lease period
                 self.sim.schedule(
-                    self.failover.detection,
+                    self.failover.lease,
                     lambda: self._dispatch(app, record),
                 )
                 return
@@ -412,13 +412,13 @@ class NetworkVCE:
                 ),
             ),
         )
-        self._arm_lease(app, record, record.epoch)
+        self._lease(app, record, record.epoch)
 
     def _pick_host(self, record: _Record) -> str | None:
-        """Least-loaded connected daemon, same machine class when the
-        failover config says so (deterministic tie-break by name)."""
+        """Least-loaded connected daemon of the record's machine class
+        (deterministic tie-break by name)."""
         wanted = None
-        if self.failover.same_class_only and record.host in self.machines:
+        if record.host in self.machines:
             wanted = self.machines[record.host].arch_class
         candidates = []
         for host in self.router.peers:
@@ -435,17 +435,17 @@ class NetworkVCE:
 
     # --------------------------------------------------------------- leases
 
-    def _arm_lease(self, app: NetworkApp, record: _Record, epoch: int) -> None:
+    def _lease(self, app: NetworkApp, record: _Record, epoch: int) -> None:
         self.sim.schedule(
-            self.failover.lease, lambda: self._check_lease(app, record, epoch)
+            self.failover.lease, lambda: self._lease_due(app, record, epoch)
         )
 
-    def _check_lease(self, app: NetworkApp, record: _Record, epoch: int) -> None:
+    def _lease_due(self, app: NetworkApp, record: _Record, epoch: int) -> None:
         if record.done or record.failed or record.epoch != epoch:
             return
         host = record.host
         if host in self.router.peers:
-            self._arm_lease(app, record, epoch)  # renewed
+            self._lease(app, record, epoch)  # renewed
             return
         self.sim.emit(
             "recovery.lease_expired", app.id,
@@ -478,11 +478,8 @@ class NetworkVCE:
             task=record.task, rank=record.rank, epoch=record.epoch,
             host=record.host, reason=reason,
         )
-        epoch = record.epoch
-        self.sim.schedule(
-            self.failover.detection,
-            lambda: self._redispatch(app, record, epoch, via),
-        )
+        # every strand is already a detection (EOF, lease expiry, TaskFailed)
+        self._redispatch(app, record, record.epoch, via)
 
     def _redispatch(self, app: NetworkApp, record: _Record, epoch: int, via: str) -> None:
         if record.done or record.failed or record.epoch != epoch:
@@ -500,7 +497,7 @@ class NetworkVCE:
         target = self._pick_host(record)
         if target is None:
             self.sim.schedule(
-                self.failover.detection,
+                self.failover.lease,
                 lambda: self._redispatch(app, record, epoch, via),
             )
             return

@@ -69,8 +69,8 @@ class SoakConfig:
             bidding, which is what permits six-figure concurrency on a
             modest cluster.
         chaos: optional fault recipe name (see ``repro.faults``); arms
-            the chaos controller and enables lease-based failover so the
-            soak rides through the faults.
+            the chaos controller and enables failover so the soak rides
+            through the faults.
         queue_if_insufficient: let leaders age-queue unsatisfiable
             requests instead of failing the run.
         telemetry: keep the live metrics registry + sampler on.

@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.faults.schedule import SCHEDULES, FaultSchedule, build_schedule
 from repro.migration.failover import FailoverConfig
+from repro.runtime import AppStatus
 from repro.runtime.instance import InstanceState
 from repro.scheduler.execution_program import RunState
 from repro.sdm import ProblemSpecification
@@ -244,7 +245,10 @@ class TestStaleIncarnation:
         monkeypatch.setattr(runtime, "dispatch_instance", dispatch_to_down_host)
         run = vce.run_to_completion(vce.submit(self._job()), timeout=1_000.0)
         assert run.state is RunState.DONE
-        assert vce.sim.log.count("recovery.redispatch") == 1
+        # a one-workstation group has no survivor to report ws0 lost, so
+        # the backstop re-dispatches
+        (redispatch,) = vce.sim.log.records(category="recovery.redispatch")
+        assert redispatch.get("via") == "lease"
         assert [p.name for p in host.processes()] == ["vced"]
         host.crash()
         assert vce.sim.log.count("task.host_crashed") == 0
@@ -255,8 +259,6 @@ class TestDispatchToDownHost:
     fails at once, as a crash of that host would have failed it."""
 
     def test_without_failover_the_application_fails(self, monkeypatch):
-        from repro.runtime import AppStatus
-
         vce = VirtualComputingEnvironment(
             workstation_cluster(2), VCEConfig(seed=1)
         ).boot()
@@ -290,9 +292,9 @@ class TestHostLostTakeover:
     here the coordinator that reports the loss is itself a restarted
     daemon."""
 
-    # the fallback re-dispatch comes this long after a strand: any
+    # the backstop re-dispatch comes this long after a strand: any
     # re-dispatch sooner is the coordinator's report
-    DETECTION = 60.0
+    LEASE = 60.0
 
     def _bounce_then_lose_the_worker(self, failover_first):
         """Two workstations.  The founder's daemon (ws0) is bounced, so ws1
@@ -302,7 +304,7 @@ class TestHostLostTakeover:
         from repro.machines import MachineClass
 
         vce = VirtualComputingEnvironment(workstation_cluster(2), VCEConfig(seed=1)).boot()
-        config = FailoverConfig(detection=self.DETECTION)
+        config = FailoverConfig(lease=self.LEASE)
         if failover_first:
             vce.enable_failover(config)
         vce.restart_daemon("ws0")
@@ -332,4 +334,78 @@ class TestHostLostTakeover:
         (redispatch,) = vce.sim.log.records(category="recovery.redispatch")
         assert redispatch.get("via") == "daemon-takeover"
         assert redispatch.get("src") == "ws1"
-        assert redispatch.time - crashed_at < self.DETECTION
+        assert redispatch.time - crashed_at < self.LEASE
+
+
+class TestFailoverLearnsFromMembership:
+    """Failover re-dispatches a crashed allocation when its class group's
+    coordinator reports the host lost; it polls nothing while no instance
+    fails."""
+
+    def _pipeline(self, failover):
+        """E9c's pipeline (ws:8, seed 15, 4 stages of 20 s), fault-free."""
+        config = VCEConfig(seed=15, failover=failover)
+        vce = VirtualComputingEnvironment(workstation_cluster(8), config).boot()
+        run = vce.submit(build_pipeline_graph(stages=4, stage_work=20.0, name="pipe"))
+        vce.run_to_completion(run, timeout=2_000.0)
+        assert run.state is RunState.DONE
+        return vce
+
+    def test_failover_adds_no_kernel_event_when_nothing_fails(self):
+        plain = self._pipeline(None)
+        guarded = self._pipeline(FailoverConfig())
+        assert guarded.failover is not None
+        assert guarded.sim.events_processed == plain.sim.events_processed
+        assert event_log_digest(guarded.sim.log) == event_log_digest(plain.sim.log)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_crashed_member_is_redispatched_on_the_coordinators_report(self, seed):
+        """Four workstations, the coordinator (ws0) drained, one 30 s job:
+        its host crashes, and the re-dispatch follows the coordinator's
+        failure detector, not a timer."""
+        vce = VirtualComputingEnvironment(
+            workstation_cluster(4), VCEConfig(seed=seed, failover=FailoverConfig())
+        ).boot()
+        vce.drain_host("ws0")
+        run = vce.submit(TestStaleIncarnation()._job())
+        vce.sim.run(stop_when=lambda: vce.sim.log.count("task.start") == 1)
+        (record,) = run.app.records.values()
+        assert record.host_name != "ws0"
+        crashed_at = vce.sim.now
+        vce.network.host(record.host_name).crash()
+        vce.run_to_completion(run, timeout=1_000.0)
+        assert run.state is RunState.DONE
+        (redispatch,) = vce.sim.log.records(category="recovery.redispatch")
+        assert redispatch.get("via") == "daemon-takeover"
+        isis = vce.config.isis
+        delay = redispatch.time - crashed_at
+        assert isis.hb_timeout <= delay <= isis.hb_timeout + isis.hb_interval
+
+    def test_a_backstop_armed_for_an_earlier_strand_does_nothing(self):
+        """The backstop fires ``lease`` after *its* strand: one left over
+        from a strand the report already handled does not re-dispatch the
+        next strand of the same record early."""
+        from repro.migration import MigrationContext
+        from repro.migration.failover import FailoverManager
+
+        from tests.conftest import make_cluster, place_all_on
+
+        cluster = make_cluster(3)
+        graph = TestStaleIncarnation()._job()
+        app = cluster.manager.submit(graph, place_all_on(graph, "ws0"))
+        failover = FailoverManager(
+            MigrationContext(cluster.manager, cluster.net), FailoverConfig(lease=8.0)
+        ).install()
+        cluster.run(until=5.0)
+        cluster.hosts["ws0"].crash()  # strand 1; its backstop is due at 13
+        cluster.run(until=6.0)
+        failover.host_lost("ws0")  # the report re-dispatches strand 1
+        record = app.record("job", 0)
+        cluster.run(until=8.0)
+        cluster.hosts[record.host_name].crash()  # strand 2; backstop at 16
+        cluster.run(until=200.0)
+        assert app.status is AppStatus.DONE
+        redispatches = cluster.sim.log.records(category="recovery.redispatch")
+        assert [(r.time, r.get("via")) for r in redispatches] == [
+            (6.0, "daemon-takeover"), (16.0, "lease"),
+        ]

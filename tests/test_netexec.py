@@ -399,7 +399,7 @@ class TestRealProcessFailover:
             workstation_cluster(3),
             VCEConfig(seed=23, backend="network"),
             rate=20.0,
-            failover=FailoverConfig(lease=4.0, detection=1.0),
+            failover=FailoverConfig(lease=4.0),
             eager_detection=False,
         )
 
