@@ -17,10 +17,10 @@ the transport seam goes real:
   simulator and disappears on a real network, which is precisely the
   order-dependence this sanitizer exists to detect.
 
-- Instrumented shared-state sites (daemon hosted/load caches, AgingQueue
-  mutations, allocation-epoch commits, lease/strand bookkeeping, channel
-  endpoint tables) call :meth:`HBTracker.read` / :meth:`HBTracker.write`
-  with a variable key and a stable site name.  Two conflicting accesses
+- Instrumented shared-state sites (AgingQueue mutations, allocation-epoch
+  commits, lease/strand bookkeeping, channel endpoint tables) call
+  :meth:`HBTracker.read` / :meth:`HBTracker.write` with a variable key and
+  a stable site name.  Two conflicting accesses
   (at least one write) to the same variable that are unordered by
   happens-before produce a race finding (rules ``R001``–``R0xx``, see
   ``docs/ANALYSIS.md``) carrying both event chains.
@@ -66,7 +66,6 @@ _SUPPRESS_RE = re.compile(r"#\s*hbrace:\s*ok\(([A-Za-z0-9_,\s]+)\)")
 #: Race-rule catalog (rendered in docs/ANALYSIS.md).
 RACE_RULES = {
     "R001": "AgingQueue mutation unordered with another queue access",
-    "R002": "daemon hosted-count / load-cache access unordered with a writer",
     "R003": "allocation-epoch commit unordered with a conflicting epoch access",
     "R004": "lease/strand bookkeeping unordered with a conflicting access",
     "R005": "channel endpoint table access unordered with a rebind/attach",

@@ -64,8 +64,7 @@ class LoadBalancer:
             if busy == was:
                 continue
             self._was_busy[machine.name] = busy
-            instances = self.runtime.instances_on(machine.name)
-            remote = [i for i in instances if not i.state.terminal]
+            remote = self.runtime.instances_on(machine.name)
             if not remote and busy:
                 continue  # nothing hosted; nothing to do
             self.transitions += 1

@@ -13,8 +13,9 @@ installs itself as a runtime failure handler:
   survivor reports, e.g. in a one-member group (``via="lease"``);
 - re-dispatch bumps the record's **allocation epoch** (the runtime refuses
   exit commits from stale epochs — at-most-once completion), restores the
-  latest checkpoint when one exists, and targets the least-loaded live
-  host of the original placement's machine class.
+  latest checkpoint when one exists, and targets the live host of the
+  original placement's machine class whose process table holds the fewest
+  live instances.
 
 Every recovery action emits a ``recovery.*`` event and bumps the
 ``recovery_actions_total`` counter; strand-to-redispatch time lands in the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.migration.base import MigrationContext
 from repro.runtime.app import Application, InstanceRecord
-from repro.runtime.instance import TaskInstance
+from repro.runtime.instance import TaskInstance, live_instances
 
 
 @dataclass
@@ -173,7 +174,8 @@ class FailoverManager:
         self.context.runtime.dispatch_instance(app, record, target, restored_state=restored)
 
     def _pick_host(self, app: Application, record: InstanceRecord) -> str | None:
-        """Least-loaded live host of a compatible class (deterministic)."""
+        """Live host of a compatible class running the fewest live instances
+        (ties by name)."""
         network = self.context.network
         wanted_class = None
         if record.host_name is not None:
@@ -181,14 +183,13 @@ class FailoverManager:
                 wanted_class = self.context.machine_of(record.host_name).arch_class
             except Exception:
                 wanted_class = None
-        load = self.context.runtime.instances_by_host()
         candidates: list[tuple[int, str]] = []
         for host in network.hosts.values():
             if not host.up or host.machine is None:
                 continue
             if wanted_class is not None and host.machine.arch_class is not wanted_class:
                 continue
-            candidates.append((len(load.get(host.name, ())), host.name))
+            candidates.append((len(live_instances(host)), host.name))
         if not candidates:
             return None
         candidates.sort()

@@ -22,7 +22,7 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "checkpoints": ("CheckpointStore", "CheckpointRecord"),
-    "instance": ("InstanceState", "TaskInstance"),
+    "instance": ("InstanceState", "TaskInstance", "live_instances"),
     "app": ("Application", "InstanceRecord", "AppStatus"),
     "manager": ("Placement", "RuntimeManager"),
     "local": ("LocalBackend", "LocalContext", "LocalExecutionError", "round_robin_local_placement"),

@@ -35,6 +35,7 @@ from repro.vmpi.api import ANY, Checkpoint, Compute, Emit, ReadFile, Recv, Send,
 from repro.vmpi.communicator import TaskContext
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.netsim.host import Host
     from repro.runtime.checkpoints import CheckpointStore
     from repro.taskgraph.node import TaskNode
     from repro.util.eventlog import Category, EventLog
@@ -608,3 +609,15 @@ class TaskInstance(SimProcess):
                       rank=self.ctx.rank, **self._trace_fields)
             if self.on_exit is not None:
                 self.on_exit(self, InstanceState.FAILED, self.error)
+
+
+def live_instances(host: "Host") -> list[TaskInstance]:
+    """The VCE task instances in *host*'s process table that have not
+    exited, redundant copies included: the one book of what runs on a
+    machine.  Read by state, not ``alive``: a spawned instance is not alive
+    until its start event runs."""
+    return [
+        process
+        for process in host.processes()
+        if isinstance(process, TaskInstance) and not process.state.terminal
+    ]

@@ -29,6 +29,7 @@ from repro.runtime.instance import (
     InstanceState,
     TaskCategories,
     TaskInstance,
+    live_instances,
 )
 from repro.taskgraph import ArcKind, TaskGraph
 from repro.trace.context import TraceContext, trace_fields
@@ -467,26 +468,11 @@ class RuntimeManager:
     def add_failure_handler(self, handler: FailureHandler) -> None:
         self.failure_handlers.append(handler)
 
-    def instances_by_host(self) -> dict[str, list[TaskInstance]]:
-        """Live VCE task instances per host name, redundant copies included,
-        in one pass over each application's in-flight index (so the cost
-        follows live work, not everything ever submitted). Hosts running
-        nothing are absent."""
-        out: dict[str, list[TaskInstance]] = {}
-        for app in self.apps.values():
-            for record in app.inflight.values():
-                inst = record.instance
-                if inst is not None and not inst.state.terminal and inst.host is not None:
-                    out.setdefault(inst.host.name, []).append(inst)
-                for copy in record.redundant_copies:
-                    if not copy.state.terminal and copy.host is not None:
-                        out.setdefault(copy.host.name, []).append(copy)
-        return out
-
     def instances_on(self, host_name: str) -> list[TaskInstance]:
-        """Live VCE task instances currently on *host_name* (see
-        :meth:`instances_by_host`)."""
-        return self.instances_by_host().get(host_name, [])
+        """Live VCE task instances on *host_name*, redundant copies
+        included, read from the host's own process table (see
+        :func:`~repro.runtime.instance.live_instances`)."""
+        return live_instances(self.network.host(host_name))
 
     def rebind_instance(self, old_address: Any, new_address: Any) -> int:
         """Channel handoff after a migration (counts ports moved)."""

@@ -21,8 +21,8 @@ Components:
 - :class:`ExecutionProgram` — "an execution program that executes
   applications on behalf of a local user": walks an application
   description, requests resources per group, maps allocated machines to
-  task instances with a placement policy, submits to the runtime manager,
-  and notifies daemons on termination.
+  task instances with a placement policy, and submits to the runtime
+  manager.
 - :mod:`repro.scheduler.policies` — bid-to-task assignment policies,
   including the utilization-first rule of the §4.3 machine-A example.
 - :class:`GroupDirectory` — class → current leader lookup, maintained by
@@ -39,7 +39,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "CellBids",
         "DelegateRequest",
         "DiscloseProbe",
-        "ExecutionInfo",
         "ModuleNeed",
         "ProbeReply",
         "ResourceRequest",

@@ -33,6 +33,7 @@ from repro.isis.member import IsisConfig, Membership
 from repro.isis.views import View
 from repro.netsim.host import Address
 from repro.netsim.process import SimProcess
+from repro.runtime.instance import live_instances
 from repro.scheduler.directory import GroupDirectory
 from repro.scheduler.hierarchy import CellMap, build_cells
 from repro.scheduler.messages import (
@@ -41,12 +42,10 @@ from repro.scheduler.messages import (
     CellBids,
     DelegateRequest,
     DiscloseProbe,
-    ExecutionInfo,
     MachineBid,
     ProbeReply,
     ResourceRequest,
     SetPriority,
-    TerminateNotice,
 )
 from repro.scheduler.queue import AgingQueue
 from repro.trace.context import TraceContext, trace_fields
@@ -62,8 +61,8 @@ class DaemonConfig:
     Attributes:
         busy_threshold: above this load a daemon declines to bid
             ("not already excessively loaded").
-        per_instance_load: load attributed to each hosted VCE instance when
-            reporting "current load".
+        per_instance_load: load attributed to each live VCE instance on the
+            machine when reporting "current load".
         bid_timeout: how long the leader collects bids before deciding.
         retry_interval: queued-request retry period.
         aging_rate: priority gained per second of queue wait (§4.3).
@@ -132,10 +131,8 @@ class SchedulerDaemon(SimProcess):
         self.machine = machine
         self.directory = directory
         self.daemon_config = config or DaemonConfig()
-        self.hosted: dict[str, int] = {}  # app id -> instances hosted here
-        self._hosted_total = 0  # incrementally-maintained sum of hosted values
         # load is asked for several times per disclosure (can-bid check, the
-        # bid itself, decline emits); cache it per (timestamp, hosted) epoch
+        # bid itself, decline emits); cache it per timestamp
         self._load_cache_time = -1.0
         self._load_cache = 0.0
         self.pending_queue = AgingQueue(self.daemon_config.aging_rate)
@@ -164,11 +161,6 @@ class SchedulerDaemon(SimProcess):
         self.draining = False
 
     def on_start(self) -> None:
-        # the event-log handles need the simulator, which a daemon reaches
-        # only once bound to a host
-        log = self.sim.log
-        self._hosting = log.category("sched.hosting", ("app", "count"))
-        self._released = log.category("sched.released", ("app",))
         self.membership.start()
 
     def on_stop(self) -> None:
@@ -184,23 +176,15 @@ class SchedulerDaemon(SimProcess):
 
     # ------------------------------------------------------------------ load
 
-    def hosted_instances(self) -> int:
-        return self._hosted_total
-
     def current_load(self) -> float:
-        """Background (locally-initiated) load plus VCE-hosted work.
-        Cached per simulation timestamp (hosting changes invalidate)."""
-        hb = self.sim.hb
-        if hb is not None:
-            # racy-by-design heuristic: a bid may read the load before or
-            # after a concurrent hosting update lands; either answer is a
-            # legal bid
-            hb.read(f"load:{self.machine.name}", "R002", "daemon.current_load")  # hbrace: ok(R002)
+        """Background (locally-initiated) load plus the VCE instances live on
+        this machine (its own process table, not what any message
+        announced).  Cached per simulation timestamp."""
         now = self.now
         if now != self._load_cache_time:
             self._load_cache = (
                 self.machine.load_at(now)
-                + self.daemon_config.per_instance_load * self._hosted_total
+                + self.daemon_config.per_instance_load * len(live_instances(self.host))
             )
             self._load_cache_time = now
         return self._load_cache
@@ -546,32 +530,6 @@ class SchedulerDaemon(SimProcess):
 
     # ------------------------------------------------------------ member side
 
-    def _on_execution_info(self, src: Address, info: ExecutionInfo) -> None:
-        hb = self.sim.hb
-        if hb is not None:
-            # commutative increment: hosting updates from concurrent
-            # allocations may land in any order
-            hb.write(f"load:{self.machine.name}", "R002", "daemon.hosting")  # hbrace: ok(R002)
-        self.hosted[info.app] = self.hosted.get(info.app, 0) + len(info.tasks)
-        self._hosted_total += len(info.tasks)
-        self._load_cache_time = -1.0
-        self.emit(self._hosting, info.app, len(info.tasks))
-
-    def _on_terminate_notice(self, src: Address, notice: TerminateNotice) -> None:
-        if notice.app not in self.hosted:
-            return
-        hb = self.sim.hb
-        if hb is not None:
-            # guarded pop (`notice.app in self.hosted`): a release
-            # arriving before/after an unrelated hosting update is safe
-            hb.write(f"load:{self.machine.name}", "R002", "daemon.released")  # hbrace: ok(R002)
-        self._hosted_total -= self.hosted.pop(notice.app)
-        self._load_cache_time = -1.0
-        self.emit(self._released, notice.app)
-        # capacity freed: give queued requests another chance
-        if self.membership.is_coordinator and self.pending_queue:
-            self.set_timer(0.0, "retry-queue")
-
     def _on_disclose_probe(self, src: Address, probe: DiscloseProbe) -> None:
         self.send(probe.reply_to, ProbeReply(probe.req_id, self._disclose_bid()), size=256)
 
@@ -647,8 +605,6 @@ class SchedulerDaemon(SimProcess):
     _HANDLERS = {
         ResourceRequest: _on_resource_request,
         SetPriority: _on_set_priority,
-        ExecutionInfo: _on_execution_info,
-        TerminateNotice: _on_terminate_notice,
         DelegateRequest: _on_delegate,
         DiscloseProbe: _on_disclose_probe,
         ProbeReply: _on_probe_reply,

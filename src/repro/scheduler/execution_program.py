@@ -3,16 +3,20 @@
 Runs on the user's workstation. Walks the application's modules, sends one
 :class:`ResourceRequest` per machine-class group, collects
 allocation replies, maps bids to task instances with a placement policy,
-ships :class:`ExecutionInfo` to the selected daemons, submits the placement
-to the runtime manager, waits for application termination, and finally
-sends :class:`TerminateNotice` to every involved daemon — the exact control
-flow of the paper's C-style pseudocode:
+submits the placement to the runtime manager and waits for application
+termination.  The paper's pseudocode reads the script line by line, sends
+each request to its group and receives the reply (terminating on an
+allocation error), then sends the execution info to each group, starts the
+execution, waits for application termination and sends a terminate
+message.
 
-    openExecutionScriptForReading(); while(!eof) { readLine;
-    SendRequestToSpecifiedGroup(); ReceiveReply(); if (AllocError())
-    Terminate(); } for each group SendExecutionInfoToGroup();
-    StartExecution(); WaitForApplicationTermination();
-    SendTerminateMessage();
+Of those steps only the request and its reply (an
+:class:`AllocationReply`, or an allocation error) are messages here.  The
+execution-info and terminate sends are not: a daemon bids what its own
+machine's process table holds (:func:`repro.runtime.instance.live_instances`),
+so an instance's spawn tells its daemon what arrived and its exit what
+left, whether the instance came from an allocation or a failover
+re-dispatch.
 """
 
 from __future__ import annotations
@@ -30,12 +34,10 @@ from repro.scheduler.directory import GroupDirectory
 from repro.scheduler.messages import (
     AllocationError_,
     AllocationReply,
-    ExecutionInfo,
     MachineBid,
     ModuleNeed,
     ResourceRequest,
     SetPriority,
-    TerminateNotice,
 )
 from repro.scheduler.policies import PlacementPolicy, load_sorted_assignment
 from repro.trace.context import TraceContext, trace_fields
@@ -295,7 +297,7 @@ class ExecutionProgram(SimProcess):
 
     def _allocate_and_go(self) -> None:
         try:
-            placement, chosen_counts, daemons_by_machine = self._build_placement()
+            placement, chosen_counts = self._build_placement()
         except AllocationError as err:
             self._fail(str(err))
             return
@@ -304,16 +306,8 @@ class ExecutionProgram(SimProcess):
         # instance-count ranges resolved: fix the graph before submit
         for task, count in chosen_counts.items():
             self.graph.task(task).instances = count
-        # SendExecutionInfoToGroup(): tell each selected daemon what's coming
-        per_daemon: dict[Address, list[tuple[str, int]]] = defaultdict(list)
-        for (task, rank), machine in placement.assignments.items():
-            daemon = daemons_by_machine.get(machine)
-            if daemon is not None:
-                per_daemon[daemon].append((task, rank))
-        for daemon, tasks in per_daemon.items():
-            self.send(daemon, ExecutionInfo(self.app_id or "?", tuple(tasks)), size=512)
-        self._involved_daemons = list(per_daemon)
-        # StartExecution()
+        # StartExecution(): the runtime spawns each instance on its machine,
+        # whose daemon reads it from the host's process table
         self.run_handle.state = RunState.RUNNING
         try:
             app = self.runtime.submit(
@@ -331,10 +325,9 @@ class ExecutionProgram(SimProcess):
         # WaitForApplicationTermination()
         app.on_complete(self._app_finished)
 
-    def _build_placement(self) -> tuple[Placement, dict[str, int], dict[str, Address]]:
+    def _build_placement(self) -> tuple[Placement, dict[str, int]]:
         """Map bids to instances via the policy; raises AllocationError if
         any required instance cannot be placed."""
-        daemons_by_machine: dict[str, Address] = {}
         placement = Placement()
         chosen_counts: dict[str, int] = {}
         # local tasks run on this workstation
@@ -346,8 +339,6 @@ class ExecutionProgram(SimProcess):
         # remote tasks per class
         for cls, bids in self._replies.items():
             tasks = self._tasks_by_class.get(cls, [])
-            for bid in bids:
-                daemons_by_machine[bid.machine] = bid.daemon
             needs = []
             for task in tasks:
                 node = self.graph.task(task)
@@ -376,7 +367,7 @@ class ExecutionProgram(SimProcess):
                 )
             for (task, rank), machine in assignment.items():
                 placement.assign(task, rank, machine)
-        return placement, chosen_counts, daemons_by_machine
+        return placement, chosen_counts
 
     def _feasible_machines(self, task: str, bids: tuple[MachineBid, ...]) -> list[str]:
         node = self.graph.task(task)
@@ -396,9 +387,8 @@ class ExecutionProgram(SimProcess):
     # ------------------------------------------------------------ completion
 
     def _app_finished(self, app: "Application") -> None:
-        # SendTerminateMessage()
-        for daemon in getattr(self, "_involved_daemons", []):
-            self.send(daemon, TerminateNotice(app.id), size=128)
+        # SendTerminateMessage() is each instance's exit: it leaves its
+        # host's process table, and with it the daemon's load
         self.run_handle.completed_at = self.now
         from repro.runtime.app import AppStatus
 

@@ -98,17 +98,11 @@ class Allocation:
 
 
 @dataclass(frozen=True, slots=True)
-class ExecutionInfo:
-    """Execution program → selected daemon: "the programs and data files
-    that make up the application" headed its way."""
-
-    app: str
-    tasks: tuple[tuple[str, int], ...]  # (task, rank) pairs assigned here
-
-
-@dataclass(frozen=True, slots=True)
 class TerminateNotice:
-    """Execution program → daemons: the application is finished."""
+    """Network supervisor → every daemon (:mod:`repro.netexec`): the
+    application is finished, so cancel whatever of it still runs there.
+    The simulator sends none: a daemon there reads its load from its own
+    host's process table, which an instance leaves when it exits."""
 
     app: str
 

@@ -19,6 +19,7 @@ from repro.faults.schedule import SCHEDULES, FaultSchedule, build_schedule
 from repro.migration.failover import FailoverConfig
 from repro.runtime import AppStatus
 from repro.runtime.instance import InstanceState
+from repro.runtime.manager import Placement
 from repro.scheduler.execution_program import RunState
 from repro.sdm import ProblemSpecification
 from repro.taskgraph import ProblemClass
@@ -215,14 +216,14 @@ class TestStaleIncarnation:
     starts; once failover re-dispatches its record it must leave that
     host's process table, or the host's next crash fails it again."""
 
-    def _job(self):
-        graph = ProblemSpecification("job-app").task("job", work=30.0).build()
+    def _job(self, work=30.0, name="job-app"):
+        graph = ProblemSpecification(name).task("job", work=work).build()
         node = graph.task("job")
         node.problem_class = ProblemClass.ASYNCHRONOUS
         node.language = "py"
 
         def program(ctx):
-            yield Compute(30.0)
+            yield Compute(work)
             return "ok"
 
         node.program = program
@@ -280,7 +281,40 @@ class TestDispatchToDownHost:
         assert record.state is InstanceState.FAILED
         assert not record.instance.alive and record.instance.started_at is None
         assert vce.sim.log.count("runtime.host_down") == 1
-        assert vce.runtime.instances_by_host() == {}
+        assert all(vce.runtime.instances_on(name) == [] for name in vce.network.hosts)
+
+
+class TestRedispatchedLoad:
+    """A daemon bids what its machine's process table holds, so an instance
+    that failover re-dispatches counts in its new host's bid although no
+    message announced it."""
+
+    def test_the_host_of_a_redispatch_bids_its_instance(self):
+        vce = VirtualComputingEnvironment(
+            workstation_cluster(3), VCEConfig(seed=1, failover=FailoverConfig())
+        ).boot()
+        # a long instance pinned on the front end, so that recovery, which
+        # picks the host with the fewest live instances, avoids it
+        pinned = TestStaleIncarnation()._job(work=500.0, name="pinned")
+        placement = Placement()
+        placement.assign("job", 0, "user")
+        vce.runtime.submit(pinned, placement)
+        run = vce.submit(TestStaleIncarnation()._job(work=60.0))
+        vce.sim.run(stop_when=lambda: vce.sim.log.count("task.start") == 2)
+        (record,) = run.app.records.values()
+        crashed = record.host_name
+        vce.network.host(crashed).crash()
+        vce.sim.run(stop_when=lambda: vce.sim.log.count("recovery.redispatch") == 1)
+        (redispatch,) = vce.sim.log.records(category="recovery.redispatch")
+        target = redispatch.get("dst")
+        assert target not in ("user", crashed)
+        vce.run(until=vce.sim.now + 1.0)
+        daemon = vce.daemons[target]
+        background = daemon.machine.load_at(vce.sim.now)
+        assert daemon.make_bid().load == background + vce.config.daemon.per_instance_load
+        vce.run_to_completion(run, timeout=1_000.0)
+        assert run.state is RunState.DONE
+        assert daemon.make_bid().load == daemon.machine.load_at(vce.sim.now)
 
 
 class TestHostLostTakeover:

@@ -16,9 +16,9 @@ instrumentation-based, never wall-clock, so they are immune to CI noise:
 - One task instance costs what varies per instance: a dispatch copies no
   arc or predecessor list, and an exited instance leaves at most 17
   collector-tracked objects behind.
-- ``RuntimeManager.instances_on`` visits live records only, and a failover
-  re-dispatch scans each application's in-flight records once, not once
-  per candidate host.
+- ``RuntimeManager.instances_on`` reads the host's process table and
+  visits no application record, and a failover re-dispatch ranks its
+  candidate hosts without reading any application's in-flight records.
 - The observers cost nothing when nothing changed: an idle cluster with
   one instance in flight is sampled at the keep-alive rate only, and the
   watchdog resolves no metric label on a tick with no new in-flight record.
@@ -332,8 +332,8 @@ class TestDispatchContracts:
 
 class TestInstancesOnContract:
     def test_finished_application_is_never_visited(self):
-        """``instances_on`` (and the per-host load a failover re-dispatch
-        ranks by) must cost what live work costs, not history."""
+        """``instances_on`` (the host book the balancer and a failover
+        re-dispatch read) must cost what live work costs, not history."""
 
         class Untouchable(dict):
             def _refuse(self, *args):
@@ -377,10 +377,9 @@ class TestInstancesOnContract:
         assert app.status is AppStatus.DONE
         assert manager.instances_on("ws0") == manager.instances_on("ws1") == []
 
-    def test_redispatch_scans_each_application_once(self):
+    def test_redispatch_reads_no_application_records(self):
         """Ranking the candidate hosts of a failover re-dispatch reads each
-        live application's in-flight records once, however many hosts are
-        candidates."""
+        host's process table, not any application's in-flight records."""
         from repro.migration import MigrationContext
         from repro.migration.failover import FailoverManager
 
@@ -428,8 +427,8 @@ class TestInstancesOnContract:
         cluster.hosts["ws0"].crash()  # strands one instance of each application
         cluster.run()
         assert failover.redispatches == len(apps)
-        assert picks == [[1] * len(apps)] * len(apps), (
-            "a re-dispatch scanned an application once per candidate host"
+        assert picks == [[0] * len(apps)] * len(apps), (
+            "a re-dispatch read an application's in-flight records"
         )
         assert all(app.status is AppStatus.DONE for app in apps)
 

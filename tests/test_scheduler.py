@@ -163,18 +163,33 @@ class TestBiddingBasics:
         assert run.state is RunState.DONE
         assert run.placement.host_for("predictor", 0).startswith("simd")
 
-    def test_execution_info_and_terminate_notices(self):
+    def test_a_finished_application_leaves_no_load(self):
         vce = make_vce(workstation_farm(3))
         graph = annotated_graph()
         run, done = launch(vce, graph)
         vce.run(until=vce.sim.now + 60.0)
+        assert run.state is RunState.DONE
         machine = run.placement.host_for("t", 0)
         daemon = vce.daemon_on(machine)
-        # after termination the daemon's hosted table is cleared
-        assert daemon.hosted == {}
-        hostings = vce.sim.log.records(category="sched.hosting")
-        releases = vce.sim.log.records(category="sched.released")
-        assert hostings and releases
+        # the instance left its host's process table when it exited
+        assert vce.runtime.instances_on(machine) == []
+        assert daemon.current_load() == daemon.machine.load_at(vce.sim.now)
+
+    def test_a_finished_task_leaves_no_load_while_its_application_runs(self):
+        """A daemon bids what runs on its machine: the host of an
+        application's finished task bids its background load only, though
+        the application still runs elsewhere."""
+        vce = make_vce(workstation_farm(2), daemon_config=DaemonConfig(per_instance_load=0.25))
+        graph = annotated_graph(tasks=(("short", 1, 1.0), ("long", 1, 30.0)))
+        run, done = launch(vce, graph)
+        vce.run(until=vce.sim.now + 10.0)
+        assert run.state is RunState.RUNNING
+        short = vce.daemon_on(run.placement.host_for("short", 0))
+        long = vce.daemon_on(run.placement.host_for("long", 0))
+        assert short is not long
+        now = vce.sim.now
+        assert short.make_bid().load == short.machine.load_at(now)
+        assert long.make_bid().load == long.machine.load_at(now) + 0.25
 
     def test_instance_range_uses_available_machines(self):
         vce = make_vce(workstation_farm(3))
