@@ -10,7 +10,7 @@ Run:  python examples/fault_tolerant_scheduling.py
 """
 
 from repro import VirtualComputingEnvironment, workstation_cluster
-from repro.faults import leadership_transfer_times
+from repro.faults import FaultSchedule, leadership_transfer_times
 from repro.machines import MachineClass
 from repro.workloads import build_pipeline_graph
 
@@ -30,7 +30,7 @@ def main() -> None:
           f"(alloc latency {r1.allocation_latency:.2f}s)")
 
     # kill the leader's machine
-    vce.faults.crash_leader_at(vce.directory, cls, vce.sim.now + 1.0)
+    vce.chaos(FaultSchedule("leader-crash").crash(1.0, original_leader))
     vce.run(until=vce.sim.now + 30.0)  # failure detection + takeover
 
     new_leader = vce.directory.leader(cls).host

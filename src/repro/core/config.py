@@ -35,13 +35,10 @@ class VCEConfig:
         settle_time: simulated seconds given to group formation at boot.
         anticipatory: run the anticipatory engine (compile-ahead + file
             replication) on every submitted application.
-        user_machine_name: name of the user's workstation host.
         wan_latency: when set and machines declare ``site`` attributes,
             messages between machines at *different* sites use this model
             instead of the LAN one (multi-campus metacomputing). Defaults
             to None (everything on one LAN, like the paper's prototype).
-        user_site: which site the user's workstation belongs to ("" = the
-            first machine's site).
         egress_serialization: model one NIC per host (concurrent sends
             queue for the wire); see repro.netsim.Network.
         telemetry: maintain the live metrics registry and run the cluster
@@ -90,9 +87,7 @@ class VCEConfig:
     isis: IsisConfig = field(default_factory=IsisConfig)
     settle_time: float = 15.0
     anticipatory: bool = False
-    user_machine_name: str = "user"
     wan_latency: LatencyModel | None = None
-    user_site: str = ""
     egress_serialization: bool = False
     telemetry: bool = True
     telemetry_interval: float = 4.0

@@ -8,7 +8,6 @@ from repro.compilation.anticipatory import AnticipatoryEngine
 from repro.compilation.manager import CompilationManager
 from repro.core.config import VCEConfig
 from repro.core.tenancy import TenantRegistry
-from repro.faults.injector import FaultInjector
 from repro.faults.schedule import ChaosController, FaultSchedule, build_schedule
 from repro.machines.archclass import MachineClass
 from repro.machines.database import MachineDatabase
@@ -42,8 +41,9 @@ class VirtualComputingEnvironment:
 
     Args:
         machines: machine descriptions to boot; one scheduler daemon runs
-            on each. A separate user workstation (the execution program's
-            home) is always added and never bids.
+            on each. A separate user workstation, host ``user`` at the
+            first machine's site (the execution program's home), is
+            always added and never bids.
         config: see :class:`VCEConfig`.
     """
 
@@ -107,9 +107,6 @@ class VirtualComputingEnvironment:
         self.migration = MigrationSelector(
             MigrationContext(self.runtime, self.network, self.compilation)
         )
-        self.faults = FaultInjector(
-            self.sim, self.network, restart_daemon=self.restart_daemon
-        )
         self.chaos_controller = ChaosController(
             self.sim, self.network, restart_daemon=self.restart_daemon
         )
@@ -141,14 +138,12 @@ class VirtualComputingEnvironment:
             first_of_class.setdefault(machine.arch_class, daemon.address)
             self.daemons[machine.name] = daemon
 
-        user_site = self.config.user_site or (
-            str(machines[0].attributes.get("site", "")) if machines else ""
-        )
-        self.user_host: Host = self.network.add_host(self.config.user_machine_name)
+        site = str(machines[0].attributes.get("site", ""))
+        self.user_host: Host = self.network.add_host("user")
         self.user_host.machine = Machine(
-            self.config.user_machine_name,
+            "user",
             MachineClass.WORKSTATION,
-            attributes={"site": user_site} if user_site else {},
+            attributes={"site": site} if site else {},
         )
         self._wire_wan_routes()
 

@@ -10,10 +10,7 @@ from repro.util.eventlog import EventLog
 def leadership_transfer_times(log: EventLog, group: str) -> list[float]:
     """Time from each leader-hosting crash to the next takeover event in
     *group* — the paper's error-notification-driven recovery latency."""
-    crashes = [
-        r.time
-        for r in log.records(category="fault.crash_leader")
-    ] + [r.time for r in log.records(category="fault.crash")]
+    crashes = [r.time for r in log.records(category="fault.crash")]
     takeovers = [
         r for r in log.records(category="isis.takeover") if r.get("group") == group
     ]

@@ -7,13 +7,13 @@ Because a schedule carries no simulator state, the same schedule object can
 be applied to any number of fresh VCEs; combined with a fixed ``seed`` the
 whole chaotic run is deterministic and byte-identical on replay.
 
-The :class:`ChaosController` turns a schedule into scheduled simulator
-callbacks: host crashes and daemon reboots, message drop/duplicate/reorder
-windows, link latency spikes, and timed network partitions. Every injected
-fault emits a ``fault.*`` event and bumps the ``faults_injected_total``
-telemetry counter so ``repro top`` (and the chaos CLI report) can show
-injected faults next to the ``recovery.*`` actions the execution layer
-takes in response.
+The :class:`ChaosController`, the one fault injector, turns a schedule
+into scheduled simulator callbacks: host crashes and daemon reboots,
+message drop/duplicate/reorder windows, link latency spikes, and timed
+network partitions. Every injected fault emits a ``fault.*`` event and
+bumps the ``faults_injected_total`` telemetry counter so ``repro top``
+(and the chaos CLI report) can show injected faults next to the
+``recovery.*`` actions the execution layer takes in response.
 """
 
 from __future__ import annotations
@@ -89,6 +89,31 @@ class FaultSchedule:
         """Daemon crash-restart: the host dies at *time* and reboots (with a
         fresh scheduler daemon) ``down_for`` seconds later."""
         return self.crash(time, host).restart(time + down_for, host)
+
+    def churn(
+        self,
+        hosts: list[str],
+        rng: random.Random,
+        mean_up: float,
+        mean_down: float,
+        until: float,
+    ) -> "FaultSchedule":
+        """Independent exponential up/down cycling of each host in *hosts*
+        until *until*: a host crashes after an up time of mean *mean_up*
+        and restarts after a down time of mean *mean_down*. Draws come
+        from *rng*, host by host in list order, so one stream replays the
+        same crash times."""
+        for host in hosts:
+            now = 0.0
+            while True:
+                down_at = now + rng.expovariate(1.0 / mean_up)
+                if down_at >= until:
+                    break
+                now = down_at + rng.expovariate(1.0 / mean_down)
+                self.crash(down_at, host)
+                if now < until:
+                    self.restart(now, host)
+        return self
 
     def drop_window(self, time: float, duration: float, rate: float) -> "FaultSchedule":
         return self.add(FaultAction(time, "drop", value=rate, duration=duration))

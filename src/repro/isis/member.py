@@ -49,18 +49,21 @@ from repro.isis.views import View
 from repro.netsim.host import Address
 from repro.netsim.process import SimProcess
 
+#: joiner's retransmission period (s)
+JOIN_RETRY = 1.0
+#: wire size charged to every protocol message (bytes)
+CONTROL_SIZE = 128
+
 
 @dataclass
 class IsisConfig:
-    """Protocol timing and sizing knobs.
+    """Protocol timing and the quorum rule.
 
     Attributes:
         hb_interval: heartbeat period (s).
         hb_timeout: silence after which a member is declared failed (s);
             also how long the coordinator waits for a member's ViewAck
             before it suspects the member.
-        join_retry: joiner's retransmission period (s).
-        control_size: wire size charged to protocol messages (bytes).
         require_majority: when True, a view change only installs if a
             strict majority of the previous view survives into the new one,
             and a takeover only once such a majority has acked its view —
@@ -72,8 +75,6 @@ class IsisConfig:
 
     hb_interval: float = 0.5
     hb_timeout: float = 2.0
-    join_retry: float = 1.0
-    control_size: int = 128
     require_majority: bool = False
 
 
@@ -204,9 +205,9 @@ class Membership:
         self._owner.send(
             contact,
             JoinReq(self._owner.address, self._owner.host.network.disturbances),
-            size=self.config.control_size,
+            size=CONTROL_SIZE,
         )
-        self._owner.set_timer(self.config.join_retry, "join-retry")
+        self._owner.set_timer(JOIN_RETRY, "join-retry")
 
     # ------------------------------------------------------------ dispatch
 
@@ -243,7 +244,7 @@ class Membership:
             self._owner.send(
                 msg.sender,
                 Evicted(view.view_id, view.coordinator),
-                size=self.config.control_size,
+                size=CONTROL_SIZE,
             )
         elif (
             msg.view_id == view.view_id
@@ -295,7 +296,7 @@ class Membership:
             # the view.  Never to the view's own coordinator, a restarted one
             # the group has not replaced yet: it would lead stale members
             # (docs/FAULTS.md, issue 5), so it retries until a takeover.
-            self._owner.send(req.joiner, NewView(view), size=self.config.control_size)
+            self._owner.send(req.joiner, NewView(view), size=CONTROL_SIZE)
             return
         if self.is_coordinator:
             if req.joiner not in self._queued_joins:
@@ -304,7 +305,7 @@ class Membership:
             epochs[req.joiner] = max(req.epoch, epochs.get(req.joiner, -1))
             self._maybe_start_view_change()
         else:
-            self._owner.send(view.coordinator, req, size=self.config.control_size)
+            self._owner.send(view.coordinator, req, size=CONTROL_SIZE)
 
     def _on_evicted(self, src: Address, msg: Evicted) -> None:
         """We were removed from the group while unreachable: reset
@@ -372,7 +373,7 @@ class Membership:
         # view order: the fan-out must follow a deterministic sequence
         others = new_view.members[1:]
         for member in others:
-            owner.send(member, order, size=self.config.control_size)
+            owner.send(member, order, size=CONTROL_SIZE)
         if pending:
             self._proposal = new_view
         else:
@@ -390,7 +391,7 @@ class Membership:
         owner.send(
             view.coordinator,
             ViewAck(owner.address, view.view_id, owner.host.network.disturbances),
-            size=self.config.control_size,
+            size=CONTROL_SIZE,
         )
 
     def _install(self, view: View, park: bool = False) -> None:
@@ -479,7 +480,7 @@ class Membership:
             beats = 0
             for member in view.members:
                 if member != me and (suspects is None or member in suspects):
-                    self._owner.send(member, beat, size=cfg.control_size)
+                    self._owner.send(member, beat, size=CONTROL_SIZE)
                     beats += 1
             if dead:
                 queued = self._queued_leaves
@@ -494,7 +495,7 @@ class Membership:
             self._owner.send(
                 view.coordinator,
                 Heartbeat(me, view.view_id, network.disturbances),
-                size=cfg.control_size,
+                size=CONTROL_SIZE,
             )
             beats = 1
             rank = view.rank(me)
@@ -532,7 +533,7 @@ class Membership:
         for alumnus, (sent, due) in list(self._alumni.items()):
             if due > now:
                 continue
-            self._owner.send(alumnus, beat, size=self.config.control_size)
+            self._owner.send(alumnus, beat, size=CONTROL_SIZE)
             probes += 1
             if sent + 1 >= 5:
                 del self._alumni[alumnus]  # presumed really gone
@@ -689,7 +690,7 @@ class Membership:
             self._owner.send(
                 beat.sender,
                 CoordBeat(self._owner.address, self.view.view_id),
-                size=self.config.control_size,
+                size=CONTROL_SIZE,
             )
             return
         self._owner.emit(
@@ -701,7 +702,7 @@ class Membership:
         order = Evicted(self.view.view_id, beat.sender)
         for member in self.view.members:
             if member != self._owner.address:
-                self._owner.send(member, order, size=self.config.control_size)
+                self._owner.send(member, order, size=CONTROL_SIZE)
         self._on_evicted(self._owner.address, order)
 
     def _ack_timed_out(self) -> None:

@@ -3,7 +3,7 @@
 A :class:`Host` is the simulation-level stand-in for one machine on the VCE
 network. It owns named :class:`~repro.netsim.process.SimProcess` actors
 (the VCE daemon, task instances, ...), a speed factor used by the compute
-model, and an up/down state driven by the fault injector.
+model, and an up/down state driven by the chaos controller.
 
 Machine *semantics* (architecture class, memory, object-code format) live in
 ``repro.machines.Machine``; the Host carries a reference to that description
@@ -187,7 +187,7 @@ class Host:
     def recover(self) -> None:
         """Bring the host back up. Processes killed by the crash do not
         restart automatically — a recovering VCE machine reboots its daemon
-        explicitly (done by the fault injector / cluster code)."""
+        explicitly (the chaos controller's ``restart`` does)."""
         if self.up:
             return
         if self.network is not None:

@@ -16,9 +16,11 @@ the reliable FIFO channels the paper's Isis toolkit gave its daemons (and
 the TCP connections of the :mod:`repro.netexec` backend).  Every cross-host
 message gets a per-``(src host, dst host)`` sequence number; a drop or
 partition block schedules a retransmission after an exponentially
-backed-off RTO (:class:`TransportConfig`), and :meth:`Network.heal`
-re-sends every message still waiting at once; the receiver's reorder
-buffer delivers strictly in sequence order and absorbs duplicates.  A
+backed-off RTO (:data:`RTO`, times :attr:`TransportConfig.backoff` per
+failed attempt, up to :data:`MAX_RTO`), and :meth:`Network.heal` re-sends
+every message still waiting at once, with its backoff reset; the
+receiver's reorder buffer delivers strictly in sequence order and absorbs
+duplicates.  A
 message undeliverable for :attr:`TransportConfig.max_retries` attempts is
 *abandoned* (``net.lost``) and its sequence slot released, so later traffic
 is not wedged behind the gap.  The delivery contract is per-pair FIFO, at
@@ -85,24 +87,27 @@ class LatencyModel:
         return self.base_latency + size / self.bandwidth + jitter_draw * self.jitter
 
 
+#: first retransmission timeout after a lost attempt (s)
+RTO = 0.05
+#: ceiling on the backed-off retransmission timeout (s)
+MAX_RTO = 5.0
+
+
 @dataclass
 class TransportConfig:
     """Transport timing (see module docstring).
 
     Attributes:
-        rto: first retransmission timeout after a lost attempt (s).
-        backoff: RTO multiplier per consecutive failed attempt.
-        max_rto: ceiling on the backed-off RTO.
+        backoff: :data:`RTO` multiplier per consecutive failed attempt,
+            up to :data:`MAX_RTO`.
         max_retries: attempts before the message is abandoned for good.
     """
 
-    rto: float = 0.05
     backoff: float = 2.0
-    max_rto: float = 5.0
     max_retries: int = 16
 
     def retry_delay(self, attempt: int) -> float:
-        return min(self.max_rto, self.rto * self.backoff**attempt)
+        return min(MAX_RTO, RTO * self.backoff**attempt)
 
 
 @dataclass
@@ -328,15 +333,16 @@ class Network:
 
     def heal(self) -> None:
         """Remove any partition, and re-send every message waiting on a
-        retransmission timer at once: traffic on a pair that was cut flows
-        again within one wire delay, not at the oldest message's backed-off
-        retry."""
+        retransmission timer at once, as a first attempt: traffic on a pair
+        that was cut flows again within one wire delay, and a resend that
+        a drop loses is retried after :data:`RTO`, not at the backoff the
+        partition built up."""
         self.disturb()
         self._partitions = None
         held, self._held = self._held, {}
-        for (_, _, seq), (message, attempt, timer) in held.items():
+        for (_, _, seq), (message, _attempt, timer) in held.items():
             timer.cancel()
-            self._transmit(message, seq, attempt)
+            self._transmit(message, seq, 0)
 
     def _connected(self, a: str, b: str) -> bool:
         if self._partitions is None:

@@ -66,7 +66,6 @@ class DaemonConfig:
         bid_timeout: how long the leader collects bids before deciding.
         retry_interval: queued-request retry period.
         aging_rate: priority gained per second of queue wait (§4.3).
-        accepts_remote: whether this machine hosts remote executions at all.
         leader_fanout: number of sub-leader cells the group leader splits
             its view into (see :mod:`repro.scheduler.hierarchy`).  1 (the
             default) is one cell: the leader probes every member itself,
@@ -80,7 +79,6 @@ class DaemonConfig:
     bid_timeout: float = 1.0
     retry_interval: float = 2.0
     aging_rate: float = 0.1
-    accepts_remote: bool = True
     leader_fanout: int = 1
 
 
@@ -191,8 +189,7 @@ class SchedulerDaemon(SimProcess):
 
     def can_bid(self) -> bool:
         return (
-            self.daemon_config.accepts_remote
-            and not self.draining
+            not self.draining
             and self.current_load() < self.daemon_config.busy_threshold
         )
 

@@ -24,12 +24,12 @@ Rules:
   ``queue_depth_threshold`` or more entries at ``queue_depth_ticks``
   consecutive grid points.
 - **bid_starvation** — a queued request has been waiting longer than
-  ``starvation_wait`` seconds without winning an allocation.
+  :data:`STARVATION_WAIT` seconds without winning an allocation.
 - **alloc_errors** — ``sched_alloc_errors_total`` grew by at least
   ``alloc_error_threshold`` over the last ``alloc_error_window`` grid
   intervals.
 - **host_down** — a daemon machine is down (crashed and not yet
-  recovered by the fault injector / chaos controller).
+  recovered by the chaos controller).
 - **stranded** — an instance failed but its application is still running:
   the failover layer absorbed the crash and its re-dispatch is pending.
 """
@@ -63,6 +63,9 @@ RULES = (
     "stranded",
 )
 
+#: seconds a queued request waits before it counts as starved
+STARVATION_WAIT = 30.0
+
 #: signature of the event sink: (category, severity, detail-fields)
 EmitFn = Callable[..., None]
 
@@ -76,7 +79,6 @@ class WatchdogConfig:
     straggler_min_elapsed: float = 1.0
     queue_depth_threshold: int = 4
     queue_depth_ticks: int = 3
-    starvation_wait: float = 30.0
     alloc_error_window: int = 10
     alloc_error_threshold: int = 5
 
@@ -387,7 +389,6 @@ class HealthWatchdog:
             )
 
     def _check_bid_starvation(self, now: float, found: list) -> None:
-        cfg = self.config
         daemons = self.daemons
         for host_name in self._hosts:
             daemon = daemons[host_name]
@@ -395,7 +396,7 @@ class HealthWatchdog:
                 continue
             for item in daemon.pending_queue.items():
                 waited = now - item.enqueued_at
-                if waited > cfg.starvation_wait:
+                if waited > STARVATION_WAIT:
                     found.append(
                         (
                             "bid_starvation",
@@ -411,7 +412,7 @@ class HealthWatchdog:
                         )
                     )
                 else:
-                    self._due(item.enqueued_at + cfg.starvation_wait)
+                    self._due(item.enqueued_at + STARVATION_WAIT)
 
     def _check_alloc_errors(self, now: float, found: list) -> None:
         cfg = self.config

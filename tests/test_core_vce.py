@@ -8,6 +8,7 @@ from repro.core import (
     heterogeneous_cluster,
     workstation_cluster,
 )
+from repro.faults import FaultSchedule
 from repro.machines import MachineClass
 from repro.runtime import AppStatus
 from repro.scheduler.execution_program import RunState
@@ -177,9 +178,8 @@ class TestAnticipatoryIntegration:
 class TestFaultToleranceIntegration:
     def test_app_completes_despite_leader_crash_before_submit(self):
         vce = VirtualComputingEnvironment(workstation_cluster(5)).boot()
-        vce.faults.crash_leader_at(
-            vce.directory, MachineClass.WORKSTATION, vce.sim.now + 1.0
-        )
+        leader = vce.leader_of(MachineClass.WORKSTATION).host.name
+        vce.chaos(FaultSchedule("leader-crash").crash(1.0, leader))
         vce.run(until=vce.sim.now + 30.0)  # takeover completes
         run = vce.submit(build_pipeline_graph(stages=2, stage_work=3.0))
         vce.run_to_completion(run)

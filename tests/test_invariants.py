@@ -22,7 +22,7 @@ class TestLeadershipTransferTimes:
 
     def test_multiple_takeovers(self):
         log = EventLog()
-        log.emit(1.0, "fault.crash_leader", "ws0")
+        log.emit(1.0, "fault.crash", "ws0")
         log.emit(2.0, "isis.takeover", "ws1/sched", group="sched")
         log.emit(10.0, "fault.crash", "ws1")
         log.emit(10.4, "isis.takeover", "ws2/sched", group="sched")

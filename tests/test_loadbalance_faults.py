@@ -1,7 +1,12 @@
 """Tests for load-balancing policies, the balancer, and fault injection."""
 
 
-from repro.faults import FaultInjector, leadership_transfer_times, views_converged
+from repro.faults import (
+    ChaosController,
+    FaultSchedule,
+    leadership_transfer_times,
+    views_converged,
+)
 from repro.loadbalance import (
     LoadBalancer,
     MigrateOnLoadPolicy,
@@ -174,26 +179,27 @@ class TestBalancerMechanics:
         assert cluster.sim.pending <= pending_before
 
 
-class TestFaultInjector:
+class TestFaultSchedules:
     def test_crash_and_recover(self):
         cluster = make_cluster(2)
-        injector = FaultInjector(cluster.sim, cluster.net)
-        injector.crash_at("ws0", 2.0)
-        injector.recover_at("ws0", 5.0)
+        controller = ChaosController(cluster.sim, cluster.net).apply(
+            FaultSchedule("bounce").bounce(2.0, "ws0", down_for=3.0)
+        )
         cluster.run(until=3.0)
         assert not cluster.hosts["ws0"].up
         cluster.run(until=6.0)
         assert cluster.hosts["ws0"].up
-        assert injector.crashes == 1
+        assert controller.report()["crash"] == 1
 
-    def test_crash_leader_resolved_at_fire_time(self):
+    def test_a_crashed_leader_is_replaced(self):
         from repro.machines import MachineClass
         from tests.helpers_sched import make_vce, workstation_farm
 
         vce = make_vce(workstation_farm(3))
-        injector = FaultInjector(vce.sim, vce.net)
         leader_host = vce.directory.leader(MachineClass.WORKSTATION).host
-        injector.crash_leader_at(vce.directory, MachineClass.WORKSTATION, vce.sim.now + 1.0)
+        ChaosController(vce.sim, vce.net).apply(
+            FaultSchedule("leader-crash").crash(1.0, leader_host)
+        )
         vce.run(until=vce.sim.now + 30.0)
         assert not vce.net.host(leader_host).up
         # a new leader emerged
@@ -206,26 +212,19 @@ class TestFaultInjector:
     def test_churn_is_deterministic(self):
         def crash_times(seed):
             cluster = make_cluster(4, seed=seed)
-            injector = FaultInjector(cluster.sim, cluster.net)
-            injector.churn([f"ws{i}" for i in range(4)], mean_up=10, mean_down=5, until=100)
+            ChaosController(cluster.sim, cluster.net).apply(
+                FaultSchedule("churn").churn(
+                    [f"ws{i}" for i in range(4)], cluster.sim.rng.stream("faults"),
+                    mean_up=10, mean_down=5, until=100,
+                )
+            )
             cluster.run(until=100.0)
             return [r.time for r in cluster.sim.log.records(category="fault.crash")]
 
         assert crash_times(3) == crash_times(3)
         assert crash_times(3) != crash_times(4)
 
-    def test_churn_spares_hosts(self):
-        cluster = make_cluster(3)
-        injector = FaultInjector(cluster.sim, cluster.net)
-        injector.churn(
-            ["ws0", "ws1", "ws2"], mean_up=5, mean_down=5, until=200, spare={"ws2"}
-        )
-        cluster.run(until=200.0)
-        crashed = {r.source for r in cluster.sim.log.records(category="fault.crash")}
-        assert "ws2" not in crashed
-        assert crashed  # others did crash
-
-    def test_a_churned_workstation_hosts_work_after_it_recovers(self):
+    def test_a_churned_workstation_bids_after_restart(self):
         """A recovery reboots the machine's scheduler daemon, so the
         machine bids again: a job that needs every workstation runs."""
         from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
@@ -235,8 +234,7 @@ class TestFaultInjector:
 
         vce = VirtualComputingEnvironment(workstation_cluster(4), VCEConfig(seed=3)).boot()
         assert vce.directory.leader(MachineClass.WORKSTATION).host != "ws3"
-        vce.faults.crash_at("ws3", vce.sim.now + 1.0)
-        vce.faults.recover_at("ws3", vce.sim.now + 5.0)
+        vce.chaos(FaultSchedule("bounce").bounce(1.0, "ws3", down_for=4.0))
         vce.run(until=vce.sim.now + 60.0)
         assert vce.daemons["ws3"].alive
         run = vce.submit(build_sweep_graph(points=4, work_per_point=10.0, name="wide"))

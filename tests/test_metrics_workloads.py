@@ -236,11 +236,11 @@ class TestTimeline:
         assert widths == {40}
 
     def test_down_spans(self):
+        from repro.faults import FaultSchedule
         from repro.metrics import build_timeline, render_gantt
 
         vce = VirtualComputingEnvironment(workstation_cluster(2)).boot()
-        vce.faults.crash_at("ws1", vce.sim.now + 1.0)
-        vce.faults.recover_at("ws1", vce.sim.now + 5.0)
+        vce.chaos(FaultSchedule("bounce").bounce(1.0, "ws1", down_for=4.0))
         vce.run(until=vce.sim.now + 10.0)
         spans = build_timeline(vce.sim.log, horizon=vce.sim.now)
         downs = [s for s in spans if s.kind == "down"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim import Address, Host, LatencyModel, Network, SimProcess, Simulator
-from repro.netsim.network import TransportConfig
+from repro.netsim.network import RTO, TransportConfig
 from repro.util.errors import SimulationError
 
 
@@ -216,6 +216,27 @@ class TestNetwork:
         sim.run()
         assert sink.got == ["held", "after"]
         assert net.duplicates_dropped == 0 and net.messages_lost == 0
+
+    def test_a_heal_resets_the_backoff_of_a_held_message(self):
+        """The resend at a heal is a first attempt: if a drop loses it, it
+        is retried RTO later, not at the backoff the partition built up
+        (MAX_RTO), which per-pair FIFO would hold the whole pair behind."""
+        model = LatencyModel(base_latency=0.01, bandwidth=1e9, jitter=0.0)
+        sim, net, h1, h2 = self._pair(latency=model)
+        sink, sender = _Recorder("sink"), SimProcess("sender")
+        h2.spawn(sink)
+        h1.spawn(sender)
+        net.partition({"h1"}, {"h2"})
+        net.send(sender.address, sink.address, "held")
+        # by now the retries are MAX_RTO apart
+        sim.run(until=20.0)
+        assert sink.got == []
+        net.set_drop_rate(1.0)
+        net.heal()
+        net.set_drop_rate(0.0)
+        sim.run(until=20.0 + RTO + 0.0101)
+        assert sink.got == ["held"]
+        assert net.messages_lost == 0
 
     def test_drop_rate_one_drops_everything(self):
         sim, net, h1, h2 = self._pair()

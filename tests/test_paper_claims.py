@@ -29,7 +29,7 @@ from repro.core import (
     heterogeneous_cluster,
     multi_site_cluster,
 )
-from repro.faults import leadership_transfer_times
+from repro.faults import FaultSchedule, leadership_transfer_times
 from repro.isis import IsisConfig
 from repro.loadbalance import MigrateOnLoadPolicy, NoActionPolicy, SuspendResumePolicy
 from repro.machines import ConstantLoad, Machine, MachineClass, TraceLoad
@@ -1076,7 +1076,8 @@ def _e9_transfer_time(hb_timeout: float, seed=13):
         settle_time=20.0,
     )
     vce = fresh_vce(workstations(5), config=config)
-    vce.faults.crash_leader_at(vce.directory, MachineClass.WORKSTATION, vce.sim.now + 1.0)
+    leader = vce.leader_of(MachineClass.WORKSTATION).host.name
+    vce.chaos(FaultSchedule("leader-crash").crash(1.0, leader))
     vce.run(until=vce.sim.now + 40.0 + 10 * hb_timeout)
     times = leadership_transfer_times(vce.sim.log, "vce.WORKSTATION")
     assert times, f"no takeover happened for hb_timeout={hb_timeout}"
@@ -1125,12 +1126,12 @@ def test_e9_churn_survival():
     vce = fresh_vce(workstations(8), config=config)
     leader_host = vce.directory.leader(MachineClass.WORKSTATION).host
     # churn everything except the leader and ws7 (so capacity remains)
-    vce.faults.churn(
-        [f"ws{i}" for i in range(8)],
-        mean_up=60.0,
-        mean_down=20.0,
-        until=vce.sim.now + 400.0,
-        spare={leader_host, "ws7"},
+    churners = [f"ws{i}" for i in range(8) if f"ws{i}" not in (leader_host, "ws7")]
+    vce.chaos(
+        FaultSchedule("churn").churn(
+            churners, vce.sim.rng.stream("faults"),
+            mean_up=60.0, mean_down=20.0, until=400.0,
+        )
     )
     outcomes = []
     for i in range(8):
@@ -1142,7 +1143,7 @@ def test_e9_churn_survival():
         outcomes.append(run)
     vce.run(until=vce.sim.now + 300.0)
     done = sum(1 for r in outcomes if r.state is RunState.DONE)
-    crashes = vce.faults.crashes
+    crashes = vce.chaos_controller.report()["crash"]
     print()
     print(
         format_table(

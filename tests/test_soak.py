@@ -9,6 +9,7 @@ double-finishes, migrations to dead hosts), it shows up here.
 import pytest
 
 from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
+from repro.faults import FaultSchedule
 from repro.loadbalance import MigrateOnLoadPolicy
 from repro.machines import MachineClass
 from repro.scheduler.execution_program import RunState
@@ -30,7 +31,12 @@ def soak_run(seed=42):
     # churn two machines (never the current leader)
     leader_host = vce.directory.leader(MachineClass.WORKSTATION).host
     churners = [n for n in ("ws8", "ws9") if n != leader_host][:2]
-    vce.faults.churn(churners, mean_up=90.0, mean_down=25.0, until=vce.sim.now + 500.0)
+    vce.chaos(
+        FaultSchedule("churn").churn(
+            churners, vce.sim.rng.stream("faults"),
+            mean_up=90.0, mean_down=25.0, until=500.0,
+        )
+    )
 
     runs = []
     for i in range(8):
@@ -70,7 +76,7 @@ class TestSoak:
 
     def test_churn_and_migration_actually_happened(self, soak):
         vce, runs = soak
-        assert vce.faults.crashes >= 2
+        assert vce.chaos_controller.report()["crash"] >= 2
         assert len(vce.metrics().migrations()) >= 1
 
     def test_no_instance_finishes_twice(self, soak):
@@ -117,7 +123,7 @@ class TestSoak:
             vce, runs = soak_run(seed)
             return (
                 [(r.state.value, r.completed_at) for r in runs],
-                vce.faults.crashes,
+                vce.chaos_controller.report()["crash"],
                 len(vce.metrics().migrations()),
                 vce.network.messages_sent,
             )
