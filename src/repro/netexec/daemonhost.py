@@ -25,6 +25,9 @@ never travel the wire), and then speaks the ordinary
   generator's return value — the half of the results digest that must
   match the simulator) or :class:`TaskFailed`.
 
+The process runs on :func:`new_event_loop`, whose timers wake to the
+microsecond, so a ``Compute`` sleep ends when the model says it does.
+
 Being killed with ``SIGKILL`` needs no code here: the supervisor's
 failure detector sees the connection drop and strands our allocations,
 exactly as the sim's chaos ``crash`` does.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import os
+import selectors
 import sys
 from typing import Any
 
@@ -365,6 +369,29 @@ class DaemonHost:
             await self.conn.close()
 
 
+def new_event_loop() -> asyncio.AbstractEventLoop:
+    """The daemon process's event loop: asyncio on a ``select()`` selector.
+
+    The default selector is epoll, whose timeout is whole milliseconds:
+    CPython rounds every wait *up* to the next one, so a 1.2 ms
+    ``Compute`` sleep overshoots by about 0.9 ms. ``select()`` takes
+    microseconds. At ``rate`` sim seconds per wall second a timer late
+    by *d* wall seconds is late by *d* × ``rate`` sim seconds. A daemon
+    holds one socket, so ``select()`` costs it nothing more than epoll.
+    """
+    return asyncio.SelectorEventLoop(selectors.SelectSelector())
+
+
+async def _end_the_rest() -> None:
+    """What ``asyncio.run`` does before it closes its loop: cancel every
+    task still on it (the connection's reader, cancelled task programs,
+    a leader round) and wait for them to finish."""
+    rest = asyncio.all_tasks() - {asyncio.current_task()}
+    for task in rest:
+        task.cancel()
+    await asyncio.gather(*rest, return_exceptions=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-daemonhost",
@@ -385,10 +412,14 @@ def main(argv: list[str] | None = None) -> int:
         arch_class=args.arch_class,
         speed=args.speed,
     )
+    loop = new_event_loop()
     try:
-        asyncio.run(daemon.run())
+        loop.run_until_complete(daemon.run())
     except KeyboardInterrupt:
         return 130
+    finally:
+        loop.run_until_complete(_end_the_rest())
+        loop.close()
     return 0
 
 

@@ -1,6 +1,6 @@
 """Unit and integration tests for the network execution backend.
 
-Three layers, matching the netexec stack:
+Four layers, matching the netexec stack:
 
 - **codec** — framing and the restricted unpickler: hypothesis-fuzzed
   round-trips through :class:`~repro.netexec.codec.FrameDecoder` under
@@ -10,6 +10,11 @@ Three layers, matching the netexec stack:
   pairs over real localhost sockets: handshake, routing, bare frames,
   reconnect-with-Hello-resend, disconnect detection, and the
   bind-failure / unreachable-supervisor error paths.
+- **daemon, in process** — :class:`~repro.netexec.daemonhost.DaemonHost`
+  on the event loop its process runs, with a recording stand-in for its
+  connection: probe replies, the order of a task's records and its
+  ``TaskDone``, per-application cancellation, a leader round with a
+  silent peer, and how late the loop wakes a ``Compute`` sleep.
 - **real processes** (``network`` marker) — a supervisor SIGKILLs a real
   daemon mid-task with eager detection off, so recovery must come from
   the pure lease-expiry path.
@@ -18,25 +23,43 @@ Three layers, matching the netexec stack:
 from __future__ import annotations
 
 import asyncio
+import gc
+import logging
 import pickle
+import statistics
 import struct
+import threading
+import time
 import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netexec import codec
+from repro.machines.archclass import MachineClass
+from repro.netexec import codec, daemonhost
 from repro.netexec.frames import (
+    EXEC_ADDR,
+    LOG_ADDR,
     Envelope,
     Heartbeat,
     Hello,
     Ping,
+    Shutdown,
     TaskAssignment,
     TaskDone,
+    Welcome,
     WorkloadSpec,
 )
 from repro.netexec.transport import DaemonConnection, FrameRouter, TransportError
 from repro.netsim.host import Address
+from repro.scheduler.messages import (
+    AllocationReply,
+    DiscloseProbe,
+    ModuleNeed,
+    ProbeReply,
+    ResourceRequest,
+    TerminateNotice,
+)
 
 # --------------------------------------------------------------------- codec
 
@@ -374,6 +397,198 @@ class TestTransport:
                 await conn.connect()
 
         _run(scenario())
+
+
+# ---------------------------------------------------------- daemon, in process
+
+
+def _on_daemon_loop(coro):
+    """Run *coro* on the event loop a daemon process runs."""
+    loop = daemonhost.new_event_loop()
+    try:
+        return loop.run_until_complete(asyncio.wait_for(coro, 15.0))
+    finally:
+        loop.close()
+
+
+class _Wire:
+    """Stands in for a daemon's :class:`DaemonConnection`: records sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+        return True
+
+    def payloads(self, dst=None):
+        return [m.payload for m in self.sent
+                if isinstance(m, Envelope) and (dst is None or m.dst == dst)]
+
+    def records(self):
+        return [(r.category, dict(r.data)) for r in self.payloads(LOG_ADDR)]
+
+
+_SPEC = WorkloadSpec(
+    "randomdag",
+    (("layers", 2), ("width", 2), ("seed", 5), ("min_work", 1.0), ("max_work", 2.0)),
+)
+
+
+def _daemon(peers=("ws0",), rate=1e4):
+    """ws0's daemon, wired to a :class:`_Wire`, as its Welcome leaves it."""
+    daemon = daemonhost.DaemonHost("ws0", "ws0", "127.0.0.1", 1)
+    daemon.conn = _Wire()
+    daemon.peers = peers
+    daemon.rate = rate
+    daemon.graph = daemonhost.build_workload(_SPEC)
+    return daemon
+
+
+def _deliver(daemon, payload, src=EXEC_ADDR):
+    return daemon._on_message(Envelope(src, daemon.addr, payload))
+
+
+def _assign(app, task="L0T0", rank=0, work=1.0):
+    return TaskAssignment(app, task, rank, epoch=0, work=work)
+
+
+class TestDaemonHost:
+    def test_a_timer_wakes_within_half_a_millisecond(self):
+        """A 1.2 ms ``Compute`` sleep overshoots by about 0.9 ms on an
+        epoll loop, which rounds every wait up to the next millisecond."""
+
+        async def median_overshoot():
+            late = []
+            for _ in range(40):
+                start = time.perf_counter()
+                await asyncio.sleep(0.0012)
+                late.append(time.perf_counter() - start - 0.0012)
+            return statistics.median(late)
+
+        assert _on_daemon_loop(median_overshoot()) < 0.0005
+
+    def test_probe_is_answered_with_the_running_count(self):
+        async def scenario():
+            daemon = _daemon(rate=1e-3)  # the tasks sleep until cancelled
+            await _deliver(daemon, _assign("a", "L0T0"))
+            await _deliver(daemon, _assign("a", "L0T1"))
+            probe = DiscloseProbe("r1", reply_to=Address("ws1", "daemon"))
+            await _deliver(daemon, probe, src=probe.reply_to)
+            await _deliver(daemon, TerminateNotice("a"))
+            await asyncio.gather(*daemon.running.values(), return_exceptions=True)
+            return daemon.conn.sent[-1]
+
+        reply = _on_daemon_loop(scenario())
+        assert reply.dst == Address("ws1", "daemon")
+        assert isinstance(reply.payload, ProbeReply)
+        assert reply.payload.req_id == "r1"
+        assert reply.payload.bid.load == 2.0
+        assert reply.payload.bid.machine == "ws0"
+
+    def test_assignment_reports_start_done_then_the_program_result(self):
+        async def scenario():
+            daemon = _daemon()
+            await _deliver(daemon, _assign("a", "L1T0", work=0.5))
+            await asyncio.gather(*daemon.running.values())
+            return daemon
+
+        daemon = _on_daemon_loop(scenario())
+        sent = daemon.conn.payloads()
+        assert [type(p).__name__ for p in sent] == ["EmitRecord", "EmitRecord", "TaskDone"]
+        assert [p.category for p in sent[:2]] == ["task.start", "task.done"]
+        assert dict(sent[0].data) == {"app": "a", "task": "L1T0", "rank": 0, "host": "ws0"}
+        # the program returns its own work, not the assignment's
+        work = daemon.graph.task("L1T0").work
+        assert sent[2] == TaskDone("a", "L1T0", 0, 0, work)
+        assert work != 0.5
+        assert daemon.conn.sent[-1].dst == EXEC_ADDR
+        assert daemon.running == {}
+
+    def test_terminate_notice_cancels_only_its_application(self):
+        async def scenario():
+            daemon = _daemon(rate=1e-3)
+            await _deliver(daemon, _assign("a", "L0T0"))
+            await _deliver(daemon, _assign("b", "L0T0"))
+            await _deliver(daemon, _assign("a", "L0T1"))
+            tasks = dict(daemon.running)
+            await _deliver(daemon, TerminateNotice("a"))
+            await asyncio.gather(
+                *(task for key, task in tasks.items() if key[0] == "a"),
+                return_exceptions=True,
+            )
+            cancelled = {key[0] for key, task in tasks.items() if task.cancelled()}
+            left = sorted(daemon.running)
+            await _deliver(daemon, TerminateNotice("b"))
+            await asyncio.gather(*tasks.values(), return_exceptions=True)
+            return cancelled, left, daemon.conn.payloads()
+
+        cancelled, left, sent = _on_daemon_loop(scenario())
+        assert cancelled == {"a"}
+        assert left == [("b", "L0T0", 0)]
+        assert not any(isinstance(p, TaskDone) for p in sent)
+
+    def test_leader_resolves_a_silent_round_with_its_own_bid(self, monkeypatch):
+        monkeypatch.setattr(daemonhost, "PROBE_TIMEOUT", 0.05)
+        request = ResourceRequest(
+            req_id="r7", app="a", machine_class=MachineClass.WORKSTATION,
+            modules=(ModuleNeed("L0T0"),), reply_to=EXEC_ADDR,
+        )
+
+        async def scenario():
+            daemon = _daemon(peers=("ws0", "ws1"))
+            await _deliver(daemon, request)
+            start = time.perf_counter()
+            await _wait_for(lambda: any(
+                isinstance(p, AllocationReply) for p in daemon.conn.payloads()
+            ))
+            return daemon, time.perf_counter() - start
+
+        daemon, waited = _on_daemon_loop(scenario())
+        assert waited >= 0.04
+        probes = [m for m in daemon.conn.sent if isinstance(m.payload, DiscloseProbe)]
+        assert [m.dst for m in probes] == [Address("ws1", "daemon")]
+        (reply,) = daemon.conn.payloads(EXEC_ADDR)
+        assert reply.req_id == "r7"
+        assert [b.machine for b in reply.bids] == ["ws0"]
+        records = daemon.conn.records()
+        assert [c for c, _ in records] == ["sched.request", "sched.alloc"]
+        assert records[1][1]["bids"] == 1
+        assert daemon._rounds == {}
+
+    def test_main_ends_every_task_before_it_closes_the_loop(self, caplog):
+        """As under ``asyncio.run``: a task program cancelled at shutdown
+        and the connection's reader finish before the loop is closed, so
+        none is destroyed while pending."""
+        listening, gone, port = threading.Event(), threading.Event(), []
+
+        def supervisor():
+            async def serve():
+                async def on_hello(hello, peer):
+                    router.send("ws0", Welcome("ws0", ("ws0",), "ws0", 0, 1e-3, _SPEC))
+                    router.send("ws0", Envelope(EXEC_ADDR, Address("ws0", "daemon"),
+                                                _assign("a")))
+                    await asyncio.sleep(0.1)  # the task starts and sleeps
+                    router.send("ws0", Shutdown())
+
+                router = FrameRouter(lambda env: None, on_hello=on_hello,
+                                     on_disconnect=lambda host: gone.set())
+                port.append(await router.start(port=0))
+                listening.set()
+                await _wait_for(gone.is_set, timeout=10.0)
+                await router.close()
+
+            asyncio.run(serve())
+
+        thread = threading.Thread(target=supervisor)
+        thread.start()
+        assert listening.wait(5.0)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            assert daemonhost.main(["--connect", f"127.0.0.1:{port[0]}", "--host", "ws0"]) == 0
+            gc.collect()
+        thread.join(15.0)
+        assert gone.is_set()
+        assert [r.getMessage() for r in caplog.records] == []
 
 
 # ----------------------------------------------------- real daemon processes
