@@ -126,9 +126,8 @@ def _rel(path: str) -> str:
 class HBTracker:
     """Happens-before tracking plus lightweight race detection.
 
-    The netsim backends feed the schedule-parent tree through three hooks
-    (inlined on their hot paths; any future backend must honour the same
-    contract):
+    The netsim kernel feeds the schedule-parent tree through three hooks
+    (inlined on its hot paths):
 
     - on schedule: ``node = len(hb._parents); hb._parents.append(hb._current);
       hb._node_hosts.append(host)`` and store ``node`` on the entry;

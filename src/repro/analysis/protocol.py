@@ -22,7 +22,7 @@ Transition classes (see ``docs/ANALYSIS.md`` for the rule tables):
 - *expected* transitions are silent;
 - *tolerated* transitions are at-least-once / crash-overlap artifacts
   (requester retransmits after a leader loss, duplicate allocation replies,
-  stale incarnations finishing after a lease-expiry redispatch).  They are
+  stale incarnations finishing after a redispatch).  They are
   reported as INFO, deduplicated, and never fail a run — on a lossy network
   they are legal behaviour, and the at-most-once guards (allocation epochs,
   ``runtime.stale_commit``) are the mechanism that absorbs them;
@@ -155,25 +155,21 @@ BIDDING_FSM = ProtocolFSM(
 
 #: P002 — epoch failover handshake: a crash strands the record; a strand
 #: is re-dispatched under a new allocation epoch; stale epochs must never
-#: commit. The simulator's failover arms no lease (it learns of a lost
-#: host from the membership); the network supervisor still arms one per
-#: dispatch and emits ``recovery.lease_expired``, hence that transition.
+#: commit.
 FAILOVER_FSM = ProtocolFSM(
     rule="P002",
     name="failover",
     categories=frozenset({
-        "runtime.dispatch", "runtime.stale_commit", "recovery.lease_expired",
-        "recovery.strand", "recovery.redispatch", "recovery.gave_up",
+        "runtime.dispatch", "runtime.stale_commit", "recovery.strand",
+        "recovery.redispatch", "recovery.gave_up",
     }),
     start="idle",
     accept=frozenset({"idle", "live", "dead"}),
     transitions={
         ("idle", "dispatch"): "live",
         ("live", "dispatch"): "live",
-        ("live", "lease_expired"): "live",
         ("live", "strand"): "stranded",
         ("stranded", "strand"): "stranded",
-        ("stranded", "lease_expired"): "stranded",
         ("stranded", "redispatch"): "stranded",
         ("stranded", "dispatch"): "live",
         ("live", "stale_commit"): "live",
@@ -183,7 +179,6 @@ FAILOVER_FSM = ProtocolFSM(
         ("stranded", "gave_up"): "dead",
     },
     tolerated={
-        ("dead", "lease_expired"): ("dead", "in-flight lease check after giving up"),
         ("dead", "strand"): ("dead", "in-flight strand after giving up"),
     },
     resync={"dispatch": "live", "strand": "stranded", "redispatch": "stranded"},

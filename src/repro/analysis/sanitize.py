@@ -162,9 +162,9 @@ def _injected_race(seed: int, hb_sanitizer: bool, tie_shuffle: int) -> ScenarioR
     vs ``x += 3``) to shared state and note them under rule R900.  The
     final value is emitted as a ``race.final`` outcome record, so any salt
     that permutes the tie diverges the outcome digest."""
-    from repro.netsim.backend import create_simulator
+    from repro.netsim.kernel import Simulator
 
-    sim = create_simulator(seed)
+    sim = Simulator(seed)
     tracker = None
     if hb_sanitizer:
         tracker = HBTracker()

@@ -17,12 +17,13 @@ class VCEConfig:
 
     Attributes:
         seed: root seed for all randomness.
-        backend: which simulation backend drives the run — ``"serial"``
-            (the single tombstone-heap kernel, the one virtual-time
-            engine and the default) or ``"network"`` (daemons as real
-            asyncio processes over TCP, paced by the wall clock; driven
-            by :class:`repro.netexec.NetworkVCE`, not the in-process
-            environment — see docs/NETWORK.md). Replay digests are
+        backend: names the environment class the config is for; it
+            selects nothing, as each class accepts one value:
+            ``"serial"`` (the default) for the in-process
+            :class:`~repro.core.environment.VirtualComputingEnvironment`
+            on the netsim kernel, ``"network"`` for
+            :class:`repro.netexec.NetworkVCE` (daemons as real asyncio
+            processes over TCP — see docs/NETWORK.md). Replay digests are
             byte-stable on ``serial``; the network backend guarantees
             outcome parity only.
         latency: LAN latency/bandwidth model.

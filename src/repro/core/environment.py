@@ -15,8 +15,8 @@ from repro.machines.machine import Machine
 from repro.migration.base import MigrationContext
 from repro.migration.failover import FailoverConfig, FailoverManager
 from repro.migration.selector import MigrationSelector
-from repro.netsim.backend import BACKEND_NAMES, create_simulator
 from repro.netsim.host import Host
+from repro.netsim.kernel import Simulator
 from repro.netsim.network import Network
 from repro.runtime.manager import RuntimeManager
 from repro.scheduler.daemon import SchedulerDaemon
@@ -56,18 +56,18 @@ class VirtualComputingEnvironment:
                 f"unknown verify mode {self.config.verify!r} "
                 f"(expected one of {', '.join(VCEConfig.VERIFY_MODES)})"
             )
-        if self.config.backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"unknown simulation backend {self.config.backend!r} "
-                f"(expected one of {', '.join(BACKEND_NAMES)})"
-            )
         if self.config.backend == "network":
             raise ConfigurationError(
                 "backend='network' runs daemons as real processes and is "
                 "driven by repro.netexec.NetworkVCE, not the in-process "
                 "VirtualComputingEnvironment (see docs/NETWORK.md)"
             )
-        self.sim = create_simulator(self.config.seed, backend=self.config.backend)
+        if self.config.backend != "serial":
+            raise ConfigurationError(
+                f"unknown simulation backend {self.config.backend!r} "
+                "(expected one of serial, network)"
+            )
+        self.sim = Simulator(self.config.seed)
         if self.config.telemetry:
             # published before any component is built, so hot paths
             # (runtime manager, channels) can cache metric handles

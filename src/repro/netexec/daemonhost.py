@@ -48,7 +48,6 @@ from repro.netexec.frames import (
     LOG_ADDR,
     EmitRecord,
     Envelope,
-    Heartbeat,
     Hello,
     Ping,
     Shutdown,
@@ -73,7 +72,6 @@ from repro.vmpi.api import Checkpoint, Compute
 
 #: wall seconds a leader waits for peer probe replies before resolving
 PROBE_TIMEOUT = 2.0
-HEARTBEAT_PERIOD = 0.5
 
 
 def build_workload(spec: WorkloadSpec) -> Any:
@@ -351,19 +349,11 @@ class DaemonHost:
 
     # ------------------------------------------------------------ lifetime
 
-    async def _heartbeat_loop(self) -> None:
-        while not self.stopping.is_set():
-            self.conn.send(Heartbeat(self.host, float(len(self.running)),
-                                     len(self.running)))
-            await asyncio.sleep(HEARTBEAT_PERIOD)
-
     async def run(self) -> None:
         await self.conn.connect()
-        hb = asyncio.get_running_loop().create_task(self._heartbeat_loop())
         try:
             await self.stopping.wait()
         finally:
-            hb.cancel()
             for task in list(self.running.values()):
                 task.cancel()
             await self.conn.close()

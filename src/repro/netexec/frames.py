@@ -57,8 +57,8 @@ class Welcome:
     Carries everything a daemon needs to participate: who its peers are,
     which peer leads bidding, the workload *spec* (kind + kwargs — the
     daemon rebuilds the graph locally; task programs are closures and do
-    not travel), and the wall-clock rate so sim-denominated durations
-    (compute work, lease periods) convert consistently everywhere.
+    not travel), and the wall-clock rate so sim-denominated compute work
+    converts consistently everywhere.
     """
 
     host: str
@@ -126,15 +126,6 @@ class EmitRecord:
     category: str
     source: str
     data: tuple[tuple[str, Any], ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Heartbeat:
-    """Daemon → supervisor liveness + load report (feeds bids)."""
-
-    host: str
-    load: float = 0.0
-    running: int = 0
 
 
 @dataclass(frozen=True, slots=True)

@@ -99,7 +99,6 @@ def run_network(
     seed: int,
     rate: float,
     timeout: float,
-    chaos: list | None = None,
 ) -> tuple[Any, NetworkVCE]:
     """The real-process half; returns (app, vce) for inspection."""
     vce = NetworkVCE(
@@ -107,7 +106,7 @@ def run_network(
         VCEConfig(seed=seed, backend="network"),
         rate=rate,
     )
-    app = vce.run_workload(workload, timeout=timeout, chaos=chaos)
+    app = vce.run_workload(workload, timeout=timeout)
     return app, vce
 
 

@@ -15,19 +15,18 @@ program / EXM role itself — the same flow
    :func:`~repro.scheduler.policies.load_sorted_assignment` policy;
 3. dispatch :class:`TaskAssignment` frames respecting graph precedence,
    emitting ``runtime.dispatch``;
-4. arm a failover **lease** per dispatch (on the wall-clock sim heap, so
-   :class:`~repro.migration.failover.FailoverConfig` values keep their
-   sim-seconds meaning, scaled by the backend rate); a dead daemon — EOF
-   on its connection, or a lease that finds it gone — strands its
-   allocations (``recovery.lease_expired`` / ``recovery.strand``) and
-   re-dispatches at once at a bumped epoch (``recovery.redispatch``), refusing
-   stale commits (``runtime.stale_commit``) for at-most-once completion;
-5. chaos ``crash`` actions become real ``SIGKILL`` of the daemon
-   subprocess; ``restart`` respawns it.
+4. learn that a daemon is lost from its connection's EOF, strand its
+   allocations (``recovery.strand``) and re-dispatch them at once at a
+   bumped epoch (``recovery.redispatch``, ``via="daemon-takeover"``) on
+   the connected daemon of their class holding the fewest live records,
+   refusing stale commits (``runtime.stale_commit``) for at-most-once
+   completion.  A dispatch that finds no connected daemon waits for the
+   next ``Hello``.
 
-Every protocol event the daemons emit is forwarded into this process's
-single :class:`EventLog`, so ``analysis.protocol.check_records`` verifies
-the network run exactly as it verifies a simulated one.
+The supervisor arms no timer: only socket events drive it.  Every
+protocol event the daemons emit is forwarded into this process's single
+:class:`EventLog`, so ``analysis.protocol.check_records`` verifies the
+network run exactly as it verifies a simulated one.
 """
 
 from __future__ import annotations
@@ -38,9 +37,11 @@ import os
 import signal
 import subprocess
 import sys
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.config import VCEConfig
 from repro.machines.archclass import MachineClass
@@ -51,7 +52,6 @@ from repro.netexec.frames import (
     EXEC_ADDR,
     EmitRecord,
     Envelope,
-    Heartbeat,
     Hello,
     Shutdown,
     TaskAssignment,
@@ -61,7 +61,6 @@ from repro.netexec.frames import (
     WorkloadSpec,
 )
 from repro.netexec.transport import FrameRouter, TransportError
-from repro.netsim.backend import create_simulator
 from repro.netsim.host import Address
 from repro.runtime.instance import DISPATCH_FIELDS
 from repro.scheduler.messages import (
@@ -75,11 +74,50 @@ from repro.scheduler.policies import load_sorted_assignment
 from repro.taskgraph.precedence import DependencyCounters
 from repro.trace.context import TraceContext
 from repro.util.errors import AllocationError, ConfigurationError
+from repro.util.eventlog import Category, EventLog
+from repro.util.ids import IdGenerator
 
 #: wall-seconds ceiling on daemon registration at boot
 BOOT_TIMEOUT = 20.0
 #: wall-seconds ceiling on one allocation round (request → reply)
 ALLOC_TIMEOUT = 10.0
+
+
+class WallClock:
+    """The network run's clock, ids and event log (``NetworkVCE.sim``).
+
+    ``now`` is wall seconds since :meth:`start` times *rate* (simulated
+    seconds per wall second), so every record the run writes is stamped
+    on one scale; 0.0 before the start.  Wall time is this clock's whole
+    point, not a determinism leak: records are not replay-stable on the
+    network backend, only task outcomes are (docs/NETWORK.md).
+    """
+
+    def __init__(self, rate: float) -> None:
+        if rate <= 0.0:
+            raise ConfigurationError(f"wall-clock rate must be positive, got {rate}")
+        self.rate = rate
+        self.log = EventLog()
+        self.ids = IdGenerator()
+        self._origin: float | None = None
+
+    def start(self) -> None:
+        """Anchor time 0 at this wall instant."""
+        self._origin = time.monotonic()  # detlint: ok(D001)
+
+    @property
+    def now(self) -> float:
+        if self._origin is None:
+            return 0.0
+        return (time.monotonic() - self._origin) * self.rate  # detlint: ok(D001)
+
+    def emit(self, category: str | Category, source: str, *values: Any, **data: Any) -> None:
+        """Append to the log, stamped now (the two forms of
+        :meth:`repro.netsim.kernel.Simulator.emit`)."""
+        if type(category) is Category:
+            self.log.write(category, self.now, source, values)
+        else:
+            self.log.append(self.now, category, source, data)
 
 
 @dataclass
@@ -167,15 +205,11 @@ class NetworkVCE:
 
     Args:
         machines: machine descriptions; one daemon subprocess per entry.
-        config: must have ``backend="network"``.
-        rate: simulated seconds per wall second — compute work, leases
-            and chaos times are sim-denominated and divide by this, so
-            tests can run an 8-second lease in well under a second.
+        config: must have ``backend="network"``; ``config.failover``
+            bounds the re-dispatches of one (task, rank).
+        rate: simulated seconds per wall second — compute work is
+            sim-denominated and divides by this.
         port: router port to request (0 = pick a free one, the default).
-        failover: lease and attempt knobs (sim seconds).
-        eager_detection: strand a daemon's allocations the moment its
-            connection drops; False leaves detection to lease expiry
-            (the pure "kill -9 → lease-expiry redispatch" path).
     """
 
     def __init__(
@@ -184,8 +218,6 @@ class NetworkVCE:
         config: VCEConfig | None = None,
         rate: float = 10.0,
         port: int = 0,
-        failover: FailoverConfig | None = None,
-        eager_detection: bool = True,
     ) -> None:
         if not machines:
             raise ConfigurationError("a network VCE needs at least one machine")
@@ -195,28 +227,26 @@ class NetworkVCE:
                 f"NetworkVCE requires backend='network', got {self.config.backend!r}"
             )
         self.machines = {m.name: m for m in machines}
-        self.sim = create_simulator(self.config.seed, backend="network")
-        self.sim.set_rate(rate)
+        self.sim = WallClock(rate)
         self._dispatches = self.sim.log.category("runtime.dispatch", DISPATCH_FIELDS)
-        self.rate = rate
-        self.failover = failover or FailoverConfig()
-        self.eager_detection = eager_detection
+        self.max_redispatches = (
+            self.config.failover or FailoverConfig()
+        ).max_redispatches
         self.requested_port = port
         self.leader = sorted(self.machines)[0]
         self.router = FrameRouter(
             self._on_local,
             on_hello=self._on_hello,
             on_disconnect=self._on_disconnect,
-            on_frame=self._on_frame,
         )
         self.workload_spec: WorkloadSpec | None = None
         self.apps: dict[str, NetworkApp] = {}
         self._procs: dict[str, subprocess.Popen] = {}
-        self._spawn_args: dict[str, list[str]] = {}
         self._hellos: dict[str, Hello] = {}
         self._all_registered = asyncio.Event()
         self._alloc_waiters: dict[str, asyncio.Future] = {}
-        self._loads: dict[str, float] = {}
+        #: dispatches that found no connected daemon; the next Hello runs them
+        self._parked: list[Callable[[], None]] = []
         self._booted = False
 
     # ------------------------------------------------------------------ boot
@@ -225,7 +255,7 @@ class NetworkVCE:
         """Bind the router, spawn one daemon per machine, await Hellos."""
         self.workload_spec = workload
         port = await self.router.start("127.0.0.1", self.requested_port)
-        self.sim.hold()  # sockets keep the wall-clock loop alive
+        self.sim.start()
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = src_root + (
@@ -239,7 +269,6 @@ class NetworkVCE:
                 "--arch-class", machine.arch_class.value,
                 "--speed", str(machine.speed),
             ]
-            self._spawn_args[name] = argv
             self._procs[name] = subprocess.Popen(
                 argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
             )
@@ -268,12 +297,15 @@ class NetworkVCE:
                 peers=tuple(sorted(self.machines)),
                 leader=self.leader,
                 seed=self.config.seed,
-                rate=self.rate,
+                rate=self.sim.rate,
                 workload=self.workload_spec,
             ),
         )
         if set(self._hellos) >= set(self.machines):
             self._all_registered.set()
+        parked, self._parked = self._parked, []
+        for dispatch in parked:
+            dispatch()
 
     # -------------------------------------------------------------- inbound
 
@@ -291,10 +323,6 @@ class NetworkVCE:
             self._commit(payload)
         elif isinstance(payload, TaskFailed):
             self._task_failed(payload)
-
-    def _on_frame(self, host: str, message: Any) -> None:
-        if isinstance(message, Heartbeat):
-            self._loads[host] = message.load
 
     # --------------------------------------------------------------- submit
 
@@ -382,14 +410,10 @@ class NetworkVCE:
 
     def _dispatch(self, app: NetworkApp, record: _Record) -> None:
         host = record.host
-        if host is None or host not in self.router.peers:
+        if host not in self.router.peers:
             host = self._pick_host(record)
             if host is None:
-                # nobody alive right now; retry after a lease period
-                self.sim.schedule(
-                    self.failover.lease,
-                    lambda: self._dispatch(app, record),
-                )
+                self._parked.append(lambda: self._dispatch(app, record))
                 return
             record.host = host
         node = app.graph.task(record.task)
@@ -412,53 +436,34 @@ class NetworkVCE:
                 ),
             ),
         )
-        self._lease(app, record, record.epoch)
 
     def _pick_host(self, record: _Record) -> str | None:
-        """Least-loaded connected daemon of the record's machine class
-        (deterministic tie-break by name)."""
+        """The connected daemon of the record's machine class holding the
+        fewest of our live records (ties by name) — the rule of
+        :meth:`repro.migration.failover.FailoverManager._pick_host`."""
         wanted = None
         if record.host in self.machines:
             wanted = self.machines[record.host].arch_class
-        candidates = []
-        for host in self.router.peers:
-            machine = self.machines.get(host)
-            if machine is None:
-                continue
-            if wanted is not None and machine.arch_class is not wanted:
-                continue
-            candidates.append((self._loads.get(host, 0.0), host))
-        if not candidates:
-            return None
-        candidates.sort()
-        return candidates[0][1]
-
-    # --------------------------------------------------------------- leases
-
-    def _lease(self, app: NetworkApp, record: _Record, epoch: int) -> None:
-        self.sim.schedule(
-            self.failover.lease, lambda: self._lease_due(app, record, epoch)
+        held = Counter(
+            r.host
+            for app in self.apps.values()
+            for r in app.records.values()
+            if r.dispatched and not (r.done or r.failed)
         )
+        candidates = [
+            (held[host], host)
+            for host in self.router.peers
+            if host in self.machines
+            and (wanted is None or self.machines[host].arch_class is wanted)
+        ]
+        return min(candidates)[1] if candidates else None
 
-    def _lease_due(self, app: NetworkApp, record: _Record, epoch: int) -> None:
-        if record.done or record.failed or record.epoch != epoch:
-            return
-        host = record.host
-        if host in self.router.peers:
-            self._lease(app, record, epoch)  # renewed
-            return
-        self.sim.emit(
-            "recovery.lease_expired", app.id,
-            task=record.task, rank=record.rank, epoch=epoch, host=host,
-        )
-        self._strand(app, record, reason="lease-expired", via="timeout")
+    # ------------------------------------------------------------- failover
 
     def _on_disconnect(self, host: str) -> None:
         self._hellos.pop(host, None)
         self._all_registered.clear()
         self.sim.emit("net.daemon_lost", host)
-        if not self.eager_detection:
-            return  # leases will notice
         for app in self.apps.values():
             for record in app.records.values():
                 if (
@@ -478,14 +483,14 @@ class NetworkVCE:
             task=record.task, rank=record.rank, epoch=record.epoch,
             host=record.host, reason=reason,
         )
-        # every strand is already a detection (EOF, lease expiry, TaskFailed)
+        # every strand is already a detection (EOF or TaskFailed)
         self._redispatch(app, record, record.epoch, via)
 
     def _redispatch(self, app: NetworkApp, record: _Record, epoch: int, via: str) -> None:
         if record.done or record.failed or record.epoch != epoch:
             record.stranded_at = None
             return
-        if record.attempts >= self.failover.max_redispatches:
+        if record.attempts >= self.max_redispatches:
             self.sim.emit(
                 "recovery.gave_up", app.id,
                 task=record.task, rank=record.rank, attempts=record.attempts,
@@ -496,10 +501,7 @@ class NetworkVCE:
         src = record.host
         target = self._pick_host(record)
         if target is None:
-            self.sim.schedule(
-                self.failover.lease,
-                lambda: self._redispatch(app, record, epoch, via),
-            )
+            self._parked.append(lambda: self._redispatch(app, record, epoch, via))
             return
         latency = self.sim.now - (record.stranded_at or self.sim.now)
         record.stranded_at = None
@@ -558,71 +560,22 @@ class NetworkVCE:
         self.sim.emit("app.failed", app.id)
         app.finished.set()
 
-    # ---------------------------------------------------------------- chaos
-
-    def schedule_chaos(self, actions: list) -> None:
-        """Map a chaos schedule onto real processes: ``crash`` →
-        ``SIGKILL`` of the daemon subprocess at the action's (sim) time,
-        ``restart`` → respawn.  Other fault kinds are network-shaping
-        knobs that have no real-socket implementation yet; they are
-        logged and skipped (docs/NETWORK.md)."""
-        for action in actions:
-            if action.kind == "crash":
-                self.sim.schedule_at(
-                    max(action.time, self.sim.now),
-                    lambda target=action.target: self.kill_daemon(target),
-                )
-            elif action.kind == "restart":
-                self.sim.schedule_at(
-                    max(action.time, self.sim.now),
-                    lambda target=action.target: self.restart_daemon(target),
-                )
-            else:
-                self.sim.emit(
-                    "fault.skipped", action.target or "*", kind=action.kind
-                )
+    # ---------------------------------------------------------------- faults
 
     def kill_daemon(self, host: str) -> None:
-        """Real SIGKILL — the network backend's chaos ``crash``."""
+        """Real ``SIGKILL`` of *host*'s daemon process.  The supervisor
+        learns of it as of any crash: from the connection's EOF."""
         proc = self._procs.get(host)
         if proc is None or proc.poll() is not None:
             return
         self.sim.emit("fault.crash", host, pid=proc.pid, signal="SIGKILL")
         proc.send_signal(signal.SIGKILL)
 
-    def restart_daemon(self, host: str) -> None:
-        """Respawn a killed daemon (it reconnects and re-registers)."""
-        proc = self._procs.get(host)
-        if proc is not None and proc.poll() is None:
-            return  # still alive
-        argv = self._spawn_args.get(host)
-        if argv is None:
-            return
-        self.sim.emit("fault.restart", host)
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parents[2])
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        self._procs[host] = subprocess.Popen(
-            argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-        )
-
     # -------------------------------------------------------------- running
 
     async def adrive(self, app: NetworkApp, timeout: float = 60.0) -> NetworkApp:
-        """Pump the wall-clock loop until *app* finishes (wall *timeout*)."""
-        drive = asyncio.get_running_loop().create_task(
-            self.sim.drive(stop_when=lambda: app.finished.is_set())
-        )
-        try:
-            await asyncio.wait_for(app.finished.wait(), timeout)
-        finally:
-            drive.cancel()
-            try:
-                await drive
-            except (asyncio.CancelledError, Exception):
-                pass
+        """Wait until *app* finishes (wall *timeout*)."""
+        await asyncio.wait_for(app.finished.wait(), timeout)
         return app
 
     async def ashutdown(self) -> None:
@@ -639,23 +592,15 @@ class NetworkVCE:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=3.0)
-        self.sim.release()
         self._booted = False
 
-    def run_workload(
-        self,
-        workload: WorkloadSpec,
-        timeout: float = 60.0,
-        chaos: list | None = None,
-    ) -> NetworkApp:
+    def run_workload(self, workload: WorkloadSpec, timeout: float = 60.0) -> NetworkApp:
         """Boot, submit, drive to completion, shut down (sync wrapper)."""
 
         async def _run() -> NetworkApp:
             await self.aboot(workload)
             try:
                 app = await self.asubmit(workload)
-                if chaos:
-                    self.schedule_chaos(chaos)
                 await self.adrive(app, timeout)
                 return app
             finally:

@@ -11,7 +11,8 @@ getsockname()[1]`` so port 0 picks a free one):
   ``Network`` plays, except the links are real sockets.  Addresses whose
   host is not a connected daemon are delivered to the supervisor's local
   handler (the execution program and log sink live in-process with the
-  router).
+  router).  A connection carries one ``Hello`` and then envelopes only;
+  its EOF is the supervisor's one failure detector.
 - :class:`DaemonConnection` — the daemon-side client: connect with
   bounded retry (the supervisor may still be binding when a daemon
   starts), a reader task feeding a :class:`~repro.netexec.codec.
@@ -54,9 +55,9 @@ class FrameRouter:
             addresses (execution program, log sink).
         on_hello: called with (hello, peer) when a daemon registers.
         on_disconnect: called with (host) when a daemon's connection
-            drops (EOF or reset) — the supervisor's failure detector.
-        on_frame: called with (host, message) for bare (non-Envelope)
-            frames after the Hello — heartbeats and the like.
+            drops (EOF or reset), or when a new ``Hello`` for the host
+            replaces a connection not yet seen to drop — the supervisor's
+            failure detector.
     """
 
     def __init__(
@@ -64,12 +65,10 @@ class FrameRouter:
         local_handler: Callable[[Envelope], None],
         on_hello: Callable[[Hello, "_Peer"], Awaitable[None]] | None = None,
         on_disconnect: Callable[[str], None] | None = None,
-        on_frame: Callable[[str, Any], None] | None = None,
     ) -> None:
         self.local_handler = local_handler
         self.on_hello = on_hello
         self.on_disconnect = on_disconnect
-        self.on_frame = on_frame
         self.peers: dict[str, _Peer] = {}
         self.port: int | None = None
         self._server: asyncio.Server | None = None
@@ -115,23 +114,35 @@ class FrameRouter:
                             raise codec.CodecError(
                                 f"expected Hello, got {type(message).__name__}"
                             )
+                        old = self.peers.get(message.host)
+                        if old is not None:
+                            # the daemon reconnected before its old
+                            # socket's EOF reached us: that one is lost
+                            self._drop(old)
                         peer = _Peer(message.host, writer, message)
                         self.peers[message.host] = peer
                         if self.on_hello is not None:
                             await self.on_hello(message, peer)
                     elif isinstance(message, Envelope):
                         self.route(message)
-                    elif self.on_frame is not None:
-                        self.on_frame(peer.host, message)
+                    else:
+                        raise codec.CodecError(
+                            f"expected Envelope, got {type(message).__name__}"
+                        )
         except (codec.CodecError, ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             if peer is not None and self.peers.get(peer.host) is peer:
-                peer.alive = False
-                del self.peers[peer.host]
-                if self.on_disconnect is not None:
-                    self.on_disconnect(peer.host)
+                self._drop(peer)
             writer.close()
+
+    def _drop(self, peer: _Peer) -> None:
+        """Unregister *peer*, close its socket and report the host lost."""
+        peer.alive = False
+        del self.peers[peer.host]
+        peer.writer.close()
+        if self.on_disconnect is not None:
+            self.on_disconnect(peer.host)
 
     # ------------------------------------------------------------- routing
 
@@ -198,6 +209,8 @@ class DaemonConnection:
         for attempt in range(self.retries):
             try:
                 reader, writer = await asyncio.open_connection(self.host, self.port)
+                if self.writer is not None:
+                    self.writer.close()  # the connection this one replaces
                 self.writer = writer
                 self.connected.set()
                 asyncio.get_running_loop().create_task(self._read(reader))

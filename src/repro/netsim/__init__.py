@@ -7,12 +7,9 @@ reproducible (see DESIGN.md, substitution table).
 
 Layering:
 
-- :class:`SimBackend` — the backend seam: the event-loop contract, with
-  :func:`create_simulator` selecting an implementation by name
-  (``VCEConfig.backend``).
-- :class:`Simulator` — the ``serial`` backend and the only virtual-time
-  engine: a priority queue of timestamped callbacks, with cancellable
-  timers.
+- :class:`Simulator` — the only virtual-time engine: a priority queue of
+  timestamped callbacks, with cancellable timers (its module docstring
+  states the event-loop contract).
 - :class:`Host` — a simulated machine that owns named :class:`SimProcess`
   actors, can crash and recover.
 - :class:`Network` — delivers messages between hosts under a configurable
@@ -25,7 +22,6 @@ Layering:
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "backend": ("BACKEND_NAMES", "SimBackend", "create_simulator"),
     "kernel": ("Simulator", "Timer"),
     "network": ("Network", "LatencyModel", "Message"),
     "host": ("Host", "Address"),

@@ -1,12 +1,30 @@
-"""The serial discrete-event backend (the default ``SimBackend``).
+"""The discrete-event kernel: the one virtual-time engine.
+
+Everything above it — hosts, network, processes, the whole VCE — talks to
+the event loop through :class:`Simulator`.  (The real-process network
+backend, :mod:`repro.netexec`, runs on asyncio and keeps only a wall
+clock; see docs/NETWORK.md.)
 
 A :class:`Simulator` holds a heap of ``(time, skey, timer)`` tuples.  The
 sort key ``skey`` (the scheduling sequence number, unless tie-shuffle is on)
 breaks ties so that events scheduled earlier at the same timestamp run
 earlier — a deterministic total order, which is essential for
-reproducible experiments.  The same total order is the backend contract
-(:class:`repro.netsim.backend.SimBackend`): events commit in ``(time, seq)``
-order, which is why replay digests are reproducible byte for byte.
+reproducible experiments.
+
+The contract (``tests/test_backend_conformance.py`` enforces it):
+
+- Events fire in exact ``(time, seq)`` order, where ``seq`` is the global
+  scheduling order — a unique total order, so replay digests are
+  reproducible byte for byte.
+- ``call_soon`` entries at one timestamp fire FIFO, after already-queued
+  events at that timestamp.
+- ``cancel`` is lazy, idempotent, and a no-op on terminal entries (fired,
+  already cancelled, or left behind by a fully drained heap).
+- ``pending`` equals the number of live (uncancelled, unfired) entries.
+- Daemon events never keep ``run()`` alive.
+- The scheduling calls take a ``host`` tag that never affects ordering;
+  perfbench's tracer wraps the three scheduling methods by name, so their
+  signatures stay as they are.
 
 The loop is a hot path: every message hop, timer tick, and compute slice in a
 run goes through it.  Heap items are plain ``(time, skey, timer)`` tuples,
@@ -69,7 +87,6 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.netsim.backend import SimBackend
 from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,7 +154,7 @@ class Timer:
             sim._compact()
 
 
-class Simulator(SimBackend):
+class Simulator:
     """A deterministic discrete-event simulator — the ``serial`` backend.
 
     Args:
@@ -147,8 +164,6 @@ class Simulator(SimBackend):
     and the :class:`RngStreams` factory so that components created for one
     simulation never share state with another.
     """
-
-    backend_name = "serial"
 
     def __init__(self, seed: int = 0) -> None:
         self._heap: list[tuple[float, int, Timer]] = []
@@ -296,6 +311,11 @@ class Simulator(SimBackend):
         if not daemon:
             self._live_nondaemon += 1
         return timer
+
+    def cancel(self, timer: Timer) -> None:
+        """Cancel a timer returned by a scheduling call (sugar for
+        ``timer.cancel()``)."""
+        timer.cancel()
 
     # -- the clock observer ------------------------------------------------
 

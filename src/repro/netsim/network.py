@@ -46,8 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple
 
-from repro.netsim.backend import SimBackend
 from repro.netsim.host import Address, Host
+from repro.netsim.kernel import Simulator
 from repro.util.errors import SimulationError
 
 
@@ -125,7 +125,7 @@ class Network:
 
     def __init__(
         self,
-        sim: SimBackend,
+        sim: Simulator,
         latency: LatencyModel | None = None,
         egress_serialization: bool = False,
         transport: TransportConfig | None = None,

@@ -1,4 +1,5 @@
-"""Cross-backend conformance suite for the ``SimBackend`` contract.
+"""Conformance suite for the event-loop contract of ``repro.netsim.kernel``
+and the task outcomes of every backend.
 
 Two tiers, matching the two halves of the determinism contract
 (docs/NETWORK.md):
@@ -24,7 +25,7 @@ attached happens-before tracker records it (asserted below).
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.netsim.backend import BACKEND_NAMES, create_simulator
+from repro.netsim.kernel import Simulator
 from repro.util.errors import ConfigurationError, SimulationError
 
 #: host names the tests tag events with
@@ -32,7 +33,8 @@ HOSTS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
 
 
 def make_sim(backend: str, seed: int = 0):
-    return create_simulator(seed, backend=backend)
+    assert backend == "serial"
+    return Simulator(seed)
 
 
 @pytest.fixture(params=["serial"])
@@ -43,17 +45,17 @@ def backend(request):
     return request.param
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(SimulationError, match="unknown simulation backend"):
-        create_simulator(0, backend="quantum")
-
-
 def test_removed_backend_rejected_by_config():
     """There is one virtual-time engine; asking the environment for the
-    deleted second one is a configuration error, not a silent fallback."""
+    deleted second one is a configuration error, not a silent fallback.
+    The in-process environment accepts ``serial`` only: ``network`` is
+    :class:`repro.netexec.NetworkVCE`'s."""
     from repro.core import VCEConfig, VirtualComputingEnvironment, workstation_cluster
 
-    assert BACKEND_NAMES == ("serial", "network")
+    with pytest.raises(ConfigurationError, match="NetworkVCE"):
+        VirtualComputingEnvironment(
+            workstation_cluster(2), VCEConfig(backend="network")
+        )
     with pytest.raises(
         ConfigurationError,
         match="unknown simulation backend 'sharded'.*expected one of serial, network",
@@ -486,7 +488,7 @@ class TestConformanceProperties:
 
 # ---------------------------------------------- scheduler-level conformance
 #
-# The SimBackend contract above makes replay digests reproducible for raw
+# The kernel contract above makes replay digests reproducible for raw
 # event scheduling; the tests below assert the same contract one layer up,
 # through the whole scheduler: hierarchical group leaders (leader_fanout)
 # must not perturb the event schedule at fanout 1 (the degenerate flat case)
@@ -699,7 +701,7 @@ def _run_network_behavior(spec, seed, crash_first_host=False):
         try:
             app = await vce.asubmit(spec)
             drive = asyncio.get_running_loop().create_task(
-                vce.sim.drive(stop_when=app.finished.is_set)
+                vce.adrive(app, NET_TIMEOUT)
             )
             if crash_first_host:
                 for _ in range(500):
@@ -710,9 +712,7 @@ def _run_network_behavior(spec, seed, crash_first_host=False):
                 assert dispatches, "workload never dispatched"
                 await asyncio.sleep(0.05)  # let the task actually start
                 vce.kill_daemon(dispatches[0].data["host"])
-            await asyncio.wait_for(app.finished.wait(), NET_TIMEOUT)
-            drive.cancel()
-            return app
+            return await drive
         finally:
             await vce.ashutdown()
 
@@ -743,9 +743,6 @@ def _protocol_errors(records):
 
 
 class TestBehaviorConformance:
-    def test_network_backend_registered(self):
-        assert "network" in BACKEND_NAMES
-
     def test_task_outcomes_match_serial_reference(self, behavior_backend):
         """Same DONE set and per-task results digest as the serial kernel
         — the testable half of the cross-backend determinism contract."""

@@ -309,10 +309,10 @@ class TestProtocolFSMs:
         assert check_records([_rec(1, "sched.alloc"), _rec(2, "task.done")]) == []
 
     def test_monitor_counts_violations_live(self):
-        from repro.netsim.backend import create_simulator
+        from repro.netsim.kernel import Simulator
         from repro.telemetry.registry import MetricsRegistry
 
-        sim = create_simulator(1)
+        sim = Simulator(1)
         registry = MetricsRegistry()
         monitor = ProtocolMonitor(sim, telemetry=registry)
         sim.schedule_at(1.0, lambda: sim.emit("sched.alloc", "s", req_id="r9"))
@@ -407,10 +407,10 @@ def test_unknown_scenario_raises():
 
 
 def test_set_tie_shuffle_guards():
-    from repro.netsim.backend import create_simulator
+    from repro.netsim.kernel import Simulator
     from repro.util.errors import SimulationError
 
-    sim = create_simulator(1)
+    sim = Simulator(1)
     with pytest.raises(SimulationError):
         sim.set_tie_shuffle(-1)
 

@@ -1,23 +1,26 @@
 """Unit and integration tests for the network execution backend.
 
-Four layers, matching the netexec stack:
+Five layers, matching the netexec stack:
 
 - **codec** — framing and the restricted unpickler: hypothesis-fuzzed
   round-trips through :class:`~repro.netexec.codec.FrameDecoder` under
   arbitrary TCP chunking, plus every rejection path (bad magic, CRC
   mismatch, oversized length, truncated pickle, disallowed globals).
 - **transport** — in-process :class:`FrameRouter`/:class:`DaemonConnection`
-  pairs over real localhost sockets: handshake, routing, bare frames,
-  reconnect-with-Hello-resend, disconnect detection, and the
-  bind-failure / unreachable-supervisor error paths.
+  pairs over real localhost sockets: handshake, routing, the frames a
+  connection may carry, reconnect-with-Hello-resend, disconnect detection
+  (EOF, or a second Hello for a host still held), and the bind-failure /
+  unreachable-supervisor error paths.
 - **daemon, in process** — :class:`~repro.netexec.daemonhost.DaemonHost`
   on the event loop its process runs, with a recording stand-in for its
   connection: probe replies, the order of a task's records and its
   ``TaskDone``, per-application cancellation, a leader round with a
   silent peer, and how late the loop wakes a ``Compute`` sleep.
+- **supervisor, in process** — :class:`~repro.netexec.supervisor.
+  NetworkVCE` with stand-in peers in its router: where a stranded record
+  goes, and a re-dispatch that waits for the next ``Hello``.
 - **real processes** (``network`` marker) — a supervisor SIGKILLs a real
-  daemon mid-task with eager detection off, so recovery must come from
-  the pure lease-expiry path.
+  daemon mid-task and recovers from the connection's loss.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from repro.netexec.frames import (
     EXEC_ADDR,
     LOG_ADDR,
     Envelope,
-    Heartbeat,
     Hello,
     Ping,
     Shutdown,
@@ -77,7 +79,6 @@ _frames = st.one_of(
         pid=st.integers(1, 2**31),
         incarnation=st.integers(0, 50),
     ),
-    st.builds(Heartbeat, host=_names, load=st.integers(0, 64), running=st.integers(0, 64)),
     st.builds(
         TaskAssignment,
         app=_names,
@@ -120,7 +121,7 @@ class TestCodec:
         msg = Envelope(
             src=Address("ws0", "daemon"),
             dst=Address("_supervisor", "exec"),
-            payload=Heartbeat(host="ws0", load=1, running=1),
+            payload=Ping(nonce=1, body=b"beat"),
         )
         dec = codec.FrameDecoder()
         out = []
@@ -282,36 +283,74 @@ class TestTransport:
 
         _run(scenario())
 
-    def test_bare_frames_hit_on_frame_after_hello(self):
-        async def scenario():
-            beats = []
-            router = FrameRouter(
-                lambda env: None, on_frame=lambda host, msg: beats.append((host, msg))
-            )
-            port = await router.start(port=0)
-            conn = DaemonConnection("127.0.0.1", port, lambda m: None)
-            conn.on_connect = lambda: conn.send(_hello("ws1"))
-            await conn.connect()
-            await _wait_for(lambda: "ws1" in router.peers)
-            conn.send(Heartbeat(host="ws1", load=2, running=1))
-            await _wait_for(lambda: len(beats) == 1)
-            assert beats[0] == ("ws1", Heartbeat(host="ws1", load=2, running=1))
-            await conn.close()
-            await router.close()
-
-        _run(scenario())
-
     def test_frame_before_hello_drops_connection(self):
         async def scenario():
             router = FrameRouter(lambda env: None)
             port = await router.start(port=0)
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(codec.encode(Heartbeat(host="rogue", load=0, running=0)))
+            writer.write(codec.encode(Ping(nonce=1, body=b"rogue")))
             await writer.drain()
             # the router closes a connection whose first frame is not Hello
             assert await reader.read() == b""
             assert router.peers == {}
             writer.close()
+            await router.close()
+
+        _run(scenario())
+
+    def test_bare_frame_after_hello_drops_connection(self):
+        """After its Hello a connection carries envelopes only."""
+
+        async def scenario():
+            drops = []
+            router = FrameRouter(lambda env: None, on_disconnect=drops.append)
+            port = await router.start(port=0)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(codec.encode(_hello("ws1")) + codec.encode(Ping(nonce=1)))
+            assert await reader.read() == b""
+            assert drops == ["ws1"]
+            assert router.peers == {}
+            writer.close()
+            await router.close()
+
+        _run(scenario())
+
+    def test_second_hello_ends_the_old_connection(self):
+        """A daemon that reconnects before the router has read its old
+        socket's EOF: the new Hello closes the old connection and reports
+        the host lost, so the supervisor strands what ran there."""
+
+        async def scenario():
+            hellos, drops = [], []
+
+            async def on_hello(hello, peer):
+                hellos.append(hello.incarnation)
+
+            router = FrameRouter(
+                lambda env: None, on_hello=on_hello, on_disconnect=drops.append
+            )
+            port = await router.start(port=0)
+            old_reader, old_writer = await asyncio.open_connection("127.0.0.1", port)
+            old_writer.write(codec.encode(_hello("ws0", incarnation=0)))
+            await _wait_for(lambda: "ws0" in router.peers)
+            first = router.peers["ws0"]
+            new_reader, new_writer = await asyncio.open_connection("127.0.0.1", port)
+            new_writer.write(codec.encode(_hello("ws0", incarnation=1)))
+            await _wait_for(lambda: hellos == [0, 1])
+            assert drops == ["ws0"]
+            assert router.peers["ws0"] is not first
+            assert not first.alive
+            assert await asyncio.wait_for(old_reader.read(), 5.0) == b""
+            # the old socket's own EOF, read later, reports nothing twice
+            await asyncio.sleep(0.05)
+            assert drops == ["ws0"]
+            assert router.send("ws0", Ping(nonce=2))
+            (echo,) = codec.FrameDecoder().feed(
+                await asyncio.wait_for(new_reader.read(65536), 5.0)
+            )
+            assert echo == Ping(nonce=2)
+            old_writer.close()
+            new_writer.close()
             await router.close()
 
         _run(scenario())
@@ -591,17 +630,125 @@ class TestDaemonHost:
         assert [r.getMessage() for r in caplog.records] == []
 
 
+# ---------------------------------------------------- supervisor, in process
+
+
+class _Writer:
+    """Stands in for a daemon's socket in the router: decodes what the
+    supervisor writes to it."""
+
+    def __init__(self):
+        self.frames = []
+
+    def write(self, data):
+        self.frames.extend(codec.FrameDecoder().feed(data))
+
+    def close(self):
+        pass
+
+
+def _supervisor(machines):
+    from repro.core import VCEConfig
+    from repro.netexec.supervisor import NetworkVCE
+
+    return NetworkVCE(machines, VCEConfig(backend="network"))
+
+
+def _connect(vce, host):
+    """Register *host* in the supervisor's router as a connected daemon."""
+    from repro.netexec.transport import _Peer
+
+    peer = _Peer(host, _Writer(), _hello(host))
+    vce.router.peers[host] = peer
+    return peer
+
+
+def _chain_app(vce, app_id="app-1"):
+    from repro.netexec.supervisor import NetworkApp, _Record
+    from repro.trace.context import TraceContext
+
+    graph = daemonhost.build_workload(_SPEC)
+    app = NetworkApp(id=app_id, graph=graph, trace=TraceContext("t", "s"))
+    for node in graph:
+        for rank in range(node.instances):
+            app.records[(node.name, rank)] = _Record(node.name, rank)
+    vce.apps[app.id] = app
+    return app
+
+
+def _assignments(peer):
+    return [f.payload for f in peer.writer.frames
+            if isinstance(f, Envelope) and isinstance(f.payload, TaskAssignment)]
+
+
+class TestSupervisor:
+    def test_pick_host_ranks_by_the_supervisors_own_live_records(self):
+        from repro.core.cluster import heterogeneous_cluster
+        from repro.netexec.supervisor import _Record
+
+        vce = _supervisor(heterogeneous_cluster(3, n_mimd=1, n_simd=0))
+        for host in ("mimd0", "ws1", "ws2"):
+            _connect(vce, host)
+        records = _chain_app(vce).records
+        held = {
+            ("a", 0): _Record("a", 0, host="ws1", dispatched=True),
+            ("a", 1): _Record("a", 1, host="ws1", dispatched=True),
+            ("b", 0): _Record("b", 0, host="ws2", dispatched=True),
+            ("b", 1): _Record("b", 1, host="ws2", dispatched=True, done=True),
+            ("b", 2): _Record("b", 2, host="ws2"),  # placed, not dispatched
+        }
+        records.update(held)
+        stranded = _Record("x", 0, host="ws0")
+        assert vce._pick_host(stranded) == "ws2"  # one live record to two
+        held[("b", 0)].failed = True
+        assert vce._pick_host(stranded) == "ws2"  # none to two
+        held[("a", 0)].done = held[("a", 1)].done = True
+        assert vce._pick_host(stranded) == "ws1"  # none each: by name
+        # the class is kept: mimd0 sorts first and holds nothing
+        del vce.router.peers["ws1"], vce.router.peers["ws2"]
+        assert vce._pick_host(stranded) is None
+
+    def test_a_redispatch_with_no_daemon_waits_for_the_next_hello(self):
+        from repro.core import workstation_cluster
+
+        async def scenario():
+            vce = _supervisor(workstation_cluster(2))
+            ws0 = _connect(vce, "ws0")
+            app = _chain_app(vce)
+            for key in sorted(app.records):
+                app.records[key].host = "ws0"
+            vce._dispatch_task(app, "L0T0")
+            assert [a.task for a in _assignments(ws0)] == ["L0T0"]
+            del vce.router.peers["ws0"]
+            vce._on_disconnect("ws0")  # EOF: nobody left to take L0T0
+            record = app.records[("L0T0", 0)]
+            assert record.stranded_at is not None
+            assert vce.sim.log.records(category="recovery.redispatch") == []
+            ws1 = _connect(vce, "ws1")
+            await vce._on_hello(_hello("ws1"), ws1)
+            (redispatch,) = vce.sim.log.records(category="recovery.redispatch")
+            return record, redispatch, ws1
+
+        record, redispatch, ws1 = _run(scenario())
+        assert isinstance(ws1.writer.frames[0], Welcome)
+        (assignment,) = _assignments(ws1)
+        assert (assignment.task, assignment.epoch) == ("L0T0", 1)
+        assert (record.host, record.epoch, record.dispatched) == ("ws1", 1, True)
+        assert redispatch.data["src"] == "ws0"
+        assert redispatch.data["dst"] == "ws1"
+        assert redispatch.data["via"] == "daemon-takeover"
+
+
 # ----------------------------------------------------- real daemon processes
 
 
 @pytest.mark.network
 class TestRealProcessFailover:
-    def test_sigkill_recovers_via_lease_expiry(self):
-        """With eager (EOF-based) detection off, a SIGKILL-ed daemon's
-        tasks come back only when the wall-clock lease expires — the pure
-        §4.4 recovery path, on real OS processes."""
+    def test_sigkill_recovers_via_connection_loss(self):
+        """A SIGKILL-ed daemon's tasks come back when the supervisor reads
+        its connection's EOF — the supervisor's one failure detector, on
+        real OS processes."""
         from repro.core import VCEConfig, workstation_cluster
-        from repro.migration.failover import FailoverConfig
         from repro.netexec.frames import WorkloadSpec
         from repro.netexec.supervisor import NetworkVCE
 
@@ -614,17 +761,13 @@ class TestRealProcessFailover:
             workstation_cluster(3),
             VCEConfig(seed=23, backend="network"),
             rate=20.0,
-            failover=FailoverConfig(lease=4.0),
-            eager_detection=False,
         )
 
         async def scenario():
             await vce.aboot(spec)
             try:
                 app = await vce.asubmit(spec)
-                drive = asyncio.get_running_loop().create_task(
-                    vce.sim.drive(stop_when=app.finished.is_set)
-                )
+                drive = asyncio.get_running_loop().create_task(vce.adrive(app, 60.0))
                 await _wait_for(
                     lambda: vce.sim.log.records(category="runtime.dispatch"),
                     timeout=30.0,
@@ -632,9 +775,7 @@ class TestRealProcessFailover:
                 await asyncio.sleep(0.05)  # let the task actually start
                 victim = vce.sim.log.records(category="runtime.dispatch")[0].data["host"]
                 vce.kill_daemon(victim)
-                await asyncio.wait_for(app.finished.wait(), 60.0)
-                drive.cancel()
-                return app
+                return await drive
             finally:
                 await vce.ashutdown()
 
@@ -642,11 +783,9 @@ class TestRealProcessFailover:
         assert not app.failed
         assert app.done_set() == {("L0T0", 0), ("L1T0", 0), ("L2T0", 0)}
         log = vce.sim.log
-        assert len(log.records(category="recovery.lease_expired")) >= 1
         assert len(log.records(category="recovery.redispatch")) >= 1
-        # eager detection was off: no daemon-takeover strands
         assert all(
-            r.data.get("via") != "daemon-takeover"
-            for r in log.records(category="recovery.strand")
+            r.data.get("via") == "daemon-takeover"
+            for r in log.records(category="recovery.redispatch")
         )
         assert vce.orphan_pids() == []
