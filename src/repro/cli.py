@@ -78,11 +78,11 @@ Usage (also via ``python -m repro``):
                 [--bind ADDR] [--pace R] [--slice S] [--failover]
                 [--exit-when-done] [--max-wall S]
         Boot a cluster, start the live control plane (dashboard at /,
-        SSE stream at /events, WebSocket at /ws, control API under
-        /api/), and drive the simulation in slices while streaming
-        entity events. --pace R advances R simulated seconds per wall
-        second (0 = as fast as possible). --backend network runs the
-        real-process quickstart instead (docs/NETWORK.md).
+        SSE stream at /events, control API under /api/), and drive the
+        simulation in slices while streaming entity events. --pace R
+        advances R simulated seconds per wall second (0 = as fast as
+        possible). --backend network runs the real-process quickstart
+        instead (docs/NETWORK.md).
 
 Cluster SPEC: ``ws:N`` for N workstations, or ``hetero:W,M,S`` for W
 workstations + M MIMD + S SIMD machines (default ``hetero:6,2,1``).
@@ -743,7 +743,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
         await server.start()
         print(
             f"control plane on http://{args.bind}:{server.port}/ "
-            f"(SSE /events, WebSocket /ws, API /api/) — "
+            f"(SSE /events, API /api/) — "
             f"backend {args.backend}, pace {args.pace or 'free-run'}",
             file=out,
             flush=True,

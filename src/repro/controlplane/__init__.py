@@ -11,7 +11,7 @@ Layers (each usable on its own):
 - :mod:`~repro.controlplane.driver` — :class:`ServeSession`, slice-wise
   simulation driving with optional wall-clock pacing;
 - :mod:`~repro.controlplane.server` — :class:`ControlPlaneServer`, the
-  stdlib-asyncio HTTP server (SSE/WebSocket streams + control API) and
+  stdlib-asyncio HTTP server (an SSE stream + control API) and
   the single-file dashboard;
 - :mod:`~repro.controlplane.rundir` — saved run directories with
   truncation-detecting loads.

@@ -12,7 +12,7 @@ handlers mutate the VCE directly (submit, chaos, drain) with no locks
 and no effect on determinism: every mutation lands at a slice boundary,
 exactly as if a script had made the same call.
 
-The driver only ever calls ``sim.run(until=...)`` through the backend seam.
+The driver only ever advances the simulation with ``sim.run(until=...)``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 One :class:`SubscriptionHub` sits between the producers (the entity
 model, which translates simulator log records into typed change events)
-and any number of consumers (SSE streams, WebSocket connections, tests).
+and any number of consumers (SSE streams, tests).
 Every consumer holds a :class:`Subscription` with
 
 - **topic filters** — dotted prefixes (``entity.host`` matches

@@ -1,15 +1,14 @@
-"""The control-plane HTTP server: SSE/WebSocket streams + control API.
+"""The control-plane HTTP server: an SSE event stream + control API.
 
 A deliberately small, dependency-free asyncio server (hand-rolled
-HTTP/1.1, Server-Sent Events, and RFC 6455 WebSocket framing — the
-container bakes in no web framework, and none is needed at this size).
+HTTP/1.1 and Server-Sent Events — the container bakes in no web
+framework, and none is needed at this size).
 
 Endpoints:
 
 ======  =================  ==========================================
 GET     ``/``              the single-file dashboard
 GET     ``/events``        SSE event stream (``?topics=a,b`` prefixes)
-GET     ``/ws``            the same stream over WebSocket
 GET     ``/api/state``     full entity snapshot
 GET     ``/api/metrics``   shared telemetry snapshot (metrics + health)
 GET     ``/metrics``       Prometheus text exposition
@@ -35,8 +34,6 @@ stream task alone waits on the socket.
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
 import json
 import time
 from typing import TYPE_CHECKING
@@ -49,44 +46,8 @@ from repro.util.errors import VCEError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controlplane.hub import Subscription
 
-_WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _MAX_HEADER_BYTES = 32768
 _MAX_BODY_BYTES = 1 << 20
-
-
-def _ws_accept(key: str) -> str:
-    digest = hashlib.sha1((key + _WS_GUID).encode()).digest()
-    return base64.b64encode(digest).decode()
-
-
-def _ws_frame(payload: bytes, opcode: int = 0x1) -> bytes:
-    head = bytearray([0x80 | opcode])
-    n = len(payload)
-    if n < 126:
-        head.append(n)
-    elif n < 65536:
-        head.append(126)
-        head += n.to_bytes(2, "big")
-    else:
-        head.append(127)
-        head += n.to_bytes(8, "big")
-    return bytes(head) + payload
-
-
-async def _ws_read_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
-    head = await reader.readexactly(2)
-    opcode = head[0] & 0x0F
-    masked = bool(head[1] & 0x80)
-    length = head[1] & 0x7F
-    if length == 126:
-        length = int.from_bytes(await reader.readexactly(2), "big")
-    elif length == 127:
-        length = int.from_bytes(await reader.readexactly(8), "big")
-    mask = await reader.readexactly(4) if masked else b""
-    payload = await reader.readexactly(length) if length else b""
-    if masked:
-        payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
-    return opcode, payload
 
 
 class _Request:
@@ -217,7 +178,7 @@ class ControlPlaneServer:
             request = await self._read_request(reader)
             if request is None:
                 return
-            await self._route(request, reader, writer)
+            await self._route(request, writer)
         except (
             asyncio.IncompleteReadError,
             ConnectionResetError,
@@ -257,17 +218,11 @@ class ControlPlaneServer:
     # ---------------------------------------------------------------- routing
 
     async def _route(
-        self,
-        request: _Request,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        self, request: _Request, writer: asyncio.StreamWriter
     ) -> None:
         method, path = request.method, request.path
         if method == "GET" and path == "/events":
             await self._stream_sse(request, writer)
-            return
-        if method == "GET" and path == "/ws":
-            await self._stream_websocket(request, reader, writer)
             return
         try:
             handled = await self._route_plain(request, writer)
@@ -390,10 +345,13 @@ class ControlPlaneServer:
         from repro.trace.assemble import TraceAssembler
         from repro.trace.critical import critical_path
 
+        apps = self.vce.runtime.apps
         paths = []
         for trace in TraceAssembler(self.vce.sim.log).assemble():
             cp = critical_path(trace)
-            if cp is None:
+            # the assembler closes a running app's span at the log's end:
+            # that is no critical path yet
+            if cp is None or not apps[cp.app].status.terminal:
                 continue
             paths.append(
                 {
@@ -417,14 +375,14 @@ class ControlPlaneServer:
 
     # ---------------------------------------------------------------- streams
 
-    def _subscribe(self, request: _Request, kind: str) -> tuple:
+    def _subscribe(self, request: _Request) -> tuple:
         topics_arg = request.param("topics", "")
         topics = tuple(t for t in (topics_arg or "").split(",") if t)
         wake: asyncio.Event = asyncio.Event()
         self._wakes.add(wake)
         self._stream_count += 1
         sub = self.session.hub.subscribe(
-            name=f"{kind}-{self._stream_count}",
+            name=f"sse-{self._stream_count}",
             topics=topics,
             limit=self.queue_limit,
             on_enqueue=wake.set,
@@ -453,7 +411,7 @@ class ControlPlaneServer:
     async def _stream_sse(
         self, request: _Request, writer: asyncio.StreamWriter
     ) -> None:
-        sub, wake = self._subscribe(request, "sse")
+        sub, wake = self._subscribe(request)
         try:
             writer.write(
                 b"HTTP/1.1 200 OK\r\n"
@@ -480,71 +438,6 @@ class ControlPlaneServer:
                 writer.write("".join(chunks).encode())
                 await writer.drain()
         finally:
-            self._release(sub, wake)
-
-    async def _stream_websocket(
-        self,
-        request: _Request,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        key = request.headers.get("sec-websocket-key")
-        if key is None or request.headers.get("upgrade", "").lower() != "websocket":
-            await self._send_json(writer, {"error": "expected websocket upgrade"}, 400)
-            return
-        writer.write(
-            (
-                "HTTP/1.1 101 Switching Protocols\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Accept: {_ws_accept(key)}\r\n\r\n"
-            ).encode()
-        )
-        await writer.drain()
-        sub, wake = self._subscribe(request, "ws")
-        closed = asyncio.Event()
-
-        async def read_client() -> None:
-            try:
-                while True:
-                    opcode, payload = await _ws_read_frame(reader)
-                    if opcode == 0x8:  # close
-                        break
-                    if opcode == 0x9:  # ping -> pong
-                        writer.write(_ws_frame(payload, opcode=0xA))
-                        await writer.drain()
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                pass
-            finally:
-                closed.set()
-                wake.set()
-
-        reader_task = asyncio.ensure_future(read_client())
-        try:
-            hello = json.dumps(
-                {"topic": "snapshot", "data": self.session.model.snapshot()},
-                default=str,
-            )
-            writer.write(_ws_frame(hello.encode()))
-            await writer.drain()
-            while not self.shutting_down and not closed.is_set():
-                events = await self._wait_events(sub, wake)
-                if closed.is_set():
-                    break
-                if not events:
-                    writer.write(_ws_frame(b"", opcode=0x9))  # ping as keepalive
-                    await writer.drain()
-                    continue
-                for event in events:
-                    payload = json.dumps(event.as_dict(), default=str).encode()
-                    writer.write(_ws_frame(payload))
-                await writer.drain()
-            writer.write(_ws_frame(b"", opcode=0x8))
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            reader_task.cancel()
             self._release(sub, wake)
 
     # -------------------------------------------------------------- responses

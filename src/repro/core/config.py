@@ -68,7 +68,7 @@ class VCEConfig:
         hb_sanitizer: attach the happens-before race sanitizer and the
             protocol conformance monitor (see :mod:`repro.analysis.hb`
             and :mod:`repro.analysis.protocol`). The tracker threads
-            through the backend scheduling seam and instrumented
+            through the kernel's ``schedule`` and instrumented
             component accesses; findings are read back from
             ``vce.hb_tracker`` / ``vce.protocol_monitor`` after the run.
             Off by default — the hooks cost nothing when detached.

@@ -10,5 +10,5 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "collector": ("MetricsCollector",),
     "report": ("format_table", "format_series"),
-    "timeline": ("Span", "build_timeline", "host_busy_fraction", "render_gantt"),
+    "timeline": ("Span", "build_timeline", "render_gantt"),
 })

@@ -38,42 +38,6 @@ class MetricsCollector:
                 out[record.source] = record.time - submits[record.source]
         return out
 
-    def throughput(self, horizon: float) -> float:
-        """Completed applications per second over [0, horizon]."""
-        done = [r for r in self.log.records(category="app.done") if r.time <= horizon]
-        return len(done) / horizon if horizon > 0 else 0.0
-
-    # ------------------------------------------------------------ utilization
-
-    def busy_intervals(self) -> dict[str, list[tuple[float, float]]]:
-        """host → merged [start, end) intervals with ≥1 VCE task present."""
-        starts: dict[tuple, float] = {}
-        raw: dict[str, list[tuple[float, float]]] = defaultdict(list)
-        for record in self.log:
-            if record.category == "task.start":
-                key = (record.get("app"), record.get("task"), record.get("rank"), record.source)
-                starts[key] = record.time
-            elif record.category in ("task.done", "task.failed", "task.killed"):
-                for key in [k for k in starts if k[:3] == (record.get("app"), record.get("task"), record.get("rank"))]:
-                    host = record.get("host") or key[3].split("/")[0]
-                    raw[host].append((starts.pop(key), record.time))
-        return {host: _merge(intervals) for host, intervals in raw.items()}
-
-    def utilization(self, horizon: float) -> dict[str, float]:
-        """host → fraction of [0, horizon] spent hosting VCE tasks."""
-        if horizon <= 0:
-            return {}
-        return {
-            host: sum(e - s for s, e in intervals) / horizon
-            for host, intervals in self.busy_intervals().items()
-        }
-
-    def mean_utilization(self, horizon: float, hosts: list[str]) -> float:
-        per_host = self.utilization(horizon)
-        if not hosts:
-            return 0.0
-        return sum(per_host.get(h, 0.0) for h in hosts) / len(hosts)
-
     # -------------------------------------------------------------- scheduler
 
     def allocation_latencies(self) -> list[float]:
@@ -110,9 +74,6 @@ class MetricsCollector:
     def bid_counts(self) -> list[int]:
         return [r.get("bids", 0) for r in self.log.records(category="sched.alloc")]
 
-    def alloc_errors(self) -> int:
-        return self.log.count("sched.alloc_error")
-
     def queue_waits(self) -> list[float]:
         return [r.get("waited", 0.0) for r in self.log.records(category="sched.retry")]
 
@@ -123,12 +84,6 @@ class MetricsCollector:
             MigrationStat(r.get("scheme"), r.get("latency", 0.0), r.get("src"), r.get("dst"))
             for r in self.log.records(category="migration.done")
         ]
-
-    def migration_latency_by_scheme(self) -> dict[str, list[float]]:
-        out: dict[str, list[float]] = defaultdict(list)
-        for stat in self.migrations():
-            out[stat.scheme].append(stat.latency)
-        return dict(out)
 
     # -------------------------------------------------------------- suspension
 
@@ -156,16 +111,3 @@ class MetricsCollector:
             "bytes": self.network.bytes_sent,
         }
 
-
-def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not intervals:
-        return []
-    ordered = sorted(intervals)
-    out = [ordered[0]]
-    for start, end in ordered[1:]:
-        last_start, last_end = out[-1]
-        if start <= last_end:
-            out[-1] = (last_start, max(last_end, end))
-        else:
-            out.append((start, end))
-    return out

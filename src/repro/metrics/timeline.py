@@ -92,11 +92,3 @@ def render_gantt(
         lines.append(f"{host:>12} |{''.join(row)}|")
     return "\n".join(lines)
 
-
-def host_busy_fraction(spans: list[Span], horizon: float) -> dict[str, float]:
-    """Fraction of the horizon each host spent running task spans."""
-    out: dict[str, float] = {}
-    for span in spans:
-        if span.kind == "task":
-            out[span.host] = out.get(span.host, 0.0) + (span.end - span.start)
-    return {host: min(1.0, total / horizon) for host, total in out.items()} if horizon > 0 else {}

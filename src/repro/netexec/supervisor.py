@@ -464,7 +464,7 @@ class NetworkVCE:
         self._hellos.pop(host, None)
         self._all_registered.clear()
         self.sim.emit("net.daemon_lost", host)
-        for app in self.apps.values():
+        for app in list(self.apps.values()):  # a give-up drops its app
             for record in app.records.values():
                 if (
                     record.host == host
@@ -548,7 +548,12 @@ class NetworkVCE:
             return
         self._strand(app, record, reason="instance-failed", via="timeout")
 
+    # A finished or failed application leaves ``apps``: the caller keeps the
+    # NetworkApp that asubmit returned, and a late TaskDone / TaskFailed
+    # for it is ignored as for any unknown app.
+
     def _finish_app(self, app: NetworkApp) -> None:
+        self.apps.pop(app.id, None)
         self.sim.emit("app.done", app.id, tasks=len(app.records))
         self.router.broadcast(
             Envelope(EXEC_ADDR, Address("*", "daemon"), TerminateNotice(app.id))
@@ -556,6 +561,7 @@ class NetworkVCE:
         app.finished.set()
 
     def _fail_app(self, app: NetworkApp) -> None:
+        self.apps.pop(app.id, None)  # a second give-up finds it gone
         app.failed = True
         self.sim.emit("app.failed", app.id)
         app.finished.set()

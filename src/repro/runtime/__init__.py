@@ -25,5 +25,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "instance": ("InstanceState", "TaskInstance", "live_instances"),
     "app": ("Application", "InstanceRecord", "AppStatus"),
     "manager": ("Placement", "RuntimeManager"),
-    "local": ("LocalBackend", "LocalContext", "LocalExecutionError", "round_robin_local_placement"),
 })

@@ -5,8 +5,8 @@ the event log, this package maintains the answers *during* the run — the
 sensor substrate the runtime manager's "pick the best machines from
 current load" decisions (and every load-aware policy built on them) need:
 
-- :class:`MetricsRegistry` — counters, gauges, exponential-bucket
-  histograms, and P² quantile sketches, fed directly from emission points
+- :class:`MetricsRegistry` — counters, gauges and exponential-bucket
+  histograms, fed directly from emission points
   in the scheduler daemon, runtime manager, channels, vMPI interpreter,
   and migration engine. No per-sample storage.
 - :class:`ClusterSampler` — a netsim process snapshotting per-host load,
@@ -36,7 +36,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "Gauge",
         "Histogram",
         "MetricsRegistry",
-        "QuantileSketch",
         "exponential_bounds",
     ),
     "sampler": ("ClusterSampler",),

@@ -13,13 +13,7 @@ import json
 import math
 from typing import Any
 
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    QuantileSketch,
-)
+from repro.telemetry.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.util.errors import ConfigurationError
 
 PREFIX = "vce_"
@@ -50,8 +44,6 @@ def to_prometheus(registry: MetricsRegistry, prefix: str = PREFIX) -> str:
     for family in registry.families():
         name = prefix + family.name
         kind = family.kind or "untyped"
-        if kind == "sketch":
-            kind = "gauge"  # sketches expose their current estimate
         if family.help:
             lines.append(f"# HELP {name} {_escape(family.help)}")
         lines.append(f"# TYPE {name} {kind}")
@@ -65,14 +57,14 @@ def to_prometheus(registry: MetricsRegistry, prefix: str = PREFIX) -> str:
                     lines.append(f"{name}_bucket{bucket_labels} {cumulative}")
                 lines.append(f"{name}_sum{labels} {_num(child.sum)}")
                 lines.append(f"{name}_count{labels} {child.count}")
-            elif isinstance(child, (Counter, Gauge, QuantileSketch)):
+            elif isinstance(child, (Counter, Gauge)):
                 lines.append(f"{name}{labels} {_num(child.value)}")
     return "\n".join(lines) + "\n"
 
 
 def snapshot(registry: MetricsRegistry, time: float | None = None) -> dict[str, Any]:
     """JSON-able dict of every metric's current state (lossless for
-    counters/gauges/histograms; sketches export their five markers)."""
+    counters, gauges and histograms)."""
     metrics: dict[str, Any] = {}
     for family in registry.families():
         series = []
@@ -88,8 +80,6 @@ def snapshot(registry: MetricsRegistry, time: float | None = None) -> dict[str, 
                     min=None if child.count == 0 else child._min,
                     max=None if child.count == 0 else child._max,
                 )
-            elif isinstance(child, QuantileSketch):
-                entry.update(q=child.q, count=child.count, value=child.value)
             else:
                 entry["value"] = child.value
             series.append(entry)
@@ -107,8 +97,7 @@ def snapshot(registry: MetricsRegistry, time: float | None = None) -> dict[str, 
 
 def registry_from_snapshot(data: dict[str, Any]) -> MetricsRegistry:
     """Rebuild a registry from :func:`snapshot` output. Counter, gauge, and
-    histogram state round-trips exactly; sketches are restored as gauges
-    holding their exported estimate (the markers are not re-importable)."""
+    histogram state round-trips exactly."""
     registry = MetricsRegistry()
     for name, meta in data.get("metrics", {}).items():
         kind = meta.get("kind")
@@ -118,7 +107,7 @@ def registry_from_snapshot(data: dict[str, Any]) -> MetricsRegistry:
         # but-never-observed metrics keep their HELP/TYPE exposition lines
         if kind == "counter":
             family = registry.counter(name, help_text, labels)
-        elif kind in ("gauge", "sketch"):
+        elif kind == "gauge":
             family = registry.gauge(name, help_text, labels)
         elif kind == "histogram":
             family = registry.histogram(name, help_text, labels)

@@ -4,9 +4,8 @@ Unlike :mod:`repro.metrics` (post-hoc re-derivation from the event log),
 the registry holds *live* aggregates — counters, gauges, and histograms —
 updated directly at the emission points in the scheduler daemon, runtime
 manager, channels, vMPI interpreter, and migration engine. Nothing here
-stores per-sample data: histograms use fixed exponential buckets plus an
-optional P² streaming quantile sketch, so memory stays constant no matter
-how long a run is.
+stores per-sample data: histograms use fixed exponential buckets, so
+memory stays constant no matter how long a run is.
 
 Naming follows Prometheus conventions: ``snake_case`` with a ``_total``
 suffix for counters and a unit suffix (``_seconds``, ``_bytes``) where one
@@ -160,80 +159,6 @@ class Histogram:
         return out
 
 
-class QuantileSketch:
-    """P² (Jain & Chlamtac 1985) streaming estimator of one quantile.
-
-    Maintains five markers — no sample storage — and converges to the true
-    quantile as observations accumulate. Used where a single accurate
-    percentile matters more than a full distribution (e.g. the watchdog's
-    straggler baseline).
-    """
-
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_increments")
-    kind = "sketch"
-
-    def __init__(self, q: float = 0.5) -> None:
-        if not 0.0 < q < 1.0:
-            raise ConfigurationError(f"sketch quantile must be in (0, 1), got {q}")
-        self.q = q
-        self.count = 0
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        if len(self._heights) < 5:
-            self._heights.append(value)
-            self._heights.sort()
-            return
-        h, pos = self._heights, self._positions
-        if value < h[0]:
-            h[0] = value
-            k = 0
-        elif value >= h[4]:
-            h[4] = value
-            k = 3
-        else:
-            k = next(i for i in range(4) if h[i] <= value < h[i + 1])
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # adjust the three middle markers toward their desired positions
-        for i in range(1, 4):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:  # parabolic would cross a neighbour: fall back to linear
-                    j = i + int(step)
-                    h[i] = h[i] + step * (h[j] - h[i]) / (pos[j] - pos[i])
-                pos[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + step / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + step) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - step) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
-
-    @property
-    def value(self) -> float:
-        """Current estimate (exact while fewer than five observations)."""
-        if not self._heights:
-            return 0.0
-        if self.count < 5:
-            rank = max(0, min(len(self._heights) - 1, round(self.q * (len(self._heights) - 1))))
-            return sorted(self._heights)[rank]
-        return self._heights[2]
-
-
 class MetricFamily:
     """One named metric with fixed label names and per-label-value children."""
 
@@ -341,9 +266,6 @@ class MetricsRegistry:
     ) -> MetricFamily:
         bounds = exponential_bounds(start, factor, count)
         return self._family(name, help_text, labels, lambda: Histogram(bounds), "histogram")
-
-    def sketch(self, name: str, q: float, help_text: str = "", labels=()) -> MetricFamily:
-        return self._family(name, help_text, labels, lambda: QuantileSketch(q), "sketch")
 
     def get(self, name: str) -> MetricFamily | None:
         return self._families.get(name)

@@ -282,6 +282,24 @@ def test_second_engine_flags_are_gone(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_soak_smoke(tmp_path):
+    """A small `repro soak` completes every application and writes its
+    JSON report."""
+    import json
+
+    report_path = tmp_path / "soak.json"
+    out = io.StringIO()
+    code = main(
+        ["soak", "--tenants", "2", "--apps", "8", "--machines", "4",
+         "--instances", "2,4", "--work", "1,2", "--json", str(report_path)],
+        out=out,
+    )
+    assert code == 0, out.getvalue()
+    report = json.loads(report_path.read_text())
+    assert report["submitted"] == report["completed"] == 8
+    assert report["failed"] == 0
+
+
 def test_bench_verb_is_gone(capsys):
     """Kernel and scale costs live in the tier-1 cost ledger, not a verb."""
     with pytest.raises(SystemExit) as exit_:

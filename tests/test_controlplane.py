@@ -630,6 +630,23 @@ def test_server_end_to_end(backend, tmp_path):
         status, body = await _http(port, "GET", "/")
         assert status == 200 and b"<!doctype html>" in body.lower()
 
+        status, _ = await _http(port, "GET", "/ws")
+        assert status == 404  # SSE is the one stream
+
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 30
+        paths = []
+        while not paths:
+            assert loop.time() < deadline, "no critical path within 30 s"
+            status, body = await _http(port, "GET", "/api/trace")
+            assert status == 200
+            paths = json.loads(body)["paths"]
+            if not paths:
+                await asyncio.sleep(0.05)
+        makespans = vce.metrics().app_makespans()
+        for path in paths:
+            assert path["makespan"] == makespans[path["app"]]
+
         status, _ = await _http(port, "POST", "/api/shutdown")
         assert status == 200
         await asyncio.wait_for(driver, timeout=30)

@@ -8,7 +8,6 @@ from repro.metrics import (
     build_timeline,
     format_series,
     format_table,
-    host_busy_fraction,
     render_gantt,
 )
 from repro.metrics.report import _fmt
@@ -140,24 +139,3 @@ class TestRenderGantt:
 
     def test_empty_horizon(self):
         assert render_gantt([], horizon=0.0) == "(empty timeline)"
-
-
-class TestHostBusyFraction:
-    def test_only_task_spans_count(self):
-        spans = [
-            Span("ws0", "a.t[0]", 0.0, 5.0, "task"),
-            Span("ws0", "DOWN", 5.0, 10.0, "down"),
-            Span("ws1", "a.t[1]", 0.0, 10.0, "task"),
-        ]
-        fractions = host_busy_fraction(spans, horizon=10.0)
-        assert fractions == {"ws0": 0.5, "ws1": 1.0}
-
-    def test_clamped_to_one(self):
-        spans = [
-            Span("ws0", "a.t[0]", 0.0, 10.0, "task"),
-            Span("ws0", "a.t[1]", 0.0, 10.0, "task"),
-        ]
-        assert host_busy_fraction(spans, horizon=10.0) == {"ws0": 1.0}
-
-    def test_zero_horizon(self):
-        assert host_busy_fraction([], horizon=0.0) == {}

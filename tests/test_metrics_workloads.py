@@ -3,7 +3,6 @@
 import pytest
 
 from repro.metrics import MetricsCollector, format_series, format_table
-from repro.metrics.collector import _merge
 from repro.core import VirtualComputingEnvironment, workstation_cluster
 from repro.scheduler.execution_program import RunState
 from repro.util.eventlog import EventLog
@@ -15,20 +14,6 @@ from repro.workloads import (
     build_sweep_graph,
     build_weather_graph,
 )
-
-
-class TestMergeIntervals:
-    def test_empty(self):
-        assert _merge([]) == []
-
-    def test_disjoint(self):
-        assert _merge([(0, 1), (2, 3)]) == [(0, 1), (2, 3)]
-
-    def test_overlapping_merged(self):
-        assert _merge([(0, 2), (1, 4), (5, 6)]) == [(0, 4), (5, 6)]
-
-    def test_contained(self):
-        assert _merge([(0, 10), (2, 3)]) == [(0, 10)]
 
 
 class TestCollector:
@@ -44,14 +29,6 @@ class TestCollector:
         assert len(makespans) == 1
         assert list(makespans.values())[0] == pytest.approx(run.app.makespan, rel=1e-6)
 
-    def test_utilization_positive_on_used_hosts(self):
-        vce, run = self._run_vce()
-        horizon = vce.sim.now
-        util = vce.metrics().utilization(horizon)
-        used = {run.placement.host_for(f"s{i}", 0) for i in range(3)}
-        for host in used:
-            assert util.get(host, 0.0) > 0.0
-
     def test_allocation_latencies(self):
         vce, run = self._run_vce()
         latencies = vce.metrics().allocation_latencies()
@@ -66,10 +43,6 @@ class TestCollector:
         vce, run = self._run_vce()
         counts = vce.metrics().bid_counts()
         assert counts and counts[0] == 4  # all four workstations bid
-
-    def test_throughput(self):
-        vce, run = self._run_vce()
-        assert vce.metrics().throughput(vce.sim.now) > 0
 
     def test_allocation_pairs_by_req_id_out_of_order(self):
         log = EventLog()
@@ -114,15 +87,6 @@ class TestCollector:
         log.emit(4.0, "task.resume", "x", app="a", task="t", rank=0)
         spans = MetricsCollector(log).suspension_spans()
         assert spans == [3.0]
-
-    def test_migration_latency_by_scheme(self):
-        log = EventLog()
-        log.emit(1.0, "migration.done", "t[0]", scheme="dump", latency=0.8)
-        log.emit(2.0, "migration.done", "t[0]", scheme="dump", latency=1.0)
-        log.emit(3.0, "migration.done", "t[1]", scheme="checkpoint", latency=0.1)
-        by_scheme = MetricsCollector(log).migration_latency_by_scheme()
-        assert by_scheme["dump"] == [0.8, 1.0]
-        assert by_scheme["checkpoint"] == [0.1]
 
 
 class TestReport:
@@ -248,13 +212,6 @@ class TestTimeline:
         assert downs[0].end - downs[0].start == pytest.approx(4.0)
         chart = render_gantt(spans, vce.sim.now, width=30, hosts=["ws0", "ws1"])
         assert "x" in chart
-
-    def test_host_busy_fraction(self):
-        from repro.metrics import host_busy_fraction
-
-        spans, horizon = self._spans()
-        fractions = host_busy_fraction(spans, horizon)
-        assert fractions and all(0 < f <= 1 for f in fractions.values())
 
     def test_empty_log(self):
         from repro.metrics import build_timeline, render_gantt

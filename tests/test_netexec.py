@@ -739,6 +739,42 @@ class TestSupervisor:
         assert redispatch.data["via"] == "daemon-takeover"
 
 
+    def test_a_finished_or_failed_app_leaves_apps(self):
+        from repro.core import workstation_cluster
+        from repro.netexec.frames import TaskFailed
+
+        async def scenario():
+            vce = _supervisor(workstation_cluster(1))
+            ws0 = _connect(vce, "ws0")
+            app = _chain_app(vce)
+            for record in app.records.values():
+                record.host = "ws0"
+            for task in sorted(app.graph.roots()):
+                vce._dispatch_task(app, task)
+            committed = 0
+            while committed < len(_assignments(ws0)):  # commits release more
+                a = _assignments(ws0)[committed]
+                vce._commit(TaskDone(a.app, a.task, a.rank, a.epoch))
+                committed += 1
+            assert committed == len(app.records) and app.finished.is_set()
+            assert vce.apps == {}
+            # a late duplicate of the last commit is ignored, not stale
+            vce._commit(TaskDone(a.app, a.task, a.rank, a.epoch))
+            assert vce.sim.log.records(category="runtime.stale_commit") == []
+
+            vce.max_redispatches = 0
+            failing = _chain_app(vce, "app-2")
+            (root, *_) = sorted(failing.graph.roots())
+            record = failing.records[(root, 0)]
+            record.host = "ws0"
+            vce._dispatch(failing, record)
+            vce._task_failed(TaskFailed(failing.id, root, 0, record.epoch))
+            assert failing.failed and failing.finished.is_set()
+            assert vce.apps == {}
+
+        _run(scenario())
+
+
 # ----------------------------------------------------- real daemon processes
 
 

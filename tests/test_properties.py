@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.machines import MachineClass
-from repro.metrics.collector import _merge
 from repro.objects import wire_size
 from repro.scheduler import (
     AgingQueue,
@@ -30,32 +29,6 @@ from repro.vmpi import Compute
 
 from tests.conftest import make_cluster, round_robin_placement
 from tests.helpers_telemetry import assert_matches_reference, health_records
-
-
-# ---------------------------------------------------------------- intervals
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(0, 1000, allow_nan=False), st.floats(0, 1000, allow_nan=False)
-        ).map(lambda t: (min(t), max(t))),
-        max_size=30,
-    )
-)
-def test_merge_intervals_invariants(intervals):
-    merged = _merge(intervals)
-    # sorted, disjoint, non-touching
-    for (s1, e1), (s2, e2) in zip(merged, merged[1:]):
-        assert e1 < s2
-    # total coverage preserved: every input point is inside some output
-    for s, e in intervals:
-        assert any(ms <= s and e <= me for ms, me in merged)
-    # merged length >= max single interval, <= sum of lengths
-    if intervals:
-        total = sum(e - s for s, e in merged)
-        assert total <= sum(e - s for s, e in intervals) + 1e-9
-        assert total >= max(e - s for s, e in intervals) - 1e-9
 
 
 # ------------------------------------------------------------------ marshal

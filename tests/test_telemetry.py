@@ -24,7 +24,6 @@ from repro.telemetry import (
     Histogram,
     HealthWatchdog,
     MetricsRegistry,
-    QuantileSketch,
     RingSeries,
     SeriesStore,
     WatchdogConfig,
@@ -183,44 +182,6 @@ class TestHistogram:
             h.quantile(1.5)
 
 
-class TestQuantileSketch:
-    def test_exact_below_five_observations(self):
-        s = QuantileSketch(0.5)
-        for v in (5.0, 1.0, 3.0):
-            s.observe(v)
-        assert s.value == 3.0
-
-    def test_p2_median_error_bound(self):
-        rng = random.Random(7)
-        samples = [rng.uniform(0.0, 100.0) for _ in range(2000)]
-        s = QuantileSketch(0.5)
-        for v in samples:
-            s.observe(v)
-        exact = sorted(samples)[1000]
-        # P² converges to the true quantile; allow a loose 10% of range
-        assert abs(s.value - exact) <= 10.0
-
-    def test_p2_p90_on_skewed_data(self):
-        rng = random.Random(11)
-        samples = [rng.expovariate(1.0) for _ in range(5000)]
-        s = QuantileSketch(0.9)
-        for v in samples:
-            s.observe(v)
-        exact = sorted(samples)[4500]
-        assert abs(s.value - exact) / exact <= 0.25
-
-    def test_q_range_checked(self):
-        with pytest.raises(ConfigurationError):
-            QuantileSketch(1.0)
-
-    def test_registry_sketch_family(self):
-        reg = MetricsRegistry()
-        fam = reg.sketch("lat_p50", q=0.5, help_text="median latency")
-        for v in range(1, 11):
-            fam.observe(float(v))
-        assert 3.0 <= fam.value <= 8.0
-
-
 # ----------------------------------------------------------------- series
 
 
@@ -294,9 +255,6 @@ def _populated_registry() -> MetricsRegistry:
     hist = reg.histogram("dur_seconds", "durations")
     for v in (0.002, 0.5, 3.0, 200.0):
         hist.observe(v)
-    sketch = reg.sketch("lat_p50", q=0.5, help_text="median")
-    for v in range(10):
-        sketch.observe(float(v))
     return reg
 
 
@@ -309,7 +267,6 @@ class TestPrometheusText:
         assert '# TYPE vce_dur_seconds histogram' in text
         assert 'le="+Inf"} 4' in text
         assert "vce_dur_seconds_sum" in text and "vce_dur_seconds_count 4" in text
-        assert "# TYPE vce_lat_p50 gauge" in text  # sketches expose a gauge
 
     def test_label_escaping(self):
         reg = MetricsRegistry()
@@ -338,10 +295,11 @@ class TestSnapshotRoundTrip:
         assert rebuilt.get("dur_seconds").quantile(0.5) == original
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            registry_from_snapshot(
-                {"metrics": {"x": {"kind": "mystery", "series": [{"labels": []}]}}}
-            )
+        for kind in ("mystery", "sketch"):
+            with pytest.raises(ConfigurationError):
+                registry_from_snapshot(
+                    {"metrics": {"x": {"kind": kind, "series": [{"labels": []}]}}}
+                )
 
 
 # --------------------------------------------------------------- watchdog
